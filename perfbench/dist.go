@@ -31,9 +31,9 @@ type distWorld struct {
 	timers    []*transportTimer // traced only
 	shards    []*distfiral.Shard
 	prefetch  []*dataset.PrefetchSource
-	counting  []*dataset.CountingSource // traced only
-	decode    []*decodeTimer            // traced only
-	stall     []*stallTimer             // traced only
+	counting  []*dataset.CountingSource
+	decode    []*decodeTimer // traced only
+	stall     []*stallTimer  // traced only
 	bootstrap time.Duration
 }
 
@@ -58,13 +58,13 @@ type rankOut struct {
 
 // distOp is one operation's outcome, rank by rank.
 type distOp struct {
-	ranks  []rankOut
-	hits   []int64
-	misses []int64
+	ranks []rankOut
+	io    []ioCounts // each rank's dataset counts
 }
 
 // sameAs compares two operations: the selection and every exact count
-// (prefetch requests, messages, bytes, collectives) rank by rank.
+// (block reads and rows decoded, prefetch requests, messages, bytes,
+// collectives) rank by rank.
 func (o distOp) sameAs(w distOp) error {
 	for r := range o.ranks {
 		if !slices.Equal(o.ranks[r].sel, w.ranks[0].sel) {
@@ -73,9 +73,8 @@ func (o distOp) sameAs(w distOp) error {
 		if o.ranks[r].stats != w.ranks[r].stats {
 			return fmt.Errorf("rank %d traffic %+v differs from the warm-up's %+v", r, o.ranks[r].stats, w.ranks[r].stats)
 		}
-		if o.hits[r] != w.hits[r] || o.misses[r] != w.misses[r] {
-			return fmt.Errorf("rank %d prefetch requests %d/%d differ from the warm-up's %d/%d",
-				r, o.hits[r], o.misses[r], w.hits[r], w.misses[r])
+		if o.io[r] != w.io[r] {
+			return fmt.Errorf("rank %d dataset counts %+v differ from the warm-up's %+v", r, o.io[r], w.io[r])
 		}
 	}
 	return nil
@@ -93,9 +92,10 @@ func runDist(h *harness) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// open bootstraps a TCP group and cuts the shards: untraced exactly
-	// as distfiral.MakeStreamShard does, traced with the same
-	// composition plus timing wrappers around the prefetch layer.
+	// open bootstraps a TCP group and cuts the shards as
+	// distfiral.MakeStreamShard does, with a CountingSource below each
+	// rank's prefetcher; traced, with timing wrappers around the
+	// prefetch layer and the transport too.
 	open := func(tr *tracer) (*distWorld, error) {
 		src, err := dataset.OpenShards(path)
 		if err != nil {
@@ -109,35 +109,43 @@ func runDist(h *harness) error {
 			return nil, err
 		}
 		w.bootstrap = time.Since(t0)
-		for r, t := range ts {
+		for _, t := range ts {
 			if tr != nil {
 				tt := &transportTimer{Transport: t, tr: tr}
 				w.timers = append(w.timers, tt)
 				t = tt
 			}
 			w.comms = append(w.comms, mpi.NewComm(t))
-			if tr == nil {
-				sh := distfiral.MakeStreamShard(in.labeled, src, in.h, 0, distRanks, r)
-				w.shards = append(w.shards, sh)
-				w.prefetch = append(w.prefetch, sh.PoolLocal.(*hessian.Stream).Source().(*dataset.PrefetchSource))
-				continue
-			}
+		}
+		for r := range ts {
 			lo, hi := mpi.Partition(residentN, distRanks, r)
 			counting := dataset.NewCountingSource(dataset.Subrange(src, lo, hi))
-			dec := &decodeTimer{src: counting, tr: tr}
-			pf := dataset.NewPrefetchSource(nil, dec, 0)
-			stall, err := newStallTimer(pf, tr)
-			if err != nil {
+			var below dataset.PoolSource = counting
+			if tr != nil {
+				dec := &decodeTimer{src: counting, tr: tr}
+				w.decode = append(w.decode, dec)
+				below = dec
+			}
+			pf, ok := dataset.WithPrefetch(nil, below, 0).(*dataset.PrefetchSource)
+			if !ok {
 				w.close()
-				return nil, err
+				return nil, fmt.Errorf("rank %d pool is not prefetched", r)
 			}
 			w.counting = append(w.counting, counting)
-			w.decode = append(w.decode, dec)
 			w.prefetch = append(w.prefetch, pf)
-			w.stall = append(w.stall, stall)
+			var above dataset.PoolSource = pf
+			if tr != nil {
+				stall, err := newStallTimer(pf, tr)
+				if err != nil {
+					w.close()
+					return nil, err
+				}
+				w.stall = append(w.stall, stall)
+				above = stall
+			}
 			w.shards = append(w.shards, &distfiral.Shard{
 				Labeled:    in.labeled,
-				PoolLocal:  hessian.NewStream(stall, in.h.RowSlice(lo, hi), 0),
+				PoolLocal:  hessian.NewStream(above, in.h.RowSlice(lo, hi), 0),
 				PoolOffset: lo,
 				PoolTotal:  residentN,
 			})
@@ -149,10 +157,10 @@ func runDist(h *harness) error {
 	run := func(w *distWorld, tr *tracer, op int) distOp {
 		root := tr.beginOp("op", op)
 		defer tr.endOp(root)
-		out := distOp{ranks: make([]rankOut, distRanks), hits: make([]int64, distRanks), misses: make([]int64, distRanks)}
-		hits0, misses0 := make([]int64, distRanks), make([]int64, distRanks)
+		out := distOp{ranks: make([]rankOut, distRanks), io: make([]ioCounts, distRanks)}
+		io0 := make([]ioCounts, distRanks)
 		for r, pf := range w.prefetch {
-			hits0[r], misses0[r] = pf.Stats()
+			io0[r] = countsOf(w.counting[r], pf)
 		}
 		var wg sync.WaitGroup
 		for r := range w.comms {
@@ -179,8 +187,7 @@ func runDist(h *harness) error {
 		}
 		wg.Wait()
 		for r, pf := range w.prefetch {
-			hits, misses := pf.Stats()
-			out.hits[r], out.misses[r] = hits-hits0[r], misses-misses0[r]
+			out.io[r] = countsOf(w.counting[r], pf).minus(io0[r])
 		}
 		return out
 	}
@@ -216,16 +223,16 @@ func runDist(h *harness) error {
 	log.Printf("warm-up selected %v, rank 0 traffic %+v", s.warm.ranks[0].sel, s.warm.ranks[0].stats)
 
 	untracedOp := func() error {
-		w := startWatch()
+		t0 := time.Now()
 		got := run(s.w, nil, 0)
-		wall, steal := w.parts()
+		wall := time.Since(t0).Seconds()
 		if err := opErr(got); err != nil {
 			return err
 		}
 		if err := got.sameAs(s.warm); err != nil {
 			return err
 		}
-		h.record(wall, steal)
+		h.record(wall)
 		return nil
 	}
 	if h.tr == nil {
@@ -262,7 +269,11 @@ func runDist(h *harness) error {
 		return err
 	}
 	defer traced.close()
-	if err := opErr(run(traced, h.tr, 0)); err != nil {
+	warm := run(traced, h.tr, 0)
+	if err := opErr(warm); err != nil {
+		return fmt.Errorf("traced warm-up: %w", err)
+	}
+	if err := warm.sameAs(s.warm); err != nil {
 		return fmt.Errorf("traced warm-up: %w", err)
 	}
 	m := calibrate()
@@ -275,9 +286,9 @@ func runDist(h *harness) error {
 			return untracedOp()
 		}
 		snap := snapDist(traced)
-		w := startWatch()
+		t0 := time.Now()
 		got := run(traced, h.tr, i)
-		wall, steal := w.parts()
+		wall := time.Since(t0).Seconds()
 		if err := opErr(got); err != nil {
 			return err
 		}
@@ -286,8 +297,12 @@ func runDist(h *harness) error {
 		if err := got.sameAs(s.warm); err != nil {
 			return fmt.Errorf("traced operation: %w", err)
 		}
-		tracedSecs = append(tracedSecs, wall-steal)
-		reads, rows, decode, wait, send, recv, wait0 := snapDist(traced).delta(snap)
+		tracedSecs = append(tracedSecs, wall)
+		decode, wait, send, recv, wait0 := snapDist(traced).delta(snap)
+		var io ioCounts
+		for _, c := range got.io {
+			io.reads, io.rows, io.hits, io.misses = io.reads+c.reads, io.rows+c.rows, io.hits+c.hits, io.misses+c.misses
+		}
 		r0 := got.ranks[0]
 		var sent mpi.Stats
 		var relaxComm, roundComm float64
@@ -304,17 +319,12 @@ func runDist(h *harness) error {
 		smp.add("mpi.recv_wait_s", recv)
 		smp.add("distfiral.relax.comm_s", relaxComm)
 		smp.add("distfiral.round.comm_s", roundComm)
-		smp.add("dataset.read_calls", reads)
-		smp.add("dataset.rows_read", rows)
-		smp.add("dataset.decode_sweeps", rows/residentN)
+		smp.add("dataset.read_calls", float64(io.reads))
+		smp.add("dataset.rows_read", float64(io.rows))
+		smp.add("dataset.decode_sweeps", float64(io.rows)/residentN)
 		smp.add("dataset.decode_s", decode)
 		smp.add("dataset.wait_s", wait)
-		var hits, reqs int64
-		for r := range got.hits {
-			hits += got.hits[r]
-			reqs += got.hits[r] + got.misses[r]
-		}
-		smp.add("dataset.prefetch_hit_ratio", float64(hits)/float64(reqs))
+		smp.add("dataset.prefetch_hit_ratio", float64(io.hits)/float64(io.hits+io.misses))
 		smp.add("krylov.cg_iterations", float64(r0.cgIters))
 		addPhases(smp, r0.relax, r0.round)
 		q := residentShape(r0.cgIters, distRanks, 4)
@@ -326,17 +336,14 @@ func runDist(h *harness) error {
 	return nil
 }
 
-// distSnap holds the traced world's cumulative timers and counters, rank
-// by rank.
+// distSnap holds the traced world's cumulative timers, rank by rank.
 type distSnap struct {
-	reads, rows, decode, wait, send, recv []float64
+	decode, wait, send, recv []float64
 }
 
 func snapDist(w *distWorld) distSnap {
 	s := distSnap{}
 	for r := range w.comms {
-		s.reads = append(s.reads, float64(w.counting[r].Reads()))
-		s.rows = append(s.rows, float64(w.counting[r].RowsRead()))
 		s.decode = append(s.decode, float64(w.decode[r].busy.Load())/1e9)
 		s.wait = append(s.wait, float64(w.stall[r].wait.Load())/1e9)
 		s.send = append(s.send, float64(w.timers[r].send.Load())/1e9)
@@ -347,16 +354,14 @@ func snapDist(w *distWorld) distSnap {
 
 // delta returns, per quantity, the change since o summed over ranks, or
 // for send and receive waits the slowest rank's; wait0 is rank 0's stall.
-func (s distSnap) delta(o distSnap) (reads, rows, decode, wait, send, recv, wait0 float64) {
-	for r := range s.reads {
-		reads += s.reads[r] - o.reads[r]
-		rows += s.rows[r] - o.rows[r]
+func (s distSnap) delta(o distSnap) (decode, wait, send, recv, wait0 float64) {
+	for r := range s.decode {
 		decode += s.decode[r] - o.decode[r]
 		wait += s.wait[r] - o.wait[r]
 		send = max(send, s.send[r]-o.send[r])
 		recv = max(recv, s.recv[r]-o.recv[r])
 	}
-	return reads, rows, decode, wait, send, recv, s.wait[0] - o.wait[0]
+	return decode, wait, send, recv, s.wait[0] - o.wait[0]
 }
 
 // bootstrapTCP forms a two-rank TCP group on loopback: rank 0 listens on

@@ -142,10 +142,10 @@ type harness struct {
 	setupSecs []float64
 	idleRSS   float64
 	peakRSS   float64   // at the end of the timed loop, before any post-run check
-	opSecs    []float64 // stopwatch seconds of the operations that passed their checks
+	opSecs    []float64 // wall seconds of the operations that passed their checks
 	attempted int
 	failed    int
-	measured  float64 // seconds of the timed loop (stopwatch)
+	measured  float64 // wall seconds of the timed loop
 	problems  []string
 
 	layers map[string]float64
@@ -178,12 +178,12 @@ func setUp[S any](h *harness, repeats int, fn func() (S, error), closeFn func(S)
 	}
 	for i := 0; i < repeats; i++ {
 		runtime.GC()
-		w := startWatch()
+		t0 := time.Now()
 		s, err := fn()
 		if err != nil {
 			return st, err
 		}
-		h.setupSecs = append(h.setupSecs, w.seconds())
+		h.setupSecs = append(h.setupSecs, time.Since(t0).Seconds())
 		if i < repeats-1 {
 			closeFn(s)
 		}
@@ -203,9 +203,9 @@ func setUp[S any](h *harness, repeats int, fn func() (S, error), closeFn func(S)
 // its output check; a successful operation records its own time
 // (it knows where the operation starts and ends).
 func (h *harness) loop(minOps int, op func(i int) error) {
-	w := startWatch()
+	t0 := time.Now()
 	for i := 1; ; i++ {
-		if el := w.seconds(); i > minOps && el*float64(i)/float64(i-1) > h.seconds {
+		if el := time.Since(t0).Seconds(); i > minOps && el*float64(i)/float64(i-1) > h.seconds {
 			break
 		}
 		runtime.GC() // the previous operation's garbage is not this one's cost
@@ -215,7 +215,7 @@ func (h *harness) loop(minOps int, op func(i int) error) {
 			log.Printf("op %d failed: %v", i, err)
 		}
 	}
-	h.measured = w.seconds()
+	h.measured = time.Since(t0).Seconds()
 	h.peakRSS = rssMiB("VmHWM")
 	log.Printf("op_s samples %v", fmtSecs(h.opSecs))
 }
@@ -324,60 +324,7 @@ func fmtSecs(xs []float64) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-// record appends a passed operation's time and logs its parts.
-func (h *harness) record(wall, steal float64) {
-	h.opSecs = append(h.opSecs, wall-steal)
-	if steal > 0 {
-		log.Printf("operation took %.3fs of wall time, %.3fs stolen per vCPU", wall, steal)
-	}
-}
-
-// stopwatch measures elapsed wall time less the time the hypervisor stole
-// from this machine's vCPUs meanwhile (the steal column of /proc/stat),
-// divided by the number of vCPUs. Steal is time a vCPU was ready to run
-// this process but the host ran another machine, so the difference is the
-// wall time on a host that does not overcommit its CPUs. The correction
-// errs low: steal on a vCPU this process left idle does not accrue.
-type stopwatch struct {
-	t0    time.Time
-	steal float64
-}
-
-func startWatch() stopwatch { return stopwatch{time.Now(), stolen()} }
-
-// seconds is the corrected elapsed time; wall and steal are its parts.
-func (w stopwatch) seconds() float64 {
-	wall, steal := w.parts()
-	return wall - steal
-}
-
-func (w stopwatch) parts() (wall, steal float64) {
-	return time.Since(w.t0).Seconds(), stolen() - w.steal
-}
-
-// userHZ is the kernel's clock-tick rate for /proc/stat (USER_HZ).
-const userHZ = 100
-
-// stolen returns the seconds stolen so far, per vCPU.
-func stolen() float64 {
-	data, err := os.ReadFile("/proc/stat")
-	if err != nil {
-		log.Fatalf("read /proc/stat: %v", err)
-	}
-	lines := strings.Split(string(data), "\n")
-	f := strings.Fields(lines[0])
-	if len(f) < 9 || f[0] != "cpu" {
-		log.Fatalf("unexpected /proc/stat line %q", lines[0])
-	}
-	ticks, err := strconv.ParseFloat(f[8], 64)
-	if err != nil {
-		log.Fatalf("parse steal: %v", err)
-	}
-	cpus := 0
-	for _, l := range lines[1:] {
-		if strings.HasPrefix(l, "cpu") {
-			cpus++
-		}
-	}
-	return ticks / userHZ / float64(max(cpus, 1))
+// record appends a passed operation's wall seconds.
+func (h *harness) record(wall float64) {
+	h.opSecs = append(h.opSecs, wall)
 }

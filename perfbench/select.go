@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"slices"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/firal"
@@ -28,13 +29,17 @@ type ioCounts struct {
 	reads, rows, hits, misses int64
 }
 
-func (st *selectStack) counts() ioCounts {
+func (st *selectStack) counts() ioCounts { return countsOf(st.counting, st.prefetch) }
+
+// countsOf reads the cumulative counts of a counting source and the
+// prefetcher above it; either may be nil.
+func countsOf(counting *dataset.CountingSource, pf *dataset.PrefetchSource) ioCounts {
 	var c ioCounts
-	if st.counting != nil {
-		c.reads, c.rows = st.counting.Reads(), st.counting.RowsRead()
+	if counting != nil {
+		c.reads, c.rows = counting.Reads(), counting.RowsRead()
 	}
-	if st.prefetch != nil {
-		c.hits, c.misses = st.prefetch.Stats()
+	if pf != nil {
+		c.hits, c.misses = pf.Stats()
 	}
 	return c
 }
@@ -58,21 +63,19 @@ type selectCase struct {
 	postCheck func(ctx context.Context, st *selectStack, warm *firal.Result, warmIO ioCounts) error
 }
 
-// outcome is one operation's result, exact counts and stopwatch parts.
+// outcome is one operation's result, exact counts and wall time.
 type outcome struct {
-	res         *firal.Result
-	io          ioCounts
-	wall, steal float64
+	res  *firal.Result
+	io   ioCounts
+	wall float64 // seconds
 }
 
 // selectOnce is one untraced operation: SelectApprox, as a caller runs it.
 func (sc *selectCase) selectOnce(ctx context.Context, st *selectStack) (outcome, error) {
 	before := st.counts()
-	w := startWatch()
+	t0 := time.Now()
 	res, err := firal.SelectApprox(ctx, st.prob, sc.budget, firal.Options{Relax: sc.relax})
-	o := outcome{res: res, io: st.counts().minus(before)}
-	o.wall, o.steal = w.parts()
-	return o, err
+	return outcome{res: res, io: st.counts().minus(before), wall: time.Since(t0).Seconds()}, err
 }
 
 // tracedSelect is the same operation with a span per layer call:
@@ -80,7 +83,7 @@ func (sc *selectCase) selectOnce(ctx context.Context, st *selectStack) (outcome,
 // called here one at a time so each gets its own span.
 func (sc *selectCase) tracedSelect(ctx context.Context, st *selectStack, tr *tracer, op int) (outcome, error) {
 	before := st.counts()
-	w := startWatch()
+	t0 := time.Now()
 	root := tr.beginOp("op", op)
 	id := tr.begin("firal.relax", root)
 	relax, err := firal.RelaxFast(ctx, st.prob, sc.budget, sc.relax)
@@ -97,9 +100,7 @@ func (sc *selectCase) tracedSelect(ctx context.Context, st *selectStack, tr *tra
 		return outcome{}, err
 	}
 	res := &firal.Result{Selected: round.Selected, Eta: st.prob.DefaultEta(), Relax: relax, Round: round}
-	o := outcome{res: res, io: st.counts().minus(before)}
-	o.wall, o.steal = w.parts()
-	return o, nil
+	return outcome{res: res, io: st.counts().minus(before), wall: time.Since(t0).Seconds()}, nil
 }
 
 // check compares an operation with the warm-up: the selection bit for
@@ -151,7 +152,7 @@ func runSelect(h *harness, sc *selectCase) error {
 		if err := check(got, s.warm); err != nil {
 			return err
 		}
-		h.record(got.wall, got.steal)
+		h.record(got.wall)
 		return nil
 	}
 	if h.tr == nil {
@@ -169,7 +170,11 @@ func runSelect(h *harness, sc *selectCase) error {
 		return err
 	}
 	defer traced.close()
-	if _, err := sc.tracedSelect(ctx, traced, h.tr, 0); err != nil {
+	warm, err := sc.tracedSelect(ctx, traced, h.tr, 0)
+	if err != nil {
+		return fmt.Errorf("traced warm-up: %w", err)
+	}
+	if err := check(warm, s.warm); err != nil {
 		return fmt.Errorf("traced warm-up: %w", err)
 	}
 	m := calibrate()
@@ -190,7 +195,7 @@ func runSelect(h *harness, sc *selectCase) error {
 		if err := check(got, s.warm); err != nil {
 			return fmt.Errorf("traced operation: %w", err)
 		}
-		tracedSecs = append(tracedSecs, got.wall-got.steal)
+		tracedSecs = append(tracedSecs, got.wall)
 		decode1, wait1 := busy(traced)
 		r, rd := got.res.Relax, got.res.Round
 		smp.add("dataset.read_calls", float64(got.io.reads))

@@ -181,7 +181,7 @@ type tenant struct {
 
 // roundStat is one round as the client saw it.
 type roundStat struct {
-	wall, steal                             float64 // the operation's stopwatch parts
+	wall                                    float64 // the operation's wall seconds
 	post, queue, train, sel, labels, append float64
 	appended                                bool
 	cgIters                                 int
@@ -255,7 +255,6 @@ func (t *tenant) round(op int) (roundStat, error) {
 		}
 	}
 
-	w := startWatch()
 	t0 := time.Now()
 	var started struct {
 		Round  int    `json:"round"`
@@ -298,7 +297,7 @@ func (t *tenant) round(op int) (roundStat, error) {
 	}); err != nil {
 		return st, fmt.Errorf("fetch selection: %w", err)
 	}
-	st.wall, st.steal = w.parts()
+	st.wall = time.Since(t0).Seconds()
 	st.train, st.sel, st.cgIters = meta.TrainSeconds, meta.SelectSeconds, meta.CGIterations
 	t.rounds = append(t.rounds, sel.Selected)
 	return st, t.checkSelection(sel.Selected)
@@ -372,7 +371,7 @@ func runService(h *harness) error {
 	stats := make([][]roundStat, serviceTenants)
 	rejected := 0
 	var wg sync.WaitGroup
-	watch := startWatch()
+	t0 := time.Now()
 	for k, t := range s.tenants {
 		wg.Add(1)
 		go func(k int, t *tenant) {
@@ -400,14 +399,14 @@ func runService(h *harness) error {
 		}(k, t)
 	}
 	wg.Wait()
-	h.measured = watch.seconds()
+	h.measured = time.Since(t0).Seconds()
 	h.peakRSS = rssMiB("VmHWM")
 	// Untraced, every tenant's rounds are samples (and ops_per_s counts
 	// rounds across tenants); traced, only the untraced tenant's.
 	for k, ss := range stats {
 		if h.tr == nil || s.tenants[k].tr == nil {
 			for _, st := range ss {
-				h.record(st.wall, st.steal)
+				h.record(st.wall)
 			}
 		}
 	}
@@ -427,7 +426,7 @@ func runService(h *harness) error {
 	smp := samples{}
 	var tracedSecs []float64
 	for _, st := range stats[0] {
-		tracedSecs = append(tracedSecs, st.wall-st.steal)
+		tracedSecs = append(tracedSecs, st.wall)
 		smp.add("server.post_s", st.post)
 		smp.add("server.queue_s", st.queue)
 		smp.add("server.train_s", st.train)

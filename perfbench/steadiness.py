@@ -2,18 +2,19 @@
 """Steadiness self-check for the repository benchmark.
 
 Runs each workload as two sets of runs of the same code, every run with
-its own seed, and reports per end-to-end metric:
+its own seed and BENCHMARK.json's run_seconds, and reports per
+end-to-end metric:
 
   spread  the distance between the first and third quartile of a set's
           values (statistics.quantiles, n=4) as a share of their median;
-  drift   how much worse the second set's median is than the first's, as
-          a share of the first's.
+  drift   how far the second set's median is from the first's, either
+          way, as a share of the first's.
 
-Both are compared with the metric's bound in BENCHMARK.json. A set's
-spread above the bound (setup_s excepted) or a drift above it fails the
-check; a spread above a third of the bound is flagged as not yet steady.
-The default of ten runs per set is the acceptance check; fewer runs make
-a quicker, noisier probe (spr_all then pools both sets).
+Both are compared with the metric's bound in BENCHMARK.json, setup_s
+included. A set's spread or the drift above the bound fails the check; a
+spread above a third of the bound is flagged as not yet steady. The
+default of ten runs per set is the acceptance check; fewer runs make a
+quicker, noisier probe (spr_all then pools both sets).
 
 Run from the repository root:
 
@@ -52,18 +53,15 @@ def spread(values):
     return (q3 - q1) / statistics.median(values)
 
 
-def drift(first, second, better):
-    m1, m2 = statistics.median(first), statistics.median(second)
-    worse = (m2 - m1) if better == "lower" else (m1 - m2)
-    return worse / m1
+def drift(first, second):
+    m1 = statistics.median(first)
+    return abs(statistics.median(second) - m1) / m1
 
 
 def main():
     bench = json.load(open("BENCHMARK.json"))
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=10, help="runs per set")
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--workload", action="append",
                     help="workload to check (default: all)")
     args = ap.parse_args()
@@ -74,33 +72,33 @@ def main():
     ok = True
     for w in workloads:
         sets = []
-        for k in range(args.sets):
+        for k in range(2):
             runs = []
             for i in range(args.runs):
                 seed = 1000 * (k + 1) + i
-                res, wall = run_once(bench["command"], w, seed, args.seconds)
+                res, wall = run_once(bench["command"], w, seed, bench["run_seconds"])
                 runs.append({"seed": seed, "wall_s": wall, "metrics": res["metrics"]})
                 print(f"{w} set {k + 1} seed {seed}: {wall:.1f}s wall, "
                       + " ".join(f"{m['name']}={res['metrics'][m['name']]['value']:.4g}"
                                  for m in metrics), flush=True)
             sets.append(runs)
         raw[w] = sets
-        print(f"\n{w}: {args.sets} sets of {args.runs} runs")
+        print(f"\n{w}: 2 sets of {args.runs} runs")
         print(f"  {'metric':<14} {'bound':>6} " + " ".join(
-            f"{'med' + str(k + 1):>9} {'spr' + str(k + 1):>6}" for k in range(args.sets))
+            f"{'med' + str(k + 1):>9} {'spr' + str(k + 1):>6}" for k in range(2))
             + f" {'spr_all':>7} {'drift':>7}  verdict")
         for m in metrics:
             name, bound = m["name"], m["bound"]
             vals = [[r["metrics"][name]["value"] for r in runs] for runs in sets]
             spreads = [spread(v) for v in vals]
             allv = [x for v in vals for x in v]
-            d = max(drift(vals[0], v, m["better"]) for v in vals[1:]) if len(vals) > 1 else 0.0
+            d = drift(vals[0], vals[1])
             verdict = "ok"
-            if name != "setup_s" and max(spreads) > bound:
+            if max(spreads) > bound:
                 verdict, ok = "FAIL spread", False
             elif d > bound:
                 verdict, ok = "FAIL drift", False
-            elif name != "setup_s" and max(spreads) > bound / 3:
+            elif max(spreads) > bound / 3:
                 verdict = "unsteady (spread > bound/3)"
             print(f"  {name:<14} {bound:>6.2f} " + " ".join(
                 f"{statistics.median(v):>9.4g} {s:>6.3f}" for v, s in zip(vals, spreads))
