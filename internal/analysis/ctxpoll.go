@@ -26,7 +26,7 @@ var kernelNames = map[string]bool{
 	"MatVecBlockWS": true, "QuadAccumBlockWS": true, "BlockDiagAccumRange": true,
 	// krylov solvers
 	"Solve": true, "SolveInto": true, "SolveBlock": true,
-	"SolveBlockInto": true, "SolveColumnsInto": true,
+	"SolveBlockInto": true,
 }
 
 // CtxPoll enforces the per-iteration cancellation contract: a loop

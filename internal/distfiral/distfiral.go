@@ -1,37 +1,39 @@
-// Package distfiral implements the distributed-memory parallel
-// Approx-FIRAL of § III-C on top of the internal/mpi runtime. The data
-// layout follows the paper: the n pool points (x_i, h_i) are evenly
-// partitioned across the p ranks, while all ẽd-length vectors and all
-// O(cd²) block matrices are replicated. Communication per § III-C:
+// Package distfiral runs the distributed-memory Approx-FIRAL of § III-C
+// on the internal/mpi runtime. The data layout follows the paper: the n
+// pool points (x_i, h_i) are evenly partitioned across the p ranks, while
+// all ẽd-length vectors and all O(cd²) block matrices are replicated.
 //
-//   - RELAX: MPI_Allreduce to sum the block-diagonal preconditioner and the
-//     partial fast-matvec results inside CG; the probe block is broadcast
-//     from rank 0.
-//   - ROUND: MPI_Allreduce (maxloc) to pick the globally best candidate;
-//     MPI_Bcast of the winner's (x, h); MPI_Allgather of the block
-//     eigenvalues, which are computed c/p blocks per rank.
+// The solvers themselves are not here: RELAX and ROUND exist once, as
+// firal.RelaxGroup and firal.RoundGroup, and run unchanged over every
+// rank count. This package supplies what the distributed run adds — shard
+// construction, the adapter that lets an *mpi.Comm serve as the solvers'
+// firal.Collective (timing each collective into the "comm" phase and
+// agreeing on cancellation once per iteration), and SelectResilient, the
+// heal-reshard-resume loop over rank failures. Communication per § III-C:
+//
+//   - RELAX: the probe block is broadcast from rank 0; the block-diagonal
+//     preconditioner, the block matvec partials inside CG and the two
+//     mirror-step scalars are allreduced.
+//   - ROUND: a maxloc allreduce picks the globally best candidate, the
+//     winner's (x, h) is broadcast, and the block eigenvalues, computed
+//     c/p blocks per rank, are allgathered.
 package distfiral
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/firal"
 	"repro/internal/hessian"
-	"repro/internal/krylov"
 	"repro/internal/mat"
 	"repro/internal/mpi"
-	"repro/internal/rnd"
-	"repro/internal/sketch"
 	"repro/internal/timing"
 )
 
 // Shard is one rank's view of the selection problem: the (small) labeled
 // set replicated everywhere and this rank's contiguous slice of the pool.
-// A Shard is owned by its rank goroutine; its workspace and cached
-// buffers are reused round to round and are not safe for sharing.
+// A Shard is owned by its rank goroutine; its fields must not change
+// after the first solve.
 type Shard struct {
 	Labeled   *hessian.Set // Xo, replicated
 	PoolLocal hessian.Pool // local slice of Xu (resident or block-streaming)
@@ -40,44 +42,9 @@ type Shard struct {
 	// PoolTotal is the global pool size n.
 	PoolTotal int
 
-	// Per-rank reusable buffers. The labeled Set may be shared across
-	// ranks, so all scratch lives here, never on the Sets.
-	ws        *mat.Workspace
-	arBuf     []float64    // allreduce packing buffer (c·d² floats)
-	labBlocks []*mat.Dense // cached z-independent labeled block diagonal
-	sigCache  []*mat.Dense // reusable Σz blocks for the RELAX iterations
-	mvBuf     []float64    // labeled-term buffer for sigmaMatVecBlock
-	// bp holds the rank's CG preconditioner state; its Cholesky factor
-	// storage is refactored in place every RELAX iteration and reused
+	// p is the rank-local problem, kept so its labeled-block cache lasts
 	// round to round.
-	bp *firal.BlockPreconditionerWS
-}
-
-// workspace lazily creates the rank-local workspace.
-func (s *Shard) workspace() *mat.Workspace {
-	if s.ws == nil {
-		s.ws = mat.NewWorkspace()
-	}
-	return s.ws
-}
-
-// precond lazily creates the rank-local preconditioner state.
-func (s *Shard) precond() *firal.BlockPreconditionerWS {
-	if s.bp == nil {
-		s.bp = firal.NewBlockPreconditionerWS()
-	}
-	return s.bp
-}
-
-// labeledDiag lazily builds and caches the replicated labeled
-// block-diagonal Σ_i∈Xo h_ik(1−h_ik) x_i x_iᵀ. The blocks are read-only
-// after construction: sigmaBlocks adds them into its accumulators and
-// the ROUND state retains them as (Ho)_k without mutating either.
-func (s *Shard) labeledDiag() []*mat.Dense {
-	if s.labBlocks == nil {
-		s.labBlocks = s.Labeled.BlockDiagSumInto(s.workspace(), nil, nil)
-	}
-	return s.labBlocks
+	p *firal.Problem
 }
 
 // MakeShard cuts rank's partition out of a global pool, mirroring the
@@ -118,410 +85,147 @@ func MakeStreamShard(labeled *hessian.Set, src dataset.PoolSource, probs *mat.De
 	}
 }
 
-// D returns the feature dimension.
-func (s *Shard) D() int { return s.PoolLocal.D() }
-
-// C returns the number of Fisher blocks.
-func (s *Shard) C() int { return s.PoolLocal.C() }
-
-// Ed returns ẽd = d·c.
-func (s *Shard) Ed() int { return s.D() * s.C() }
-
-// allreduceBlocks sums a set of d×d blocks across ranks in one
-// MPI_Allreduce of cd² floats (§ III-C, Eq. 22 message size). The packing
-// buffer is kept on the Shard and reused round to round.
-func (s *Shard) allreduceBlocks(c *mpi.Comm, blocks []*mat.Dense, ph *timing.Phases) {
-	if c.Size() == 1 {
-		return
+// bind returns the shard's place in the global pool under cm and its
+// rank-local selection problem.
+func (s *Shard) bind(cm firal.Collective) (firal.Group, *firal.Problem) {
+	if s.p == nil {
+		s.p = firal.NewProblem(s.Labeled, s.PoolLocal)
 	}
-	d := blocks[0].Rows
-	n := len(blocks) * d * d
-	if cap(s.arBuf) < n {
-		s.arBuf = make([]float64, n)
-	}
-	buf := s.arBuf[:n]
-	off := 0
-	for _, b := range blocks {
-		copy(buf[off:off+d*d], b.Data)
-		off += d * d
-	}
-	stop := ph.Start("comm")
-	c.Allreduce(buf, mpi.Sum)
-	stop()
-	off = 0
-	for _, b := range blocks {
-		copy(b.Data, buf[off:off+d*d])
-		off += d * d
-	}
+	return firal.Group{Comm: cm, Offset: s.PoolOffset, Total: s.PoolTotal}, s.p
 }
 
-// sigmaBlocks computes the global diagonal blocks of Σz: local pool
-// contributions are allreduced, then the replicated (and cached) labeled
-// contribution is added identically on every rank. When reuse is true the
-// result lives in the Shard's block cache, valid until the next reusing
-// call — the RELAX loop rebuilds the blocks every iteration and must not
-// re-allocate them; ROUND retains its blocks in the RoundState and takes
-// fresh ones.
-func (s *Shard) sigmaBlocks(c *mpi.Comm, z []float64, ph *timing.Phases, reuse bool) []*mat.Dense {
-	stop := ph.Start("precond")
-	var blocks []*mat.Dense
-	if reuse {
-		s.sigCache = s.PoolLocal.BlockDiagSumInto(s.workspace(), s.sigCache, z)
-		blocks = s.sigCache
-	} else {
-		blocks = s.PoolLocal.BlockDiagSumInto(s.workspace(), nil, z)
-	}
-	stop()
-	s.allreduceBlocks(c, blocks, ph)
-	stop = ph.Start("precond")
-	lab := s.labeledDiag()
-	for k := range blocks {
-		blocks[k].AddScaled(1, lab[k])
-	}
-	stop()
-	return blocks
+// comm adapts an *mpi.Comm to firal.Collective, timing every collective
+// into ph's "comm" phase.
+type comm struct {
+	c  *mpi.Comm
+	ph *timing.Phases
 }
 
-// allreduceDense sums an s×n transposed vector block across ranks: one
-// MPI_Allreduce of s·n floats when the storage is compact (it always is —
-// the block solver hands the ops compact workspace matrices), a per-row
-// fallback otherwise. Folding the probe block into one collective
-// divides the RELAX message count per CG iteration by s.
-func allreduceDense(c *mpi.Comm, m *mat.Dense, ph *timing.Phases) {
-	stop := ph.Start("comm")
-	if m.Stride == m.Cols {
-		c.Allreduce(m.Data[:m.Rows*m.Cols], mpi.Sum)
-	} else {
-		for j := 0; j < m.Rows; j++ {
-			c.Allreduce(m.Row(j), mpi.Sum)
-		}
-	}
-	stop()
+func newComm(c *mpi.Comm) comm { return comm{c: c, ph: timing.New()} }
+
+func (a comm) Rank() int { return a.c.Rank() }
+func (a comm) Size() int { return a.c.Size() }
+
+func (a comm) Bcast(root int, buf []float64) {
+	defer a.ph.Start("comm")()
+	a.c.Bcast(root, buf)
 }
 
-// sigmaMatVecBlock is the block form of sigmaMatVec over a transposed
-// probe block (s×ẽd, row j = probe j; see krylov.BlockOp): the local
-// Lemma-2 sweep serves all s probes in one pool visit — one decode per CG
-// iteration on a streamed shard — and the rank partials are summed in a
-// single allreduce before the replicated labeled term is added per row.
-// Per-column arithmetic matches sigmaMatVec exactly, so serial and
-// distributed runs stay comparable draw for draw.
-func (s *Shard) sigmaMatVecBlock(c *mpi.Comm, z []float64, ph *timing.Phases) krylov.BlockOp {
-	if cap(s.mvBuf) < s.Ed() {
-		s.mvBuf = make([]float64, s.Ed())
-	}
-	buf := s.mvBuf[:s.Ed()]
-	ws := s.workspace()
-	return func(dst, v *mat.Dense) {
-		hessian.MatVecBlockWS(ws, s.PoolLocal, dst, v, z)
-		allreduceDense(c, dst, ph)
-		for j := 0; j < v.Rows; j++ {
-			s.Labeled.MatVecWS(ws, buf, v.Row(j), nil)
-			dj := dst.Row(j)
-			for i := range dj {
-				dj[i] += buf[i]
-			}
-		}
-	}
+func (a comm) Allreduce(buf []float64) {
+	defer a.ph.Start("comm")()
+	a.c.Allreduce(buf, mpi.Sum)
 }
 
-// poolMatVecBlock is the distributed block form of V ↦ Hp·V.
-func (s *Shard) poolMatVecBlock(c *mpi.Comm, ph *timing.Phases) krylov.BlockOp {
-	ws := s.workspace()
-	return func(dst, v *mat.Dense) {
-		hessian.MatVecBlockWS(ws, s.PoolLocal, dst, v, nil)
-		allreduceDense(c, dst, ph)
-	}
+func (a comm) AllreduceScalar(x float64, op mpi.Op) float64 {
+	defer a.ph.Start("comm")()
+	return a.c.AllreduceScalar(x, op)
 }
 
-// RelaxResult reports a distributed RELAX solve (per rank; z holds the
-// local partition's weights scaled to the global budget).
-type RelaxResult struct {
-	// ZLocal is this rank's slice of z⋄ = b·z.
-	ZLocal []float64
-	// Objectives per iteration (identical across ranks).
-	Objectives []float64
-	// Iterations executed, CG iteration total.
-	Iterations   int
-	CGIterations int
-	// Timings holds this rank's phase breakdown ("precond", "cg",
-	// "gradient", "comm", "other").
-	Timings *timing.Phases
+func (a comm) AllreduceMaxLoc(val float64, loc int) (float64, int, int) {
+	defer a.ph.Start("comm")()
+	return a.c.AllreduceMaxLoc(val, loc)
 }
 
-// collectiveCancelled is the SPMD-safe cancellation check: rank 0 polls
-// the context and broadcasts a one-float stop flag, so every rank leaves
-// the collective schedule at the same iteration. Checking ctx directly on
+func (a comm) Allgatherv(local []float64) []float64 {
+	defer a.ph.Start("comm")()
+	out, _ := a.c.Allgatherv(local)
+	return out
+}
+
+// Cancelled is the SPMD-safe cancellation check: rank 0 polls the context
+// and broadcasts a one-float stop flag, so every rank leaves the
+// collective schedule at the same iteration. Checking ctx directly on
 // each rank would let ranks observe cancellation at different iterations
-// and deadlock inside a collective.
-func collectiveCancelled(ctx context.Context, c *mpi.Comm, ph *timing.Phases) bool {
+// and deadlock inside a collective. Ranks that learn of the cancellation
+// through the flag before their own ctx fires report context.Canceled.
+func (a comm) Cancelled(ctx context.Context) error {
 	if ctx.Done() == nil {
 		// Non-cancellable context (e.g. context.Background), uniform
 		// across ranks: skip the flag broadcast so benchmarks and
 		// experiments measure the paper's communication pattern only.
-		return false
+		return nil
 	}
 	flag := []float64{0}
-	if c.Rank() == 0 && ctx.Err() != nil {
+	if a.c.Rank() == 0 && ctx.Err() != nil {
 		flag[0] = 1
 	}
-	stop := ph.Start("comm")
-	c.Bcast(0, flag)
-	stop()
-	return flag[0] != 0
-}
-
-// ctxErr returns the context's error, defaulting to context.Canceled for
-// ranks that learned of the cancellation through the collective flag
-// before their own ctx poll would have fired.
-func ctxErr(ctx context.Context) error {
+	a.Bcast(0, flag)
+	if flag[0] == 0 {
+		return nil
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return context.Canceled
 }
 
-// Relax runs the distributed fast RELAX (Algorithm 2 over MPI).
-// Cancellation is detected collectively once per mirror-descent
-// iteration; all ranks abort together with the context error.
+// SolverContext hands the CG solves a background context: their matvecs
+// are collectives, so ranks must not abort them at different inner
+// iterations; cancellation is honored at the loop-top Cancelled instead.
+func (a comm) SolverContext(context.Context) context.Context { return context.Background() }
+
+// RelaxResult and RoundResult are the solvers' reports; in a distributed
+// run RelaxResult.Z is this rank's window of z⋄, and both Timings carry
+// the rank's "comm" phase.
+type (
+	RelaxResult = firal.RelaxResult
+	RoundResult = firal.RoundResult
+)
+
+// Relax runs the distributed fast RELAX (Algorithm 2 over MPI; see
+// firal.RelaxGroup). Cancellation is detected collectively once per
+// mirror-descent iteration; all ranks abort together with the context
+// error.
 //
-// o.OnIteration and o.Resume work as in the serial solver, with global
-// checkpoints: each completed iteration allgathers the full simplex
-// iterate so every rank holds an identical RelaxCheckpoint that can be
-// resumed under a different rank count (the pool is re-sliced by this
-// rank's Partition window). Because the checkpoint gather is a
+// o.WarmStart, o.OnIteration and o.Resume work as in the serial solver,
+// with global vectors: each completed iteration allgathers the full
+// simplex iterate so every rank holds an identical RelaxCheckpoint that
+// can be resumed under a different rank count (the pool is re-sliced by
+// this rank's Partition window). Because the checkpoint gather is a
 // collective, OnIteration must be set on all ranks or on none. A lost
 // rank surfaces as an error satisfying errors.Is(err, mpi.ErrRankLost);
 // see SelectResilient for the heal-reshard-resume loop.
 func Relax(ctx context.Context, c *mpi.Comm, s *Shard, b int, o firal.RelaxOptions) (res *RelaxResult, err error) {
 	defer mpi.RecoverLost(&err)
-	// Mirror the serial option defaults.
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
+	cm := newComm(c)
+	g, p := s.bind(cm)
+	if res, err = firal.RelaxGroup(ctx, g, p, b, o); err == nil {
+		res.Timings.Merge(cm.ph)
 	}
-	if o.Beta0 <= 0 {
-		o.Beta0 = 1
+	return res, err
+}
+
+// Round runs the distributed diagonal ROUND step (Algorithm 3 over MPI;
+// see firal.RoundGroup). zLocal is this rank's slice of z⋄; selections
+// are global pool indices, identical across ranks. Cancellation is
+// detected collectively once per selected candidate. A lost rank surfaces
+// as an error satisfying errors.Is(err, mpi.ErrRankLost); see
+// SelectResilient for the heal-reshard-resume loop.
+//
+// exclude lists global pool indices the step must not select (tombstones
+// from earlier selection rounds, mirroring firal.Options.Exclude); it
+// must be identical on every rank.
+func Round(ctx context.Context, c *mpi.Comm, s *Shard, zLocal []float64, b int, eta float64, exclude ...int) (res *RoundResult, err error) {
+	defer mpi.RecoverLost(&err)
+	cm := newComm(c)
+	g, p := s.bind(cm)
+	if res, err = firal.RoundGroup(ctx, g, p, zLocal, b, firal.RoundOptions{Eta: eta, Exclude: exclude}); err == nil {
+		res.Timings.Merge(cm.ph)
 	}
-	if o.ObjTol <= 0 {
-		o.ObjTol = 1e-4
+	return res, err
+}
+
+// Select runs the full distributed Approx-FIRAL (RELAX + ROUND) on one
+// rank's shard. All ranks return identical Selected slices. Cancelling
+// the context aborts all ranks together at the next collective check.
+func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, relaxOpts firal.RelaxOptions) ([]int, *RelaxResult, *RoundResult, error) {
+	relax, err := Relax(ctx, c, s, b, relaxOpts)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if o.Probes <= 0 {
-		o.Probes = 10
+	round, err := Round(ctx, c, s, relax.Z, b, eta)
+	if err != nil {
+		return nil, relax, nil, err
 	}
-	if o.CGTol <= 0 {
-		o.CGTol = 0.1
-	}
-	if o.CGMaxIter <= 0 {
-		o.CGMaxIter = 400
-	}
-	if o.FixedIterations > 0 {
-		o.MaxIter = o.FixedIterations
-	}
-
-	ed := s.Ed()
-	nLocal := s.PoolLocal.N()
-	nGlobal := s.PoolTotal
-	res = &RelaxResult{Timings: timing.New()}
-	ph := res.Timings
-
-	z := make([]float64, nLocal)
-	mat.Fill(z, 1/float64(nGlobal))
-
-	// Resume from a global checkpoint: slice the replicated simplex
-	// iterate by this rank's pool window — the rank count may differ from
-	// the run that produced the checkpoint (that is the point: survivors
-	// re-shard after a rank loss and continue).
-	start := 1
-	if o.Resume != nil {
-		if len(o.Resume.Z) != nGlobal {
-			return nil, fmt.Errorf("%w: checkpoint has %d weights, global pool has %d",
-				firal.ErrBadCheckpoint, len(o.Resume.Z), nGlobal)
-		}
-		copy(z, o.Resume.Z[s.PoolOffset:s.PoolOffset+nLocal])
-		start = o.Resume.Iteration + 1
-		res.Iterations = o.Resume.Iteration
-		res.CGIterations = o.Resume.CGIterations
-		if o.Resume.Done {
-			// Mirror descent already finished; only the b· scaling of
-			// line 12 remains. The caller re-runs ROUND on the restored
-			// final iterate.
-			res.ZLocal = z
-			mat.Scal(float64(b), res.ZLocal)
-			return res, nil
-		}
-	}
-
-	// Rank 0 owns the probe stream; with the same seed it draws exactly
-	// the probe sequence of the serial solver, so serial and distributed
-	// runs are comparable draw-for-draw.
-	var rng *rnd.Source
-	if c.Rank() == 0 {
-		rng = rnd.New(o.Seed)
-	}
-
-	// Hoisted per-iteration buffers; all solver scratch comes from the
-	// rank-local workspace, so iterations are allocation-free after
-	// warm-up (aside from the preconditioner factorizations). v keeps the
-	// historical ẽd×s Rademacher draw/broadcast order; the solver works in
-	// the transposed contiguous-probe layout (s×ẽd; see krylov.BlockOp).
-	ws := s.workspace()
-	g := make([]float64, nLocal)
-	v := mat.NewDense(ed, o.Probes)
-	vt := mat.NewDense(o.Probes, ed)
-	w := mat.NewDense(o.Probes, ed)
-	hpw := mat.NewDense(o.Probes, ed)
-	w2 := mat.NewDense(o.Probes, ed)
-	var fHist []float64
-	if o.Resume != nil {
-		// Restore the objective history so convergence decisions replay
-		// identically, and fast-forward rank 0's probe stream: iteration t
-		// of the resumed run must see exactly the Rademacher block
-		// iteration t of the uninterrupted run saw — regardless of the
-		// rank count either run used, since only rank 0 draws.
-		fHist = append(fHist, o.Resume.FHist...)
-		if c.Rank() == 0 {
-			for t := 1; t < start; t++ {
-				rng.Rademacher(v.Data)
-			}
-		}
-	}
-	var cgRes []krylov.Result // reused across iterations by SolveBlockInto
-	cgOpt := krylov.Options{Tol: o.CGTol, MaxIter: o.CGMaxIter, Workspace: ws}
-	sigMV := s.sigmaMatVecBlock(c, z, ph) // reads z live; z is updated in place
-	poolMV := s.poolMatVecBlock(c, ph)
-	bp := s.precond()
-	applyPrec := krylov.BlockOp(bp.ApplyBlock)
-
-	for t := start; t <= o.MaxIter; t++ {
-		if collectiveCancelled(ctx, c, ph) {
-			return nil, ctxErr(ctx)
-		}
-		// Probe block: rank 0 draws, everyone else receives (MPI_Bcast of
-		// W per § III-C).
-		stop := ph.Start("other")
-		if c.Rank() == 0 {
-			rng.Rademacher(v.Data)
-		}
-		stop()
-		stop = ph.Start("comm")
-		c.Bcast(0, v.Data)
-		stop()
-		stop = ph.Start("other")
-		for j := 0; j < o.Probes; j++ {
-			v.Col(vt.Row(j), j)
-		}
-		stop()
-
-		// Preconditioner from allreduced blocks, refactored into the
-		// Shard's persistent factor storage (reused round to round).
-		blocks := s.sigmaBlocks(c, z, ph, true)
-		stop = ph.Start("precond")
-		err := bp.Update(blocks)
-		stop()
-		if err != nil {
-			return nil, err
-		}
-
-		// W ← Σz⁻¹ V by lockstep block CG: every rank runs the same
-		// recurrences on replicated vectors; only the matvec is
-		// distributed, and the whole probe block shares one local pool
-		// sweep plus one allreduce per iteration. The convergence masks
-		// are replicated too, so all ranks enter the same number of
-		// collectives. The CG deliberately gets a background context: the
-		// matvec is a collective, so ranks must not abort it at different
-		// inner iterations — cancellation is honored at the loop-top
-		// collective check instead. Zero initial guess: buffer reuse must
-		// not introduce warm starts.
-		stop = ph.Start("cg")
-		w.Zero()
-		cgRes = krylov.SolveBlockInto(context.Background(), sigMV, applyPrec, vt, w, cgRes, cgOpt)
-		res.CGIterations += krylov.TotalIterations(cgRes)
-		stop()
-
-		// W ← Hp W (one multi-RHS sweep) and objective estimate.
-		stop = ph.Start("gradient")
-		poolMV(hpw, w)
-		f := sketch.TraceFromProbesT(vt, hpw)
-		stop()
-
-		// W ← Σz⁻¹ W.
-		stop = ph.Start("cg")
-		w2.Zero()
-		cgRes = krylov.SolveBlockInto(context.Background(), sigMV, applyPrec, hpw, w2, cgRes, cgOpt)
-		res.CGIterations += krylov.TotalIterations(cgRes)
-		stop()
-
-		// Local gradient slice: all probes accumulated in one sweep over
-		// the rank's partition.
-		stop = ph.Start("gradient")
-		mat.Fill(g, 0)
-		hessian.QuadAccumBlockWS(ws, s.PoolLocal, g, vt, w2, -1/float64(o.Probes))
-		stop()
-
-		// Mirror-descent update with global normalization: the ∞-norm of
-		// the gradient and the partition sum both need an allreduce.
-		stop = ph.Start("other")
-		gmaxLocal := 0.0
-		for _, gv := range g {
-			if a := math.Abs(gv); a > gmaxLocal {
-				gmaxLocal = a
-			}
-		}
-		stop()
-		stop = ph.Start("comm")
-		gmax := c.AllreduceScalar(gmaxLocal, mpi.Max)
-		stop()
-		stop = ph.Start("other")
-		var localSum float64
-		if gmax > 0 {
-			beta := o.Beta0 / (gmax * math.Sqrt(float64(t)))
-			for i := range z {
-				z[i] *= math.Exp(-beta * g[i])
-				localSum += z[i]
-			}
-		} else {
-			localSum = mat.Sum(z)
-		}
-		stop()
-		stop = ph.Start("comm")
-		total := c.AllreduceScalar(localSum, mpi.Sum)
-		stop()
-		stop = ph.Start("other")
-		mat.Scal(1/total, z)
-		stop()
-
-		res.Iterations = t
-		fHist = append(fHist, f)
-		if o.RecordObjective {
-			res.Objectives = append(res.Objectives, f)
-		}
-		if o.OnIteration != nil {
-			// Global checkpoint: allgather the full simplex iterate so the
-			// checkpoint resumes under any rank count. This is a collective
-			// — OnIteration must be set on all ranks or on none.
-			stop = ph.Start("comm")
-			zGlob, _ := c.Allgatherv(z)
-			stop()
-			ck := firal.RelaxCheckpoint{Iteration: t, Z: zGlob, FHist: fHist, CGIterations: res.CGIterations}
-			o.OnIteration(&ck)
-		}
-		// f is identical on every rank, so the windowed stop fires in
-		// lockstep.
-		if o.FixedIterations == 0 && firal.StochasticConverged(fHist, o.ObjTol) {
-			break
-		}
-	}
-	if o.OnIteration != nil {
-		// Final Done checkpoint: a caller interrupted during the ROUND
-		// phase resumes with mirror descent skipped.
-		stop := ph.Start("comm")
-		zGlob, _ := c.Allgatherv(z)
-		stop()
-		ck := firal.RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: zGlob, FHist: fHist, CGIterations: res.CGIterations}
-		o.OnIteration(&ck)
-	}
-
-	res.ZLocal = z
-	mat.Scal(float64(b), res.ZLocal)
-	return res, nil
+	return round.Selected, relax, round, nil
 }

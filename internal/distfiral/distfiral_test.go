@@ -59,41 +59,57 @@ func TestMakeShardCoversPool(t *testing.T) {
 // TestDistributedRelaxMatchesSerial: with identical seeds and fixed
 // iteration counts, the distributed RELAX must reproduce the serial z⋄ up
 // to floating-point summation-order noise, for every paper-relevant rank
-// count.
+// count — from the uniform start and from a non-uniform warm start. At
+// p=1 every collective is an identity, so the result must be the serial
+// one bit for bit.
 func TestDistributedRelaxMatchesSerial(t *testing.T) {
 	labeled, pool := testSets(2, 8, 36, 3, 3)
 	b := 5
 	opts := firal.RelaxOptions{FixedIterations: 8, Seed: 11, Probes: 8, CGTol: 0.01}
-
-	serial, err := firal.RelaxFast(context.Background(), firal.NewProblem(labeled, pool), b, opts)
-	if err != nil {
-		t.Fatal(err)
+	warm := opts
+	warm.WarmStart = make([]float64, pool.N())
+	for i := range warm.WarmStart {
+		warm.WarmStart[i] = 1 + float64(i%5)
 	}
 
-	for _, p := range []int{1, 2, 3, 4} {
-		zGlobal := make([]float64, pool.N())
-		var mu sync.Mutex
-		mpi.Run(p, func(c *mpi.Comm) {
-			sh := MakeShard(labeled, pool, p, c.Rank())
-			res, err := Relax(context.Background(), c, sh, b, opts)
-			if err != nil {
-				t.Errorf("p=%d: %v", p, err)
-				return
-			}
-			mu.Lock()
-			copy(zGlobal[sh.PoolOffset:sh.PoolOffset+sh.PoolLocal.N()], res.ZLocal)
-			mu.Unlock()
-		})
-		for i := range zGlobal {
-			if math.Abs(zGlobal[i]-serial.Z[i]) > 1e-6*(1+math.Abs(serial.Z[i])) {
-				t.Fatalf("p=%d: z[%d] = %g serial %g", p, i, zGlobal[i], serial.Z[i])
+	for _, tc := range []struct {
+		name string
+		opts firal.RelaxOptions
+	}{{"uniform", opts}, {"warm", warm}} {
+		serial, err := firal.RelaxFast(context.Background(), firal.NewProblem(labeled, pool), b, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2, 3, 4} {
+			zGlobal := make([]float64, pool.N())
+			var mu sync.Mutex
+			mpi.Run(p, func(c *mpi.Comm) {
+				sh := MakeShard(labeled, pool, p, c.Rank())
+				res, err := Relax(context.Background(), c, sh, b, tc.opts)
+				if err != nil {
+					t.Errorf("%s p=%d: %v", tc.name, p, err)
+					return
+				}
+				mu.Lock()
+				copy(zGlobal[sh.PoolOffset:sh.PoolOffset+sh.PoolLocal.N()], res.Z)
+				mu.Unlock()
+			})
+			for i := range zGlobal {
+				if p == 1 && math.Float64bits(zGlobal[i]) != math.Float64bits(serial.Z[i]) {
+					t.Fatalf("%s p=1: z[%d] = %x serial %x, want identical bits",
+						tc.name, i, math.Float64bits(zGlobal[i]), math.Float64bits(serial.Z[i]))
+				}
+				if math.Abs(zGlobal[i]-serial.Z[i]) > 1e-6*(1+math.Abs(serial.Z[i])) {
+					t.Fatalf("%s p=%d: z[%d] = %g serial %g", tc.name, p, i, zGlobal[i], serial.Z[i])
+				}
 			}
 		}
 	}
 }
 
 // TestDistributedRoundMatchesSerial feeds the same z⋄ to the serial and
-// distributed ROUND and demands identical selections.
+// distributed ROUND and demands identical selections, with ν and MinEigH
+// bit-identical at p=1.
 func TestDistributedRoundMatchesSerial(t *testing.T) {
 	labeled, pool := testSets(3, 8, 30, 3, 3)
 	b := 6
@@ -110,6 +126,12 @@ func TestDistributedRoundMatchesSerial(t *testing.T) {
 	serial, err := firal.RoundFast(prob, z, b, firal.RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	same := func(p int, got, want float64) bool {
+		if p == 1 {
+			return math.Float64bits(got) == math.Float64bits(want)
+		}
+		return math.Abs(got-want) <= 1e-6*(1+math.Abs(want))
 	}
 
 	for _, p := range []int{1, 2, 3, 4} {
@@ -131,8 +153,8 @@ func TestDistributedRoundMatchesSerial(t *testing.T) {
 				minEig = res.MinEigH
 			})
 		})
-		if len(selected) != len(serial.Selected) {
-			t.Fatalf("p=%d: %d selections vs %d", p, len(selected), len(serial.Selected))
+		if len(selected) != len(serial.Selected) || len(nus) != len(serial.Nu) {
+			t.Fatalf("p=%d: %d selections, %d ν vs %d, %d", p, len(selected), len(nus), len(serial.Selected), len(serial.Nu))
 		}
 		for i := range selected {
 			if selected[i] != serial.Selected[i] {
@@ -141,12 +163,12 @@ func TestDistributedRoundMatchesSerial(t *testing.T) {
 			}
 		}
 		for i := range nus {
-			if math.Abs(nus[i]-serial.Nu[i]) > 1e-6*(1+math.Abs(serial.Nu[i])) {
-				t.Fatalf("p=%d: ν[%d] = %g serial %g", p, i, nus[i], serial.Nu[i])
+			if !same(p, nus[i], serial.Nu[i]) {
+				t.Fatalf("p=%d: ν[%d] = %v serial %v", p, i, nus[i], serial.Nu[i])
 			}
 		}
-		if math.Abs(minEig-serial.MinEigH) > 1e-6*(1+math.Abs(serial.MinEigH)) {
-			t.Fatalf("p=%d: MinEigH %g serial %g", p, minEig, serial.MinEigH)
+		if !same(p, minEig, serial.MinEigH) {
+			t.Fatalf("p=%d: MinEigH %v serial %v", p, minEig, serial.MinEigH)
 		}
 	}
 }

@@ -252,7 +252,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 			return
 		}
 		mu.Lock()
-		full[c.Rank()] = res.ZLocal
+		full[c.Rank()] = res.Z
 		mu.Unlock()
 	})
 	if len(cks) != opts.FixedIterations+1 || !cks[len(cks)-1].Done {
@@ -272,7 +272,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 			return
 		}
 		mu.Lock()
-		resumed[c.Rank()] = res.ZLocal
+		resumed[c.Rank()] = res.Z
 		mu.Unlock()
 	})
 	for r := 0; r < p; r++ {
@@ -300,7 +300,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 			t.Errorf("done-resume reports %d iterations", res.Iterations)
 		}
 		lo := sh.PoolOffset
-		for i, v := range res.ZLocal {
+		for i, v := range res.Z {
 			want := cks[len(cks)-1].Z[lo+i] * float64(b)
 			if v != want {
 				t.Errorf("rank %d: done-resume z[%d]=%g, want %g", c.Rank(), i, v, want)

@@ -119,7 +119,7 @@ func SelectResilient(ctx context.Context, c *mpi.Comm, mk ShardMaker, b int, eta
 		relax, err := Relax(ctx, c, s, b, attempt)
 		if err == nil {
 			var round *RoundResult
-			round, err = Round(ctx, c, s, relax.ZLocal, b, eta)
+			round, err = Round(ctx, c, s, relax.Z, b, eta)
 			if err == nil {
 				res.Selected = round.Selected
 				res.Relax = relax

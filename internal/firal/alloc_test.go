@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/krylov"
 	"repro/internal/mat"
+	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/rnd"
 	"repro/internal/timing"
@@ -119,7 +120,7 @@ func TestSolveBlockZeroAllocMulticore(t *testing.T) {
 	bT := mat.NewDense(s, p.Ed())
 	rnd.New(7).Rademacher(bT.Data) // independent probe columns, staggered convergence
 	xT := mat.NewDense(s, p.Ed())
-	sigMV := krylov.BlockOp(p.SigmaMatVecBlockWS(ws, z))
+	sigMV := krylov.BlockOp(p.sigmaMatVecBlock(ws, solo{}, z))
 	precond := krylov.BlockOp(bp.ApplyBlock)
 	opt := krylov.Options{Tol: 0.1, MaxIter: 60, Workspace: ws}
 	var results []krylov.Result
@@ -162,5 +163,50 @@ func TestBlockPreconditionerWSZeroAllocWarm(t *testing.T) {
 	iter() // warm
 	if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
 		t.Fatalf("preconditioner rebuild allocates %.1f objects per iteration", allocs)
+	}
+}
+
+// TestRelaxGroupIterationsZeroAlloc pins the merged RELAX loop: running
+// through the Collective interface, a warm RelaxFast with four
+// mirror-descent iterations allocates exactly as much as one with a
+// single iteration, so every iteration — collectives included — is
+// allocation-free. Each single-rank collective is pinned at 0 allocs/op
+// on its own.
+func TestRelaxGroupIterationsZeroAlloc(t *testing.T) {
+	if mat.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	prev := parallel.SetMaxWorkers(4)
+	defer parallel.SetMaxWorkers(prev)
+	p := testProblem(37, 15, 600, 16, 4)
+	relax := func(iters int) func() {
+		return func() {
+			o := RelaxOptions{FixedIterations: iters, Seed: 2, Probes: 4}
+			if _, err := RelaxFast(context.Background(), p, 5, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	one := testing.AllocsPerRun(5, relax(1))
+	four := testing.AllocsPerRun(5, relax(4))
+	if one != four {
+		t.Fatalf("RelaxFast allocates %.0f objects at 1 iteration but %.0f at 4", one, four)
+	}
+
+	var cm Collective = solo{}
+	ctx := context.Background()
+	buf := make([]float64, 16)
+	for name, op := range map[string]func(){
+		"Bcast":           func() { cm.Bcast(0, buf) },
+		"Allreduce":       func() { cm.Allreduce(buf) },
+		"AllreduceScalar": func() { buf[0] = cm.AllreduceScalar(buf[1], mpi.Max) },
+		"AllreduceMaxLoc": func() { buf[0], _, _ = cm.AllreduceMaxLoc(buf[1], 3) },
+		"Allgatherv":      func() { buf = cm.Allgatherv(buf) },
+		"Cancelled":       func() { _ = cm.Cancelled(ctx) },
+		"SolverContext":   func() { ctx = cm.SolverContext(ctx) },
+	} {
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("single-rank %s allocates %.1f objects per call", name, allocs)
+		}
 	}
 }

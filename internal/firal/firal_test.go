@@ -278,7 +278,7 @@ func TestNuSolvesFTRLEquation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lam, err := st.Eigvals(0, st.NumBlocks())
+	lam, err := st.Eigvals(0, st.c)
 	if err != nil {
 		t.Fatal(err)
 	}

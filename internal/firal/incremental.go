@@ -53,10 +53,6 @@ type Incremental struct {
 	tmp    *mat.Dense
 	rowBuf []float64
 	st     *RoundState // recycled across Selects
-
-	// Select scratch, resized when the pool grows.
-	scores   []float64
-	selected []bool
 }
 
 // NewIncremental captures the session state after a converged selection:
@@ -268,10 +264,7 @@ func (inc *Incremental) Select(ctx context.Context, o SelectOptions) (*Result, e
 		// Rebuild the maintained blocks at the refined weights: one full
 		// sweep, then a refactor — the state is again exact for the next
 		// delta round.
-		inc.p.Pool.BlockDiagSumInto(inc.ws, inc.sig, inc.z)
-		for k := range inc.sig {
-			inc.sig[k].AddScaled(1, inc.ho[k])
-		}
+		inc.sig = single(inc.p).sigmaBlocks(inc.ws, inc.p, inc.sig, inc.z, inc.ho, nil, "")
 		if err := inc.refactor(0, len(inc.fact)); err != nil {
 			return nil, err
 		}
@@ -288,20 +281,12 @@ func (inc *Incremental) Select(ctx context.Context, o SelectOptions) (*Result, e
 	}
 	inc.st = st
 
-	if cap(inc.scores) < n {
-		inc.scores = make([]float64, n)
-		inc.selected = make([]bool, n)
-	}
-	scores, selected := inc.scores[:n], inc.selected[:n]
-	for i := range selected {
-		selected[i] = inc.dead[i]
-	}
-	for _, i := range o.Exclude {
-		if i >= 0 && i < n {
-			selected[i] = true
-		}
-	}
-	if err := runRoundLoop(inc.p.Pool, st, inc.b, scores, selected, inc.rowBuf, round); err != nil {
+	sc := getRoundScratch(n, inc.p.D(), inc.p.C())
+	defer sc.release()
+	copy(sc.selected, inc.dead)
+	g := single(inc.p)
+	g.exclude(sc.selected, o.Exclude)
+	if err := g.roundLoop(ctx, inc.p.Pool, st, inc.b, sc, round); err != nil {
 		return nil, err
 	}
 	res.Selected = round.Selected

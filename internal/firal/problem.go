@@ -104,43 +104,45 @@ func (p *Problem) SigmaMatVecWS(ws *mat.Workspace, z []float64) func(dst, v []fl
 	}
 }
 
-// SigmaMatVecBlockWS returns the block operator V ↦ (Ho + Hz)·V over a
-// transposed probe block (s×ẽd, row j = probe j; see krylov.BlockOp): one
-// hessian.MatVecBlockWS sweep applies the pool term to all s probes — for
-// a streamed pool, one decode per application instead of one per probe —
-// and the small resident labeled term is applied per row. Like
-// SigmaMatVecWS, the operator reads z live and column results match the
-// per-column operator bit for bit.
-func (p *Problem) SigmaMatVecBlockWS(ws *mat.Workspace, z []float64) func(dst, v *mat.Dense) {
+// sigmaMatVecBlock returns the block operator V ↦ (Ho + Hz)·V over a
+// transposed probe block (s×ẽd, row j = probe j; see krylov.BlockOp) on
+// one rank of a group whose pool slice is p.Pool. One
+// hessian.MatVecBlockWS sweep applies the local pool term to all s probes
+// — for a streamed pool, one decode per application instead of one per
+// probe — the partials are summed over ranks in one allreduce, and the
+// small replicated labeled term is added row by row. Like SigmaMatVecWS,
+// the operator reads z live, and on one rank its column results match
+// the per-column operator bit for bit.
+func (p *Problem) sigmaMatVecBlock(ws *mat.Workspace, cm Collective, z []float64) func(dst, v *mat.Dense) {
 	return func(dst, v *mat.Dense) {
+		hessian.MatVecBlockWS(ws, p.Pool, dst, v, z)
+		cm.Allreduce(compact(dst))
+		buf := ws.Vec(v.Cols)
 		for j := 0; j < v.Rows; j++ {
-			p.Labeled.MatVecWS(ws, dst.Row(j), v.Row(j), nil)
+			p.Labeled.MatVecWS(ws, buf, v.Row(j), nil)
+			mat.Axpy(1, buf, dst.Row(j))
 		}
-		buf := ws.Matrix(v.Rows, v.Cols)
-		hessian.MatVecBlockWS(ws, p.Pool, buf, v, z)
-		dst.AddScaled(1, buf)
-		ws.PutMatrix(buf)
+		ws.PutVec(buf)
 	}
 }
 
-// PoolMatVec returns the operator v ↦ Hp·v (unweighted pool sum).
-func (p *Problem) PoolMatVec() func(dst, v []float64) {
-	return p.PoolMatVecWS(nil)
-}
-
-// PoolMatVecWS is PoolMatVec with scratch drawn from ws.
-func (p *Problem) PoolMatVecWS(ws *mat.Workspace) func(dst, v []float64) {
-	return func(dst, v []float64) {
-		p.Pool.MatVecWS(ws, dst, v, nil)
-	}
-}
-
-// PoolMatVecBlockWS is the block form of PoolMatVecWS: V ↦ Hp·V over a
-// transposed block in one pool sweep.
-func (p *Problem) PoolMatVecBlockWS(ws *mat.Workspace) func(dst, v *mat.Dense) {
+// poolMatVecBlock is the block operator V ↦ Hp·V over the group's pool:
+// one local sweep, then one allreduce of the whole block.
+func (p *Problem) poolMatVecBlock(ws *mat.Workspace, cm Collective) func(dst, v *mat.Dense) {
 	return func(dst, v *mat.Dense) {
 		hessian.MatVecBlockWS(ws, p.Pool, dst, v, nil)
+		cm.Allreduce(compact(dst))
 	}
+}
+
+// compact returns m's storage as one slice, so a block reduces in a single
+// collective. The block solver hands its operators compact workspace
+// matrices.
+func compact(m *mat.Dense) []float64 {
+	if m.Stride != m.Cols {
+		panic("firal: block operator needs compact storage")
+	}
+	return m.Data[:m.Rows*m.Cols]
 }
 
 // labeledBlocks returns the cached labeled block-diagonal contribution.
@@ -156,17 +158,13 @@ func (p *Problem) SigmaBlocks(z []float64) []*mat.Dense {
 	return p.SigmaBlocksInto(nil, nil, z)
 }
 
-// SigmaBlocksInto is SigmaBlocks writing into dst (allocated when nil)
-// with scratch from ws; callers that rebuild the blocks every iteration
-// pass the same dst to reuse its buffers. The returned blocks are only
-// valid until the next call with the same dst.
+// SigmaBlocksInto is SigmaBlocks writing into dst with scratch from ws:
+// dst is nil (allocate) or the result of an earlier call, which callers
+// that rebuild the blocks every iteration pass back to reuse its buffers.
+// The returned blocks are only valid until the next call with the same
+// dst. It is the engine's Σz assembly on one rank.
 func (p *Problem) SigmaBlocksInto(ws *mat.Workspace, dst []*mat.Dense, z []float64) []*mat.Dense {
-	lab := p.labeledBlocks()
-	dst = p.Pool.BlockDiagSumInto(ws, dst, z)
-	for k := range dst {
-		dst[k].AddScaled(1, lab[k])
-	}
-	return dst
+	return single(p).sigmaBlocks(ws, p, dst, z, p.labeledBlocks(), nil, "")
 }
 
 // DenseSigma assembles Σz densely (Exact-FIRAL only; O((dc)²) storage).

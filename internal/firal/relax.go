@@ -9,12 +9,13 @@ import (
 	"repro/internal/hessian"
 	"repro/internal/krylov"
 	"repro/internal/mat"
+	"repro/internal/mpi"
 	"repro/internal/rnd"
 	"repro/internal/sketch"
 	"repro/internal/timing"
 )
 
-// relaxScratch pools the per-call setup of RelaxFast: the workspace, the
+// relaxScratch pools the per-call setup of RelaxGroup: the workspace, the
 // hoisted probe/gradient buffers, the preconditioner factor storage, the
 // Σz block cache, and the CG result and objective-history slices. For the
 // paper-scale solves this setup is noise, but a session running many
@@ -54,7 +55,7 @@ func getRelaxScratch(n, ed, s, c, d int) *relaxScratch {
 		sc.w2 = mat.NewDense(s, ed)
 	}
 	if sc.c != c || sc.d != d {
-		sc.sigBlocks = nil // SigmaBlocksInto re-allocates to the new shape
+		sc.sigBlocks = nil // sigmaBlocks re-allocates to the new shape
 	}
 	sc.n, sc.ed, sc.s, sc.c, sc.d = n, ed, s, c, d
 	sc.fHist = sc.fHist[:0]
@@ -107,8 +108,7 @@ type RelaxOptions struct {
 	// checkpointed state instead of starting at the uniform simplex. The
 	// remaining options (Seed, Probes, tolerances, …) must match the
 	// original solve for the resumed trajectory to be bit-for-bit
-	// identical to an uninterrupted one. Fast solver only; the exact and
-	// distributed solvers ignore it.
+	// identical to an uninterrupted one. Fast solver only.
 	Resume *RelaxCheckpoint
 	// OnIteration, when non-nil, is called after every completed
 	// mirror-descent iteration with the current resumable state, and once
@@ -147,7 +147,8 @@ func (o *RelaxOptions) defaults() {
 // RelaxResult reports a RELAX solve.
 type RelaxResult struct {
 	// Z is the relaxed solution z⋄ = b·z (Algorithm 1 line 9 /
-	// Algorithm 2 line 12); it sums to b.
+	// Algorithm 2 line 12); it sums to b. A distributed solve returns
+	// this rank's window of it.
 	Z []float64
 	// Objectives holds the per-iteration objective estimates
 	// f = Trace(Σz⁻¹ Hp) when recording was requested.
@@ -158,22 +159,26 @@ type RelaxResult struct {
 	// (fast solver; zero for exact).
 	CGIterations int
 	// Timings attributes wall-clock time to phases: "precond", "cg",
-	// "gradient", "other" (fast), or "dense"/"gradient" (exact).
+	// "gradient", "other" (fast), or "dense"/"gradient" (exact). A
+	// distributed solve adds "comm", which can overlap the phase that
+	// issued each collective.
 	Timings *timing.Phases
 }
 
 // mirrorStep applies the entropic mirror-descent update of Algorithm 1
 // lines 7–8 (z_i ← z_i e^{−β g_i}, renormalized), with β_t scaled by the
-// gradient's ∞-norm for a scale-free schedule.
+// gradient's ∞-norm for a scale-free schedule. z and g are this rank's
+// slices; the ∞-norm and the normalizing sum are reduced over the group.
 //
 //firal:hotpath
-func mirrorStep(z, g []float64, beta0 float64, t int) {
+func mirrorStep(cm Collective, z, g []float64, beta0 float64, t int) {
 	gmax := 0.0
 	for _, v := range g {
 		if a := math.Abs(v); a > gmax {
 			gmax = a
 		}
 	}
+	gmax = cm.AllreduceScalar(gmax, mpi.Max)
 	if gmax == 0 {
 		return
 	}
@@ -183,7 +188,7 @@ func mirrorStep(z, g []float64, beta0 float64, t int) {
 		z[i] *= math.Exp(-beta * g[i])
 		sum += z[i]
 	}
-	inv := 1 / sum
+	inv := 1 / cm.AllreduceScalar(sum, mpi.Sum)
 	for i := range z {
 		z[i] *= inv
 	}
@@ -238,6 +243,7 @@ func StochasticConverged(f []float64, tol float64) bool {
 // (Lemma 2), and CG preconditioned by the block-diagonal B(Σz)⁻¹. The
 // context is checked at every mirror-descent iteration and inside the CG
 // solves, so a cancellation or deadline aborts mid-RELAX with ctx.Err().
+// It is RelaxGroup on one rank.
 //
 // The probe block advances through krylov.SolveBlockInto and the
 // multi-RHS hessian kernels: every CG iteration, the Hp·W products, and
@@ -246,17 +252,34 @@ func StochasticConverged(f []float64, tol float64) bool {
 // mirror-descent step rather than O(probes·iterations) — the per-column
 // arithmetic is unchanged (bit-for-bit with the historical per-column
 // sweeps), only the sweep sharing is new.
+func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxResult, error) {
+	return RelaxGroup(ctx, single(p), p, b, o)
+}
+
+// RelaxGroup runs the fast RELAX solve on one rank of g, whose pool slice
+// is p.Pool: the paper's distributed Algorithm 2 (§ III-C). Rank 0 draws
+// the probe block and broadcasts it, and the Σz blocks, the matvec
+// partials and the mirror-step scalars are allreduced; everything else
+// is replicated arithmetic, so with the same seed every rank count walks
+// the serial probe sequence. The result's Z is this rank's window of z⋄.
+//
+// WarmStart and Resume.Z are global vectors (every rank passes the same
+// one) and OnIteration receives global checkpoints, gathered from all
+// ranks — so a checkpoint resumes under any rank count, and the hook must
+// be set on every rank or on none.
 //
 //firal:hotpath
-func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxResult, error) {
+func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions) (*RelaxResult, error) {
 	o.defaults()
 	n, ed := p.N(), p.Ed()
 	s := o.Probes
+	cm := g.Comm
 	rng := rnd.New(o.Seed)
-	z := uniformSimplex(n)
+	z := make([]float64, n) //firal:allow(alloc) the returned weights, once per solve
+	mat.Fill(z, 1/float64(g.Total))
 	if o.WarmStart != nil && o.Resume == nil {
-		if len(o.WarmStart) != n {
-			return nil, fmt.Errorf("firal: warm start has %d weights, pool has %d", len(o.WarmStart), n)
+		if len(o.WarmStart) != g.Total {
+			return nil, fmt.Errorf("firal: warm start has %d weights, pool has %d", len(o.WarmStart), g.Total)
 		}
 		var sum float64
 		for _, v := range o.WarmStart {
@@ -268,7 +291,7 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 		if !(sum > 0) {
 			return nil, fmt.Errorf("firal: warm start weights sum to %g, want > 0", sum)
 		}
-		copy(z, o.WarmStart)
+		copy(z, g.local(o.WarmStart, n))
 		mat.Scal(1/sum, z)
 	}
 	res := &RelaxResult{Timings: timing.New()}
@@ -276,10 +299,10 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 
 	start := 1
 	if o.Resume != nil {
-		if len(o.Resume.Z) != n {
-			return nil, fmt.Errorf("%w: checkpoint has %d weights, pool has %d", ErrBadCheckpoint, len(o.Resume.Z), n)
+		if len(o.Resume.Z) != g.Total {
+			return nil, fmt.Errorf("%w: checkpoint has %d weights, pool has %d", ErrBadCheckpoint, len(o.Resume.Z), g.Total)
 		}
-		copy(z, o.Resume.Z)
+		copy(z, g.local(o.Resume.Z, n))
 		start = o.Resume.Iteration + 1
 		res.Iterations = o.Resume.Iteration
 		res.CGIterations = o.Resume.CGIterations
@@ -303,36 +326,44 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 	sc := getRelaxScratch(n, ed, s, p.C(), p.D())
 	defer sc.release()
 	ws := sc.ws
-	g := sc.g
+	gr := sc.g
 	v, vt, w, hpw, w2 := sc.v, sc.vt, sc.w, sc.hpw, sc.w2
 
+	cgCtx := cm.SolverContext(ctx)
 	cgOpt := krylov.Options{Tol: o.CGTol, MaxIter: o.CGMaxIter, Workspace: ws}
-	poolMV := p.PoolMatVecBlockWS(ws)
+	poolMV := krylov.BlockOp(p.poolMatVecBlock(ws, cm))
 	// The operator closes over z, which the mirror step updates in place.
-	sigmaMV := krylov.BlockOp(p.SigmaMatVecBlockWS(ws, z))
+	sigmaMV := krylov.BlockOp(p.sigmaMatVecBlock(ws, cm, z))
 	bp := sc.bp
 	precond := krylov.BlockOp(bp.ApplyBlock)
 
+	// Rank 0 owns the probe stream; the others receive each block.
+	root := cm.Rank() == 0
 	if o.Resume != nil {
 		// Restore the objective history so convergence decisions replay
 		// identically, and fast-forward the probe stream: iteration t of
 		// the resumed run must see exactly the Rademacher block iteration
-		// t of the uninterrupted run saw.
+		// t of the uninterrupted run saw, whatever rank count either used.
 		sc.fHist = append(sc.fHist, o.Resume.FHist...) //firal:allow(alloc) resume path, once per run
-		for t := 1; t < start; t++ {
+		for t := 1; t < start && root; t++ {
 			rng.Rademacher(v.Data)
 		}
 	}
 
 	for t := start; t <= o.MaxIter; t++ {
-		if err := ctx.Err(); err != nil {
+		if err := cm.Cancelled(ctx); err != nil {
 			return nil, err
 		}
 		// Line 4: fresh Rademacher probe block V ∈ R^{dc×s}, drawn in the
-		// historical ẽd×s order and transposed into the contiguous-probe
-		// layout the block solver works in.
+		// historical ẽd×s order, broadcast, and transposed into the
+		// contiguous-probe layout the block solver works in.
 		stop := ph.Start("other")
-		rng.Rademacher(v.Data)
+		if root {
+			rng.Rademacher(v.Data)
+		}
+		stop()
+		cm.Bcast(0, v.Data)
+		stop = ph.Start("other")
 		for j := 0; j < s; j++ {
 			v.Col(vt.Row(j), j)
 		}
@@ -340,8 +371,8 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 
 		// Line 5: block-diagonal preconditioner for Σz, refactored into the
 		// state's persistent storage.
+		sc.sigBlocks = g.sigmaBlocks(ws, p, sc.sigBlocks, z, p.labeledBlocks(), ph, "precond")
 		stop = ph.Start("precond")
-		sc.sigBlocks = p.SigmaBlocksInto(ws, sc.sigBlocks, z)
 		err := bp.Update(sc.sigBlocks)
 		stop()
 		if err != nil {
@@ -350,10 +381,12 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 
 		// Line 6: W ← Σz⁻¹ V by lockstep block CG (zero initial guess, as
 		// the buffer reuse must not introduce warm starts): one Σz·block
-		// application — one pool sweep — per CG iteration.
+		// application — one pool sweep — per CG iteration. Every rank runs
+		// the same recurrences on replicated vectors, so the convergence
+		// masks, and with them the collectives entered, agree.
 		stop = ph.Start("cg")
 		w.Zero()
-		sc.cg = krylov.SolveBlockInto(ctx, sigmaMV, precond, vt, w, sc.cg, cgOpt)
+		sc.cg = krylov.SolveBlockInto(cgCtx, sigmaMV, precond, vt, w, sc.cg, cgOpt)
 		res.CGIterations += krylov.TotalIterations(sc.cg)
 		stop()
 		if err := krylov.FirstError(sc.cg); err != nil {
@@ -371,23 +404,23 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 		// Line 8: W ← Σz⁻¹ W by the second lockstep block CG.
 		stop = ph.Start("cg")
 		w2.Zero()
-		sc.cg = krylov.SolveBlockInto(ctx, sigmaMV, precond, hpw, w2, sc.cg, cgOpt)
+		sc.cg = krylov.SolveBlockInto(cgCtx, sigmaMV, precond, hpw, w2, sc.cg, cgOpt)
 		res.CGIterations += krylov.TotalIterations(sc.cg)
 		stop()
 		if err := krylov.FirstError(sc.cg); err != nil {
 			return nil, err
 		}
 
-		// Line 9: g_i ← −(1/s) Σ_j v_jᵀ H_i w_j over the pool — all probes
-		// accumulated in one sweep.
+		// Line 9: g_i ← −(1/s) Σ_j v_jᵀ H_i w_j over the local pool — all
+		// probes accumulated in one sweep.
 		stop = ph.Start("gradient")
-		mat.Fill(g, 0)
-		hessian.QuadAccumBlockWS(ws, p.Pool, g, vt, w2, -1/float64(s))
+		mat.Fill(gr, 0)
+		hessian.QuadAccumBlockWS(ws, p.Pool, gr, vt, w2, -1/float64(s))
 		stop()
 
 		// Lines 10–11: entropic mirror-descent update.
 		stop = ph.Start("other")
-		mirrorStep(z, g, o.Beta0, t)
+		mirrorStep(cm, z, gr, o.Beta0, t)
 		stop()
 
 		res.Iterations = t
@@ -396,9 +429,10 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 			res.Objectives = append(res.Objectives, f) //firal:allow(alloc) diagnostics mode
 		}
 		if o.OnIteration != nil {
-			ck := RelaxCheckpoint{Iteration: t, Z: z, FHist: sc.fHist, CGIterations: res.CGIterations}
+			ck := RelaxCheckpoint{Iteration: t, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
 			o.OnIteration(&ck)
 		}
+		// f is replicated, so the windowed stop fires on every rank at once.
 		if o.FixedIterations == 0 && StochasticConverged(sc.fHist, o.ObjTol) {
 			break
 		}
@@ -406,7 +440,7 @@ func RelaxFast(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxRe
 	if o.OnIteration != nil {
 		// Final Done checkpoint: a caller interrupted during the ROUND
 		// phase resumes with mirror descent skipped.
-		ck := RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: z, FHist: sc.fHist, CGIterations: res.CGIterations}
+		ck := RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
 		o.OnIteration(&ck)
 	}
 

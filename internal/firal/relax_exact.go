@@ -83,7 +83,7 @@ func RelaxExact(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxR
 
 		// Mirror-descent update (lines 7–8).
 		stop = ph.Start("other")
-		mirrorStep(z, g, o.Beta0, t)
+		mirrorStep(solo{}, z, g, o.Beta0, t)
 		stop()
 
 		res.Iterations = t

@@ -1,20 +1,21 @@
 package firal
 
 import (
+	"context"
 	"math"
 	"sync"
 
 	"repro/internal/hessian"
 	"repro/internal/mat"
+	"repro/internal/mpi"
 	"repro/internal/timing"
 )
 
 // RoundState carries the per-class block matrices of the diagonal ROUND
 // step (Algorithm 3). All blocks are d×d; there are c of each, so the
 // state costs O(cd²) — this is what replaces Exact-FIRAL's dense ẽd×ẽd
-// matrices. The state is exported so the distributed solver
-// (internal/distfiral) can construct it from allreduced blocks and shard
-// the eigenvalue work across ranks.
+// matrices. Every rank of a group holds an identical state built from
+// allreduced blocks; only the eigenvalue work of Eigvals is sharded.
 type RoundState struct {
 	eta   float64
 	b     int
@@ -48,80 +49,7 @@ type RoundState struct {
 // must not be mutated by the caller afterwards; the state itself only
 // reads them (callers may pass cached blocks they also keep).
 func NewRoundState(sig, ho []*mat.Dense, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
-	return newRoundStateInto(nil, sig, ho, b, eta, ph)
-}
-
-// ensureRoundState returns prev when it matches the block shape (its
-// scratch, accumulators, and inverse-block storage are recycled), or
-// fresh storage otherwise.
-func ensureRoundState(prev *RoundState, d, c int) *RoundState {
-	if prev != nil && prev.d == d && prev.c == c {
-		return prev
-	}
-	st := &RoundState{
-		d: d, c: c,
-		hacc:  make([]*mat.Dense, c),
-		binv:  make([]*mat.Dense, c),
-		isqrt: make([]*mat.Dense, c),
-		ws:    mat.NewWorkspace(),
-		tmp:   mat.NewDense(d, d),
-		pk:    mat.NewDense(d, d),
-	}
-	for k := 0; k < c; k++ {
-		st.hacc[k] = mat.NewDense(d, d)
-	}
-	return st
-}
-
-// newRoundStateInto is NewRoundState reusing a previous state's storage
-// (pooled by RoundFast): when prev matches the block shape, its scratch,
-// accumulators, and inverse-block storage are recycled and only the
-// genuinely input-dependent eigendecompositions behind (Σ⋄)_k^{-1/2}
-// allocate. A nil or mismatched prev builds fresh storage.
-func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
-	c := len(sig)
-	if c == 0 || len(ho) != c {
-		panic("firal: RoundState needs matching non-empty block sets")
-	}
-	d := sig[0].Rows
-	st := ensureRoundState(prev, d, c)
-	st.eta, st.b, st.edF = eta, b, float64(d*c)
-	st.sig, st.ho = sig, ho
-
-	if err := st.invSqrtBlocks(ph); err != nil {
-		return nil, err
-	}
-
-	stop := ph.Start("other")
-	sqrtEd := math.Sqrt(st.edF)
-	for k := 0; k < c; k++ {
-		b1 := st.tmp
-		b1.CopyFrom(st.sig[k])
-		b1.Scale(sqrtEd)
-		b1.AddScaled(eta/float64(b), st.ho[k])
-		if _, err := st.chol.FactorRidge(b1, choleskyRidge); err != nil {
-			return nil, err
-		}
-		st.binv[k] = st.chol.InverseInto(st.ws, st.binv[k])
-		st.hacc[k].Zero()
-	}
-	stop()
-	return st, nil
-}
-
-// invSqrtBlocks rebuilds the (Σ⋄)_k^{-1/2} transforms from the current
-// sig blocks (line 4 of Algorithm 3).
-func (st *RoundState) invSqrtBlocks(ph *timing.Phases) error {
-	stop := ph.Start("eig")
-	defer stop()
-	for k := 0; k < st.c; k++ {
-		sf, err := mat.NewSPDFuncs(st.sig[k], 1e-10)
-		if err != nil {
-			return err
-		}
-		st.isqrt[k] = sf.InvSqrt()
-	}
-	return nil
+	return newRoundStateInto(nil, sig, ho, nil, b, eta, ph)
 }
 
 // NewRoundStateFromFactors is NewRoundState with the B₁ factorizations
@@ -130,32 +58,75 @@ func (st *RoundState) invSqrtBlocks(ph *timing.Phases) error {
 // current across rounds by rank-1 updates (see Incremental) — are
 // inverted directly, so starting round t+1 costs O(cd³) with no fresh
 // Gram assembly. The factors and blocks are read, not consumed; repeated
-// rounds off one maintained state stay valid.
+// rounds off one maintained state stay valid. A matching prev state's
+// storage is recycled.
 func NewRoundStateFromFactors(prev *RoundState, sig, ho []*mat.Dense, factors []mat.Cholesky, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
+	return newRoundStateInto(prev, sig, ho, factors, b, eta, ph)
+}
+
+// newRoundStateInto builds a RoundState reusing a previous state's
+// storage (pooled by RoundGroup): when prev matches the block shape, its
+// scratch, accumulators, and inverse-block storage are recycled and only
+// the genuinely input-dependent eigendecompositions behind
+// (Σ⋄)_k^{-1/2} allocate. A nil or mismatched prev builds fresh storage.
+// With nil factors the B₁ blocks are assembled and factored here.
+func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, factors []mat.Cholesky, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
 	c := len(sig)
-	if c == 0 || len(ho) != c || len(factors) != c {
+	if c == 0 || len(ho) != c || (factors != nil && len(factors) != c) {
 		panic("firal: RoundState needs matching non-empty block and factor sets")
 	}
 	d := sig[0].Rows
-	st := ensureRoundState(prev, d, c)
+	st := prev
+	if st == nil || st.d != d || st.c != c {
+		st = &RoundState{
+			d: d, c: c,
+			hacc:  make([]*mat.Dense, c),
+			binv:  make([]*mat.Dense, c),
+			isqrt: make([]*mat.Dense, c),
+			ws:    mat.NewWorkspace(),
+			tmp:   mat.NewDense(d, d),
+			pk:    mat.NewDense(d, d),
+		}
+		for k := 0; k < c; k++ {
+			st.hacc[k] = mat.NewDense(d, d)
+		}
+	}
 	st.eta, st.b, st.edF = eta, b, float64(d*c)
 	st.sig, st.ho = sig, ho
 
-	if err := st.invSqrtBlocks(ph); err != nil {
-		return nil, err
-	}
-
-	stop := ph.Start("other")
+	// Line 4: the (Σ⋄)_k^{-1/2} transforms.
+	stop := ph.Start("eig")
 	for k := 0; k < c; k++ {
-		st.binv[k] = factors[k].InverseInto(st.ws, st.binv[k])
-		st.hacc[k].Zero()
+		sf, err := mat.NewSPDFuncs(st.sig[k], 1e-10)
+		if err != nil {
+			stop()
+			return nil, err
+		}
+		st.isqrt[k] = sf.InvSqrt()
 	}
 	stop()
+
+	stop = ph.Start("other")
+	defer stop()
+	sqrtEd := math.Sqrt(st.edF)
+	for k := 0; k < c; k++ {
+		f := &st.chol
+		if factors != nil {
+			f = &factors[k]
+		} else {
+			b1 := st.tmp
+			b1.CopyFrom(st.sig[k])
+			b1.Scale(sqrtEd)
+			b1.AddScaled(eta/float64(b), st.ho[k])
+			if _, err := f.FactorRidge(b1, choleskyRidge); err != nil {
+				return nil, err
+			}
+		}
+		st.binv[k] = f.InverseInto(st.ws, st.binv[k])
+		st.hacc[k].Zero()
+	}
 	return st, nil
 }
-
-// NumBlocks returns the number of Fisher blocks c.
-func (st *RoundState) NumBlocks() int { return st.c }
 
 // Scores evaluates the equivalent ROUND objective of Proposition 4 /
 // Eq. 17 for every point of pool (scores to maximize):
@@ -243,9 +214,10 @@ func (st *RoundState) AddPoint(x, h []float64) {
 }
 
 // Update performs lines 8–11 of Algorithm 3 for the chosen point (x, h)
-// serially: AddPoint, block eigenvalues, ν bisection, and the (B_{t+1})⁻¹
-// rebuild. It returns ν_{t+1}. The distributed solver instead calls
-// AddPoint, shards Eigvals over ranks, and calls FinishUpdate.
+// on one rank: AddPoint, block eigenvalues, ν bisection, and the
+// (B_{t+1})⁻¹ rebuild. It returns ν_{t+1}. The ROUND loop instead calls
+// AddPoint, shards Eigvals over the group's ranks, and calls
+// FinishUpdate.
 func (st *RoundState) Update(x, h []float64, ph *timing.Phases) (float64, error) {
 	stop := ph.Start("other")
 	st.AddPoint(x, h)
@@ -333,18 +305,18 @@ func (st *RoundState) MinEig() float64 {
 	return minEig
 }
 
-// roundScratch pools RoundFast's per-call setup: the score and selection
-// vectors plus the previous RoundState and Σ⋄ blocks, whose storage the
-// next same-shaped call reuses (the state retains the blocks, so both
-// recycle together — a pooled state never outlives its blocks). Like the
-// RELAX scratch pool this only matters for tiny rounds, where the setup
-// used to rival the solve.
+// roundScratch pools RoundGroup's per-call setup: the score and selection
+// vectors, the winner broadcast buffer, plus the previous RoundState and
+// Σ⋄ blocks, whose storage the next same-shaped call reuses (the state
+// retains the blocks, so both recycle together — a pooled state never
+// outlives its blocks). Like the RELAX scratch pool this only matters for
+// tiny rounds, where the setup used to rival the solve.
 type roundScratch struct {
 	n, d, c  int
-	ws       *mat.Workspace // block-setup scratch (SigmaBlocksInto)
+	ws       *mat.Workspace // block-setup scratch (sigmaBlocks)
 	scores   []float64
 	selected []bool
-	rowBuf   []float64
+	xh       []float64
 	sig      []*mat.Dense
 	st       *RoundState
 }
@@ -361,82 +333,88 @@ func getRoundScratch(n, d, c int) *roundScratch {
 			sc.selected[i] = false
 		}
 	}
-	if sc.d != d {
-		sc.rowBuf = make([]float64, d)
-	}
 	if sc.d != d || sc.c != c {
-		sc.sig = nil // SigmaBlocksInto re-allocates to the new shape
-		sc.st = nil  // newRoundStateInto builds fresh storage
+		sc.xh = make([]float64, d+c+1) // ROUND winner: x, h, global index
+		sc.sig = nil                   // sigmaBlocks re-allocates to the new shape
+		sc.st = nil                    // newRoundStateInto builds fresh storage
 	}
 	sc.n, sc.d, sc.c = n, d, c
 	return sc
 }
 
-func (sc *roundScratch) release() { roundScratchPool.Put(sc) }
-
-// newRoundState assembles the blocks from a serial Problem and delegates
-// to newRoundStateInto with the scratch's pooled state and block storage.
-// The Ho blocks alias the Problem's labeled-block cache, which
-// SigmaBlocksInto just warmed — safe because both the cache and the
-// RoundState treat them as read-only.
-func newRoundState(p *Problem, sc *roundScratch, z []float64, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
-	stop := ph.Start("other")
-	sc.sig = p.SigmaBlocksInto(sc.ws, sc.sig, z)
-	ho := p.labeledBlocks()
-	stop()
-	st, err := newRoundStateInto(sc.st, sc.sig, ho, b, eta, ph)
-	if err != nil {
-		return nil, err
+// release returns the scratch to the pool without the state's Scores
+// sweep buffers: they scale with the pool block (2 MiB at 4096×64) and
+// would stay pinned in every pooled copy — one per concurrent rank —
+// between selections.
+func (sc *roundScratch) release() {
+	if sc.st != nil {
+		sc.st.xmBuf, sc.st.qp, sc.st.qb = nil, nil, nil
 	}
-	sc.st = st
-	return st, nil
+	roundScratchPool.Put(sc)
 }
 
 // RoundFast runs the diagonal ROUND step of Algorithm 3: all Fisher
 // matrices keep only their d×d diagonal blocks (Eq. 14), the low-rank
 // block update of Lemma 3 turns the FTRL objective into the closed form of
 // Eq. 17, and each iteration costs O(ncd² + cd³) instead of Exact-FIRAL's
-// O(nc³ + c³d³) (Table II).
+// O(nc³ + c³d³) (Table II). It is RoundGroup on one rank.
 func RoundFast(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, error) {
+	return RoundGroup(context.Background(), single(p), p, z, b, o)
+}
+
+// RoundGroup runs the diagonal ROUND step on one rank of g, whose pool
+// slice is p.Pool and z its window of z⋄: the paper's distributed
+// Algorithm 3 (§ III-C). Every rank keeps the replicated O(cd²) block
+// state and scores its own points; each greedy step takes a maxloc
+// argmax, broadcasts the winner's (x, h), and allgathers the block
+// eigenvalues computed c/p blocks per rank. o.Exclude and the returned
+// selections are global pool indices, identical on every rank.
+func RoundGroup(ctx context.Context, g Group, p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, error) {
 	if o.Eta <= 0 {
 		o.Eta = p.DefaultEta()
 	}
 	res := &RoundResult{Timings: timing.New()}
 	ph := res.Timings
 
-	n := p.N()
-	sc := getRoundScratch(n, p.D(), p.C())
+	sc := getRoundScratch(p.N(), p.D(), p.C())
 	defer sc.release()
-	st, err := newRoundState(p, sc, z, b, o.Eta, ph)
+	// Lines 3–5 from the global Σ⋄ blocks. The Ho blocks alias the
+	// Problem's labeled-block cache, which sigmaBlocks just warmed — safe
+	// because both the cache and the RoundState treat them as read-only.
+	sc.sig = g.sigmaBlocks(sc.ws, p, sc.sig, z, p.labeledBlocks(), ph, "other")
+	st, err := newRoundStateInto(sc.st, sc.sig, p.labeledBlocks(), nil, b, o.Eta, ph)
 	if err != nil {
 		return nil, err
 	}
-	scores, selected, rowBuf := sc.scores, sc.selected, sc.rowBuf
-	for _, i := range o.Exclude {
-		if i >= 0 && i < n {
-			selected[i] = true
-		}
-	}
-	if err := runRoundLoop(p.Pool, st, b, scores, selected, rowBuf, res); err != nil {
+	sc.st = st
+	g.exclude(sc.selected, o.Exclude)
+	if err := g.roundLoop(ctx, p.Pool, st, b, sc, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// runRoundLoop executes the b greedy iterations of Algorithm 3 lines
-// 6–11 over pool: rescore, argmax over unselected points, and the FTRL
-// state update for the winner. selected marks points the loop must skip
+// roundLoop executes the greedy iterations of Algorithm 3 lines 6–11 over
+// the group's pool: rescore, argmax over unselected points, and the FTRL
+// state update for the winner, at most b times and never more than the
+// global pool holds. sc.selected marks local points the loop must skip
 // (earlier selections, the caller's exclude set) and is updated in
-// place; scores and rowBuf are caller scratch of length n and d. Shared
-// by RoundFast and the incremental delta rounds, which differ only in
-// how the entering RoundState was built.
+// place. Shared by RoundGroup and the incremental delta rounds, which
+// differ only in how the entering RoundState was built.
 //
 //firal:hotpath
-func runRoundLoop(pool hessian.Pool, st *RoundState, b int, scores []float64, selected []bool, rowBuf []float64, res *RoundResult) error {
-	n := pool.N()
+func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState, b int, sc *roundScratch, res *RoundResult) error {
+	cm := g.Comm
+	scores, selected, xh := sc.scores, sc.selected, sc.xh
+	n, d, c := pool.N(), pool.D(), pool.C()
 	probs := pool.Probs()
 	ph := res.Timings
-	for t := 1; t <= b; t++ {
+	kLo, kHi := mpi.Partition(c, cm.Size(), cm.Rank())
+	for t := 1; t <= min(b, g.Total); t++ {
+		if err := cm.Cancelled(ctx); err != nil {
+			return err
+		}
+		// Line 7: local objective, then the global argmax.
 		stop := ph.Start("objective")
 		st.Scores(pool, scores)
 		stop()
@@ -452,19 +430,46 @@ func runRoundLoop(pool hessian.Pool, st *RoundState, b int, scores []float64, se
 			}
 		}
 		stop()
+		bestV, owner, best := cm.AllreduceMaxLoc(bestV, best)
 		if best < 0 {
-			break
+			break // every unselected point is gone
 		}
-		selected[best] = true
-		res.Selected = append(res.Selected, best)      //firal:allow(alloc) result history, one entry per selection
-		res.Objectives = append(res.Objectives, bestV) //firal:allow(alloc) result history, one entry per selection
 
-		nu, err := st.Update(pool.Row(best, rowBuf), probs.Row(best), ph)
+		// The owner broadcasts the winner's x, h and global index.
+		stop = ph.Start("other")
+		if owner == cm.Rank() {
+			selected[best] = true
+			copy(xh[:d], pool.Row(best, xh[:d]))
+			copy(xh[d:d+c], probs.Row(best))
+			xh[d+c] = float64(g.Offset + best)
+		}
+		stop()
+		cm.Bcast(owner, xh)
+		res.Selected = append(res.Selected, int(xh[d+c])) //firal:allow(alloc) result history, one entry per selection
+		res.Objectives = append(res.Objectives, bestV)    //firal:allow(alloc) result history, one entry per selection
+
+		// Line 8: accumulate (H)_k.
+		stop = ph.Start("other")
+		st.AddPoint(xh[:d], xh[d:d+c])
+		stop()
+
+		// Line 9: eigenvalues of this rank's blocks, gathered.
+		stop = ph.Start("eig")
+		lam, err := st.Eigvals(kLo, kHi)
+		stop()
+		if err != nil {
+			return err
+		}
+
+		// Lines 10–11: ν bisection and the (B_{t+1})⁻¹ rebuild.
+		nu, err := st.FinishUpdate(cm.Allgatherv(lam), ph)
 		if err != nil {
 			return err
 		}
 		res.Nu = append(res.Nu, nu) //firal:allow(alloc) result history, one entry per selection
 	}
+	stop := ph.Start("eig")
 	res.MinEigH = st.MinEig()
+	stop()
 	return nil
 }

@@ -31,22 +31,21 @@ func SolveBlock(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.Dense
 // columns advance in lockstep, one BlockOp application per iteration,
 // with per-column convergence masking. b and x are transposed blocks (s×n
 // row-major, row j = column j; x is both the initial guess and the
-// output, updated in place). It is the multi-RHS form of SolveColumnsInto
-// and follows the same contracts: per-column Results written into the
-// caller's slice (grown when capacity is short, reset otherwise), scratch
-// drawn from opt.Workspace so warm sweeps are allocation-free, and the
-// context polled once per iteration.
+// output, updated in place). It is the multi-RHS form of PCG: per-column
+// Results written into the caller's slice (grown when capacity is short,
+// reset otherwise), scratch drawn from opt.Workspace so warm sweeps are
+// allocation-free, and the context polled once per iteration.
 //
 // Lockstep semantics: every column runs the scalar PCG recurrence on its
 // own (b_j, x_j) with its own α, β, and residual bookkeeping — the block
 // solve performs exactly the arithmetic of s independent PCG solves, so
-// solutions, iteration counts, and convergence flags match the per-column
-// SolveColumnsInto oracle bit for bit. A column that converges (or breaks
-// down on a loss of positive definiteness) is masked: its iterate freezes
-// while the remaining columns keep iterating, and the operator keeps
-// being applied to the full block (the masked columns' stale directions
-// are computed but ignored — with a streamed pool the decode dominates,
-// and it is already shared). On cancellation the still-active columns
+// solutions, iteration counts, and convergence flags match the
+// per-column SolveColumns oracle of the tests bit for bit. A column that
+// converges (or breaks down on a loss of positive definiteness) is
+// masked: its iterate freezes while the remaining columns keep
+// iterating, and the operator keeps being applied to the full block (the
+// masked columns' stale directions are computed but ignored — with a
+// streamed pool the decode dominates, and it is already shared). On cancellation the still-active columns
 // report ctx.Err() with x holding their best iterates; columns that
 // already converged keep their results.
 //

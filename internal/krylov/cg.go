@@ -4,15 +4,14 @@
 // reproduction come from the Lemma-2 fast Hessian matvec and the
 // block-diagonal preconditioner of Eq. 14.
 //
-// Multi-RHS solves come in two forms. SolveColumns/SolveColumnsInto run
-// one independent CG per column. SolveBlockInto is the batched block-CG
-// the RELAX probe block uses: all s columns advance in LOCKSTEP — one
-// BlockOp application (for a streamed pool, one decode sweep) per
-// iteration serves every column — with per-column convergence masking, so
-// a column that converges or breaks down freezes while the rest keep
-// iterating. Each column still runs the scalar PCG recurrence on its own
-// data, so block results equal the per-column oracle bit for bit; only
-// the operator traffic is shared. Blocks are passed transposed (s×n, row
+// Multi-RHS solves use SolveBlockInto, the batched block-CG the RELAX
+// probe block runs: all s columns advance in LOCKSTEP — one BlockOp
+// application (for a streamed pool, one decode sweep) per iteration
+// serves every column — with per-column convergence masking, so a column
+// that converges or breaks down freezes while the rest keep iterating.
+// Each column still runs the scalar PCG recurrence on its own data, so
+// block results equal s independent PCG solves (the per-column oracle of
+// the tests) bit for bit; only the operator traffic is shared. Blocks are passed transposed (s×n, row
 // j = column j) so every vector is contiguous.
 //
 // Solves are cancellable: every entry point takes a context.Context and
@@ -41,8 +40,8 @@ type Options struct {
 	// RecordResiduals stores the relative residual after every iteration
 	// (including iteration 0), enabling the Fig. 1 convergence curves.
 	RecordResiduals bool
-	// Workspace supplies the solver's four n-vectors (and SolveColumns'
-	// column buffers) from a reusable arena instead of fresh allocations,
+	// Workspace supplies the solver's four n-vectors from a reusable
+	// arena instead of fresh allocations,
 	// so repeated solves run allocation-free after warm-up (aside from
 	// RecordResiduals appends). The workspace must not be shared across
 	// goroutines; nil restores allocate-per-solve.
@@ -173,57 +172,6 @@ func PCG(ctx context.Context, a Op, precond Op, b, x []float64, opt Options) Res
 	}
 	res.RelResidual = rel
 	return res
-}
-
-// SolveColumns solves A X = B column-by-column with (preconditioned) CG,
-// writing solutions into x (same shape as b, used as initial guesses).
-// It returns per-column results. This is the W ← Σ⁻¹V pattern of
-// Algorithm 2, lines 6 and 8. A cancelled context stops the sweep at the
-// current column; the remaining results report the context error.
-func SolveColumns(ctx context.Context, a Op, precond Op, b, x *mat.Dense, opt Options) []Result {
-	return SolveColumnsInto(ctx, a, precond, b, x, nil, opt)
-}
-
-// SolveColumnsInto is SolveColumns writing the per-column results into
-// the caller's slice (grown when its capacity is short, reset
-// otherwise), so loops that sweep the same probe block every iteration —
-// the RELAX mirror descent runs two sweeps per iteration — reuse one
-// slice instead of allocating b.Cols results per call. Pass the previous
-// return value back in; the contents are overwritten.
-//
-//firal:hotpath
-func SolveColumnsInto(ctx context.Context, a Op, precond Op, b, x *mat.Dense, results []Result, opt Options) []Result {
-	if b.Rows != x.Rows || b.Cols != x.Cols {
-		panic("krylov: SolveColumns shape mismatch")
-	}
-	if cap(results) < b.Cols {
-		results = make([]Result, b.Cols) //firal:allow(alloc) amortized: grows once per larger probe block
-	} else {
-		results = results[:b.Cols]
-		for j := range results {
-			results[j] = Result{}
-		}
-	}
-	ws := opt.Workspace
-	bc := ws.Vec(b.Rows)
-	xc := ws.Vec(b.Rows)
-	defer func() {
-		ws.PutVec(bc)
-		ws.PutVec(xc)
-	}()
-	for j := 0; j < b.Cols; j++ {
-		if err := ctx.Err(); err != nil {
-			for k := j; k < b.Cols; k++ {
-				results[k].Err = err
-			}
-			return results
-		}
-		b.Col(bc, j)
-		x.Col(xc, j)
-		results[j] = PCG(ctx, a, precond, bc, xc, opt)
-		x.SetCol(j, xc)
-	}
-	return results
 }
 
 // FirstError returns the first context error recorded in a batch of

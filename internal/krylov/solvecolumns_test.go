@@ -7,10 +7,58 @@ import (
 	"repro/internal/mat"
 )
 
+// SolveColumns solves A X = B column-by-column with (preconditioned) CG,
+// writing solutions into x (same shape as b, used as initial guesses).
+// It returns per-column results. It is the per-column oracle the block
+// solver is pinned against: SolveBlockInto must match it bit for bit. A
+// cancelled context stops the sweep at the current column; the remaining
+// results report the context error.
+func SolveColumns(ctx context.Context, a Op, precond Op, b, x *mat.Dense, opt Options) []Result {
+	return SolveColumnsInto(ctx, a, precond, b, x, nil, opt)
+}
+
+// SolveColumnsInto is SolveColumns writing the per-column results into
+// the caller's slice (grown when its capacity is short, reset
+// otherwise). Pass the previous return value back in; the contents are
+// overwritten.
+func SolveColumnsInto(ctx context.Context, a Op, precond Op, b, x *mat.Dense, results []Result, opt Options) []Result {
+	if b.Rows != x.Rows || b.Cols != x.Cols {
+		panic("krylov: SolveColumns shape mismatch")
+	}
+	if cap(results) < b.Cols {
+		results = make([]Result, b.Cols)
+	} else {
+		results = results[:b.Cols]
+		for j := range results {
+			results[j] = Result{}
+		}
+	}
+	ws := opt.Workspace
+	bc := ws.Vec(b.Rows)
+	xc := ws.Vec(b.Rows)
+	defer func() {
+		ws.PutVec(bc)
+		ws.PutVec(xc)
+	}()
+	for j := 0; j < b.Cols; j++ {
+		if err := ctx.Err(); err != nil {
+			for k := j; k < b.Cols; k++ {
+				results[k].Err = err
+			}
+			return results
+		}
+		b.Col(bc, j)
+		x.Col(xc, j)
+		results[j] = PCG(ctx, a, precond, bc, xc, opt)
+		x.SetCol(j, xc)
+	}
+	return results
+}
+
 // TestSolveColumnsIntoReuse pins the caller-owned results contract: the
-// slice is reused in place when capacity suffices (no per-iteration
-// allocation in the RELAX loop), stale fields from the previous sweep are
-// cleared, and the solutions match a fresh SolveColumns call.
+// slice is reused in place when capacity suffices, stale fields from the
+// previous sweep are cleared, and the solutions match a fresh
+// SolveColumns call.
 func TestSolveColumnsIntoReuse(t *testing.T) {
 	const n, cols = 24, 5
 	spd := mat.Eye(n)

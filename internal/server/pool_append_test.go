@@ -171,17 +171,31 @@ func TestAppendPoolRefusedMidRound(t *testing.T) {
 // round 2 without new labels: the server must leave a warm checkpoint
 // whose weights sum to 1, reuse the cached probabilities for the old rows
 // (sweeping only the delta), and complete the warm-started round over the
-// grown pool.
+// grown pool — serially and on two in-process ranks, where only rank 0
+// writes the checkpoints.
 func TestWarmStartedRounds(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		selector string
+	}{{"approx", Config{}, ""}, {"dist", Config{Ranks: 2}, "dist"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			testWarmStartedRounds(t, tc.cfg, tc.selector)
+		})
+	}
+}
+
+func testWarmStartedRounds(t *testing.T, cfg Config, selector string) {
 	dir := t.TempDir()
 	shard, labX, labY := testPool(t, dir, 200, 5, 3, 41)
-	srv, a := newTestServer(t, Config{})
+	srv, a := newTestServer(t, cfg)
 
 	var sv sessionView
 	a.must(http.StatusCreated, "POST", "/v1/sessions", &createRequest{
 		Shards:          []string{shard},
 		Labeled:         labeledUpload{X: labX, Y: labY},
 		Seed:            5,
+		Selector:        selector,
 		Probes:          4,
 		FixedRelaxIters: 5,
 	}, &sv)

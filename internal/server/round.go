@@ -141,9 +141,10 @@ type roundOutput struct {
 // selectOnce performs one train+select: assemble the labeled set (direct
 // uploads plus index-labeled pool rows), train the classifier, stream the
 // pool once for probabilities, and dispatch to the session's selector with
-// previously selected rows excluded. For Approx-FIRAL the RELAX state is
-// checkpointed through the solver's iteration hook and restored when a
-// matching checkpoint survives from an interrupted attempt.
+// previously selected rows excluded. For Approx- and Dist-FIRAL the RELAX
+// state is checkpointed through the solver's iteration hook and restored
+// when a matching checkpoint survives from an interrupted attempt, and
+// each round warm-starts from the previous round's converged weights.
 func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (*roundOutput, error) {
 	sess.mu.Lock()
 	meta := sess.meta // shallow copy; slices are not mutated while a round runs
@@ -190,7 +191,7 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 	}
 
 	switch meta.Selector {
-	case "Approx-FIRAL":
+	case "Approx-FIRAL", "Dist-FIRAL":
 		reduced, err := s.roundProbs(sess, meta, rm.Round, src, model, nLab, blockRows, cachedProbs, cachedLabeled)
 		if err != nil {
 			return nil, err
@@ -244,6 +245,55 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 			}
 		}
 		labeled := hessian.NewSet(labM, hessian.ReduceProbs(softmax.Probabilities(nil, labM, model.Theta)))
+
+		if meta.Selector == "Dist-FIRAL" {
+			// In-process distributed rounds: Config.Ranks goroutine ranks
+			// run the § III-C solver over stream shards of the pinned pool
+			// view. RELAX checkpoints are global (rank-count independent)
+			// and share the serial format, so an interrupted dist round
+			// resumes, and the next one warm-starts, like an Approx one —
+			// even if the server restarts with a different -ranks.
+			pinned := dataset.Subrange(src, 0, meta.Rows)
+			ranks := s.cfg.Ranks
+			type rankOut struct {
+				sel                 []int
+				relaxIters, cgIters int
+				err                 error
+			}
+			outs := make([]rankOut, ranks)
+			mpi.Run(ranks, func(c *mpi.Comm) {
+				ro := relax
+				if c.Rank() != 0 {
+					// The checkpoint gather is a collective, so the hook
+					// must be set on every rank; only rank 0 touches disk
+					// and progress.
+					ro.OnIteration = func(*firal.RelaxCheckpoint) {}
+				}
+				sh := distfiral.MakeStreamShard(labeled, pinned, reduced, blockRows, ranks, c.Rank())
+				rres, rerr := distfiral.Relax(ctx, c, sh, rm.Budget, ro)
+				if rerr != nil {
+					outs[c.Rank()].err = rerr
+					return
+				}
+				rd, rerr := distfiral.Round(ctx, c, sh, rres.Z, rm.Budget, 0, exclude...)
+				if rerr != nil {
+					outs[c.Rank()].err = rerr
+					return
+				}
+				outs[c.Rank()] = rankOut{sel: rd.Selected, relaxIters: rres.Iterations, cgIters: rres.CGIterations}
+			})
+			for _, ro := range outs {
+				if ro.err != nil {
+					return nil, ro.err
+				}
+			}
+			out.selected = outs[0].sel
+			out.eta = 8 * math.Sqrt(float64(meta.Dim*(meta.Classes-1)))
+			out.relaxIters = outs[0].relaxIters
+			out.cgIters = outs[0].cgIters
+			return out, nil
+		}
+
 		// The sweep source is a pinned [0, meta.Rows) view of the session's
 		// live pool wrapped in block read-ahead: while the solver kernels
 		// chew block k, block k+1 is already decoding. The Subrange both
@@ -264,85 +314,6 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		out.eta = res.Eta
 		out.relaxIters = res.Relax.Iterations
 		out.cgIters = res.Relax.CGIterations
-		return out, nil
-
-	case "Dist-FIRAL":
-		// In-process distributed rounds: Config.Ranks goroutine ranks run
-		// the § III-C solver over stream shards of the pinned pool view.
-		// RELAX checkpoints are global (rank-count independent) and share
-		// the serial format, so an interrupted dist round resumes like an
-		// Approx one — even if the server restarts with a different -ranks.
-		reduced, err := s.roundProbs(sess, meta, rm.Round, src, model, nLab, blockRows, cachedProbs, cachedLabeled)
-		if err != nil {
-			return nil, err
-		}
-		relax := firal.RelaxOptions{
-			MaxIter:         meta.RelaxIters,
-			FixedIterations: meta.FixedRelaxIters,
-			Probes:          meta.Probes,
-			CGTol:           meta.CGTol,
-			Seed:            seed,
-		}
-		if round, ck, err := readCheckpoint(checkpointPath(sess.dir)); err == nil && round == rm.Round {
-			relax.Resume = ck
-			sess.mu.Lock()
-			sess.progress = roundProgress{RelaxIteration: ck.Iteration, RelaxDone: ck.Done, CGIterations: ck.CGIterations}
-			sess.mu.Unlock()
-			s.cfg.Logf("session %s: round %d resuming RELAX from iteration %d (done=%v)",
-				meta.ID, rm.Round, ck.Iteration, ck.Done)
-		} else if err == nil {
-			os.Remove(checkpointPath(sess.dir)) // stale: belongs to another round
-		}
-		every := s.cfg.CheckpointEvery
-		labeled := hessian.NewSet(labM, hessian.ReduceProbs(softmax.Probabilities(nil, labM, model.Theta)))
-		pinned := dataset.Subrange(src, 0, meta.Rows)
-		ranks := s.cfg.Ranks
-		type rankOut struct {
-			sel                 []int
-			relaxIters, cgIters int
-			err                 error
-		}
-		outs := make([]rankOut, ranks)
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			ro := relax
-			writer := c.Rank() == 0
-			// The checkpoint gather is a collective, so the hook must be
-			// set on every rank; only rank 0 touches disk and progress.
-			ro.OnIteration = func(ck *firal.RelaxCheckpoint) {
-				if !writer {
-					return
-				}
-				sess.mu.Lock()
-				sess.progress = roundProgress{RelaxIteration: ck.Iteration, RelaxDone: ck.Done, CGIterations: ck.CGIterations}
-				sess.mu.Unlock()
-				if ck.Done || ck.Iteration%every == 0 {
-					if err := writeCheckpoint(checkpointPath(sess.dir), rm.Round, ck); err != nil {
-						s.cfg.Logf("session %s: round %d checkpoint: %v", meta.ID, rm.Round, err)
-					}
-				}
-			}
-			sh := distfiral.MakeStreamShard(labeled, pinned, reduced, blockRows, ranks, c.Rank())
-			rres, rerr := distfiral.Relax(ctx, c, sh, rm.Budget, ro)
-			if rerr != nil {
-				outs[c.Rank()].err = rerr
-				return
-			}
-			rd, rerr := distfiral.Round(ctx, c, sh, rres.ZLocal, rm.Budget, 0, exclude...)
-			if rerr != nil {
-				outs[c.Rank()].err = rerr
-				return
-			}
-			outs[c.Rank()] = rankOut{sel: rd.Selected, relaxIters: rres.Iterations, cgIters: rres.CGIterations}
-		})
-		for _, ro := range outs {
-			if ro.err != nil {
-				return nil, ro.err
-			}
-		}
-		out.selected = outs[0].sel
-		out.eta = 8 * math.Sqrt(float64(meta.Dim*(meta.Classes-1)))
-		out.relaxIters = outs[0].relaxIters
-		out.cgIters = outs[0].cgIters
 		return out, nil
 
 	case "Exact-FIRAL":

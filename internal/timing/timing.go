@@ -48,12 +48,17 @@ func (p *Phases) entry(name string) *phase {
 // Start begins timing a phase; call the returned stop function to
 // accumulate. Typical use: defer p.Start("cg")(). Phases do not nest
 // with themselves: a second Start of the same name before its stop
-// restarts the clock.
+// restarts the clock. A nil *Phases times nothing.
 func (p *Phases) Start(name string) func() {
+	if p == nil {
+		return nop
+	}
 	e := p.entry(name)
 	e.t0 = time.Now()
 	return e.stop
 }
+
+func nop() {}
 
 // Add accumulates d into the named phase.
 func (p *Phases) Add(name string, d time.Duration) {
