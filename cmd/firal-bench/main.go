@@ -145,6 +145,21 @@ func main() {
 		}
 	}))
 
+	// --- Fused multi-probe Lemma-2 sweeps, s = 10 probes per sweep: the
+	// block-CG operator at the stream (c=1) and resident (c=10) shapes,
+	// and the Eq. 12 gradient accumulation. ---
+	for _, bc := range []struct {
+		name string
+		n, c int
+		quad bool
+	}{
+		{"matvec_block_n1e5_d64_c1_s10", 100_000, 1, false},
+		{"matvec_block_n1e4_d64_c10_s10", 10_000, 10, false},
+		{"quad_block_n1e5_d64_c1_s10", 100_000, 1, true},
+	} {
+		rep.Results = append(rep.Results, run(bc.name, blockSweepBench(bc.n, bc.c, bc.quad)))
+	}
+
 	// --- Preconditioned CG solve (Σz x = b) with workspace. ---
 	p := firal.NewProblem(labeled, pool)
 	z := make([]float64, p.N())
@@ -288,6 +303,34 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("within tolerance of baseline %s", *against)
+	}
+}
+
+// blockSweepBench times one warm fused sweep over an n×64 pool with c
+// Fisher blocks and s = 10 probe vectors: hessian.MatVecBlockWS, or
+// hessian.QuadAccumBlockWS when quad is set.
+func blockSweepBench(n, c int, quad bool) func(b *testing.B) {
+	const d, s = 64, 10
+	_, pool := experiments.SynthSets(1, n, d, c, 6)
+	ws := mat.NewWorkspace()
+	u := mat.NewDense(s, pool.Ed())
+	v := mat.NewDense(s, pool.Ed())
+	rnd.New(7).Rademacher(u.Data)
+	rnd.New(8).Normal(v.Data, 0, 1)
+	dst := mat.NewDense(s, pool.Ed())
+	g := make([]float64, n)
+	w := make([]float64, n)
+	mat.Fill(w, 1/float64(n))
+	sweep := func() { hessian.MatVecBlockWS(ws, pool, dst, v, w) }
+	if quad {
+		sweep = func() { hessian.QuadAccumBlockWS(ws, pool, g, u, v, -1.0/s) }
+	}
+	return func(b *testing.B) {
+		sweep() // warm the workspace
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sweep()
+		}
 	}
 }
 

@@ -1,24 +1,56 @@
 package hessian
 
 import (
+	"sync"
+
 	"repro/internal/mat"
 	"repro/internal/parallel"
 )
 
-// This file holds the multi-RHS forms of the blocked pool kernels: one
-// pool sweep serves a whole block of s vectors. They exist for the
-// block-CG RELAX path (krylov.SolveBlockInto), where the per-column forms
-// would decode a streamed pool once per probe column per CG iteration —
-// s·k full sweeps — while the block forms decode it once per iteration.
+// This file holds the fused multi-probe Lemma-2 kernels: one pool sweep
+// serves a whole block of s vectors, and within the sweep each row tile is
+// read once for all s probes. They exist for the block-CG RELAX path
+// (krylov.SolveBlockInto), where per-probe kernels would decode a
+// streamed pool s times per CG iteration and re-read every row block 2·s
+// times.
 //
 // Vector blocks are held transposed, matching krylov.BlockOp: an s×(d·c)
-// row-major matrix whose row j is the j-th vec-layout vector, so each
-// vector is contiguous and feeds the same per-vector kernels
-// (gammaRange/quadRange and the GEMM engines) as the single-RHS paths.
-// For every column the arithmetic — scratch shapes, kernel order, and
-// block accumulation — is identical to s sequential calls of the
-// per-column kernel, so results match MatVecWS/QuadAccumWS bit for bit;
-// only the pool visit order changes (blocks outermost, columns inner).
+// row-major matrix whose row j is the j-th vec-layout vector. Read as an
+// (s·c)×d matrix, the block stacks every probe's c class rows, so one
+// product of a row tile with it gives the c dot products of each row with
+// every probe.
+//
+// Per probe the arithmetic is exactly that of the composition
+// G = X·V_jᵀ (mat.MulTransB), Γ_ik = w_i (G_ik − α_i) h_ik with
+// α_i = Σ_k G_ik h_ik, then Γᵀ·X (mat.MulTransA):
+//
+//   - the dots use the order mat.UseBlocked(m, c, d) picks for the row
+//     block's per-probe product (mat.MulTransBInOrder), decided per block,
+//     so ragged tail blocks keep their own order;
+//   - each class row of the result adds Γ_ik x_i over the block's rows in
+//     ascending order, skipping zero Γ (mat.AccumRows), unless
+//     mat.UseBlocked(c, d, m) sends the block's Γᵀ·X to the packed path
+//     (c ≥ 16): then each probe's Γ goes through mat.MulTransA itself;
+//   - a multi-block pool folds each block's partial into dst with
+//     dst += partial.
+//
+// So every column is bit-identical to the per-probe kernels, for any
+// worker count: workers split probes, columns or rows, never the
+// summation of one element.
+//
+// Parallel axis. The matvec splits probes across workers when there are
+// at least as many probes as workers; each worker then runs dots, Γ and
+// the accumulation tile by tile for its own probes while the tile is hot
+// in cache. With fewer probes than workers (the s=1 MatVecWS path), or
+// when Γᵀ·X takes the packed path, the dots and Γ run row-parallel over
+// the whole block first; the accumulation then splits each probe's d
+// columns across workers (or runs MulTransA, parallel over class rows).
+// The quadratic form splits rows; each row takes its probes in ascending
+// order.
+
+// sweepTile is the row tile of the fused sweeps: 64 rows of a d=64 block
+// are 32 KiB, so the tile stays in L1 while every probe visits it.
+const sweepTile = 64
 
 // checkBlockShapes validates a transposed vector block against the pool.
 func checkBlockShapes(p Pool, vs ...*mat.Dense) {
@@ -33,13 +65,50 @@ func checkBlockShapes(p Pool, vs ...*mat.Dense) {
 	}
 }
 
+// sweepTask carries one fused sweep's operands in pooled storage, with
+// its dispatch funcs bound once at pool-New time, so the hot kernels hand
+// the worker pool a func without allocating a closure per call (the
+// kernel task pattern of internal/mat).
+type sweepTask struct {
+	xb, u, v, dst *mat.Dense // current row block; probe blocks; matvec result
+	h             *mat.Dense
+	ga, pd        mat.Dense // one probe's Γ and partial, for mat.MulTransA
+	w, g, acc     []float64 // weights; dot/Γ scratch; per-probe block partials (nil: dst)
+	qdst          []float64 // quadratic-form result
+	scale         float64
+	base, m       int // global index of the block's first row; block rows
+	s, d, c       int
+	blocked       bool // dot order of the block (mat.UseBlocked)
+	gs, gj        int  // Γ scratch row stride; first probe held (probe j at column (j−gj)·c)
+	slices, cols  int  // column slices per probe and their width
+	rows          int  // rows per quadratic-form item
+
+	probesFn, slicesFn, dotsFn, quadFn func(lo, hi int)
+}
+
+var sweepTasks = sync.Pool{New: func() any {
+	t := &sweepTask{}
+	t.probesFn = t.sweepProbes
+	t.slicesFn = t.accumSlices
+	t.dotsFn = t.dotsRows
+	t.quadFn = t.quadRows
+	return t
+}}
+
+func (t *sweepTask) release() {
+	t.xb, t.u, t.v, t.dst, t.h = nil, nil, nil, nil, nil
+	t.w, t.g, t.acc, t.qdst = nil, nil, nil, nil
+	t.ga.Data, t.pd.Data = nil, nil
+	sweepTasks.Put(t)
+}
+
 // MatVecBlockWS computes dst_j = Σ_i w_i H_i v_j for all s vectors of the
 // transposed block v (s×ẽd, row j = vector j) in ONE sweep over the
 // pool: every row block obtained from Pool.Block — for a streamed source,
 // every decode — updates all s outputs before the next block is read.
 // A nil w means unit weights. Scratch comes from ws; a warm workspace
 // makes the call allocation-free. Column results are bit-for-bit equal to
-// s calls of Pool.MatVecWS.
+// the per-probe MulTransB/Γ/MulTransA composition (see the file comment).
 //
 //firal:hotpath
 func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
@@ -53,55 +122,224 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 		dst.Zero()
 		return
 	}
-	h := p.Probs()
 	bs := p.BlockRows()
-	single := bs >= n
-	var acc *mat.Dense
-	if !single {
+	t := sweepTasks.Get().(*sweepTask)
+	t.v, t.dst, t.h, t.w = v, dst, p.Probs(), w
+	t.s, t.d, t.c = s, d, c
+	if bs < n {
 		dst.Zero()
-		acc = ws.Matrix(c, d)
+		t.acc = ws.Vec(s * d * c)
 	}
+	// The scratch holds a row tile of Γ for every probe (fused path), a
+	// whole block's Γ for every probe (s < workers), or a whole block's Γ
+	// for one probe (packed Γᵀ·X); the largest block sizes it.
+	workers := parallel.Workers()
+	rows := min(bs, n)
+	gLen := sweepTile * s * c
+	if s < workers {
+		gLen = max(gLen, rows*s*c)
+		t.slices = min((workers+s-1)/s, max(1, d/8))
+		t.cols = (d + t.slices - 1) / t.slices
+	}
+	if mat.UseBlocked(c, d, rows) {
+		gLen = max(gLen, rows*c)
+	}
+	t.g = ws.Vec(gLen)
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
-		m := hi - lo
-		xb := p.Block(ws, lo, hi)
-		g := ws.Matrix(m, c)
-		for j := 0; j < s; j++ {
-			vt := ws.View(v.Row(j), c, d)
-			dt := ws.View(dst.Row(j), c, d)
-			mat.MulTransB(g, xb, vt) // m×c: x_iᵀ v_k
-			if parallel.Serial(m) {
-				gammaRange(g, h, w, lo, 0, m)
-			} else {
-				t := gammaTasks.Get().(*chunkTask)
-				t.g, t.h, t.w, t.base = g, h, w, lo
-				parallel.ForChunk(m, t.fn)
-				t.put(gammaTasks)
+		t.xb, t.base, t.m = p.Block(ws, lo, hi), lo, hi-lo
+		t.blocked = mat.UseBlocked(t.m, c, d)
+		t.gs, t.gj = s*c, 0
+		switch {
+		case mat.UseBlocked(c, d, t.m):
+			// Γᵀ·X takes the packed path: one probe at a time, its Γ
+			// through mat.MulTransA, as the per-probe composition does.
+			t.gs = c
+			for j := 0; j < s; j++ {
+				t.gj = j
+				parallel.ForChunkMin(t.m, sweepTile, t.dotsFn)
+				t.accumPacked(j)
 			}
-			if single {
-				mat.MulTransA(dt, g, xb) // c×d: row k = Σ_i Γ_ik x_iᵀ
-			} else {
-				mat.MulTransA(acc, g, xb)
-				dt.AddScaled(1, acc)
-			}
-			ws.PutView(dt)
-			ws.PutView(vt)
+		case s >= workers:
+			parallel.ForChunkMin(s, 1, t.probesFn)
+		default:
+			parallel.ForChunkMin(t.m, sweepTile, t.dotsFn)
+			parallel.ForChunkMin(s*t.slices, 1, t.slicesFn)
 		}
-		ws.PutMatrix(g)
-		p.PutBlock(ws, xb)
+		p.PutBlock(ws, t.xb)
 	}
-	if acc != nil {
-		ws.PutMatrix(acc)
+	ws.PutVec(t.g)
+	ws.PutVec(t.acc)
+	t.release()
+}
+
+// sweepProbes is the fused matvec body for probes [j0, j1): tile by tile,
+// the dots and Γ of those probes, then their accumulation.
+//
+//firal:hotpath
+func (t *sweepTask) sweepProbes(j0, j1 int) {
+	t.clearPartials(j0, j1, 0, t.d)
+	for r0 := 0; r0 < t.m; r0 += sweepTile {
+		r1 := min(r0+sweepTile, t.m)
+		t.dots(t.g, t.v, r0, r1, j0, j1)
+		t.gamma(t.g, r0, r1, j0, j1)
+		for j := j0; j < j1; j++ {
+			t.accumulate(t.g, j, 0, t.d, r0, r1)
+		}
+	}
+	t.foldPartials(j0, j1, 0, t.d)
+}
+
+// dotsRows is the row-parallel dot and Γ phase over block rows
+// [r0, r1) for the probes the scratch holds; the scratch holds Γ for
+// every block row.
+//
+//firal:hotpath
+func (t *sweepTask) dotsRows(r0, r1 int) {
+	g := t.g[r0*t.gs:]
+	j1 := t.gj + t.gs/t.c
+	t.dots(g, t.v, r0, r1, t.gj, j1)
+	t.gamma(g, r0, r1, t.gj, j1)
+}
+
+// accumSlices is the unfused matvec's accumulation over items [lo, hi),
+// item = probe·slices + column slice.
+//
+//firal:hotpath
+func (t *sweepTask) accumSlices(lo, hi int) {
+	for it := lo; it < hi; it++ {
+		j := it / t.slices
+		c0 := (it % t.slices) * t.cols
+		c1 := min(c0+t.cols, t.d)
+		if c0 >= c1 {
+			continue
+		}
+		t.clearPartials(j, j+1, c0, c1)
+		for r0 := 0; r0 < t.m; r0 += sweepTile {
+			r1 := min(r0+sweepTile, t.m)
+			t.accumulate(t.g[r0*t.gs:], j, c0, c1, r0, r1)
+		}
+		t.foldPartials(j, j+1, c0, c1)
+	}
+}
+
+// accumPacked accumulates probe j of a block whose Γᵀ·X takes the packed
+// path: its Γ (all block rows, from dotsRows) goes through mat.MulTransA,
+// so the panel order is kept exactly. The operand headers live in the
+// pooled record, so handing them to the worker pool does not allocate.
+//
+//firal:hotpath
+func (t *sweepTask) accumPacked(j int) {
+	t.ga = mat.Dense{Rows: t.m, Cols: t.c, Stride: t.c, Data: t.g}
+	t.pd = mat.Dense{Rows: t.c, Cols: t.d, Stride: t.d, Data: t.partial(j)}
+	mat.MulTransA(&t.pd, &t.ga, t.xb)
+	t.foldPartials(j, j+1, 0, t.d)
+}
+
+// dots writes the c dot products of block rows [r0, r1) with probes
+// [j0, j1) of vb into g: row r0+i, probe j at g[i·gs + (j−gj)·c:][:c].
+//
+//firal:hotpath
+func (t *sweepTask) dots(g []float64, vb *mat.Dense, r0, r1, j0, j1 int) {
+	xs := t.xb.Stride
+	xt := mat.Dense{Rows: r1 - r0, Cols: t.d, Stride: xs, Data: t.xb.Data[r0*xs:]}
+	step := j1 - j0
+	if vb.Stride != vb.Cols {
+		step = 1 // probe rows are not contiguous: one product per probe
+	}
+	for j := j0; j < j1; j += step {
+		gt := mat.Dense{Rows: r1 - r0, Cols: step * t.c, Stride: t.gs, Data: g[(j-t.gj)*t.c:]}
+		vt := mat.Dense{Rows: step * t.c, Cols: t.d, Stride: t.d, Data: vb.Data[j*vb.Stride:]}
+		mat.MulTransBInOrder(&gt, &xt, &vt, t.blocked)
+	}
+}
+
+// gamma rewrites the dots of block rows [r0, r1) and probes [j0, j1) in
+// g (laid out as in dots) in place: G_ik ← w_i (G_ik − α_i) h_ik with
+// α_i = Σ_k G_ik h_ik.
+//
+//firal:hotpath
+func (t *sweepTask) gamma(g []float64, r0, r1, j0, j1 int) {
+	for i := r0; i < r1; i++ {
+		hr := t.h.Row(t.base + i)
+		wi := 1.0
+		if t.w != nil {
+			wi = t.w[t.base+i]
+		}
+		row := g[(i-r0)*t.gs:]
+		for j := j0 - t.gj; j < j1-t.gj; j++ {
+			gr := row[j*t.c : (j+1)*t.c]
+			alpha := mat.Dot(gr, hr)
+			for k := range gr {
+				gr[k] = wi * (gr[k] - alpha) * hr[k]
+			}
+		}
+	}
+}
+
+// accumulate adds Σ_i Γ_ijk x_i[c0:c1] over block rows [r0, r1) (Γ laid
+// out in g as in dots) to columns [c0, c1) of every class row of probe
+// j's partial.
+//
+//firal:hotpath
+func (t *sweepTask) accumulate(g []float64, j, c0, c1, r0, r1 int) {
+	xs := t.xb.Stride
+	xt := mat.Dense{Rows: r1 - r0, Cols: c1 - c0, Stride: xs, Data: t.xb.Data[r0*xs+c0:]}
+	out := t.partial(j)
+	for k := 0; k < t.c; k++ {
+		mat.AccumRows(out[k*t.d+c0:k*t.d+c1], g[(j-t.gj)*t.c+k:], t.gs, &xt)
+	}
+}
+
+// partial returns probe j's block partial: dst's row itself when the
+// pool is one block, else its row of the accumulator.
+func (t *sweepTask) partial(j int) []float64 {
+	if t.acc == nil {
+		return t.dst.Row(j)
+	}
+	ed := t.d * t.c
+	return t.acc[j*ed : (j+1)*ed]
+}
+
+// clearPartials zeroes columns [c0, c1) of every class row of the
+// partials of probes [j0, j1).
+//
+//firal:hotpath
+func (t *sweepTask) clearPartials(j0, j1, c0, c1 int) {
+	for j := j0; j < j1; j++ {
+		out := t.partial(j)
+		for k := 0; k < t.c; k++ {
+			clear(out[k*t.d+c0 : k*t.d+c1])
+		}
+	}
+}
+
+// foldPartials adds the block partials of probes [j0, j1), columns
+// [c0, c1) of each class row, into dst (a no-op for one-block pools,
+// whose partial is dst).
+//
+//firal:hotpath
+func (t *sweepTask) foldPartials(j0, j1, c0, c1 int) {
+	if t.acc == nil {
+		return
+	}
+	for j := j0; j < j1; j++ {
+		src, dr := t.partial(j), t.dst.Row(j)
+		for k := 0; k < t.c; k++ {
+			for q := k*t.d + c0; q < k*t.d+c1; q++ {
+				dr[q] += src[q]
+			}
+		}
 	}
 }
 
 // QuadAccumBlockWS adds scale·(u_jᵀ H_i v_j), summed over all s columns
 // of the transposed blocks u and v (s×ẽd, row j = vector j), to dst[i]
 // for every pool point i — the whole Eq. 12 gradient accumulation in ONE
-// pool sweep instead of one sweep per probe. For each point the per-probe
-// contributions land in ascending j order, exactly as s sequential
-// Pool.QuadAccumWS sweeps would order them, so the result is bit-for-bit
-// identical.
+// pool sweep, each row tile read once for all probes. For each point the
+// per-probe contributions land in ascending j order, exactly as s
+// sequential per-probe sweeps would order them, so the result is
+// bit-for-bit identical to them.
 //
 //firal:hotpath
 func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense, scale float64) {
@@ -111,32 +349,58 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 	if len(dst) != n {
 		panic("hessian: QuadAccum dst length mismatch")
 	}
-	h := p.Probs()
+	if n == 0 {
+		return
+	}
 	bs := p.BlockRows()
+	// One item per worker, each with private tile scratch for both dot
+	// sets; an item is a contiguous run of block rows.
+	items := min(parallel.Workers(), (min(bs, n)+sweepTile-1)/sweepTile)
+	t := sweepTasks.Get().(*sweepTask)
+	t.u, t.v, t.h, t.qdst, t.scale = u, v, p.Probs(), dst, scale
+	t.s, t.d, t.c = s, d, c
+	t.gs, t.gj = s*c, 0
+	t.g = ws.Vec(items * 2 * sweepTile * s * c)
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
-		m := hi - lo
-		xb := p.Block(ws, lo, hi)
-		gu := ws.Matrix(m, c)
-		gv := ws.Matrix(m, c)
-		for j := 0; j < s; j++ {
-			ut := ws.View(u.Row(j), c, d)
-			vt := ws.View(v.Row(j), c, d)
-			mat.MulTransB(gu, xb, ut) // m×c: x_iᵀ u_k
-			mat.MulTransB(gv, xb, vt) // m×c: x_iᵀ v_k
-			if parallel.Serial(m) {
-				quadRange(dst, gu, gv, h, scale, lo, 0, m)
-			} else {
-				t := quadTasks.Get().(*chunkTask)
-				t.dst, t.g, t.gv, t.h, t.scale, t.base = dst, gu, gv, h, scale, lo
-				parallel.ForChunk(m, t.fn)
-				t.put(quadTasks)
+		t.xb, t.base, t.m = p.Block(ws, lo, hi), lo, hi-lo
+		t.blocked = mat.UseBlocked(t.m, c, d)
+		nit := min(items, (t.m+sweepTile-1)/sweepTile)
+		t.rows = (t.m + nit - 1) / nit
+		parallel.ForChunkMin(nit, 1, t.quadFn)
+		p.PutBlock(ws, t.xb)
+	}
+	ws.PutVec(t.g)
+	t.release()
+}
+
+// quadRows runs QuadAccum items [lo, hi): item it covers block rows
+// [it·rows, (it+1)·rows) and uses scratch region it.
+//
+//firal:hotpath
+func (t *sweepTask) quadRows(lo, hi int) {
+	sc := t.s * t.c
+	for it := lo; it < hi; it++ {
+		gu := t.g[it*2*sweepTile*sc:]
+		gv := gu[sweepTile*sc:]
+		for r0 := it * t.rows; r0 < min((it+1)*t.rows, t.m); r0 += sweepTile {
+			r1 := min(r0+sweepTile, (it+1)*t.rows, t.m)
+			t.dots(gu, t.u, r0, r1, 0, t.s)
+			t.dots(gv, t.v, r0, r1, 0, t.s)
+			for i := r0; i < r1; i++ {
+				hr := t.h.Row(t.base + i)
+				q0 := (i - r0) * sc
+				for j := 0; j < t.s; j++ {
+					hu := gu[q0+j*t.c : q0+(j+1)*t.c]
+					hv := gv[q0+j*t.c : q0+(j+1)*t.c]
+					alpha := mat.Dot(hv, hr)
+					var q float64
+					for k := range hr {
+						q += (hv[k] - alpha) * hr[k] * hu[k]
+					}
+					t.qdst[t.base+i] += t.scale * q
+				}
 			}
-			ws.PutView(vt)
-			ws.PutView(ut)
 		}
-		ws.PutMatrix(gv)
-		ws.PutMatrix(gu)
-		p.PutBlock(ws, xb)
 	}
 }

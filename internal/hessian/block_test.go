@@ -1,6 +1,8 @@
 package hessian
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -27,85 +29,263 @@ func streamPool(s *Set, blockRows int) *Stream {
 	return NewStream(dataset.NewMatrixSource(s.X), s.H, blockRows)
 }
 
-// TestMatVecBlockWSMatchesPerColumn pins the multi-RHS matvec contract:
-// for resident pools and for streamed pools at ragged block sizes, every
-// column of MatVecBlockWS is bit-for-bit identical to a per-column
-// MatVecWS call.
-func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
-	set := allocSet(397, 13, 5) // 397 prime: ragged against every block size
-	w := make([]float64, set.N())
-	for i := range w {
-		w[i] = 0.1 + float64(i%9)/9
+// oracleMatVecBlock is the per-probe composition the fused sweep
+// replaced, kept as its oracle: per row block and per probe, G = X·V_jᵀ
+// (mat.MulTransB), Γ in place, then Γᵀ·X (mat.MulTransA), with a
+// multi-block pool folding each block's partial into dst by
+// dst += 1·partial.
+func oracleMatVecBlock(p Pool, dst, v *mat.Dense, w []float64) {
+	n, d, c := p.N(), p.D(), p.C()
+	if n == 0 {
+		dst.Zero()
+		return
 	}
-	const s = 6
-	vt, cols := blockVectors(set.Ed(), s, 21)
-	ws := mat.NewWorkspace()
-
-	pools := []struct {
-		name string
-		p    Pool
-	}{
-		{"resident", set},
-		{"stream_bs32", streamPool(set, 32)},
-		{"stream_bs100", streamPool(set, 100)},
-		{"stream_bs396", streamPool(set, 396)},
-		{"stream_bs512", streamPool(set, 512)},
+	h := p.Probs()
+	bs := p.BlockRows()
+	single := bs >= n
+	if !single {
+		dst.Zero()
 	}
-	dst := mat.NewDense(s, set.Ed())
-	for _, pc := range pools {
-		// The oracle is the per-column kernel over the SAME pool: the
-		// block form shares each pool visit across columns but must not
-		// change a single column's arithmetic.
-		want := make([][]float64, s)
-		for j := 0; j < s; j++ {
-			want[j] = pc.p.MatVecWS(ws, nil, cols[j], w)
-		}
-		MatVecBlockWS(ws, pc.p, dst, vt, w)
-		for j := 0; j < s; j++ {
-			for i, v := range dst.Row(j) {
-				if v != want[j][i] {
-					t.Fatalf("%s: column %d element %d = %g, per-column oracle %g",
-						pc.name, j, i, v, want[j][i])
+	acc := mat.NewDense(c, d)
+	for lo := 0; lo < n; lo += bs {
+		hi := min(lo+bs, n)
+		xb := p.Block(nil, lo, hi)
+		g := mat.NewDense(hi-lo, c)
+		for j := 0; j < v.Rows; j++ {
+			vt := &mat.Dense{Rows: c, Cols: d, Stride: d, Data: v.Row(j)}
+			dt := &mat.Dense{Rows: c, Cols: d, Stride: d, Data: dst.Row(j)}
+			mat.MulTransB(g, xb, vt) // m×c: x_iᵀ v_k
+			for i := 0; i < g.Rows; i++ {
+				gr := g.Row(i)
+				hr := h.Row(lo + i)
+				alpha := mat.Dot(gr, hr)
+				wi := 1.0
+				if w != nil {
+					wi = w[lo+i]
+				}
+				for k := range gr {
+					gr[k] = wi * (gr[k] - alpha) * hr[k]
 				}
 			}
+			if single {
+				mat.MulTransA(dt, g, xb) // c×d: row k = Σ_i Γ_ik x_iᵀ
+			} else {
+				mat.MulTransA(acc, g, xb)
+				dt.AddScaled(1, acc)
+			}
 		}
-		// nil weights too.
-		MatVecBlockWS(ws, pc.p, dst, vt, nil)
-		ref := pc.p.MatVecWS(ws, nil, cols[2], nil)
-		for i, v := range dst.Row(2) {
-			if v != ref[i] {
-				t.Fatalf("%s nil-w: element %d = %g, oracle %g", pc.name, i, v, ref[i])
+		p.PutBlock(nil, xb)
+	}
+}
+
+// oracleQuadAccumBlock is the per-probe gradient accumulation the fused
+// sweep replaced: per row block and per probe, both dot sets by
+// mat.MulTransB, then dst[i] += scale·Σ_k (G^v_ik − α_i) h_ik G^u_ik.
+func oracleQuadAccumBlock(p Pool, dst []float64, u, v *mat.Dense, scale float64) {
+	n, d, c := p.N(), p.D(), p.C()
+	h := p.Probs()
+	bs := p.BlockRows()
+	for lo := 0; lo < n; lo += bs {
+		hi := min(lo+bs, n)
+		xb := p.Block(nil, lo, hi)
+		gu := mat.NewDense(hi-lo, c)
+		gv := mat.NewDense(hi-lo, c)
+		for j := 0; j < u.Rows; j++ {
+			mat.MulTransB(gu, xb, &mat.Dense{Rows: c, Cols: d, Stride: d, Data: u.Row(j)})
+			mat.MulTransB(gv, xb, &mat.Dense{Rows: c, Cols: d, Stride: d, Data: v.Row(j)})
+			for i := 0; i < hi-lo; i++ {
+				hu, hv, hr := gu.Row(i), gv.Row(i), h.Row(lo+i)
+				alpha := mat.Dot(hv, hr)
+				var q float64
+				for k := range hr {
+					q += (hv[k] - alpha) * hr[k] * hu[k]
+				}
+				dst[lo+i] += scale * q
+			}
+		}
+		p.PutBlock(nil, xb)
+	}
+}
+
+// sweepSet draws a pool with random features and random interior reduced
+// probabilities, so every Γ entry carries distinct low bits.
+func sweepSet(n, d, c int, seed int64) *Set {
+	rng := rnd.New(seed)
+	x := mat.NewDense(n, d)
+	rng.Normal(x.Data, 0, 1)
+	h := mat.NewDense(n, c)
+	rng.Normal(h.Data, 0, 1)
+	for i := range h.Data {
+		h.Data[i] = 0.05 + math.Abs(h.Data[i])
+	}
+	for i := 0; i < n; i++ {
+		row := h.Row(i)
+		sum := mat.Sum(row) * 1.3 // reduced classes sum below 1
+		for k := range row {
+			row[k] /= sum
+		}
+	}
+	return NewSet(x, h)
+}
+
+// sweepPool is one pool of the fused-kernel oracle grid.
+type sweepPool struct {
+	name string
+	p    Pool
+	w    []float64
+}
+
+// sweepPools builds, for one (c, d), resident and streamed pools whose
+// 100-row blocks leave a 51- or 52-row tail: at c=10, d=64 the tail sits
+// just below and just at the blocked-GEMM threshold (mat.UseBlocked),
+// so both dot orders occur within one sweep. For c ≥ 16 a 600-row pool
+// is added: its one resident block spans three GEMM k-panels, so a packed
+// Γᵀ·X sums in a different order from a row-by-row one. Each pool comes
+// with unit (nil) and non-unit weights, some of them zero.
+func sweepPools(c, d int) []sweepPool {
+	var out []sweepPool
+	ns := []int{251, 252}
+	if c >= 16 {
+		ns = append(ns, 600)
+	}
+	for _, n := range ns {
+		set := sweepSet(n, d, c, int64(n*1000+d*10+c))
+		w := make([]float64, n)
+		for i := range w {
+			if i%7 != 3 {
+				w[i] = 0.2 + float64(i%11)/11
+			}
+		}
+		for _, pc := range []struct {
+			name string
+			p    Pool
+		}{{"resident", set}, {"stream_bs100", streamPool(set, 100)}} {
+			name := fmt.Sprintf("%s_n%d", pc.name, n)
+			out = append(out, sweepPool{name + "_unitw", pc.p, nil}, sweepPool{name + "_w", pc.p, w})
+		}
+	}
+	return out
+}
+
+// TestThresholdTailsCoverBothOrders guards the oracle grid itself: the
+// 51- and 52-row tails at c=10, d=64 must straddle the blocked-GEMM
+// threshold, or the grid would stop testing one dot order at the tail.
+func TestThresholdTailsCoverBothOrders(t *testing.T) {
+	if mat.UseBlocked(51, 10, 64) || !mat.UseBlocked(52, 10, 64) || !mat.UseBlocked(100, 10, 64) {
+		t.Fatal("the 51/52-row tails no longer straddle mat.UseBlocked at c=10, d=64; move them")
+	}
+	// At c=20, d=13 the 100-row blocks keep Γᵀ·X on the reference path
+	// while the one-block resident pools send it to the packed path.
+	if mat.UseBlocked(20, 13, 100) || !mat.UseBlocked(20, 13, 251) {
+		t.Fatal("c=20, d=13 no longer straddles mat.UseBlocked for Γᵀ·X; move it")
+	}
+}
+
+// sweepShapes is the (c, d) grid of the oracle tests: c ∈ {1, 2, 10}
+// against d ∈ {13, 64, 300} (300 spans two GEMM k-panels), plus c = 20,
+// where Γᵀ·X itself takes the packed path on the larger blocks.
+var sweepShapes = [][2]int{
+	{1, 13}, {1, 64}, {1, 300},
+	{2, 13}, {2, 64}, {2, 300},
+	{10, 13}, {10, 64}, {10, 300},
+	{20, 13}, {20, 64},
+}
+
+// TestMatVecBlockWSMatchesPerColumn pins the fused multi-probe matvec to
+// the per-probe MulTransB/Γ/MulTransA composition bit for bit across the
+// sweepShapes grid, s ∈ {1, 3, 10}, 1/2/4 workers, unit and non-unit
+// weights, and resident and streamed pools with tails on both sides of
+// the blocked threshold.
+func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
+	ws := mat.NewWorkspace()
+	for _, sh := range sweepShapes {
+		c, d := sh[0], sh[1]
+		for _, pc := range sweepPools(c, d) {
+			for _, s := range []int{1, 3, 10} {
+				vt, _ := blockVectors(d*c, s, int64(7*s+d))
+				want := mat.NewDense(s, d*c)
+				oracleMatVecBlock(pc.p, want, vt, pc.w)
+				got := mat.NewDense(s, d*c)
+				for _, nw := range []int{1, 2, 4} {
+					parallel.SetMaxWorkers(nw)
+					mat.Fill(got.Data, 7) // stale data must be overwritten
+					MatVecBlockWS(ws, pc.p, got, vt, pc.w)
+					for i, v := range got.Data {
+						if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+							t.Fatalf("c=%d d=%d %s s=%d workers=%d: element (%d,%d) = %x, oracle %x",
+								c, d, pc.name, s, nw, i/(d*c), i%(d*c),
+								math.Float64bits(v), math.Float64bits(want.Data[i]))
+						}
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestQuadAccumBlockWSMatchesPerColumn pins the multi-RHS gradient
-// accumulation: one block sweep equals s sequential per-column sweeps bit
-// for bit, resident and streamed.
-func TestQuadAccumBlockWSMatchesPerColumn(t *testing.T) {
-	set := allocSet(397, 13, 5)
-	const s, scale = 6, -1.0 / 6
-	ut, ucols := blockVectors(set.Ed(), s, 31)
-	vt, vcols := blockVectors(set.Ed(), s, 32)
-	ws := mat.NewWorkspace()
+// TestMatVecBlockWSStridedVectors covers probe blocks whose rows are not
+// contiguous (a wider stride): the fused kernel takes one product per
+// probe there and must still match the oracle.
+func TestMatVecBlockWSStridedVectors(t *testing.T) {
+	set := sweepSet(252, 64, 10, 5)
+	p := streamPool(set, 100)
+	const s = 3
+	ed := set.Ed()
+	vt := &mat.Dense{Rows: s, Cols: ed, Stride: ed + 5, Data: make([]float64, s*(ed+5))}
+	rnd.New(6).Normal(vt.Data, 0, 1)
+	want := mat.NewDense(s, ed)
+	oracleMatVecBlock(p, want, vt, nil)
+	got := mat.NewDense(s, ed)
+	MatVecBlockWS(mat.NewWorkspace(), p, got, vt, nil)
+	for i, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d = %g, oracle %g", i, v, want.Data[i])
+		}
+	}
+	g := make([]float64, set.N())
+	wantG := make([]float64, set.N())
+	QuadAccumBlockWS(mat.NewWorkspace(), p, g, vt, vt, 0.5)
+	oracleQuadAccumBlock(p, wantG, vt, vt, 0.5)
+	for i := range g {
+		if math.Float64bits(g[i]) != math.Float64bits(wantG[i]) {
+			t.Fatalf("quad g[%d] = %g, oracle %g", i, g[i], wantG[i])
+		}
+	}
+}
 
-	for _, bs := range []int{0, 32, 100, 396, 512} {
-		var p Pool = set
-		name := "resident"
-		if bs > 0 {
-			p = streamPool(set, bs)
-			name = "stream"
-		}
-		want := make([]float64, set.N())
-		for j := 0; j < s; j++ {
-			p.QuadAccumWS(ws, want, ucols[j], vcols[j], scale)
-		}
-		got := make([]float64, set.N())
-		QuadAccumBlockWS(ws, p, got, ut, vt, scale)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s bs=%d: g[%d] = %g, per-column oracle %g", name, bs, i, got[i], want[i])
+// TestQuadAccumBlockWSMatchesPerColumn pins the fused gradient
+// accumulation to the per-probe composition bit for bit over the same
+// grid as the matvec.
+func TestQuadAccumBlockWSMatchesPerColumn(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
+	ws := mat.NewWorkspace()
+	for _, sh := range sweepShapes {
+		c, d := sh[0], sh[1]
+		for _, pc := range sweepPools(c, d) {
+			if pc.w != nil {
+				continue // the quadratic form takes no weights
+			}
+			n := pc.p.N()
+			for _, s := range []int{1, 3, 10} {
+				scale := -1 / float64(s)
+				ut, _ := blockVectors(d*c, s, int64(31*s+d))
+				vt, _ := blockVectors(d*c, s, int64(37*s+d))
+				want := make([]float64, n)
+				rnd.New(3).Normal(want, 0, 1) // accumulates onto existing values
+				start := append([]float64(nil), want...)
+				oracleQuadAccumBlock(pc.p, want, ut, vt, scale)
+				for _, nw := range []int{1, 2, 4} {
+					parallel.SetMaxWorkers(nw)
+					got := append([]float64(nil), start...)
+					QuadAccumBlockWS(ws, pc.p, got, ut, vt, scale)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("c=%d d=%d %s s=%d workers=%d: g[%d] = %x, oracle %x",
+								c, d, pc.name, s, nw, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
 			}
 		}
 	}
@@ -162,60 +342,70 @@ func TestEmptyPoolKernelsWriteZeros(t *testing.T) {
 	}
 }
 
-// TestBlockKernelsZeroAllocWarm pins the serial steady state of the
-// multi-RHS kernels: with a warm workspace, one block sweep over resident
-// and streamed pools allocates nothing.
+// TestBlockKernelsZeroAllocWarm pins the steady state of the fused
+// kernels: with a warm workspace, one block sweep over resident and
+// streamed pools allocates nothing — at the small shape and at c=10,
+// s=10 (the resident benchmark's Fisher blocks and probe count).
 func TestBlockKernelsZeroAllocWarm(t *testing.T) {
 	skipUnderRace(t)
-	set := allocSet(300, 24, 7)
-	const s = 5
-	vt, _ := blockVectors(set.Ed(), s, 41)
-	ut, _ := blockVectors(set.Ed(), s, 42)
-	dst := mat.NewDense(s, set.Ed())
-	g := make([]float64, set.N())
-	w := make([]float64, set.N())
-	mat.Fill(w, 0.5)
-	for _, pc := range []struct {
-		name string
-		p    Pool
-	}{{"resident", set}, {"streamed", streamPool(set, 64)}} {
-		ws := mat.NewWorkspace()
-		warmAndPin := func(name string, fn func()) {
-			fn()
-			if allocs := testing.AllocsPerRun(30, fn); allocs != 0 {
-				t.Errorf("%s/%s allocates %.1f objects per sweep with a warm workspace", pc.name, name, allocs)
+	for _, sh := range []struct{ n, d, c, s int }{{300, 24, 7, 5}, {300, 64, 10, 10}} {
+		set := allocSet(sh.n, sh.d, sh.c)
+		vt, _ := blockVectors(set.Ed(), sh.s, 41)
+		ut, _ := blockVectors(set.Ed(), sh.s, 42)
+		dst := mat.NewDense(sh.s, set.Ed())
+		g := make([]float64, set.N())
+		w := make([]float64, set.N())
+		mat.Fill(w, 0.5)
+		for _, pc := range []struct {
+			name string
+			p    Pool
+		}{{"resident", set}, {"streamed", streamPool(set, 64)}} {
+			ws := mat.NewWorkspace()
+			warmAndPin := func(name string, fn func()) {
+				fn()
+				if allocs := testing.AllocsPerRun(30, fn); allocs != 0 {
+					t.Errorf("c=%d s=%d %s/%s allocates %.1f objects per sweep with a warm workspace",
+						sh.c, sh.s, pc.name, name, allocs)
+				}
 			}
+			warmAndPin("MatVecBlockWS", func() { MatVecBlockWS(ws, pc.p, dst, vt, w) })
+			warmAndPin("QuadAccumBlockWS", func() { QuadAccumBlockWS(ws, pc.p, g, ut, vt, -0.2) })
 		}
-		warmAndPin("MatVecBlockWS", func() { MatVecBlockWS(ws, pc.p, dst, vt, w) })
-		warmAndPin("QuadAccumBlockWS", func() { QuadAccumBlockWS(ws, pc.p, g, ut, vt, -0.2) })
 	}
 }
 
-// TestBlockKernelsZeroAllocMulticore re-pins the multi-RHS kernels with
-// four workers engaged: the pooled chunk tasks keep the parallel fan-out
-// allocation-free, exactly as for the per-column kernels.
+// TestBlockKernelsZeroAllocMulticore re-pins the fused kernels with two
+// and four workers engaged, on the probe-parallel path (s ≥ workers), the
+// row-parallel dot path (s < workers, including s=1), at c=10, s=10, and
+// at c=20, where Γᵀ·X takes the packed MulTransA path: the pooled task
+// records and the per-probe scratch keep the parallel fan-out
+// allocation-free.
 func TestBlockKernelsZeroAllocMulticore(t *testing.T) {
 	skipUnderRace(t)
-	prev := parallel.SetMaxWorkers(4)
-	defer parallel.SetMaxWorkers(prev)
-	set := allocSet(2000, 64, 9)
-	const s = 4
-	vt, _ := blockVectors(set.Ed(), s, 51)
-	ut, _ := blockVectors(set.Ed(), s, 52)
-	dst := mat.NewDense(s, set.Ed())
-	g := make([]float64, set.N())
-	w := make([]float64, set.N())
-	mat.Fill(w, 0.5)
-	ws := mat.NewWorkspace()
-	warmAndPin := func(name string, fn func()) {
-		fn()
-		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
-			t.Errorf("%s allocates %.1f objects per sweep at 4 workers", name, allocs)
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
+	for _, nw := range []int{2, 4} {
+		parallel.SetMaxWorkers(nw)
+		for _, sh := range []struct{ c, s int }{{9, 4}, {9, 1}, {10, 10}, {20, 4}} {
+			set := allocSet(2000, 64, sh.c)
+			vt, _ := blockVectors(set.Ed(), sh.s, 51)
+			ut, _ := blockVectors(set.Ed(), sh.s, 52)
+			dst := mat.NewDense(sh.s, set.Ed())
+			g := make([]float64, set.N())
+			w := make([]float64, set.N())
+			mat.Fill(w, 0.5)
+			ws := mat.NewWorkspace()
+			warmAndPin := func(name string, fn func()) {
+				fn()
+				if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
+					t.Errorf("c=%d s=%d %s allocates %.1f objects per sweep at %d workers",
+						sh.c, sh.s, name, allocs, nw)
+				}
+			}
+			st := streamPool(set, 512)
+			warmAndPin("MatVecBlockWS", func() { MatVecBlockWS(ws, set, dst, vt, w) })
+			warmAndPin("QuadAccumBlockWS", func() { QuadAccumBlockWS(ws, set, g, ut, vt, -0.25) })
+			warmAndPin("MatVecBlockWS/stream", func() { MatVecBlockWS(ws, st, dst, vt, w) })
+			warmAndPin("QuadAccumBlockWS/stream", func() { QuadAccumBlockWS(ws, st, g, ut, vt, -0.25) })
 		}
 	}
-	warmAndPin("MatVecBlockWS", func() { MatVecBlockWS(ws, set, dst, vt, w) })
-	warmAndPin("QuadAccumBlockWS", func() { QuadAccumBlockWS(ws, set, g, ut, vt, -0.25) })
-	st := streamPool(set, 512)
-	warmAndPin("MatVecBlockWS/stream", func() { MatVecBlockWS(ws, st, dst, vt, w) })
-	warmAndPin("QuadAccumBlockWS/stream", func() { QuadAccumBlockWS(ws, st, g, ut, vt, -0.25) })
 }

@@ -15,8 +15,6 @@
 package hessian
 
 import (
-	"sync"
-
 	"repro/internal/mat"
 )
 
@@ -163,57 +161,6 @@ func (s *Set) MatVecWS(ws *mat.Workspace, dst, v, w []float64) []float64 {
 	return poolMatVecWS(ws, s, dst, v, w)
 }
 
-// chunkTask carries the operands of a parallel loop in pooled storage
-// with a dispatch func bound once at pool-New time, so the hot MatVecWS
-// and QuadAccumWS paths hand the worker pool a func without allocating a
-// closure per call (see the kernel task pools in internal/mat). base is
-// the global row index of the block's first row: the scratch products g
-// and gv are block-local while h, w, and dst are globally indexed.
-type chunkTask struct {
-	g, gv, h *mat.Dense
-	dst, w   []float64
-	scale    float64
-	base     int
-	fn       func(lo, hi int)
-}
-
-func (t *chunkTask) put(p *sync.Pool) {
-	t.g, t.gv, t.h, t.dst, t.w = nil, nil, nil, nil, nil
-	p.Put(t)
-}
-
-var gammaTasks = &sync.Pool{New: func() any {
-	t := &chunkTask{}
-	t.fn = func(lo, hi int) { gammaRange(t.g, t.h, t.w, t.base, lo, hi) }
-	return t
-}}
-
-var quadTasks = &sync.Pool{New: func() any {
-	t := &chunkTask{}
-	t.fn = func(lo, hi int) { quadRange(t.dst, t.g, t.gv, t.h, t.scale, t.base, lo, hi) }
-	return t
-}}
-
-// gammaRange rewrites rows [lo, hi) of the block-local product g in
-// place: g_ik ← w_i (g_ik − α_i) h_ik with α_i = Σ_k g_ik h_ik. h and w
-// are globally indexed at base+i.
-//
-//firal:hotpath
-func gammaRange(g, h *mat.Dense, w []float64, base, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		gr := g.Row(i)
-		hr := h.Row(base + i)
-		alpha := mat.Dot(gr, hr)
-		wi := 1.0
-		if w != nil {
-			wi = w[base+i]
-		}
-		for k := range gr {
-			gr[k] = wi * (gr[k] - alpha) * hr[k]
-		}
-	}
-}
-
 // PointMatVec computes dst = H_i v for a single point using the four-step
 // procedure after Lemma 2 (❶ γ ← Vᵀx, ❷ α ← γᵀh, ❸ γ ← (γ−α)⊙h,
 // ❹ dst ← vec(γ ⊗ x)).
@@ -250,24 +197,6 @@ func (s *Set) QuadAccum(dst []float64, u, v []float64, scale float64) {
 //firal:hotpath
 func (s *Set) QuadAccumWS(ws *mat.Workspace, dst []float64, u, v []float64, scale float64) {
 	poolQuadAccumWS(ws, s, dst, u, v, scale)
-}
-
-// quadRange accumulates dst[base+i] += scale·uᵀH_{base+i}v for block-local
-// rows [lo, hi) of the products gu, gv; h and dst are globally indexed.
-//
-//firal:hotpath
-func quadRange(dst []float64, gu, gv, h *mat.Dense, scale float64, base, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		hu := gu.Row(i)
-		hv := gv.Row(i)
-		hr := h.Row(base + i)
-		alpha := mat.Dot(hv, hr)
-		var q float64
-		for k := range hr {
-			q += (hv[k] - alpha) * hr[k] * hu[k]
-		}
-		dst[base+i] += scale * q
-	}
 }
 
 // GammaCol writes γ_i = h_ik (1 − h_ik) for class k into dst (allocated if

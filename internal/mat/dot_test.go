@@ -1,0 +1,134 @@
+package mat
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sameBits reports whether two results are bit-identical (any two NaNs
+// count as equal).
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) && math.IsNaN(b) {
+		return true
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// spread fills x with values over many magnitudes, so any change in the
+// summation order shows up in the low bits.
+func spread(rng *rand.Rand, x []float64) {
+	for i := range x {
+		x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+	}
+}
+
+// TestDotLanesKernelMatchesPortable pins the SSE2 dot loop to dotuGo bit
+// for bit: every length from 0 to 70 (all tail counts), several row
+// counts (the four-row and one-row passes) and a row stride wider than
+// the dot.
+func TestDotLanesKernelMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 70; n++ {
+		x := make([]float64, n)
+		spread(rng, x)
+		for _, rows := range []int{1, 3, 4, 5, 9} {
+			b := &Dense{Rows: rows, Cols: n, Stride: n + 3, Data: make([]float64, rows*(n+3))}
+			spread(rng, b.Data)
+			out := make([]float64, rows)
+			dotsLanes(out, x, b)
+			for j := range out {
+				want := dotuGo(x, b.Row(j))
+				if !sameBits(out[j], want) {
+					t.Fatalf("n=%d rows=%d: dot %d = %x, portable %x", n, rows, j,
+						math.Float64bits(out[j]), math.Float64bits(want))
+				}
+				if got := dotu(x, b.Row(j)); !sameBits(got, want) {
+					t.Fatalf("n=%d: dotu = %x, portable %x", n, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestAccumRowsKernelMatchesPortable pins the SSE2 multi-row axpy to
+// accumRowsGo bit for bit across column counts that exercise the
+// sixteen-wide, pair and single-column passes, with zero, negative-zero
+// and NaN coefficients (zeros are skipped, NaN is not).
+func TestAccumRowsKernelMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 2, 3, 15, 16, 17, 18, 31, 33, 64, 67, 300} {
+		for _, rows := range []int{0, 1, 5, 64} {
+			const gs = 3
+			x := &Dense{Rows: rows, Cols: n, Stride: n + 1, Data: make([]float64, rows*(n+1))}
+			spread(rng, x.Data)
+			g := make([]float64, max(1, rows*gs))
+			spread(rng, g)
+			for i := 0; i < rows; i += 4 {
+				g[i*gs] = 0
+			}
+			if rows > 2 {
+				g[1*gs] = math.Copysign(0, -1)
+				x.Row(2)[n/2] = math.Inf(1) // skipped zero coefficient must not make NaN
+				g[2*gs] = 0
+			}
+			y := make([]float64, n)
+			spread(rng, y)
+			want := append([]float64(nil), y...)
+			AccumRows(y, g, gs, x)
+			accumRowsGo(want, g, gs, x)
+			for i := range y {
+				if !sameBits(y[i], want[i]) {
+					t.Fatalf("n=%d rows=%d: y[%d] = %x, portable %x", n, rows, i,
+						math.Float64bits(y[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+	// A NaN coefficient is not a zero: it must reach y.
+	x := &Dense{Rows: 1, Cols: 17, Stride: 17, Data: make([]float64, 17)}
+	y := make([]float64, 17)
+	AccumRows(y, []float64{math.NaN()}, 1, x)
+	for i, v := range y {
+		if !math.IsNaN(v) {
+			t.Fatalf("NaN coefficient skipped at column %d", i)
+		}
+	}
+}
+
+// TestMulTransBInOrderMatchesMulTransB pins the ordered product to
+// MulTransB bit for bit whenever it is asked for MulTransB's own order,
+// including when the product is split into row tiles and when the
+// columns of several products are batched into one call.
+func TestMulTransBInOrderMatchesMulTransB(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, sh := range [][3]int{{51, 10, 64}, {52, 10, 64}, {100, 2, 13}, {300, 9, 300}, {17, 8, 8}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		a := NewDense(m, k)
+		spread(rng, a.Data)
+		const batch = 3
+		bs := NewDense(batch*n, k)
+		spread(rng, bs.Data)
+		blocked := UseBlocked(m, n, k)
+		got := NewDense(m, batch*n)
+		for lo := 0; lo < m; lo += 7 { // ragged row tiles
+			hi := min(lo+7, m)
+			at := &Dense{Rows: hi - lo, Cols: k, Stride: k, Data: a.Data[lo*k:]}
+			gt := &Dense{Rows: hi - lo, Cols: batch * n, Stride: batch * n, Data: got.Data[lo*batch*n:]}
+			MulTransBInOrder(gt, at, bs, blocked)
+		}
+		want := NewDense(m, n)
+		for j := 0; j < batch; j++ {
+			bj := &Dense{Rows: n, Cols: k, Stride: k, Data: bs.Data[j*n*k:]}
+			MulTransB(want, a, bj)
+			for i := 0; i < m; i++ {
+				for c, v := range want.Row(i) {
+					if g := got.At(i, j*n+c); !sameBits(g, v) {
+						t.Fatalf("%v blocked=%v: (%d,%d) = %x, MulTransB %x", sh, blocked, i, j*n+c,
+							math.Float64bits(g), math.Float64bits(v))
+					}
+				}
+			}
+		}
+	}
+}

@@ -51,7 +51,21 @@ func growBuf(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
-func useBlocked(m, n, k int) bool {
+// UseBlocked reports whether the product kernels compute an m×n result
+// with inner dimension k on the packed-panel (blocked) path. It is the one
+// dispatch rule between the two per-element summation orders:
+//
+//   - blocked: each gemmKC-long k-panel is summed sequentially from zero
+//     and the panel sums are added in ascending order onto a zeroed
+//     destination;
+//   - reference: the four-lane order of dotu for a·bᵀ, and rows added in
+//     ascending order (zero coefficients skipped) for aᵀ·b.
+//
+// An element's value depends only on its operands and the order, never on
+// the product's other rows or columns, so a caller that batches or splits
+// a product stays bit-identical to the product it stands in for as long
+// as it keeps that product's order (see MulTransBInOrder, AccumRows).
+func UseBlocked(m, n, k int) bool {
 	return m >= 16 && n >= 8 && k >= 8 && m*n*k >= gemmMinWork
 }
 
@@ -64,7 +78,7 @@ func Mul(dst, a, b *Dense) *Dense {
 		panic("mat: Mul inner dimension mismatch")
 	}
 	dst = prepDst(dst, a.Rows, b.Cols)
-	if useBlocked(a.Rows, b.Cols, a.Cols) {
+	if UseBlocked(a.Rows, b.Cols, a.Cols) {
 		gemm(dst, a, b, false, false)
 		return dst
 	}
@@ -92,7 +106,7 @@ func MulTransA(dst, a, b *Dense) *Dense {
 		panic("mat: MulTransA row mismatch")
 	}
 	dst = prepDst(dst, a.Cols, b.Cols)
-	if useBlocked(a.Cols, b.Cols, a.Rows) {
+	if UseBlocked(a.Cols, b.Cols, a.Rows) {
 		gemm(dst, a, b, true, false)
 		return dst
 	}
@@ -139,7 +153,7 @@ func MulTransB(dst, a, b *Dense) *Dense {
 		panic("mat: MulTransB column mismatch")
 	}
 	dst = prepDst(dst, a.Rows, b.Rows)
-	if useBlocked(a.Rows, b.Rows, a.Cols) {
+	if UseBlocked(a.Rows, b.Rows, a.Cols) {
 		gemm(dst, a, b, false, true)
 		return dst
 	}
@@ -161,27 +175,50 @@ var mulTransBTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
 //firal:hotpath
 func mulTransBSmallRange(dst, a, b *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			dr[j] = dotu(ar, b.Row(j))
-		}
+		dotsLanes(dst.Row(i), a.Row(i), b)
 	}
 }
 
-// gemm runs the blocked driver for dst = op(a)·op(b). Each B tile is
-// packed exactly once, on the calling goroutine; the row-parallel workers
-// share it read-only and pack only their own A blocks. Workers split
-// output rows, so the result is identical for any worker count.
+// MulTransBInOrder computes dst = a*bᵀ on the calling goroutine in the
+// summation order the caller names: the blocked order when blocked is
+// true, the reference (dotu) order otherwise, whatever the shapes (see
+// UseBlocked). It lets a kernel batch the products of several operands
+// into one call, or split one product into row tiles, and still match
+// MulTransB bit for bit. dst must not alias a or b.
+//
+//firal:hotpath
+func MulTransBInOrder(dst, a, b *Dense, blocked bool) {
+	if a.Cols != b.Cols {
+		panic("mat: MulTransB column mismatch")
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic("mat: destination has wrong shape")
+	}
+	if blocked {
+		dst.Zero() // the packed kernels accumulate onto dst
+		gemmSerial(dst, a, b, false, true)
+		return
+	}
+	mulTransBSmallRange(dst, a, b, 0, a.Rows) // writes every element
+}
+
+// gemm runs the blocked product dst = op(a)·op(b) on a zeroed dst.
+// Each B tile is packed exactly once, on the calling goroutine; the
+// row-parallel workers share it read-only and pack only their own A
+// blocks. Workers split output rows, so the result is identical for any
+// worker count.
 //
 //firal:hotpath
 func gemm(dst, a, b *Dense, transA, transB bool) {
 	m, n := dst.Rows, dst.Cols
+	if parallel.SerialMin(m, gemmRowFloor) {
+		gemmSerial(dst, a, b, transA, transB)
+		return
+	}
 	kd := a.Cols
 	if transA {
 		kd = a.Rows
 	}
-	serial := parallel.SerialMin(m, gemmRowFloor)
 	sc := gemmPool.Get().(*gemmScratch)
 	bp := growBuf(&sc.b, gemmKC*(gemmNC+gemmNR))
 	for jc := 0; jc < n; jc += gemmNC {
@@ -189,15 +226,34 @@ func gemm(dst, a, b *Dense, transA, transB bool) {
 		for pc := 0; pc < kd; pc += gemmKC {
 			kc := min(gemmKC, kd-pc)
 			packB(bp, b, transB, pc, jc, kc, nc)
-			if serial {
-				ap := growBuf(&sc.a, gemmMC*gemmKC)
-				gemmRowRange(dst, a, transA, ap, bp, pc, jc, kc, nc, 0, m)
-				continue
-			}
 			// Out-of-line call: a closure here would capture gemm's loop
-			// variables and heap-allocate them every iteration, even on
-			// the serial path.
+			// variables and heap-allocate them every iteration.
 			gemmTileParallel(dst, a, transA, bp, pc, jc, kc, nc, m)
+		}
+	}
+	gemmPool.Put(sc)
+}
+
+// gemmSerial is gemm on the calling goroutine. It never hands its
+// operands to the worker pool, so they do not escape: callers may pass
+// stack-held matrix headers (views of row tiles) without allocating.
+//
+//firal:hotpath
+func gemmSerial(dst, a, b *Dense, transA, transB bool) {
+	m, n := dst.Rows, dst.Cols
+	kd := a.Cols
+	if transA {
+		kd = a.Rows
+	}
+	sc := gemmPool.Get().(*gemmScratch)
+	bp := growBuf(&sc.b, gemmKC*(gemmNC+gemmNR))
+	ap := growBuf(&sc.a, gemmMC*gemmKC)
+	for jc := 0; jc < n; jc += gemmNC {
+		nc := min(gemmNC, n-jc)
+		for pc := 0; pc < kd; pc += gemmKC {
+			kc := min(gemmKC, kd-pc)
+			packB(bp, b, transB, pc, jc, kc, nc)
+			gemmRowRange(dst, a, transA, ap, bp, pc, jc, kc, nc, 0, m)
 		}
 	}
 	gemmPool.Put(sc)
@@ -455,14 +511,48 @@ func microScalar4x4(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
 // dotu is an instruction-parallel dot product (four independent
 // accumulators). It reorders the summation relative to Dot, so kernels
 // built on it agree with the reference kernels to roundoff, not
-// bit-for-bit.
+// bit-for-bit. On amd64 it runs the SSE2 loop of dot_amd64.s, which sums
+// in exactly dotuGo's order.
 //
 //firal:hotpath
 func dotu(x, y []float64) float64 {
-	n := len(x)
-	if len(y) != n {
+	if len(y) != len(x) {
 		panic("mat: dot length mismatch")
 	}
+	if !useAsmKernel || len(x) == 0 {
+		return dotuGo(x, y)
+	}
+	var r float64
+	dotsLanesSSE(len(x), &x[0], &y[0], 0, 1, &r)
+	return r
+}
+
+// dotsLanes writes out[j] = dotu(x, b.Row(j)) for every row of b: the
+// reference a·bᵀ row kernel, four rows of b per pass on amd64.
+//
+//firal:hotpath
+func dotsLanes(out, x []float64, b *Dense) {
+	if b.Cols != len(x) {
+		panic("mat: dot length mismatch")
+	}
+	out = out[:b.Rows]
+	if !useAsmKernel || len(x) == 0 || b.Rows == 0 {
+		for j := range out {
+			out[j] = dotuGo(x, b.Row(j))
+		}
+		return
+	}
+	_ = b.Row(b.Rows - 1) // bounds: every row lies inside b.Data
+	dotsLanesSSE(len(x), &x[0], &b.Data[0], b.Stride, b.Rows, &out[0])
+}
+
+// dotuGo is the portable four-lane dot product: lane l sums x[i]·y[i]
+// over i ≡ l (mod 4), the tail joins lane 0, and the lanes combine as
+// (l0 + l1) + (l2 + l3).
+//
+//firal:hotpath
+func dotuGo(x, y []float64) float64 {
+	n := len(x)
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -477,6 +567,45 @@ func dotu(x, y []float64) float64 {
 		s0 += x[i] * y[i]
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// AccumRows adds Σ_i g[i·gs]·x_i to y over the rows x_i of x in ascending
+// order, skipping zero coefficients: per element, exactly the order in
+// which the reference aᵀ·b kernel accumulates one output row (a's column
+// read with stride gs). y must have x.Cols elements. On amd64 the SSE2
+// loop of dot_amd64.s keeps sixteen columns of y in registers across the
+// row loop.
+//
+//firal:hotpath
+func AccumRows(y, g []float64, gs int, x *Dense) {
+	if len(y) != x.Cols {
+		panic("mat: AccumRows length mismatch")
+	}
+	if x.Rows == 0 || len(y) == 0 {
+		return
+	}
+	_ = g[(x.Rows-1)*gs]  // bounds: every coefficient lies inside g
+	_ = x.Row(x.Rows - 1) // and every row inside x.Data
+	if useAsmKernel {
+		accumRowsSSE(len(y), &y[0], &g[0], gs, &x.Data[0], x.Stride, x.Rows)
+		return
+	}
+	accumRowsGo(y, g, gs, x)
+}
+
+// accumRowsGo is the portable AccumRows loop.
+//
+//firal:hotpath
+func accumRowsGo(y, g []float64, gs int, x *Dense) {
+	for i := 0; i < x.Rows; i++ {
+		gi := g[i*gs]
+		if gi == 0 {
+			continue
+		}
+		for t, xv := range x.Row(i) {
+			y[t] += gi * xv
+		}
+	}
 }
 
 // MatVec computes dst = a*x. If dst is nil it is allocated.
