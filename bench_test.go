@@ -80,7 +80,7 @@ func benchmarkAccuracyRound(b *testing.B, mk func() pub.Selector, cfg dataset.Co
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		rep, err := learner.Step(mk(), cfg.Budget)
+		rep, err := learner.StepContext(context.Background(), mk(), cfg.Budget)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -544,12 +544,12 @@ func relaxStreamBench(setup *streamSetup) (entry, error) {
 // from-scratch path — full RELAX over the grown pool, then ROUND — and
 // the incremental path — Incremental.AppendRows sweeps only the 1,000
 // appended rows, then a Refine == 0 Select starts ROUND directly from
-// the maintained rank-1-current Cholesky factors. Each path is timed
-// wall-clock once (the delta path mutates the session state, so there is
-// no b.N loop; both paths share the worker pool, so the ratio is fair)
-// and the entry hard-fails unless the incremental round selects exactly
-// what the from-scratch ROUND selects at the same weights — the
-// maintained factors must be the rebuilt ones, argmax for argmax.
+// the maintained Σ⋄/Ho blocks. Each path is timed wall-clock once (the
+// delta path mutates the session state, so there is no b.N loop; both
+// paths share the worker pool, so the ratio is fair) and the entry
+// hard-fails unless the incremental round selects exactly what the
+// from-scratch ROUND selects at the same weights — the maintained blocks
+// must be the rebuilt ones, argmax for argmax.
 func deltaRoundBench() (entry, error) {
 	const (
 		nOld   = 100_000
@@ -596,7 +596,7 @@ func deltaRoundBench() (entry, error) {
 		return entry{}, err
 	}
 
-	// Incremental round t+1: absorb the delta, select from the factors.
+	// Incremental round t+1: absorb the delta, select from the blocks.
 	t0 = time.Now()
 	if err := inc.AppendRows(full); err != nil {
 		return entry{}, err

@@ -2,7 +2,7 @@
 // features and (oracle) labels are read from CSV files, a selection
 // strategy is applied for a number of rounds, and the selected indices
 // plus per-round accuracies are reported. This is the downstream-user
-// entry point; the firal-* commands reproduce the paper's experiments.
+// entry point; cmd/firal-paper reproduces the paper's experiments.
 //
 // Strategies are resolved through the package's selector registry
 // (firal.New); `firal -select help` lists everything registered.

@@ -43,9 +43,6 @@
 // interface (or wrap a function with SelectorFunc) and may Register a
 // factory to become name-addressable alongside the built-ins.
 //
-// The previous Run/Step entry points remain as deprecated wrappers over
-// RunContext/StepContext for one release.
-//
 // # Performance substrate
 //
 // The dense kernels under internal/mat are cache-blocked and panel-packed
@@ -116,12 +113,11 @@
 // Pools are mutable between rounds and round t+1 costs what changed:
 // dataset.LiveSource appends segments visibly to open readers (atomic
 // snapshots, generation-counted) and dataset.TombstoneView compacts
-// retired rows; mat.Cholesky factors follow labeled/tombstone events by
-// O(d²) rank-1 updates and hyperbolic downdates (with an automatic
-// refactor on breakdown); internal/firal's Incremental state sweeps only
-// the appended window of a grown pool and starts ROUND directly from the
-// maintained factors, selecting exactly what a from-scratch rebuild
-// would; RelaxOptions.WarmStart seeds mirror descent from the previous
+// retired rows; internal/firal's Incremental state keeps the per-class
+// Σ⋄ and Ho blocks current under labeled/tombstone events at O(d²) each,
+// sweeps only the appended window of a grown pool, and starts ROUND
+// directly from the maintained blocks, selecting exactly what a
+// from-scratch rebuild would; RelaxOptions.WarmStart seeds mirror descent from the previous
 // round's weights reprojected onto the grown simplex. The service layer
 // exposes pool appends (POST /v1/sessions/{id}/pool), warm-starts each
 // round from the last one's converged weights, and re-scores only

@@ -47,7 +47,7 @@ func TestLearnerStepBookkeeping(t *testing.T) {
 	}
 	startLabeled := l.LabeledCount()
 	startPool := l.PoolRemaining()
-	rep, err := l.Step(firal.Random(), 8)
+	rep, err := l.StepContext(context.Background(), firal.Random(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSelectedIndicesAreOriginalAndUnique(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for r := 0; r < 4; r++ {
-		rep, err := l.Step(firal.Random(), 10)
+		rep, err := l.StepContext(context.Background(), firal.Random(), 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestAllSelectorsRunOneRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := l.Step(sel, 6)
+		rep, err := l.StepContext(context.Background(), sel, 6)
 		if err != nil {
 			t.Fatalf("%s: %v", sel.Name(), err)
 		}
@@ -126,7 +126,7 @@ func TestAccuracyImprovesWithLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := l.Run(firal.ApproxFIRAL(firal.FIRALOptions{MaxRelaxIterations: 15, Probes: 5}), 3, 8)
+	reports, err := l.RunContext(context.Background(), firal.ApproxFIRAL(firal.FIRALOptions{MaxRelaxIterations: 15, Probes: 5}), firal.WithRounds(3), firal.WithBudget(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFIRALBeatsEntropyEarly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repF, err := lf.Run(firal.ApproxFIRAL(firal.FIRALOptions{MaxRelaxIterations: 20}), 2, 6)
+		repF, err := lf.RunContext(context.Background(), firal.ApproxFIRAL(firal.FIRALOptions{MaxRelaxIterations: 20}), firal.WithRounds(2), firal.WithBudget(6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestFIRALBeatsEntropyEarly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repE, err := le.Run(firal.Entropy(), 2, 6)
+		repE, err := le.RunContext(context.Background(), firal.Entropy(), firal.WithRounds(2), firal.WithBudget(6))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestDistributedMatchesSerialThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repS, err := ls.Step(firal.ApproxFIRAL(opts), 5)
+	repS, err := ls.StepContext(context.Background(), firal.ApproxFIRAL(opts), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestDistributedMatchesSerialThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repD, err := ld.Step(firal.DistributedFIRAL(3, opts), 5)
+	repD, err := ld.StepContext(context.Background(), firal.DistributedFIRAL(3, opts), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +216,13 @@ func TestSelectorFuncValidation(t *testing.T) {
 	dup := firal.SelectorFunc("dup", func(ctx context.Context, s *firal.State, b int) ([]int, error) {
 		return []int{0, 0}, nil
 	})
-	if _, err := l.Step(dup, 2); err == nil {
+	if _, err := l.StepContext(context.Background(), dup, 2); err == nil {
 		t.Fatal("duplicate selection not rejected")
 	}
 	oob := firal.SelectorFunc("oob", func(ctx context.Context, s *firal.State, b int) ([]int, error) {
 		return []int{s.NumPool()}, nil
 	})
-	if _, err := l.Step(oob, 1); err == nil {
+	if _, err := l.StepContext(context.Background(), oob, 1); err == nil {
 		t.Fatal("out-of-range selection not rejected")
 	}
 }
@@ -256,7 +256,7 @@ func TestStateAccessors(t *testing.T) {
 		}
 		return []int{0}, nil
 	})
-	if _, err := l.Step(probe, 1); err != nil {
+	if _, err := l.StepContext(context.Background(), probe, 1); err != nil {
 		t.Fatal(err)
 	}
 }

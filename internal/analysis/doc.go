@@ -17,7 +17,7 @@
 //     (or all-paths) Release, and SetMaxWorkers is forbidden outside
 //     internal/parallel and main packages (scoped-limit contract).
 //   - sentinelerr: sentinel errors (ErrResidentPool, ErrSaturated,
-//     ErrDowndateBreakdown, any package-level Err*) are compared with
+//     ErrRankLost, any package-level Err*) are compared with
 //     errors.Is, never == or switch cases (streaming contract).
 //   - lockorder: in internal/server, sess.mu must never be held when
 //     s.mu is acquired (documented order s.mu → sess.mu), and RoundMeta

@@ -12,7 +12,7 @@ import (
 
 // SentinelErr enforces the error-matching side of the streaming and
 // incremental contracts: sentinel errors (firal.ErrResidentPool,
-// server.ErrSaturated, mat.ErrDowndateBreakdown — and in general any
+// server.ErrSaturated, mpi.ErrRankLost — and in general any
 // package-level `Err*` variable of type error) must be matched with
 // errors.Is, never compared with == or != or switched over. The
 // sentinels cross package boundaries wrapped in %w chains (shard path

@@ -59,20 +59,3 @@ func TableV() []Config {
 		Caltech101(), ImageNet1k(),
 	}
 }
-
-// ExtendedCIFAR10 is the strong-scaling pool of § IV-C ❷: CIFAR-10
-// features (d = 512, c = 10) extended with random noise to n points
-// (3 million in the paper).
-func ExtendedCIFAR10(n int) Config {
-	return Config{Name: "extended CIFAR-10", Classes: 10, Dim: 512,
-		InitPerClass: 1, PoolSize: n, EvalSize: 10, Rounds: 1, Budget: 10,
-		Noise: 0.6}
-}
-
-// ScalingImageNet1k is the strong-scaling pool of § IV-C ❶: ImageNet-1k
-// features (d = 383, c = 1000) with n pool points (1.3 million in the
-// paper).
-func ScalingImageNet1k(n int) Config {
-	return Config{Name: "ImageNet-1k (scaling)", Classes: 1000, Dim: 383,
-		InitPerClass: 1, PoolSize: n, EvalSize: 1000, Rounds: 1, Budget: 10}
-}

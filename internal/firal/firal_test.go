@@ -193,6 +193,28 @@ func TestRoundFastFTRLInvariant(t *testing.T) {
 	}
 }
 
+// TestSolveNuFTRLShape solves the ν_t equation Σ_j (ν + ηλ_j)⁻² = 1 of
+// the ROUND step on a spectrum with a zero eigenvalue: the root has a
+// near-zero residual and lies inside the bisection bracket.
+func TestSolveNuFTRLShape(t *testing.T) {
+	const eta = 1.7
+	lam := []float64{0, 0.3, 1.1, 2.2, 5.0}
+	for j := range lam {
+		lam[j] *= eta
+	}
+	ed := float64(len(lam))
+	nu, err := solveNu(lam, ed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := nuResidual(lam, nu); math.Abs(r) > 1e-8 {
+		t.Fatalf("ν residual %g", r)
+	}
+	if lo, hi := 1/math.Sqrt(ed), math.Sqrt(ed); nu < lo || nu > hi {
+		t.Fatalf("ν %g outside the bracket [%g, %g]", nu, lo, hi)
+	}
+}
+
 // TestRoundExactWoodburyMatchesNaive checks that the production Woodbury
 // objective ranks candidates identically to the literal dense objective.
 func TestRoundExactWoodburyMatchesNaive(t *testing.T) {

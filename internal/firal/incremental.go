@@ -3,7 +3,6 @@ package firal
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/hessian"
 	"repro/internal/mat"
@@ -13,25 +12,23 @@ import (
 // Incremental carries a selection session's Fisher state between rounds
 // so that round t+1 costs what changed, not what exists. After a full
 // RELAX+ROUND selection over a pool of n points, the converged weights
-// define Σ⋄ = Hz + Ho and the c per-class B₁ = √ẽd·(Σ⋄)_k + (η/b)·(Ho)_k
-// factors that seed the next ROUND. A from-scratch round rebuilds all of
-// it with an O(n·c·d²) pool sweep; an Incremental instead maintains the
-// blocks and the Cholesky factors across three kinds of pool delta:
+// define the per-class diagonal blocks of Σ⋄ = Hz + Ho that seed the
+// next ROUND. A from-scratch round rebuilds them with an O(n·c·d²) pool
+// sweep; an Incremental instead maintains the (Σ⋄)_k and (Ho)_k blocks
+// across three kinds of pool delta:
 //
 //   - AddLabel: a labeled point arrives. (Ho)_k and (Σ⋄)_k gain
-//     γ_k·x·xᵀ and each factor takes one O(d²) rank-1 update.
+//     γ_k·x·xᵀ, O(d²) per class.
 //   - Tombstone: a pool point leaves. Its z-mass is removed from
-//     (Σ⋄)_k by one O(d²) rank-1 downdate per class, with an automatic
-//     refactor from the maintained blocks if the downdate would make a
-//     factor indefinite (mat.ErrDowndateBreakdown).
+//     (Σ⋄)_k, O(d²) per class.
 //   - AppendRows: Δn rows arrive. The previous weights are reprojected
 //     onto the grown simplex (see ReprojectSimplex), the pool Gram is
 //     rescaled in place, and only the appended window is swept
-//     (hessian.BlockDiagAccumRange) — O(Δn·c·d²), then an O(c·d³)
-//     refactor. No full-pool pass.
+//     (hessian.BlockDiagAccumRange) — O(Δn·c·d²). No full-pool pass.
 //
-// Select then starts ROUND directly from the maintained factors
-// (Refine == 0) or runs a warm-started RELAX first (Refine > 0). The
+// Select then builds the ROUND state from the maintained blocks through
+// the constructor RoundFast uses, O(c·d³) with no Gram assembly
+// (Refine == 0), or runs a warm-started RELAX first (Refine > 0). The
 // delta path's selections match the from-scratch path at the same
 // weights: both evaluate the same Eq. 17 scores up to the O(1e-13)
 // summation-order noise of the rescaled Gram, far below the argmax
@@ -43,14 +40,12 @@ type Incremental struct {
 	b   int
 	eta float64
 
-	z    []float64      // z⋄ over current pool rows; Σz ≤ b (tombstones remove mass)
-	dead []bool         // tombstoned rows, excluded from every Select
-	sig  []*mat.Dense   // maintained (Σ⋄)_k = pool Gram at z + (Ho)_k
-	ho   []*mat.Dense   // maintained (Ho)_k (own copies; AddLabel mutates them)
-	fact []mat.Cholesky // maintained B₁ factors, kept current by rank-1 events
+	z    []float64    // z⋄ over current pool rows; Σz ≤ b (tombstones remove mass)
+	dead []bool       // tombstoned rows, excluded from every Select
+	sig  []*mat.Dense // maintained (Σ⋄)_k = pool Gram at z + (Ho)_k
+	ho   []*mat.Dense // maintained (Ho)_k (own copies; AddLabel mutates them)
 
 	ws     *mat.Workspace
-	tmp    *mat.Dense
 	rowBuf []float64
 	st     *RoundState // recycled across Selects
 }
@@ -80,7 +75,6 @@ func NewIncremental(p *Problem, zstar []float64, b int, eta float64) (*Increment
 	}
 	d, c := p.D(), p.C()
 	inc.dead = make([]bool, p.N())
-	inc.tmp = mat.NewDense(d, d)
 	inc.rowBuf = make([]float64, d)
 	inc.sig = p.SigmaBlocksInto(inc.ws, nil, inc.z)
 	lab := p.labeledBlocks()
@@ -89,27 +83,7 @@ func NewIncremental(p *Problem, zstar []float64, b int, eta float64) (*Increment
 		inc.ho[k] = mat.NewDense(d, d)
 		inc.ho[k].CopyFrom(lab[k])
 	}
-	inc.fact = make([]mat.Cholesky, c)
-	if err := inc.refactor(0, c); err != nil {
-		return nil, err
-	}
 	return inc, nil
-}
-
-// refactor rebuilds the B₁ factors for classes [kLo, kHi) from the
-// maintained blocks — the fallback when a downdate breaks down and the
-// bulk path after AppendRows rescales the Gram.
-func (inc *Incremental) refactor(kLo, kHi int) error {
-	sqrtEd := math.Sqrt(float64(inc.p.Ed()))
-	for k := kLo; k < kHi; k++ {
-		inc.tmp.CopyFrom(inc.sig[k])
-		inc.tmp.Scale(sqrtEd)
-		inc.tmp.AddScaled(inc.eta/float64(inc.b), inc.ho[k])
-		if _, err := inc.fact[k].FactorRidge(inc.tmp, choleskyRidge); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Problem returns the current selection problem (its pool is replaced by
@@ -127,11 +101,9 @@ func (inc *Incremental) Eta() float64 { return inc.eta }
 
 // AddLabel folds a newly labeled point (features x, reduced
 // probabilities h) into the maintained state: per class,
-// (Ho)_k += γ_k·x·xᵀ, (Σ⋄)_k += γ_k·x·xᵀ, and the B₁ factor takes one
-// rank-1 update with weight γ_k·(√ẽd + η/b) — the exact delta of
-// √ẽd·(Σ⋄)_k + (η/b)·(Ho)_k. O(c·d²) total, allocation-free warm.
+// (Ho)_k += γ_k·x·xᵀ and (Σ⋄)_k += γ_k·x·xᵀ. O(c·d²) total,
+// allocation-free warm.
 func (inc *Incremental) AddLabel(x, h []float64) {
-	coef := math.Sqrt(float64(inc.p.Ed())) + inc.eta/float64(inc.b)
 	for k := range inc.ho {
 		gamma := h[k] * (1 - h[k])
 		if gamma == 0 {
@@ -139,16 +111,11 @@ func (inc *Incremental) AddLabel(x, h []float64) {
 		}
 		inc.ho[k].AddOuter(gamma, x)
 		inc.sig[k].AddOuter(gamma, x)
-		inc.fact[k].UpdateRank1(inc.ws, x, gamma*coef)
 	}
 }
 
 // Tombstone removes pool row i from the session: its z-mass leaves
-// (Σ⋄)_k by one rank-1 downdate per class and the row is excluded from
-// every future Select. A downdate that would make a factor indefinite
-// (accumulated roundoff on a nearly-exhausted direction) falls back to
-// refactoring that class from the maintained blocks, which are updated
-// first and stay exact. O(c·d²) on the downdate path.
+// (Σ⋄)_k, O(c·d²), and the row is excluded from every future Select.
 func (inc *Incremental) Tombstone(i int) error {
 	if i < 0 || i >= len(inc.z) {
 		return fmt.Errorf("firal: tombstone index %d out of range [0, %d)", i, len(inc.z))
@@ -164,18 +131,12 @@ func (inc *Incremental) Tombstone(i int) error {
 	}
 	x := inc.p.Pool.Row(i, inc.rowBuf)
 	h := inc.p.Pool.Probs().Row(i)
-	sqrtEd := math.Sqrt(float64(inc.p.Ed()))
 	for k := range inc.sig {
 		gamma := h[k] * (1 - h[k])
 		if zi*gamma == 0 {
 			continue
 		}
 		inc.sig[k].AddOuter(-zi*gamma, x)
-		if err := inc.fact[k].DowndateRank1(inc.ws, x, sqrtEd*zi*gamma); err != nil {
-			if err := inc.refactor(k, k+1); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -185,9 +146,6 @@ func (inc *Incremental) Tombstone(i int) error {
 // contract). The maintained weights are reprojected onto the grown
 // simplex, the pool part of (Σ⋄)_k is rescaled in place, and only the
 // appended window [nOld, nNew) is swept — the delta-only Fisher pass.
-// The B₁ factors are then refactored (the reprojection rescales every
-// direction at once, which no bounded sequence of rank-1 updates
-// expresses).
 func (inc *Incremental) AppendRows(pool hessian.Pool) error {
 	nOld := len(inc.z)
 	nNew := pool.N()
@@ -216,7 +174,7 @@ func (inc *Incremental) AppendRows(pool hessian.Pool) error {
 		inc.sig[k].AddScaled(1, inc.ho[k])
 	}
 	inc.p = NewProblem(inc.p.Labeled, pool)
-	return inc.refactor(0, len(inc.fact))
+	return nil
 }
 
 // SelectOptions configure an incremental selection round.
@@ -224,7 +182,7 @@ type SelectOptions struct {
 	// Refine, when positive, runs this many warm-started mirror-descent
 	// iterations before rounding (one full RELAX pass per iteration). Zero
 	// is the pure delta round: ROUND starts directly from the maintained
-	// factors with no pool-scale RELAX work.
+	// blocks with no pool-scale RELAX work.
 	Refine int
 	// Relax configures the Refine solve; WarmStart and FixedIterations are
 	// overridden from the maintained weights and Refine.
@@ -235,10 +193,10 @@ type SelectOptions struct {
 }
 
 // Select runs one incremental ROUND over the current pool. With
-// o.Refine == 0 the round reuses the maintained B₁ factors and costs
-// b·O(n·c·d²) scoring sweeps plus O(c·d³) setup — no RELAX, no Gram
-// assembly; the result is identical (argmax-for-argmax) to rebuilding
-// Σ⋄ from scratch at the maintained weights. With o.Refine > 0 a
+// o.Refine == 0 the round builds its state from the maintained blocks
+// and costs b·O(n·c·d²) scoring sweeps plus O(c·d³) setup — no RELAX, no
+// Gram assembly; the result is identical (argmax-for-argmax) to
+// rebuilding Σ⋄ from scratch at the maintained weights. With o.Refine > 0 a
 // warm-started RELAX refines the weights first, after which the
 // maintained blocks are rebuilt at the new weights (one full pool
 // sweep — refinement is a paid upgrade, not a delta). Select does not
@@ -262,12 +220,8 @@ func (inc *Incremental) Select(ctx context.Context, o SelectOptions) (*Result, e
 			}
 		}
 		// Rebuild the maintained blocks at the refined weights: one full
-		// sweep, then a refactor — the state is again exact for the next
-		// delta round.
+		// sweep — the state is again exact for the next delta round.
 		inc.sig = single(inc.p).sigmaBlocks(inc.ws, inc.p, inc.sig, inc.z, inc.ho, nil, "")
-		if err := inc.refactor(0, len(inc.fact)); err != nil {
-			return nil, err
-		}
 		res.Relax = relax
 	}
 	if err := ctx.Err(); err != nil {
@@ -275,7 +229,7 @@ func (inc *Incremental) Select(ctx context.Context, o SelectOptions) (*Result, e
 	}
 
 	round := &RoundResult{Timings: timing.New()}
-	st, err := NewRoundStateFromFactors(inc.st, inc.sig, inc.ho, inc.fact, inc.b, inc.eta, round.Timings)
+	st, err := newRoundStateInto(inc.st, inc.sig, inc.ho, inc.b, inc.eta, round.Timings)
 	if err != nil {
 		return nil, err
 	}

@@ -10,34 +10,19 @@ import (
 	"repro/internal/parallel"
 )
 
-// lowerMaxAbsDiff compares the lower triangles of two factors (the upper
-// triangle of a Cholesky L is unspecified storage).
-func lowerMaxAbsDiff(a, b *mat.Dense) float64 {
-	var m float64
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j <= i; j++ {
-			if d := math.Abs(a.At(i, j) - b.At(i, j)); d > m {
-				m = d
+// checkBlocks compares the maintained (Σ⋄)_k and (Ho)_k blocks with
+// from-scratch oracles, entry by entry, to 1e-8.
+func checkBlocks(t *testing.T, inc *Incremental, sig, ho []*mat.Dense) {
+	t.Helper()
+	for k := range sig {
+		for _, pair := range [][2]*mat.Dense{{inc.sig[k], sig[k]}, {inc.ho[k], ho[k]}} {
+			for i, v := range pair[0].Data {
+				if diff := math.Abs(v - pair[1].Data[i]); diff > 1e-8 {
+					t.Fatalf("class %d: maintained block diverges from the oracle by %g", k, diff)
+				}
 			}
 		}
 	}
-	return m
-}
-
-// oracleFactor builds the B₁ factor for one class from scratch blocks
-// (ed is the Fisher dimension ẽd = d·c of the problem).
-func oracleFactor(t *testing.T, sig, ho *mat.Dense, ed, b int, eta float64) *mat.Cholesky {
-	t.Helper()
-	d := sig.Rows
-	b1 := mat.NewDense(d, d)
-	b1.CopyFrom(sig)
-	b1.Scale(math.Sqrt(float64(ed)))
-	b1.AddScaled(eta/float64(b), ho)
-	var ch mat.Cholesky
-	if _, err := ch.FactorRidge(b1, choleskyRidge); err != nil {
-		t.Fatal(err)
-	}
-	return &ch
 }
 
 // testIncremental builds a problem, runs a short RELAX, and captures the
@@ -110,9 +95,9 @@ func TestWarmStartValidation(t *testing.T) {
 	}
 }
 
-// TestIncrementalAddLabelMatchesRefactor pins the rank-1 label event:
-// after AddLabel, the maintained factors must match a from-scratch
-// factorization of the blocks with the labeled point folded in.
+// TestIncrementalAddLabelMatchesRefactor pins the label event: after
+// AddLabel, the maintained blocks must match from-scratch blocks with the
+// labeled point folded in.
 func TestIncrementalAddLabelMatchesRefactor(t *testing.T) {
 	const d, c, b = 9, 4, 3
 	inc, p, z := testIncremental(t, 11, 15, 120, d, c, b)
@@ -128,27 +113,22 @@ func TestIncrementalAddLabelMatchesRefactor(t *testing.T) {
 	}
 	inc.AddLabel(x, h)
 
-	sigO := p.SigmaBlocks(z)
-	hoO := p.labeledBlocks()
-	for k := 0; k < cc; k++ {
+	sig := p.SigmaBlocks(z)
+	ho := make([]*mat.Dense, cc)
+	for k, lab := range p.labeledBlocks() {
 		gamma := h[k] * (1 - h[k])
-		sig := mat.NewDense(d, d)
-		sig.CopyFrom(sigO[k])
-		sig.AddOuter(gamma, x)
-		ho := mat.NewDense(d, d)
-		ho.CopyFrom(hoO[k])
-		ho.AddOuter(gamma, x)
-		want := oracleFactor(t, sig, ho, p.Ed(), b, inc.Eta())
-		if diff := lowerMaxAbsDiff(inc.fact[k].L, want.L); diff > 1e-8 {
-			t.Errorf("class %d: maintained factor diverges from refactor by %g", k, diff)
-		}
+		sig[k].AddOuter(gamma, x)
+		ho[k] = mat.NewDense(d, d)
+		ho[k].CopyFrom(lab)
+		ho[k].AddOuter(gamma, x)
 	}
+	checkBlocks(t, inc, sig, ho)
 }
 
-// TestIncrementalTombstoneMatchesScratch pins the rank-1 removal event:
-// a tombstoned row's factors match a from-scratch build at the zeroed
-// weights, and the next delta round selects exactly what a from-scratch
-// round with the row excluded selects.
+// TestIncrementalTombstoneMatchesScratch pins the removal event: after a
+// tombstone the maintained blocks match a from-scratch build at the
+// zeroed weights, and the next delta round selects exactly what a
+// from-scratch round with the row excluded selects.
 func TestIncrementalTombstoneMatchesScratch(t *testing.T) {
 	const d, c, b = 9, 4, 3
 	inc, p, z := testIncremental(t, 13, 15, 120, d, c, b)
@@ -163,14 +143,7 @@ func TestIncrementalTombstoneMatchesScratch(t *testing.T) {
 
 	z2 := append([]float64(nil), z...)
 	z2[gone] = 0
-	sigO := p.SigmaBlocks(z2)
-	hoO := p.labeledBlocks()
-	for k := 0; k < p.C(); k++ {
-		want := oracleFactor(t, sigO[k], hoO[k], p.Ed(), b, inc.Eta())
-		if diff := lowerMaxAbsDiff(inc.fact[k].L, want.L); diff > 1e-8 {
-			t.Errorf("class %d: maintained factor diverges from refactor by %g", k, diff)
-		}
-	}
+	checkBlocks(t, inc, p.SigmaBlocks(z2), p.labeledBlocks())
 
 	got, err := inc.Select(context.Background(), SelectOptions{})
 	if err != nil {
@@ -247,7 +220,7 @@ func TestIncrementalAppendMatchesScratch(t *testing.T) {
 		}
 	}
 
-	// The round is repeatable: the maintained factors were read, not
+	// The round is repeatable: the maintained blocks were read, not
 	// consumed.
 	again, err := inc.Select(context.Background(), SelectOptions{})
 	if err != nil {
@@ -256,6 +229,41 @@ func TestIncrementalAppendMatchesScratch(t *testing.T) {
 	for i := range got.Selected {
 		if got.Selected[i] != again.Selected[i] {
 			t.Fatalf("repeat selection %d: %d then %d", i, got.Selected[i], again.Selected[i])
+		}
+	}
+}
+
+// TestIncrementalSelectMatchesRoundFast pins the shared constructor: a
+// delta round straight after NewIncremental builds its state from the
+// same blocks RoundFast assembles at the same weights, so every
+// selection, ν and objective agrees bit for bit, serial and with four
+// workers.
+func TestIncrementalSelectMatchesRoundFast(t *testing.T) {
+	prev := parallel.SetMaxWorkers(1)
+	defer parallel.SetMaxWorkers(prev)
+	for _, workers := range []int{1, 4} {
+		parallel.SetMaxWorkers(workers)
+		for _, sh := range []struct{ d, c, b int }{{9, 4, 3}, {16, 6, 5}, {24, 3, 8}} {
+			inc, p, z := testIncremental(t, int64(31+sh.d), 15, 120, sh.d, sh.c, sh.b)
+			got, err := inc.Select(context.Background(), SelectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RoundFast(p, z, sh.b, RoundOptions{Eta: inc.Eta()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, w := got.Round, want
+			if len(g.Selected) != len(w.Selected) || len(g.Nu) != len(w.Nu) || len(g.Objectives) != len(w.Objectives) {
+				t.Fatalf("workers=%d %+v: delta round %v, RoundFast %v", workers, sh, g.Selected, w.Selected)
+			}
+			for i := range w.Selected {
+				if g.Selected[i] != w.Selected[i] || g.Nu[i] != w.Nu[i] || g.Objectives[i] != w.Objectives[i] {
+					t.Fatalf("workers=%d %+v step %d: delta (%d, ν %v, obj %v) != RoundFast (%d, ν %v, obj %v)",
+						workers, sh, i, g.Selected[i], g.Nu[i], g.Objectives[i],
+						w.Selected[i], w.Nu[i], w.Objectives[i])
+				}
+			}
 		}
 	}
 }
@@ -316,7 +324,7 @@ func TestReprojectSimplex(t *testing.T) {
 }
 
 // TestIncrementalEventsZeroAlloc pins the warm event path: once the
-// state is warm, AddLabel and Tombstone — the per-event rank-1 updates —
+// state is warm, AddLabel and Tombstone — the per-event block updates —
 // allocate nothing, serial and with four workers engaged (the
 // alloc-multicore CI job runs exactly this test at GOMAXPROCS=4).
 func TestIncrementalEventsZeroAlloc(t *testing.T) {

@@ -176,11 +176,11 @@ func (p *Problem) DenseSigma(z []float64) *mat.Dense {
 }
 
 // choleskyRidge is the initial ridge floor shared by every Cholesky
-// factorization in the solver: the CG block preconditioner, the ROUND
-// (B_t)⁻¹ construction and rebuild, and the iterative-ν rebuild. The
-// preconditioner historically used 1e-10 while the ROUND rebuilds used
-// 1e-12, so the two paths factored subtly different matrices for the
-// same rank-deficient block; one constant keeps them in lockstep.
+// factorization in the solver: the CG block preconditioner and the ROUND
+// (B_t)⁻¹ construction and rebuild. The preconditioner historically used
+// 1e-10 while the ROUND rebuilds used 1e-12, so the two paths factored
+// subtly different matrices for the same rank-deficient block; one
+// constant keeps them in lockstep.
 const choleskyRidge = 1e-12
 
 // BlockPreconditionerWS is the reusable state behind the CG

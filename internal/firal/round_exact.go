@@ -232,8 +232,8 @@ func roundExactNaiveObjective(p *Problem, k, isqrt *mat.Dense, eta float64, ri [
 
 // solveNu finds ν with Σ_j (ν + λ_j)⁻² = 1 by bisection on the provable
 // bracket ν ∈ [−λ_min + ẽd^{-1/2}, −λ_min + ẽd^{1/2}] (DESIGN.md § 5).
-// The bisection is inlined (mirroring opt.Bisect) rather than passing a
-// closure: solveNu runs once per ROUND candidate inside the 0-allocs/op
+// The bisection is written out over lam rather than taking a closure:
+// solveNu runs once per ROUND candidate inside the 0-allocs/op
 // steady-state loop, and a closure over lam would heap-allocate there.
 func solveNu(lam []float64, edF float64) (float64, error) {
 	lmin := lam[0]

@@ -49,31 +49,19 @@ type RoundState struct {
 // must not be mutated by the caller afterwards; the state itself only
 // reads them (callers may pass cached blocks they also keep).
 func NewRoundState(sig, ho []*mat.Dense, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
-	return newRoundStateInto(nil, sig, ho, nil, b, eta, ph)
-}
-
-// NewRoundStateFromFactors is NewRoundState with the B₁ factorizations
-// already in hand: instead of assembling and factoring
-// √ẽd·(Σ⋄)_k + (η/b)·(Ho)_k per class, the supplied factors — kept
-// current across rounds by rank-1 updates (see Incremental) — are
-// inverted directly, so starting round t+1 costs O(cd³) with no fresh
-// Gram assembly. The factors and blocks are read, not consumed; repeated
-// rounds off one maintained state stay valid. A matching prev state's
-// storage is recycled.
-func NewRoundStateFromFactors(prev *RoundState, sig, ho []*mat.Dense, factors []mat.Cholesky, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
-	return newRoundStateInto(prev, sig, ho, factors, b, eta, ph)
+	return newRoundStateInto(nil, sig, ho, b, eta, ph)
 }
 
 // newRoundStateInto builds a RoundState reusing a previous state's
-// storage (pooled by RoundGroup): when prev matches the block shape, its
-// scratch, accumulators, and inverse-block storage are recycled and only
-// the genuinely input-dependent eigendecompositions behind
-// (Σ⋄)_k^{-1/2} allocate. A nil or mismatched prev builds fresh storage.
-// With nil factors the B₁ blocks are assembled and factored here.
-func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, factors []mat.Cholesky, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
+// storage (pooled by RoundGroup, kept by Incremental): when prev matches
+// the block shape, its scratch, accumulators, and inverse-block storage
+// are recycled and only the genuinely input-dependent eigendecompositions
+// behind (Σ⋄)_k^{-1/2} allocate. A nil or mismatched prev builds fresh
+// storage.
+func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
 	c := len(sig)
-	if c == 0 || len(ho) != c || (factors != nil && len(factors) != c) {
-		panic("firal: RoundState needs matching non-empty block and factor sets")
+	if c == 0 || len(ho) != c {
+		panic("firal: RoundState needs matching non-empty block sets")
 	}
 	d := sig[0].Rows
 	st := prev
@@ -110,19 +98,14 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, factors []mat.Cho
 	defer stop()
 	sqrtEd := math.Sqrt(st.edF)
 	for k := 0; k < c; k++ {
-		f := &st.chol
-		if factors != nil {
-			f = &factors[k]
-		} else {
-			b1 := st.tmp
-			b1.CopyFrom(st.sig[k])
-			b1.Scale(sqrtEd)
-			b1.AddScaled(eta/float64(b), st.ho[k])
-			if _, err := f.FactorRidge(b1, choleskyRidge); err != nil {
-				return nil, err
-			}
+		b1 := st.tmp
+		b1.CopyFrom(st.sig[k])
+		b1.Scale(sqrtEd)
+		b1.AddScaled(eta/float64(b), st.ho[k])
+		if _, err := st.chol.FactorRidge(b1, choleskyRidge); err != nil {
+			return nil, err
 		}
-		st.binv[k] = f.InverseInto(st.ws, st.binv[k])
+		st.binv[k] = st.chol.InverseInto(st.ws, st.binv[k])
 		st.hacc[k].Zero()
 	}
 	return st, nil
@@ -382,7 +365,7 @@ func RoundGroup(ctx context.Context, g Group, p *Problem, z []float64, b int, o 
 	// Problem's labeled-block cache, which sigmaBlocks just warmed — safe
 	// because both the cache and the RoundState treat them as read-only.
 	sc.sig = g.sigmaBlocks(sc.ws, p, sc.sig, z, p.labeledBlocks(), ph, "other")
-	st, err := newRoundStateInto(sc.st, sc.sig, p.labeledBlocks(), nil, b, o.Eta, ph)
+	st, err := newRoundStateInto(sc.st, sc.sig, p.labeledBlocks(), b, o.Eta, ph)
 	if err != nil {
 		return nil, err
 	}

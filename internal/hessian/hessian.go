@@ -199,22 +199,6 @@ func (s *Set) QuadAccumWS(ws *mat.Workspace, dst []float64, u, v []float64, scal
 	poolQuadAccumWS(ws, s, dst, u, v, scale)
 }
 
-// GammaCol writes γ_i = h_ik (1 − h_ik) for class k into dst (allocated if
-// nil) — the per-class curvature weights of Eq. 15.
-//
-//firal:hotpath
-func (s *Set) GammaCol(dst []float64, k int) []float64 {
-	n := s.N()
-	if dst == nil {
-		dst = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		h := s.H.At(i, k)
-		dst[i] = h * (1 - h)
-	}
-	return dst
-}
-
 // BlockDiagSum computes the c diagonal blocks of Σ_i w_i H_i (Eq. 14):
 // block k = Σ_i w_i h_ik(1−h_ik) x_i x_iᵀ. A nil w means unit weights.
 func (s *Set) BlockDiagSum(w []float64) []*mat.Dense {

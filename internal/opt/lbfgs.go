@@ -164,38 +164,5 @@ func infNorm(x []float64) float64 {
 	return m
 }
 
-// ErrNoBracket is returned by Bisect when f(lo) and f(hi) do not bracket a
-// root.
+// ErrNoBracket reports that bisection endpoints do not bracket a root.
 var ErrNoBracket = errors.New("opt: bisection endpoints do not bracket a root")
-
-// Bisect finds x in [lo, hi] with f(x) ≈ 0 by bisection. f must be
-// monotone (either direction) across the bracket. tol is the interval
-// width at which to stop.
-func Bisect(f func(float64) float64, lo, hi, tol float64, maxIter int) (float64, error) {
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 {
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, ErrNoBracket
-	}
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	for i := 0; i < maxIter && hi-lo > tol; i++ {
-		mid := 0.5 * (lo + hi)
-		fm := f(mid)
-		if fm == 0 {
-			return mid, nil
-		}
-		if (fm > 0) == (flo > 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
-}

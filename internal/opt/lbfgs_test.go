@@ -75,56 +75,3 @@ func TestLBFGSLogSumExp(t *testing.T) {
 		t.Fatalf("gradient not small: %v (res %+v)", g, res)
 	}
 }
-
-func TestBisect(t *testing.T) {
-	// Root of x² − 2 on [0, 2].
-	root, err := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-10 {
-		t.Fatalf("root %g", root)
-	}
-	// Decreasing function.
-	root2, err := Bisect(func(x float64) float64 { return 1 - x }, 0, 5, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root2-1) > 1e-10 {
-		t.Fatalf("root %g", root2)
-	}
-	// No bracket.
-	if _, err := Bisect(func(x float64) float64 { return 1 + x*x }, -1, 1, 1e-12, 0); err == nil {
-		t.Fatal("expected ErrNoBracket")
-	}
-	// Exact endpoint roots.
-	if r, _ := Bisect(func(x float64) float64 { return x }, 0, 1, 1e-12, 0); r != 0 {
-		t.Fatalf("endpoint root %g", r)
-	}
-}
-
-// TestBisectFTRLShape exercises the actual ν_t equation from the ROUND
-// step: Σ_j (ν + ηλ_j)⁻² = 1 with the bracket from DESIGN.md § 5.
-func TestBisectFTRLShape(t *testing.T) {
-	lambda := []float64{0, 0.3, 1.1, 2.2, 5.0}
-	eta := 1.7
-	ed := float64(len(lambda))
-	f := func(nu float64) float64 {
-		var s float64
-		for _, l := range lambda {
-			d := nu + eta*l
-			s += 1 / (d * d)
-		}
-		return s - 1
-	}
-	lmin := lambda[0]
-	lo := -eta*lmin + 1/math.Sqrt(ed)
-	hi := -eta*lmin + math.Sqrt(ed)
-	nu, err := Bisect(f, lo, hi, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f(nu)) > 1e-8 {
-		t.Fatalf("ν residual %g", f(nu))
-	}
-}

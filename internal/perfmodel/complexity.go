@@ -22,12 +22,6 @@ func ApproxRelaxStorage(n, d, c, s int) float64 {
 	return nf*(df+sf*cf) + cf*df*df
 }
 
-// ApproxRoundStorage is the diagonal ROUND storage O(n(d + c) + cd²).
-func ApproxRoundStorage(n, d, c int) float64 {
-	nf, df, cf := float64(n), float64(d), float64(c)
-	return nf*(df+cf) + cf*df*df
-}
-
 // ExactRelaxWork is Exact-FIRAL's RELAX work O(nrelax·n·c³·d²).
 func ExactRelaxWork(nrelax, n, d, c int) float64 {
 	return float64(nrelax) * float64(n) * float64(c) * float64(c) * float64(c) * float64(d) * float64(d)

@@ -253,13 +253,6 @@ func (l *Learner) StepContext(ctx context.Context, sel Selector, b int) (*RoundR
 	return report, nil
 }
 
-// Step runs one round with a background context.
-//
-// Deprecated: use StepContext, which supports cancellation.
-func (l *Learner) Step(sel Selector, b int) (*RoundReport, error) {
-	return l.StepContext(context.Background(), sel, b)
-}
-
 // RunContext drives an active-learning session: repeated StepContext
 // rounds under the given selector, configured by functional options.
 //
@@ -308,18 +301,6 @@ func (l *Learner) RunContext(ctx context.Context, sel Selector, opts ...RunOptio
 		}
 	}
 	return reports, nil
-}
-
-// Run executes rounds active-learning rounds of budget b each and returns
-// the per-round reports. It stops early if the pool is exhausted.
-//
-// Deprecated: use RunContext, which supports cancellation, stop criteria,
-// and streaming round reports.
-func (l *Learner) Run(sel Selector, rounds, b int) ([]*RoundReport, error) {
-	if rounds <= 0 {
-		return nil, nil // historical behavior: a non-positive schedule runs no rounds
-	}
-	return l.RunContext(context.Background(), sel, WithRounds(rounds), WithBudget(b))
 }
 
 func validateSelection(picked []int, n int) error {
