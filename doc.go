@@ -137,8 +137,8 @@
 //
 // With a warm workspace the Lemma-2 Hessian matvec, CG iterations, the
 // preconditioner rebuild (in-place Cholesky refactorization), and the
-// full ROUND candidate loop — rescore, eigensolves, ν bisection, block
-// inverse rebuild — run at 0 allocs/op on multicore as well as serial
+// full ROUND candidate loop — rescore, eigensolves, ν bisection,
+// eigenbasis rebuild — run at 0 allocs/op on multicore as well as serial
 // (pinned by AllocsPerRun regression tests and a dedicated CI job).
 // cmd/firal-bench records the kernel trajectory in BENCH_round.json and
 // can diff a fresh run against it (-against/-tol).

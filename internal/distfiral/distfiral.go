@@ -14,9 +14,9 @@
 //   - RELAX: the probe block is broadcast from rank 0; the block-diagonal
 //     preconditioner, the block matvec partials inside CG and the two
 //     mirror-step scalars are allreduced.
-//   - ROUND: a maxloc allreduce picks the globally best candidate, the
-//     winner's (x, h) is broadcast, and the block eigenvalues, computed
-//     c/p blocks per rank, are allgathered.
+//   - ROUND: a maxloc allreduce picks the globally best candidate and the
+//     winner's (x, h) is broadcast; every rank then computes all c block
+//     eigensolves itself, so none of their results cross the wire.
 package distfiral
 
 import (

@@ -3,6 +3,7 @@ package firal
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/krylov"
@@ -33,7 +34,7 @@ func BenchmarkScores(b *testing.B) {
 }
 
 // TestScoresZeroAllocWarm pins the ROUND scoring pass: with the
-// RoundState's persistent pk/xm scratch warmed by one call, rescoring the
+// RoundState's per-worker tile scratch warmed by one call, rescoring the
 // pool allocates nothing.
 func TestScoresZeroAllocWarm(t *testing.T) {
 	if mat.RaceEnabled {
@@ -57,11 +58,12 @@ func TestScoresZeroAllocWarm(t *testing.T) {
 
 // TestRoundSteadyStateZeroAllocMulticore pins the tentpole guarantee:
 // with four workers engaged, a full steady-state ROUND candidate step —
-// rescoring the pool, the argmax, AddPoint, the block eigensolves, the ν
-// bisection, and the in-place Cholesky rebuild of every (B_t)⁻¹ block —
-// allocates nothing once the state is warm. Before the persistent worker
-// pool and the in-place factorization this path allocated O(workers) per
-// kernel call plus fresh Cholesky factors and inverses per candidate.
+// rescoring the pool, the argmax, AddPoint, the block eigenvalue solves,
+// the ν bisection, and the per-class eigenbasis rebuild of B_{t+1}
+// (mat.SymEigInto into state-owned storage) — allocates nothing once the
+// state is warm. Before the persistent worker pool this path allocated
+// O(workers) per kernel call, and before the Workspace eigensolver a
+// fresh eigendecomposition per class per candidate.
 func TestRoundSteadyStateZeroAllocMulticore(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -93,6 +95,63 @@ func TestRoundSteadyStateZeroAllocMulticore(t *testing.T) {
 	step()
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Fatalf("steady-state ROUND step allocates %.1f objects per candidate at 4 workers", allocs)
+	}
+}
+
+// BenchmarkRoundFast measures a warm RoundFast at n=8192, d=64, c=9
+// Fisher blocks, b=8; TestRoundFastWarmBytes pins its bytes per call.
+func BenchmarkRoundFast(b *testing.B) {
+	p, z := roundFastBytesProblem()
+	if _, err := RoundFast(p, z, 8, RoundOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RoundFast(p, z, 8, RoundOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func roundFastBytesProblem() (*Problem, []float64) {
+	p := testProblem(5, 50, 8192, 64, 10)
+	z := make([]float64, p.N())
+	mat.Fill(z, 8/float64(p.N()))
+	return p, z
+}
+
+// TestRoundFastWarmBytes pins what a warm RoundFast allocates: the pooled
+// state keeps its tile-sized Scores scratch and builds the (Σ⋄)_k^{-1/2}
+// transforms and eigenbases in its own storage, so only the result
+// history is new (about 1.3 KB per call on amd64). The bound, 1.7 MB, is
+// what the call allocated before the Scores sweep buffer stopped being
+// pooled; it allocated 3.7 MB while the state dropped that buffer and
+// built its transforms through mat.SPDFuncs. The average runs over 16
+// calls, so one call that rebuilds its scratch from nothing (4.4 MB, as
+// the first call does) cannot carry it over the bound.
+func TestRoundFastWarmBytes(t *testing.T) {
+	if mat.RaceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	p, z := roundFastBytesProblem()
+	run := func() {
+		if _, err := RoundFast(p, z, 8, RoundOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("warm RoundFast allocates %.0f bytes per call", perOp)
+	if perOp > 1.7e6 {
+		t.Fatalf("warm RoundFast allocates %.0f bytes per call, want ≤ 1.7 MB", perOp)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // nothing more: a broadcast of the probe block and of each ROUND winner,
 // sum allreduces of the Σz blocks and the block matvec partials, scalar
 // allreduces for the mirror-descent normalization, a maxloc argmax, and
-// an allgather of the sharded block eigenvalues. One solver runs over
+// an allgather of the RELAX weights for checkpoints. One solver runs over
 // every rank count; a single rank is the Collective whose operations
 // are identities (see solo), and internal/distfiral adapts an *mpi.Comm.
 //
@@ -35,7 +35,8 @@ type Collective interface {
 	// AllreduceMaxLoc returns the largest val over ranks with the rank
 	// and loc that offered it; ties go to the lowest rank.
 	AllreduceMaxLoc(val float64, loc int) (best float64, rank, bestLoc int)
-	// Allgatherv concatenates every rank's local slice in rank order.
+	// Allgatherv concatenates every rank's local slice in rank order. It
+	// serves RELAX checkpoints only: ROUND replicates its eigensolves.
 	Allgatherv(local []float64) []float64
 	// Cancelled is polled at the top of every solver iteration; a non-nil
 	// error aborts the solve on every rank.

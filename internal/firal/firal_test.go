@@ -125,7 +125,7 @@ func TestProposition4Equivalence(t *testing.T) {
 
 	// Dense block-diagonal counterparts.
 	sigBD := mat.BlockDiag(st.sig)
-	bt := mat.BlockDiag(st.binv)
+	bt := mat.BlockDiag(testInverseBlocks(st))
 	btDense, err := mat.InvSPD(bt) // B_t = (B_t⁻¹)⁻¹
 	if err != nil {
 		t.Fatal(err)
@@ -300,12 +300,8 @@ func TestNuSolvesFTRLEquation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lam, err := st.Eigvals(0, st.c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sum float64
-	for _, l := range lam {
+	for _, l := range st.lamBuf { // the (H̃)_k eigenvalues of the update
 		if l < 0 {
 			l = 0
 		}
@@ -427,6 +423,21 @@ func TestBudgetLargerThanPool(t *testing.T) {
 	if len(res.Selected) != 4 {
 		t.Fatalf("expected all 4 pool points, got %d", len(res.Selected))
 	}
+}
+
+// testInverseBlocks returns the blocks (B_t)⁻¹_k = W_k diag(a_k) W_kᵀ
+// that the state's eigenbasis represents.
+func testInverseBlocks(st *RoundState) []*mat.Dense {
+	d := st.d
+	out := make([]*mat.Dense, st.c)
+	for k := range out {
+		aw := st.wt[k].Clone() // diag(a_k) W_kᵀ
+		for j := 0; j < d; j++ {
+			mat.Scal(st.a[k*d+j], aw.Row(j))
+		}
+		out[k] = mat.MulTransA(nil, st.wt[k], aw)
+	}
+	return out
 }
 
 // testRoundState builds a fresh RoundState from a Problem — the

@@ -236,7 +236,7 @@ func (inc *Incremental) Select(ctx context.Context, o SelectOptions) (*Result, e
 	inc.st = st
 
 	sc := getRoundScratch(n, inc.p.D(), inc.p.C())
-	defer sc.release()
+	defer roundScratchPool.Put(sc)
 	copy(sc.selected, inc.dead)
 	g := single(inc.p)
 	g.exclude(sc.selected, o.Exclude)

@@ -175,12 +175,10 @@ func (p *Problem) DenseSigma(z []float64) *mat.Dense {
 	return s
 }
 
-// choleskyRidge is the initial ridge floor shared by every Cholesky
-// factorization in the solver: the CG block preconditioner and the ROUND
-// (B_t)⁻¹ construction and rebuild. The preconditioner historically used
-// 1e-10 while the ROUND rebuilds used 1e-12, so the two paths factored
-// subtly different matrices for the same rank-deficient block; one
-// constant keeps them in lockstep.
+// choleskyRidge is the initial ridge floor of the CG block
+// preconditioner's Cholesky factorizations (and of the Cholesky ROUND
+// oracle in the tests, which it shared with the preconditioner before
+// ROUND moved to the per-class eigenbasis).
 const choleskyRidge = 1e-12
 
 // BlockPreconditionerWS is the reusable state behind the CG

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/hessian"
 	"repro/internal/krylov"
 	"repro/internal/mat"
 	"repro/internal/mpi"
+	"repro/internal/parallel"
 	"repro/internal/rnd"
 	"repro/internal/sketch"
 	"repro/internal/timing"
@@ -35,7 +35,7 @@ type relaxScratch struct {
 	bp             *BlockPreconditionerWS
 }
 
-var relaxScratchPool = sync.Pool{New: func() any {
+var relaxScratchPool = parallel.FreeList[relaxScratch]{New: func() *relaxScratch {
 	return &relaxScratch{ws: mat.NewWorkspace(), bp: NewBlockPreconditionerWS()}
 }}
 
@@ -43,7 +43,7 @@ var relaxScratchPool = sync.Pool{New: func() any {
 // buffers do not match the requested shape (a reuse with the same shape
 // allocates nothing).
 func getRelaxScratch(n, ed, s, c, d int) *relaxScratch {
-	sc := relaxScratchPool.Get().(*relaxScratch)
+	sc := relaxScratchPool.Get()
 	if sc.n != n {
 		sc.g = make([]float64, n)
 	}

@@ -3,11 +3,10 @@ package firal
 import (
 	"context"
 	"math"
-	"sync"
 
 	"repro/internal/hessian"
 	"repro/internal/mat"
-	"repro/internal/mpi"
+	"repro/internal/parallel"
 	"repro/internal/timing"
 )
 
@@ -15,7 +14,16 @@ import (
 // step (Algorithm 3). All blocks are d×d; there are c of each, so the
 // state costs O(cd²) — this is what replaces Exact-FIRAL's dense ẽd×ẽd
 // matrices. Every rank of a group holds an identical state built from
-// allreduced blocks; only the eigenvalue work of Eigvals is sharded.
+// allreduced blocks and computes every class's eigendecompositions itself.
+//
+// B_t is kept in a per-class eigenbasis rather than as an inverse. With
+// B_k = ν(Σ⋄)_k + ηH_k + (η/b)(Ho)_k, let
+// M_k = Σ⋄^{-½}(ηH_k + (η/b)Ho_k)Σ⋄^{-½} = VΛVᵀ and W_k = Σ⋄^{-½}V, so
+// B⁻¹_k = W_k diag(a) W_kᵀ with a_j = 1/(ν + λ_j). Then for y = xW_k
+//
+//	xᵀB⁻¹_k x = Σ_j y_j² a_j,   xᵀB⁻¹_k (Σ⋄)_k B⁻¹_k x = Σ_j y_j² a_j²,
+//
+// so both quadratic forms of Eq. 17 cost one d×d product per point.
 type RoundState struct {
 	eta   float64
 	b     int
@@ -24,40 +32,51 @@ type RoundState struct {
 	sig   []*mat.Dense // (Σ⋄)_k
 	ho    []*mat.Dense // (Ho)_k
 	isqrt []*mat.Dense // (Σ⋄)_k^{-1/2}
-	binv  []*mat.Dense // (B_t)⁻¹_k
+	hot   []*mat.Dense // (Σ⋄)_k^{-1/2} (Ho)_k (Σ⋄)_k^{-1/2}
 	hacc  []*mat.Dense // (H)_k accumulated (line 8)
+	wt    []*mat.Dense // W_kᵀ: row j is (Σ⋄)_k^{-1/2} v_j for eigenvector v_j of M_k
+	lamM  []float64    // eigenvalues of every M_k, c×d
+	a, a2 []float64    // a_kj = 1/(ν + max(λ_kj, 0)) and a_kj², c×d
 
 	// Persistent scratch, reused across the b inner iterations so the hot
-	// Scores/Eigvals/FinishUpdate loop stays allocation-free after
-	// warm-up. A RoundState is owned by one goroutine.
+	// Scores/Update loop stays allocation-free after warm-up. A RoundState
+	// is owned by one goroutine.
 	ws     *mat.Workspace
-	tmp    *mat.Dense   // d×d product scratch
-	pk     *mat.Dense   // d×d product scratch (H̃_k)
-	chol   mat.Cholesky // persistent factor storage for the (B_t)⁻¹ rebuild
-	pks    []*mat.Dense // per-class P_k = B⁻¹_k (Σ⋄)_k B⁻¹_k (Scores)
-	xmBuf  []float64    // block×d Scores product scratch (lazily sized)
-	qp, qb []float64    // block Scores row-dot scratch
-	lamBuf []float64    // concatenated eigenvalues (Eigvals)
-	valBuf []float64    // single-block eigenvalues (Eigvals)
-	nuBuf  []float64    // scaled eigenvalues (FinishUpdate)
+	tmp    *mat.Dense // d×d product scratch
+	pk     *mat.Dense // d×d scratch: (H̃)_k, then M_k
+	lamBuf []float64  // eigenvalues of every (H̃)_k, c×d (line 9)
+	nuBuf  []float64  // scaled eigenvalues for the ν solve, c×d
+
+	// The Scores sweep: per-worker tile products and the current row
+	// block, read by scoreItems (bound once as scoreFn so the dispatch
+	// does not allocate a closure).
+	ybuf    []float64
+	xb, h   *mat.Dense
+	dst     []float64
+	base, m int
+	rows    int
+	scoreFn func(lo, hi int)
 }
+
+// scoreTile is the row tile of the Scores sweep: a 64-row tile of a d=64
+// block and its product with one W_k are 32 KiB each, so both stay in L1
+// while the two weighted row norms read the product back.
+const scoreTile = 64
 
 // NewRoundState performs lines 3–5 of Algorithm 3 given the diagonal
 // blocks of Σ⋄ and Ho: it builds the inverse square roots (Σ⋄)_k^{-1/2}
-// (for the eigenvalue transform of line 9), the initial (B_1)⁻¹_k, and
-// zeroed accumulators (H)_k. The blocks are retained by the state and
-// must not be mutated by the caller afterwards; the state itself only
-// reads them (callers may pass cached blocks they also keep).
+// (for the eigenvalue transform of line 9), the eigenbasis of the initial
+// B_1 (ν_1 = √ẽd), and zeroed accumulators (H)_k. The blocks are retained
+// by the state and must not be mutated by the caller afterwards; the state
+// itself only reads them (callers may pass cached blocks they also keep).
 func NewRoundState(sig, ho []*mat.Dense, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
 	return newRoundStateInto(nil, sig, ho, b, eta, ph)
 }
 
 // newRoundStateInto builds a RoundState reusing a previous state's
 // storage (pooled by RoundGroup, kept by Incremental): when prev matches
-// the block shape, its scratch, accumulators, and inverse-block storage
-// are recycled and only the genuinely input-dependent eigendecompositions
-// behind (Σ⋄)_k^{-1/2} allocate. A nil or mismatched prev builds fresh
-// storage.
+// the block shape, all of its storage is recycled and the build allocates
+// nothing. A nil or mismatched prev builds fresh storage.
 func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
 	c := len(sig)
 	if c == 0 || len(ho) != c {
@@ -68,47 +87,81 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float6
 	if st == nil || st.d != d || st.c != c {
 		st = &RoundState{
 			d: d, c: c,
-			hacc:  make([]*mat.Dense, c),
-			binv:  make([]*mat.Dense, c),
-			isqrt: make([]*mat.Dense, c),
-			ws:    mat.NewWorkspace(),
-			tmp:   mat.NewDense(d, d),
-			pk:    mat.NewDense(d, d),
+			hacc:   newBlocks(c, d),
+			isqrt:  newBlocks(c, d),
+			hot:    newBlocks(c, d),
+			wt:     newBlocks(c, d),
+			lamM:   make([]float64, c*d),
+			a:      make([]float64, c*d),
+			a2:     make([]float64, c*d),
+			ws:     mat.NewWorkspace(),
+			tmp:    mat.NewDense(d, d),
+			pk:     mat.NewDense(d, d),
+			lamBuf: make([]float64, c*d),
+			nuBuf:  make([]float64, c*d),
 		}
-		for k := 0; k < c; k++ {
-			st.hacc[k] = mat.NewDense(d, d)
-		}
+		st.scoreFn = st.scoreItems
 	}
 	st.eta, st.b, st.edF = eta, b, float64(d*c)
 	st.sig, st.ho = sig, ho
 
-	// Line 4: the (Σ⋄)_k^{-1/2} transforms.
+	// Line 4: the (Σ⋄)_k^{-1/2} transforms; line 5: the eigenbasis of
+	// B_1, where H = 0 leaves M_k = (η/b)(Σ⋄)_k^{-1/2}(Ho)_k(Σ⋄)_k^{-1/2}.
 	stop := ph.Start("eig")
 	for k := 0; k < c; k++ {
-		sf, err := mat.NewSPDFuncs(st.sig[k], 1e-10)
-		if err != nil {
+		if err := mat.InvSqrtInto(st.ws, st.isqrt[k], st.sig[k], 1e-10); err != nil {
 			stop()
 			return nil, err
 		}
-		st.isqrt[k] = sf.InvSqrt()
+		mat.Mul(st.tmp, st.isqrt[k], st.ho[k])
+		mat.Mul(st.hot[k], st.tmp, st.isqrt[k])
+		st.pk.CopyFrom(st.hot[k])
+		st.pk.Scale(eta / float64(b))
+		if err := st.basis(k, st.pk); err != nil {
+			stop()
+			return nil, err
+		}
 	}
 	stop()
 
 	stop = ph.Start("other")
-	defer stop()
-	sqrtEd := math.Sqrt(st.edF)
-	for k := 0; k < c; k++ {
-		b1 := st.tmp
-		b1.CopyFrom(st.sig[k])
-		b1.Scale(sqrtEd)
-		b1.AddScaled(eta/float64(b), st.ho[k])
-		if _, err := st.chol.FactorRidge(b1, choleskyRidge); err != nil {
-			return nil, err
-		}
-		st.binv[k] = st.chol.InverseInto(st.ws, st.binv[k])
-		st.hacc[k].Zero()
+	for _, h := range st.hacc {
+		h.Zero()
 	}
+	st.weigh(math.Sqrt(st.edF))
+	stop()
 	return st, nil
+}
+
+// newBlocks returns c zeroed d×d blocks.
+func newBlocks(c, d int) []*mat.Dense {
+	out := make([]*mat.Dense, c)
+	for k := range out {
+		out[k] = mat.NewDense(d, d)
+	}
+	return out
+}
+
+// basis eigendecomposes M_k, given in m (which it overwrites), into the
+// class's eigenvalues lamM and its mapped-back basis W_kᵀ.
+func (st *RoundState) basis(k int, m *mat.Dense) error {
+	d := st.d
+	if _, _, err := mat.SymEigInto(st.ws, st.lamM[k*d:(k+1)*d:(k+1)*d], m, m); err != nil {
+		return err
+	}
+	mat.MulTransA(st.wt[k], m, st.isqrt[k])
+	return nil
+}
+
+// weigh sets the eigenbasis weights of B = ν(Σ⋄) + ηH + (η/b)Ho.
+func (st *RoundState) weigh(nu float64) {
+	for i, l := range st.lamM {
+		if l < 0 {
+			l = 0 // roundoff guard: M_k is PSD
+		}
+		st.a[i] = 1 / (nu + l)
+		st.a2[i] = st.a[i] * st.a[i]
+	}
 }
 
 // Scores evaluates the equivalent ROUND objective of Proposition 4 /
@@ -117,11 +170,13 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float6
 //	r_i = Σ_k γ_ik · x_iᵀ B⁻¹_k (Σ⋄)_k B⁻¹_k x_i / (1 + η γ_ik x_iᵀ B⁻¹_k x_i)
 //
 // with γ_ik = h_ik(1 − h_ik). The pool is visited in row blocks
-// (outermost) with all c classes evaluated per block, so a streamed pool
-// is read exactly once per rescoring pass; each class contributes two
-// batched GEMM + row-dot passes per block and the cost is O(n c d²) per
-// round (Table II). The per-class P_k products are hoisted into
-// persistent state before the sweep.
+// (outermost), so a streamed pool is read exactly once per rescoring
+// pass. Workers split each block into runs of 64-row tiles; per tile and
+// class one product y = x·W_k gives both quadratic forms as weighted row
+// norms of y (see RoundState), so no block-sized product is materialised
+// and the cost is one GEMM, O(n c d²), per round (Table II). Each point is
+// scored by one worker in class order, so the scores do not depend on the
+// worker count.
 //
 //firal:hotpath
 func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
@@ -129,56 +184,69 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 	if len(dst) != n {
 		panic("firal: scores destination length mismatch")
 	}
-	mat.Fill(dst, 0)
 	if n == 0 {
 		return
 	}
-	// P_k = B⁻¹_k (Σ⋄)_k B⁻¹_k, shared by every block of this pass.
-	//firal:allow(alloc) — lazy init, once per state
-	if st.pks == nil {
-		st.pks = make([]*mat.Dense, st.c)
-		for k := range st.pks {
-			st.pks[k] = mat.NewDense(st.d, st.d)
-		}
-	}
-	for k := 0; k < st.c; k++ {
-		mat.Mul(st.tmp, st.binv[k], st.sig[k])
-		mat.Mul(st.pks[k], st.tmp, st.binv[k])
-	}
-	h := pool.Probs()
 	bs := min(pool.BlockRows(), n)
-	// Guard every buffer: xmBuf's capacity can be rounded up by the
-	// allocator while qp/qb land exactly on their size class, so a state
-	// reused with a slightly larger block size could pass an xmBuf-only
-	// check and then overrun qp/qb.
-	//firal:allow(alloc) — amortized: regrows only when the block size grows
-	if cap(st.xmBuf) < bs*st.d || cap(st.qp) < bs {
-		st.xmBuf = make([]float64, bs*st.d)
-		st.qp = make([]float64, bs)
-		st.qb = make([]float64, bs)
+	items := min(parallel.Workers(), (bs+scoreTile-1)/scoreTile)
+	//firal:allow(alloc) — amortized: regrows only when the worker count grows
+	if len(st.ybuf) < items*scoreTile*st.d {
+		st.ybuf = make([]float64, items*scoreTile*st.d)
 	}
+	st.h, st.dst = pool.Probs(), dst
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
-		m := hi - lo
-		xb := pool.Block(st.ws, lo, hi)
-		xm := st.ws.View(st.xmBuf[:m*st.d], m, st.d)
-		qp, qb := st.qp[:m], st.qb[:m]
-		for k := 0; k < st.c; k++ {
-			mat.Mul(xm, xb, st.pks[k])
-			mat.RowDots(qp, xb, xm)
-			mat.Mul(xm, xb, st.binv[k])
-			mat.RowDots(qb, xb, xm)
-			for i := 0; i < m; i++ {
-				hv := h.At(lo+i, k)
-				gamma := hv * (1 - hv)
-				if gamma == 0 {
-					continue
-				}
-				dst[lo+i] += gamma * qp[i] / (1 + st.eta*gamma*qb[i])
-			}
+		st.xb, st.base, st.m = pool.Block(st.ws, lo, hi), lo, hi-lo
+		tiles := (st.m + scoreTile - 1) / scoreTile
+		per := (tiles + items - 1) / items
+		st.rows = per * scoreTile
+		parallel.ForChunkMin((tiles+per-1)/per, 1, st.scoreFn)
+		pool.PutBlock(st.ws, st.xb)
+	}
+	st.xb, st.h, st.dst = nil, nil, nil
+}
+
+// scoreItems scores Scores items [lo, hi) of the current block: item it
+// covers block rows [it·rows, (it+1)·rows) and uses tile scratch it.
+//
+//firal:hotpath
+func (st *RoundState) scoreItems(lo, hi int) {
+	tile := scoreTile * st.d
+	for it := lo; it < hi; it++ {
+		y := st.ybuf[it*tile : (it+1)*tile]
+		for r0 := it * st.rows; r0 < min((it+1)*st.rows, st.m); r0 += scoreTile {
+			st.scoreTile(y, r0, min(r0+scoreTile, st.m))
 		}
-		st.ws.PutView(xm)
-		pool.PutBlock(st.ws, xb)
+	}
+}
+
+// scoreTile writes the scores of block rows [r0, r1), using y for the
+// tile's product with each W_k.
+//
+//firal:hotpath
+func (st *RoundState) scoreTile(y []float64, r0, r1 int) {
+	d, xs := st.d, st.xb.Stride
+	xt := mat.Dense{Rows: r1 - r0, Cols: d, Stride: xs, Data: st.xb.Data[r0*xs:]}
+	yt := mat.Dense{Rows: r1 - r0, Cols: d, Stride: d, Data: y}
+	out := st.dst[st.base+r0 : st.base+r1]
+	clear(out)
+	for k := 0; k < st.c; k++ {
+		mat.MulTransBInOrder(&yt, &xt, st.wt[k], true)
+		a, a2 := st.a[k*d:(k+1)*d], st.a2[k*d:(k+1)*d]
+		for i := range out {
+			hv := st.h.At(st.base+r0+i, k)
+			gamma := hv * (1 - hv)
+			if gamma == 0 {
+				continue
+			}
+			var qb, qp float64
+			for j, v := range y[i*d : (i+1)*d] {
+				v2 := v * v
+				qb += v2 * a[j]
+				qp += v2 * a2[j]
+			}
+			out[i] += gamma * qp / (1 + st.eta*gamma*qb)
+		}
 	}
 }
 
@@ -196,79 +264,49 @@ func (st *RoundState) AddPoint(x, h []float64) {
 	}
 }
 
-// Update performs lines 8–11 of Algorithm 3 for the chosen point (x, h)
-// on one rank: AddPoint, block eigenvalues, ν bisection, and the
-// (B_{t+1})⁻¹ rebuild. It returns ν_{t+1}. The ROUND loop instead calls
-// AddPoint, shards Eigvals over the group's ranks, and calls
-// FinishUpdate.
+// Update performs lines 8–11 of Algorithm 3 for the chosen point (x, h):
+// AddPoint; per class the eigenvalues of (H̃)_k = (Σ⋄)_k^{-1/2} (H)_k
+// (Σ⋄)_k^{-1/2} (line 9) and the eigenbasis of M_k; the ν bisection over
+// all the (H̃)_k eigenvalues (line 10); and the eigenbasis weights of
+// B_{t+1} (line 11). It returns ν_{t+1}.
 func (st *RoundState) Update(x, h []float64, ph *timing.Phases) (float64, error) {
 	stop := ph.Start("other")
 	st.AddPoint(x, h)
 	stop()
 
 	stop = ph.Start("eig")
-	lam, err := st.Eigvals(0, st.c)
-	stop()
-	if err != nil {
-		return 0, err
-	}
-	return st.FinishUpdate(lam, ph)
-}
-
-// Eigvals computes the eigenvalues of (H̃)_k = (Σ⋄)_k^{-1/2} (H)_k
-// (Σ⋄)_k^{-1/2} for classes [kLo, kHi), concatenated (line 9). The
-// returned slice is state-owned scratch, valid until the next Eigvals
-// call on this state.
-func (st *RoundState) Eigvals(kLo, kHi int) ([]float64, error) {
-	out := st.lamBuf[:0]
-	for k := kLo; k < kHi; k++ {
+	d := st.d
+	for k := 0; k < st.c; k++ {
 		mat.Mul(st.tmp, st.isqrt[k], st.hacc[k])
 		mat.Mul(st.pk, st.tmp, st.isqrt[k])
 		st.pk.Symmetrize()
-		vals, err := mat.SymEigvalsInto(st.ws, st.valBuf, st.pk)
-		if err != nil {
-			return nil, err
+		if _, err := mat.SymEigvalsInto(st.ws, st.lamBuf[k*d:(k+1)*d:(k+1)*d], st.pk); err != nil {
+			stop()
+			return 0, err
 		}
-		st.valBuf = vals
-		out = append(out, vals...)
+		// M_k = η(H̃)_k + (η/b)(Σ⋄)_k^{-1/2}(Ho)_k(Σ⋄)_k^{-1/2}.
+		st.pk.Scale(st.eta)
+		st.pk.AddScaled(st.eta/float64(st.b), st.hot[k])
+		if err := st.basis(k, st.pk); err != nil {
+			stop()
+			return 0, err
+		}
 	}
-	st.lamBuf = out
-	return out, nil
-}
+	stop()
 
-// FinishUpdate solves for ν_{t+1} from the full eigenvalue set (line 10)
-// and rebuilds the block inverses (line 11).
-func (st *RoundState) FinishUpdate(lam []float64, ph *timing.Phases) (float64, error) {
-	stop := ph.Start("other")
+	stop = ph.Start("other")
 	defer stop()
-	if cap(st.nuBuf) < len(lam) {
-		st.nuBuf = make([]float64, len(lam))
-	}
-	scaled := st.nuBuf[:len(lam)]
-	for i, l := range lam {
+	for i, l := range st.lamBuf {
 		if l < 0 {
 			l = 0 // roundoff guard: H̃ is PSD
 		}
-		scaled[i] = st.eta * l
+		st.nuBuf[i] = st.eta * l
 	}
-	nu, err := solveNu(scaled, st.edF)
+	nu, err := solveNu(st.nuBuf, st.edF)
 	if err != nil {
 		return 0, err
 	}
-	// Rebuild (B_{t+1})⁻¹_k in place: the persistent factor storage and
-	// the retained binv blocks absorb the per-iteration Cholesky work, so
-	// the rebuild allocates nothing after the state is warm.
-	for k := 0; k < st.c; k++ {
-		bt := st.tmp
-		bt.CopyFrom(st.sig[k])
-		bt.Scale(nu)
-		bt.AddScaled(st.eta, st.hacc[k])
-		bt.AddScaled(st.eta/float64(st.b), st.ho[k])
-		if _, err := st.chol.FactorRidge(bt, choleskyRidge); err != nil {
-			return 0, err
-		}
-		st.chol.InverseInto(st.ws, st.binv[k])
-	}
+	st.weigh(nu)
 	return nu, nil
 }
 
@@ -277,7 +315,7 @@ func (st *RoundState) FinishUpdate(lam []float64, ph *timing.Phases) (float64, e
 func (st *RoundState) MinEig() float64 {
 	minEig := math.Inf(1)
 	for _, blk := range st.hacc {
-		vals, err := mat.SymEigvals(blk)
+		vals, err := mat.SymEigvalsInto(st.ws, st.nuBuf[:st.d:st.d], blk)
 		if err != nil || len(vals) == 0 {
 			return math.Inf(-1)
 		}
@@ -304,10 +342,12 @@ type roundScratch struct {
 	st       *RoundState
 }
 
-var roundScratchPool = sync.Pool{New: func() any { return &roundScratch{ws: mat.NewWorkspace()} }}
+var roundScratchPool = parallel.FreeList[roundScratch]{New: func() *roundScratch {
+	return &roundScratch{ws: mat.NewWorkspace()}
+}}
 
 func getRoundScratch(n, d, c int) *roundScratch {
-	sc := roundScratchPool.Get().(*roundScratch)
+	sc := roundScratchPool.Get()
 	if sc.n != n {
 		sc.scores = make([]float64, n)
 		sc.selected = make([]bool, n)
@@ -325,17 +365,6 @@ func getRoundScratch(n, d, c int) *roundScratch {
 	return sc
 }
 
-// release returns the scratch to the pool without the state's Scores
-// sweep buffers: they scale with the pool block (2 MiB at 4096×64) and
-// would stay pinned in every pooled copy — one per concurrent rank —
-// between selections.
-func (sc *roundScratch) release() {
-	if sc.st != nil {
-		sc.st.xmBuf, sc.st.qp, sc.st.qb = nil, nil, nil
-	}
-	roundScratchPool.Put(sc)
-}
-
 // RoundFast runs the diagonal ROUND step of Algorithm 3: all Fisher
 // matrices keep only their d×d diagonal blocks (Eq. 14), the low-rank
 // block update of Lemma 3 turns the FTRL objective into the closed form of
@@ -349,9 +378,11 @@ func RoundFast(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, er
 // slice is p.Pool and z its window of z⋄: the paper's distributed
 // Algorithm 3 (§ III-C). Every rank keeps the replicated O(cd²) block
 // state and scores its own points; each greedy step takes a maxloc
-// argmax, broadcasts the winner's (x, h), and allgathers the block
-// eigenvalues computed c/p blocks per rank. o.Exclude and the returned
-// selections are global pool indices, identical on every rank.
+// argmax and broadcasts the winner's (x, h), and every rank then updates
+// its state itself, all c eigendecompositions included (O(cd³) per step,
+// replicated rather than sharded, so no eigenvalues cross the wire).
+// o.Exclude and the returned selections are global pool indices,
+// identical on every rank.
 func RoundGroup(ctx context.Context, g Group, p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, error) {
 	if o.Eta <= 0 {
 		o.Eta = p.DefaultEta()
@@ -360,7 +391,7 @@ func RoundGroup(ctx context.Context, g Group, p *Problem, z []float64, b int, o 
 	ph := res.Timings
 
 	sc := getRoundScratch(p.N(), p.D(), p.C())
-	defer sc.release()
+	defer roundScratchPool.Put(sc)
 	// Lines 3–5 from the global Σ⋄ blocks. The Ho blocks alias the
 	// Problem's labeled-block cache, which sigmaBlocks just warmed — safe
 	// because both the cache and the RoundState treat them as read-only.
@@ -392,7 +423,6 @@ func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState,
 	n, d, c := pool.N(), pool.D(), pool.C()
 	probs := pool.Probs()
 	ph := res.Timings
-	kLo, kHi := mpi.Partition(c, cm.Size(), cm.Rank())
 	for t := 1; t <= min(b, g.Total); t++ {
 		if err := cm.Cancelled(ctx); err != nil {
 			return err
@@ -431,21 +461,9 @@ func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState,
 		res.Selected = append(res.Selected, int(xh[d+c])) //firal:allow(alloc) result history, one entry per selection
 		res.Objectives = append(res.Objectives, bestV)    //firal:allow(alloc) result history, one entry per selection
 
-		// Line 8: accumulate (H)_k.
-		stop = ph.Start("other")
-		st.AddPoint(xh[:d], xh[d:d+c])
-		stop()
-
-		// Line 9: eigenvalues of this rank's blocks, gathered.
-		stop = ph.Start("eig")
-		lam, err := st.Eigvals(kLo, kHi)
-		stop()
-		if err != nil {
-			return err
-		}
-
-		// Lines 10–11: ν bisection and the (B_{t+1})⁻¹ rebuild.
-		nu, err := st.FinishUpdate(cm.Allgatherv(lam), ph)
+		// Lines 8–11: accumulate (H)_k, ν_{t+1} and the eigenbasis of
+		// B_{t+1}.
+		nu, err := st.Update(xh[:d], xh[d:d+c], ph)
 		if err != nil {
 			return err
 		}

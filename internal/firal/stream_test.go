@@ -102,7 +102,7 @@ func TestSelectExactRequiresResidentPool(t *testing.T) {
 }
 
 // TestSolverScratchPoolAllocs pins the per-call setup pooling: once the
-// sync.Pool-backed scratch is warm, a full RelaxFast call allocates only
+// free-list scratch is warm, a full RelaxFast call allocates only
 // its escaping outputs (result struct, timings, z) and a full RoundFast
 // call additionally pays the input-dependent eigendecompositions — far
 // below the pre-pooling cost of rebuilding every hoisted buffer, the

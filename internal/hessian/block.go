@@ -1,8 +1,6 @@
 package hessian
 
 import (
-	"sync"
-
 	"repro/internal/mat"
 	"repro/internal/parallel"
 )
@@ -86,7 +84,7 @@ type sweepTask struct {
 	probesFn, slicesFn, dotsFn, quadFn func(lo, hi int)
 }
 
-var sweepTasks = sync.Pool{New: func() any {
+var sweepTasks = parallel.FreeList[sweepTask]{New: func() *sweepTask {
 	t := &sweepTask{}
 	t.probesFn = t.sweepProbes
 	t.slicesFn = t.accumSlices
@@ -123,7 +121,7 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 		return
 	}
 	bs := p.BlockRows()
-	t := sweepTasks.Get().(*sweepTask)
+	t := sweepTasks.Get()
 	t.v, t.dst, t.h, t.w = v, dst, p.Probs(), w
 	t.s, t.d, t.c = s, d, c
 	if bs < n {
@@ -356,7 +354,7 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 	// One item per worker, each with private tile scratch for both dot
 	// sets; an item is a contiguous run of block rows.
 	items := min(parallel.Workers(), (min(bs, n)+sweepTile-1)/sweepTile)
-	t := sweepTasks.Get().(*sweepTask)
+	t := sweepTasks.Get()
 	t.u, t.v, t.h, t.qdst, t.scale = u, v, p.Probs(), dst, scale
 	t.s, t.d, t.c = s, d, c
 	t.gs, t.gj = s*c, 0

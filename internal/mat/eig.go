@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+
+	"repro/internal/parallel"
 )
 
 // ErrEigNoConverge is returned when the implicit QL iteration fails to
@@ -19,20 +21,43 @@ var ErrEigNoConverge = errors.New("mat: symmetric eigensolver did not converge")
 // transforms of Eq. 8). It uses Householder tridiagonalization followed by
 // implicit-shift QL iteration.
 func SymEig(a *Dense) ([]float64, *Dense, error) {
+	return SymEigInto(nil, nil, nil, a)
+}
+
+// SymEigInto is SymEig with the eigenvalues written into vals (reused when
+// its capacity suffices) and the eigenvectors into vecs (reused when it is
+// n×n), each allocated otherwise, and the scratch drawn from ws — the
+// per-class eigenbasis rebuild of the ROUND loop. vecs may alias a. The
+// results are bit for bit those of SymEig. A nil ws, vals or vecs falls
+// back to allocation.
+func SymEigInto(ws *Workspace, vals []float64, vecs, a *Dense) ([]float64, *Dense, error) {
 	n := a.Rows
 	if a.Cols != n {
 		panic("mat: SymEig of non-square matrix")
 	}
-	work := a.Clone()
-	work.Symmetrize()
-	d := make([]float64, n)
-	e := make([]float64, n)
-	tred2(work, d, e, true)
-	if err := tql(d, e, work, true); err != nil {
+	if vecs == nil || vecs.Rows != n || vecs.Cols != n {
+		vecs = NewDense(n, n)
+	}
+	vecs.CopyFrom(a)
+	vecs.Symmetrize()
+	if cap(vals) < n {
+		vals = make([]float64, n)
+	} else {
+		vals = vals[:n]
+	}
+	e, g := ws.Vec(n), ws.Vec(n)
+	tred2(vecs, vals, e, g)
+	ws.PutVec(g)
+	// The QL rotations and the sort run on the eigenvectors as rows.
+	vecs.transposeSquare()
+	err := tql(vals, e, vecs)
+	ws.PutVec(e)
+	if err != nil {
 		return nil, nil, err
 	}
-	sortEig(d, work)
-	return d, work, nil
+	sortEig(vals, vecs)
+	vecs.transposeSquare()
+	return vals, vecs, nil
 }
 
 // SymEigvals computes only the eigenvalues of symmetric a, in ascending
@@ -60,8 +85,8 @@ func SymEigvalsInto(ws *Workspace, dst []float64, a *Dense) ([]float64, error) {
 		dst = dst[:n]
 	}
 	e := ws.Vec(n)
-	tred2(work, dst, e, false)
-	err := tql(dst, e, nil, false)
+	tred2(work, dst, e, nil)
+	err := tql(dst, e, nil)
 	ws.PutVec(e)
 	ws.PutMatrix(work)
 	if err != nil {
@@ -72,11 +97,13 @@ func SymEigvalsInto(ws *Workspace, dst []float64, a *Dense) ([]float64, error) {
 }
 
 // tred2 reduces the symmetric matrix stored in z to tridiagonal form with
-// diagonal d and sub-diagonal e (e[0] unused). When wantV is true, z is
-// overwritten with the accumulated orthogonal transformation Q such that
-// Qᵀ A Q = T; otherwise z holds scratch data on return.
-func tred2(z *Dense, d, e []float64, wantV bool) {
+// diagonal d and sub-diagonal e (e[0] unused). When g (length-n scratch)
+// is non-nil, z is overwritten with the accumulated orthogonal
+// transformation Q such that Qᵀ A Q = T; otherwise z holds scratch data on
+// return.
+func tred2(z *Dense, d, e, g []float64) {
 	n := z.Rows
+	wantV := g != nil
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
 		h, scale := 0.0, 0.0
@@ -142,13 +169,25 @@ func tred2(z *Dense, d, e []float64, wantV bool) {
 	for i := 0; i < n; i++ {
 		l := i - 1
 		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
-				g := 0.0
-				for k := 0; k <= l; k++ {
-					g += z.At(i, k) * z.At(k, j)
+			// g_j = Σ_k z_ik z_kj (k ascending), then z_kj −= g_j z_ki for
+			// j, k ≤ l, row by row. No update touches an operand of any g,
+			// so this is the column-by-column recurrence, element for
+			// element.
+			zi := z.Row(i)
+			gi := g[:i]
+			clear(gi)
+			for k := 0; k <= l; k++ {
+				zik, zk := zi[k], z.Row(k)[:i]
+				for j := range gi {
+					gi[j] += zik * zk[j]
 				}
-				for k := 0; k <= l; k++ {
-					z.Set(k, j, z.At(k, j)-g*z.At(k, i))
+			}
+			for k := 0; k <= l; k++ {
+				zk := z.Row(k)
+				zki := zk[i]
+				zk = zk[:i]
+				for j := range gi {
+					zk[j] = zk[j] - gi[j]*zki
 				}
 			}
 		}
@@ -162,8 +201,9 @@ func tred2(z *Dense, d, e []float64, wantV bool) {
 }
 
 // tql performs implicit-shift QL iteration on the tridiagonal matrix
-// (d, e). When wantV is true the rotations are accumulated into z.
-func tql(d, e []float64, z *Dense, wantV bool) error {
+// (d, e). When zt is non-nil the rotations are accumulated into it, which
+// holds the transformation transposed: row i is eigenvector i.
+func tql(d, e []float64, zt *Dense) error {
 	n := len(d)
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
@@ -210,11 +250,13 @@ func tql(d, e []float64, z *Dense, wantV bool) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				if wantV {
-					for k := 0; k < n; k++ {
-						f := z.At(k, i+1)
-						z.Set(k, i+1, s*z.At(k, i)+c*f)
-						z.Set(k, i, c*z.At(k, i)-s*f)
+				if zt != nil {
+					zi, zj := zt.Row(i), zt.Row(i+1)
+					zj = zj[:len(zi)]
+					for k := range zi {
+						f := zj[k]
+						zj[k] = s*zi[k] + c*f
+						zi[k] = c*zi[k] - s*f
 					}
 				}
 			}
@@ -229,21 +271,44 @@ func tql(d, e []float64, z *Dense, wantV bool) error {
 	return nil
 }
 
-// sortEig sorts eigenvalues ascending and permutes the eigenvector columns
-// of z to match.
-func sortEig(d []float64, z *Dense) {
-	n := len(d)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+// sortEig sorts eigenvalues ascending and permutes the eigenvector rows of
+// zt to match, in place. The sort runs on the pairs themselves, so the
+// comparisons — and with them the order of tied eigenvalues — are those
+// of sorting an index permutation by value and applying it afterwards.
+func sortEig(d []float64, zt *Dense) {
+	s := eigSorters.Get()
+	s.d, s.zt = d, zt
+	sort.Sort(s)
+	s.d, s.zt = nil, nil
+	eigSorters.Put(s)
+}
+
+// eigSorter sorts eigenpairs by value: Swap exchanges two eigenvalues and
+// their eigenvector rows. Pooled so that sorting allocates nothing.
+type eigSorter struct {
+	d  []float64
+	zt *Dense
+}
+
+var eigSorters = parallel.FreeList[eigSorter]{New: func() *eigSorter { return new(eigSorter) }}
+
+func (s *eigSorter) Len() int           { return len(s.d) }
+func (s *eigSorter) Less(i, j int) bool { return s.d[i] < s.d[j] }
+func (s *eigSorter) Swap(i, j int) {
+	s.d[i], s.d[j] = s.d[j], s.d[i]
+	ri, rj := s.zt.Row(i), s.zt.Row(j)
+	for k := range ri {
+		ri[k], rj[k] = rj[k], ri[k]
 	}
-	sort.Slice(idx, func(a, b int) bool { return d[idx[a]] < d[idx[b]] })
-	dOld := append([]float64(nil), d...)
-	zOld := z.Clone()
-	col := make([]float64, n)
-	for newPos, oldPos := range idx {
-		d[newPos] = dOld[oldPos]
-		zOld.Col(col, oldPos)
-		z.SetCol(newPos, col)
+}
+
+// transposeSquare transposes the square matrix m in place.
+func (m *Dense) transposeSquare() {
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			a, b := m.At(i, j), m.At(j, i)
+			m.Set(i, j, b)
+			m.Set(j, i, a)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package mat
 
-import (
-	"sync"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // Matrix-product kernels. Large products run through a cache-blocked,
 // panel-packed GEMM (packA/packB + a 4×4 register micro-kernel, the
@@ -42,7 +38,7 @@ type gemmScratch struct {
 	a, b []float64
 }
 
-var gemmPool = sync.Pool{New: func() any { return new(gemmScratch) }}
+var gemmPool = parallel.FreeList[gemmScratch]{New: func() *gemmScratch { return new(gemmScratch) }}
 
 func growBuf(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
@@ -86,7 +82,7 @@ func Mul(dst, a, b *Dense) *Dense {
 		refMulRange(dst, a, b, 0, a.Rows)
 		return dst
 	}
-	t := mulTasks.Get().(*kernelTask)
+	t := mulTasks.Get()
 	t.m1, t.m2, t.m3 = dst, a, b
 	parallel.ForChunk(a.Rows, t.fn)
 	t.release(mulTasks)
@@ -116,7 +112,7 @@ func MulTransA(dst, a, b *Dense) *Dense {
 		mulTransASmallRange(dst, a, b, 0, a.Cols)
 		return dst
 	}
-	t := mulTransATasks.Get().(*kernelTask)
+	t := mulTransATasks.Get()
 	t.m1, t.m2, t.m3 = dst, a, b
 	parallel.ForChunkMin(a.Cols, gemmRowFloor, t.fn)
 	t.release(mulTransATasks)
@@ -161,7 +157,7 @@ func MulTransB(dst, a, b *Dense) *Dense {
 		mulTransBSmallRange(dst, a, b, 0, a.Rows)
 		return dst
 	}
-	t := mulTransBTasks.Get().(*kernelTask)
+	t := mulTransBTasks.Get()
 	t.m1, t.m2, t.m3 = dst, a, b
 	parallel.ForChunkMin(a.Rows, gemmRowFloor, t.fn)
 	t.release(mulTransBTasks)
@@ -219,7 +215,7 @@ func gemm(dst, a, b *Dense, transA, transB bool) {
 	if transA {
 		kd = a.Rows
 	}
-	sc := gemmPool.Get().(*gemmScratch)
+	sc := gemmPool.Get()
 	bp := growBuf(&sc.b, gemmKC*(gemmNC+gemmNR))
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
@@ -245,7 +241,7 @@ func gemmSerial(dst, a, b *Dense, transA, transB bool) {
 	if transA {
 		kd = a.Rows
 	}
-	sc := gemmPool.Get().(*gemmScratch)
+	sc := gemmPool.Get()
 	bp := growBuf(&sc.b, gemmKC*(gemmNC+gemmNR))
 	ap := growBuf(&sc.a, gemmMC*gemmKC)
 	for jc := 0; jc < n; jc += gemmNC {
@@ -264,7 +260,7 @@ func gemmSerial(dst, a, b *Dense, transA, transB bool) {
 //
 //firal:hotpath
 func gemmTileParallel(dst, a *Dense, transA bool, bp []float64, pc, jc, kc, nc, m int) {
-	t := gemmTileTasks.Get().(*kernelTask)
+	t := gemmTileTasks.Get()
 	t.m1, t.m2, t.b1, t.v1 = dst, a, transA, bp
 	t.i1, t.i2, t.i3, t.i4 = pc, jc, kc, nc
 	parallel.ForChunkMin(m, gemmRowFloor, t.fn)
@@ -272,7 +268,7 @@ func gemmTileParallel(dst, a *Dense, transA bool, bp []float64, pc, jc, kc, nc, 
 }
 
 var gemmTileTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
-	wsc := gemmPool.Get().(*gemmScratch)
+	wsc := gemmPool.Get()
 	ap := growBuf(&wsc.a, gemmMC*gemmKC)
 	gemmRowRange(t.m1, t.m2, t.b1, ap, t.v1, t.i1, t.i2, t.i3, t.i4, lo, hi)
 	gemmPool.Put(wsc)
@@ -624,7 +620,7 @@ func MatVec(dst []float64, a *Dense, x []float64) []float64 {
 		matVecRange(dst, a, x, 0, a.Rows)
 		return dst
 	}
-	t := matVecTasks.Get().(*kernelTask)
+	t := matVecTasks.Get()
 	t.v1, t.m1, t.v2 = dst, a, x
 	parallel.ForChunk(a.Rows, t.fn)
 	t.release(matVecTasks)
@@ -712,7 +708,7 @@ func WeightedGramWS(ws *Workspace, dst *Dense, x *Dense, w []float64) *Dense {
 	// pooled task record, so the whole reduction is allocation-free with a
 	// warm workspace.
 	buf := ws.Vec(nw * d * d)
-	t := gramTasks.Get().(*kernelTask)
+	t := gramTasks.Get()
 	if cap(t.hdrs) < nw {
 		//firal:allow(alloc) — amortized: grows once per worker-count change
 		t.hdrs = make([]Dense, nw)
@@ -824,7 +820,7 @@ func RowDots(dst []float64, a, b *Dense) []float64 {
 		rowDotsRange(dst, a, b, 0, a.Rows)
 		return dst
 	}
-	t := rowDotsTasks.Get().(*kernelTask)
+	t := rowDotsTasks.Get()
 	t.v1, t.m1, t.m2 = dst, a, b
 	parallel.ForChunk(a.Rows, t.fn)
 	t.release(rowDotsTasks)

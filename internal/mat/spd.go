@@ -28,17 +28,20 @@ func NewSPDFuncs(a *Dense, floor float64) (*SPDFuncs, error) {
 // the receiver and must not be modified.
 func (s *SPDFuncs) Eigenvalues() []float64 { return s.vals }
 
-// apply returns V diag(f(λ)) Vᵀ.
-func (s *SPDFuncs) apply(f func(float64) float64) *Dense {
+// apply returns V diag(f(λ)) Vᵀ in dst (allocated when nil), with its
+// scratch from ws.
+func (s *SPDFuncs) apply(ws *Workspace, dst *Dense, f func(float64) float64) *Dense {
 	n := len(s.vals)
-	scaled := NewDense(n, n)
+	scaled := ws.Matrix(n, n)
 	for j := 0; j < n; j++ {
 		fj := f(s.vals[j])
 		for i := 0; i < n; i++ {
 			scaled.Set(i, j, s.vecs.At(i, j)*fj)
 		}
 	}
-	return MulTransB(nil, scaled, s.vecs)
+	dst = MulTransB(dst, scaled, s.vecs)
+	ws.PutMatrix(scaled)
+	return dst
 }
 
 func (s *SPDFuncs) clamped(v float64) float64 {
@@ -53,7 +56,7 @@ func (s *SPDFuncs) clamped(v float64) float64 {
 // Sqrt returns A^{1/2} (negative eigenvalues from roundoff are clamped to
 // zero).
 func (s *SPDFuncs) Sqrt() *Dense {
-	return s.apply(func(l float64) float64 {
+	return s.apply(nil, nil, func(l float64) float64 {
 		if l < 0 {
 			return 0
 		}
@@ -62,13 +65,28 @@ func (s *SPDFuncs) Sqrt() *Dense {
 }
 
 // InvSqrt returns A^{-1/2} with eigenvalue flooring.
-func (s *SPDFuncs) InvSqrt() *Dense {
-	return s.apply(func(l float64) float64 { return 1 / math.Sqrt(s.clamped(l)) })
+func (s *SPDFuncs) InvSqrt() *Dense { return s.apply(nil, nil, s.invSqrt) }
+
+func (s *SPDFuncs) invSqrt(l float64) float64 { return 1 / math.Sqrt(s.clamped(l)) }
+
+// InvSqrtInto writes A^{-1/2} of the symmetric PSD matrix a into dst
+// (must not alias a) with every temporary drawn from ws: bit for bit
+// NewSPDFuncs(a, floor).InvSqrt(), without its per-call matrices.
+func InvSqrtInto(ws *Workspace, dst, a *Dense, floor float64) error {
+	n := a.Rows
+	s := SPDFuncs{vals: ws.Vec(n), vecs: ws.Matrix(n, n), floor: floor}
+	defer ws.PutVec(s.vals)
+	defer ws.PutMatrix(s.vecs)
+	if _, _, err := SymEigInto(ws, s.vals, s.vecs, a); err != nil {
+		return err
+	}
+	s.apply(ws, dst, s.invSqrt)
+	return nil
 }
 
 // Inv returns A^{-1} with eigenvalue flooring.
 func (s *SPDFuncs) Inv() *Dense {
-	return s.apply(func(l float64) float64 { return 1 / s.clamped(l) })
+	return s.apply(nil, nil, func(l float64) float64 { return 1 / s.clamped(l) })
 }
 
 // Cond returns the 2-norm condition number λmax/λmin (after flooring),

@@ -1,6 +1,6 @@
 package mat
 
-import "sync"
+import "repro/internal/parallel"
 
 // Kernel task pools: the allocation-free bridge between the mat kernels
 // and the persistent worker pool of internal/parallel.
@@ -9,7 +9,7 @@ import "sync"
 // and is therefore heap-allocated on every call — one object per kernel
 // invocation, which the repeated full-pool sweeps of a FIRAL round turn
 // into the last remaining steady-state allocation source on multicore.
-// Instead, each parallel kernel keeps a sync.Pool of kernelTask records
+// Instead, each parallel kernel keeps a FreeList of kernelTask records
 // whose dispatch func was built once, closing over the record itself;
 // a call checks out a record, fills in the operand slots, hands the
 // pre-built func to parallel.ForChunk/Fork, and clears the slots on
@@ -30,7 +30,7 @@ type kernelTask struct {
 
 // release clears every reference slot (so pooled records don't pin
 // operand memory) and returns the record to its pool.
-func (t *kernelTask) release(p *sync.Pool) {
+func (t *kernelTask) release(p *taskPool) {
 	t.m1, t.m2, t.m3, t.m4 = nil, nil, nil, nil
 	t.v1, t.v2 = nil, nil
 	for i := range t.hdrs {
@@ -39,11 +39,14 @@ func (t *kernelTask) release(p *sync.Pool) {
 	p.Put(t)
 }
 
+// taskPool recycles one kernel's task records.
+type taskPool = parallel.FreeList[kernelTask]
+
 // newChunkTaskPool builds a pool of records whose fn runs body over the
 // record's operand slots.
-func newChunkTaskPool(body func(t *kernelTask, lo, hi int)) *sync.Pool {
-	p := &sync.Pool{}
-	p.New = func() any {
+func newChunkTaskPool(body func(t *kernelTask, lo, hi int)) *taskPool {
+	p := &taskPool{}
+	p.New = func() *kernelTask {
 		t := &kernelTask{}
 		t.fn = func(lo, hi int) { body(t, lo, hi) }
 		return t
@@ -52,9 +55,9 @@ func newChunkTaskPool(body func(t *kernelTask, lo, hi int)) *sync.Pool {
 }
 
 // newForkTaskPool is newChunkTaskPool for Fork-style (per-index) bodies.
-func newForkTaskPool(body func(t *kernelTask, i int)) *sync.Pool {
-	p := &sync.Pool{}
-	p.New = func() any {
+func newForkTaskPool(body func(t *kernelTask, i int)) *taskPool {
+	p := &taskPool{}
+	p.New = func() *kernelTask {
 		t := &kernelTask{}
 		t.forkFn = func(i int) { body(t, i) }
 		return t

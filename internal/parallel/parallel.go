@@ -172,7 +172,7 @@ func Fork(n int, fn func(i int)) {
 		fn(0)
 		return
 	}
-	j := forkJobPool.Get().(*forkJob)
+	j := forkJobPool.Get()
 	j.fn = fn
 	j.exits.Store(int64(n))
 	h := defaultPool.claim(nil, j, 1, n-1)
@@ -246,7 +246,7 @@ func forChunk(n, minPer int, fn func(lo, hi int)) {
 	if nchunks := (n + chunk - 1) / chunk; w > nchunks {
 		w = nchunks
 	}
-	j := chunkJobPool.Get().(*chunkJob)
+	j := chunkJobPool.Get()
 	j.fn, j.n, j.chunk = fn, n, chunk
 	j.next.Store(0)
 	// Participants = claimed helpers + the caller. exits starts at the

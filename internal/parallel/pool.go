@@ -12,7 +12,7 @@ import (
 // workers parked on private channels; a dispatch hands each claimed worker
 // a small by-value work item, so a steady-state kernel call forks zero
 // goroutines and allocates nothing (job records are recycled through
-// sync.Pools).
+// FreeLists).
 //
 // Dispatch protocol:
 //
@@ -71,7 +71,7 @@ type chunkJob struct {
 	done  chan struct{}
 }
 
-var chunkJobPool = sync.Pool{New: func() any {
+var chunkJobPool = FreeList[chunkJob]{New: func() *chunkJob {
 	return &chunkJob{done: make(chan struct{}, 1)}
 }}
 
@@ -105,7 +105,7 @@ type forkJob struct {
 	done  chan struct{}
 }
 
-var forkJobPool = sync.Pool{New: func() any {
+var forkJobPool = FreeList[forkJob]{New: func() *forkJob {
 	return &forkJob{done: make(chan struct{}, 1)}
 }}
 
