@@ -12,7 +12,8 @@
 //	firal-bench -against BENCH_round.json -tol 10   # diff vs a baseline
 //
 // With -against, results are compared to the baseline file after the
-// run: a benchmark fails the diff when its ns/op exceeds baseline×tol
+// run: a baseline row with no fresh result fails the diff, and a
+// benchmark fails it when its ns/op exceeds baseline×tol
 // (machines differ; keep tol generous) or its allocs/op regresses beyond
 // baseline + max(8, baseline/4) — a gross-regression tripwire; the exact
 // zero-alloc pins live in the AllocsPerRun tests. Any failure exits
@@ -279,15 +280,6 @@ func main() {
 		rep.Results = append(rep.Results, e)
 	}
 
-	// --- Incremental delta round vs full-rescore round at n=1e5. ---
-	if e, err := deltaRoundBench(); err != nil {
-		log.Fatal(err)
-	} else {
-		fmt.Printf("%-28s %14.0f ns/op %8d allocs/op  (%.1fx vs full rescore)\n",
-			e.Name, e.NsPerOp, e.AllocsPerOp, e.Extra["cost_ratio"])
-		rep.Results = append(rep.Results, e)
-	}
-
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -539,97 +531,12 @@ func relaxStreamBench(setup *streamSetup) (entry, error) {
 	return e, nil
 }
 
-// deltaRoundBench measures round t+1 two ways over the same grown pool
-// (100,000 resident rows plus a 1% append, d = 64, binary problem): the
-// from-scratch path — full RELAX over the grown pool, then ROUND — and
-// the incremental path — Incremental.AppendRows sweeps only the 1,000
-// appended rows, then a Refine == 0 Select starts ROUND directly from
-// the maintained Σ⋄/Ho blocks. Each path is timed wall-clock once (the
-// delta path mutates the session state, so there is no b.N loop; both
-// paths share the worker pool, so the ratio is fair) and the entry
-// hard-fails unless the incremental round selects exactly what the
-// from-scratch ROUND selects at the same weights — the maintained blocks
-// must be the rebuilt ones, argmax for argmax.
-func deltaRoundBench() (entry, error) {
-	const (
-		nOld   = 100_000
-		nDelta = 1_000 // the 1% append
-		nNew   = nOld + nDelta
-		d      = 64
-		b      = 5
-	)
-	labeled, full := experiments.SynthSets(20, nNew, d, 2, 17)
-	base := hessian.NewSet(full.X.RowSlice(0, nOld), full.H.RowSlice(0, nOld))
-	pBase := firal.NewProblem(labeled, base)
-	relaxOpts := firal.RelaxOptions{FixedIterations: 12, Probes: 10, CGTol: 0.1, CGMaxIter: 8, Seed: 29}
-	ctx := context.Background()
-
-	// Round t: the session's last full selection over the base pool seeds
-	// the incremental state (and warms the scratch pools both timed paths
-	// draw from).
-	relax, err := firal.RelaxFast(ctx, pBase, b, relaxOpts)
-	if err != nil {
-		return entry{}, err
-	}
-	inc, err := firal.NewIncremental(pBase, relax.Z, b, 0)
-	if err != nil {
-		return entry{}, err
-	}
-	pFull := firal.NewProblem(labeled, full)
-
-	// From-scratch round t+1 over the grown pool.
-	t0 := time.Now()
-	relaxFull, err := firal.RelaxFast(ctx, pFull, b, relaxOpts)
-	if err != nil {
-		return entry{}, err
-	}
-	if _, err := firal.RoundFast(pFull, relaxFull.Z, b, firal.RoundOptions{Eta: inc.Eta()}); err != nil {
-		return entry{}, err
-	}
-	fullNs := float64(time.Since(t0).Nanoseconds())
-
-	// The from-scratch ROUND at the maintained (reprojected) weights — the
-	// selection the incremental path must reproduce exactly.
-	scratch, err := firal.RoundFast(pFull, firal.ReprojectSimplex(relax.Z, nNew), b,
-		firal.RoundOptions{Eta: inc.Eta()})
-	if err != nil {
-		return entry{}, err
-	}
-
-	// Incremental round t+1: absorb the delta, select from the blocks.
-	t0 = time.Now()
-	if err := inc.AppendRows(full); err != nil {
-		return entry{}, err
-	}
-	incRes, err := inc.Select(ctx, firal.SelectOptions{})
-	if err != nil {
-		return entry{}, err
-	}
-	deltaNs := float64(time.Since(t0).Nanoseconds())
-
-	match := len(incRes.Selected) == len(scratch.Selected)
-	for i := 0; match && i < len(incRes.Selected); i++ {
-		match = incRes.Selected[i] == scratch.Selected[i]
-	}
-	if !match {
-		return entry{}, fmt.Errorf("delta round selections diverge from the from-scratch path: %v vs %v",
-			incRes.Selected, scratch.Selected)
-	}
-	return entry{
-		Name:    "delta_round_n1e5_d64",
-		NsPerOp: deltaNs,
-		Extra: map[string]float64{
-			"full_round_ns":   fullNs,
-			"cost_ratio":      fullNs / deltaNs,
-			"selection_match": 1,
-		},
-	}, nil
-}
-
 // diffAgainst compares the fresh results to a recorded baseline. Timing
 // gets a multiplicative tolerance (CI machines differ from the recording
 // machine); allocation counts are near-exact, since they are what the
-// zero-alloc work pins.
+// zero-alloc work pins. A baseline row with no fresh result fails the
+// diff, so a benchmark that stops running cannot pass silently; a fresh
+// row with no baseline is a new benchmark and is not diffed.
 func diffAgainst(path string, rep report, tol float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -639,15 +546,16 @@ func diffAgainst(path string, rep report, tol float64) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
-	byName := make(map[string]entry, len(base.Results))
-	for _, e := range base.Results {
-		byName[e.Name] = e
+	fresh := make(map[string]entry, len(rep.Results))
+	for _, e := range rep.Results {
+		fresh[e.Name] = e
 	}
 	var failures []string
-	for _, e := range rep.Results {
-		b, ok := byName[e.Name]
+	for _, b := range base.Results {
+		e, ok := fresh[b.Name]
 		if !ok {
-			continue // new benchmark, no baseline yet
+			failures = append(failures, fmt.Sprintf("%s: in the baseline but not run", b.Name))
+			continue
 		}
 		if maxNs := b.NsPerOp * tol; e.NsPerOp > maxNs {
 			failures = append(failures, fmt.Sprintf(

@@ -83,11 +83,9 @@ func main() {
 		transport = flag.String("transport", "inproc", "dist-firal transport: inproc (goroutine ranks) or tcp (one OS process per rank)")
 		rank      = flag.Int("rank", 0, "this process's rank with -transport tcp (-ranks is the world size)")
 		peers     = flag.String("peers", "", "rendezvous host:port with -transport tcp (rank 0 listens there, everyone else dials)")
-		chunk     = flag.Int("chunk", 0, "allreduce pipeline chunk in float64 elements (0 = unchunked; results are bit-identical)")
 		opTimeout = flag.Duration("op-timeout", 0, "per-operation timeout enabling rank-failure recovery (0 = wait forever)")
 		killAfter = flag.Int("kill-after", 0, "test hook: crash this process after N collective steps (0 = off)")
 		blockRows = flag.Int("block", 0, "streaming row-block size (0 = default)")
-		prefetch  = flag.Bool("prefetch", true, "overlap shard decode with compute via async block read-ahead (selections are identical either way; dist-firal ranks always prefetch)")
 		pack      = flag.String("pack", "", "write the -pool CSV (features only) to this shard file and exit")
 	)
 	flag.Parse()
@@ -103,8 +101,7 @@ func main() {
 			shards: strings.Split(*shards, ","), labeled: *labPath, labelCol: *labelCol,
 			selector: *selName, ranks: *ranks, budget: *budget, block: *blockRows,
 			seed: *seed, probes: *probes, cgtol: *cgtol, relaxIters: *relaxIt, workers: *workers,
-			prefetch:  *prefetch,
-			transport: *transport, rank: *rank, peers: *peers, chunk: *chunk,
+			transport: *transport, rank: *rank, peers: *peers,
 			opTimeout: *opTimeout, killAfter: *killAfter,
 		}); err != nil {
 			log.Fatal(err)

@@ -71,14 +71,12 @@ type streamConfig struct {
 	cgtol      float64
 	relaxIters int
 	workers    int
-	prefetch   bool
 
 	// Real-network mode (-transport tcp): this process is rank `rank` of
 	// a `ranks`-wide world bootstrapped through the `peers` rendezvous.
 	transport string
 	rank      int
 	peers     string
-	chunk     int
 	opTimeout time.Duration
 	killAfter int
 }
@@ -187,7 +185,6 @@ func streamSelect(cfg streamConfig) error {
 		selected := make([][]int, ranks)
 		errs := make([]error, ranks)
 		mpi.Run(ranks, func(c *mpi.Comm) {
-			c.SetChunk(cfg.chunk)
 			sh := distfiral.MakeStreamShard(labeled, src, reduced, cfg.block, ranks, c.Rank())
 			sel, _, _, err := distfiral.Select(ctx, c, sh, cfg.budget, 0, relax)
 			selected[c.Rank()], errs[c.Rank()] = sel, err
@@ -199,18 +196,13 @@ func streamSelect(cfg streamConfig) error {
 		}
 		picked = selected[0]
 	default:
-		// -prefetch (default on) overlaps each block's float32 decode with
-		// the previous block's solver kernels; selections are bit-identical
-		// either way, so the flag exists only to measure the overlap and to
-		// fall back if a platform misbehaves. The prefetcher's Close closes
-		// src too — harmless next to the defer above (shard Close is
-		// idempotent), and it guarantees the in-flight read is drained
-		// before the mapping goes away.
-		var swept dataset.PoolSource = src
-		if cfg.prefetch {
-			swept = dataset.WithPrefetch(ctx, swept, cfg.block)
-			defer swept.Close()
-		}
+		// The prefetcher overlaps each block's float32 decode with the
+		// previous block's solver kernels; selections are bit-identical to
+		// the synchronous path. Its Close closes src too — harmless next to
+		// the defer above (shard Close is idempotent), and it guarantees
+		// the in-flight read is drained before the mapping goes away.
+		swept := dataset.WithPrefetch(ctx, src, cfg.block)
+		defer swept.Close()
 		pool := hessian.NewStream(swept, reduced, cfg.block)
 		p := firal.NewProblem(labeled, pool)
 		res, err := firal.SelectApprox(ctx, p, cfg.budget, firal.Options{Relax: relax})
@@ -252,7 +244,6 @@ func tcpSelect(ctx context.Context, cfg streamConfig, labeled *hessian.Set, src 
 		tr = &killTransport{Transport: tr, after: cfg.killAfter}
 	}
 	c := mpi.NewComm(tr)
-	c.SetChunk(cfg.chunk)
 
 	if cfg.opTimeout > 0 {
 		c.SetOpTimeout(cfg.opTimeout)

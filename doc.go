@@ -96,34 +96,25 @@
 // deadlines): the in-process mailbox world behind mpi.Run, and a
 // length-prefixed TCP transport with rendezvous bootstrap for real
 // multi-process runs (cmd/firal -transport tcp -peers host:port
-// -ranks p -rank r). Allreduces optionally run as a chunked pipeline
-// (Comm.SetChunk) that overlaps transfer with local reduction while
-// staying bit-identical to the unchunked schedule. With an operation
-// timeout set, a dead rank surfaces as mpi.ErrRankLost; survivors agree
-// on the dead set (Comm.Heal), and distfiral.SelectResilient re-shards
-// the survivors and resumes the interrupted RELAX iteration from the
-// last globally-agreed checkpoint, reproducing bit-for-bit what a fresh
-// run at the reduced rank count would select. A transport conformance
-// suite (internal/mpi/mpitest) and fault-injection tests pin the
-// contract; see ARCHITECTURE.md § Distributed transport and
-// examples/distributed.
+// -ranks p -rank r). With an operation timeout set, a dead rank surfaces
+// as mpi.ErrRankLost; survivors agree on the dead set (Comm.Heal), and
+// distfiral.SelectResilient re-shards the survivors and resumes the
+// interrupted RELAX iteration from the last globally-agreed checkpoint,
+// reproducing bit-for-bit what a fresh run at the reduced rank count
+// would select. A transport conformance suite (internal/mpi/mpitest) and
+// fault-injection tests pin the contract; see ARCHITECTURE.md
+// § Distributed transport and examples/distributed.
 //
-// # Incremental pools
+// # Growing pools
 //
-// Pools are mutable between rounds and round t+1 costs what changed:
-// dataset.LiveSource appends segments visibly to open readers (atomic
-// snapshots, generation-counted) and dataset.TombstoneView compacts
-// retired rows; internal/firal's Incremental state keeps the per-class
-// Σ⋄ and Ho blocks current under labeled/tombstone events at O(d²) each,
-// sweeps only the appended window of a grown pool, and starts ROUND
-// directly from the maintained blocks, selecting exactly what a
-// from-scratch rebuild would; RelaxOptions.WarmStart seeds mirror descent from the previous
-// round's weights reprojected onto the grown simplex. The service layer
-// exposes pool appends (POST /v1/sessions/{id}/pool), warm-starts each
-// round from the last one's converged weights, and re-scores only
-// appended rows when the model is unchanged. The delta_round_n1e5_d64
-// entry in BENCH_round.json tracks the incremental round's cost against
-// the full-rescore round. See ARCHITECTURE.md § Incremental pools.
+// Pools may grow between rounds: dataset.LiveSource appends segments
+// visibly to open readers (atomic snapshots, generation-counted), and
+// RelaxOptions.WarmStart seeds mirror descent from the previous round's
+// weights, reprojected onto the grown simplex by firal.ReprojectSimplex.
+// The service layer exposes pool appends (POST /v1/sessions/{id}/pool),
+// warm-starts each round from the last one's converged weights, and
+// re-scores only appended rows when the model is unchanged. See
+// ARCHITECTURE.md § Growing pools.
 //
 // Parallel loops run on a persistent worker pool (internal/parallel):
 // workers live for the life of the process, parked on channels when

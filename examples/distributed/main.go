@@ -112,7 +112,6 @@ func tcpBitIdentity() {
 	run := func(ts []mpi.Transport) []int {
 		var sel []int
 		mpi.RunTransports(ts, func(c *mpi.Comm) {
-			c.SetChunk(64) // pipelined allreduce; bit-identical either way
 			sh := distfiral.MakeShard(labeled, pool, c.Size(), c.Rank())
 			s, _, _, err := distfiral.Select(ctx, c, sh, b, 0, opts)
 			if err != nil {

@@ -23,7 +23,7 @@ var kernelNames = map[string]bool{
 	"ReadRows": true, "Block": true, "Stream": true,
 	// hessian blocked engines (single- and multi-RHS)
 	"MatVecWS": true, "QuadAccumWS": true, "BlockDiagSumInto": true,
-	"MatVecBlockWS": true, "QuadAccumBlockWS": true, "BlockDiagAccumRange": true,
+	"MatVecBlockWS": true, "QuadAccumBlockWS": true,
 	// krylov solvers
 	"Solve": true, "SolveInto": true, "SolveBlock": true,
 	"SolveBlockInto": true,

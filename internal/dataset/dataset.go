@@ -11,8 +11,8 @@
 //
 // The package also defines the out-of-core pool abstraction the
 // streaming solvers consume: PoolSource and its implementations
-// (MatrixSource, ShardSource, CSVSource, LiveSource, plus the Subrange,
-// TombstoneView, and CountingSource wrappers), and PrefetchSource /
+// (MatrixSource, ShardSource, CSVSource, LiveSource, plus the Subrange
+// and CountingSource wrappers), and PrefetchSource /
 // WithPrefetch, the async block read-ahead layer that overlaps shard
 // decode with kernel compute. The streaming and prefetch contracts are
 // specified in ARCHITECTURE.md § Contract 3.

@@ -75,8 +75,8 @@ func (s *LiveSource) Append(src PoolSource) (int64, error) {
 }
 
 // Generation returns the number of completed appends. A changed
-// generation tells a caching consumer (delta-only probability passes,
-// incremental Fisher state) that rows were added since it last looked.
+// generation tells a caching consumer (a delta-only probability pass)
+// that rows were added since it last looked.
 func (s *LiveSource) Generation() int64 { return s.state.Load().gen }
 
 // NumRows returns the current total row count.

@@ -14,11 +14,10 @@ import (
 // next read perfectly predictable: while the caller chews block k, block
 // k+1 can already be decoding on another goroutine. PrefetchSource
 // exploits exactly that — it overlaps the mmap decode latency of a
-// ShardSource (or the run-splicing of a TombstoneView, the segment
-// routing of a LiveSource) with the Fisher/Gram kernels, without
-// changing a single byte of what the consumer sees: the blocks served
-// are the wrapped source's blocks, so selections stay bit-for-bit
-// identical to the synchronous path.
+// ShardSource (or the segment routing of a LiveSource) with the
+// Fisher/Gram kernels, without changing a single byte of what the
+// consumer sees: the blocks served are the wrapped source's blocks, so
+// selections stay bit-for-bit identical to the synchronous path.
 //
 // Two access styles are served:
 //
@@ -179,8 +178,8 @@ func (p *PrefetchSource) newBlock() *pfBlock {
 // a Resident source serves blocks zero-copy with no decode to hide, and
 // a pool of at most one block has no "next block" to read ahead. This is
 // the composition hook the streaming entry points use — wrap the
-// outermost view (after Subrange pinning or TombstoneView compaction),
-// then hand the result to hessian.NewStream:
+// outermost view (after Subrange pinning), then hand the result to
+// hessian.NewStream:
 //
 //	src := dataset.WithPrefetch(ctx, dataset.Subrange(live, 0, n), blockRows)
 //	pool := hessian.NewStream(src, probs, blockRows)
@@ -278,8 +277,8 @@ func (p *PrefetchSource) scheduleLocked(lo, hi int) {
 }
 
 // errLocked wraps a failed read with the request window; the wrapped
-// source's own context (shard path, live segment, tombstone run) rides
-// the %w chain below it.
+// source's own context (shard path, live segment) rides the %w chain
+// below it.
 func (p *PrefetchSource) errLocked(lo, hi int, err error) error {
 	return fmt.Errorf("dataset: prefetch rows [%d, %d): %w", lo, hi, err)
 }

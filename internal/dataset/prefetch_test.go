@@ -17,10 +17,10 @@ import (
 
 // prefetchTestSources builds the source compositions the prefetch layer
 // must be bit-transparent over: multi-file shard sets (seams inside
-// blocks), Subrange views (offset windows), LiveSource segment routing,
-// and TombstoneView run edges. Each returns a fresh source plus its
-// cleanup; values are deterministic and distinct per row so a misrouted
-// or stale block cannot collide with the expected bytes.
+// blocks), Subrange views (offset windows) and LiveSource segment
+// routing. Each returns a fresh source plus its cleanup; values are
+// deterministic and distinct per row so a misrouted or stale block cannot
+// collide with the expected bytes.
 func prefetchTestSources(t *testing.T) map[string]func() (PoolSource, func()) {
 	t.Helper()
 	const d = 5
@@ -80,16 +80,6 @@ func prefetchTestSources(t *testing.T) map[string]func() (PoolSource, func()) {
 				t.Fatal(err)
 			}
 			return live, func() { live.Close() }
-		},
-		"tombstone": func() (PoolSource, func()) {
-			src := openAll()
-			// Dead rows straddling a shard seam plus isolated holes: run
-			// edges land mid-block for every test block size.
-			view, err := NewTombstoneView(src, []int{0, 5, 6, 36, 37, 38, 70, 99, 100, 129})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return view, func() { src.Close() }
 		},
 	}
 }

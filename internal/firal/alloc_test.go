@@ -172,7 +172,7 @@ func TestSolveBlockZeroAllocMulticore(t *testing.T) {
 	mat.Fill(z, 1/float64(p.N()))
 	ws := mat.NewWorkspace()
 	bp := NewBlockPreconditionerWS()
-	if err := bp.Update(p.SigmaBlocksInto(ws, nil, z)); err != nil {
+	if err := bp.Update(p.sigmaBlocksInto(ws, nil, z)); err != nil {
 		t.Fatal(err)
 	}
 	const s = 5
@@ -213,7 +213,7 @@ func TestBlockPreconditionerWSZeroAllocWarm(t *testing.T) {
 	dst := make([]float64, p.Ed())
 	mat.Fill(v, 1)
 	iter := func() {
-		blocks = p.SigmaBlocksInto(ws, blocks, z)
+		blocks = p.sigmaBlocksInto(ws, blocks, z)
 		if err := bp.Update(blocks); err != nil {
 			t.Fatal(err)
 		}

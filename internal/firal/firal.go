@@ -16,9 +16,6 @@ type Options struct {
 	// once per candidate η and the one maximizing min_k λ_min((H)_k) of
 	// the selected batch wins.
 	EtaGrid []float64
-	// NaiveRound switches Exact-FIRAL to the literal per-candidate dense
-	// inverse (reference implementation; tiny problems only).
-	NaiveRound bool
 	// Exclude lists pool indices the ROUND step must not select (see
 	// RoundOptions.Exclude) — the tombstone set of a multi-round session
 	// whose earlier selections are still part of the pool.
@@ -53,11 +50,7 @@ func SelectExact(ctx context.Context, p *Problem, b int, o Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	runner := func(p *Problem, z []float64, b int, ro RoundOptions) (*RoundResult, error) {
-		ro.Naive = o.NaiveRound
-		return RoundExact(p, z, b, ro)
-	}
-	return roundWithTuning(ctx, p, relax, b, o, runner)
+	return roundWithTuning(ctx, p, relax, b, o, RoundExact)
 }
 
 type roundRunner func(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, error)

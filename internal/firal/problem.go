@@ -155,15 +155,15 @@ func (p *Problem) labeledBlocks() []*mat.Dense {
 
 // SigmaBlocks returns the c diagonal d×d blocks of Σz = Ho + Hz (Eq. 14).
 func (p *Problem) SigmaBlocks(z []float64) []*mat.Dense {
-	return p.SigmaBlocksInto(nil, nil, z)
+	return p.sigmaBlocksInto(nil, nil, z)
 }
 
-// SigmaBlocksInto is SigmaBlocks writing into dst with scratch from ws:
+// sigmaBlocksInto is SigmaBlocks writing into dst with scratch from ws:
 // dst is nil (allocate) or the result of an earlier call, which callers
 // that rebuild the blocks every iteration pass back to reuse its buffers.
 // The returned blocks are only valid until the next call with the same
 // dst. It is the engine's Σz assembly on one rank.
-func (p *Problem) SigmaBlocksInto(ws *mat.Workspace, dst []*mat.Dense, z []float64) []*mat.Dense {
+func (p *Problem) sigmaBlocksInto(ws *mat.Workspace, dst []*mat.Dense, z []float64) []*mat.Dense {
 	return single(p).sigmaBlocks(ws, p, dst, z, p.labeledBlocks(), nil, "")
 }
 

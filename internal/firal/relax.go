@@ -70,12 +70,6 @@ type RelaxOptions struct {
 	// MaxIter is the mirror-descent iteration cap T (default 100, the
 	// paper's bound for its convergence criterion).
 	MaxIter int
-	// Beta0 scales the mirror-descent learning-rate schedule
-	// β_t = Beta0 / (‖g_t‖∞ √t) (default 1).
-	Beta0 float64
-	// ObjTol stops when the relative change of the objective falls below
-	// it (default 1e-4, § IV-A).
-	ObjTol float64
 	// Probes is the number of Rademacher vectors s (default 10, § IV-A).
 	// Fast solver only.
 	Probes int
@@ -90,18 +84,18 @@ type RelaxOptions struct {
 	// RecordObjective stores the objective after every iteration,
 	// enabling the Fig. 4 sensitivity curves.
 	RecordObjective bool
-	// FixedIterations, when positive, disables the ObjTol stop and runs
-	// exactly this many mirror-descent iterations (used by the
+	// FixedIterations, when positive, disables the convergence stop and
+	// runs exactly this many mirror-descent iterations (used by the
 	// performance experiments, which time a fixed iteration count).
 	FixedIterations int
 	// WarmStart, when non-nil, seeds mirror descent from this weight
-	// vector instead of the uniform simplex — the warm-started round of an
-	// incremental session, where the previous round's converged z
-	// (reprojected onto the grown simplex, see ReprojectSimplex) is a far
-	// better iterate than uniform. The vector must have one nonnegative
-	// entry per pool point with a positive sum; it is copied and normalized
-	// to sum 1, so callers may pass z⋄ (which sums to b) directly. Resume
-	// takes precedence: a checkpointed trajectory restarts from its exact
+	// vector instead of the uniform simplex — firald's round after a pool
+	// append, where the previous round's converged z (reprojected onto the
+	// grown simplex, see ReprojectSimplex) is a far better iterate than
+	// uniform. The vector must have one nonnegative entry per pool point
+	// with a positive sum; it is copied and normalized to sum 1, so
+	// callers may pass z⋄ (which sums to b) directly. Resume takes
+	// precedence: a checkpointed trajectory restarts from its exact
 	// iterate, not from the warm seed. Fast solver only.
 	WarmStart []float64
 	// Resume, when non-nil, continues a previous RelaxFast solve from the
@@ -124,12 +118,6 @@ func (o *RelaxOptions) defaults() {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 100
 	}
-	if o.Beta0 <= 0 {
-		o.Beta0 = 1
-	}
-	if o.ObjTol <= 0 {
-		o.ObjTol = 1e-4
-	}
 	if o.Probes <= 0 {
 		o.Probes = 10
 	}
@@ -142,6 +130,36 @@ func (o *RelaxOptions) defaults() {
 	if o.FixedIterations > 0 {
 		o.MaxIter = o.FixedIterations
 	}
+}
+
+// ReprojectSimplex maps a weight vector over len(old) rows onto a pool
+// grown to n rows, preserving total mass: with α = (n−len(old))/n, old
+// entries are scaled by (1−α) and each new row receives total/n — the
+// mass a uniform draw over the grown pool would give it. A unit simplex
+// stays a unit simplex; a z⋄ summing to b keeps summing to b. The warm
+// seed for RelaxOptions.WarmStart after an append.
+func ReprojectSimplex(old []float64, n int) []float64 {
+	m := len(old)
+	if n < m {
+		panic(fmt.Sprintf("firal: cannot reproject %d weights onto a smaller pool of %d", m, n))
+	}
+	if n == m {
+		return append([]float64(nil), old...)
+	}
+	var total float64
+	for _, v := range old {
+		total += v
+	}
+	alpha := float64(n-m) / float64(n)
+	out := make([]float64, n)
+	for i, v := range old {
+		out[i] = v * (1 - alpha)
+	}
+	fill := total / float64(n)
+	for i := m; i < n; i++ {
+		out[i] = fill
+	}
+	return out
 }
 
 // RelaxResult reports a RELAX solve.
@@ -165,13 +183,21 @@ type RelaxResult struct {
 	Timings *timing.Phases
 }
 
+// Mirror-descent constants: beta0 scales the learning-rate schedule
+// β_t = beta0 / (‖g_t‖∞ √t), and objTol stops a solve once the relative
+// change of the objective falls below it (§ IV-A).
+const (
+	beta0  = 1
+	objTol = 1e-4
+)
+
 // mirrorStep applies the entropic mirror-descent update of Algorithm 1
 // lines 7–8 (z_i ← z_i e^{−β g_i}, renormalized), with β_t scaled by the
 // gradient's ∞-norm for a scale-free schedule. z and g are this rank's
 // slices; the ∞-norm and the normalizing sum are reduced over the group.
 //
 //firal:hotpath
-func mirrorStep(cm Collective, z, g []float64, beta0 float64, t int) {
+func mirrorStep(cm Collective, z, g []float64, t int) {
 	gmax := 0.0
 	for _, v := range g {
 		if a := math.Abs(v); a > gmax {
@@ -420,7 +446,7 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 
 		// Lines 10–11: entropic mirror-descent update.
 		stop = ph.Start("other")
-		mirrorStep(cm, z, gr, o.Beta0, t)
+		mirrorStep(cm, z, gr, t)
 		stop()
 
 		res.Iterations = t
@@ -433,7 +459,7 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 			o.OnIteration(&ck)
 		}
 		// f is replicated, so the windowed stop fires on every rank at once.
-		if o.FixedIterations == 0 && StochasticConverged(sc.fHist, o.ObjTol) {
+		if o.FixedIterations == 0 && StochasticConverged(sc.fHist, objTol) {
 			break
 		}
 	}

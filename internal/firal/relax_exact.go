@@ -83,14 +83,14 @@ func RelaxExact(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxR
 
 		// Mirror-descent update (lines 7–8).
 		stop = ph.Start("other")
-		mirrorStep(solo{}, z, g, o.Beta0, t)
+		mirrorStep(solo{}, z, g, t)
 		stop()
 
 		res.Iterations = t
 		if o.RecordObjective {
 			res.Objectives = append(res.Objectives, f)
 		}
-		if o.FixedIterations == 0 && relConv(prevF, f, o.ObjTol) {
+		if o.FixedIterations == 0 && relConv(prevF, f, objTol) {
 			break
 		}
 		prevF = f

@@ -74,9 +74,9 @@ func NewRoundState(sig, ho []*mat.Dense, b int, eta float64, ph *timing.Phases) 
 }
 
 // newRoundStateInto builds a RoundState reusing a previous state's
-// storage (pooled by RoundGroup, kept by Incremental): when prev matches
-// the block shape, all of its storage is recycled and the build allocates
-// nothing. A nil or mismatched prev builds fresh storage.
+// storage (pooled by RoundGroup): when prev matches the block shape, all
+// of its storage is recycled and the build allocates nothing. A nil or
+// mismatched prev builds fresh storage.
 func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
 	c := len(sig)
 	if c == 0 || len(ho) != c {
@@ -413,8 +413,7 @@ func RoundGroup(ctx context.Context, g Group, p *Problem, z []float64, b int, o 
 // state update for the winner, at most b times and never more than the
 // global pool holds. sc.selected marks local points the loop must skip
 // (earlier selections, the caller's exclude set) and is updated in
-// place. Shared by RoundGroup and the incremental delta rounds, which
-// differ only in how the entering RoundState was built.
+// place.
 //
 //firal:hotpath
 func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState, b int, sc *roundScratch, res *RoundResult) error {

@@ -74,38 +74,6 @@ func TestPrefetchedKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrefetchedDeltaSweepBitIdentical covers the windowed consumer:
-// BlockDiagAccumRange sweeps arbitrary [lo, hi) windows whose starts are
-// misaligned with the pipeline's predictions, so the prefetcher serves
-// its miss path mid-stream — results must still match the synchronous
-// sweep bit for bit.
-func TestPrefetchedDeltaSweepBitIdentical(t *testing.T) {
-	set := allocSet(397, 11, 4)
-	const bs = 48
-	sync := NewStream(dataset.NewCountingSource(dataset.NewMatrixSource(set.X)), set.H, bs)
-	pre, _ := prefetchedStream(set, bs)
-	ws1, ws2 := mat.NewWorkspace(), mat.NewWorkspace()
-	c := set.C()
-	want := make([]*mat.Dense, c)
-	got := make([]*mat.Dense, c)
-	for k := 0; k < c; k++ {
-		want[k] = mat.NewDense(set.D(), set.D())
-		got[k] = mat.NewDense(set.D(), set.D())
-	}
-	for _, win := range [][2]int{{0, 397}, {13, 250}, {250, 397}, {40, 41}, {96, 397}} {
-		BlockDiagAccumRange(ws1, sync, want, nil, win[0], win[1], 1)
-		BlockDiagAccumRange(ws2, pre, got, nil, win[0], win[1], 1)
-		for k := 0; k < c; k++ {
-			for i := range want[k].Data {
-				if math.Float64bits(got[k].Data[i]) != math.Float64bits(want[k].Data[i]) {
-					t.Fatalf("window [%d, %d): block %d[%d] = %g prefetched, %g sync",
-						win[0], win[1], k, i, got[k].Data[i], want[k].Data[i])
-				}
-			}
-		}
-	}
-}
-
 // TestPrefetchedStreamZeroAllocMulticore pins the standing 0-alloc
 // contract on the new path: with four workers engaged and warm state, a
 // full prefetched sweep through each blocked kernel — including the

@@ -43,7 +43,7 @@ func agreeTag(epoch, round int) int {
 // rank order), plus the dead ranks in this Comm's numbering. The caller
 // must have an operation timeout set — without deadlines a lost rank
 // blocks forever and there is nothing to heal from. The returned Comm
-// inherits the timeout, chunking and traffic counters; its collective
+// inherits the timeout and traffic counters; its collective
 // sequence restarts under a fresh epoch, so stale messages from the
 // abandoned schedule are never matched again.
 //
@@ -115,7 +115,6 @@ func (c *Comm) Heal() (*Comm, []int, error) {
 		t:         &remapTransport{parent: c.t, oldOf: survivors, rank: newRank},
 		epoch:     c.epoch + 1,
 		opTimeout: c.opTimeout,
-		chunk:     c.chunk,
 		stats:     c.stats,
 	}
 	return nc, dead, nil

@@ -38,11 +38,6 @@ func (op Op) reduce(dst, src []float64) {
 // doubling (log p steps, the paper's MPI_Allreduce model ❶); other counts
 // use a bandwidth-optimal ring reduce-scatter + ring allgather, which also
 // covers the paper's 3-, 6- and 12-GPU configurations.
-//
-// With SetChunk, each pairwise exchange is pipelined: the payload is
-// split into fixed-size chunks and chunk k is reduced while chunk k+1 is
-// in flight. The element pairing and per-element reduction order are
-// unchanged, so the result is bit-identical to the unchunked path.
 func (c *Comm) Allreduce(data []float64, op Op) {
 	p := c.Size()
 	tag := c.nextCollTag()
@@ -78,14 +73,11 @@ func (c *Comm) allreduceRing(tag int, data []float64, op Op) {
 	left := (rank - 1 + p) % p
 	// Reduce-scatter: after p-1 steps, this rank owns the fully reduced
 	// chunk (rank+1) mod p. Per step, chunk(rank-step) goes right while
-	// the left neighbour's copy of chunk(rank-step-1) is reduced in —
-	// both sides of each pairwise exchange carry the same global chunk
-	// index, so the pipelined sub-chunk schedules agree.
+	// the left neighbour's copy of chunk(rank-step-1) is reduced in.
 	for step := 0; step < p-1; step++ {
 		c.exchangeReduce(right, left, tag, chunk(rank-step), chunk(rank-step-1), op)
 	}
-	// Ring allgather of the reduced chunks (copy only — nothing to
-	// overlap, so it is never sub-chunked).
+	// Ring allgather of the reduced chunks.
 	for step := 0; step < p-1; step++ {
 		c.send(right, tag, chunk(rank+1-step))
 		recvIdx := rank - step
@@ -95,51 +87,11 @@ func (c *Comm) allreduceRing(tag int, data []float64, op Op) {
 
 // exchangeReduce sends sendSeg to rank to and reduces the matching
 // segment arriving from rank from into redSeg (the two are the same
-// slice in recursive doubling). With chunking enabled the exchange is
-// pipelined: chunk k's reduce overlaps chunk k+1's transfer. Both sides
-// of an exchange derive their sub-chunk counts from the segment lengths
-// (⌈len/chunk⌉ messages for a segment), which agree pairwise because the
-// sender's segment and the receiver's reduce segment share a length.
+// slice in recursive doubling: safe, because the transport deep-copies
+// on send).
 func (c *Comm) exchangeReduce(to, from, tag int, sendSeg, redSeg []float64, op Op) {
-	ck := c.chunk
-	if ck <= 0 {
-		c.send(to, tag, sendSeg)
-		op.reduce(redSeg, c.recv(from, tag))
-		return
-	}
-	// A segment of length m always travels as numChunks(m) messages — a
-	// pure function of the length, so sender and receiver agree without
-	// negotiation (their segment lengths match pairwise). Prime the
-	// pipeline with one send, then alternate send(k+1)/reduce(k) so a
-	// chunk is in flight while the previous one is reduced. In recursive
-	// doubling sendSeg and redSeg alias: safe, because chunk k is always
-	// deep-copied by the transport before iteration k reduces it.
-	numChunks := func(m int) int {
-		if m <= ck {
-			return 1
-		}
-		return (m + ck - 1) / ck
-	}
-	toSend, toRecv := numChunks(len(sendSeg)), numChunks(len(redSeg))
-	sLo, rLo := 0, 0
-	sendNext := func() {
-		hi := min(sLo+ck, len(sendSeg))
-		c.send(to, tag, sendSeg[sLo:hi])
-		sLo = hi
-		toSend--
-	}
-	sendNext()
-	for toSend > 0 || toRecv > 0 {
-		if toSend > 0 {
-			sendNext()
-		}
-		if toRecv > 0 {
-			hi := min(rLo+ck, len(redSeg))
-			op.reduce(redSeg[rLo:hi], c.recv(from, tag))
-			rLo = hi
-			toRecv--
-		}
-	}
+	c.send(to, tag, sendSeg)
+	op.reduce(redSeg, c.recv(from, tag))
 }
 
 // AllreduceScalar reduces a single value across all ranks.
@@ -222,12 +174,6 @@ func (c *Comm) AllreduceMaxLoc(val float64, loc int) (float64, int, int) {
 		}
 	}
 	return bestVal, bestRank, bestLoc
-}
-
-// AllreduceMinLoc is the min analogue of AllreduceMaxLoc.
-func (c *Comm) AllreduceMinLoc(val float64, loc int) (float64, int, int) {
-	v, r, l := c.AllreduceMaxLoc(-val, loc)
-	return -v, r, l
 }
 
 // Partition computes this rank's contiguous share [lo, hi) of n items

@@ -14,7 +14,7 @@
 // rendezvous bootstrap (ConnectTCP) for real multi-process runs. See
 // ARCHITECTURE.md § Distributed transport for the interface contract,
 // the bootstrap protocol, the failure/agreement semantics behind
-// ErrRankLost and Comm.Heal, and the chunked-allreduce invariant.
+// ErrRankLost and Comm.Heal.
 //
 // Per-rank traffic counters feed internal/perfmodel's communication model
 // (ts + m·tw latency/bandwidth accounting).
@@ -27,24 +27,22 @@ import (
 )
 
 // Comm is one rank's handle on the communicator, layering the collective
-// schedule (SPMD tag sequencing, traffic counters, optional operation
-// deadlines and allreduce chunking) over a Transport. A Comm is confined
-// to its rank's goroutine and is not safe for concurrent use; concurrent
-// point-to-point traffic belongs on the Transport directly.
+// schedule (SPMD tag sequencing, traffic counters and optional operation
+// deadlines) over a Transport. A Comm is confined to its rank's goroutine
+// and is not safe for concurrent use; concurrent point-to-point traffic
+// belongs on the Transport directly.
 type Comm struct {
 	t         Transport
 	collSeq   int // per-rank collective sequence number (SPMD ordering)
 	epoch     int // incremented by Heal; scopes agreement tags
 	opTimeout time.Duration
-	chunk     int // allreduce pipeline chunk in elements; 0 = unchunked
 	stats     Stats
 }
 
 // NewComm wraps a Transport endpoint in a communicator. All ranks of a
 // group must construct their Comm over endpoints of the same group and
-// keep settings (chunk size, timeouts) identical — the collectives are
-// SPMD and both sides of every exchange must agree on the message
-// schedule.
+// keep their timeouts identical — the collectives are SPMD and both sides
+// of every exchange must agree on the message schedule.
 func NewComm(t Transport) *Comm { return &Comm{t: t} }
 
 // Transport returns the underlying endpoint.
@@ -59,13 +57,6 @@ func (c *Comm) SetOpTimeout(d time.Duration) { c.opTimeout = d }
 
 // OpTimeout reports the per-operation timeout (zero = wait forever).
 func (c *Comm) OpTimeout() time.Duration { return c.opTimeout }
-
-// SetChunk sets the allreduce pipeline chunk size in float64 elements:
-// payloads longer than elems are split so chunk k's reduce overlaps
-// chunk k+1's transfer. Results are bit-identical to the unchunked path
-// (same element pairing, same reduction order); only the message
-// schedule changes. Zero disables chunking. All ranks must agree.
-func (c *Comm) SetChunk(elems int) { c.chunk = elems }
 
 // Stats counts traffic originated by one rank.
 type Stats struct {

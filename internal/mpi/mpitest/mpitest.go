@@ -38,7 +38,6 @@ var Sizes = []int{1, 2, 3, 4, 6, 12}
 func RunConformance(t *testing.T, f Factory) {
 	t.Run("Bcast", func(t *testing.T) { conformBcast(t, f) })
 	t.Run("Allreduce", func(t *testing.T) { conformAllreduce(t, f) })
-	t.Run("AllreduceChunked", func(t *testing.T) { conformAllreduceChunked(t, f) })
 	t.Run("RaggedAllgatherv", func(t *testing.T) { conformRagged(t, f) })
 	t.Run("MaxLoc", func(t *testing.T) { conformMaxLoc(t, f) })
 	t.Run("Barrier", func(t *testing.T) { conformBarrier(t, f) })
@@ -94,43 +93,6 @@ func conformAllreduce(t *testing.T, f Factory) {
 				c.Allreduce(mn, mpi.Min)
 				if mn[0] != 0 {
 					t.Errorf("p=%d rank=%d: min got %v", p, c.Rank(), mn)
-				}
-			})
-		}
-	}
-}
-
-// conformAllreduceChunked pins the chunked pipeline to the unchunked
-// result on every transport, including chunk > payload and
-// payload % chunk ≠ 0.
-func conformAllreduceChunked(t *testing.T, f Factory) {
-	input := func(rank int, data []float64) {
-		for i := range data {
-			data[i] = 1 / float64(1+rank+i)
-		}
-	}
-	for _, p := range Sizes {
-		// The invariant is chunked == unchunked bit for bit — the
-		// reduction order is algorithmic, not sequential, so the
-		// reference is an unchunked run (transport-independent).
-		want := make([][]float64, p)
-		mpi.Run(p, func(c *mpi.Comm) {
-			data := make([]float64, 37)
-			input(c.Rank(), data)
-			c.Allreduce(data, mpi.Sum)
-			want[c.Rank()] = data
-		})
-		for _, chunk := range []int{1, 3, 16, 1000} {
-			mpi.RunTransports(f(t, p), func(c *mpi.Comm) {
-				c.SetChunk(chunk)
-				data := make([]float64, 37)
-				input(c.Rank(), data)
-				c.Allreduce(data, mpi.Sum)
-				for i := range data {
-					if data[i] != want[c.Rank()][i] {
-						t.Errorf("p=%d chunk=%d rank=%d: [%d]=%g want %g", p, chunk, c.Rank(), i, data[i], want[c.Rank()][i])
-						return
-					}
 				}
 			})
 		}

@@ -114,7 +114,8 @@ func (t *tcpTransport) fail(p *tcpPeer, cause error) {
 func (t *tcpTransport) startPeer(p *tcpPeer) {
 	t.peers[p.rank] = p
 	// Writer: drains the outbox so Send never blocks on socket writes —
-	// the overlap the chunked-allreduce pipeline relies on.
+	// Send returns once the frame is queued (or its deadline passes), the
+	// same buffered send the in-process mailbox gives.
 	t.wg.Add(1)
 	t.writerWg.Add(1)
 	go func() {
@@ -129,7 +130,7 @@ func (t *tcpTransport) startPeer(p *tcpPeer) {
 					return
 				}
 				// Flush once the queue momentarily drains, batching
-				// back-to-back chunk frames into fewer syscalls.
+				// back-to-back frames into fewer syscalls.
 				if len(p.out) == 0 {
 					if err := bw.Flush(); err != nil {
 						t.fail(p, err)

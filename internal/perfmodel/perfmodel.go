@@ -52,27 +52,6 @@ func (m Machine) Allreduce(words float64, p int) float64 {
 	return logp(p) * (m.Ts + bytes*(m.Tw+m.Tc))
 }
 
-// AllreduceChunked models the chunked pipelined allreduce of
-// Comm.SetChunk: a segment of words elements is split into
-// K = ⌈words/chunkWords⌉ frames, each paying the per-message latency,
-// while the transfer of chunk k+1 overlaps the local reduce of chunk k —
-// so the reduce term is paid once per chunk-sized frame in steady state,
-// not per byte of the whole segment:
-// log p · (K·ts + m·tw + mᶜ·tc) with mᶜ the chunk byte size.
-// chunkWords ≤ 0 or K = 1 degenerates to Allreduce.
-func (m Machine) AllreduceChunked(words float64, p int, chunkWords int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	if chunkWords <= 0 || words <= float64(chunkWords) {
-		return m.Allreduce(words, p)
-	}
-	k := math.Ceil(words / float64(chunkWords))
-	bytes := words * m.BytesPerWord
-	chunkBytes := float64(chunkWords) * m.BytesPerWord
-	return logp(p) * (k*m.Ts + bytes*m.Tw + chunkBytes*m.Tc)
-}
-
 // Allgather models a recursive-doubling allgather of a total of words
 // elements: log p · ts + (p−1)/p · m·tw.
 func (m Machine) Allgather(words float64, p int) float64 {
@@ -97,9 +76,6 @@ type RelaxParams struct {
 	N, D, C, S int // pool size, dim, classes, probes
 	NCG        int // CG iterations per solve
 	P          int // ranks
-	// ChunkWords is the pipelined-allreduce chunk size in elements
-	// (Comm.SetChunk); zero models the unchunked collectives.
-	ChunkWords int
 }
 
 // PrecondComp is the per-iteration preconditioner construction time:
@@ -113,7 +89,7 @@ func (m Machine) PrecondComp(q RelaxParams) float64 {
 
 // PrecondComm is the block allreduce of cd² words (Eq. 22).
 func (m Machine) PrecondComm(q RelaxParams) float64 {
-	return m.AllreduceChunked(float64(q.C)*float64(q.D)*float64(q.D), q.P, q.ChunkWords)
+	return m.Allreduce(float64(q.C)*float64(q.D)*float64(q.D), q.P)
 }
 
 // CGComp is the CG time for the two multi-RHS solves of one mirror-descent
@@ -130,7 +106,7 @@ func (m Machine) CGComp(q RelaxParams) float64 {
 // CGComm is the per-CG-iteration matvec allreduce of c·d·s words, nCG
 // times (Eq. 24).
 func (m Machine) CGComm(q RelaxParams) float64 {
-	return float64(q.NCG) * m.AllreduceChunked(float64(q.C)*float64(q.D)*float64(q.S), q.P, q.ChunkWords)
+	return float64(q.NCG) * m.Allreduce(float64(q.C)*float64(q.D)*float64(q.S), q.P)
 }
 
 // GradientComp covers line 7's Hp matvec and line 9's gradient
@@ -143,7 +119,7 @@ func (m Machine) GradientComp(q RelaxParams) float64 {
 // GradientComm is the Hp-matvec allreduce (c·d·s words) plus the scalar
 // reductions of the mirror update.
 func (m Machine) GradientComm(q RelaxParams) float64 {
-	return m.AllreduceChunked(float64(q.C)*float64(q.D)*float64(q.S), q.P, q.ChunkWords) + 2*m.Allreduce(1, q.P)
+	return m.Allreduce(float64(q.C)*float64(q.D)*float64(q.S), q.P) + 2*m.Allreduce(1, q.P)
 }
 
 // RelaxIter sums the compute of one mirror-descent iteration.

@@ -140,49 +140,3 @@ func TestHostModel(t *testing.T) {
 		t.Fatalf("host model %+v", h)
 	}
 }
-
-// TestAllreduceChunked pins the chunked-allreduce model: chunk 0 and
-// single-chunk segments degenerate exactly to Allreduce, chunking trades
-// extra latency (K·ts) for a reduce term paid per chunk instead of per
-// segment, and on a latency-dominated machine small chunks cost more.
-func TestAllreduceChunked(t *testing.T) {
-	m := Paper()
-	words, p := 1e6, 12
-	if got, want := m.AllreduceChunked(words, p, 0), m.Allreduce(words, p); got != want {
-		t.Fatalf("chunk 0 should match Allreduce: %g vs %g", got, want)
-	}
-	if got, want := m.AllreduceChunked(words, p, 2_000_000), m.Allreduce(words, p); got != want {
-		t.Fatalf("single chunk should match Allreduce: %g vs %g", got, want)
-	}
-	if m.AllreduceChunked(words, p, 1) <= m.AllreduceChunked(words, p, 500_000) {
-		t.Fatal("word-sized chunks should pay far more latency than two large chunks")
-	}
-	// On a bandwidth/reduce-heavy machine (negligible latency), pipelining
-	// the reduce behind the transfer must beat the unchunked model.
-	fat := Machine{Flops: 1e12, Ts: 1e-9, Tw: 1e-10, Tc: 1e-9, BytesPerWord: 8}
-	if fat.AllreduceChunked(words, p, 10_000) >= fat.Allreduce(words, p) {
-		t.Fatal("chunking should hide the reduce term when latency is negligible")
-	}
-	if m.AllreduceChunked(words, 1, 1000) != 0 {
-		t.Fatal("p=1 should cost nothing")
-	}
-}
-
-// TestRelaxChunkWordsFlowThrough: ChunkWords must reach the RELAX
-// communication terms (CG dominates, Eq. 24).
-func TestRelaxChunkWordsFlowThrough(t *testing.T) {
-	m := Paper()
-	q := RelaxParams{N: 1_300_000, D: 383, C: 1000, S: 10, NCG: 50, P: 12}
-	qc := q
-	qc.ChunkWords = 64
-	if m.CGComm(qc) <= m.CGComm(q) {
-		t.Fatal("tiny chunks should raise the modeled CG latency cost")
-	}
-	if m.PrecondComm(qc) <= m.PrecondComm(q) || m.GradientComm(qc) <= m.GradientComm(q) {
-		t.Fatal("ChunkWords must reach every large RELAX allreduce")
-	}
-	qc.ChunkWords = 0
-	if m.CGComm(qc) != m.CGComm(q) {
-		t.Fatal("ChunkWords 0 must model the unchunked collectives")
-	}
-}

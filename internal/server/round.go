@@ -8,7 +8,6 @@ import (
 	"os"
 	"time"
 
-	pub "repro"
 	"repro/internal/baselines"
 	"repro/internal/dataset"
 	"repro/internal/distfiral"
@@ -91,42 +90,12 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 	rm.CGIterations = out.cgIters
 	rm.TrainSeconds = out.trainSeconds
 	rm.SelectSeconds = time.Since(t0).Seconds() - out.trainSeconds
-	labeled := len(sess.meta.LabeledY) + len(sess.meta.IndexLabels)
-	remaining := sess.meta.Rows - len(sess.excludeLocked())
-	observers := append([]pub.RoundObserver(nil), sess.observers...)
 	sess.mu.Unlock()
 
 	os.Remove(checkpointPath(sess.dir)) // the round is durable in session.json now
 	finish(RoundDone, "")
 	s.cfg.Logf("session %s: round %d done: %d selected in %.2fs",
 		sess.meta.ID, rm.Round, len(out.selected), rm.SelectSeconds)
-
-	report := &pub.RoundReport{
-		Round:         rm.Round,
-		LabeledCount:  labeled,
-		PoolRemaining: remaining,
-		Selected:      out.selected,
-		SelectSeconds: rm.SelectSeconds,
-		TrainSeconds:  rm.TrainSeconds,
-	}
-	for _, observe := range observers {
-		observe(report)
-	}
-}
-
-// AddObserver registers fn to receive the RoundReport of every round the
-// session completes from now on — the in-process embedding's alternative
-// to polling the HTTP status endpoint, using the library's streaming
-// observer type.
-func (s *Server) AddObserver(sessionID string, fn pub.RoundObserver) error {
-	sess, err := s.session(sessionID)
-	if err != nil {
-		return err
-	}
-	sess.mu.Lock()
-	sess.observers = append(sess.observers, fn)
-	sess.mu.Unlock()
-	return nil
 }
 
 // roundOutput is what selectOnce hands back to runRound.

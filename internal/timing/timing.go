@@ -97,17 +97,6 @@ func (p *Phases) Merge(q *Phases) {
 	}
 }
 
-// MaxMerge keeps, per phase, the maximum of p's and q's durations. This is
-// how per-rank breakdowns aggregate into a parallel region's critical-path
-// time.
-func (p *Phases) MaxMerge(q *Phases) {
-	for _, name := range q.order {
-		if d := q.Get(name); d > p.Get(name) {
-			p.entry(name).d = d
-		}
-	}
-}
-
 // String renders phases sorted by descending duration.
 func (p *Phases) String() string {
 	names := p.Names()

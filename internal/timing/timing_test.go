@@ -46,7 +46,7 @@ func TestNamesOrder(t *testing.T) {
 	}
 }
 
-func TestMergeAndMaxMerge(t *testing.T) {
+func TestMerge(t *testing.T) {
 	a := New()
 	a.Add("x", 2*time.Second)
 	b := New()
@@ -58,13 +58,6 @@ func TestMergeAndMaxMerge(t *testing.T) {
 	sum.Merge(b)
 	if sum.Get("x") != 5*time.Second || sum.Get("y") != time.Second {
 		t.Fatalf("merge wrong: %v", sum)
-	}
-
-	crit := New()
-	crit.MaxMerge(a)
-	crit.MaxMerge(b)
-	if crit.Get("x") != 3*time.Second || crit.Get("y") != time.Second {
-		t.Fatalf("max-merge wrong: x=%v y=%v", crit.Get("x"), crit.Get("y"))
 	}
 }
 
