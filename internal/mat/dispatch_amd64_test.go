@@ -1,0 +1,158 @@
+package mat
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// TestAsmDispatchBitIdentical runs every product that reaches the AVX
+// kernels twice — once on them, once with the dispatch variable cleared
+// so the portable loops run — and requires identical bits over ragged
+// shapes on both the blocked and the reference paths, with and without
+// signed zeros, infinities and NaN in the operands.
+func TestAsmDispatchBitIdentical(t *testing.T) {
+	requireAsm(t)
+	defer func() { useAsmKernel = true }()
+	rng := rand.New(rand.NewSource(16))
+	// {m, n, k}: the blocked path needs m ≥ 16, n ≥ 8, k ≥ 8 and
+	// m·n·k ≥ 2^15; the rest run the reference row kernels.
+	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 9, 33}, {64, 64, 64}, {70, 13, 301}, {130, 67, 65}, {257, 31, 9}, {9, 300, 5}}
+	for _, sh := range shapes {
+		for _, special := range []bool{false, true} {
+			m, n, k := sh[0], sh[1], sh[2]
+			a, b := randDense(rng, m, k), randDense(rng, k, n)
+			bt, at := randDense(rng, n, k), randDense(rng, k, m)
+			x, xm := make([]float64, k), make([]float64, m*k)
+			spread(rng, x)
+			spread(rng, xm)
+			w := make([]float64, m)
+			spread(rng, w)
+			w[0] = 0
+			if special {
+				for _, d := range [][]float64{a.Data, b.Data, bt.Data, at.Data, x, w} {
+					sprinkle(rng, d)
+				}
+			}
+			rowsB := &Dense{Rows: m, Cols: k, Stride: k, Data: xm}
+			ws := NewWorkspace()
+			run := func() [][]float64 {
+				inOrder := NewDense(m, n)
+				MulTransBInOrder(inOrder, a, bt, UseBlocked(m, n, k))
+				return [][]float64{
+					Mul(nil, a, b).Data,
+					MulTransA(nil, at, b).Data,
+					MulTransB(nil, a, bt).Data,
+					inOrder.Data,
+					WeightedGramWS(ws, nil, a, w).Data,
+					WeightedGramWS(ws, nil, a, nil).Data,
+					MatVec(nil, a, x),
+					RowDots(nil, a, rowsB),
+				}
+			}
+			useAsmKernel = true
+			asm := run()
+			useAsmKernel = false
+			portable := run()
+			useAsmKernel = true
+			names := []string{"Mul", "MulTransA", "MulTransB", "MulTransBInOrder", "WeightedGramWS", "WeightedGramWS(unit)", "MatVec", "RowDots"}
+			for p := range asm {
+				for i := range asm[p] {
+					if !sameBits(asm[p][i], portable[p][i]) {
+						t.Fatalf("%s %v special=%v: element %d = %x with AVX, %x portable", names[p], sh, special, i,
+							math.Float64bits(asm[p][i]), math.Float64bits(portable[p][i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGramRank4KernelMatchesPortable pins weightedGramRange's AVX rank-4
+// update to its Go loop bit for bit: every dimension from 1 to 70 (all
+// four-column tails), row counts 0…9 (every count mod 4, so the single-row
+// tail runs too), a dst stride wider than d, and weights that are nil
+// (unit), negative, or zero across a whole four-row group.
+func TestGramRank4KernelMatchesPortable(t *testing.T) {
+	requireAsm(t)
+	defer func() { useAsmKernel = true }()
+	rng := rand.New(rand.NewSource(15))
+	for d := 1; d <= 70; d++ {
+		for rows := 0; rows <= 9; rows++ {
+			x := &Dense{Rows: rows, Cols: d, Stride: d + 2, Data: make([]float64, max(1, rows*(d+2)))}
+			spread(rng, x.Data)
+			for wk := 0; wk < 3; wk++ {
+				var w []float64
+				if wk > 0 {
+					w = make([]float64, rows)
+					spread(rng, w)
+					for i := range w {
+						w[i] = -math.Abs(w[i])
+						if wk == 1 && i < 4 {
+							w[i] = 0 // the first group is skipped
+						}
+					}
+				}
+				got := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: make([]float64, d*(d+1))}
+				spread(rng, got.Data)
+				want := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: append([]float64(nil), got.Data...)}
+				useAsmKernel = true
+				weightedGramRange(got, x, w, 0, rows)
+				useAsmKernel = false
+				weightedGramRange(want, x, w, 0, rows)
+				useAsmKernel = true
+				for k := range got.Data {
+					if !sameBits(got.Data[k], want.Data[k]) {
+						t.Fatalf("d=%d rows=%d weights=%d: dst[%d] = %x, portable %x", d, rows, wk, k,
+							math.Float64bits(got.Data[k]), math.Float64bits(want.Data[k]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHasAVXMatchesCPUInfo checks the CPUID/XGETBV probe against the
+// kernel's view of the CPU: on linux the "avx" flag of /proc/cpuinfo is
+// listed exactly when the CPU has AVX and the kernel enabled the YMM
+// state.
+func TestHasAVXMatchesCPUInfo(t *testing.T) {
+	flags, err := cpuinfoFlags()
+	if err != nil {
+		t.Skipf("cannot read the CPU flags: %v", err)
+	}
+	if got, want := hasAVX(), flags["avx"]; got != want {
+		t.Fatalf("hasAVX() = %v, /proc/cpuinfo avx flag = %v", got, want)
+	}
+	if useAsmKernel != hasAVX() {
+		t.Fatalf("useAsmKernel = %v, hasAVX() = %v", useAsmKernel, hasAVX())
+	}
+}
+
+// cpuinfoFlags returns the flag set of the first processor listed in
+// /proc/cpuinfo.
+func cpuinfoFlags() (map[string]bool, error) {
+	if runtime.GOOS != "linux" {
+		return nil, fmt.Errorf("no /proc/cpuinfo on %s", runtime.GOOS)
+	}
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return nil, err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if !ok || strings.TrimSpace(key) != "flags" {
+			continue
+		}
+		flags := make(map[string]bool)
+		for _, f := range strings.Fields(val) {
+			flags[f] = true
+		}
+		return flags, nil
+	}
+	return nil, fmt.Errorf("no flags line in /proc/cpuinfo")
+}

@@ -1,18 +1,21 @@
-// SSE2 inner loops for the row kernels: the four-lane dot product of
-// dotu and the row-ordered multi-row axpy of the aᵀb reference kernel.
-// SSE2 has no fused multiply-add, so every multiply and add rounds
-// exactly as the portable Go loops do: both kernels are bit-identical to
-// their fallbacks (dotuGo, accumRowsGo).
+// AVX inner loops for the row kernels: the four-lane dot product of dotu,
+// the row-ordered multi-row axpy of the aᵀ·b reference kernel and the
+// rank-4 row update of the weighted Gram. They run only when hasAVX
+// reports the CPU and OS support 256-bit registers. Every multiply and
+// add is a separate VMULPD/VADDPD (never FMA) in the portable loop's
+// order, so each kernel is bit-identical to its fallback (dotuGo,
+// accumRowsGo, the rank-4 loop of weightedGramRange).
 
 #include "textflag.h"
 
-// func dotsLanesSSE(n int, x, y *float64, ys, ny int, out *float64)
+// func dotsLanesAVX(n int, x, y *float64, ys, ny int, out *float64)
 //
-// out[j] = dotu(x[:n], y[j·ys : j·ys+n]) for j < ny. Lanes 0..3 of each
-// dot sum x[i]·y[i] over i ≡ 0..3 (mod 4), the n%4 tail goes into lane 0,
-// and the result is (lane0 + lane1) + (lane2 + lane3). Four rows of y run
-// at once so the eight accumulator chains overlap.
-TEXT ·dotsLanesSSE(SB), NOSPLIT, $0-48
+// out[j] = dotu(x[:n], y[j·ys : j·ys+n]) for j < ny. One YMM register
+// holds the four lanes of one dot: lane l sums x[i]·y[i] over i ≡ l
+// (mod 4). After VEXTRACTF128 splits off lanes 2–3, the n%4 tail joins
+// lane 0 and the result is (lane0 + lane1) + (lane2 + lane3). Four rows
+// of y run at once so the four accumulator chains overlap.
+TEXT ·dotsLanesAVX(SB), NOSPLIT, $0-48
 	MOVQ n+0(FP), CX
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
@@ -26,241 +29,170 @@ TEXT ·dotsLanesSSE(SB), NOSPLIT, $0-48
 	LEAQ (R8)(R8*2), R13     // three row strides
 
 quad:
-	CMPQ R9, $4
-	JLT  one
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	MOVQ SI, AX
-	MOVQ DI, BX
-	MOVQ R10, R11
-	TESTQ R11, R11
-	JZ   quadtail
+	CMPQ   R9, $4
+	JLT    one
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, AX
+	MOVQ   DI, BX
+	MOVQ   R10, R11
+	TESTQ  R11, R11
+	JZ     quadtail
 
 quadloop:
-	MOVUPD (AX), X8
-	MOVUPD 16(AX), X9
-	MOVUPD (BX), X10
-	MULPD  X8, X10
-	ADDPD  X10, X0
-	MOVUPD 16(BX), X11
-	MULPD  X9, X11
-	ADDPD  X11, X1
-	MOVUPD (BX)(R8*1), X10
-	MULPD  X8, X10
-	ADDPD  X10, X2
-	MOVUPD 16(BX)(R8*1), X11
-	MULPD  X9, X11
-	ADDPD  X11, X3
-	MOVUPD (BX)(R8*2), X10
-	MULPD  X8, X10
-	ADDPD  X10, X4
-	MOVUPD 16(BX)(R8*2), X11
-	MULPD  X9, X11
-	ADDPD  X11, X5
-	MOVUPD (BX)(R13*1), X10
-	MULPD  X8, X10
-	ADDPD  X10, X6
-	MOVUPD 16(BX)(R13*1), X11
-	MULPD  X9, X11
-	ADDPD  X11, X7
-	ADDQ $32, AX
-	ADDQ $32, BX
-	DECQ R11
-	JNZ  quadloop
+	VMOVUPD (AX), Y8
+	VMULPD  (BX), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	VMULPD  (BX)(R8*1), Y8, Y10
+	VADDPD  Y10, Y1, Y1
+	VMULPD  (BX)(R8*2), Y8, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  (BX)(R13*1), Y8, Y12
+	VADDPD  Y12, Y3, Y3
+	ADDQ    $32, AX
+	ADDQ    $32, BX
+	DECQ    R11
+	JNZ     quadloop
 
 quadtail:
-	MOVQ CX, R11
-	TESTQ R11, R11
-	JZ   quadsum
+	VEXTRACTF128 $1, Y0, X4
+	VEXTRACTF128 $1, Y1, X5
+	VEXTRACTF128 $1, Y2, X6
+	VEXTRACTF128 $1, Y3, X7
+	MOVQ         CX, R11
+	TESTQ        R11, R11
+	JZ           quadsum
 
 quadtailloop:
-	MOVSD (AX), X8
-	MOVSD (BX), X10
-	MULSD X8, X10
-	ADDSD X10, X0
-	MOVSD (BX)(R8*1), X10
-	MULSD X8, X10
-	ADDSD X10, X2
-	MOVSD (BX)(R8*2), X10
-	MULSD X8, X10
-	ADDSD X10, X4
-	MOVSD (BX)(R13*1), X10
-	MULSD X8, X10
-	ADDSD X10, X6
-	ADDQ $8, AX
-	ADDQ $8, BX
-	DECQ R11
-	JNZ  quadtailloop
+	VMOVSD (AX), X8
+	VMULSD (BX), X8, X9
+	VADDSD X9, X0, X0
+	VMULSD (BX)(R8*1), X8, X10
+	VADDSD X10, X1, X1
+	VMULSD (BX)(R8*2), X8, X11
+	VADDSD X11, X2, X2
+	VMULSD (BX)(R13*1), X8, X12
+	VADDSD X12, X3, X3
+	ADDQ   $8, AX
+	ADDQ   $8, BX
+	DECQ   R11
+	JNZ    quadtailloop
 
 quadsum:
-	MOVAPD   X0, X8
-	UNPCKHPD X8, X8
-	ADDSD    X8, X0
-	MOVAPD   X1, X9
-	UNPCKHPD X9, X9
-	ADDSD    X9, X1
-	ADDSD    X1, X0
-	MOVSD    X0, (DX)
-	MOVAPD   X2, X8
-	UNPCKHPD X8, X8
-	ADDSD    X8, X2
-	MOVAPD   X3, X9
-	UNPCKHPD X9, X9
-	ADDSD    X9, X3
-	ADDSD    X3, X2
-	MOVSD    X2, 8(DX)
-	MOVAPD   X4, X8
-	UNPCKHPD X8, X8
-	ADDSD    X8, X4
-	MOVAPD   X5, X9
-	UNPCKHPD X9, X9
-	ADDSD    X9, X5
-	ADDSD    X5, X4
-	MOVSD    X4, 16(DX)
-	MOVAPD   X6, X8
-	UNPCKHPD X8, X8
-	ADDSD    X8, X6
-	MOVAPD   X7, X9
-	UNPCKHPD X9, X9
-	ADDSD    X9, X7
-	ADDSD    X7, X6
-	MOVSD    X6, 24(DX)
-	LEAQ (DI)(R8*4), DI
-	ADDQ $32, DX
-	SUBQ $4, R9
-	JMP  quad
+	VHADDPD X4, X0, X0 // lane0+lane1, lane2+lane3
+	VHADDPD X0, X0, X0
+	VMOVSD  X0, (DX)
+	VHADDPD X5, X1, X1
+	VHADDPD X1, X1, X1
+	VMOVSD  X1, 8(DX)
+	VHADDPD X6, X2, X2
+	VHADDPD X2, X2, X2
+	VMOVSD  X2, 16(DX)
+	VHADDPD X7, X3, X3
+	VHADDPD X3, X3, X3
+	VMOVSD  X3, 24(DX)
+	LEAQ    (DI)(R8*4), DI
+	ADDQ    $32, DX
+	SUBQ    $4, R9
+	JMP     quad
 
 one:
-	TESTQ R9, R9
-	JZ    done
-	XORPS X0, X0
-	XORPS X1, X1
-	MOVQ SI, AX
-	MOVQ DI, BX
-	MOVQ R10, R11
-	TESTQ R11, R11
-	JZ   onetail
+	TESTQ  R9, R9
+	JZ     done
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   DI, BX
+	MOVQ   R10, R11
+	TESTQ  R11, R11
+	JZ     onetail
 
 oneloop:
-	MOVUPD (AX), X8
-	MOVUPD 16(AX), X9
-	MOVUPD (BX), X10
-	MULPD  X8, X10
-	ADDPD  X10, X0
-	MOVUPD 16(BX), X11
-	MULPD  X9, X11
-	ADDPD  X11, X1
-	ADDQ $32, AX
-	ADDQ $32, BX
-	DECQ R11
-	JNZ  oneloop
+	VMOVUPD (AX), Y8
+	VMULPD  (BX), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	ADDQ    $32, AX
+	ADDQ    $32, BX
+	DECQ    R11
+	JNZ     oneloop
 
 onetail:
-	MOVQ CX, R11
-	TESTQ R11, R11
-	JZ   onesum
+	VEXTRACTF128 $1, Y0, X4
+	MOVQ         CX, R11
+	TESTQ        R11, R11
+	JZ           onesum
 
 onetailloop:
-	MOVSD (AX), X8
-	MOVSD (BX), X10
-	MULSD X8, X10
-	ADDSD X10, X0
-	ADDQ $8, AX
-	ADDQ $8, BX
-	DECQ R11
-	JNZ  onetailloop
+	VMOVSD (AX), X8
+	VMULSD (BX), X8, X9
+	VADDSD X9, X0, X0
+	ADDQ   $8, AX
+	ADDQ   $8, BX
+	DECQ   R11
+	JNZ    onetailloop
 
 onesum:
-	MOVAPD   X0, X8
-	UNPCKHPD X8, X8
-	ADDSD    X8, X0
-	MOVAPD   X1, X9
-	UNPCKHPD X9, X9
-	ADDSD    X9, X1
-	ADDSD    X1, X0
-	MOVSD    X0, (DX)
-	ADDQ R8, DI
-	ADDQ $8, DX
-	DECQ R9
-	JMP  one
+	VHADDPD X4, X0, X0
+	VHADDPD X0, X0, X0
+	VMOVSD  X0, (DX)
+	ADDQ    R8, DI
+	ADDQ    $8, DX
+	DECQ    R9
+	JMP     one
 
 done:
+	VZEROUPPER
 	RET
 
-// func accumRowsSSE(n int, y, c *float64, cs int, x *float64, xs, rows int)
+// func accumRowsAVX(n int, y, c *float64, cs int, x *float64, xs, rows int)
 //
 // y[t] += c[i·cs]·x[i·xs + t] for t < n, rows i ascending, skipping a
-// coefficient that compares equal to zero. Sixteen columns at a time stay
-// in registers across the whole row loop; pairs and a last single column
-// cover the rest.
-TEXT ·accumRowsSSE(SB), NOSPLIT, $0-56
-	MOVQ n+0(FP), CX
-	MOVQ y+8(FP), DI
-	MOVQ c+16(FP), SI
-	MOVQ cs+24(FP), R8
-	SHLQ $3, R8
-	MOVQ x+32(FP), DX
-	MOVQ xs+40(FP), R9
-	SHLQ $3, R9
-	MOVQ rows+48(FP), R10
-	XORPS X13, X13
+// coefficient that compares equal to zero (a NaN is not skipped).
+// Sixteen columns at a time stay in four YMM registers across the whole
+// row loop; four-column groups and single columns cover the rest.
+TEXT ·accumRowsAVX(SB), NOSPLIT, $0-56
+	MOVQ   n+0(FP), CX
+	MOVQ   y+8(FP), DI
+	MOVQ   c+16(FP), SI
+	MOVQ   cs+24(FP), R8
+	SHLQ   $3, R8
+	MOVQ   x+32(FP), DX
+	MOVQ   xs+40(FP), R9
+	SHLQ   $3, R9
+	MOVQ   rows+48(FP), R10
+	VXORPD X13, X13, X13
 
 wide:
-	CMPQ CX, $16
-	JLT  pair
-	MOVUPD (DI), X0
-	MOVUPD 16(DI), X1
-	MOVUPD 32(DI), X2
-	MOVUPD 48(DI), X3
-	MOVUPD 64(DI), X4
-	MOVUPD 80(DI), X5
-	MOVUPD 96(DI), X6
-	MOVUPD 112(DI), X7
-	MOVQ SI, AX
-	MOVQ DX, BX
-	MOVQ R10, R11
-	TESTQ R11, R11
-	JZ   widestore
+	CMPQ    CX, $16
+	JLT     quad
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R10, R11
+	TESTQ   R11, R11
+	JZ      widestore
 
 wideloop:
-	MOVSD   (AX), X12
-	UCOMISD X13, X12
-	JNE     widedo
-	JPS     widedo
-	JMP     widenext
+	VMOVSD   (AX), X12
+	VUCOMISD X13, X12
+	JNE      widedo
+	JPS      widedo
+	JMP      widenext
 
 widedo:
-	UNPCKLPD X12, X12
-	MOVUPD (BX), X8
-	MULPD  X12, X8
-	ADDPD  X8, X0
-	MOVUPD 16(BX), X9
-	MULPD  X12, X9
-	ADDPD  X9, X1
-	MOVUPD 32(BX), X10
-	MULPD  X12, X10
-	ADDPD  X10, X2
-	MOVUPD 48(BX), X11
-	MULPD  X12, X11
-	ADDPD  X11, X3
-	MOVUPD 64(BX), X8
-	MULPD  X12, X8
-	ADDPD  X8, X4
-	MOVUPD 80(BX), X9
-	MULPD  X12, X9
-	ADDPD  X9, X5
-	MOVUPD 96(BX), X10
-	MULPD  X12, X10
-	ADDPD  X10, X6
-	MOVUPD 112(BX), X11
-	MULPD  X12, X11
-	ADDPD  X11, X7
+	VBROADCASTSD (AX), Y12
+	VMULPD       (BX), Y12, Y8
+	VADDPD       Y8, Y0, Y0
+	VMULPD       32(BX), Y12, Y9
+	VADDPD       Y9, Y1, Y1
+	VMULPD       64(BX), Y12, Y10
+	VADDPD       Y10, Y2, Y2
+	VMULPD       96(BX), Y12, Y11
+	VADDPD       Y11, Y3, Y3
 
 widenext:
 	ADDQ R8, AX
@@ -269,76 +201,70 @@ widenext:
 	JNZ  wideloop
 
 widestore:
-	MOVUPD X0, (DI)
-	MOVUPD X1, 16(DI)
-	MOVUPD X2, 32(DI)
-	MOVUPD X3, 48(DI)
-	MOVUPD X4, 64(DI)
-	MOVUPD X5, 80(DI)
-	MOVUPD X6, 96(DI)
-	MOVUPD X7, 112(DI)
-	ADDQ $128, DI
-	ADDQ $128, DX
-	SUBQ $16, CX
-	JMP  wide
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, CX
+	JMP     wide
 
-pair:
-	CMPQ CX, $2
-	JLT  single
-	MOVUPD (DI), X0
-	MOVQ SI, AX
-	MOVQ DX, BX
-	MOVQ R10, R11
-	TESTQ R11, R11
-	JZ   pairstore
+quad:
+	CMPQ    CX, $4
+	JLT     single
+	VMOVUPD (DI), Y0
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R10, R11
+	TESTQ   R11, R11
+	JZ      quadstore
 
-pairloop:
-	MOVSD   (AX), X12
-	UCOMISD X13, X12
-	JNE     pairdo
-	JPS     pairdo
-	JMP     pairnext
+quadloop:
+	VMOVSD   (AX), X12
+	VUCOMISD X13, X12
+	JNE      quaddo
+	JPS      quaddo
+	JMP      quadnext
 
-pairdo:
-	UNPCKLPD X12, X12
-	MOVUPD (BX), X8
-	MULPD  X12, X8
-	ADDPD  X8, X0
+quaddo:
+	VBROADCASTSD (AX), Y12
+	VMULPD       (BX), Y12, Y8
+	VADDPD       Y8, Y0, Y0
 
-pairnext:
+quadnext:
 	ADDQ R8, AX
 	ADDQ R9, BX
 	DECQ R11
-	JNZ  pairloop
+	JNZ  quadloop
 
-pairstore:
-	MOVUPD X0, (DI)
-	ADDQ $16, DI
-	ADDQ $16, DX
-	SUBQ $2, CX
-	JMP  pair
+quadstore:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+	JMP     quad
 
 single:
-	TESTQ CX, CX
-	JZ    accdone
-	MOVSD (DI), X0
-	MOVQ SI, AX
-	MOVQ DX, BX
-	MOVQ R10, R11
-	TESTQ R11, R11
-	JZ   singlestore
+	TESTQ  CX, CX
+	JZ     accdone
+	VMOVSD (DI), X0
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   R10, R11
+	TESTQ  R11, R11
+	JZ     singlestore
 
 singleloop:
-	MOVSD   (AX), X12
-	UCOMISD X13, X12
-	JNE     singledo
-	JPS     singledo
-	JMP     singlenext
+	VMOVSD   (AX), X12
+	VUCOMISD X13, X12
+	JNE      singledo
+	JPS      singledo
+	JMP      singlenext
 
 singledo:
-	MOVSD (BX), X8
-	MULSD X12, X8
-	ADDSD X8, X0
+	VMULSD (BX), X12, X8
+	VADDSD X8, X0, X0
 
 singlenext:
 	ADDQ R8, AX
@@ -347,7 +273,89 @@ singlenext:
 	JNZ  singleloop
 
 singlestore:
-	MOVSD X0, (DI)
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, DX
+	DECQ   CX
+	JMP    single
 
 accdone:
+	VZEROUPPER
+	RET
+
+// func gramRank4AVX(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
+//
+// For the four rows x_k = x[k·xs:][:d] and r < d, with v_k = w_k·x_k[r]:
+// dst[r·ds + c] += ((v0·x0[c] + v1·x1[c]) + v2·x2[c]) + v3·x3[c] for
+// c ≤ r — the lower triangle of Σ_k w_k x_k x_kᵀ in weightedGramRange's
+// order. Four columns per YMM register, single columns for the rest.
+TEXT ·gramRank4AVX(SB), NOSPLIT, $0-72
+	MOVQ         d+0(FP), CX
+	MOVQ         dst+8(FP), DI
+	MOVQ         ds+16(FP), R8
+	SHLQ         $3, R8
+	MOVQ         x+24(FP), SI
+	MOVQ         xs+32(FP), R9
+	SHLQ         $3, R9
+	LEAQ         (SI)(R9*1), R10 // x1
+	LEAQ         (R10)(R9*1), R11 // x2
+	LEAQ         (R11)(R9*1), R12 // x3
+	VBROADCASTSD w0+40(FP), Y8
+	VBROADCASTSD w1+48(FP), Y9
+	VBROADCASTSD w2+56(FP), Y10
+	VBROADCASTSD w3+64(FP), Y11
+	XORQ         R13, R13        // r
+
+row:
+	CMPQ         R13, CX
+	JGE          gramdone
+	VBROADCASTSD (SI)(R13*8), Y4
+	VMULPD       Y4, Y8, Y4      // v0
+	VBROADCASTSD (R10)(R13*8), Y5
+	VMULPD       Y5, Y9, Y5      // v1
+	VBROADCASTSD (R11)(R13*8), Y6
+	VMULPD       Y6, Y10, Y6     // v2
+	VBROADCASTSD (R12)(R13*8), Y7
+	VMULPD       Y7, Y11, Y7     // v3
+	LEAQ         1(R13), DX      // columns in this row
+	XORQ         AX, AX          // c
+
+cols:
+	LEAQ    4(AX), BX
+	CMPQ    BX, DX
+	JGT     tail
+	VMULPD  (SI)(AX*8), Y4, Y12
+	VMULPD  (R10)(AX*8), Y5, Y13
+	VADDPD  Y13, Y12, Y12
+	VMULPD  (R11)(AX*8), Y6, Y14
+	VADDPD  Y14, Y12, Y12
+	VMULPD  (R12)(AX*8), Y7, Y15
+	VADDPD  Y15, Y12, Y12
+	VADDPD  (DI)(AX*8), Y12, Y12
+	VMOVUPD Y12, (DI)(AX*8)
+	MOVQ    BX, AX
+	JMP     cols
+
+tail:
+	CMPQ    AX, DX
+	JGE     nextrow
+	VMULSD  (SI)(AX*8), X4, X12
+	VMULSD  (R10)(AX*8), X5, X13
+	VADDSD  X13, X12, X12
+	VMULSD  (R11)(AX*8), X6, X14
+	VADDSD  X14, X12, X12
+	VMULSD  (R12)(AX*8), X7, X15
+	VADDSD  X15, X12, X12
+	VADDSD  (DI)(AX*8), X12, X12
+	VMOVSD  X12, (DI)(AX*8)
+	INCQ    AX
+	JMP     tail
+
+nextrow:
+	ADDQ R8, DI
+	INCQ R13
+	JMP  row
+
+gramdone:
+	VZEROUPPER
 	RET

@@ -23,75 +23,146 @@ func spread(rng *rand.Rand, x []float64) {
 	}
 }
 
-// TestDotLanesKernelMatchesPortable pins the SSE2 dot loop to dotuGo bit
-// for bit: every length from 0 to 70 (all tail counts), several row
-// counts (the four-row and one-row passes) and a row stride wider than
-// the dot.
+// requireAsm skips a kernel-versus-portable test on hosts where the AVX
+// kernels are not in use: there both sides run the same portable loop.
+func requireAsm(t *testing.T) {
+	t.Helper()
+	if !useAsmKernel {
+		t.Skip("AVX kernels not in use (non-amd64 target or no AVX/OS YMM support); nothing to compare")
+	}
+}
+
+// specials are the inputs whose handling an ordering or masking slip
+// changes: signed zeros, infinities and NaN.
+var specials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+
+// sprinkle overwrites about one element in eight of x with a special.
+func sprinkle(rng *rand.Rand, x []float64) {
+	for i := range x {
+		if rng.Intn(8) == 0 {
+			x[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// TestDotLanesKernelMatchesPortable pins the AVX dot loop to dotuGo bit
+// for bit: every length from 0 to 70 (all tail counts), row counts that
+// exercise the four-row and one-row passes, a row stride wider than the
+// dot, and inputs with signed zeros, infinities and NaN.
 func TestDotLanesKernelMatchesPortable(t *testing.T) {
+	requireAsm(t)
 	rng := rand.New(rand.NewSource(11))
-	for n := 0; n <= 70; n++ {
-		x := make([]float64, n)
-		spread(rng, x)
-		for _, rows := range []int{1, 3, 4, 5, 9} {
-			b := &Dense{Rows: rows, Cols: n, Stride: n + 3, Data: make([]float64, rows*(n+3))}
-			spread(rng, b.Data)
-			out := make([]float64, rows)
-			dotsLanes(out, x, b)
-			for j := range out {
-				want := dotuGo(x, b.Row(j))
-				if !sameBits(out[j], want) {
-					t.Fatalf("n=%d rows=%d: dot %d = %x, portable %x", n, rows, j,
-						math.Float64bits(out[j]), math.Float64bits(want))
+	for _, special := range []bool{false, true} {
+		for n := 0; n <= 70; n++ {
+			x := make([]float64, n)
+			spread(rng, x)
+			for _, rows := range []int{1, 2, 3, 4, 5, 8, 9} {
+				b := &Dense{Rows: rows, Cols: n, Stride: n + 3, Data: make([]float64, rows*(n+3))}
+				spread(rng, b.Data)
+				if special {
+					sprinkle(rng, x)
+					sprinkle(rng, b.Data)
 				}
-				if got := dotu(x, b.Row(j)); !sameBits(got, want) {
-					t.Fatalf("n=%d: dotu = %x, portable %x", n, math.Float64bits(got), math.Float64bits(want))
+				out := make([]float64, rows)
+				dotsLanes(out, x, b)
+				for j := range out {
+					want := dotuGo(x, b.Row(j))
+					if !sameBits(out[j], want) {
+						t.Fatalf("n=%d rows=%d special=%v: dot %d = %x, portable %x", n, rows, special, j,
+							math.Float64bits(out[j]), math.Float64bits(want))
+					}
+					if got := dotu(x, b.Row(j)); !sameBits(got, want) {
+						t.Fatalf("n=%d special=%v: dotu = %x, portable %x", n, special,
+							math.Float64bits(got), math.Float64bits(want))
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestAccumRowsKernelMatchesPortable pins the SSE2 multi-row axpy to
+// TestAccumRowsKernelMatchesPortable pins the AVX multi-row axpy to
 // accumRowsGo bit for bit across column counts that exercise the
-// sixteen-wide, pair and single-column passes, with zero, negative-zero
-// and NaN coefficients (zeros are skipped, NaN is not).
+// sixteen-wide, four-wide and single-column passes, with zero,
+// negative-zero and NaN coefficients (zeros are skipped, NaN is not) and
+// rows holding signed zeros, infinities and NaN.
 func TestAccumRowsKernelMatchesPortable(t *testing.T) {
+	// A NaN coefficient is not a zero: it must reach y, on either path.
+	nx := &Dense{Rows: 1, Cols: 17, Stride: 17, Data: make([]float64, 17)}
+	ny := make([]float64, 17)
+	AccumRows(ny, []float64{math.NaN()}, 1, nx)
+	for i, v := range ny {
+		if !math.IsNaN(v) {
+			t.Fatalf("NaN coefficient skipped at column %d", i)
+		}
+	}
+	requireAsm(t)
 	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 2, 3, 15, 16, 17, 18, 31, 33, 64, 67, 300} {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 18, 19, 20, 21, 31, 33, 36, 64, 67, 300} {
 		for _, rows := range []int{0, 1, 5, 64} {
-			const gs = 3
-			x := &Dense{Rows: rows, Cols: n, Stride: n + 1, Data: make([]float64, rows*(n+1))}
-			spread(rng, x.Data)
-			g := make([]float64, max(1, rows*gs))
-			spread(rng, g)
-			for i := 0; i < rows; i += 4 {
-				g[i*gs] = 0
-			}
-			if rows > 2 {
-				g[1*gs] = math.Copysign(0, -1)
-				x.Row(2)[n/2] = math.Inf(1) // skipped zero coefficient must not make NaN
-				g[2*gs] = 0
-			}
-			y := make([]float64, n)
-			spread(rng, y)
-			want := append([]float64(nil), y...)
-			AccumRows(y, g, gs, x)
-			accumRowsGo(want, g, gs, x)
-			for i := range y {
-				if !sameBits(y[i], want[i]) {
-					t.Fatalf("n=%d rows=%d: y[%d] = %x, portable %x", n, rows, i,
-						math.Float64bits(y[i]), math.Float64bits(want[i]))
+			for _, special := range []bool{false, true} {
+				const gs = 3
+				x := &Dense{Rows: rows, Cols: n, Stride: n + 1, Data: make([]float64, rows*(n+1))}
+				spread(rng, x.Data)
+				g := make([]float64, max(1, rows*gs))
+				spread(rng, g)
+				if special {
+					sprinkle(rng, x.Data)
+					sprinkle(rng, g)
+				}
+				for i := 0; i < rows; i += 4 {
+					g[i*gs] = 0
+				}
+				if rows > 2 {
+					g[1*gs] = math.Copysign(0, -1)
+					x.Row(2)[n/2] = math.Inf(1) // skipped zero coefficient must not make NaN
+					g[2*gs] = 0
+				}
+				y := make([]float64, n)
+				spread(rng, y)
+				want := append([]float64(nil), y...)
+				AccumRows(y, g, gs, x)
+				accumRowsGo(want, g, gs, x)
+				for i := range y {
+					if !sameBits(y[i], want[i]) {
+						t.Fatalf("n=%d rows=%d special=%v: y[%d] = %x, portable %x", n, rows, special, i,
+							math.Float64bits(y[i]), math.Float64bits(want[i]))
+					}
 				}
 			}
 		}
 	}
-	// A NaN coefficient is not a zero: it must reach y.
-	x := &Dense{Rows: 1, Cols: 17, Stride: 17, Data: make([]float64, 17)}
-	y := make([]float64, 17)
-	AccumRows(y, []float64{math.NaN()}, 1, x)
-	for i, v := range y {
-		if !math.IsNaN(v) {
-			t.Fatalf("NaN coefficient skipped at column %d", i)
+}
+
+// TestMicroKernelMatchesScalar pins the AVX GEMM micro-kernel to
+// microScalar4x4 bit for bit at every panel depth from 0 to 300 (beyond
+// gemmKC), with and without signed zeros, infinities and NaN in the
+// packed panels.
+func TestMicroKernelMatchesScalar(t *testing.T) {
+	requireAsm(t)
+	rng := rand.New(rand.NewSource(14))
+	for kc := 0; kc <= 300; kc++ {
+		for _, special := range []bool{false, true} {
+			ap := make([]float64, max(1, gemmMR*kc))
+			bp := make([]float64, max(1, gemmNR*kc))
+			spread(rng, ap)
+			spread(rng, bp)
+			if special {
+				sprinkle(rng, ap)
+				sprinkle(rng, bp)
+			}
+			var got, want [gemmMR * gemmNR]float64
+			for i := range got {
+				got[i] = math.NaN() // the kernel must overwrite every element
+			}
+			micro4x4avx(kc, &ap[0], &bp[0], &got[0])
+			microScalar4x4(kc, ap, bp, &want)
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("kc=%d special=%v: acc[%d] = %x, scalar %x", kc, special, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
 		}
 	}
 }

@@ -11,6 +11,12 @@ import "repro/internal/parallel"
 // instead of one. Small products keep the register-friendly row-sweep
 // reference kernels, where packing overhead would dominate.
 //
+// On amd64 hosts with AVX the micro-kernel (gemm_amd64.s) and the inner
+// loops of the row kernels and the Gram update (dot_amd64.s) run 256-bit
+// AVX, chosen once from CPUID (gemm_kernel_amd64.go). Every other host
+// runs the portable Go loops. Both paths multiply and add separately, in
+// the same order, so they give the same bits.
+//
 // Results are deterministic for a fixed worker count: workers split output
 // rows, and every output element accumulates its k-terms in the same
 // order (k-panels of gemmKC in ascending order) regardless of how rows are
@@ -405,14 +411,14 @@ func packB(bp []float64, b *Dense, trans bool, k0, j0, kc, nc int) {
 // micro4x4 accumulates a 4×4 tile of the product of one packed A panel and
 // one packed B panel into dst at (i, j). Only the valid mr×nr region is
 // written back; the padded lanes accumulate zeros. The tile itself comes
-// from the SSE2 kernel on amd64 and from the scalar loop elsewhere; both
-// sum k-terms in the same order, so results are identical.
+// from the AVX kernel on amd64 hosts with AVX and from the scalar loop
+// elsewhere; both sum k-terms in the same order, so results are identical.
 //
 //firal:hotpath
 func micro4x4(kc int, ap, bp []float64, dst *Dense, i, j, mr, nr int) {
 	var acc [gemmMR * gemmNR]float64
 	if useAsmKernel {
-		micro4x4sse(kc, &ap[0], &bp[0], &acc[0])
+		micro4x4avx(kc, &ap[0], &bp[0], &acc[0])
 	} else {
 		microScalar4x4(kc, ap, bp, &acc)
 	}
@@ -507,8 +513,8 @@ func microScalar4x4(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
 // dotu is an instruction-parallel dot product (four independent
 // accumulators). It reorders the summation relative to Dot, so kernels
 // built on it agree with the reference kernels to roundoff, not
-// bit-for-bit. On amd64 it runs the SSE2 loop of dot_amd64.s, which sums
-// in exactly dotuGo's order.
+// bit-for-bit. On amd64 hosts with AVX it runs the loop of dot_amd64.s,
+// which sums in exactly dotuGo's order.
 //
 //firal:hotpath
 func dotu(x, y []float64) float64 {
@@ -519,12 +525,12 @@ func dotu(x, y []float64) float64 {
 		return dotuGo(x, y)
 	}
 	var r float64
-	dotsLanesSSE(len(x), &x[0], &y[0], 0, 1, &r)
+	dotsLanesAVX(len(x), &x[0], &y[0], 0, 1, &r)
 	return r
 }
 
 // dotsLanes writes out[j] = dotu(x, b.Row(j)) for every row of b: the
-// reference a·bᵀ row kernel, four rows of b per pass on amd64.
+// reference a·bᵀ row kernel, four rows of b per pass on amd64 with AVX.
 //
 //firal:hotpath
 func dotsLanes(out, x []float64, b *Dense) {
@@ -539,7 +545,7 @@ func dotsLanes(out, x []float64, b *Dense) {
 		return
 	}
 	_ = b.Row(b.Rows - 1) // bounds: every row lies inside b.Data
-	dotsLanesSSE(len(x), &x[0], &b.Data[0], b.Stride, b.Rows, &out[0])
+	dotsLanesAVX(len(x), &x[0], &b.Data[0], b.Stride, b.Rows, &out[0])
 }
 
 // dotuGo is the portable four-lane dot product: lane l sums x[i]·y[i]
@@ -568,9 +574,9 @@ func dotuGo(x, y []float64) float64 {
 // AccumRows adds Σ_i g[i·gs]·x_i to y over the rows x_i of x in ascending
 // order, skipping zero coefficients: per element, exactly the order in
 // which the reference aᵀ·b kernel accumulates one output row (a's column
-// read with stride gs). y must have x.Cols elements. On amd64 the SSE2
-// loop of dot_amd64.s keeps sixteen columns of y in registers across the
-// row loop.
+// read with stride gs). y must have x.Cols elements. On amd64 hosts with
+// AVX the loop of dot_amd64.s keeps sixteen columns of y in registers
+// across the row loop.
 //
 //firal:hotpath
 func AccumRows(y, g []float64, gs int, x *Dense) {
@@ -583,7 +589,7 @@ func AccumRows(y, g []float64, gs int, x *Dense) {
 	_ = g[(x.Rows-1)*gs]  // bounds: every coefficient lies inside g
 	_ = x.Row(x.Rows - 1) // and every row inside x.Data
 	if useAsmKernel {
-		accumRowsSSE(len(y), &y[0], &g[0], gs, &x.Data[0], x.Stride, x.Rows)
+		accumRowsAVX(len(y), &y[0], &g[0], gs, &x.Data[0], x.Stride, x.Rows)
 		return
 	}
 	accumRowsGo(y, g, gs, x)
@@ -741,7 +747,8 @@ var gramTasks = newForkTaskPool(func(t *kernelTask, widx int) {
 
 // weightedGramRange accumulates the lower triangle of Σ_i w_i x_i x_iᵀ for
 // rows [lo, hi), four rows at a time so each loaded dst element absorbs
-// four multiply-adds.
+// four multiply-adds. On amd64 hosts with AVX the rank-4 update runs the
+// loop of dot_amd64.s, four columns per instruction in the same order.
 //
 //firal:hotpath
 func weightedGramRange(dst *Dense, x *Dense, w []float64, lo, hi int) {
@@ -759,6 +766,11 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, lo, hi int) {
 		x1 := x.Row(i + 1)
 		x2 := x.Row(i + 2)
 		x3 := x.Row(i + 3)
+		if useAsmKernel && d > 0 {
+			_ = dst.Row(d - 1)[d-1] // bounds: the d×d triangle lies inside dst
+			gramRank4AVX(d, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
+			continue
+		}
 		for r := 0; r < d; r++ {
 			v0 := w0 * x0[r]
 			v1 := w1 * x1[r]

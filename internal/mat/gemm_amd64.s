@@ -1,79 +1,52 @@
-// SSE2 micro-kernel for the blocked GEMM. SSE2 is part of the amd64
-// baseline, so no CPU-feature detection is needed. The kernel computes a
-// 4×4 tile C = Ap·Bp from packed panels (A interleaved 4 values per k,
-// B interleaved 4 values per k) into acc, with each accumulator summing
-// its k-terms in ascending order — exactly the order of the scalar
-// fallback kernel, so both produce bit-identical results.
+// AVX micro-kernel for the blocked GEMM, run only when hasAVX reports the
+// CPU and OS support 256-bit registers (see gemm_kernel_amd64.go). The
+// kernel computes a 4×4 tile C = Ap·Bp from packed panels (A interleaved
+// 4 values per k, B interleaved 4 values per k) into acc. Row r of the
+// tile lives in one YMM register: per k it adds a[r]·b[0:4], a multiply
+// then an add (never FMA), so each element sums its k-terms in ascending
+// order with the same roundings as the scalar kernel — both produce
+// bit-identical results.
 
 #include "textflag.h"
 
-// func micro4x4sse(kc int, ap, bp, acc *float64)
-TEXT ·micro4x4sse(SB), NOSPLIT, $0-32
+// func micro4x4avx(kc int, ap, bp, acc *float64)
+TEXT ·micro4x4avx(SB), NOSPLIT, $0-32
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
 	MOVQ acc+24(FP), DX
 
-	// Accumulators: X0..X7 hold the 4×4 tile, two columns per register:
-	// X(2r) = C[r][0:2], X(2r+1) = C[r][2:4].
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 
 	TESTQ CX, CX
 	JZ    done
 
 loop:
-	MOVUPD (DI), X8    // b0 b1
-	MOVUPD 16(DI), X9  // b2 b3
-
-	MOVUPD (SI), X10   // a0 a1
-	MOVAPD X10, X12
-	UNPCKLPD X10, X10  // a0 a0
-	UNPCKHPD X12, X12  // a1 a1
-	MOVAPD X10, X11
-	MULPD  X8, X10
-	MULPD  X9, X11
-	ADDPD  X10, X0
-	ADDPD  X11, X1
-	MOVAPD X12, X13
-	MULPD  X8, X12
-	MULPD  X9, X13
-	ADDPD  X12, X2
-	ADDPD  X13, X3
-
-	MOVUPD 16(SI), X10 // a2 a3
-	MOVAPD X10, X12
-	UNPCKLPD X10, X10  // a2 a2
-	UNPCKHPD X12, X12  // a3 a3
-	MOVAPD X10, X11
-	MULPD  X8, X10
-	MULPD  X9, X11
-	ADDPD  X10, X4
-	ADDPD  X11, X5
-	MOVAPD X12, X13
-	MULPD  X8, X12
-	MULPD  X9, X13
-	ADDPD  X12, X6
-	ADDPD  X13, X7
-
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  loop
+	VMOVUPD      (DI), Y4   // b0 b1 b2 b3
+	VBROADCASTSD (SI), Y5   // a0 ×4
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD 8(SI), Y6  // a1 ×4
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD 16(SI), Y7 // a2 ×4
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VBROADCASTSD 24(SI), Y8 // a3 ×4
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	DECQ         CX
+	JNZ          loop
 
 done:
-	MOVUPD X0, (DX)
-	MOVUPD X1, 16(DX)
-	MOVUPD X2, 32(DX)
-	MOVUPD X3, 48(DX)
-	MOVUPD X4, 64(DX)
-	MOVUPD X5, 80(DX)
-	MOVUPD X6, 96(DX)
-	MOVUPD X7, 112(DX)
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VZEROUPPER
 	RET

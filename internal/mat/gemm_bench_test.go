@@ -68,3 +68,56 @@ func BenchmarkWeightedGram(b *testing.B) {
 		WeightedGram(dst, x, w)
 	}
 }
+
+// Kernel microbenchmarks: the packed micro-kernel at the full k-panel
+// depth (gemmKC), then at d = 64 the four-lane dot of the a·bᵀ row
+// kernel, the multi-row axpy of the aᵀ·b row kernel and the rank-4 Gram
+// update.
+func BenchmarkMicroKernel(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	ap := make([]float64, gemmMR*gemmKC)
+	bp := make([]float64, gemmNR*gemmKC)
+	spread(rng, ap)
+	spread(rng, bp)
+	dst := NewDense(gemmMR, gemmNR)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		micro4x4(gemmKC, ap, bp, dst, 0, 0, gemmMR, gemmNR)
+	}
+}
+
+func BenchmarkDotsLanes(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	x := make([]float64, 64)
+	spread(rng, x)
+	m := randDense(rng, 64, 64)
+	out := make([]float64, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dotsLanes(out, x, m)
+	}
+}
+
+func BenchmarkAccumRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	x := randDense(rng, 64, 64)
+	g := make([]float64, 64)
+	spread(rng, g)
+	y := make([]float64, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AccumRows(y, g, 1, x)
+	}
+}
+
+func BenchmarkGramRank4(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	x := randDense(rng, 64, 64)
+	w := make([]float64, 64)
+	spread(rng, w)
+	dst := NewDense(64, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		weightedGramRange(dst, x, w, 0, 64)
+	}
+}

@@ -5,14 +5,18 @@ package mat
 // useAsmKernel is false off amd64; the portable Go loops run instead.
 const useAsmKernel = false
 
-func micro4x4sse(kc int, ap, bp, acc *float64) {
+func micro4x4avx(kc int, ap, bp, acc *float64) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }
 
-func dotsLanesSSE(n int, x, y *float64, ys, ny int, out *float64) {
+func dotsLanesAVX(n int, x, y *float64, ys, ny int, out *float64) {
 	panic("mat: asm dot kernel unavailable on this architecture")
 }
 
-func accumRowsSSE(n int, y, c *float64, cs int, x *float64, xs, rows int) {
+func accumRowsAVX(n int, y, c *float64, cs int, x *float64, xs, rows int) {
 	panic("mat: asm accumulate kernel unavailable on this architecture")
+}
+
+func gramRank4AVX(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64) {
+	panic("mat: asm Gram kernel unavailable on this architecture")
 }
