@@ -59,6 +59,7 @@ type report struct {
 	GoVersion string    `json:"go_version"`
 	GoArch    string    `json:"go_arch"`
 	NumCPU    int       `json:"num_cpu"`
+	Kernel    string    `json:"kernel"` // mat kernel level: avx512, avx or portable
 	Date      time.Time `json:"date"`
 	Results   []entry   `json:"results"`
 }
@@ -98,6 +99,7 @@ func main() {
 		GoVersion: runtime.Version(),
 		GoArch:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
+		Kernel:    mat.KernelLevel(),
 		Date:      time.Now().UTC(),
 		Results:   []entry{},
 	}

@@ -46,10 +46,11 @@
 // # Performance substrate
 //
 // The dense kernels under internal/mat are cache-blocked and panel-packed
-// (a GotoBLAS-style decomposition). Its micro-kernel and the dot, axpy
-// and Gram loops run 256-bit AVX on amd64 hosts that have it, picked once
-// from CPUID; every other host runs portable Go loops that give the same
-// bits. The solver hot paths draw their scratch from a mat.Workspace — a
+// (a GotoBLAS-style decomposition, with a 4×8 register micro-kernel and
+// a packed-operand type for operands that many products reuse). The
+// micro-kernel and the dot, axpy and Gram loops run AVX-512F or 256-bit
+// AVX on amd64 hosts that have them, one level picked once from CPUID;
+// every other host runs portable Go loops that give the same bits. The solver hot paths draw their scratch from a mat.Workspace — a
 // size-keyed arena of reusable buffers.
 // The Workspace contract: a workspace is owned by exactly one goroutine
 // (the simulated MPI ranks each carry their own); buffers obtained from

@@ -2,6 +2,7 @@ package distfiral
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -169,6 +170,36 @@ func TestDistributedRoundMatchesSerial(t *testing.T) {
 		}
 		if !same(p, minEig, serial.MinEigH) {
 			t.Fatalf("p=%d: MinEigH %v serial %v", p, minEig, serial.MinEigH)
+		}
+	}
+}
+
+// TestDistributedRoundRejectsNonFiniteScore: on two mailbox ranks only
+// rank 1 holds the point whose NaN feature makes its ROUND score NaN (the
+// point and the rest of its four-row Gram group carry no RELAX weight, so
+// Σ⋄ stays finite). Rank 0 sees only finite scores, yet both ranks must
+// return ErrNonFinite: the argmax allreduce carries the failure.
+func TestDistributedRoundRejectsNonFiniteScore(t *testing.T) {
+	labeled, pool := testSets(5, 6, 24, 3, 3)
+	x := pool.X.Clone()
+	x.Set(12, 0, math.NaN())
+	bad := hessian.NewSet(x, pool.H)
+	z := make([]float64, bad.N())
+	for i := range z {
+		z[i] = 4 / float64(len(z))
+	}
+	for i := 12; i < 16; i++ {
+		z[i] = 0
+	}
+	errs := make([]error, 2)
+	mpi.Run(2, func(c *mpi.Comm) {
+		sh := MakeShard(labeled, bad, 2, c.Rank())
+		zLocal := z[sh.PoolOffset : sh.PoolOffset+sh.PoolLocal.N()]
+		_, errs[c.Rank()] = Round(context.Background(), c, sh, zLocal, 4, 0)
+	})
+	for r, err := range errs {
+		if !errors.Is(err, firal.ErrNonFinite) {
+			t.Fatalf("rank %d: err = %v, want ErrNonFinite", r, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package firal
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -108,6 +109,35 @@ func TestRoundFastHandlesDegeneratePool(t *testing.T) {
 			t.Fatal("duplicate under ties")
 		}
 		seen[i] = true
+	}
+}
+
+// TestRoundRejectsNonFiniteScore: a NaN feature gives its point a NaN
+// ROUND score. The round must fail with ErrNonFinite rather than skip the
+// point and return fewer than b selections. The point and the rest of its
+// four-row Gram group carry no RELAX weight, so Σ⋄ stays finite and that
+// point's own score is the only non-finite value; excluding the point
+// therefore gives a full round.
+func TestRoundRejectsNonFiniteScore(t *testing.T) {
+	base := testProblem(43, 6, 24, 3, 3)
+	pool := base.ResidentPool()
+	x := pool.X.Clone()
+	x.Set(12, 0, math.NaN())
+	p := NewProblem(base.Labeled, hessian.NewSet(x, pool.H))
+	z := uniformSimplex(24)
+	mat.Scal(4, z)
+	for i := 12; i < 16; i++ {
+		z[i] = 0
+	}
+	if _, err := RoundFast(p, z, 4, RoundOptions{}); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("NaN score: err = %v, want ErrNonFinite", err)
+	}
+	res, err := RoundFast(p, z, 4, RoundOptions{Exclude: []int{12}})
+	if err != nil {
+		t.Fatalf("NaN point excluded: %v", err)
+	}
+	if len(res.Selected) != 4 {
+		t.Fatalf("NaN point excluded: %d selections, want 4", len(res.Selected))
 	}
 }
 

@@ -2,6 +2,8 @@ package firal
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/hessian"
@@ -9,6 +11,19 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/timing"
 )
+
+// ErrNonFinite is returned, wrapped, by RoundGroup (and so by every ROUND
+// entry point) on every rank when an unselected point's ROUND score is
+// NaN or infinite, for example from a NaN feature or a NaN eigenvalue of
+// the FTRL state. The greedy step stops there instead of skipping the
+// point and returning fewer than b selections.
+var ErrNonFinite = errors.New("firal: non-finite ROUND score")
+
+// nonFiniteLoc is the location a rank offers to the argmax allreduce,
+// with the value +Inf, when it holds a non-finite unselected score: +Inf
+// outranks every finite score, so every rank receives it and fails the
+// step together without another collective.
+const nonFiniteLoc = -2
 
 // RoundState carries the per-class block matrices of the diagonal ROUND
 // step (Algorithm 3). All blocks are d×d; there are c of each, so the
@@ -34,7 +49,9 @@ type RoundState struct {
 	isqrt []*mat.Dense // (Σ⋄)_k^{-1/2}
 	hot   []*mat.Dense // (Σ⋄)_k^{-1/2} (Ho)_k (Σ⋄)_k^{-1/2}
 	hacc  []*mat.Dense // (H)_k accumulated (line 8)
-	wt    []*mat.Dense // W_kᵀ: row j is (Σ⋄)_k^{-1/2} v_j for eigenvector v_j of M_k
+	wts   *mat.Dense   // every W_kᵀ stacked, (c·d)×d
+	wt    []*mat.Dense // W_kᵀ, rows [k·d, (k+1)·d) of wts: row j is (Σ⋄)_k^{-1/2} v_j for eigenvector v_j of M_k
+	wp    mat.Packed   // wts packed as the right operand of x·W_k, repacked whenever wts changes
 	lamM  []float64    // eigenvalues of every M_k, c×d
 	a, a2 []float64    // a_kj = 1/(ν + max(λ_kj, 0)) and a_kj², c×d
 
@@ -47,9 +64,10 @@ type RoundState struct {
 	lamBuf []float64  // eigenvalues of every (H̃)_k, c×d (line 9)
 	nuBuf  []float64  // scaled eigenvalues for the ν solve, c×d
 
-	// The Scores sweep: per-worker tile products and the current row
-	// block, read by scoreItems (bound once as scoreFn so the dispatch
-	// does not allocate a closure).
+	// The Scores sweep: per-worker packed row tiles and tile products and
+	// the current row block, read by scoreItems (bound once as scoreFn so
+	// the dispatch does not allocate a closure).
+	xp      []mat.Packed
 	ybuf    []float64
 	xb, h   *mat.Dense
 	dst     []float64
@@ -85,12 +103,14 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float6
 	d := sig[0].Rows
 	st := prev
 	if st == nil || st.d != d || st.c != c {
+		wts := mat.NewDense(c*d, d)
 		st = &RoundState{
 			d: d, c: c,
 			hacc:   newBlocks(c, d),
 			isqrt:  newBlocks(c, d),
 			hot:    newBlocks(c, d),
-			wt:     newBlocks(c, d),
+			wts:    wts,
+			wt:     make([]*mat.Dense, c),
 			lamM:   make([]float64, c*d),
 			a:      make([]float64, c*d),
 			a2:     make([]float64, c*d),
@@ -99,6 +119,9 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float6
 			pk:     mat.NewDense(d, d),
 			lamBuf: make([]float64, c*d),
 			nuBuf:  make([]float64, c*d),
+		}
+		for k := range st.wt {
+			st.wt[k] = &mat.Dense{Rows: d, Cols: d, Stride: d, Data: wts.Data[k*d*d : (k+1)*d*d]}
 		}
 		st.scoreFn = st.scoreItems
 	}
@@ -122,6 +145,7 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float6
 			return nil, err
 		}
 	}
+	st.wp.PackRight(st.wts)
 	stop()
 
 	stop = ph.Start("other")
@@ -193,6 +217,10 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 	if len(st.ybuf) < items*scoreTile*st.d {
 		st.ybuf = make([]float64, items*scoreTile*st.d)
 	}
+	//firal:allow(alloc) — amortized: regrows only when the worker count grows
+	if len(st.xp) < items {
+		st.xp = make([]mat.Packed, items)
+	}
 	st.h, st.dst = pool.Probs(), dst
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
@@ -215,23 +243,25 @@ func (st *RoundState) scoreItems(lo, hi int) {
 	for it := lo; it < hi; it++ {
 		y := st.ybuf[it*tile : (it+1)*tile]
 		for r0 := it * st.rows; r0 < min((it+1)*st.rows, st.m); r0 += scoreTile {
-			st.scoreTile(y, r0, min(r0+scoreTile, st.m))
+			st.scoreTile(&st.xp[it], y, r0, min(r0+scoreTile, st.m))
 		}
 	}
 }
 
-// scoreTile writes the scores of block rows [r0, r1), using y for the
-// tile's product with each W_k.
+// scoreTile writes the scores of block rows [r0, r1). It packs the tile
+// once into xp and multiplies it with each class's rows of the packed
+// W_kᵀ stack into y, in the blocked order whatever the shape.
 //
 //firal:hotpath
-func (st *RoundState) scoreTile(y []float64, r0, r1 int) {
+func (st *RoundState) scoreTile(xp *mat.Packed, y []float64, r0, r1 int) {
 	d, xs := st.d, st.xb.Stride
 	xt := mat.Dense{Rows: r1 - r0, Cols: d, Stride: xs, Data: st.xb.Data[r0*xs:]}
 	yt := mat.Dense{Rows: r1 - r0, Cols: d, Stride: d, Data: y}
 	out := st.dst[st.base+r0 : st.base+r1]
 	clear(out)
+	xp.PackLeft(&xt)
 	for k := 0; k < st.c; k++ {
-		mat.MulTransBInOrder(&yt, &xt, st.wt[k], true)
+		mat.MulPacked(&yt, xp, &st.wp, k*d)
 		a, a2 := st.a[k*d:(k+1)*d], st.a2[k*d:(k+1)*d]
 		for i := range out {
 			hv := st.h.At(st.base+r0+i, k)
@@ -292,6 +322,7 @@ func (st *RoundState) Update(x, h []float64, ph *timing.Phases) (float64, error)
 			return 0, err
 		}
 	}
+	st.wp.PackRight(st.wts)
 	stop()
 
 	stop = ph.Start("other")
@@ -437,12 +468,20 @@ func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState,
 			if selected[i] {
 				continue
 			}
-			if scores[i] > bestV {
-				best, bestV = i, scores[i]
+			v := scores[i]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				best, bestV = nonFiniteLoc, math.Inf(1)
+				break
+			}
+			if v > bestV {
+				best, bestV = i, v
 			}
 		}
 		stop()
 		bestV, owner, best := cm.AllreduceMaxLoc(bestV, best)
+		if best == nonFiniteLoc {
+			return fmt.Errorf("%w: greedy step %d, rank %d", ErrNonFinite, t, owner)
+		}
 		if best < 0 {
 			break // every unselected point is gone
 		}

@@ -24,7 +24,9 @@ import (
 //
 //   - the dots use the order mat.UseBlocked(m, c, d) picks for the row
 //     block's per-probe product (mat.MulTransBInOrder), decided per block,
-//     so ragged tail blocks keep their own order;
+//     so ragged tail blocks keep their own order; in the blocked order
+//     they multiply with the probe block packed once per sweep
+//     (mat.MulPackedRight), which gives the same bits;
 //   - each class row of the result adds Γ_ik x_i over the block's rows in
 //     ascending order, skipping zero Γ (mat.AccumRows), unless
 //     mat.UseBlocked(c, d, m) sends the block's Γᵀ·X to the packed path
@@ -70,9 +72,11 @@ func checkBlockShapes(p Pool, vs ...*mat.Dense) {
 type sweepTask struct {
 	xb, u, v, dst *mat.Dense // current row block; probe blocks; matvec result
 	h             *mat.Dense
-	ga, pd        mat.Dense // one probe's Γ and partial, for mat.MulTransA
-	w, g, acc     []float64 // weights; dot/Γ scratch; per-probe block partials (nil: dst)
-	qdst          []float64 // quadratic-form result
+	pu, pv        *mat.Packed // u and v packed once per sweep for the blocked dots; nil: not packed
+	upk, vpk      mat.Packed  // their storage
+	ga, pd        mat.Dense   // one probe's Γ and partial, for mat.MulTransA
+	w, g, acc     []float64   // weights; dot/Γ scratch; per-probe block partials (nil: dst)
+	qdst          []float64   // quadratic-form result
 	scale         float64
 	base, m       int // global index of the block's first row; block rows
 	s, d, c       int
@@ -95,6 +99,7 @@ var sweepTasks = parallel.FreeList[sweepTask]{New: func() *sweepTask {
 
 func (t *sweepTask) release() {
 	t.xb, t.u, t.v, t.dst, t.h = nil, nil, nil, nil, nil
+	t.pu, t.pv = nil, nil
 	t.w, t.g, t.acc, t.qdst = nil, nil, nil, nil
 	t.ga.Data, t.pd.Data = nil, nil
 	sweepTasks.Put(t)
@@ -143,6 +148,7 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 		gLen = max(gLen, rows*c)
 	}
 	t.g = ws.Vec(gLen)
+	t.pv = t.packProbes(&t.vpk, v, rows)
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
 		t.xb, t.base, t.m = p.Block(ws, lo, hi), lo, hi-lo
@@ -179,7 +185,7 @@ func (t *sweepTask) sweepProbes(j0, j1 int) {
 	t.clearPartials(j0, j1, 0, t.d)
 	for r0 := 0; r0 < t.m; r0 += sweepTile {
 		r1 := min(r0+sweepTile, t.m)
-		t.dots(t.g, t.v, r0, r1, j0, j1)
+		t.dots(t.g, t.v, t.pv, r0, r1, j0, j1)
 		t.gamma(t.g, r0, r1, j0, j1)
 		for j := j0; j < j1; j++ {
 			t.accumulate(t.g, j, 0, t.d, r0, r1)
@@ -196,7 +202,7 @@ func (t *sweepTask) sweepProbes(j0, j1 int) {
 func (t *sweepTask) dotsRows(r0, r1 int) {
 	g := t.g[r0*t.gs:]
 	j1 := t.gj + t.gs/t.c
-	t.dots(g, t.v, r0, r1, t.gj, j1)
+	t.dots(g, t.v, t.pv, r0, r1, t.gj, j1)
 	t.gamma(g, r0, r1, t.gj, j1)
 }
 
@@ -236,11 +242,18 @@ func (t *sweepTask) accumPacked(j int) {
 
 // dots writes the c dot products of block rows [r0, r1) with probes
 // [j0, j1) of vb into g: row r0+i, probe j at g[i·gs + (j−gj)·c:][:c].
+// In the blocked order it multiplies with pb, vb packed for the sweep,
+// when there is one.
 //
 //firal:hotpath
-func (t *sweepTask) dots(g []float64, vb *mat.Dense, r0, r1, j0, j1 int) {
+func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, r0, r1, j0, j1 int) {
 	xs := t.xb.Stride
 	xt := mat.Dense{Rows: r1 - r0, Cols: t.d, Stride: xs, Data: t.xb.Data[r0*xs:]}
+	if t.blocked && pb != nil {
+		gt := mat.Dense{Rows: r1 - r0, Cols: (j1 - j0) * t.c, Stride: t.gs, Data: g[(j0-t.gj)*t.c:]}
+		mat.MulPackedRight(&gt, &xt, pb, j0*t.c)
+		return
+	}
 	step := j1 - j0
 	if vb.Stride != vb.Cols {
 		step = 1 // probe rows are not contiguous: one product per probe
@@ -287,6 +300,18 @@ func (t *sweepTask) accumulate(g []float64, j, c0, c1, r0, r1 int) {
 	for k := 0; k < t.c; k++ {
 		mat.AccumRows(out[k*t.d+c0:k*t.d+c1], g[(j-t.gj)*t.c+k:], t.gs, &xt)
 	}
+}
+
+// packProbes packs the probe block vb, read as an (s·c)×d matrix, into pk
+// for the blocked dots and returns it. It returns nil, and the dots pack
+// per product, when no block of up to rows rows takes the blocked order
+// or when vb's probe rows are not contiguous.
+func (t *sweepTask) packProbes(pk *mat.Packed, vb *mat.Dense, rows int) *mat.Packed {
+	if vb.Stride != vb.Cols || !mat.UseBlocked(rows, t.c, t.d) {
+		return nil
+	}
+	pk.PackRight(&mat.Dense{Rows: vb.Rows * t.c, Cols: t.d, Stride: t.d, Data: vb.Data})
+	return pk
 }
 
 // partial returns probe j's block partial: dst's row itself when the
@@ -359,6 +384,8 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 	t.s, t.d, t.c = s, d, c
 	t.gs, t.gj = s*c, 0
 	t.g = ws.Vec(items * 2 * sweepTile * s * c)
+	t.pu = t.packProbes(&t.upk, u, min(bs, n))
+	t.pv = t.packProbes(&t.vpk, v, min(bs, n))
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
 		t.xb, t.base, t.m = p.Block(ws, lo, hi), lo, hi-lo
@@ -383,8 +410,8 @@ func (t *sweepTask) quadRows(lo, hi int) {
 		gv := gu[sweepTile*sc:]
 		for r0 := it * t.rows; r0 < min((it+1)*t.rows, t.m); r0 += sweepTile {
 			r1 := min(r0+sweepTile, (it+1)*t.rows, t.m)
-			t.dots(gu, t.u, r0, r1, 0, t.s)
-			t.dots(gv, t.v, r0, r1, 0, t.s)
+			t.dots(gu, t.u, t.pu, r0, r1, 0, t.s)
+			t.dots(gv, t.v, t.pv, r0, r1, 0, t.s)
 			for i := r0; i < r1; i++ {
 				hr := t.h.Row(t.base + i)
 				q0 := (i - r0) * sc

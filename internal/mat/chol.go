@@ -20,17 +20,6 @@ type Cholesky struct {
 	L *Dense
 }
 
-// NewCholesky factors the symmetric positive definite matrix a. Only the
-// lower triangle of a is read; a is not modified. It returns ErrNotSPD
-// when a pivot is not positive.
-func NewCholesky(a *Dense) (*Cholesky, error) {
-	var c Cholesky
-	if err := c.FactorInto(a); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
 // FactorInto factors a into c, reusing c.L's storage when it has the
 // right shape and allocating it otherwise. Only the lower triangle of a
 // is read; a is not modified. On error the factor contents are

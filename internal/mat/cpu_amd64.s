@@ -23,3 +23,38 @@ TEXT ·hasAVX(SB), NOSPLIT, $0-1
 no:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func hasAVX512() bool
+//
+// Reports whether the CPU has AVX and AVX-512F (CPUID.7.0:EBX bit 16) and
+// the OS saves the whole ZMM state: OSXSAVE, and XCR0 bits 1 (SSE), 2
+// (AVX), 5 (opmask), 6 (upper halves of ZMM0–15) and 7 (ZMM16–31), the
+// mask 0xE6.
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID                // EAX = highest basic leaf
+	CMPL AX, $7
+	JLT  no512
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x10000, BX
+	JZ   no512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no512
+	MOVB $1, ret+0(FP)
+	RET
+
+no512:
+	MOVB $0, ret+0(FP)
+	RET

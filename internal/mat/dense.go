@@ -242,15 +242,3 @@ func (m *Dense) Symmetrize() {
 		}
 	}
 }
-
-// IsFinite reports whether all entries are finite.
-func (m *Dense) IsFinite() bool {
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -10,18 +10,44 @@ import (
 	"testing"
 )
 
-// TestAsmDispatchBitIdentical runs every product that reaches the AVX
-// kernels twice — once on them, once with the dispatch variable cleared
-// so the portable loops run — and requires identical bits over ragged
-// shapes on both the blocked and the reference paths, with and without
-// signed zeros, infinities and NaN in the operands.
+// forEachLevel runs f as one subtest per kernel level, portable first,
+// with kernel set to that level. A level the host lacks is skipped by
+// name, so a run on a host without AVX-512 shows the ZMM paths as
+// skipped instead of passing them silently.
+func forEachLevel(t *testing.T, f func(t *testing.T)) {
+	host := detectKernel()
+	defer func() { kernel = host }()
+	for l := kernelPortable; l <= kernelAVX512; l++ {
+		t.Run(l.String(), func(t *testing.T) {
+			if l > host {
+				t.Skipf("host kernel level is %s", host)
+			}
+			kernel = l
+			defer func() { kernel = host }()
+			f(t)
+		})
+	}
+}
+
+// atLevel returns f's result computed at kernel level l.
+func atLevel[T any](l kernelLevel, f func() T) T {
+	prev := kernel
+	defer func() { kernel = prev }()
+	kernel = l
+	return f()
+}
+
+// TestAsmDispatchBitIdentical runs every product that reaches the
+// assembly kernels at each kernel level the host has and requires the
+// bits of the portable loops over ragged shapes on both the blocked and
+// the reference paths, with and without signed zeros, infinities and NaN
+// in the operands.
 func TestAsmDispatchBitIdentical(t *testing.T) {
-	requireAsm(t)
-	defer func() { useAsmKernel = true }()
 	rng := rand.New(rand.NewSource(16))
 	// {m, n, k}: the blocked path needs m ≥ 16, n ≥ 8, k ≥ 8 and
 	// m·n·k ≥ 2^15; the rest run the reference row kernels.
 	shapes := [][3]int{{1, 1, 1}, {3, 5, 7}, {17, 9, 33}, {64, 64, 64}, {70, 13, 301}, {130, 67, 65}, {257, 31, 9}, {9, 300, 5}}
+	var cases []dispatchCase
 	for _, sh := range shapes {
 		for _, special := range []bool{false, true} {
 			m, n, k := sh[0], sh[1], sh[2]
@@ -43,7 +69,13 @@ func TestAsmDispatchBitIdentical(t *testing.T) {
 			run := func() [][]float64 {
 				inOrder := NewDense(m, n)
 				MulTransBInOrder(inOrder, a, bt, UseBlocked(m, n, k))
+				var pa, pb Packed
+				pa.PackLeft(a)
+				pb.PackRight(bt)
+				packed := NewDense(m, n)
+				MulPacked(packed, &pa, &pb, 0)
 				return [][]float64{
+					packed.Data,
 					Mul(nil, a, b).Data,
 					MulTransA(nil, at, b).Data,
 					MulTransB(nil, a, bt).Data,
@@ -54,32 +86,45 @@ func TestAsmDispatchBitIdentical(t *testing.T) {
 					RowDots(nil, a, rowsB),
 				}
 			}
-			useAsmKernel = true
-			asm := run()
-			useAsmKernel = false
-			portable := run()
-			useAsmKernel = true
-			names := []string{"Mul", "MulTransA", "MulTransB", "MulTransBInOrder", "WeightedGramWS", "WeightedGramWS(unit)", "MatVec", "RowDots"}
-			for p := range asm {
-				for i := range asm[p] {
-					if !sameBits(asm[p][i], portable[p][i]) {
-						t.Fatalf("%s %v special=%v: element %d = %x with AVX, %x portable", names[p], sh, special, i,
-							math.Float64bits(asm[p][i]), math.Float64bits(portable[p][i]))
+			cases = append(cases, dispatchCase{sh, special, run, atLevel(kernelPortable, run)})
+		}
+	}
+	names := []string{"MulPacked", "Mul", "MulTransA", "MulTransB", "MulTransBInOrder", "WeightedGramWS", "WeightedGramWS(unit)", "MatVec", "RowDots"}
+	forEachLevel(t, func(t *testing.T) {
+		for _, c := range cases {
+			got := c.run()
+			for p := range got {
+				for i := range got[p] {
+					if !sameBits(got[p][i], c.portable[p][i]) {
+						t.Fatalf("%s %v special=%v: element %d = %x at %s, %x portable", names[p], c.shape, c.special, i,
+							math.Float64bits(got[p][i]), kernel, math.Float64bits(c.portable[p][i]))
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestGramRank4KernelMatchesPortable pins weightedGramRange's AVX rank-4
-// update to its Go loop bit for bit: every dimension from 1 to 70 (all
-// four-column tails), row counts 0…9 (every count mod 4, so the single-row
-// tail runs too), a dst stride wider than d, and weights that are nil
-// (unit), negative, or zero across a whole four-row group.
+// dispatchCase is one operand set of TestAsmDispatchBitIdentical: run
+// computes its products, portable holds their bits at the portable level.
+type dispatchCase struct {
+	shape    [3]int
+	special  bool
+	run      func() [][]float64
+	portable [][]float64
+}
+
+// TestGramRank4KernelMatchesPortable pins weightedGramRange's rank-4
+// update at every kernel level the host has to its Go loop bit for bit:
+// every dimension from 1 to 70 (all four-column tails), row counts 0…9
+// (every count mod 4, so the single-row tail runs too), a dst stride
+// wider than d, and weights that are nil (unit), negative, or zero across
+// a whole four-row group.
 func TestGramRank4KernelMatchesPortable(t *testing.T) {
-	requireAsm(t)
-	defer func() { useAsmKernel = true }()
+	forEachLevel(t, testGramRank4)
+}
+
+func testGramRank4(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for d := 1; d <= 70; d++ {
 		for rows := 0; rows <= 9; rows++ {
@@ -100,14 +145,11 @@ func TestGramRank4KernelMatchesPortable(t *testing.T) {
 				got := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: make([]float64, d*(d+1))}
 				spread(rng, got.Data)
 				want := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: append([]float64(nil), got.Data...)}
-				useAsmKernel = true
 				weightedGramRange(got, x, w, 0, rows)
-				useAsmKernel = false
-				weightedGramRange(want, x, w, 0, rows)
-				useAsmKernel = true
+				atLevel(kernelPortable, func() *Dense { weightedGramRange(want, x, w, 0, rows); return want })
 				for k := range got.Data {
 					if !sameBits(got.Data[k], want.Data[k]) {
-						t.Fatalf("d=%d rows=%d weights=%d: dst[%d] = %x, portable %x", d, rows, wk, k,
+						t.Fatalf("%s d=%d rows=%d weights=%d: dst[%d] = %x, portable %x", kernel, d, rows, wk, k,
 							math.Float64bits(got.Data[k]), math.Float64bits(want.Data[k]))
 					}
 				}
@@ -128,8 +170,26 @@ func TestHasAVXMatchesCPUInfo(t *testing.T) {
 	if got, want := hasAVX(), flags["avx"]; got != want {
 		t.Fatalf("hasAVX() = %v, /proc/cpuinfo avx flag = %v", got, want)
 	}
-	if useAsmKernel != hasAVX() {
-		t.Fatalf("useAsmKernel = %v, hasAVX() = %v", useAsmKernel, hasAVX())
+	if kernel != detectKernel() {
+		t.Fatalf("kernel = %s, detected %s", kernel, detectKernel())
+	}
+	t.Logf("kernel level: %s", KernelLevel())
+}
+
+// TestHasAVX512MatchesCPUInfo checks the AVX-512 probe the same way: on
+// linux the "avx512f" flag is listed exactly when the CPU has AVX-512F and
+// the kernel enabled the opmask and ZMM state, and the host then runs the
+// avx512 level.
+func TestHasAVX512MatchesCPUInfo(t *testing.T) {
+	flags, err := cpuinfoFlags()
+	if err != nil {
+		t.Skipf("cannot read the CPU flags: %v", err)
+	}
+	if got, want := hasAVX512(), flags["avx512f"] && flags["avx"]; got != want {
+		t.Fatalf("hasAVX512() = %v, /proc/cpuinfo avx512f flag = %v", got, want)
+	}
+	if want := hasAVX512(); (KernelLevel() == "avx512") != want {
+		t.Fatalf("KernelLevel() = %q with hasAVX512() = %v", KernelLevel(), want)
 	}
 }
 

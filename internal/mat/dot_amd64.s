@@ -1,7 +1,8 @@
 // AVX inner loops for the row kernels: the four-lane dot product of dotu,
-// the row-ordered multi-row axpy of the aᵀ·b reference kernel and the
-// rank-4 row update of the weighted Gram. They run only when hasAVX
-// reports the CPU and OS support 256-bit registers. Every multiply and
+// the row-ordered multi-row axpy of the aᵀ·b reference kernel (with an
+// AVX-512F pass over runs of thirty-two columns) and the rank-4 row update
+// of the weighted Gram. They run only at the kernel level that supports
+// their registers (gemm_kernel_amd64.go). Every multiply and
 // add is a separate VMULPD/VADDPD (never FMA) in the portable loop's
 // order, so each kernel is bit-identical to its fallback (dotuGo,
 // accumRowsGo, the rank-4 loop of weightedGramRange).
@@ -280,6 +281,74 @@ singlestore:
 	JMP    single
 
 accdone:
+	VZEROUPPER
+	RET
+
+// func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
+//
+// accumRowsAVX for n a multiple of 32: thirty-two columns at a time stay
+// in four ZMM registers across the whole row loop, with the same
+// zero-coefficient test and the same multiply-then-add per element.
+TEXT ·accumRowsAVX512(SB), NOSPLIT, $0-56
+	MOVQ   n+0(FP), CX
+	MOVQ   y+8(FP), DI
+	MOVQ   c+16(FP), SI
+	MOVQ   cs+24(FP), R8
+	SHLQ   $3, R8
+	MOVQ   x+32(FP), DX
+	MOVQ   xs+40(FP), R9
+	SHLQ   $3, R9
+	MOVQ   rows+48(FP), R10
+	VXORPD X13, X13, X13
+
+zwide:
+	CMPQ    CX, $32
+	JLT     zdone
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R10, R11
+	TESTQ   R11, R11
+	JZ      zstore
+
+zloop:
+	VMOVSD   (AX), X12
+	VUCOMISD X13, X12
+	JNE      zdo
+	JPS      zdo
+	JMP      znext
+
+zdo:
+	VBROADCASTSD (AX), Z12
+	VMULPD       (BX), Z12, Z8
+	VADDPD       Z8, Z0, Z0
+	VMULPD       64(BX), Z12, Z9
+	VADDPD       Z9, Z1, Z1
+	VMULPD       128(BX), Z12, Z10
+	VADDPD       Z10, Z2, Z2
+	VMULPD       192(BX), Z12, Z11
+	VADDPD       Z11, Z3, Z3
+
+znext:
+	ADDQ R8, AX
+	ADDQ R9, BX
+	DECQ R11
+	JNZ  zloop
+
+zstore:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, DX
+	SUBQ    $32, CX
+	JMP     zwide
+
+zdone:
 	VZEROUPPER
 	RET
 

@@ -23,15 +23,6 @@ func spread(rng *rand.Rand, x []float64) {
 	}
 }
 
-// requireAsm skips a kernel-versus-portable test on hosts where the AVX
-// kernels are not in use: there both sides run the same portable loop.
-func requireAsm(t *testing.T) {
-	t.Helper()
-	if !useAsmKernel {
-		t.Skip("AVX kernels not in use (non-amd64 target or no AVX/OS YMM support); nothing to compare")
-	}
-}
-
 // specials are the inputs whose handling an ordering or masking slip
 // changes: signed zeros, infinities and NaN.
 var specials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
@@ -45,12 +36,16 @@ func sprinkle(rng *rand.Rand, x []float64) {
 	}
 }
 
-// TestDotLanesKernelMatchesPortable pins the AVX dot loop to dotuGo bit
-// for bit: every length from 0 to 70 (all tail counts), row counts that
-// exercise the four-row and one-row passes, a row stride wider than the
-// dot, and inputs with signed zeros, infinities and NaN.
+// TestDotLanesKernelMatchesPortable pins the dot loop at every kernel
+// level the host has to dotuGo bit for bit: every length from 0 to 70
+// (all tail counts), row counts that exercise the four-row and one-row
+// passes, a row stride wider than the dot, and inputs with signed zeros,
+// infinities and NaN.
 func TestDotLanesKernelMatchesPortable(t *testing.T) {
-	requireAsm(t)
+	forEachLevel(t, testDotLanes)
+}
+
+func testDotLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, special := range []bool{false, true} {
 		for n := 0; n <= 70; n++ {
@@ -68,7 +63,7 @@ func TestDotLanesKernelMatchesPortable(t *testing.T) {
 				for j := range out {
 					want := dotuGo(x, b.Row(j))
 					if !sameBits(out[j], want) {
-						t.Fatalf("n=%d rows=%d special=%v: dot %d = %x, portable %x", n, rows, special, j,
+						t.Fatalf("%s n=%d rows=%d special=%v: dot %d = %x, portable %x", kernel, n, rows, special, j,
 							math.Float64bits(out[j]), math.Float64bits(want))
 					}
 					if got := dotu(x, b.Row(j)); !sameBits(got, want) {
@@ -81,9 +76,10 @@ func TestDotLanesKernelMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestAccumRowsKernelMatchesPortable pins the AVX multi-row axpy to
-// accumRowsGo bit for bit across column counts that exercise the
-// sixteen-wide, four-wide and single-column passes, with zero,
+// TestAccumRowsKernelMatchesPortable pins the multi-row axpy at every
+// kernel level the host has to accumRowsGo bit for bit at every column
+// count from 1 to 70 and at 300, so each thirty-two-wide, sixteen-wide,
+// four-wide and single-column pass and every tail runs, with zero,
 // negative-zero and NaN coefficients (zeros are skipped, NaN is not) and
 // rows holding signed zeros, infinities and NaN.
 func TestAccumRowsKernelMatchesPortable(t *testing.T) {
@@ -96,9 +92,16 @@ func TestAccumRowsKernelMatchesPortable(t *testing.T) {
 			t.Fatalf("NaN coefficient skipped at column %d", i)
 		}
 	}
-	requireAsm(t)
+	forEachLevel(t, testAccumRows)
+}
+
+func testAccumRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 18, 19, 20, 21, 31, 33, 36, 64, 67, 300} {
+	ns := []int{300}
+	for n := 1; n <= 70; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
 		for _, rows := range []int{0, 1, 5, 64} {
 			for _, special := range []bool{false, true} {
 				const gs = 3
@@ -125,7 +128,7 @@ func TestAccumRowsKernelMatchesPortable(t *testing.T) {
 				accumRowsGo(want, g, gs, x)
 				for i := range y {
 					if !sameBits(y[i], want[i]) {
-						t.Fatalf("n=%d rows=%d special=%v: y[%d] = %x, portable %x", n, rows, special, i,
+						t.Fatalf("%s n=%d rows=%d special=%v: y[%d] = %x, portable %x", kernel, n, rows, special, i,
 							math.Float64bits(y[i]), math.Float64bits(want[i]))
 					}
 				}
@@ -134,12 +137,16 @@ func TestAccumRowsKernelMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestMicroKernelMatchesScalar pins the AVX GEMM micro-kernel to
-// microScalar4x4 bit for bit at every panel depth from 0 to 300 (beyond
-// gemmKC), with and without signed zeros, infinities and NaN in the
-// packed panels.
+// TestMicroKernelMatchesScalar pins the 4×8 GEMM micro-kernel at every
+// kernel level the host has to a plain per-element loop (each element
+// summed over k in ascending order from zero) bit for bit, at every panel
+// depth from 0 to 300 (beyond gemmKC), with and without signed zeros,
+// infinities and NaN in the packed panels.
 func TestMicroKernelMatchesScalar(t *testing.T) {
-	requireAsm(t)
+	forEachLevel(t, testMicroKernel)
+}
+
+func testMicroKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for kc := 0; kc <= 300; kc++ {
 		for _, special := range []bool{false, true} {
@@ -151,16 +158,21 @@ func TestMicroKernelMatchesScalar(t *testing.T) {
 				sprinkle(rng, ap)
 				sprinkle(rng, bp)
 			}
-			var got, want [gemmMR * gemmNR]float64
+			var got [gemmMR * gemmNR]float64
 			for i := range got {
 				got[i] = math.NaN() // the kernel must overwrite every element
 			}
-			micro4x4avx(kc, &ap[0], &bp[0], &got[0])
-			microScalar4x4(kc, ap, bp, &want)
-			for i := range got {
-				if !sameBits(got[i], want[i]) {
-					t.Fatalf("kc=%d special=%v: acc[%d] = %x, scalar %x", kc, special, i,
-						math.Float64bits(got[i]), math.Float64bits(want[i]))
+			microTile(kc, ap, bp, &got)
+			for r := 0; r < gemmMR; r++ {
+				for c := 0; c < gemmNR; c++ {
+					var want float64
+					for k := 0; k < kc; k++ {
+						want += ap[gemmMR*k+r] * bp[gemmNR*k+c]
+					}
+					if g := got[gemmNR*r+c]; !sameBits(g, want) {
+						t.Fatalf("%s kc=%d special=%v: acc(%d,%d) = %x, scalar %x", kernel, kc, special, r, c,
+							math.Float64bits(g), math.Float64bits(want))
+					}
 				}
 			}
 		}

@@ -3,19 +3,23 @@ package mat
 import "repro/internal/parallel"
 
 // Matrix-product kernels. Large products run through a cache-blocked,
-// panel-packed GEMM (packA/packB + a 4×4 register micro-kernel, the
-// standard GotoBLAS/BLIS decomposition): A and B tiles are copied into
-// contiguous panels so the inner kernel streams packed memory regardless
-// of the operand layout — in particular aᵀ·b no longer strides down
-// columns — and each loaded element feeds gemmMR×gemmNR multiply-adds
-// instead of one. Small products keep the register-friendly row-sweep
+// panel-packed GEMM (the standard GotoBLAS/BLIS decomposition): A and B
+// tiles are copied into contiguous panels so the inner kernel streams
+// packed memory regardless of the operand layout — in particular aᵀ·b no
+// longer strides down columns — and a 4×8 register micro-kernel turns
+// each loaded element into several multiply-adds. The panel layout, the
+// packing routine, the micro-kernel and the Packed operand type, which
+// lets a caller pack a constant operand once for many products, live in
+// packed.go. Small products keep the register-friendly row-sweep
 // reference kernels, where packing overhead would dominate.
 //
-// On amd64 hosts with AVX the micro-kernel (gemm_amd64.s) and the inner
-// loops of the row kernels and the Gram update (dot_amd64.s) run 256-bit
-// AVX, chosen once from CPUID (gemm_kernel_amd64.go). Every other host
-// runs the portable Go loops. Both paths multiply and add separately, in
-// the same order, so they give the same bits.
+// The inner loops run at one kernel level, picked once at start-up from
+// CPUID (gemm_kernel_amd64.go): AVX-512F on amd64 hosts whose OS saves
+// the ZMM state (the GEMM micro-kernel and AccumRows' widest pass, with
+// AVX for the rest), AVX on amd64 hosts with only the YMM state (the
+// micro-kernel, the row kernels and the Gram update of dot_amd64.s), and
+// the portable Go loops everywhere else. Every level multiplies and adds
+// separately, in the same order, so all three give the same bits.
 //
 // Results are deterministic for a fixed worker count: workers split output
 // rows, and every output element accumulates its k-terms in the same
@@ -26,7 +30,7 @@ import "repro/internal/parallel"
 
 const (
 	gemmMR = 4 // micro-kernel rows
-	gemmNR = 4 // micro-kernel cols
+	gemmNR = 8 // micro-kernel cols
 	gemmKC = 256
 	gemmMC = 64
 	gemmNC = 512
@@ -38,6 +42,24 @@ const (
 	// scalar-loop floor justify a goroutine.
 	gemmRowFloor = 8
 )
+
+// kernelLevel names the widest register kernels the host runs. The
+// package-level kernel holds it; it is set once at start-up.
+type kernelLevel uint8
+
+const (
+	kernelPortable kernelLevel = iota // the Go loops
+	kernelAVX                         // 256-bit AVX
+	kernelAVX512                      // 512-bit AVX-512F where a kernel has it, AVX elsewhere
+)
+
+var kernelNames = [...]string{"portable", "avx", "avx512"}
+
+func (l kernelLevel) String() string { return kernelNames[l] }
+
+// KernelLevel names the kernel level this process runs: "avx512", "avx"
+// or "portable".
+func KernelLevel() string { return kernel.String() }
 
 // gemmScratch holds one worker's packing panels.
 type gemmScratch struct {
@@ -227,7 +249,7 @@ func gemm(dst, a, b *Dense, transA, transB bool) {
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < kd; pc += gemmKC {
 			kc := min(gemmKC, kd-pc)
-			packB(bp, b, transB, pc, jc, kc, nc)
+			pack(bp, b, !transB, jc, pc, nc, kc, gemmNR)
 			// Out-of-line call: a closure here would capture gemm's loop
 			// variables and heap-allocate them every iteration.
 			gemmTileParallel(dst, a, transA, bp, pc, jc, kc, nc, m)
@@ -254,7 +276,7 @@ func gemmSerial(dst, a, b *Dense, transA, transB bool) {
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < kd; pc += gemmKC {
 			kc := min(gemmKC, kd-pc)
-			packB(bp, b, transB, pc, jc, kc, nc)
+			pack(bp, b, !transB, jc, pc, nc, kc, gemmNR)
 			gemmRowRange(dst, a, transA, ap, bp, pc, jc, kc, nc, 0, m)
 		}
 	}
@@ -280,234 +302,17 @@ var gemmTileTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
 	gemmPool.Put(wsc)
 })
 
-// gemmRowRange runs the packed micro-kernels for output rows [lo, hi) of
-// one (pc, jc) tile, packing A blocks into ap and reading the shared
-// packed B panel bp.
+// gemmRowRange runs the micro-kernels for output rows [lo, hi) of one
+// (pc, jc) tile, packing A blocks into ap and reading the shared packed B
+// panel bp.
 //
 //firal:hotpath
 func gemmRowRange(dst, a *Dense, transA bool, ap, bp []float64, pc, jc, kc, nc, lo, hi int) {
 	for ic := lo; ic < hi; ic += gemmMC {
 		mc := min(gemmMC, hi-ic)
-		packA(ap, a, transA, ic, pc, mc, kc)
-		for pj := 0; pj < nc; pj += gemmNR {
-			nr := min(gemmNR, nc-pj)
-			bpanel := bp[pj*kc:]
-			for pi := 0; pi < mc; pi += gemmMR {
-				mr := min(gemmMR, mc-pi)
-				micro4x4(kc, ap[pi*kc:], bpanel, dst, ic+pi, jc+pj, mr, nr)
-			}
-		}
+		pack(ap, a, transA, ic, pc, mc, kc, gemmMR)
+		macroTile(dst, ic, jc, ap, bp, kc, mc, 0, nc)
 	}
-}
-
-// packA copies the mc×kc block of op(a) at (i0, k0) into gemmMR-row
-// panels: panel p holds rows [p·MR, p·MR+MR) interleaved by k, so the
-// micro-kernel reads MR values per k from one contiguous stream. Rows
-// beyond mc are zero-padded (the padded accumulators are never written
-// back).
-//
-//firal:hotpath
-func packA(ap []float64, a *Dense, trans bool, i0, k0, mc, kc int) {
-	for pi := 0; pi < mc; pi += gemmMR {
-		dst := ap[pi*kc:]
-		mr := min(gemmMR, mc-pi)
-		if !trans {
-			if mr == gemmMR {
-				r0 := a.Row(i0 + pi)[k0 : k0+kc]
-				r1 := a.Row(i0 + pi + 1)[k0 : k0+kc]
-				r2 := a.Row(i0 + pi + 2)[k0 : k0+kc]
-				r3 := a.Row(i0 + pi + 3)[k0 : k0+kc]
-				for k := 0; k < kc; k++ {
-					d := dst[4*k : 4*k+4 : 4*k+4]
-					d[0] = r0[k]
-					d[1] = r1[k]
-					d[2] = r2[k]
-					d[3] = r3[k]
-				}
-				continue
-			}
-			for r := 0; r < gemmMR; r++ {
-				if r < mr {
-					src := a.Row(i0 + pi + r)[k0 : k0+kc]
-					for k := 0; k < kc; k++ {
-						dst[4*k+r] = src[k]
-					}
-				} else {
-					for k := 0; k < kc; k++ {
-						dst[4*k+r] = 0
-					}
-				}
-			}
-			continue
-		}
-		// op(a) = aᵀ: element (i, k) lives at a[k0+k][i0+i], so each k is a
-		// contiguous run of a's row k0+k.
-		for k := 0; k < kc; k++ {
-			src := a.Row(k0 + k)[i0+pi:]
-			d := dst[4*k : 4*k+4 : 4*k+4]
-			if mr == gemmMR {
-				d[0] = src[0]
-				d[1] = src[1]
-				d[2] = src[2]
-				d[3] = src[3]
-				continue
-			}
-			for r := 0; r < gemmMR; r++ {
-				if r < mr {
-					d[r] = src[r]
-				} else {
-					d[r] = 0
-				}
-			}
-		}
-	}
-}
-
-// packB copies the kc×nc block of op(b) at (k0, j0) into gemmNR-column
-// panels, zero-padding columns beyond nc.
-//
-//firal:hotpath
-func packB(bp []float64, b *Dense, trans bool, k0, j0, kc, nc int) {
-	for pj := 0; pj < nc; pj += gemmNR {
-		dst := bp[pj*kc:]
-		nr := min(gemmNR, nc-pj)
-		if !trans {
-			for k := 0; k < kc; k++ {
-				src := b.Row(k0 + k)[j0+pj:]
-				d := dst[4*k : 4*k+4 : 4*k+4]
-				if nr == gemmNR {
-					d[0] = src[0]
-					d[1] = src[1]
-					d[2] = src[2]
-					d[3] = src[3]
-					continue
-				}
-				for t := 0; t < gemmNR; t++ {
-					if t < nr {
-						d[t] = src[t]
-					} else {
-						d[t] = 0
-					}
-				}
-			}
-			continue
-		}
-		// op(b) = bᵀ: column j of op(b) is row j0+j of b, contiguous in k.
-		for t := 0; t < gemmNR; t++ {
-			if t < nr {
-				src := b.Row(j0 + pj + t)[k0 : k0+kc]
-				for k := 0; k < kc; k++ {
-					dst[4*k+t] = src[k]
-				}
-			} else {
-				for k := 0; k < kc; k++ {
-					dst[4*k+t] = 0
-				}
-			}
-		}
-	}
-}
-
-// micro4x4 accumulates a 4×4 tile of the product of one packed A panel and
-// one packed B panel into dst at (i, j). Only the valid mr×nr region is
-// written back; the padded lanes accumulate zeros. The tile itself comes
-// from the AVX kernel on amd64 hosts with AVX and from the scalar loop
-// elsewhere; both sum k-terms in the same order, so results are identical.
-//
-//firal:hotpath
-func micro4x4(kc int, ap, bp []float64, dst *Dense, i, j, mr, nr int) {
-	var acc [gemmMR * gemmNR]float64
-	if useAsmKernel {
-		micro4x4avx(kc, &ap[0], &bp[0], &acc[0])
-	} else {
-		microScalar4x4(kc, ap, bp, &acc)
-	}
-	if mr == gemmMR && nr == gemmNR {
-		r := dst.Row(i)[j : j+4 : j+4]
-		r[0] += acc[0]
-		r[1] += acc[1]
-		r[2] += acc[2]
-		r[3] += acc[3]
-		r = dst.Row(i + 1)[j : j+4 : j+4]
-		r[0] += acc[4]
-		r[1] += acc[5]
-		r[2] += acc[6]
-		r[3] += acc[7]
-		r = dst.Row(i + 2)[j : j+4 : j+4]
-		r[0] += acc[8]
-		r[1] += acc[9]
-		r[2] += acc[10]
-		r[3] += acc[11]
-		r = dst.Row(i + 3)[j : j+4 : j+4]
-		r[0] += acc[12]
-		r[1] += acc[13]
-		r[2] += acc[14]
-		r[3] += acc[15]
-		return
-	}
-	for r := 0; r < mr; r++ {
-		row := dst.Row(i + r)
-		for t := 0; t < nr; t++ {
-			row[j+t] += acc[gemmNR*r+t]
-		}
-	}
-}
-
-// microScalar4x4 is the portable micro-kernel: sixteen independent
-// accumulators over the packed panels, overwriting acc.
-//
-//firal:hotpath
-func microScalar4x4(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
-	var c00, c01, c02, c03 float64
-	var c10, c11, c12, c13 float64
-	var c20, c21, c22, c23 float64
-	var c30, c31, c32, c33 float64
-	ap = ap[:4*kc]
-	bp = bp[:4*kc]
-	for off := 0; off < len(ap); off += 4 {
-		av := ap[off : off+4 : off+4]
-		bv := bp[off : off+4 : off+4]
-		a0 := av[0]
-		a1 := av[1]
-		a2 := av[2]
-		a3 := av[3]
-		b0 := bv[0]
-		b1 := bv[1]
-		b2 := bv[2]
-		b3 := bv[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-	acc[0] = c00
-	acc[1] = c01
-	acc[2] = c02
-	acc[3] = c03
-	acc[4] = c10
-	acc[5] = c11
-	acc[6] = c12
-	acc[7] = c13
-	acc[8] = c20
-	acc[9] = c21
-	acc[10] = c22
-	acc[11] = c23
-	acc[12] = c30
-	acc[13] = c31
-	acc[14] = c32
-	acc[15] = c33
 }
 
 // dotu is an instruction-parallel dot product (four independent
@@ -521,7 +326,7 @@ func dotu(x, y []float64) float64 {
 	if len(y) != len(x) {
 		panic("mat: dot length mismatch")
 	}
-	if !useAsmKernel || len(x) == 0 {
+	if kernel == kernelPortable || len(x) == 0 {
 		return dotuGo(x, y)
 	}
 	var r float64
@@ -538,7 +343,7 @@ func dotsLanes(out, x []float64, b *Dense) {
 		panic("mat: dot length mismatch")
 	}
 	out = out[:b.Rows]
-	if !useAsmKernel || len(x) == 0 || b.Rows == 0 {
+	if kernel == kernelPortable || len(x) == 0 || b.Rows == 0 {
 		for j := range out {
 			out[j] = dotuGo(x, b.Row(j))
 		}
@@ -575,8 +380,9 @@ func dotuGo(x, y []float64) float64 {
 // order, skipping zero coefficients: per element, exactly the order in
 // which the reference aᵀ·b kernel accumulates one output row (a's column
 // read with stride gs). y must have x.Cols elements. On amd64 hosts with
-// AVX the loop of dot_amd64.s keeps sixteen columns of y in registers
-// across the row loop.
+// AVX the loops of dot_amd64.s keep a run of columns of y in registers
+// across the row loop: thirty-two at a time with AVX-512F, then sixteen,
+// four and one.
 //
 //firal:hotpath
 func AccumRows(y, g []float64, gs int, x *Dense) {
@@ -588,11 +394,19 @@ func AccumRows(y, g []float64, gs int, x *Dense) {
 	}
 	_ = g[(x.Rows-1)*gs]  // bounds: every coefficient lies inside g
 	_ = x.Row(x.Rows - 1) // and every row inside x.Data
-	if useAsmKernel {
-		accumRowsAVX(len(y), &y[0], &g[0], gs, &x.Data[0], x.Stride, x.Rows)
+	if kernel == kernelPortable {
+		accumRowsGo(y, g, gs, x)
 		return
 	}
-	accumRowsGo(y, g, gs, x)
+	n, w := len(y), 0
+	if kernel == kernelAVX512 {
+		if w = n &^ 31; w > 0 {
+			accumRowsAVX512(w, &y[0], &g[0], gs, &x.Data[0], x.Stride, x.Rows)
+		}
+	}
+	if w < n {
+		accumRowsAVX(n-w, &y[w], &g[0], gs, &x.Data[w], x.Stride, x.Rows)
+	}
 }
 
 // accumRowsGo is the portable AccumRows loop.
@@ -766,7 +580,7 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, lo, hi int) {
 		x1 := x.Row(i + 1)
 		x2 := x.Row(i + 2)
 		x3 := x.Row(i + 3)
-		if useAsmKernel && d > 0 {
+		if kernel != kernelPortable && d > 0 {
 			_ = dst.Row(d - 1)[d-1] // bounds: the d×d triangle lies inside dst
 			gramRank4AVX(d, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
 			continue

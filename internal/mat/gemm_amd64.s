@@ -1,16 +1,62 @@
-// AVX micro-kernel for the blocked GEMM, run only when hasAVX reports the
-// CPU and OS support 256-bit registers (see gemm_kernel_amd64.go). The
-// kernel computes a 4×4 tile C = Ap·Bp from packed panels (A interleaved
-// 4 values per k, B interleaved 4 values per k) into acc. Row r of the
-// tile lives in one YMM register: per k it adds a[r]·b[0:4], a multiply
-// then an add (never FMA), so each element sums its k-terms in ascending
-// order with the same roundings as the scalar kernel — both produce
-// bit-identical results.
+// Micro-kernels for the blocked GEMM (see packed.go for the panel layout
+// and gemm_kernel_amd64.go for when each runs). Both compute a 4×8 tile
+// C = Ap·Bp from packed panels — A interleaved 4 values per k, B
+// interleaved 8 values per k — into acc. Per k, row r of the tile adds
+// a[r]·b[0:8]: a multiply then an add (never FMA), so each element sums its
+// k-terms in ascending order from zero with the same roundings as the
+// portable kernel, and all levels produce bit-identical results.
 
 #include "textflag.h"
 
-// func micro4x4avx(kc int, ap, bp, acc *float64)
-TEXT ·micro4x4avx(SB), NOSPLIT, $0-32
+// func micro4x8avx512(kc int, ap, bp, acc *float64)
+//
+// Row r of the tile lives in ZMM register Z<r>.
+TEXT ·micro4x8avx512(SB), NOSPLIT, $0-32
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ acc+24(FP), DX
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+
+	TESTQ CX, CX
+	JZ    done512
+
+loop512:
+	VMOVUPD      (DI), Z4   // b0 … b7
+	VBROADCASTSD (SI), Z5   // a0 ×8
+	VMULPD       Z4, Z5, Z5
+	VADDPD       Z5, Z0, Z0
+	VBROADCASTSD 8(SI), Z6  // a1 ×8
+	VMULPD       Z4, Z6, Z6
+	VADDPD       Z6, Z1, Z1
+	VBROADCASTSD 16(SI), Z7 // a2 ×8
+	VMULPD       Z4, Z7, Z7
+	VADDPD       Z7, Z2, Z2
+	VBROADCASTSD 24(SI), Z8 // a3 ×8
+	VMULPD       Z4, Z8, Z8
+	VADDPD       Z8, Z3, Z3
+	ADDQ         $32, SI
+	ADDQ         $64, DI
+	DECQ         CX
+	JNZ          loop512
+
+done512:
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, 128(DX)
+	VMOVUPD Z3, 192(DX)
+	VZEROUPPER
+	RET
+
+// func micro4x8avx(kc int, ap, bp, acc *float64)
+//
+// Row r of the tile lives in the YMM pair Y<2r> (columns 0–3) and
+// Y<2r+1> (columns 4–7).
+TEXT ·micro4x8avx(SB), NOSPLIT, $0-32
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
@@ -20,26 +66,39 @@ TEXT ·micro4x4avx(SB), NOSPLIT, $0-32
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
 
 	TESTQ CX, CX
 	JZ    done
 
 loop:
-	VMOVUPD      (DI), Y4   // b0 b1 b2 b3
-	VBROADCASTSD (SI), Y5   // a0 ×4
-	VMULPD       Y4, Y5, Y5
-	VADDPD       Y5, Y0, Y0
-	VBROADCASTSD 8(SI), Y6  // a1 ×4
-	VMULPD       Y4, Y6, Y6
-	VADDPD       Y6, Y1, Y1
-	VBROADCASTSD 16(SI), Y7 // a2 ×4
-	VMULPD       Y4, Y7, Y7
-	VADDPD       Y7, Y2, Y2
-	VBROADCASTSD 24(SI), Y8 // a3 ×4
-	VMULPD       Y4, Y8, Y8
-	VADDPD       Y8, Y3, Y3
+	VMOVUPD      (DI), Y8    // b0 … b3
+	VMOVUPD      32(DI), Y9  // b4 … b7
+	VBROADCASTSD (SI), Y10   // a0 ×4
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y0, Y0
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y1, Y1
+	VBROADCASTSD 8(SI), Y13  // a1 ×4
+	VMULPD       Y8, Y13, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y15, Y3, Y3
+	VBROADCASTSD 16(SI), Y10 // a2 ×4
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y4, Y4
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y12, Y5, Y5
+	VBROADCASTSD 24(SI), Y13 // a3 ×4
+	VMULPD       Y8, Y13, Y14
+	VADDPD       Y14, Y6, Y6
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y15, Y7, Y7
 	ADDQ         $32, SI
-	ADDQ         $32, DI
+	ADDQ         $64, DI
 	DECQ         CX
 	JNZ          loop
 
@@ -48,5 +107,9 @@ done:
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
 	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
 	VZEROUPPER
 	RET

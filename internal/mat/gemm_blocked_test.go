@@ -18,7 +18,7 @@ func relTol(k int) float64 { return 1e-12 * float64(k+1) }
 
 // TestBlockedMulMatchesReference drives the packed kernels at sizes large
 // enough to take the blocked path, including dimensions that are not
-// multiples of the 4×4 micro-tile and of the cache-block sizes.
+// multiples of the 4×8 micro-tile and of the cache-block sizes.
 func TestBlockedMulMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct{ m, k, n int }{

@@ -9,7 +9,7 @@ import (
 
 // Property and fuzz tests comparing the blocked/parallel GEMM family
 // against the Ref* row-sweep oracles on ragged shapes — m, n, k that are
-// not multiples of the 4×4 micro-kernel or of the gemmMC/gemmKC/gemmNC
+// not multiples of the 4×8 micro-kernel or of the gemmMC/gemmKC/gemmNC
 // blocking parameters, where packing-padding bugs would live.
 
 // lcg fills data deterministically without pulling in internal/rnd.

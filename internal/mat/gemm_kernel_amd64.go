@@ -1,19 +1,62 @@
 package mat
 
-// useAsmKernel selects the AVX kernels (gemm_amd64.s, dot_amd64.s). It is
-// set once from CPUID: hosts without AVX, or whose OS does not save the
-// YMM registers, run the portable Go loops, which produce the same bits.
-var useAsmKernel = hasAVX()
+// Kernel selection on amd64. The inner loops run at one of three levels,
+// picked once at start-up and never changed:
+//
+//   - kernelAVX512: the CPU has AVX-512F (CPUID.7:EBX bit 16) and the OS
+//     saves the opmask and ZMM state, i.e. XCR0 has bits 1, 2, 5, 6 and 7
+//     (mask 0xE6; a CPU flag alone is not enough, because an OS that does
+//     not save the upper ZMM halves would corrupt them across context
+//     switches). The GEMM micro-kernel keeps one 4×8 tile row per ZMM
+//     register, and AccumRows runs thirty-two columns per pass before its
+//     AVX passes; the other loops run their AVX code.
+//   - kernelAVX: the CPU has AVX and the OS saves the YMM state (XCR0 bits
+//     1 and 2). The micro-kernel keeps a tile row in two YMM registers.
+//   - kernelPortable: every other host runs the Go loops.
+//
+// The micro-kernels read the panel layout that packed.go owns: four left
+// rows and eight right columns (gemmNR) interleaved by k, so one 64-byte
+// load fetches the eight right values of a k step and a ZMM row, or two
+// YMM halves, covers the whole tile row.
+//
+// No kernel uses a fused multiply-add. FMA rounds a·b + c once where
+// VMULPD then VADDPD round twice, so it would give different bits from
+// the portable loops and would make every product, ROUND score and
+// selection depend on the host. Every kernel instead issues VMULPD then
+// VADDPD in the portable loop's per-element order; the tests compare each
+// level with the portable one bit for bit.
+
+// kernel is the level this process runs.
+var kernel = detectKernel()
+
+func detectKernel() kernelLevel {
+	switch {
+	case hasAVX512():
+		return kernelAVX512
+	case hasAVX():
+		return kernelAVX
+	}
+	return kernelPortable
+}
 
 // hasAVX reports whether the CPU supports AVX and the OS has enabled the
 // YMM state (cpu_amd64.s).
 func hasAVX() bool
 
-// micro4x4avx computes the 4×4 tile product of packed panels ap and bp
-// over kc steps into acc (row-major [16]float64), overwriting acc.
+// hasAVX512 reports whether the CPU supports AVX and AVX-512F and the OS
+// has enabled the opmask and ZMM state (cpu_amd64.s).
+func hasAVX512() bool
+
+// micro4x8avx512 computes the 4×8 tile product of packed panels ap and bp
+// over kc steps into acc (row-major [32]float64), overwriting acc.
 //
 //go:noescape
-func micro4x4avx(kc int, ap, bp, acc *float64)
+func micro4x8avx512(kc int, ap, bp, acc *float64)
+
+// micro4x8avx is micro4x8avx512 on YMM registers.
+//
+//go:noescape
+func micro4x8avx(kc int, ap, bp, acc *float64)
 
 // dotsLanesAVX writes out[j] = dotu(x[:n], y[j·ys:][:n]) for j < ny.
 //
@@ -25,6 +68,12 @@ func dotsLanesAVX(n int, x, y *float64, ys, ny int, out *float64)
 //
 //go:noescape
 func accumRowsAVX(n int, y, c *float64, cs int, x *float64, xs, rows int)
+
+// accumRowsAVX512 is accumRowsAVX for n a multiple of 32, thirty-two
+// columns per pass.
+//
+//go:noescape
+func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
 
 // gramRank4AVX adds the rank-4 update Σ_k w_k x_k x_kᵀ of the rows
 // x_k = x[k·xs:][:d] to the lower triangle of the d×d matrix at dst (row

@@ -2,10 +2,14 @@
 
 package mat
 
-// useAsmKernel is false off amd64; the portable Go loops run instead.
-const useAsmKernel = false
+// kernel is kernelPortable off amd64; the portable Go loops run instead.
+const kernel = kernelPortable
 
-func micro4x4avx(kc int, ap, bp, acc *float64) {
+func micro4x8avx512(kc int, ap, bp, acc *float64) {
+	panic("mat: asm micro-kernel unavailable on this architecture")
+}
+
+func micro4x8avx(kc int, ap, bp, acc *float64) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }
 
@@ -14,6 +18,10 @@ func dotsLanesAVX(n int, x, y *float64, ys, ny int, out *float64) {
 }
 
 func accumRowsAVX(n int, y, c *float64, cs int, x *float64, xs, rows int) {
+	panic("mat: asm accumulate kernel unavailable on this architecture")
+}
+
+func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int) {
 	panic("mat: asm accumulate kernel unavailable on this architecture")
 }
 

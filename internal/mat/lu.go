@@ -113,12 +113,3 @@ func (f *LU) Solve(dst, b *Dense) *Dense {
 	}
 	return dst
 }
-
-// Det returns the determinant.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}

@@ -1,0 +1,286 @@
+package mat
+
+// Packed operands and the register micro-kernel of the blocked product.
+//
+// The blocked kernels copy their operands into panels, so the inner kernel
+// streams contiguous memory whatever the operand layout, and each loaded
+// element feeds several multiply-adds. This file is the one place that
+// knows the panel layout: pack writes it, micro4x8 reads it, and Packed
+// keeps a whole constant operand in it, so the products that reuse one
+// operand (ROUND's stack of every W_kᵀ, the Lemma-2 probe block) copy it
+// once instead of once per product.
+//
+// Layout. An operand of r rows — the product's rows for a left operand,
+// its columns for a right one — and inner dimension k is cut into
+// k-panels of gemmKC (the last one ragged), and each k-panel into lane
+// panels of w rows: w = gemmMR = 4 on the left, w = gemmNR = 8 on the
+// right. A lane panel holds its w rows interleaved by k: element
+// (q·w + l, pc + t) sits at t·w + l of lane panel q, and rows past r are
+// zero. The k-panel at pc starts at pc·rp, with rp = r rounded up to w;
+// lane panel q starts q·w·kc into it.
+//
+// The micro-kernel multiplies one left lane panel by one right lane panel
+// into a 4×8 tile. Tile element (i, j) sums a_it·b_jt over the k-panel in
+// ascending t from zero, a multiply and then an add per step (never a
+// fused multiply-add, see gemm_kernel_amd64.go). Every blocked product
+// adds the tiles of successive k-panels onto a zeroed destination in
+// ascending order, so the gemm paths, MulPacked and MulPackedRight give
+// the same bits for the same element.
+
+// Packed is one operand of the blocked product a·bᵀ, copied into the panel
+// layout above. Its owner packs it with PackLeft or PackRight, repacks it
+// whenever the operand changes, and passes it to MulPacked or
+// MulPackedRight as often as it likes. The zero value is ready to pack;
+// the storage grows to the largest operand packed and is then reused. A
+// Packed is read-only while products use it, so several goroutines may
+// share one.
+type Packed struct {
+	rows, k int // operand rows and inner dimension
+	w       int // lane panel width: gemmMR (left) or gemmNR (right)
+	data    []float64
+}
+
+// PackLeft packs a (m×k) as the left operand of a·bᵀ: its rows are the
+// rows of the product.
+func (p *Packed) PackLeft(a *Dense) { p.fill(a, gemmMR) }
+
+// PackRight packs b (n×k) as the right operand of a·bᵀ: its rows are the
+// columns of the product.
+func (p *Packed) PackRight(b *Dense) { p.fill(b, gemmNR) }
+
+func (p *Packed) fill(src *Dense, w int) {
+	p.rows, p.k, p.w = src.Rows, src.Cols, w
+	rp := p.padded()
+	data := growBuf(&p.data, rp*p.k)
+	for pc := 0; pc < p.k; pc += gemmKC {
+		pack(data[pc*rp:], src, false, 0, pc, p.rows, min(gemmKC, p.k-pc), w)
+	}
+}
+
+// padded is the operand's row count rounded up to its lane panel width.
+func (p *Packed) padded() int { return (p.rows + p.w - 1) / p.w * p.w }
+
+// MulPacked sets dst to a·b_cᵀ, where a is a packed left operand with
+// dst.Rows rows and b_c is rows [c0, c0+dst.Cols) of the matrix packed in
+// the right operand b. Each element is bit for bit the one
+// MulTransBInOrder(dst, a, b_c, true) computes. It runs on the calling
+// goroutine. dst must not alias either operand's matrix.
+//
+//firal:hotpath
+func MulPacked(dst *Dense, a, b *Packed, c0 int) {
+	checkPacked(dst, b, c0, a.k)
+	if a.w != gemmMR || a.rows != dst.Rows {
+		panic("mat: MulPacked needs a left operand with the destination's rows")
+	}
+	dst.Zero()
+	arp, brp := a.padded(), b.padded()
+	for pc := 0; pc < a.k; pc += gemmKC {
+		kc := min(gemmKC, a.k-pc)
+		macroTile(dst, 0, 0, a.data[pc*arp:], b.data[pc*brp:], kc, a.rows, c0, c0+dst.Cols)
+	}
+}
+
+// MulPackedRight is MulPacked with an unpacked left operand a, which it
+// packs a gemmMC-row block at a time into pooled scratch.
+//
+//firal:hotpath
+func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
+	checkPacked(dst, b, c0, a.Cols)
+	if a.Rows != dst.Rows {
+		panic("mat: destination has wrong shape")
+	}
+	dst.Zero()
+	sc := gemmPool.Get()
+	ap := growBuf(&sc.a, gemmMC*gemmKC)
+	brp := b.padded()
+	for ic := 0; ic < a.Rows; ic += gemmMC {
+		mc := min(gemmMC, a.Rows-ic)
+		for pc := 0; pc < b.k; pc += gemmKC {
+			kc := min(gemmKC, b.k-pc)
+			pack(ap, a, false, ic, pc, mc, kc, gemmMR)
+			macroTile(dst, ic, 0, ap, b.data[pc*brp:], kc, mc, c0, c0+dst.Cols)
+		}
+	}
+	gemmPool.Put(sc)
+}
+
+// checkPacked validates the right operand and column window of a packed
+// product whose left operand has inner dimension k.
+func checkPacked(dst *Dense, b *Packed, c0, k int) {
+	if b.w != gemmNR {
+		panic("mat: packed product needs a right operand from PackRight")
+	}
+	if k != b.k {
+		panic("mat: packed product inner dimension mismatch")
+	}
+	if c0 < 0 || c0+dst.Cols > b.rows {
+		panic("mat: packed product columns out of range")
+	}
+}
+
+// pack copies n operand rows from r0 and kc inner indices from k0 of src
+// into w-lane panels at dst: one k-panel of the layout above, the last
+// lane panel zero-padded. Operand row i is src row r0+i when trans is
+// false; when trans is true it is src column r0+i, so each inner index is
+// a contiguous run of one src row.
+//
+//firal:hotpath
+func pack(dst []float64, src *Dense, trans bool, r0, k0, n, kc, w int) {
+	for q := 0; q < n; q += w {
+		p := dst[q*kc : (q+w)*kc]
+		lanes := min(w, n-q)
+		if trans {
+			for t := 0; t < kc; t++ {
+				d := p[t*w : t*w+w]
+				copy(d, src.Row(k0 + t)[r0+q:r0+q+lanes])
+				clear(d[lanes:])
+			}
+			continue
+		}
+		if lanes == 4 && w == 4 {
+			// A full left panel, the hot case: four rows in step, so the
+			// panel is written in order.
+			s0 := src.Row(r0 + q)[k0 : k0+kc]
+			s1 := src.Row(r0 + q + 1)[k0 : k0+kc]
+			s2 := src.Row(r0 + q + 2)[k0 : k0+kc]
+			s3 := src.Row(r0 + q + 3)[k0 : k0+kc]
+			for t := range s0 {
+				d := p[4*t : 4*t+4 : 4*t+4]
+				d[0], d[1], d[2], d[3] = s0[t], s1[t], s2[t], s3[t]
+			}
+			continue
+		}
+		for l := 0; l < lanes; l++ {
+			for t, v := range src.Row(r0 + q + l)[k0 : k0+kc] {
+				p[t*w+l] = v
+			}
+		}
+		for l := lanes; l < w; l++ {
+			for t := 0; t < kc; t++ {
+				p[t*w+l] = 0
+			}
+		}
+	}
+}
+
+// macroTile runs the micro-kernel over one k-panel of depth kc: the mc rows
+// of the packed left block ap against columns [j0, j1) of the packed right
+// block bp, adding into dst with left row 0 at row i and right column j0
+// at column j.
+//
+//firal:hotpath
+func macroTile(dst *Dense, i, j int, ap, bp []float64, kc, mc, j0, j1 int) {
+	for pj := j0 - j0%gemmNR; pj < j1; pj += gemmNR {
+		t0, t1 := max(j0-pj, 0), min(j1-pj, gemmNR)
+		bpanel := bp[pj*kc:]
+		for pi := 0; pi < mc; pi += gemmMR {
+			micro4x8(kc, ap[pi*kc:], bpanel, dst, i+pi, j+pj+t0-j0, min(gemmMR, mc-pi), t0, t1)
+		}
+	}
+}
+
+// micro4x8 computes the 4×8 tile product of the left lane panel ap and the
+// right lane panel bp over kc inner steps and adds its rows [0, mr) and
+// columns [t0, t1) into dst, tile element (r, t) at (i+r, j+t−t0). The
+// tile comes from the widest kernel the host runs; every level sums in the
+// same order, so the bits do not depend on the level.
+//
+//firal:hotpath
+func micro4x8(kc int, ap, bp []float64, dst *Dense, i, j, mr, t0, t1 int) {
+	var acc [gemmMR * gemmNR]float64
+	microTile(kc, ap, bp, &acc)
+	if mr == gemmMR && t0 == 0 && t1 == gemmNR {
+		for r := 0; r < gemmMR; r++ {
+			d := dst.Row(i + r)[j : j+gemmNR : j+gemmNR]
+			s := acc[r*gemmNR : r*gemmNR+gemmNR : r*gemmNR+gemmNR]
+			d[0] += s[0]
+			d[1] += s[1]
+			d[2] += s[2]
+			d[3] += s[3]
+			d[4] += s[4]
+			d[5] += s[5]
+			d[6] += s[6]
+			d[7] += s[7]
+		}
+		return
+	}
+	for r := 0; r < mr; r++ {
+		d := dst.Row(i + r)[j : j+t1-t0]
+		for t := range d {
+			d[t] += acc[r*gemmNR+t0+t]
+		}
+	}
+}
+
+// microTile overwrites acc with the 4×8 tile product of the lane panels
+// ap and bp over kc inner steps (row-major, tile row r at acc[8r:]), on
+// the host's kernel level.
+//
+//firal:hotpath
+func microTile(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
+	switch kernel {
+	case kernelAVX512:
+		micro4x8avx512(kc, &ap[0], &bp[0], &acc[0])
+	case kernelAVX:
+		micro4x8avx(kc, &ap[0], &bp[0], &acc[0])
+	default:
+		micro4x8Go(kc, ap, bp, acc)
+	}
+}
+
+// micro4x8Go is the portable micro-kernel: the tile's left and right four
+// columns in turn, sixteen accumulators each, overwriting acc.
+//
+//firal:hotpath
+func micro4x8Go(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
+	micro4x4Go(kc, ap, bp, 0, acc)
+	micro4x4Go(kc, ap, bp, 4, acc)
+}
+
+// micro4x4Go writes tile columns [h, h+4) of micro4x8Go.
+//
+//firal:hotpath
+func micro4x4Go(kc int, ap, bp []float64, h int, acc *[gemmMR * gemmNR]float64) {
+	var c00, c01, c02, c03 float64
+	var c10, c11, c12, c13 float64
+	var c20, c21, c22, c23 float64
+	var c30, c31, c32, c33 float64
+	ap = ap[:gemmMR*kc]
+	bp = bp[:gemmNR*kc]
+	for t := 0; t < kc; t++ {
+		av := ap[gemmMR*t : gemmMR*t+4 : gemmMR*t+4]
+		bv := bp[gemmNR*t+h : gemmNR*t+h+4 : gemmNR*t+h+4]
+		a0 := av[0]
+		a1 := av[1]
+		a2 := av[2]
+		a3 := av[3]
+		b0 := bv[0]
+		b1 := bv[1]
+		b2 := bv[2]
+		b3 := bv[3]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c02 += a0 * b2
+		c03 += a0 * b3
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c12 += a1 * b2
+		c13 += a1 * b3
+		c20 += a2 * b0
+		c21 += a2 * b1
+		c22 += a2 * b2
+		c23 += a2 * b3
+		c30 += a3 * b0
+		c31 += a3 * b1
+		c32 += a3 * b2
+		c33 += a3 * b3
+	}
+	r := acc[h : h+4 : h+4]
+	r[0], r[1], r[2], r[3] = c00, c01, c02, c03
+	r = acc[gemmNR+h : gemmNR+h+4 : gemmNR+h+4]
+	r[0], r[1], r[2], r[3] = c10, c11, c12, c13
+	r = acc[2*gemmNR+h : 2*gemmNR+h+4 : 2*gemmNR+h+4]
+	r[0], r[1], r[2], r[3] = c20, c21, c22, c23
+	r = acc[3*gemmNR+h : 3*gemmNR+h+4 : 3*gemmNR+h+4]
+	r[0], r[1], r[2], r[3] = c30, c31, c32, c33
+}

@@ -24,10 +24,6 @@ func NewSPDFuncs(a *Dense, floor float64) (*SPDFuncs, error) {
 	return &SPDFuncs{vals: vals, vecs: vecs, floor: floor}, nil
 }
 
-// Eigenvalues returns the (ascending) eigenvalues. The slice is owned by
-// the receiver and must not be modified.
-func (s *SPDFuncs) Eigenvalues() []float64 { return s.vals }
-
 // apply returns V diag(f(λ)) Vᵀ in dst (allocated when nil), with its
 // scratch from ws.
 func (s *SPDFuncs) apply(ws *Workspace, dst *Dense, f func(float64) float64) *Dense {
@@ -82,11 +78,6 @@ func InvSqrtInto(ws *Workspace, dst, a *Dense, floor float64) error {
 	}
 	s.apply(ws, dst, s.invSqrt)
 	return nil
-}
-
-// Inv returns A^{-1} with eigenvalue flooring.
-func (s *SPDFuncs) Inv() *Dense {
-	return s.apply(nil, nil, func(l float64) float64 { return 1 / s.clamped(l) })
 }
 
 // Cond returns the 2-norm condition number λmax/λmin (after flooring),
