@@ -1,9 +1,10 @@
 package firal_test
 
 // Ablation benchmarks for the design choices called out in DESIGN.md § 5:
-// the Woodbury-accelerated exact ROUND vs the literal dense objective, the
-// block-diagonal CG preconditioner on/off inside a full RELAX solve, probe
-// batching, and the recursive-doubling vs ring allreduce paths.
+// the block-diagonal CG preconditioner on/off inside a full RELAX solve,
+// probe batching, and the recursive-doubling vs ring allreduce paths. The
+// Woodbury vs naive exact-ROUND ablation lives in internal/firal, next to
+// its naive oracle.
 
 import (
 	"context"
@@ -13,23 +14,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/mpi"
 )
-
-// --- Exact ROUND: Woodbury identity vs naive dense inverses. ---
-
-func benchmarkRoundExact(b *testing.B, naive bool) {
-	p := benchProblem(60, 8, 5, 21)
-	z := make([]float64, p.N())
-	mat.Fill(z, 2/float64(p.N()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := firal.RoundExact(p, z, 2, firal.RoundOptions{Naive: naive}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_RoundExactWoodbury(b *testing.B) { benchmarkRoundExact(b, false) }
-func BenchmarkAblation_RoundExactNaive(b *testing.B)    { benchmarkRoundExact(b, true) }
 
 // --- RELAX: preconditioned vs unpreconditioned full solves. ---
 // (BenchmarkFig1_* measures a single linear system; this measures the

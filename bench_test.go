@@ -38,24 +38,30 @@ func benchmarkFig1(b *testing.B, precond bool) {
 	p := benchProblem(2000, 24, 9, 1)
 	z := make([]float64, p.N())
 	mat.Fill(z, 1/float64(p.N()))
-	sig := p.SigmaMatVec(z)
-	var pc func(dst, v []float64)
+	ws := mat.NewWorkspace()
+	sig := krylov.BlockOp(p.SigmaMatVec(ws, z))
+	var pc krylov.BlockOp
 	if precond {
-		blocks := p.SigmaBlocks(z)
-		var err error
-		pc, err = firal.BlockPreconditioner(blocks)
+		blocks, err := p.SigmaBlocks(z)
 		if err != nil {
 			b.Fatal(err)
 		}
+		bp := firal.NewBlockPreconditionerWS()
+		if err := bp.Update(blocks); err != nil {
+			b.Fatal(err)
+		}
+		pc = bp.ApplyBlock
 	}
-	rhs := make([]float64, p.Ed())
-	rnd.New(2).Rademacher(rhs)
-	x := make([]float64, p.Ed())
+	rhs := mat.NewDense(1, p.Ed())
+	rnd.New(2).Rademacher(rhs.Data)
+	x := mat.NewDense(1, p.Ed())
+	opt := krylov.Options{Tol: 1e-3, MaxIter: 600, Workspace: ws}
+	var res []krylov.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat.Fill(x, 0)
-		res := krylov.PCG(context.Background(), sig, pc, rhs, x, krylov.Options{Tol: 1e-3, MaxIter: 600})
-		b.ReportMetric(float64(res.Iterations), "cg-iters")
+		x.Zero()
+		res = krylov.SolveBlockInto(context.Background(), sig, pc, rhs, x, res, opt)
+		b.ReportMetric(float64(res[0].Iterations), "cg-iters")
 	}
 }
 
@@ -155,10 +161,13 @@ func matvecSets(n, d, c int) (*hessian.Set, []float64) {
 
 func BenchmarkTableIII_FastMatvec(b *testing.B) {
 	pool, v := matvecSets(4, 32, 15)
-	dst := make([]float64, len(v))
+	point := pool.Subset([]int{0})
+	ws := mat.NewWorkspace()
+	vt := &mat.Dense{Rows: 1, Cols: len(v), Stride: len(v), Data: v}
+	dst := mat.NewDense(1, len(v))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hessian.PointMatVec(dst, pool.X.Row(0), pool.H.Row(0), v)
+		hessian.MatVecBlockWS(ws, point, dst, vt, nil)
 	}
 }
 

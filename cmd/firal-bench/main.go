@@ -132,19 +132,20 @@ func main() {
 	blocked.Extra = map[string]float64{"speedup_vs_naive": naive.NsPerOp / blocked.NsPerOp}
 	rep.Results = append(rep.Results, blocked, naive)
 
-	// --- Lemma-2 Hessian matvec with a warm workspace. ---
+	// --- Lemma-2 Hessian matvec on one vector (s=1) with a warm
+	// workspace. ---
 	labeled, pool := experiments.SynthSets(20, 2000, 64, 10, 2)
 	ws := mat.NewWorkspace()
-	v := make([]float64, pool.Ed())
-	dst := make([]float64, pool.Ed())
+	v := mat.NewDense(1, pool.Ed())
+	dst := mat.NewDense(1, pool.Ed())
 	w := make([]float64, pool.N())
-	rnd.New(3).Normal(v, 0, 1)
+	rnd.New(3).Normal(v.Data, 0, 1)
 	mat.Fill(w, 0.5)
 	rep.Results = append(rep.Results, run("hessian_matvec_n2000_d64_c9", func(b *testing.B) {
-		pool.MatVecWS(ws, dst, v, w) // warm the workspace
+		hessian.MatVecBlockWS(ws, pool, dst, v, w) // warm the workspace
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pool.MatVecWS(ws, dst, v, w)
+			hessian.MatVecBlockWS(ws, pool, dst, v, w)
 		}
 	}))
 
@@ -163,33 +164,44 @@ func main() {
 		rep.Results = append(rep.Results, run(bc.name, blockSweepBench(bc.n, bc.c, bc.quad)))
 	}
 
-	// --- Preconditioned CG solve (Σz x = b) with workspace. ---
+	// --- Preconditioned CG solve (Σz x = b) of one right-hand side (s=1)
+	// with workspace. ---
 	p := firal.NewProblem(labeled, pool)
 	z := make([]float64, p.N())
 	mat.Fill(z, 1/float64(p.N()))
-	sigMV := p.SigmaMatVecWS(ws, z)
-	precond, err := firal.BlockPreconditioner(p.SigmaBlocks(z))
+	sigMV := krylov.BlockOp(p.SigmaMatVec(ws, z))
+	sig, err := p.SigmaBlocks(z)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rhs := make([]float64, p.Ed())
-	sol := make([]float64, p.Ed())
-	rnd.New(4).Rademacher(rhs)
+	bp := firal.NewBlockPreconditionerWS()
+	if err := bp.Update(sig); err != nil {
+		log.Fatal(err)
+	}
+	precond := krylov.BlockOp(bp.ApplyBlock)
+	rhs := mat.NewDense(1, p.Ed())
+	sol := mat.NewDense(1, p.Ed())
+	rnd.New(4).Rademacher(rhs.Data)
 	cgOpt := krylov.Options{Tol: 1e-6, MaxIter: 400, Workspace: ws}
+	var cgRes []krylov.Result
 	rep.Results = append(rep.Results, run("pcg_solve_ed576", func(b *testing.B) {
-		mat.Fill(sol, 0)
-		krylov.PCG(context.Background(), sigMV, precond, rhs, sol, cgOpt) // warm the workspace
+		sol.Zero()
+		cgRes = krylov.SolveBlockInto(context.Background(), sigMV, precond, rhs, sol, cgRes, cgOpt) // warm the workspace
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mat.Fill(sol, 0)
-			krylov.PCG(context.Background(), sigMV, precond, rhs, sol, cgOpt)
+			sol.Zero()
+			cgRes = krylov.SolveBlockInto(context.Background(), sigMV, precond, rhs, sol, cgRes, cgOpt)
 		}
 	}))
 
 	// --- ROUND scoring pass (the per-candidate pool rescore). ---
 	scores := make([]float64, p.N())
 	rep.Results = append(rep.Results, run("round_scores_n2000_d64_c9", func(b *testing.B) {
-		st, serr := firal.NewRoundState(p.SigmaBlocks(z), p.Labeled.BlockDiagSum(nil),
+		rsig, serr := p.SigmaBlocks(z)
+		if serr != nil {
+			b.Fatal(serr)
+		}
+		st, serr := firal.NewRoundState(rsig, hessian.BlockDiagSumInto(nil, p.Labeled, nil, nil),
 			10, p.DefaultEta(), timing.New())
 		if serr != nil {
 			b.Fatal(serr)
@@ -236,7 +248,11 @@ func main() {
 		z := make([]float64, sprob.N())
 		mat.Fill(z, 5/float64(sprob.N()))
 		ph := timing.New()
-		st, serr := firal.NewRoundState(sprob.SigmaBlocks(z), sprob.Labeled.BlockDiagSum(nil),
+		ssig, serr := sprob.SigmaBlocks(z)
+		if serr != nil {
+			b.Fatal(serr)
+		}
+		st, serr := firal.NewRoundState(ssig, hessian.BlockDiagSumInto(nil, sprob.Labeled, nil, nil),
 			5, sprob.DefaultEta(), ph)
 		if serr != nil {
 			b.Fatal(serr)
@@ -409,8 +425,8 @@ func streamBench(run func(string, func(b *testing.B)) entry, setup *streamSetup)
 	ws := mat.NewWorkspace()
 	z := make([]float64, n)
 	mat.Fill(z, 10/float64(n))
-	sig := pool.BlockDiagSumInto(ws, nil, z)
-	ho := setup.labeled.BlockDiagSumInto(ws, nil, nil)
+	sig := hessian.BlockDiagSumInto(ws, pool, nil, z)
+	ho := hessian.BlockDiagSumInto(ws, setup.labeled, nil, nil)
 	for k := range sig {
 		sig[k].AddScaled(1, ho[k])
 	}

@@ -11,7 +11,8 @@ import (
 
 // TestAnalyticTablesMatchGolden pins the deterministic outputs byte for
 // byte: the analytic Tables II/III and the Table V dataset summary, as
-// the separate firal-time and firal-accuracy binaries printed them.
+// the separate firal-time and firal-accuracy binaries printed them, and
+// a small Fig. 1 run (both CG residual series and the condition numbers).
 func TestAnalyticTablesMatchGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -19,6 +20,7 @@ func TestAnalyticTablesMatchGolden(t *testing.T) {
 	}{
 		{"time_tables.golden", []string{"time", "-tables"}},
 		{"accuracy_table5.golden", []string{"accuracy", "-table5"}},
+		{"cg_fig1.golden", []string{"cg", "-dataset", "CIFAR-10", "-scale", "0.05"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {

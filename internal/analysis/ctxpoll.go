@@ -20,12 +20,10 @@ var kernelPackages = []string{"internal/hessian", "internal/krylov", "internal/d
 // a CG iterate.
 var kernelNames = map[string]bool{
 	// dataset.PoolSource / hessian.Pool streaming decode
-	"ReadRows": true, "Block": true, "Stream": true,
-	// hessian blocked engines (single- and multi-RHS)
-	"MatVecWS": true, "QuadAccumWS": true, "BlockDiagSumInto": true,
-	"MatVecBlockWS": true, "QuadAccumBlockWS": true,
-	// krylov solvers
-	"Solve": true, "SolveInto": true, "SolveBlock": true,
+	"ReadRows": true, "Block": true,
+	// hessian blocked engines
+	"MatVecBlockWS": true, "QuadAccumBlockWS": true, "BlockDiagSumInto": true,
+	// krylov solver
 	"SolveBlockInto": true,
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 
 	"repro/internal/dataset"
+	"repro/internal/hessian"
 	"repro/internal/krylov"
 )
 
@@ -66,17 +67,25 @@ func outerPollInnerKernel(ctx context.Context, src dataset.PoolSource, dst *data
 
 // solveLoop launders the incoming ctx away with Background(): the loop
 // body never references the parameter, so the contract still fires.
-func solveLoop(ctx context.Context, op krylov.Op, b []float64) {
-	for i := 0; i < 5; i++ { // want "loop drives krylov.Solve but never polls ctx"
-		krylov.Solve(context.Background(), op, b)
+func solveLoop(ctx context.Context, op krylov.BlockOp, b, x *krylov.Dense) {
+	for i := 0; i < 5; i++ { // want "loop drives krylov.SolveBlockInto but never polls ctx"
+		krylov.SolveBlockInto(context.Background(), op, nil, b, x, nil, krylov.Options{})
 	}
 }
 
 // solvePassesCtx forwards ctx into the solver each iteration: the
 // solver owns the poll.
-func solvePassesCtx(ctx context.Context, op krylov.Op, b []float64) {
+func solvePassesCtx(ctx context.Context, op krylov.BlockOp, b, x *krylov.Dense) {
 	for i := 0; i < 5; i++ {
-		krylov.Solve(ctx, op, b)
+		krylov.SolveBlockInto(ctx, op, nil, b, x, nil, krylov.Options{})
+	}
+}
+
+// gramLoop rebuilds the Σz blocks every iteration without a poll: each
+// call sweeps the whole pool.
+func gramLoop(ctx context.Context, p hessian.Pool, blocks []*hessian.Dense, z []float64) {
+	for i := 0; i < 5; i++ { // want "loop drives hessian.BlockDiagSumInto but never polls ctx"
+		blocks = hessian.BlockDiagSumInto(nil, p, blocks, z)
 	}
 }
 

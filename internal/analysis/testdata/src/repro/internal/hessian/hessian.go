@@ -8,9 +8,10 @@ type Dense struct{ Rows, Cols int }
 type Pool interface {
 	N() int
 	Block(ws *Workspace, lo, hi int) *Dense
-	MatVecWS(ws *Workspace, dst, v, w []float64) []float64
 }
 
 func MatVecBlockWS(ws *Workspace, p Pool, dst, v *Dense, w []float64) {}
 
 func QuadAccumBlockWS(ws *Workspace, p Pool, dst []float64, u, v *Dense, scale float64) {}
+
+func BlockDiagSumInto(ws *Workspace, p Pool, blocks []*Dense, w []float64) []*Dense { return blocks }

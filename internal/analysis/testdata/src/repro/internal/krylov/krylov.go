@@ -3,10 +3,14 @@ package krylov
 
 import "context"
 
+type Dense struct{ Rows, Cols int }
+
 type Result struct{ Iterations int }
 
-type Op func(dst, v []float64)
+type Options struct{ Tol float64 }
 
-func Solve(ctx context.Context, op Op, b []float64) (Result, error) { return Result{}, nil }
+type BlockOp func(dst, v *Dense)
 
-func SolveBlockInto(ctx context.Context, op Op, b []float64) (Result, error) { return Result{}, nil }
+func SolveBlockInto(ctx context.Context, a, precond BlockOp, b, x *Dense, results []Result, opt Options) []Result {
+	return results
+}

@@ -204,6 +204,47 @@ func TestDistributedRoundRejectsNonFiniteScore(t *testing.T) {
 	}
 }
 
+// TestDistributedNonFiniteSigmaIsTyped: on two mailbox ranks, a NaN pool
+// feature or probability in rank 1's slice, or a NaN labeled feature (the
+// labeled set is replicated, so every rank holds it), poisons the
+// allreduced Σz blocks. Both ranks must return ErrNonFinite from RELAX
+// and from ROUND, at the same point and without deadlocking.
+func TestDistributedNonFiniteSigmaIsTyped(t *testing.T) {
+	for _, pl := range []struct {
+		name   string
+		poison func(labeled, pool *hessian.Set)
+	}{
+		{"pool feature", func(_, pool *hessian.Set) { pool.X.Set(12, 0, math.NaN()) }},
+		{"pool probability", func(_, pool *hessian.Set) { pool.H.Set(12, 1, math.NaN()) }},
+		{"labeled feature", func(labeled, _ *hessian.Set) { labeled.X.Set(2, 1, math.NaN()) }},
+	} {
+		labeled, pool := testSets(6, 6, 24, 3, 3)
+		pl.poison(labeled, pool)
+		z := make([]float64, pool.N())
+		for i := range z {
+			z[i] = 4 / float64(len(z))
+		}
+		relaxErrs, roundErrs := make([]error, 2), make([]error, 2)
+		mpi.Run(2, func(c *mpi.Comm) {
+			sh := MakeShard(labeled, pool, 2, c.Rank())
+			if pl.name != "labeled feature" && c.Rank() == 0 && sh.PoolOffset+sh.PoolLocal.N() > 12 {
+				t.Errorf("%s: row 12 is in rank 0's slice", pl.name)
+			}
+			_, relaxErrs[c.Rank()] = Relax(context.Background(), c, sh, 4, firal.RelaxOptions{MaxIter: 3, Seed: 1})
+			zLocal := z[sh.PoolOffset : sh.PoolOffset+sh.PoolLocal.N()]
+			_, roundErrs[c.Rank()] = Round(context.Background(), c, sh, zLocal, 4, 0)
+		})
+		for r := range relaxErrs {
+			if !errors.Is(relaxErrs[r], firal.ErrNonFinite) {
+				t.Errorf("%s: rank %d Relax err = %v, want ErrNonFinite", pl.name, r, relaxErrs[r])
+			}
+			if !errors.Is(roundErrs[r], firal.ErrNonFinite) {
+				t.Errorf("%s: rank %d Round err = %v, want ErrNonFinite", pl.name, r, roundErrs[r])
+			}
+		}
+	}
+}
+
 // TestAllRanksAgreeOnSelection: the Selected slice must be identical on
 // every rank (it is assembled from collectives only).
 func TestAllRanksAgreeOnSelection(t *testing.T) {

@@ -67,33 +67,35 @@ func RunCGConvergence(ctx context.Context, cfg dataset.Config, scale float64, se
 	z := make([]float64, n)
 	mat.Fill(z, 1/float64(n))
 
-	sigMV := p.SigmaMatVec(z)
-	blocks := p.SigmaBlocks(z)
+	ws := mat.NewWorkspace()
+	sigMV := krylov.BlockOp(p.SigmaMatVec(ws, z))
+	blocks, err := p.SigmaBlocks(z)
+	if err != nil {
+		return nil, err
+	}
 	// One-iteration experiment, but use the reusable state so this path
 	// exercises the same preconditioner code the RELAX loop runs.
 	bp := firal.NewBlockPreconditionerWS()
 	if err := bp.Update(blocks); err != nil {
 		return nil, err
 	}
-	precond := bp.Apply
 
 	rng := rnd.New(seed + 99)
-	b := make([]float64, ed)
-	rng.Rademacher(b)
+	b := mat.NewDense(1, ed)
+	rng.Rademacher(b.Data)
 
 	res := &CGConvergence{Dataset: cfg.Name}
-	opt := krylov.Options{Tol: tol, MaxIter: maxIter, RecordResiduals: true}
+	opt := krylov.Options{Tol: tol, MaxIter: maxIter, RecordResiduals: true, Workspace: ws}
 
-	x1 := make([]float64, ed)
-	plain := krylov.CG(ctx, sigMV, b, x1, opt)
+	// One-row block solves, without and with the preconditioner.
+	plain := krylov.SolveBlockInto(ctx, sigMV, nil, b, mat.NewDense(1, ed), nil, opt)[0]
 	if plain.Err != nil {
 		return nil, plain.Err
 	}
 	res.Plain = plain.Residuals
 	res.PlainIters = plain.Iterations
 
-	x2 := make([]float64, ed)
-	prec := krylov.PCG(ctx, sigMV, precond, b, x2, opt)
+	prec := krylov.SolveBlockInto(ctx, sigMV, bp.ApplyBlock, b, mat.NewDense(1, ed), nil, opt)[0]
 	if prec.Err != nil {
 		return nil, prec.Err
 	}

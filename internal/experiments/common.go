@@ -86,14 +86,6 @@ func PrintTable(w io.Writer, headers []string, rows [][]string) {
 	}
 }
 
-// PrintCSV renders rows as CSV.
-func PrintCSV(w io.Writer, headers []string, rows [][]string) {
-	fmt.Fprintln(w, strings.Join(headers, ","))
-	for _, r := range rows {
-		fmt.Fprintln(w, strings.Join(r, ","))
-	}
-}
-
 // F formats a float compactly for tables.
 func F(v float64) string { return fmt.Sprintf("%.4g", v) }
 

@@ -29,15 +29,6 @@ func TestPrintTableAlignment(t *testing.T) {
 	}
 }
 
-func TestPrintCSV(t *testing.T) {
-	var buf bytes.Buffer
-	PrintCSV(&buf, []string{"x", "y"}, [][]string{{"1", "2"}})
-	want := "x,y\n1,2\n"
-	if buf.String() != want {
-		t.Fatalf("got %q want %q", buf.String(), want)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if F(0.123456) != "0.1235" {
 		t.Fatalf("F: %s", F(0.123456))

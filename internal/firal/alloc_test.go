@@ -172,7 +172,11 @@ func TestSolveBlockZeroAllocMulticore(t *testing.T) {
 	mat.Fill(z, 1/float64(p.N()))
 	ws := mat.NewWorkspace()
 	bp := NewBlockPreconditionerWS()
-	if err := bp.Update(p.sigmaBlocksInto(ws, nil, z)); err != nil {
+	sig, err := p.sigmaBlocksInto(ws, nil, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.Update(sig); err != nil {
 		t.Fatal(err)
 	}
 	const s = 5
@@ -213,7 +217,10 @@ func TestBlockPreconditionerWSZeroAllocWarm(t *testing.T) {
 	dst := make([]float64, p.Ed())
 	mat.Fill(v, 1)
 	iter := func() {
-		blocks = p.sigmaBlocksInto(ws, blocks, z)
+		var err error
+		if blocks, err = p.sigmaBlocksInto(ws, blocks, z); err != nil {
+			t.Fatal(err)
+		}
 		if err := bp.Update(blocks); err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,10 @@ package firal
 
 import (
 	"context"
+	"fmt"
+	"math"
 
+	"repro/internal/hessian"
 	"repro/internal/mat"
 	"repro/internal/mpi"
 	"repro/internal/timing"
@@ -95,8 +98,10 @@ func (g Group) exclude(selected []bool, idx []int) {
 // floats, plus the replicated labeled blocks lab. dst is nil or the
 // result of an earlier call — its blocks share one contiguous slab, which
 // is what the single allreduce needs. The local work is timed into phase
-// of ph (nil: untimed).
-func (g Group) sigmaBlocks(ws *mat.Workspace, p *Problem, dst []*mat.Dense, z []float64, lab []*mat.Dense, ph *timing.Phases, phase string) []*mat.Dense {
+// of ph (nil: untimed). A non-finite entry returns an error wrapping
+// ErrNonFinite; the blocks are replicated by then, so every rank returns
+// it at the same point without another collective.
+func (g Group) sigmaBlocks(ws *mat.Workspace, p *Problem, dst []*mat.Dense, z []float64, lab []*mat.Dense, ph *timing.Phases, phase string) ([]*mat.Dense, error) {
 	c, d := p.C(), p.D()
 	stop := ph.Start(phase)
 	if dst == nil {
@@ -106,13 +111,18 @@ func (g Group) sigmaBlocks(ws *mat.Workspace, p *Problem, dst []*mat.Dense, z []
 			dst[k] = &mat.Dense{Rows: d, Cols: d, Stride: d, Data: slab[k*d*d : (k+1)*d*d]}
 		}
 	}
-	p.Pool.BlockDiagSumInto(ws, dst, z)
+	hessian.BlockDiagSumInto(ws, p.Pool, dst, z)
 	stop()
 	g.Comm.Allreduce(dst[0].Data[:c*d*d])
 	stop = ph.Start(phase)
+	defer stop()
 	for k := range dst {
 		dst[k].AddScaled(1, lab[k])
+		for _, v := range dst[k].Data[:d*d] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return dst, fmt.Errorf("%w: Σz block %d", ErrNonFinite, k)
+			}
+		}
 	}
-	stop()
-	return dst
+	return dst, nil
 }

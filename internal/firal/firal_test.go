@@ -225,7 +225,7 @@ func TestRoundExactWoodburyMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := RoundExact(p, z, 2, RoundOptions{Eta: 5, Naive: true})
+	naive, err := roundExact(p, z, 2, RoundOptions{Eta: 5}, roundExactNaiveObjective)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,5 +444,9 @@ func testInverseBlocks(st *RoundState) []*mat.Dense {
 // non-pooled form of the RoundFast setup, for tests that exercise the
 // state directly.
 func testRoundState(p *Problem, z []float64, b int, eta float64, ph *timing.Phases) (*RoundState, error) {
-	return NewRoundState(p.SigmaBlocks(z), p.labeledBlocks(), b, eta, ph)
+	sig, err := p.SigmaBlocks(z)
+	if err != nil {
+		return nil, err
+	}
+	return NewRoundState(sig, p.labeledBlocks(), b, eta, ph)
 }

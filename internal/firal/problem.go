@@ -55,6 +55,15 @@ func NewProblem(labeled *hessian.Set, pool hessian.Pool) *Problem {
 	return &Problem{Labeled: labeled, Pool: pool}
 }
 
+// ErrNonFinite is returned, wrapped, on every rank when a value the
+// solvers cannot recover from is NaN or infinite: a diagonal block of Σz
+// (from a NaN feature or probability in the pool or the labeled set), or
+// an unselected point's ROUND score (for example from a NaN eigenvalue of
+// the FTRL state). RELAX and ROUND stop there instead of failing inside a
+// factorization or skipping the point and returning fewer than b
+// selections.
+var ErrNonFinite = errors.New("firal: non-finite Σz block or ROUND score")
+
 // ErrResidentPool is returned by the exact Algorithm-1 solvers when the
 // pool streams from a PoolSource: they assemble dense pool Hessians and
 // per-point outer products, which requires the resident representation.
@@ -83,46 +92,32 @@ func (p *Problem) Ed() int { return p.Pool.Ed() }
 // ε = 1.
 func (p *Problem) DefaultEta() float64 { return 8 * math.Sqrt(float64(p.Ed())) }
 
-// SigmaMatVec returns the matrix-free operator v ↦ (Ho + Hz)·v with pool
-// weights z (Σz of Eq. 7), built from the Lemma-2 fast matvec. The
-// operator reads z live, so a caller that updates z in place (the
-// mirror-descent loop) can build it once.
-func (p *Problem) SigmaMatVec(z []float64) func(dst, v []float64) {
-	return p.SigmaMatVecWS(nil, z)
+// SigmaMatVec returns the matrix-free block operator V ↦ (Ho + Hz)·V
+// with pool weights z (Σz of Eq. 7) over a transposed block (s×ẽd, row
+// j = vector j; see krylov.BlockOp), built from the Lemma-2 fast matvec
+// with scratch drawn from ws. The operator reads z live, so a caller that
+// updates z in place (the mirror-descent loop) can build it once. It is
+// the single-rank case of the operator RELAX solves with.
+func (p *Problem) SigmaMatVec(ws *mat.Workspace, z []float64) func(dst, v *mat.Dense) {
+	return p.sigmaMatVecBlock(ws, solo{}, z)
 }
 
-// SigmaMatVecWS is SigmaMatVec with scratch drawn from ws; with a warm
-// workspace each application is allocation-free.
-func (p *Problem) SigmaMatVecWS(ws *mat.Workspace, z []float64) func(dst, v []float64) {
-	buf := make([]float64, p.Ed())
-	return func(dst, v []float64) {
-		p.Labeled.MatVecWS(ws, dst, v, nil)
-		p.Pool.MatVecWS(ws, buf, v, z)
-		for i := range dst {
-			dst[i] += buf[i]
-		}
-	}
-}
-
-// sigmaMatVecBlock returns the block operator V ↦ (Ho + Hz)·V over a
-// transposed probe block (s×ẽd, row j = probe j; see krylov.BlockOp) on
-// one rank of a group whose pool slice is p.Pool. One
-// hessian.MatVecBlockWS sweep applies the local pool term to all s probes
-// — for a streamed pool, one decode per application instead of one per
-// probe — the partials are summed over ranks in one allreduce, and the
-// small replicated labeled term is added row by row. Like SigmaMatVecWS,
-// the operator reads z live, and on one rank its column results match
-// the per-column operator bit for bit.
+// sigmaMatVecBlock returns the block operator V ↦ (Ho + Hz)·V on one rank
+// of a group whose pool slice is p.Pool. One hessian.MatVecBlockWS sweep
+// applies the local pool term to all s vectors — for a streamed pool, one
+// decode per application instead of one per vector — the partials are
+// summed over ranks in one allreduce, and one more sweep over the small
+// replicated labeled set adds its term. The operator reads z live.
 func (p *Problem) sigmaMatVecBlock(ws *mat.Workspace, cm Collective, z []float64) func(dst, v *mat.Dense) {
 	return func(dst, v *mat.Dense) {
 		hessian.MatVecBlockWS(ws, p.Pool, dst, v, z)
 		cm.Allreduce(compact(dst))
-		buf := ws.Vec(v.Cols)
+		buf := ws.Matrix(v.Rows, v.Cols)
+		hessian.MatVecBlockWS(ws, p.Labeled, buf, v, nil)
 		for j := 0; j < v.Rows; j++ {
-			p.Labeled.MatVecWS(ws, buf, v.Row(j), nil)
-			mat.Axpy(1, buf, dst.Row(j))
+			mat.Axpy(1, buf.Row(j), dst.Row(j))
 		}
-		ws.PutVec(buf)
+		ws.PutMatrix(buf)
 	}
 }
 
@@ -148,13 +143,14 @@ func compact(m *mat.Dense) []float64 {
 // labeledBlocks returns the cached labeled block-diagonal contribution.
 func (p *Problem) labeledBlocks() []*mat.Dense {
 	if p.labBlocks == nil {
-		p.labBlocks = p.Labeled.BlockDiagSum(nil)
+		p.labBlocks = hessian.BlockDiagSumInto(nil, p.Labeled, nil, nil)
 	}
 	return p.labBlocks
 }
 
 // SigmaBlocks returns the c diagonal d×d blocks of Σz = Ho + Hz (Eq. 14).
-func (p *Problem) SigmaBlocks(z []float64) []*mat.Dense {
+// A non-finite entry returns an error wrapping ErrNonFinite.
+func (p *Problem) SigmaBlocks(z []float64) ([]*mat.Dense, error) {
 	return p.sigmaBlocksInto(nil, nil, z)
 }
 
@@ -163,7 +159,7 @@ func (p *Problem) SigmaBlocks(z []float64) []*mat.Dense {
 // that rebuild the blocks every iteration pass back to reuse its buffers.
 // The returned blocks are only valid until the next call with the same
 // dst. It is the engine's Σz assembly on one rank.
-func (p *Problem) sigmaBlocksInto(ws *mat.Workspace, dst []*mat.Dense, z []float64) []*mat.Dense {
+func (p *Problem) sigmaBlocksInto(ws *mat.Workspace, dst []*mat.Dense, z []float64) ([]*mat.Dense, error) {
 	return single(p).sigmaBlocks(ws, p, dst, z, p.labeledBlocks(), nil, "")
 }
 
@@ -234,18 +230,6 @@ func (bp *BlockPreconditionerWS) ApplyBlock(dst, v *mat.Dense) {
 	for j := 0; j < v.Rows; j++ {
 		bp.Apply(dst.Row(j), v.Row(j))
 	}
-}
-
-// BlockPreconditioner builds the CG preconditioner B(Σz)⁻¹ of § III-A
-// from the diagonal blocks: each d×d block is factorized once and applied
-// per class. One-shot form of BlockPreconditionerWS; loops that rebuild
-// the preconditioner per iteration should hold a WS state instead.
-func BlockPreconditioner(blocks []*mat.Dense) (func(dst, v []float64), error) {
-	bp := NewBlockPreconditionerWS()
-	if err := bp.Update(blocks); err != nil {
-		return nil, err
-	}
-	return bp.Apply, nil
 }
 
 // uniformSimplex returns the initial mirror-descent iterate

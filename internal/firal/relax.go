@@ -397,9 +397,13 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 
 		// Line 5: block-diagonal preconditioner for Σz, refactored into the
 		// state's persistent storage.
-		sc.sigBlocks = g.sigmaBlocks(ws, p, sc.sigBlocks, z, p.labeledBlocks(), ph, "precond")
+		sig, err := g.sigmaBlocks(ws, p, sc.sigBlocks, z, p.labeledBlocks(), ph, "precond")
+		sc.sigBlocks = sig
+		if err != nil {
+			return nil, err
+		}
 		stop = ph.Start("precond")
-		err := bp.Update(sc.sigBlocks)
+		err = bp.Update(sc.sigBlocks)
 		stop()
 		if err != nil {
 			return nil, err

@@ -141,6 +141,41 @@ func TestRoundRejectsNonFiniteScore(t *testing.T) {
 	}
 }
 
+// nanPlacements poisons one value of a problem built from (labeled,
+// pool): a pool feature, a pool probability, or a labeled feature. The
+// pool entries sit at row 12, which two ranks place in rank 1's slice.
+var nanPlacements = []struct {
+	name   string
+	poison func(labeled, pool *hessian.Set)
+}{
+	{"pool feature", func(_, pool *hessian.Set) { pool.X.Set(12, 0, math.NaN()) }},
+	{"pool probability", func(_, pool *hessian.Set) { pool.H.Set(12, 1, math.NaN()) }},
+	{"labeled feature", func(labeled, _ *hessian.Set) { labeled.X.Set(2, 1, math.NaN()) }},
+}
+
+// TestNonFiniteSigmaIsTyped: a NaN in the pool's features or
+// probabilities, or in the labeled features, poisons Σz. RELAX and ROUND
+// must both fail with ErrNonFinite, not with a factorization or
+// eigensolver error.
+func TestNonFiniteSigmaIsTyped(t *testing.T) {
+	for _, pl := range nanPlacements {
+		base := testProblem(44, 6, 24, 3, 3)
+		pool := base.ResidentPool()
+		labeled := hessian.NewSet(base.Labeled.X.Clone(), base.Labeled.H.Clone())
+		bad := hessian.NewSet(pool.X.Clone(), pool.H.Clone())
+		pl.poison(labeled, bad)
+		p := NewProblem(labeled, bad)
+		if _, err := RelaxFast(context.Background(), p, 4, RelaxOptions{MaxIter: 3, Seed: 1}); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: RelaxFast err = %v, want ErrNonFinite", pl.name, err)
+		}
+		z := uniformSimplex(bad.N())
+		mat.Scal(4, z)
+		if _, err := RoundFast(p, z, 4, RoundOptions{}); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: RoundFast err = %v, want ErrNonFinite", pl.name, err)
+		}
+	}
+}
+
 // TestLowRankFeatures: pool features confined to a 1-D subspace make Σ
 // rank-deficient in feature space; the ridge path must still produce a
 // selection.

@@ -13,9 +13,6 @@ import (
 type RoundOptions struct {
 	// Eta is the FTRL learning rate η (0 → Problem.DefaultEta()).
 	Eta float64
-	// Naive switches the exact solver to the O((dc)³)-per-candidate
-	// reference objective (tests and tiny problems only).
-	Naive bool
 	// Exclude lists pool indices that must not be selected — points a
 	// previous round already picked, or whose labels the caller already
 	// holds. They are pre-marked as selected, so the greedy argmax skips
@@ -46,9 +43,19 @@ type RoundResult struct {
 // Trace[(A_t + (η/b)H̃o + ηH̃_i)⁻¹] is evaluated through the
 // Woodbury/push-through identity on the rank-c factorization
 // H̃_i = U S_i Uᵀ with U = Σ⋄^{-1/2}(I_c ⊗ x_i), costing O(c³) per
-// candidate after an O((dc)³) per-round setup; RoundOptions.Naive selects
-// the direct dense inverse per candidate instead.
+// candidate after an O((dc)³) per-round setup.
 func RoundExact(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, error) {
+	return roundExact(p, z, b, o, woodburyObjective)
+}
+
+// exactObjective writes the line-14 objective r_i = Trace[(K + ηH̃_i)⁻¹]
+// of every pool point into ri, given K = A_t + (η/b)H̃o, its inverse
+// kinv, and isqrt = Σ⋄^{-1/2}.
+type exactObjective func(p *Problem, k, kinv, isqrt *mat.Dense, eta float64, ri []float64)
+
+// roundExact is RoundExact with the per-round objective passed in, so the
+// tests can run the same FTRL loop on the literal dense objective.
+func roundExact(p *Problem, z []float64, b int, o RoundOptions, objective exactObjective) (*RoundResult, error) {
 	pool := p.ResidentPool()
 	if pool == nil {
 		return nil, ErrResidentPool
@@ -57,8 +64,7 @@ func RoundExact(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, e
 		o.Eta = p.DefaultEta()
 	}
 	eta := o.Eta
-	n, d, c := p.N(), p.D(), p.C()
-	ed := p.Ed()
+	n, ed := p.N(), p.Ed()
 	edF := float64(ed)
 	res := &RoundResult{Timings: timing.New()}
 	ph := res.Timings
@@ -88,7 +94,6 @@ func RoundExact(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, e
 		}
 	}
 	ri := make([]float64, n)
-	xm := mat.NewDense(n, d)
 
 	for t := 1; t <= b; t++ {
 		stop = ph.Start("objective")
@@ -100,63 +105,7 @@ func RoundExact(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, e
 		if err != nil {
 			return nil, err
 		}
-		if o.Naive {
-			roundExactNaiveObjective(p, k, isqrt, eta, ri)
-		} else {
-			trK := kinv.Trace()
-			kinv2 := mat.Mul(nil, kinv, kinv)
-			// M1 = Σ^{-1/2} K⁻¹ Σ^{-1/2}, M2 = Σ^{-1/2} K⁻² Σ^{-1/2}:
-			// G_i[k,l] = x_iᵀ M1^{(k,l)} x_i, P_i[k,l] = x_iᵀ M2^{(k,l)} x_i.
-			m1 := mat.Mul(nil, mat.Mul(nil, isqrt, kinv), isqrt)
-			m2 := mat.Mul(nil, mat.Mul(nil, isqrt, kinv2), isqrt)
-			gAll := make([][]float64, c*c)
-			pAll := make([][]float64, c*c)
-			for kk := 0; kk < c; kk++ {
-				for ll := kk; ll < c; ll++ {
-					blk := mat.Block(m1, kk, ll, d)
-					mat.Mul(xm, pool.X, blk)
-					buf := make([]float64, n)
-					mat.RowDots(buf, pool.X, xm)
-					gAll[kk*c+ll] = buf
-					gAll[ll*c+kk] = buf
-					blk2 := mat.Block(m2, kk, ll, d)
-					mat.Mul(xm, pool.X, blk2)
-					buf2 := make([]float64, n)
-					mat.RowDots(buf2, pool.X, xm)
-					pAll[kk*c+ll] = buf2
-					pAll[ll*c+kk] = buf2
-				}
-			}
-			// Per candidate: r_i = Tr K⁻¹ − η·Tr[(I + ηS_iG_i)⁻¹ S_i P_i].
-			gi := mat.NewDense(c, c)
-			pi := mat.NewDense(c, c)
-			si := mat.NewDense(c, c)
-			for i := 0; i < n; i++ {
-				hi := pool.H.Row(i)
-				for kk := 0; kk < c; kk++ {
-					for ll := 0; ll < c; ll++ {
-						gi.Set(kk, ll, gAll[kk*c+ll][i])
-						pi.Set(kk, ll, pAll[kk*c+ll][i])
-						v := -hi[kk] * hi[ll]
-						if kk == ll {
-							v += hi[kk]
-						}
-						si.Set(kk, ll, v)
-					}
-				}
-				sg := mat.Mul(nil, si, gi)
-				sg.Scale(eta)
-				sg.AddDiag(1) // E = I + ηS G
-				sp := mat.Mul(nil, si, pi)
-				lu, err := mat.NewLU(sg)
-				if err != nil {
-					ri[i] = math.Inf(1)
-					continue
-				}
-				sol := lu.Solve(nil, sp)
-				ri[i] = trK - eta*sol.Trace()
-			}
-		}
+		objective(p, k, kinv, isqrt, eta, ri)
 		stop()
 
 		// Select the minimizer among unselected candidates (line 14).
@@ -210,23 +159,64 @@ func RoundExact(p *Problem, z []float64, b int, o RoundOptions) (*RoundResult, e
 	return res, nil
 }
 
-// roundExactNaiveObjective evaluates r_i = Trace[(K + ηH̃_i)⁻¹] by a dense
-// inverse per candidate — the literal line 14 of Algorithm 1, used as the
-// ground truth in tests.
-func roundExactNaiveObjective(p *Problem, k, isqrt *mat.Dense, eta float64, ri []float64) {
+// woodburyObjective evaluates the line-14 objective through the
+// Woodbury/push-through identity, at O(c³) per candidate.
+func woodburyObjective(p *Problem, k, kinv, isqrt *mat.Dense, eta float64, ri []float64) {
 	pool := p.ResidentPool()
-	for i := 0; i < p.N(); i++ {
-		hit := hessian.DensePoint(pool.X.Row(i), pool.H.Row(i))
-		hitT := mat.Mul(nil, mat.Mul(nil, isqrt, hit), isqrt)
-		m := k.Clone()
-		m.AddScaled(eta, hitT)
-		m.Symmetrize()
-		inv, err := mat.InvSPD(m)
+	n, d, c := p.N(), p.D(), p.C()
+	xm := mat.NewDense(n, d)
+	trK := kinv.Trace()
+	kinv2 := mat.Mul(nil, kinv, kinv)
+	// M1 = Σ^{-1/2} K⁻¹ Σ^{-1/2}, M2 = Σ^{-1/2} K⁻² Σ^{-1/2}:
+	// G_i[k,l] = x_iᵀ M1^{(k,l)} x_i, P_i[k,l] = x_iᵀ M2^{(k,l)} x_i.
+	m1 := mat.Mul(nil, mat.Mul(nil, isqrt, kinv), isqrt)
+	m2 := mat.Mul(nil, mat.Mul(nil, isqrt, kinv2), isqrt)
+	gAll := make([][]float64, c*c)
+	pAll := make([][]float64, c*c)
+	for kk := 0; kk < c; kk++ {
+		for ll := kk; ll < c; ll++ {
+			blk := mat.Block(m1, kk, ll, d)
+			mat.Mul(xm, pool.X, blk)
+			buf := make([]float64, n)
+			mat.RowDots(buf, pool.X, xm)
+			gAll[kk*c+ll] = buf
+			gAll[ll*c+kk] = buf
+			blk2 := mat.Block(m2, kk, ll, d)
+			mat.Mul(xm, pool.X, blk2)
+			buf2 := make([]float64, n)
+			mat.RowDots(buf2, pool.X, xm)
+			pAll[kk*c+ll] = buf2
+			pAll[ll*c+kk] = buf2
+		}
+	}
+	// Per candidate: r_i = Tr K⁻¹ − η·Tr[(I + ηS_iG_i)⁻¹ S_i P_i].
+	gi := mat.NewDense(c, c)
+	pi := mat.NewDense(c, c)
+	si := mat.NewDense(c, c)
+	for i := 0; i < n; i++ {
+		hi := pool.H.Row(i)
+		for kk := 0; kk < c; kk++ {
+			for ll := 0; ll < c; ll++ {
+				gi.Set(kk, ll, gAll[kk*c+ll][i])
+				pi.Set(kk, ll, pAll[kk*c+ll][i])
+				v := -hi[kk] * hi[ll]
+				if kk == ll {
+					v += hi[kk]
+				}
+				si.Set(kk, ll, v)
+			}
+		}
+		sg := mat.Mul(nil, si, gi)
+		sg.Scale(eta)
+		sg.AddDiag(1) // E = I + ηS G
+		sp := mat.Mul(nil, si, pi)
+		lu, err := mat.NewLU(sg)
 		if err != nil {
 			ri[i] = math.Inf(1)
 			continue
 		}
-		ri[i] = inv.Trace()
+		sol := lu.Solve(nil, sp)
+		ri[i] = trK - eta*sol.Trace()
 	}
 }
 
@@ -288,7 +278,7 @@ func minEigSelectedBlocks(p *Problem, selected []int, b float64) float64 {
 		return 0
 	}
 	pool := p.ResidentPool()
-	blocks := p.Labeled.BlockDiagSum(nil)
+	blocks := hessian.BlockDiagSumInto(nil, p.Labeled, nil, nil)
 	for _, i := range selected {
 		hessian.AddBlockDiagPoint(blocks, pool.X.Row(i), pool.H.Row(i), 1)
 	}

@@ -2,7 +2,6 @@ package firal
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -11,13 +10,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/timing"
 )
-
-// ErrNonFinite is returned, wrapped, by RoundGroup (and so by every ROUND
-// entry point) on every rank when an unselected point's ROUND score is
-// NaN or infinite, for example from a NaN feature or a NaN eigenvalue of
-// the FTRL state. The greedy step stops there instead of skipping the
-// point and returning fewer than b selections.
-var ErrNonFinite = errors.New("firal: non-finite ROUND score")
 
 // nonFiniteLoc is the location a rank offers to the argmax allreduce,
 // with the value +Inf, when it holds a non-finite unselected score: +Inf
@@ -426,7 +418,11 @@ func RoundGroup(ctx context.Context, g Group, p *Problem, z []float64, b int, o 
 	// Lines 3–5 from the global Σ⋄ blocks. The Ho blocks alias the
 	// Problem's labeled-block cache, which sigmaBlocks just warmed — safe
 	// because both the cache and the RoundState treat them as read-only.
-	sc.sig = g.sigmaBlocks(sc.ws, p, sc.sig, z, p.labeledBlocks(), ph, "other")
+	sig, err := g.sigmaBlocks(sc.ws, p, sc.sig, z, p.labeledBlocks(), ph, "other")
+	sc.sig = sig
+	if err != nil {
+		return nil, err
+	}
 	st, err := newRoundStateInto(sc.st, sc.sig, p.labeledBlocks(), b, o.Eta, ph)
 	if err != nil {
 		return nil, err

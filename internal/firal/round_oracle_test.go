@@ -5,8 +5,51 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/hessian"
 	"repro/internal/mat"
 )
+
+// roundExactNaiveObjective evaluates r_i = Trace[(K + ηH̃_i)⁻¹] by a dense
+// inverse per candidate — the literal line 14 of Algorithm 1, kept as the
+// oracle of the Woodbury objective RoundExact uses.
+func roundExactNaiveObjective(p *Problem, k, _, isqrt *mat.Dense, eta float64, ri []float64) {
+	pool := p.ResidentPool()
+	for i := 0; i < p.N(); i++ {
+		hit := hessian.DensePoint(pool.X.Row(i), pool.H.Row(i))
+		hitT := mat.Mul(nil, mat.Mul(nil, isqrt, hit), isqrt)
+		m := k.Clone()
+		m.AddScaled(eta, hitT)
+		m.Symmetrize()
+		inv, err := mat.InvSPD(m)
+		if err != nil {
+			ri[i] = math.Inf(1)
+			continue
+		}
+		ri[i] = inv.Trace()
+	}
+}
+
+// benchmarkRoundExact times the exact ROUND step on the Woodbury
+// objective or on its naive oracle: the ablation of DESIGN.md § 5.
+func benchmarkRoundExact(b *testing.B, objective exactObjective) {
+	p := testProblem(21, 10, 60, 8, 5)
+	z := make([]float64, p.N())
+	mat.Fill(z, 2/float64(p.N()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := roundExact(p, z, 2, RoundOptions{}, objective); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAblation_RoundExactWoodbury(b *testing.B) {
+	benchmarkRoundExact(b, woodburyObjective)
+}
+
+func BenchmarkAblation_RoundExactNaive(b *testing.B) {
+	benchmarkRoundExact(b, roundExactNaiveObjective)
+}
 
 // choleskyRound is the Cholesky form of Algorithm 3 lines 9–11 that the
 // eigenbasis RoundState replaced, kept as its oracle: (B_t)⁻¹_k from a
@@ -146,7 +189,11 @@ func TestRoundEigenbasisMatchesCholeskyOracle(t *testing.T) {
 			}
 			mat.Scal(float64(tc.b)/mat.Sum(z), z)
 			eta := p.DefaultEta()
-			sig, ho := p.SigmaBlocks(z), p.labeledBlocks()
+			sig, err := p.SigmaBlocks(z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ho := p.labeledBlocks()
 
 			st, err := NewRoundState(sig, ho, tc.b, eta, nil)
 			if err != nil {

@@ -37,7 +37,8 @@ func allocSet(n, d, c int) *Set {
 }
 
 // TestMatVecWSZeroAlloc pins the steady-state allocation behaviour of the
-// Lemma-2 fast matvec with a warm Workspace: after the first call, none.
+// Lemma-2 fast matvec on one vector (MatVecBlockWS at s=1) with a warm
+// Workspace: after the first call, none.
 func TestMatVecWSZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	s := allocSet(300, 24, 7)
@@ -48,9 +49,9 @@ func TestMatVecWSZeroAlloc(t *testing.T) {
 	rnd.New(3).Normal(v, 0, 1)
 	mat.Fill(w, 0.5)
 	if allocs := testing.AllocsPerRun(50, func() {
-		s.MatVecWS(ws, dst, v, w)
+		matVec(ws, s, dst, v, w)
 	}); allocs != 0 {
-		t.Fatalf("MatVecWS allocates %.1f objects per call with a warm workspace", allocs)
+		t.Fatalf("one-vector MatVecBlockWS allocates %.1f objects per call with a warm workspace", allocs)
 	}
 }
 
@@ -64,14 +65,14 @@ func TestQuadAccumWSZeroAlloc(t *testing.T) {
 	rnd.New(4).Normal(u, 0, 1)
 	rnd.New(5).Normal(v, 0, 1)
 	if allocs := testing.AllocsPerRun(50, func() {
-		s.QuadAccumWS(ws, dst, u, v, -0.1)
+		quadAccum(ws, s, dst, u, v, -0.1)
 	}); allocs != 0 {
-		t.Fatalf("QuadAccumWS allocates %.1f objects per call with a warm workspace", allocs)
+		t.Fatalf("one-vector QuadAccumBlockWS allocates %.1f objects per call with a warm workspace", allocs)
 	}
 }
 
-// BenchmarkMatVecWS measures the Lemma-2 fast matvec with a warm
-// workspace; -benchmem must report 0 allocs/op on any core count
+// BenchmarkMatVecWS measures the Lemma-2 fast matvec on one vector with a
+// warm workspace; -benchmem must report 0 allocs/op on any core count
 // (the persistent worker pool dispatches without forking or allocating).
 func BenchmarkMatVecWS(b *testing.B) {
 	s := allocSet(2000, 64, 9)
@@ -83,7 +84,7 @@ func BenchmarkMatVecWS(b *testing.B) {
 	mat.Fill(w, 0.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MatVecWS(ws, dst, v, w)
+		matVec(ws, s, dst, v, w)
 	}
 }
 
@@ -91,9 +92,9 @@ func TestBlockDiagSumIntoZeroAlloc(t *testing.T) {
 	skipUnderRace(t)
 	s := allocSet(300, 24, 7)
 	ws := mat.NewWorkspace()
-	blocks := s.BlockDiagSumInto(ws, nil, nil)
+	blocks := BlockDiagSumInto(ws, s, nil, nil)
 	if allocs := testing.AllocsPerRun(50, func() {
-		s.BlockDiagSumInto(ws, blocks, nil)
+		BlockDiagSumInto(ws, s, blocks, nil)
 	}); allocs != 0 {
 		t.Fatalf("BlockDiagSumInto allocates %.1f objects per call with reused blocks", allocs)
 	}
@@ -117,14 +118,14 @@ func TestHessianKernelsZeroAllocMulticore(t *testing.T) {
 	rnd.New(3).Normal(u, 0, 1)
 	rnd.New(4).Normal(v, 0, 1)
 	mat.Fill(w, 0.5)
-	blocks := s.BlockDiagSumInto(ws, nil, w)
+	blocks := BlockDiagSumInto(ws, s, nil, w)
 	warmAndPin := func(name string, fn func()) {
 		fn()
 		if allocs := testing.AllocsPerRun(30, fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f objects per call at 4 workers", name, allocs)
 		}
 	}
-	warmAndPin("MatVecWS", func() { s.MatVecWS(ws, dst, v, w) })
-	warmAndPin("QuadAccumWS", func() { s.QuadAccumWS(ws, g, u, v, -0.1) })
-	warmAndPin("BlockDiagSumInto", func() { s.BlockDiagSumInto(ws, blocks, w) })
+	warmAndPin("MatVecBlockWS s=1", func() { matVec(ws, s, dst, v, w) })
+	warmAndPin("QuadAccumBlockWS s=1", func() { quadAccum(ws, s, g, u, v, -0.1) })
+	warmAndPin("BlockDiagSumInto", func() { BlockDiagSumInto(ws, s, blocks, w) })
 }

@@ -310,10 +310,10 @@ func TestEmptyPoolKernelsWriteZeros(t *testing.T) {
 	}{{"set", empty}, {"stream", emptyStream}} {
 		dst := make([]float64, pc.p.Ed())
 		mat.Fill(dst, 7) // stale data from a previous iteration
-		pc.p.MatVecWS(ws, dst, make([]float64, pc.p.Ed()), nil)
+		matVec(ws, pc.p, dst, make([]float64, pc.p.Ed()), nil)
 		for i, v := range dst {
 			if v != 0 {
-				t.Fatalf("%s: MatVecWS left stale dst[%d] = %g on an empty pool", pc.name, i, v)
+				t.Fatalf("%s: one-vector MatVecBlockWS left stale dst[%d] = %g on an empty pool", pc.name, i, v)
 			}
 		}
 		bdst := mat.NewDense(s, pc.p.Ed())
@@ -324,11 +324,11 @@ func TestEmptyPoolKernelsWriteZeros(t *testing.T) {
 				t.Fatalf("%s: MatVecBlockWS left stale dst[%d] = %g on an empty pool", pc.name, i, v)
 			}
 		}
-		blocks := pc.p.BlockDiagSumInto(ws, nil, nil)
+		blocks := BlockDiagSumInto(ws, pc.p, nil, nil)
 		for k := range blocks {
 			mat.Fill(blocks[k].Data, 7)
 		}
-		blocks = pc.p.BlockDiagSumInto(ws, blocks, nil) // reuse, like the RELAX sigCache
+		blocks = BlockDiagSumInto(ws, pc.p, blocks, nil) // reuse, like the RELAX sigCache
 		for k := range blocks {
 			for i, v := range blocks[k].Data {
 				if v != 0 {
@@ -338,7 +338,7 @@ func TestEmptyPoolKernelsWriteZeros(t *testing.T) {
 		}
 		// QuadAccum destinations are length n = 0: nothing to check beyond
 		// not panicking.
-		pc.p.QuadAccumWS(ws, nil, make([]float64, pc.p.Ed()), make([]float64, pc.p.Ed()), 1)
+		quadAccum(ws, pc.p, nil, make([]float64, pc.p.Ed()), make([]float64, pc.p.Ed()), 1)
 	}
 }
 

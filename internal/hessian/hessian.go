@@ -6,9 +6,12 @@
 //
 // Package hessian provides:
 //   - dense assembly of single Hessians and weighted sums (Exact-FIRAL),
-//   - the matrix-free fast matvec of Lemma 2 with O(dc) work per point,
+//   - the matrix-free fast matvec of Lemma 2 with O(dc) work per point
+//     (MatVecBlockWS) and the gradient's quadratic form (QuadAccumBlockWS),
+//     each applied to a whole block of s vectors in one pool sweep; one
+//     vector is the s=1 case,
 //   - the block-diagonal extraction of Eq. 14–15 used by the CG
-//     preconditioner and the diagonal ROUND step.
+//     preconditioner and the diagonal ROUND step (BlockDiagSumInto).
 //
 // Vectors v ∈ R^{dc} use the vec(V) layout of the paper: v stacks the
 // columns of V ∈ R^{d×c}, so block k (length d) corresponds to class k.
@@ -126,93 +129,6 @@ func (s *Set) DenseSum(w []float64) *mat.Dense {
 		}
 	}
 	return out
-}
-
-// Vectors v ∈ R^{dc} (vec layout, columns stacked) are reinterpreted as
-// c×d row-major matrices whose row k is block k, via mat.Workspace.View —
-// no copying, and with a warm workspace no header allocation either.
-
-// MatVec computes dst = Σ_i w_i H_i v with the Lemma-2 fast matvec:
-//
-//	G = X Vmat           (n×c, G_ik = x_iᵀ v_k)
-//	α_i = Σ_k G_ik h_ik  (x_iᵀ V h_i)
-//	Γ_ik = w_i (G_ik − α_i) h_ik
-//	dst block k = Σ_i Γ_ik x_i = (Γᵀ X) row k
-//
-// A nil w means unit weights. dst is allocated when nil; dst must not
-// alias v. The cost is two n×d×c products — O(ndc) — versus O(n d²c²) for
-// the dense operator (Table III). It allocates its block-sized scratch
-// per call; hot loops use MatVecWS with a warm Workspace to run
-// allocation-free.
-func (s *Set) MatVec(dst, v, w []float64) []float64 {
-	return s.MatVecWS(nil, dst, v, w)
-}
-
-// MatVecWS is MatVec with all scratch — the per-block n_b×c products and
-// the matrix-view headers — drawn from ws, so a warm workspace makes the
-// call allocation-free (the Set itself stays read-only, so one Set may be
-// shared by goroutines as long as each passes its own Workspace). A nil
-// ws falls back to per-call allocation. The sum is accumulated block by
-// block (see Pool), which bounds the scratch to one row block regardless
-// of n.
-//
-//firal:hotpath
-func (s *Set) MatVecWS(ws *mat.Workspace, dst, v, w []float64) []float64 {
-	return poolMatVecWS(ws, s, dst, v, w)
-}
-
-// PointMatVec computes dst = H_i v for a single point using the four-step
-// procedure after Lemma 2 (❶ γ ← Vᵀx, ❷ α ← γᵀh, ❸ γ ← (γ−α)⊙h,
-// ❹ dst ← vec(γ ⊗ x)).
-func PointMatVec(dst []float64, x, h, v []float64) []float64 {
-	d, c := len(x), len(h)
-	if dst == nil {
-		dst = make([]float64, d*c)
-	}
-	gamma := make([]float64, c)
-	for k := 0; k < c; k++ {
-		gamma[k] = mat.Dot(v[k*d:(k+1)*d], x)
-	}
-	alpha := mat.Dot(gamma, h)
-	for k := 0; k < c; k++ {
-		gk := (gamma[k] - alpha) * h[k]
-		out := dst[k*d : (k+1)*d]
-		for j, xj := range x {
-			out[j] = gk * xj
-		}
-	}
-	return dst
-}
-
-// QuadAccum adds scale · (uᵀ H_i v) to dst[i] for every point i. This is
-// the inner kernel of the gradient estimator (Eq. 12):
-// g_i ≈ −(1/s) Σ_j v_jᵀ H_i w_j accumulates with scale = −1/s.
-func (s *Set) QuadAccum(dst []float64, u, v []float64, scale float64) {
-	s.QuadAccumWS(nil, dst, u, v, scale)
-}
-
-// QuadAccumWS is QuadAccum with the per-block scratch products drawn
-// from ws (see MatVecWS for the workspace and blocking contract).
-//
-//firal:hotpath
-func (s *Set) QuadAccumWS(ws *mat.Workspace, dst []float64, u, v []float64, scale float64) {
-	poolQuadAccumWS(ws, s, dst, u, v, scale)
-}
-
-// BlockDiagSum computes the c diagonal blocks of Σ_i w_i H_i (Eq. 14):
-// block k = Σ_i w_i h_ik(1−h_ik) x_i x_iᵀ. A nil w means unit weights.
-func (s *Set) BlockDiagSum(w []float64) []*mat.Dense {
-	return s.BlockDiagSumInto(nil, nil, w)
-}
-
-// BlockDiagSumInto is BlockDiagSum writing into the given d×d blocks
-// (allocated when blocks is nil) with scratch drawn from ws, so callers
-// that rebuild the blocks every iteration (the RELAX preconditioner, the
-// distributed allreduce) reuse one set of buffers round to round.
-//
-//firal:hotpath
-func (s *Set) BlockDiagSumInto(ws *mat.Workspace, blocks []*mat.Dense, w []float64) []*mat.Dense {
-	return poolBlockDiagSumInto(ws, s, blocks, w)
 }
 
 // AddBlockDiagPoint adds γ_k x xᵀ to each block (γ_k = h_k(1−h_k)),

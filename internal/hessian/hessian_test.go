@@ -27,6 +27,27 @@ func randSet(rng *rand.Rand, n, d, c int) *Set {
 	return NewSet(x, h)
 }
 
+// matVec is the s=1 case of MatVecBlockWS: dst = Σ_i w_i H_i v, with dst
+// allocated when nil.
+func matVec(ws *mat.Workspace, p Pool, dst, v, w []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, p.Ed())
+	}
+	dt, vt := ws.View(dst, 1, len(dst)), ws.View(v, 1, len(v))
+	MatVecBlockWS(ws, p, dt, vt, w)
+	ws.PutView(vt)
+	ws.PutView(dt)
+	return dst
+}
+
+// quadAccum is the s=1 case of QuadAccumBlockWS: dst[i] += scale·uᵀH_i v.
+func quadAccum(ws *mat.Workspace, p Pool, dst, u, v []float64, scale float64) {
+	ut, vt := ws.View(u, 1, len(u)), ws.View(v, 1, len(v))
+	QuadAccumBlockWS(ws, p, dst, ut, vt, scale)
+	ws.PutView(vt)
+	ws.PutView(ut)
+}
+
 func TestDensePointMatchesKroneckerDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d, c := 3, 4
@@ -74,7 +95,7 @@ func TestLemma2FastMatvec(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		fast := s.MatVec(nil, v, w)
+		fast := matVec(nil, s, nil, v, w)
 		dense := s.DenseSum(w)
 		want := mat.MatVec(nil, dense, v)
 		for i := range want {
@@ -89,6 +110,8 @@ func TestLemma2FastMatvec(t *testing.T) {
 	}
 }
 
+// TestPointMatVecMatchesDense checks the matvec of one point's Hessian,
+// H_i v, against the dense Kronecker form of Eq. 2.
 func TestPointMatVecMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -100,7 +123,7 @@ func TestPointMatVecMatchesDense(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		fast := PointMatVec(nil, x, h, v)
+		fast := matVec(nil, s, nil, v, nil)
 		want := mat.MatVec(nil, DensePoint(x, h), v)
 		for i := range want {
 			if math.Abs(fast[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
@@ -125,7 +148,7 @@ func TestQuadAccumMatchesDense(t *testing.T) {
 		v[i] = rng.NormFloat64()
 	}
 	got := make([]float64, n)
-	s.QuadAccum(got, u, v, 2.5)
+	quadAccum(nil, s, got, u, v, 2.5)
 	for i := 0; i < n; i++ {
 		hi := DensePoint(s.X.Row(i), s.H.Row(i))
 		want := 2.5 * mat.Dot(u, mat.MatVec(nil, hi, v))
@@ -148,7 +171,7 @@ func TestBlockDiagMatchesDense(t *testing.T) {
 		for i := range w {
 			w[i] = rng.Float64()
 		}
-		blocks := s.BlockDiagSum(w)
+		blocks := BlockDiagSumInto(nil, s, nil, w)
 		dense := s.DenseSum(w)
 		for k := 0; k < c; k++ {
 			want := mat.Block(dense, k, k, d)
@@ -190,7 +213,7 @@ func TestAddBlockDiagPoint(t *testing.T) {
 		blocks[k] = mat.NewDense(d, d)
 	}
 	AddBlockDiagPoint(blocks, x, h, 1)
-	want := s.BlockDiagSum(nil)
+	want := BlockDiagSumInto(nil, s, nil, nil)
 	for k := 0; k < c; k++ {
 		if mat.MaxAbsDiff(blocks[k], want[k]) > 1e-10 {
 			t.Fatalf("block %d mismatch", k)
@@ -229,8 +252,8 @@ func TestMatVecSumLinearity(t *testing.T) {
 	for i := range wb {
 		wb[i] = rng.Float64()
 	}
-	ra := a.MatVec(nil, v, nil)
-	rb := b.MatVec(nil, v, wb)
+	ra := matVec(nil, a, nil, v, nil)
+	rb := matVec(nil, b, nil, v, wb)
 	sum := make([]float64, d*c)
 	for i := range sum {
 		sum[i] = ra[i] + rb[i]

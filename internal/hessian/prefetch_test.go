@@ -61,8 +61,8 @@ func TestPrefetchedKernelsBitIdentical(t *testing.T) {
 			}
 		}
 
-		wantG := sync.BlockDiagSumInto(ws1, nil, w)
-		gotG := pre.BlockDiagSumInto(ws2, nil, w)
+		wantG := BlockDiagSumInto(ws1, sync, nil, w)
+		gotG := BlockDiagSumInto(ws2, pre, nil, w)
 		for k := range wantG {
 			for i := range wantG[k].Data {
 				if math.Float64bits(gotG[k].Data[i]) != math.Float64bits(wantG[k].Data[i]) {
@@ -98,7 +98,7 @@ func TestPrefetchedStreamZeroAllocMulticore(t *testing.T) {
 	sweep := func() {
 		MatVecBlockWS(ws, pre, dstMV, vt, w)
 		QuadAccumBlockWS(ws, pre, dstQ, ut, vt, -0.1)
-		grams = pre.BlockDiagSumInto(ws, grams, w)
+		grams = BlockDiagSumInto(ws, pre, grams, w)
 	}
 	sweep() // size the double buffer, workspace scratch, and Gram storage
 	sweep()

@@ -8,13 +8,14 @@ import (
 )
 
 // Pool is the solver-facing view of a weighted point set: either the
-// resident Set or the block-streaming Stream. Every kernel that used to
-// sweep one resident n×d matrix — the Lemma-2 matvec, the Hutchinson
-// gradient accumulation, the Eq. 14 Gram blocks, and the ROUND rescoring
-// pass in internal/firal — instead visits the pool in contiguous row
-// blocks obtained from Block/PutBlock, so an out-of-core pool (mmap'd
-// float32 shards, CSV) flows through the same Workspace/worker-pool
-// machinery as a resident one.
+// resident Set or the block-streaming Stream. It only gives access to the
+// data; the kernels over it — the Lemma-2 matvec (MatVecBlockWS), the
+// Hutchinson gradient accumulation (QuadAccumBlockWS), the Eq. 14 Gram
+// blocks (BlockDiagSumInto), and the ROUND rescoring pass in
+// internal/firal — visit the pool in contiguous row blocks obtained from
+// Block/PutBlock, so an out-of-core pool (mmap'd float32 shards, CSV)
+// flows through the same Workspace/worker-pool machinery as a resident
+// one.
 //
 // Probabilities stay resident: the n×c probability matrix is a factor d/c
 // smaller than the features and the solvers index it per row (the mirror
@@ -42,12 +43,6 @@ type Pool interface {
 	Block(ws *mat.Workspace, lo, hi int) *mat.Dense
 	// PutBlock releases a matrix obtained from Block.
 	PutBlock(ws *mat.Workspace, b *mat.Dense)
-	// MatVecWS computes dst = Σ_i w_i H_i v (Lemma 2); see Set.MatVec.
-	MatVecWS(ws *mat.Workspace, dst, v, w []float64) []float64
-	// QuadAccumWS adds scale·(uᵀH_i v) to dst[i] for every point.
-	QuadAccumWS(ws *mat.Workspace, dst []float64, u, v []float64, scale float64)
-	// BlockDiagSumInto computes the c diagonal d×d blocks of Σ_i w_i H_i.
-	BlockDiagSumInto(ws *mat.Workspace, blocks []*mat.Dense, w []float64) []*mat.Dense
 }
 
 // Set implements Pool with resident storage.
@@ -191,121 +186,4 @@ func (st *Stream) PutBlock(ws *mat.Workspace, b *mat.Dense) {
 	} else {
 		ws.PutMatrix(b)
 	}
-}
-
-// MatVecWS computes dst = Σ_i w_i H_i v block by block (see Set.MatVec).
-func (st *Stream) MatVecWS(ws *mat.Workspace, dst, v, w []float64) []float64 {
-	return poolMatVecWS(ws, st, dst, v, w)
-}
-
-// QuadAccumWS adds scale·(uᵀH_i v) to dst[i] for every point, block by
-// block (see Set.QuadAccum).
-func (st *Stream) QuadAccumWS(ws *mat.Workspace, dst []float64, u, v []float64, scale float64) {
-	poolQuadAccumWS(ws, st, dst, u, v, scale)
-}
-
-// BlockDiagSumInto computes the Eq. 14 diagonal blocks block by block
-// (see Set.BlockDiagSum).
-func (st *Stream) BlockDiagSumInto(ws *mat.Workspace, blocks []*mat.Dense, w []float64) []*mat.Dense {
-	return poolBlockDiagSumInto(ws, st, blocks, w)
-}
-
-// poolMatVecWS is the per-column form of the blocked Lemma-2 matvec: it
-// wraps the single vector as a one-row transposed block and delegates to
-// MatVecBlockWS, so the single/multi-block accumulator logic exists once.
-// A pool that fits one block (n ≤ BlockRows, every test-scale config)
-// takes the direct path with no accumulator, reproducing the historical
-// resident kernel exactly.
-func poolMatVecWS(ws *mat.Workspace, p Pool, dst, v, w []float64) []float64 {
-	d, c := p.D(), p.C()
-	if dst == nil {
-		dst = make([]float64, d*c)
-	}
-	if len(v) != d*c {
-		panic("hessian: vector has wrong length")
-	}
-	dt := ws.View(dst, 1, d*c)
-	vt := ws.View(v, 1, d*c)
-	MatVecBlockWS(ws, p, dt, vt, w)
-	ws.PutView(vt)
-	ws.PutView(dt)
-	return dst
-}
-
-// poolQuadAccumWS is the per-column form of the blocked
-// gradient-estimator engine; see poolMatVecWS for the delegation.
-func poolQuadAccumWS(ws *mat.Workspace, p Pool, dst []float64, u, v []float64, scale float64) {
-	d, c := p.D(), p.C()
-	if len(dst) != p.N() {
-		panic("hessian: QuadAccum dst length mismatch")
-	}
-	if len(u) != d*c || len(v) != d*c {
-		panic("hessian: vector has wrong length")
-	}
-	ut := ws.View(u, 1, d*c)
-	vt := ws.View(v, 1, d*c)
-	QuadAccumBlockWS(ws, p, dst, ut, vt, scale)
-	ws.PutView(vt)
-	ws.PutView(ut)
-}
-
-// poolBlockDiagSumInto is the blocked Eq. 14 Gram engine shared by Set
-// and Stream. Blocks are visited outermost so a streamed source is read
-// once per call, with all c class Grams accumulated per visit.
-func poolBlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float64) []*mat.Dense {
-	n, d, c := p.N(), p.D(), p.C()
-	if blocks == nil {
-		blocks = make([]*mat.Dense, c)
-		for k := range blocks {
-			blocks[k] = mat.NewDense(d, d)
-		}
-	} else if len(blocks) != c {
-		panic("hessian: BlockDiagSumInto block count mismatch")
-	}
-	if n == 0 {
-		// Empty pool partition: the sum is zero, and reused blocks (the
-		// RELAX sigCache) must not keep a previous iteration's values.
-		for k := range blocks {
-			blocks[k].Zero()
-		}
-		return blocks
-	}
-	h := p.Probs()
-	bs := p.BlockRows()
-	single := bs >= n
-	var acc *mat.Dense
-	if !single {
-		for k := range blocks {
-			blocks[k].Zero()
-		}
-		acc = ws.Matrix(d, d)
-	}
-	u := ws.Vec(min(bs, n))
-	for lo := 0; lo < n; lo += bs {
-		hi := min(lo+bs, n)
-		m := hi - lo
-		xb := p.Block(ws, lo, hi)
-		for k := 0; k < c; k++ {
-			for i := 0; i < m; i++ {
-				wi := 1.0
-				if w != nil {
-					wi = w[lo+i]
-				}
-				hv := h.At(lo+i, k)
-				u[i] = wi * hv * (1 - hv)
-			}
-			if single {
-				mat.WeightedGramWS(ws, blocks[k], xb, u)
-			} else {
-				mat.WeightedGramWS(ws, acc, xb, u[:m])
-				blocks[k].AddScaled(1, acc)
-			}
-		}
-		p.PutBlock(ws, xb)
-	}
-	ws.PutVec(u)
-	if acc != nil {
-		ws.PutMatrix(acc)
-	}
-	return blocks
 }

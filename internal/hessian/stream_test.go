@@ -59,25 +59,25 @@ func TestStreamMatchesSetOracle(t *testing.T) {
 	rng.Normal(v, 0, 1)
 	rng.Normal(u, 0, 1)
 
-	wantMV := set.MatVec(nil, v, w)
+	wantMV := matVec(nil, set, nil, v, w)
 	wantQuad := make([]float64, n)
-	set.QuadAccum(wantQuad, u, v, -0.5)
-	wantBlocks := set.BlockDiagSum(w)
+	quadAccum(nil, set, wantQuad, u, v, -0.5)
+	wantBlocks := BlockDiagSumInto(nil, set, nil, w)
 
 	for _, bs := range []int{1, 16, 64, 996, 997, 1024} {
 		stream := NewStream(dataset.NewMatrixSource(set.X), set.H, bs)
 		ws := mat.NewWorkspace()
 
-		gotMV := stream.MatVecWS(ws, nil, v, w)
+		gotMV := matVec(ws, stream, nil, v, w)
 		if diff := maxAbsDiff(gotMV, wantMV); diff > 1e-10 {
 			t.Errorf("bs=%d: MatVec diverges from resident oracle by %g", bs, diff)
 		}
 		gotQuad := make([]float64, n)
-		stream.QuadAccumWS(ws, gotQuad, u, v, -0.5)
+		quadAccum(ws, stream, gotQuad, u, v, -0.5)
 		if diff := maxAbsDiff(gotQuad, wantQuad); diff > 1e-10 {
 			t.Errorf("bs=%d: QuadAccum diverges from resident oracle by %g", bs, diff)
 		}
-		gotBlocks := stream.BlockDiagSumInto(ws, nil, w)
+		gotBlocks := BlockDiagSumInto(ws, stream, nil, w)
 		for k := range wantBlocks {
 			if diff := maxAbsDiff(gotBlocks[k].Data, wantBlocks[k].Data); diff > 1e-9 {
 				t.Errorf("bs=%d: Gram block %d diverges by %g", bs, k, diff)
@@ -98,20 +98,20 @@ func TestResidentSetCrossesBlockBoundary(t *testing.T) {
 
 	// Single-block oracle: the same engine with blockRows ≥ n.
 	oracle := NewStream(dataset.NewMatrixSource(set.X), set.H, n)
-	want := oracle.MatVecWS(nil, nil, v, w)
-	got := set.MatVec(nil, v, w)
+	want := matVec(nil, oracle, nil, v, w)
+	got := matVec(nil, set, nil, v, w)
 	if diff := maxAbsDiff(got, want); diff > 1e-10 {
 		t.Fatalf("resident multi-block MatVec diverges from single-block oracle by %g", diff)
 	}
 	wantQ := make([]float64, n)
 	gotQ := make([]float64, n)
-	oracle.QuadAccumWS(nil, wantQ, v, v, 1)
-	set.QuadAccum(gotQ, v, v, 1)
+	quadAccum(nil, oracle, wantQ, v, v, 1)
+	quadAccum(nil, set, gotQ, v, v, 1)
 	if diff := maxAbsDiff(gotQ, wantQ); diff > 1e-10 {
 		t.Fatalf("resident multi-block QuadAccum diverges by %g", diff)
 	}
-	wb := oracle.BlockDiagSumInto(nil, nil, w)
-	gb := set.BlockDiagSum(w)
+	wb := BlockDiagSumInto(nil, oracle, nil, w)
+	gb := BlockDiagSumInto(nil, set, nil, w)
 	for k := range wb {
 		if diff := maxAbsDiff(gb[k].Data, wb[k].Data); diff > 1e-9 {
 			t.Fatalf("resident multi-block Gram block %d diverges by %g", k, diff)
@@ -155,8 +155,8 @@ func TestStreamShardMatchesRoundedResident(t *testing.T) {
 	stream := NewStream(src, set.H, 64)
 	v := make([]float64, d*c)
 	rnd.New(10).Normal(v, 0, 1)
-	want := oracle.MatVec(nil, v, w)
-	got := stream.MatVecWS(nil, nil, v, w)
+	want := matVec(nil, oracle, nil, v, w)
+	got := matVec(nil, stream, nil, v, w)
 	if diff := maxAbsDiff(got, want); diff > 1e-10 {
 		t.Fatalf("shard stream MatVec diverges from rounded resident oracle by %g", diff)
 	}
@@ -205,9 +205,9 @@ func TestStreamZeroAllocWarm(t *testing.T) {
 		ws := mat.NewWorkspace()
 		var blocks []*mat.Dense
 		iter := func() {
-			stream.MatVecWS(ws, dst, v, w)
-			stream.QuadAccumWS(ws, quad, v, v, 0.5)
-			blocks = stream.BlockDiagSumInto(ws, blocks, w)
+			matVec(ws, stream, dst, v, w)
+			quadAccum(ws, stream, quad, v, v, 0.5)
+			blocks = BlockDiagSumInto(ws, stream, blocks, w)
 		}
 		iter() // warm the workspace and block scratch
 		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {

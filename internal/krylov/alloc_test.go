@@ -9,9 +9,10 @@ import (
 )
 
 // TestPCGZeroAllocWithWorkspace pins the steady-state allocation behaviour
-// of repeated PCG solves drawing scratch from a Workspace: zero after the
-// warm-up solve, provided the operator and preconditioner are themselves
-// allocation-free.
+// of repeated one-column preconditioned solves (SolveBlockInto at s=1)
+// drawing scratch from a Workspace: zero after the warm-up solve,
+// provided the operator and preconditioner are themselves
+// allocation-free and the results slice is reused.
 func TestPCGZeroAllocWithWorkspace(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -27,25 +28,28 @@ func TestPCGZeroAllocWithWorkspace(t *testing.T) {
 		}
 		spd.Set(i, i, spd.At(i, i)+float64(n))
 	}
-	b := make([]float64, n)
-	x := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
+	b := mat.NewDense(1, n)
+	x := mat.NewDense(1, n)
+	for i := range b.Data {
+		b.Data[i] = rng.NormFloat64()
 	}
-	a := func(dst, v []float64) { mat.MatVec(dst, spd, v) }
-	diag := func(dst, v []float64) {
+	a := perColumnBlockOp(func(dst, v []float64) { mat.MatVec(dst, spd, v) })
+	diag := perColumnBlockOp(func(dst, v []float64) {
 		for i := range dst {
 			dst[i] = v[i] / spd.At(i, i)
 		}
-	}
+	})
 	opt := Options{Tol: 1e-10, MaxIter: 200, Workspace: mat.NewWorkspace()}
-	if allocs := testing.AllocsPerRun(30, func() {
-		mat.Fill(x, 0)
-		res := PCG(context.Background(), a, diag, b, x, opt)
-		if !res.Converged {
+	var results []Result
+	solve := func() {
+		x.Zero()
+		results = SolveBlockInto(context.Background(), a, diag, b, x, results, opt)
+		if !results[0].Converged {
 			t.Fatal("PCG did not converge on SPD test matrix")
 		}
-	}); allocs != 0 {
-		t.Fatalf("PCG allocates %.1f objects per solve with a warm workspace", allocs)
+	}
+	solve() // warm
+	if allocs := testing.AllocsPerRun(30, solve); allocs != 0 {
+		t.Fatalf("one-column solve allocates %.1f objects per solve with a warm workspace", allocs)
 	}
 }

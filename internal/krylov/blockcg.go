@@ -21,20 +21,14 @@ import (
 // iteration.
 type BlockOp func(dst, v *mat.Dense)
 
-// SolveBlock solves A X = B for all columns simultaneously with lockstep
-// (preconditioned) CG; see SolveBlockInto.
-func SolveBlock(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.Dense, opt Options) []Result {
-	return SolveBlockInto(ctx, a, precond, b, x, nil, opt)
-}
-
 // SolveBlockInto solves A X = B with batched conjugate gradients: all s
 // columns advance in lockstep, one BlockOp application per iteration,
 // with per-column convergence masking. b and x are transposed blocks (s×n
 // row-major, row j = column j; x is both the initial guess and the
-// output, updated in place). It is the multi-RHS form of PCG: per-column
-// Results written into the caller's slice (grown when capacity is short,
-// reset otherwise), scratch drawn from opt.Workspace so warm sweeps are
-// allocation-free, and the context polled once per iteration.
+// output, updated in place). Per-column Results are written into the
+// caller's slice (grown when capacity is short, reset otherwise), scratch
+// is drawn from opt.Workspace so warm sweeps are allocation-free, and the
+// context is polled once per iteration.
 //
 // Lockstep semantics: every column runs the scalar PCG recurrence on its
 // own (b_j, x_j) with its own α, β, and residual bookkeeping — the block
@@ -52,7 +46,7 @@ func SolveBlock(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.Dense
 //firal:hotpath
 func SolveBlockInto(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.Dense, results []Result, opt Options) []Result {
 	if b.Rows != x.Rows || b.Cols != x.Cols {
-		panic("krylov: SolveBlock shape mismatch")
+		panic("krylov: SolveBlockInto shape mismatch")
 	}
 	s, n := b.Rows, b.Cols
 	if cap(results) < s {
@@ -170,7 +164,7 @@ func SolveBlockInto(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.D
 			pap := mat.Dot(pj, apj)
 			if pap <= 0 || pap != pap {
 				// Column j lost positive definiteness numerically; freeze
-				// its best iterate (mirrors the PCG breakdown path).
+				// its best iterate.
 				results[j].RelResidual = rel[j]
 				act[j] = 0
 				nActive--

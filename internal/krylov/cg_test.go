@@ -16,6 +16,18 @@ func denseOp(a *mat.Dense) Op {
 	}
 }
 
+// solve runs SolveBlockInto on one right-hand side (the s=1 block);
+// a nil precond means plain CG.
+func solve(ctx context.Context, a, precond Op, b, x []float64, opt Options) Result {
+	var bp BlockOp
+	if precond != nil {
+		bp = perColumnBlockOp(precond)
+	}
+	bt := &mat.Dense{Rows: 1, Cols: len(b), Stride: len(b), Data: b}
+	xt := &mat.Dense{Rows: 1, Cols: len(x), Stride: len(x), Data: x}
+	return SolveBlockInto(ctx, perColumnBlockOp(a), bp, bt, xt, nil, opt)[0]
+}
+
 func randSPD(rng *rand.Rand, n int, cond float64) *mat.Dense {
 	// Build SPD with controlled condition number via random orthogonal-ish
 	// basis from QR-free construction: A = Σ λ_i q_i q_iᵀ using Gram.
@@ -37,7 +49,7 @@ func TestCGSolvesSPD(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := make([]float64, n)
-		res := CG(context.Background(), denseOp(a), b, x, Options{Tol: 1e-10})
+		res := solve(context.Background(), denseOp(a), nil, b, x, Options{Tol: 1e-10})
 		if !res.Converged {
 			t.Fatalf("n=%d: CG did not converge (rel=%g)", n, res.RelResidual)
 		}
@@ -53,7 +65,7 @@ func TestCGSolvesSPD(t *testing.T) {
 func TestCGZeroRHS(t *testing.T) {
 	a := mat.Eye(4)
 	x := []float64{1, 2, 3, 4}
-	res := CG(context.Background(), denseOp(a), make([]float64, 4), x, Options{})
+	res := solve(context.Background(), denseOp(a), nil, make([]float64, 4), x, Options{})
 	if !res.Converged {
 		t.Fatal("zero RHS should converge immediately")
 	}
@@ -77,7 +89,7 @@ func TestPCGWithExactPreconditionerConvergesInOneIteration(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, n)
-	res := PCG(context.Background(), denseOp(a), denseOp(inv), b, x, Options{Tol: 1e-8})
+	res := solve(context.Background(), denseOp(a), denseOp(inv), b, x, Options{Tol: 1e-8})
 	if res.Iterations > 3 {
 		t.Fatalf("exact preconditioner took %d iterations", res.Iterations)
 	}
@@ -108,9 +120,9 @@ func TestPreconditionerReducesIterations(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x1 := make([]float64, n)
-	plain := CG(context.Background(), denseOp(a), b, x1, Options{Tol: 1e-8, RecordResiduals: true})
+	plain := solve(context.Background(), denseOp(a), nil, b, x1, Options{Tol: 1e-8, RecordResiduals: true})
 	x2 := make([]float64, n)
-	prec := PCG(context.Background(), denseOp(a), diagInv, b, x2, Options{Tol: 1e-8, RecordResiduals: true})
+	prec := solve(context.Background(), denseOp(a), diagInv, b, x2, Options{Tol: 1e-8, RecordResiduals: true})
 	if !plain.Converged || !prec.Converged {
 		t.Fatalf("convergence failure: plain=%v prec=%v", plain.Converged, prec.Converged)
 	}
@@ -133,7 +145,7 @@ func TestResidualsMonotoneEnough(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, n)
-	res := CG(context.Background(), denseOp(a), b, x, Options{Tol: 1e-9, RecordResiduals: true})
+	res := solve(context.Background(), denseOp(a), nil, b, x, Options{Tol: 1e-9, RecordResiduals: true})
 	if math.Abs(res.Residuals[0]-1) > 1e-12 {
 		t.Fatalf("initial relative residual %g != 1", res.Residuals[0])
 	}
@@ -160,7 +172,7 @@ func TestSolveColumns(t *testing.T) {
 	if d := mat.MaxAbsDiff(got, b); d > 1e-5 {
 		t.Fatalf("AX != B (%g)", d)
 	}
-	if TotalIterations(results) <= 0 || MaxIterations(results) <= 0 {
+	if TotalIterations(results) <= 0 {
 		t.Fatal("iteration accounting broken")
 	}
 }
@@ -174,7 +186,7 @@ func TestMaxIterCap(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, n)
-	res := CG(context.Background(), denseOp(a), b, x, Options{Tol: 1e-14, MaxIter: 3})
+	res := solve(context.Background(), denseOp(a), nil, b, x, Options{Tol: 1e-14, MaxIter: 3})
 	if res.Iterations > 3 {
 		t.Fatalf("MaxIter not honored: %d", res.Iterations)
 	}
@@ -191,7 +203,7 @@ func TestCancelledContextAbortsSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	x := make([]float64, n)
-	res := CG(ctx, denseOp(a), b, x, Options{Tol: 1e-14})
+	res := solve(ctx, denseOp(a), nil, b, x, Options{Tol: 1e-14})
 	if !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", res.Err)
 	}

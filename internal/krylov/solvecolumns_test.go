@@ -2,10 +2,120 @@ package krylov
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/mat"
 )
+
+// Op applies a linear operator: dst = A·v. dst and v never alias.
+type Op func(dst, v []float64)
+
+// PCG solves A x = b with preconditioned conjugate gradients, one
+// right-hand side: the scalar recurrence that SolveBlockInto runs per
+// column, kept as its per-column oracle. precond applies M⁻¹ (pass nil
+// for unpreconditioned CG). x is both the initial guess and the output.
+// The context is polled once per iteration; on cancellation the result
+// carries ctx.Err() and the current iterate.
+func PCG(ctx context.Context, a Op, precond Op, b, x []float64, opt Options) Result {
+	n := len(b)
+	if len(x) != n {
+		panic("krylov: x/b length mismatch")
+	}
+	if opt.Tol <= 0 {
+		opt.Tol = 1e-8
+	}
+	maxIter := opt.MaxIter
+	if maxIter <= 0 {
+		maxIter = 10 * n
+	}
+
+	ws := opt.Workspace
+	r := ws.Vec(n)
+	av := ws.Vec(n)
+	defer func() {
+		ws.PutVec(r)
+		ws.PutVec(av)
+	}()
+	a(av, x)
+	for i := range r {
+		r[i] = b[i] - av[i]
+	}
+	bnorm := mat.Nrm2(b)
+	if bnorm == 0 {
+		for i := range x {
+			x[i] = 0
+		}
+		return Result{Converged: true, RelResidual: 0}
+	}
+
+	z := ws.Vec(n)
+	//firal:allow(alloc) — built once per solve, non-escaping
+	applyPrec := func() {
+		if precond != nil {
+			precond(z, r)
+		} else {
+			copy(z, r)
+		}
+	}
+	applyPrec()
+	p := ws.Vec(n)
+	copy(p, z)
+	defer func() {
+		ws.PutVec(z)
+		ws.PutVec(p)
+	}()
+	rz := mat.Dot(r, z)
+
+	res := Result{}
+	rel := mat.Nrm2(r) / bnorm
+	if opt.RecordResiduals {
+		res.Residuals = append(res.Residuals, rel) //firal:allow(alloc) diagnostics mode
+	}
+	if rel <= opt.Tol {
+		res.Converged = true
+		res.RelResidual = rel
+		return res
+	}
+
+	for it := 0; it < maxIter; it++ {
+		if err := ctx.Err(); err != nil {
+			res.RelResidual = rel
+			res.Err = err
+			return res
+		}
+		a(av, p)
+		pap := mat.Dot(p, av)
+		if pap <= 0 || math.IsNaN(pap) {
+			// Operator lost positive definiteness numerically; stop with
+			// the best iterate so far.
+			res.Iterations = it
+			res.RelResidual = rel
+			return res
+		}
+		alpha := rz / pap
+		mat.Axpy(alpha, p, x)
+		mat.Axpy(-alpha, av, r)
+		rel = mat.Nrm2(r) / bnorm
+		res.Iterations = it + 1
+		if opt.RecordResiduals {
+			res.Residuals = append(res.Residuals, rel) //firal:allow(alloc) diagnostics mode
+		}
+		if rel <= opt.Tol {
+			res.Converged = true
+			break
+		}
+		applyPrec()
+		rzNew := mat.Dot(r, z)
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+	res.RelResidual = rel
+	return res
+}
 
 // SolveColumns solves A X = B column-by-column with (preconditioned) CG,
 // writing solutions into x (same shape as b, used as initial guesses).

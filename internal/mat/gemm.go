@@ -458,35 +458,6 @@ func matVecRange(dst []float64, a *Dense, x []float64, lo, hi int) {
 	}
 }
 
-// MatTVec computes dst = aᵀ*x. If dst is nil it is allocated. The serial
-// inner accumulation keeps this deterministic.
-//
-//firal:hotpath
-func MatTVec(dst []float64, a *Dense, x []float64) []float64 {
-	if a.Rows != len(x) {
-		panic("mat: MatTVec dimension mismatch")
-	}
-	if dst == nil {
-		dst = make([]float64, a.Cols)
-	} else if len(dst) != a.Cols {
-		panic("mat: MatTVec dst length mismatch")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range row {
-			dst[j] += xi * v
-		}
-	}
-	return dst
-}
-
 // WeightedGram computes dst = Xᵀ diag(w) X for X (n×d), yielding the d×d
 // symmetric matrix Σ_i w_i x_i x_iᵀ. This is the kernel behind the
 // block-diagonal preconditioner of Eq. 14: B_k(Σ) = Σ_i w_ik x_i x_iᵀ.

@@ -101,7 +101,7 @@ func TestMatVecAndTranspose(t *testing.T) {
 	}
 	// Adjoint identity: yᵀ(Ax) == (Aᵀy)ᵀx.
 	lhs := Dot(y, MatVec(nil, a, x))
-	rhs := Dot(MatTVec(nil, a, y), x)
+	rhs := Dot(MatVec(nil, a.T(), y), x)
 	if math.Abs(lhs-rhs) > 1e-10 {
 		t.Fatalf("adjoint identity violated: %g vs %g", lhs, rhs)
 	}
@@ -377,10 +377,6 @@ func TestVecHelpers(t *testing.T) {
 	i, v := MaxIdx([]float64{1, 9, 3})
 	if i != 1 || v != 9 {
 		t.Fatal("MaxIdx wrong")
-	}
-	j, w := MinIdx([]float64{5, 2, 8})
-	if j != 1 || w != 2 {
-		t.Fatal("MinIdx wrong")
 	}
 	if Sum([]float64{1, 2, 3}) != 6 {
 		t.Fatal("Sum wrong")

@@ -63,16 +63,6 @@ func Scal(alpha float64, x []float64) {
 	}
 }
 
-// CopyVec copies src into dst (lengths must match).
-//
-//firal:hotpath
-func CopyVec(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("mat: CopyVec length mismatch")
-	}
-	copy(dst, src)
-}
-
 // Fill sets every element of x to v.
 //
 //firal:hotpath
@@ -104,23 +94,6 @@ func MaxIdx(x []float64) (int, float64) {
 	best, bv := 0, x[0]
 	for i, v := range x[1:] {
 		if v > bv {
-			best, bv = i+1, v
-		}
-	}
-	return best, bv
-}
-
-// MinIdx returns the index of the minimum element (first on ties) and its
-// value. It panics on empty input.
-//
-//firal:hotpath
-func MinIdx(x []float64) (int, float64) {
-	if len(x) == 0 {
-		panic("mat: MinIdx of empty slice")
-	}
-	best, bv := 0, x[0]
-	for i, v := range x[1:] {
-		if v < bv {
 			best, bv = i+1, v
 		}
 	}

@@ -20,11 +20,6 @@ type Machine struct {
 	BytesPerWord float64
 }
 
-// Paper returns the constants used in § IV-B/§ IV-C.
-func Paper() Machine {
-	return Machine{Flops: 19.5e12, Ts: 1e-4, Tw: 1 / 2.0e10, Tc: 1e-10, BytesPerWord: 4}
-}
-
 // Host returns a model of the local CPU device for like-for-like
 // comparison with measured Go times: flopRate is an empirically calibrated
 // effective FLOP/s of the Go kernels on this host. Communication constants

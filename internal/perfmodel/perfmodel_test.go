@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// Paper returns the constants used in § IV-B/§ IV-C: 19.5 TFLOPS fp32
+// peak on an A100, ts = 1e-4 s, 1/tw = 2e10 B/s, tc = 1e-10 s/B, 4-byte
+// words.
+func Paper() Machine {
+	return Machine{Flops: 19.5e12, Ts: 1e-4, Tw: 1 / 2.0e10, Tc: 1e-10, BytesPerWord: 4}
+}
+
 func TestPaperConstants(t *testing.T) {
 	m := Paper()
 	if m.Flops != 19.5e12 {

@@ -1,8 +1,6 @@
 // Package rnd provides seeded random-number utilities used throughout the
 // reproduction: Rademacher probes for Hutchinson trace estimation, Gaussian
-// samples for the synthetic embeddings, permutations for data splits, and a
-// splittable seed derivation so distributed ranks draw from independent but
-// reproducible streams.
+// samples for the synthetic embeddings, and permutations for data splits.
 package rnd
 
 import (
@@ -11,8 +9,7 @@ import (
 )
 
 // Source wraps math/rand with the sampling helpers the reproduction needs.
-// A Source is not safe for concurrent use; derive per-goroutine sources with
-// Split.
+// A Source is not safe for concurrent use.
 type Source struct {
 	*rand.Rand
 }
@@ -20,18 +17,6 @@ type Source struct {
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
 	return &Source{rand.New(rand.NewSource(seed))}
-}
-
-// Split derives a new independent seed from (seed, stream) using the
-// SplitMix64 finalizer, so rank r of a distributed run can use
-// Split(root, r) and obtain a stream that is reproducible and uncorrelated
-// with other ranks.
-func Split(seed, stream int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(stream+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
 }
 
 // Rademacher fills dst with independent ±1 entries.

@@ -3,7 +3,6 @@ package rnd
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRademacherOnlyPlusMinusOne(t *testing.T) {
@@ -96,18 +95,5 @@ func TestWeightedChoiceRespectsWeights(t *testing.T) {
 	// Negative weights are ignored.
 	if got := s.WeightedChoice([]float64{-5, 1}); got != 1 {
 		t.Fatalf("negative weight selected: %d", got)
-	}
-}
-
-func TestSplitProperties(t *testing.T) {
-	// Distinct streams from the same seed; deterministic.
-	f := func(seed int64) bool {
-		a := Split(seed, 0)
-		b := Split(seed, 1)
-		c := Split(seed, 0)
-		return a != b && a == c
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -3,62 +3,18 @@
 // probes [15]. Trace(A) ≈ (1/s) Σ_j v_jᵀ A v_j for ±1 probe vectors v_j.
 package sketch
 
-import (
-	"repro/internal/mat"
-	"repro/internal/rnd"
-)
+import "repro/internal/mat"
 
 // The probe block of Algorithm 2, line 4 is drawn directly into a hoisted
 // buffer with rnd.Source.Rademacher (the RELAX solvers reuse one Dense
 // across iterations), so no matrix-returning helper exists here.
 
-// Probes returns s independent length-n Rademacher vectors as slices.
-func Probes(rng *rnd.Source, n, s int) [][]float64 {
-	out := make([][]float64, s)
-	for j := range out {
-		out[j] = make([]float64, n)
-		rng.Rademacher(out[j])
-	}
-	return out
-}
-
-// HutchinsonTrace estimates Trace(A) for the linear operator apply
-// (dst = A·v) acting on R^n using s Rademacher probes.
-func HutchinsonTrace(apply func(dst, v []float64), n, s int, rng *rnd.Source) float64 {
-	v := make([]float64, n)
-	av := make([]float64, n)
-	var acc float64
-	for j := 0; j < s; j++ {
-		rng.Rademacher(v)
-		apply(av, v)
-		acc += mat.Dot(v, av)
-	}
-	return acc / float64(s)
-}
-
-// TraceFromProbes estimates Trace(A) from precomputed probe columns V and
-// their images AV = A·V (both n×s). This matches how Algorithm 2 reuses
-// the CG solutions: the same probe block serves the trace estimates of all
-// n gradient entries.
-func TraceFromProbes(v, av *mat.Dense) float64 {
-	if v.Rows != av.Rows || v.Cols != av.Cols {
-		panic("sketch: probe shape mismatch")
-	}
-	var acc float64
-	col1 := make([]float64, v.Rows)
-	col2 := make([]float64, v.Rows)
-	for j := 0; j < v.Cols; j++ {
-		v.Col(col1, j)
-		av.Col(col2, j)
-		acc += mat.Dot(col1, col2)
-	}
-	return acc / float64(v.Cols)
-}
-
-// TraceFromProbesT is TraceFromProbes over transposed probe blocks (s×n,
-// row j = probe j — the layout of the block-CG RELAX path): the rows are
-// already contiguous, so the estimate needs no column extraction and no
-// scratch. Summation order matches TraceFromProbes exactly.
+// TraceFromProbesT estimates Trace(A) ≈ (1/s) Σ_j v_jᵀ (A v_j) from a
+// probe block and its image, both transposed (s×n, row j = probe j — the
+// layout of the block-CG RELAX path). This is how Algorithm 2 reuses the
+// CG solutions: the same probe block serves the trace estimates of all n
+// gradient entries. The rows are contiguous, so the estimate needs no
+// column extraction and no scratch.
 func TraceFromProbesT(vt, avt *mat.Dense) float64 {
 	if vt.Rows != avt.Rows || vt.Cols != avt.Cols {
 		panic("sketch: probe shape mismatch")

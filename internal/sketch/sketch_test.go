@@ -8,6 +8,49 @@ import (
 	"repro/internal/rnd"
 )
 
+// Probes returns s independent length-n Rademacher vectors as slices.
+func Probes(rng *rnd.Source, n, s int) [][]float64 {
+	out := make([][]float64, s)
+	for j := range out {
+		out[j] = make([]float64, n)
+		rng.Rademacher(out[j])
+	}
+	return out
+}
+
+// HutchinsonTrace estimates Trace(A) for the linear operator apply
+// (dst = A·v) acting on R^n using s Rademacher probes.
+func HutchinsonTrace(apply func(dst, v []float64), n, s int, rng *rnd.Source) float64 {
+	v := make([]float64, n)
+	av := make([]float64, n)
+	var acc float64
+	for j := 0; j < s; j++ {
+		rng.Rademacher(v)
+		apply(av, v)
+		acc += mat.Dot(v, av)
+	}
+	return acc / float64(s)
+}
+
+// TraceFromProbes estimates Trace(A) from precomputed probe columns V and
+// their images AV = A·V (both n×s). This matches how Algorithm 2 reuses
+// the CG solutions: the same probe block serves the trace estimates of all
+// n gradient entries.
+func TraceFromProbes(v, av *mat.Dense) float64 {
+	if v.Rows != av.Rows || v.Cols != av.Cols {
+		panic("sketch: probe shape mismatch")
+	}
+	var acc float64
+	col1 := make([]float64, v.Rows)
+	col2 := make([]float64, v.Rows)
+	for j := 0; j < v.Cols; j++ {
+		v.Col(col1, j)
+		av.Col(col2, j)
+		acc += mat.Dot(col1, col2)
+	}
+	return acc / float64(v.Cols)
+}
+
 func TestHutchinsonUnbiasedOnDiagonal(t *testing.T) {
 	// For diagonal A, vᵀAv = Σ a_ii v_i² = Trace(A) exactly for Rademacher
 	// probes, so even one probe is exact.
@@ -48,6 +91,10 @@ func TestTraceFromProbes(t *testing.T) {
 	got := TraceFromProbes(v, av)
 	if math.Abs(got-3*float64(n)) > 1e-9 {
 		t.Fatalf("TraceFromProbes %g want %g", got, 3*float64(n))
+	}
+	// The transposed form RELAX runs sums in the same order.
+	if gotT := TraceFromProbesT(v.T(), av.T()); gotT != got {
+		t.Fatalf("TraceFromProbesT %g, column form %g", gotT, got)
 	}
 }
 
