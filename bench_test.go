@@ -134,7 +134,7 @@ func benchmarkFig4(b *testing.B, s int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := firal.RelaxFast(context.Background(), p, 10, firal.RelaxOptions{
-			FixedIterations: 5, Probes: s, Seed: int64(i), RecordObjective: true,
+			FixedIterations: 5, Probes: s, Seed: int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -161,7 +161,7 @@ func matvecSets(n, d, c int) (*hessian.Set, []float64) {
 
 func BenchmarkTableIII_FastMatvec(b *testing.B) {
 	pool, v := matvecSets(4, 32, 15)
-	point := pool.Subset([]int{0})
+	point := hessian.NewSet(pool.X.RowSlice(0, 1), pool.H.RowSlice(0, 1))
 	ws := mat.NewWorkspace()
 	vt := &mat.Dense{Rows: 1, Cols: len(v), Stride: len(v), Data: v}
 	dst := mat.NewDense(1, len(v))
@@ -287,7 +287,7 @@ func benchmarkFig6Relax(b *testing.B, ranks int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mpi.Run(ranks, func(c *mpi.Comm) {
-			sh := distfiral.MakeShard(labeled, pool, ranks, c.Rank())
+			sh := distfiral.MakeStreamShard(labeled, dataset.NewMatrixSource(pool.X), pool.H, 0, ranks, c.Rank())
 			_, err := distfiral.Relax(context.Background(), c, sh, 10, firal.RelaxOptions{
 				FixedIterations: 1, Probes: 10, CGTol: 1e-30, CGMaxIter: 10, Seed: 1,
 			})
@@ -309,7 +309,7 @@ func benchmarkFig7Round(b *testing.B, ranks int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mpi.Run(ranks, func(c *mpi.Comm) {
-			sh := distfiral.MakeShard(labeled, pool, ranks, c.Rank())
+			sh := distfiral.MakeStreamShard(labeled, dataset.NewMatrixSource(pool.X), pool.H, 0, ranks, c.Rank())
 			z := make([]float64, sh.PoolLocal.N())
 			mat.Fill(z, 1.0/3000)
 			if _, err := distfiral.Round(context.Background(), c, sh, z, 1, 0); err != nil {

@@ -10,10 +10,13 @@
 // the run mid-selection via context cancellation — already-completed
 // rounds are still reported.
 //
-// CSV format: one point per row. With -labelcol -1 (default) the last
-// column is the integer class label; any other value selects that column.
-// Rows must be numeric; a non-numeric first row is treated as a header
-// and skipped.
+// CSV format: one point per row, comma-separated, every row the same
+// width. With -labelcol -1 (default) the last column is the integer class
+// label; a value ≥ 0 selects that column; -2 means no label column, which
+// only -pack accepts. Cells must be numeric, optionally surrounded by
+// spaces and one pair of double quotes; a non-numeric first row is
+// treated as a header and skipped. All modes read CSV through
+// dataset.CSVSource.
 //
 // Streaming selection: with -shards the pool is served block by block
 // from memory-mapped float32 shard files (see dataset.ShardWriter for the
@@ -51,11 +54,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	pub "repro"
 	"repro/internal/cli"
-	"repro/internal/csvdata"
+	"repro/internal/dataset"
+	"repro/internal/mat"
 )
 
 func main() {
@@ -124,22 +129,22 @@ func main() {
 		if *poolPath == "" || *labPath == "" {
 			log.Fatal("need -pool and -labeled CSV files (or -demo)")
 		}
-		poolX, poolY, err := csvdata.Load(*poolPath, *labelCol)
+		poolX, poolY, err := loadCSV(*poolPath, *labelCol)
 		if err != nil {
 			log.Fatalf("pool: %v", err)
 		}
-		labX, labY, err := csvdata.Load(*labPath, *labelCol)
+		labX, labY, err := loadCSV(*labPath, *labelCol)
 		if err != nil {
 			log.Fatalf("labeled: %v", err)
 		}
 		cfg = pub.Config{
 			PoolX: poolX, PoolY: poolY,
 			LabeledX: labX, LabeledY: labY,
-			Classes: csvdata.NumClasses(poolY, labY),
+			Classes: max(slices.Max(poolY), slices.Max(labY)) + 1,
 			Seed:    *seed,
 		}
 		if *evalPath != "" {
-			evalX, evalY, err := csvdata.Load(*evalPath, *labelCol)
+			evalX, evalY, err := loadCSV(*evalPath, *labelCol)
 			if err != nil {
 				log.Fatalf("eval: %v", err)
 			}
@@ -210,6 +215,27 @@ func main() {
 	case err != nil:
 		log.Fatal(err)
 	}
+}
+
+// loadCSV reads a labeled CSV into row slices and labels.
+func loadCSV(path string, labelCol int) ([][]float64, []int, error) {
+	if labelCol == dataset.NoLabelColumn {
+		return nil, nil, fmt.Errorf("%s: -labelcol %d means no label column, but this mode needs labels", path, labelCol)
+	}
+	src, err := dataset.NewCSVSource(path, labelCol)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer src.Close()
+	x := mat.NewDense(src.NumRows(), src.Dim())
+	if err := src.ReadRows(0, x.Rows, x); err != nil {
+		return nil, nil, err
+	}
+	rows := make([][]float64, x.Rows)
+	for i := range rows {
+		rows[i] = x.Row(i)
+	}
+	return rows, src.Labels(), nil
 }
 
 // announcing wraps a stop criterion so the reason is printed when it

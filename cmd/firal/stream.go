@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	pub "repro"
 	"repro/internal/cli"
-	"repro/internal/csvdata"
 	"repro/internal/dataset"
 	"repro/internal/distfiral"
 	"repro/internal/firal"
@@ -34,22 +34,7 @@ func packShard(out, csvPath string, labelCol int) error {
 		return err
 	}
 	defer src.Close()
-	w, err := dataset.CreateShard(out, src.Dim())
-	if err != nil {
-		return err
-	}
-	block := mat.NewDense(dataset.DefaultBlockRows, src.Dim())
-	for lo := 0; lo < src.NumRows(); lo += block.Rows {
-		hi := min(lo+block.Rows, src.NumRows())
-		b := block.RowSlice(0, hi-lo)
-		if err := src.ReadRows(lo, hi, b); err != nil {
-			return err
-		}
-		if err := w.AppendBlock(b); err != nil {
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
+	if err := dataset.PackShard(out, src); err != nil {
 		return err
 	}
 	log.Printf("packed %d×%d rows of %s into %s (features only; labels are not stored)",
@@ -119,11 +104,11 @@ func streamSelect(cfg streamConfig) error {
 		defer lim.Release()
 	}
 
-	labX, labY, err := csvdata.Load(cfg.labeled, cfg.labelCol)
+	labX, labY, err := loadCSV(cfg.labeled, cfg.labelCol)
 	if err != nil {
 		return fmt.Errorf("labeled: %w", err)
 	}
-	classes := csvdata.NumClasses(labY)
+	classes := slices.Max(labY) + 1
 	if classes < 2 {
 		return fmt.Errorf("labeled set has %d class(es); need at least 2", classes)
 	}
@@ -149,18 +134,8 @@ func streamSelect(cfg streamConfig) error {
 	// the n×(c−1) reduced matrix stays resident.
 	t0 := time.Now()
 	reduced := mat.NewDense(n, classes-1)
-	block := mat.NewDense(dataset.DefaultBlockRows, src.Dim())
-	probsBlock := mat.NewDense(dataset.DefaultBlockRows, classes)
-	for lo := 0; lo < n; lo += block.Rows {
-		hi := min(lo+block.Rows, n)
-		xb := block.RowSlice(0, hi-lo)
-		if err := src.ReadRows(lo, hi, xb); err != nil {
-			return err
-		}
-		pb := softmax.Probabilities(probsBlock.RowSlice(0, hi-lo), xb, model.Theta)
-		for i := lo; i < hi; i++ {
-			copy(reduced.Row(i), pb.Row(i - lo)[:classes-1])
-		}
+	if err := hessian.PoolProbs(reduced, src, model.Theta, 0, n, dataset.DefaultBlockRows); err != nil {
+		return err
 	}
 	log.Printf("probabilities attached in %.2fs", time.Since(t0).Seconds())
 

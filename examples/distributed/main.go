@@ -16,6 +16,7 @@ import (
 	"time"
 
 	firal "repro"
+	"repro/internal/dataset"
 	"repro/internal/distfiral"
 	ifiral "repro/internal/firal"
 	"repro/internal/hessian"
@@ -109,10 +110,11 @@ func tcpBitIdentity() {
 	opts := ifiral.RelaxOptions{FixedIterations: 12, Probes: 6, CGTol: 0.05, Seed: 4}
 	ctx := context.Background()
 
+	src := dataset.NewMatrixSource(pool.X)
 	run := func(ts []mpi.Transport) []int {
 		var sel []int
 		mpi.RunTransports(ts, func(c *mpi.Comm) {
-			sh := distfiral.MakeShard(labeled, pool, c.Size(), c.Rank())
+			sh := distfiral.MakeStreamShard(labeled, src, pool.H, 0, c.Size(), c.Rank())
 			s, _, _, err := distfiral.Select(ctx, c, sh, b, 0, opts)
 			if err != nil {
 				log.Fatalf("rank %d: %v", c.Rank(), err)

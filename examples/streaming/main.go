@@ -90,16 +90,8 @@ func main() {
 		log.Fatal(err)
 	}
 	reduced := mat.NewDense(n, classes-1)
-	for lo := 0; lo < n; lo += blockRows {
-		hi := min(lo+blockRows, n)
-		xb := block.RowSlice(0, hi-lo)
-		if err := src.ReadRows(lo, hi, xb); err != nil {
-			log.Fatal(err)
-		}
-		probs := softmax.Probabilities(nil, xb, model.Theta)
-		for i := lo; i < hi; i++ {
-			copy(reduced.Row(i), probs.Row(i - lo)[:classes-1])
-		}
+	if err := hessian.PoolProbs(reduced, src, model.Theta, 0, n, blockRows); err != nil {
+		log.Fatal(err)
 	}
 
 	// ❹ Select through the block-streaming solver path. hessian.NewStream

@@ -14,13 +14,15 @@ import (
 const NoLabelColumn = -2
 
 // CSVSource serves a numeric CSV file (one point per row, optional header,
-// optionally one integer label column) as a PoolSource. Opening performs
-// one full validation pass that records a byte offset per row and parses
-// the labels, so the resident footprint is O(n) small integers while the
-// O(n·d) features stay on disk; ReadRows then seeks straight to the
-// requested window and parses only those lines. Unlike the zero-alloc
-// shard path this is a convenience format — packing a CSV into a shard
-// file (see ShardWriter) is the production route for repeated sweeps.
+// optionally one integer label column) as a PoolSource. It is the one CSV
+// reader: cmd/firal's -pool/-labeled/-eval and -pack, and firald's inline
+// pools all load through it. Opening performs one full validation pass
+// that records a byte offset per row and parses the labels, so the
+// resident footprint is O(n) small integers while the O(n·d) features
+// stay on disk; ReadRows then seeks straight to the requested window and
+// parses only those lines. Unlike the zero-alloc shard path this is a
+// convenience format — packing a CSV into a shard file (see PackShard) is
+// the production route for repeated sweeps.
 type CSVSource struct {
 	f         *os.File
 	d         int
@@ -32,10 +34,12 @@ type CSVSource struct {
 
 // NewCSVSource opens and validates path. labelCol selects the label
 // column: −1 means the last column, NoLabelColumn means the file is
-// features only (other negative values are rejected — csvdata.Load
-// historically treats every negative as "last column", and silently
-// packing the label as a feature under -2 would corrupt shards). A
-// non-numeric first row is treated as a header.
+// features only (other negative values are rejected, so a mistyped
+// column can never pack the label as a feature). A non-numeric first row
+// is treated as a header. Cells may carry surrounding spaces and one pair
+// of surrounding double quotes ("1.5"). Rows end at every line break and
+// cells at every comma, quoted or not, so a header cell cannot hold a
+// quoted line break.
 func NewCSVSource(path string, labelCol int) (*CSVSource, error) {
 	if labelCol < 0 && labelCol != -1 && labelCol != NoLabelColumn {
 		return nil, fmt.Errorf("dataset: label column %d invalid (use ≥ 0, -1 for last, or NoLabelColumn)", labelCol)
@@ -76,8 +80,8 @@ func (s *CSVSource) index(path string) error {
 		fields := strings.Split(trimmed, ",")
 		// Header: the first non-blank line, when non-numeric (keyed on "no
 		// data rows seen yet", not the physical line number, so leading
-		// blank lines don't demote the header to a parse error — matching
-		// encoding/csv's blank-line handling in csvdata.Load).
+		// blank lines don't demote the header to a parse error, as
+		// encoding/csv skips blank lines).
 		if s.offsets == nil && !s.sawHeader && !numericFields(fields) {
 			s.sawHeader = true
 			if err != nil {
@@ -120,7 +124,7 @@ func (s *CSVSource) parseRow(fields []string, dst []float64) (label, width int, 
 		return 0, 0, fmt.Errorf("label column %d out of range (width %d)", s.labelCol, len(fields))
 	}
 	for col, cell := range fields {
-		cell = strings.TrimSpace(cell)
+		cell = unquote(cell)
 		if col == lc {
 			v, perr := strconv.Atoi(cell)
 			if perr != nil || v < 0 {
@@ -146,11 +150,21 @@ func (s *CSVSource) parseRow(fields []string, dst []float64) (label, width int, 
 
 func numericFields(fields []string) bool {
 	for _, cell := range fields {
-		if _, err := strconv.ParseFloat(strings.TrimSpace(cell), 64); err != nil {
+		if _, err := strconv.ParseFloat(unquote(cell), 64); err != nil {
 			return false
 		}
 	}
 	return true
+}
+
+// unquote trims a cell's surrounding spaces, then one pair of surrounding
+// double quotes.
+func unquote(cell string) string {
+	cell = strings.TrimSpace(cell)
+	if len(cell) >= 2 && cell[0] == '"' && cell[len(cell)-1] == '"' {
+		cell = cell[1 : len(cell)-1]
+	}
+	return cell
 }
 
 // NumRows returns the number of data rows.

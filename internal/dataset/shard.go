@@ -132,6 +132,37 @@ func (sw *ShardWriter) Close() error {
 	return sw.err
 }
 
+// PackShard writes every row of src into a new shard file at path, one
+// DefaultBlockRows block at a time. The writer is closed on every path,
+// and on any error the partial file is removed, so a half-packed pool can
+// never open as a shorter valid shard.
+func PackShard(path string, src PoolSource) (err error) {
+	w, err := CreateShard(path, src.Dim())
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(path)
+		}
+	}()
+	n := src.NumRows()
+	block := mat.NewDense(min(DefaultBlockRows, n), src.Dim())
+	for lo := 0; lo < n; lo += block.Rows {
+		b := block.RowSlice(0, min(block.Rows, n-lo))
+		if err := src.ReadRows(lo, lo+b.Rows, b); err != nil {
+			return err
+		}
+		if err := w.AppendBlock(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // shardFile is one opened shard: its payload either memory-mapped (data)
 // or read on demand through f.
 type shardFile struct {

@@ -47,31 +47,17 @@ type Shard struct {
 	p *firal.Problem
 }
 
-// MakeShard cuts rank's partition out of a global pool, mirroring the
-// paper's even distribution of x_i and h_i. The partition is materialized
-// (copied); MakeStreamShard shards without materializing.
-func MakeShard(labeled, pool *hessian.Set, size, rank int) *Shard {
-	lo, hi := mpi.Partition(pool.N(), size, rank)
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
-	}
-	return &Shard{
-		Labeled:    labeled,
-		PoolLocal:  pool.Subset(idx),
-		PoolOffset: lo,
-		PoolTotal:  pool.N(),
-	}
-}
-
-// MakeStreamShard cuts rank's partition out of a streamed global pool:
-// the rank-local pool is a hessian.Stream over a prefetched Subrange view
+// MakeStreamShard cuts rank's partition out of a global pool, the paper's
+// even distribution of x_i and h_i. It is the one way to shard a pool: a
+// resident pool comes in as dataset.NewMatrixSource(pool.X) with pool.H.
+// The rank-local pool is a hessian.Stream over a prefetched Subrange view
 // of src, so nothing is materialized — every rank reads its contiguous
 // row window of the shared source (safe: dataset sources support
 // concurrent ReadRows) and indexes its slice of the replicated
 // probability matrix, with each rank's next block decoding under the
 // current block's kernels (dataset.WithPrefetch; resident sources skip
-// the wrapper). blockRows ≤ 0 selects the default block granularity.
+// the wrapper and serve zero-copy views). blockRows ≤ 0 selects the
+// default block granularity.
 func MakeStreamShard(labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, blockRows, size, rank int) *Shard {
 	n := src.NumRows()
 	lo, hi := mpi.Partition(n, size, rank)

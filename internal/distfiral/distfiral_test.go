@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/firal"
 	"repro/internal/hessian"
 	"repro/internal/mat"
@@ -40,12 +41,18 @@ func testSets(seed int64, nLabeled, nPool, d, c int) (*hessian.Set, *hessian.Set
 	return hessian.NewSet(xo, ho), hessian.NewSet(xu, hu)
 }
 
-func TestMakeShardCoversPool(t *testing.T) {
+// residentShard shards a resident pool the way every caller does: a
+// MakeStreamShard over zero-copy views of pool.X.
+func residentShard(labeled, pool *hessian.Set, size, rank int) *Shard {
+	return MakeStreamShard(labeled, dataset.NewMatrixSource(pool.X), pool.H, 0, size, rank)
+}
+
+func TestMakeStreamShardCoversPool(t *testing.T) {
 	labeled, pool := testSets(1, 6, 23, 3, 3)
 	for _, p := range []int{1, 2, 3, 5} {
 		total := 0
 		for r := 0; r < p; r++ {
-			sh := MakeShard(labeled, pool, p, r)
+			sh := residentShard(labeled, pool, p, r)
 			total += sh.PoolLocal.N()
 			if sh.PoolTotal != 23 {
 				t.Fatalf("PoolTotal %d", sh.PoolTotal)
@@ -85,7 +92,7 @@ func TestDistributedRelaxMatchesSerial(t *testing.T) {
 			zGlobal := make([]float64, pool.N())
 			var mu sync.Mutex
 			mpi.Run(p, func(c *mpi.Comm) {
-				sh := MakeShard(labeled, pool, p, c.Rank())
+				sh := residentShard(labeled, pool, p, c.Rank())
 				res, err := Relax(context.Background(), c, sh, b, tc.opts)
 				if err != nil {
 					t.Errorf("%s p=%d: %v", tc.name, p, err)
@@ -141,7 +148,7 @@ func TestDistributedRoundMatchesSerial(t *testing.T) {
 		var minEig float64
 		var once sync.Once
 		mpi.Run(p, func(c *mpi.Comm) {
-			sh := MakeShard(labeled, pool, p, c.Rank())
+			sh := residentShard(labeled, pool, p, c.Rank())
 			zLocal := append([]float64(nil), z[sh.PoolOffset:sh.PoolOffset+sh.PoolLocal.N()]...)
 			res, err := Round(context.Background(), c, sh, zLocal, b, 0)
 			if err != nil {
@@ -193,7 +200,7 @@ func TestDistributedRoundRejectsNonFiniteScore(t *testing.T) {
 	}
 	errs := make([]error, 2)
 	mpi.Run(2, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, bad, 2, c.Rank())
+		sh := residentShard(labeled, bad, 2, c.Rank())
 		zLocal := z[sh.PoolOffset : sh.PoolOffset+sh.PoolLocal.N()]
 		_, errs[c.Rank()] = Round(context.Background(), c, sh, zLocal, 4, 0)
 	})
@@ -226,7 +233,7 @@ func TestDistributedNonFiniteSigmaIsTyped(t *testing.T) {
 		}
 		relaxErrs, roundErrs := make([]error, 2), make([]error, 2)
 		mpi.Run(2, func(c *mpi.Comm) {
-			sh := MakeShard(labeled, pool, 2, c.Rank())
+			sh := residentShard(labeled, pool, 2, c.Rank())
 			if pl.name != "labeled feature" && c.Rank() == 0 && sh.PoolOffset+sh.PoolLocal.N() > 12 {
 				t.Errorf("%s: row 12 is in rank 0's slice", pl.name)
 			}
@@ -253,7 +260,7 @@ func TestAllRanksAgreeOnSelection(t *testing.T) {
 	p := 3
 	results := make([][]int, p)
 	mpi.Run(p, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, p, c.Rank())
+		sh := residentShard(labeled, pool, p, c.Rank())
 		sel, _, _, err := Select(context.Background(), c, sh, b, 0, firal.RelaxOptions{FixedIterations: 5, Seed: 3})
 		if err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
@@ -279,7 +286,7 @@ func TestBudgetExceedsPool(t *testing.T) {
 	labeled, pool := testSets(5, 6, 5, 2, 3)
 	p := 2
 	mpi.Run(p, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, p, c.Rank())
+		sh := residentShard(labeled, pool, p, c.Rank())
 		z := make([]float64, sh.PoolLocal.N())
 		mat.Fill(z, 1)
 		res, err := Round(context.Background(), c, sh, z, 9, 0)
@@ -305,7 +312,7 @@ func TestBudgetExceedsPool(t *testing.T) {
 func TestCommStatsNonzero(t *testing.T) {
 	labeled, pool := testSets(6, 6, 20, 2, 3)
 	stats := mpi.Run(3, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, 3, c.Rank())
+		sh := residentShard(labeled, pool, 3, c.Rank())
 		if _, _, _, err := Select(context.Background(), c, sh, 3, 0, firal.RelaxOptions{FixedIterations: 3, Seed: 1}); err != nil {
 			t.Errorf("%v", err)
 		}

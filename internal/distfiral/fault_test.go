@@ -37,7 +37,7 @@ func victimCollectives(t *testing.T, labeled, pool *hessian.Set, p, b, victim in
 	t.Helper()
 	opts.OnIteration = func(*firal.RelaxCheckpoint) {}
 	stats := mpi.Run(p, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, p, c.Rank())
+		sh := residentShard(labeled, pool, p, c.Rank())
 		if _, err := Relax(context.Background(), c, sh, b, opts); err != nil {
 			t.Errorf("calibration relax: %v", err)
 		}
@@ -53,7 +53,7 @@ func freshSelect(t *testing.T, labeled, pool *hessian.Set, p, b int, opts firal.
 	var out []int
 	var once sync.Once
 	mpi.Run(p, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, p, c.Rank())
+		sh := residentShard(labeled, pool, p, c.Rank())
 		sel, _, _, err := Select(context.Background(), c, sh, b, 0, opts)
 		if err != nil {
 			t.Errorf("fresh %d-rank run: %v", p, err)
@@ -75,7 +75,7 @@ func runResilientWithKill(t *testing.T, labeled, pool *hessian.Set, p, b, victim
 	mpi.RunTransports(plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
 		c.SetOpTimeout(distFaultTimeout)
 		mk := func(size, rank int) (*Shard, error) {
-			return MakeShard(labeled, pool, size, rank), nil
+			return residentShard(labeled, pool, size, rank), nil
 		}
 		res, err := SelectResilient(context.Background(), c, mk, b, 0, opts)
 		if c.Rank() == victim {
@@ -191,7 +191,7 @@ func TestSelectResilientCleanRunMatchesSelect(t *testing.T) {
 	mpi.Run(p, func(c *mpi.Comm) {
 		c.SetOpTimeout(5 * time.Second)
 		mk := func(size, rank int) (*Shard, error) {
-			return MakeShard(labeled, pool, size, rank), nil
+			return residentShard(labeled, pool, size, rank), nil
 		}
 		res, err := SelectResilient(context.Background(), c, mk, b, 0, opts)
 		if err != nil {
@@ -218,7 +218,7 @@ func TestSelectResilientRequiresTimeout(t *testing.T) {
 	labeled, pool := testSets(9, 6, 12, 2, 3)
 	mpi.Run(2, func(c *mpi.Comm) {
 		mk := func(size, rank int) (*Shard, error) {
-			return MakeShard(labeled, pool, size, rank), nil
+			return residentShard(labeled, pool, size, rank), nil
 		}
 		if _, err := SelectResilient(context.Background(), c, mk, 2, 0, firal.RelaxOptions{FixedIterations: 2}); err == nil {
 			t.Errorf("rank %d: SelectResilient without SetOpTimeout should fail", c.Rank())
@@ -239,7 +239,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 	var cks []*firal.RelaxCheckpoint // rank 0's checkpoint stream
 	full := make([][]float64, p)
 	mpi.Run(p, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, p, c.Rank())
+		sh := residentShard(labeled, pool, p, c.Rank())
 		o := opts
 		o.OnIteration = func(ck *firal.RelaxCheckpoint) {
 			if c.Rank() == 0 {
@@ -263,7 +263,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 	// Resume from the middle at the same rank count: bit-identical z⋄.
 	resumed := make([][]float64, p)
 	mpi.Run(p, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, p, c.Rank())
+		sh := residentShard(labeled, pool, p, c.Rank())
 		o := opts
 		o.Resume = cks[2] // after iteration 3
 		res, err := Relax(context.Background(), c, sh, b, o)
@@ -288,7 +288,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 	// run's z⋄ exactly (the checkpoint is global, so re-sharding at p−1
 	// just re-slices it).
 	mpi.Run(p-1, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, p-1, c.Rank())
+		sh := residentShard(labeled, pool, p-1, c.Rank())
 		o := opts
 		o.Resume = cks[len(cks)-1]
 		res, err := Relax(context.Background(), c, sh, b, o)
@@ -314,7 +314,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 func TestRelaxRejectsMismatchedCheckpoint(t *testing.T) {
 	labeled, pool := testSets(9, 6, 12, 2, 3)
 	mpi.Run(2, func(c *mpi.Comm) {
-		sh := MakeShard(labeled, pool, 2, c.Rank())
+		sh := residentShard(labeled, pool, 2, c.Rank())
 		o := firal.RelaxOptions{FixedIterations: 2, Resume: &firal.RelaxCheckpoint{Iteration: 1, Z: make([]float64, 5)}}
 		_, err := Relax(context.Background(), c, sh, 2, o)
 		if !errors.Is(err, firal.ErrBadCheckpoint) {

@@ -13,8 +13,8 @@ import (
 // SelectResilient calls it once at start and again after every heal, with
 // the survivor group's new size and this rank's new rank, so the maker
 // must re-slice the same global problem by mpi.Partition(n, size, rank)
-// — exactly what MakeShard and MakeStreamShard do when curried over
-// their data arguments.
+// — exactly what MakeStreamShard does when curried over its data
+// arguments.
 type ShardMaker func(size, rank int) (*Shard, error)
 
 // ResilientResult reports a fault-tolerant distributed selection.

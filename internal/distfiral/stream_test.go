@@ -7,13 +7,25 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/firal"
+	"repro/internal/hessian"
 	"repro/internal/mpi"
 )
 
+// setShard is the resident oracle: rank's partition as a hessian.Set view.
+func setShard(labeled, pool *hessian.Set, size, rank int) *Shard {
+	lo, hi := mpi.Partition(pool.N(), size, rank)
+	return &Shard{
+		Labeled:    labeled,
+		PoolLocal:  hessian.NewSet(pool.X.RowSlice(lo, hi), pool.H.RowSlice(lo, hi)),
+		PoolOffset: lo,
+		PoolTotal:  pool.N(),
+	}
+}
+
 // TestStreamShardMatchesResidentShard runs the full distributed selection
-// (RELAX + ROUND over the simulated MPI ranks) twice — once with
-// materialized per-rank Subset shards, once with MakeStreamShard views
-// over one shared in-memory source — and requires identical selections.
+// (RELAX + ROUND over the simulated MPI ranks) twice — once with per-rank
+// resident Set shards, once with MakeStreamShard views over one shared
+// in-memory source — and requires identical selections.
 // The streaming shards use a small block size so every rank crosses block
 // boundaries inside its partition.
 func TestStreamShardMatchesResidentShard(t *testing.T) {
@@ -35,7 +47,7 @@ func TestStreamShardMatchesResidentShard(t *testing.T) {
 	}
 
 	resident := run(func(rank int) *Shard {
-		return MakeShard(labeled, pool, ranks, rank)
+		return setShard(labeled, pool, ranks, rank)
 	})
 	src := dataset.NewMatrixSource(pool.X)
 	streamed := run(func(rank int) *Shard {
@@ -100,7 +112,7 @@ func TestMoreRanksThanPoolRows(t *testing.T) {
 			}
 		}
 	}
-	run("resident", func(rank int) *Shard { return MakeShard(labeled, pool, ranks, rank) })
+	run("resident", func(rank int) *Shard { return setShard(labeled, pool, ranks, rank) })
 	src := dataset.NewMatrixSource(pool.X)
 	run("streamed", func(rank int) *Shard { return MakeStreamShard(labeled, src, pool.H, 4, ranks, rank) })
 }

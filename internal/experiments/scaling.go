@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/dataset"
 	"repro/internal/distfiral"
 	"repro/internal/firal"
 	"repro/internal/mat"
@@ -104,10 +105,11 @@ func RunRelaxScaling(ctx context.Context, o ScalingOptions) ([]*ScalingPoint, er
 			n = o.NPerRank * p
 		}
 		labeled, pool := SynthSets(2*o.C, n, o.D, o.C, o.Seed)
+		src := dataset.NewMatrixSource(pool.X)
 		phases := make([]*timing.Phases, p)
 		wall := Timed(func() {
 			mpi.Run(p, func(c *mpi.Comm) {
-				sh := distfiral.MakeShard(labeled, pool, p, c.Rank())
+				sh := distfiral.MakeStreamShard(labeled, src, pool.H, 0, p, c.Rank())
 				res, err := distfiral.Relax(context.Background(), c, sh, 10, firal.RelaxOptions{
 					FixedIterations: 1,
 					Probes:          o.S,
@@ -159,10 +161,11 @@ func RunRoundScaling(ctx context.Context, o ScalingOptions) ([]*ScalingPoint, er
 			n = o.NPerRank * p
 		}
 		labeled, pool := SynthSets(2*o.C, n, o.D, o.C, o.Seed)
+		src := dataset.NewMatrixSource(pool.X)
 		phases := make([]*timing.Phases, p)
 		wall := Timed(func() {
 			mpi.Run(p, func(c *mpi.Comm) {
-				sh := distfiral.MakeShard(labeled, pool, p, c.Rank())
+				sh := distfiral.MakeStreamShard(labeled, src, pool.H, 0, p, c.Rank())
 				z := make([]float64, sh.PoolLocal.N())
 				mat.Fill(z, float64(o.B)/float64(n))
 				res, err := distfiral.Round(context.Background(), c, sh, z, o.B, 0)

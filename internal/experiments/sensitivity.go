@@ -57,7 +57,7 @@ func RunSensitivity(ctx context.Context, cfg dataset.Config, o SensitivityOption
 	var curves []*SensitivityCurve
 	if o.IncludeExact && p.Ed() <= o.MaxExactEd {
 		res, err := firal.RelaxExact(ctx, p, b, firal.RelaxOptions{
-			FixedIterations: o.Iterations, RecordObjective: true,
+			FixedIterations: o.Iterations,
 		})
 		if err != nil {
 			return nil, err
@@ -66,8 +66,7 @@ func RunSensitivity(ctx context.Context, cfg dataset.Config, o SensitivityOption
 	}
 	for _, s := range o.SValues {
 		res, err := firal.RelaxFast(ctx, p, b, firal.RelaxOptions{
-			FixedIterations: o.Iterations, RecordObjective: true,
-			Probes: s, CGTol: 0.1, Seed: o.Seed + int64(s),
+			FixedIterations: o.Iterations, Probes: s, CGTol: 0.1, Seed: o.Seed + int64(s),
 		})
 		if err != nil {
 			return nil, err
@@ -79,8 +78,7 @@ func RunSensitivity(ctx context.Context, cfg dataset.Config, o SensitivityOption
 	}
 	for _, tol := range o.TolValues {
 		res, err := firal.RelaxFast(ctx, p, b, firal.RelaxOptions{
-			FixedIterations: o.Iterations, RecordObjective: true,
-			Probes: 10, CGTol: tol, Seed: o.Seed + 7,
+			FixedIterations: o.Iterations, Probes: 10, CGTol: tol, Seed: o.Seed + 7,
 		})
 		if err != nil {
 			return nil, err

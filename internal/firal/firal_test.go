@@ -249,12 +249,12 @@ func TestRoundExactWoodburyMatchesNaive(t *testing.T) {
 func TestRelaxFastTracksExact(t *testing.T) {
 	p := testProblem(5, 8, 24, 3, 3)
 	b := 4
-	opts := RelaxOptions{FixedIterations: 15, RecordObjective: true, Seed: 7, Probes: 30, CGTol: 0.01}
+	opts := RelaxOptions{FixedIterations: 15, Seed: 7, Probes: 30, CGTol: 0.01}
 	fast, err := RelaxFast(context.Background(), p, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := RelaxExact(context.Background(), p, b, RelaxOptions{FixedIterations: 15, RecordObjective: true})
+	exact, err := RelaxExact(context.Background(), p, b, RelaxOptions{FixedIterations: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

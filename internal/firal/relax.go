@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/hessian"
 	"repro/internal/krylov"
@@ -81,9 +82,6 @@ type RelaxOptions struct {
 	CGMaxIter int
 	// Seed seeds the Rademacher probes. Fast solver only.
 	Seed int64
-	// RecordObjective stores the objective after every iteration,
-	// enabling the Fig. 4 sensitivity curves.
-	RecordObjective bool
 	// FixedIterations, when positive, disables the convergence stop and
 	// runs exactly this many mirror-descent iterations (used by the
 	// performance experiments, which time a fixed iteration count).
@@ -169,7 +167,8 @@ type RelaxResult struct {
 	// this rank's window of it.
 	Z []float64
 	// Objectives holds the per-iteration objective estimates
-	// f = Trace(Σz⁻¹ Hp) when recording was requested.
+	// f = Trace(Σz⁻¹ Hp) of this call's iterations (a resumed solve's
+	// earlier iterations are not repeated) — the Fig. 4 curves.
 	Objectives []float64
 	// Iterations is the number of mirror-descent iterations executed.
 	Iterations int
@@ -375,6 +374,7 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 			rng.Rademacher(v.Data)
 		}
 	}
+	resumed := len(sc.fHist)
 
 	for t := start; t <= o.MaxIter; t++ {
 		if err := cm.Cancelled(ctx); err != nil {
@@ -455,9 +455,6 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 
 		res.Iterations = t
 		sc.fHist = append(sc.fHist, f) //firal:allow(alloc) recorded history, one float per iteration
-		if o.RecordObjective {
-			res.Objectives = append(res.Objectives, f) //firal:allow(alloc) diagnostics mode
-		}
 		if o.OnIteration != nil {
 			ck := RelaxCheckpoint{Iteration: t, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
 			o.OnIteration(&ck)
@@ -473,6 +470,8 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 		ck := RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
 		o.OnIteration(&ck)
 	}
+
+	res.Objectives = slices.Clone(sc.fHist[resumed:]) //firal:allow(alloc) result history, once per solve
 
 	// Line 12: z⋄ ← b·z.
 	res.Z = z

@@ -87,9 +87,7 @@ func RelaxExact(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxR
 		stop()
 
 		res.Iterations = t
-		if o.RecordObjective {
-			res.Objectives = append(res.Objectives, f)
-		}
+		res.Objectives = append(res.Objectives, f)
 		if o.FixedIterations == 0 && relConv(prevF, f, objTol) {
 			break
 		}

@@ -18,7 +18,11 @@
 package hessian
 
 import (
+	"fmt"
+
+	"repro/internal/dataset"
 	"repro/internal/mat"
+	"repro/internal/softmax"
 )
 
 // Set is a collection of points with attached class probabilities — the
@@ -48,6 +52,41 @@ func ReduceProbs(h *mat.Dense) *mat.Dense {
 	return out
 }
 
+// PoolProbs attaches classifier probabilities to pool rows [lo, hi) of
+// src: row i of dst becomes softmax(θᵀ x_i) for the d×c classifier theta,
+// all c columns when dst has c, the reduced parametrization of Eq. 1
+// (last class dropped) when it has c−1. Rows of dst outside [lo, hi) are
+// untouched. The rows are read and scored in windows of blockRows rows
+// counted from lo (≤ 0 selects dataset.DefaultBlockRows); the GEMM
+// summation order depends on a window's row count, so the windows fix
+// the bits.
+func PoolProbs(dst *mat.Dense, src dataset.PoolSource, theta *mat.Dense, lo, hi, blockRows int) error {
+	c := theta.Cols
+	if dst.Cols != c && dst.Cols != c-1 {
+		return fmt.Errorf("hessian: probability matrix has %d columns, want %d or %d", dst.Cols, c, c-1)
+	}
+	if lo >= hi {
+		return nil
+	}
+	if blockRows <= 0 {
+		blockRows = dataset.DefaultBlockRows
+	}
+	block := mat.NewDense(min(blockRows, hi-lo), src.Dim())
+	probs := mat.NewDense(block.Rows, c)
+	for blo := lo; blo < hi; blo += block.Rows {
+		bhi := min(blo+block.Rows, hi)
+		xb := block.RowSlice(0, bhi-blo)
+		if err := src.ReadRows(blo, bhi, xb); err != nil {
+			return err
+		}
+		pb := softmax.Probabilities(probs.RowSlice(0, bhi-blo), xb, theta)
+		for i := blo; i < bhi; i++ {
+			copy(dst.Row(i), pb.Row(i - blo)[:dst.Cols])
+		}
+	}
+	return nil
+}
+
 // NewSet validates shapes and builds a Set.
 func NewSet(x, h *mat.Dense) *Set {
 	if x.Rows != h.Rows {
@@ -67,18 +106,6 @@ func (s *Set) C() int { return s.H.Cols }
 
 // Ed returns the Fisher dimension ẽd = d·c.
 func (s *Set) Ed() int { return s.X.Cols * s.H.Cols }
-
-// Subset returns a Set view restricted to the given point indices
-// (data is copied).
-func (s *Set) Subset(idx []int) *Set {
-	x := mat.NewDense(len(idx), s.D())
-	h := mat.NewDense(len(idx), s.C())
-	for r, i := range idx {
-		copy(x.Row(r), s.X.Row(i))
-		copy(h.Row(r), s.H.Row(i))
-	}
-	return NewSet(x, h)
-}
 
 // DensePoint assembles the dense dc×dc Hessian of Eq. 2 for a single
 // (x, h) pair. Used by Exact-FIRAL and as the reference implementation in

@@ -221,23 +221,6 @@ func TestAddBlockDiagPoint(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	s := randSet(rng, 10, 3, 2)
-	sub := s.Subset([]int{2, 5, 9})
-	if sub.N() != 3 {
-		t.Fatalf("subset size %d", sub.N())
-	}
-	for r, i := range []int{2, 5, 9} {
-		if mat.Dot(sub.X.Row(r), sub.X.Row(r)) != mat.Dot(s.X.Row(i), s.X.Row(i)) {
-			t.Fatal("subset row mismatch")
-		}
-	}
-	if s.Ed() != 6 {
-		t.Fatalf("Ed = %d", s.Ed())
-	}
-}
-
 // TestMatVecSumLinearity: H(Ho+Hz) v = Ho v + Hz v when combining two sets.
 func TestMatVecSumLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -106,32 +106,19 @@ func (c *Comm) AllreduceScalar(v float64, op Op) float64 {
 // p·len(local).
 func (c *Comm) Allgather(local []float64) []float64 {
 	p := c.Size()
-	rank := c.Rank()
-	tag := c.nextCollTag()
-	bl := len(local)
-	out := make([]float64, p*bl)
-	copy(out[rank*bl:(rank+1)*bl], local)
-	if p == 1 {
-		return out
+	offs := make([]int, p+1)
+	for i := range offs {
+		offs[i] = i * len(local)
 	}
-	right := (rank + 1) % p
-	left := (rank - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		sendIdx := ((rank-step)%p + p) % p
-		recvIdx := ((rank-step-1)%p + p) % p
-		c.send(right, tag, out[sendIdx*bl:(sendIdx+1)*bl])
-		copy(out[recvIdx*bl:(recvIdx+1)*bl], c.recv(left, tag))
-	}
-	return out
+	return c.ringGather(c.nextCollTag(), local, offs)
 }
 
 // Allgatherv concatenates variable-length blocks from every rank, ordered
-// by rank. It returns the concatenation and the per-rank counts. This is
-// the MPI_Allgather of Algorithm 3 line 9, where each rank contributes the
-// eigenvalues of its c/p blocks (c may not divide evenly).
+// by rank. It returns the concatenation and the per-rank counts. Its one
+// user is the RELAX checkpoint, which gathers every rank's window of the
+// mirror-descent weights z.
 func (c *Comm) Allgatherv(local []float64) ([]float64, []int) {
 	p := c.Size()
-	rank := c.Rank()
 	// Exchange counts first (small allgather).
 	countsF := c.Allgather([]float64{float64(len(local))})
 	counts := make([]int, p)
@@ -140,12 +127,17 @@ func (c *Comm) Allgatherv(local []float64) ([]float64, []int) {
 		counts[i] = int(v)
 		offs[i+1] = offs[i] + counts[i]
 	}
-	tag := c.nextCollTag()
+	return c.ringGather(c.nextCollTag(), local, offs), counts
+}
+
+// ringGather is the ring both allgathers run: rank r's block lands at
+// out[offs[r]:offs[r+1]], and in each of the p−1 steps every rank passes
+// the block it received last to its right neighbour.
+func (c *Comm) ringGather(tag int, local []float64, offs []int) []float64 {
+	p := c.Size()
+	rank := c.Rank()
 	out := make([]float64, offs[p])
 	copy(out[offs[rank]:offs[rank+1]], local)
-	if p == 1 {
-		return out, counts
-	}
 	right := (rank + 1) % p
 	left := (rank - 1 + p) % p
 	for step := 0; step < p-1; step++ {
@@ -154,7 +146,7 @@ func (c *Comm) Allgatherv(local []float64) ([]float64, []int) {
 		c.send(right, tag, out[offs[sendIdx]:offs[sendIdx+1]])
 		copy(out[offs[recvIdx]:offs[recvIdx+1]], c.recv(left, tag))
 	}
-	return out, counts
+	return out
 }
 
 // AllreduceMaxLoc returns the globally maximal value and the rank-local

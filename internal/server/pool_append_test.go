@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/hessian"
 	"repro/internal/logreg"
 	"repro/internal/mat"
 )
@@ -275,9 +276,10 @@ func testWarmStartedRounds(t *testing.T, cfg Config, selector string) {
 	}
 }
 
-// TestStreamProbsRangeMatchesFull pins the delta sweep against the full
-// sweep: filling a matrix with two arbitrary-split range calls must
-// reproduce the single full pass bit for bit, reduced and unreduced.
+// TestStreamProbsRangeMatchesFull pins the delta sweep of roundProbs
+// against the full sweep: filling a matrix with two arbitrary-split
+// hessian.PoolProbs range calls must reproduce the single full pass bit
+// for bit, reduced and unreduced.
 func TestStreamProbsRangeMatchesFull(t *testing.T) {
 	const n, d, c = 157, 4, 3
 	dir := t.TempDir()
@@ -297,27 +299,23 @@ func TestStreamProbsRangeMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, reduce := range []bool{true, false} {
-		cols := c
-		if reduce {
-			cols = c - 1
-		}
-		full, err := streamProbs(src, model, c, 13, reduce)
-		if err != nil {
+	for _, cols := range []int{c - 1, c} {
+		full := mat.NewDense(n, cols)
+		if err := hessian.PoolProbs(full, src, model.Theta, 0, n, 13); err != nil {
 			t.Fatal(err)
 		}
 		for _, split := range []int{0, 1, 13, 64, n - 1, n} {
 			got := mat.NewDense(n, cols)
-			if err := streamProbsRange(src, model, c, 13, reduce, 0, split, got); err != nil {
+			if err := hessian.PoolProbs(got, src, model.Theta, 0, split, 13); err != nil {
 				t.Fatal(err)
 			}
-			if err := streamProbsRange(src, model, c, 13, reduce, split, n, got); err != nil {
+			if err := hessian.PoolProbs(got, src, model.Theta, split, n, 13); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
 				for j := 0; j < cols; j++ {
 					if got.Row(i)[j] != full.Row(i)[j] {
-						t.Fatalf("reduce=%v split=%d: row %d col %d differs", reduce, split, i, j)
+						t.Fatalf("cols=%d split=%d: row %d col %d differs", cols, split, i, j)
 					}
 				}
 			}

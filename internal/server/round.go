@@ -325,8 +325,8 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		return out, nil
 
 	case "Entropy", "Margin", "Least-Confidence":
-		probs, err := streamProbs(src, model, meta.Classes, blockRows, false)
-		if err != nil {
+		probs := mat.NewDense(src.NumRows(), meta.Classes)
+		if err := hessian.PoolProbs(probs, src, model.Theta, 0, probs.Rows, blockRows); err != nil {
 			return nil, err
 		}
 		allowed := allowedIndices(meta.Rows, exclude)
@@ -364,14 +364,14 @@ func (s *Server) roundProbs(sess *Session, meta sessionMeta, round int, src data
 	case cachedProbs != nil && cachedLabeled == nLab && cachedProbs.Rows < meta.Rows:
 		reduced = mat.NewDense(meta.Rows, meta.Classes-1)
 		copy(reduced.Data[:cachedProbs.Rows*reduced.Cols], cachedProbs.Data)
-		if err := streamProbsRange(src, model, meta.Classes, blockRows, true, cachedProbs.Rows, meta.Rows, reduced); err != nil {
+		if err := hessian.PoolProbs(reduced, src, model.Theta, cachedProbs.Rows, meta.Rows, blockRows); err != nil {
 			return nil, err
 		}
 		s.cfg.Logf("session %s: round %d probability pass over %d appended rows (of %d)",
 			meta.ID, round, meta.Rows-cachedProbs.Rows, meta.Rows)
 	default:
-		var err error
-		if reduced, err = streamProbs(src, model, meta.Classes, blockRows, true); err != nil {
+		reduced = mat.NewDense(src.NumRows(), meta.Classes-1)
+		if err := hessian.PoolProbs(reduced, src, model.Theta, 0, reduced.Rows, blockRows); err != nil {
 			return nil, err
 		}
 	}
@@ -379,55 +379,6 @@ func (s *Server) roundProbs(sess *Session, meta sessionMeta, round int, src data
 	sess.probs, sess.probsLabeled = reduced, nLab
 	sess.mu.Unlock()
 	return reduced, nil
-}
-
-// streamProbs sweeps the pool once under the trained model. With reduce
-// set it returns the n×(c−1) reduced matrix the FIRAL solvers consume
-// (Eq. 1, last class dropped); otherwise the full n×c softmax the
-// uncertainty baselines score — either way O(n·c) resident, never the
-// features.
-func streamProbs(src dataset.PoolSource, model *logreg.Model, classes, blockRows int, reduce bool) (*mat.Dense, error) {
-	n := src.NumRows()
-	cols := classes
-	if reduce {
-		cols = classes - 1
-	}
-	outM := mat.NewDense(n, cols)
-	if err := streamProbsRange(src, model, classes, blockRows, reduce, 0, n, outM); err != nil {
-		return nil, err
-	}
-	return outM, nil
-}
-
-// streamProbsRange applies the model to pool rows [lo, hi) only, writing
-// into the matching rows of outM (an n×cols matrix whose other rows are
-// left untouched). Delta-aware rounds use it to score just the appended
-// tail of a grown pool.
-func streamProbsRange(src dataset.PoolSource, model *logreg.Model, classes, blockRows int, reduce bool, lo, hi int, outM *mat.Dense) error {
-	if lo >= hi {
-		return nil
-	}
-	if blockRows <= 0 {
-		blockRows = dataset.DefaultBlockRows
-	}
-	cols := classes
-	if reduce {
-		cols = classes - 1
-	}
-	block := mat.NewDense(min(blockRows, hi-lo), src.Dim())
-	probsBlock := mat.NewDense(min(blockRows, hi-lo), classes)
-	for blo := lo; blo < hi; blo += block.Rows {
-		bhi := min(blo+block.Rows, hi)
-		xb := block.RowSlice(0, bhi-blo)
-		if err := src.ReadRows(blo, bhi, xb); err != nil {
-			return err
-		}
-		pb := softmax.Probabilities(probsBlock.RowSlice(0, bhi-blo), xb, model.Theta)
-		for i := blo; i < bhi; i++ {
-			copy(outM.Row(i), pb.Row(i - blo)[:cols])
-		}
-	}
-	return nil
 }
 
 // allowedIndices returns [0, n) minus the excluded set, ascending.

@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
 	pub "repro"
-	"repro/internal/csvdata"
 	"repro/internal/dataset"
 	"repro/internal/mat"
 )
@@ -221,7 +221,7 @@ func (s *Server) createSession(req *createRequest) (*Session, error) {
 	}
 	classes := req.Classes
 	if classes == 0 {
-		classes = csvdata.NumClasses(req.Labeled.Y)
+		classes = slices.Max(req.Labeled.Y) + 1
 	}
 	if classes < 2 {
 		return nil, fmt.Errorf("server: need at least 2 classes in the labeled set, got %d", classes)
@@ -559,20 +559,5 @@ func packInlinePool(shardPath, csvText string) error {
 		return err
 	}
 	defer src.Close()
-	w, err := dataset.CreateShard(shardPath, src.Dim())
-	if err != nil {
-		return err
-	}
-	block := mat.NewDense(min(dataset.DefaultBlockRows, src.NumRows()), src.Dim())
-	for lo := 0; lo < src.NumRows(); lo += block.Rows {
-		hi := min(lo+block.Rows, src.NumRows())
-		b := block.RowSlice(0, hi-lo)
-		if err := src.ReadRows(lo, hi, b); err != nil {
-			return err
-		}
-		if err := w.AppendBlock(b); err != nil {
-			return err
-		}
-	}
-	return w.Close()
+	return dataset.PackShard(shardPath, src)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/baselines"
+	"repro/internal/dataset"
 	"repro/internal/distfiral"
 	"repro/internal/firal"
 	"repro/internal/hessian"
@@ -215,8 +216,9 @@ func DistributedFIRAL(ranks int, o FIRALOptions) Selector {
 		// selection with a nil error.
 		selected := make([][]int, ranks)
 		errs := make([]error, ranks)
+		src := dataset.NewMatrixSource(s.pool.X)
 		mpi.Run(ranks, func(c *mpi.Comm) {
-			sh := distfiral.MakeShard(s.labeled, s.pool, ranks, c.Rank())
+			sh := distfiral.MakeStreamShard(s.labeled, src, s.pool.H, 0, ranks, c.Rank())
 			sel, _, _, err := distfiral.Select(ctx, c, sh, b, o.Eta, o.relax(s.seed))
 			selected[c.Rank()], errs[c.Rank()] = sel, err
 		})
