@@ -75,8 +75,10 @@ type streamConfig struct {
 // Cost shape: ROUND streams one decode sweep per rescoring pass, and
 // RELAX — via block CG over the probe block — one decode sweep per CG
 // iteration plus a handful per mirror-descent iteration, independent of
-// -probes. Use -select dist-firal to additionally have each rank decode
-// only its own slice.
+// -probes. Approx- and Dist-FIRAL in one process are the same
+// distfiral.SelectInProcess call, at one rank or at -ranks; with -select
+// dist-firal each rank decodes only its own slice. -transport tcp runs
+// this process as one rank of a multi-process world instead.
 func streamSelect(cfg streamConfig) error {
 	// Resolve through the selector registry so aliases ("firal", "dist",
 	// …) work here exactly as in the resident path, and unknown names get
@@ -149,42 +151,20 @@ func streamSelect(cfg streamConfig) error {
 	defer cancel()
 	t0 = time.Now()
 	var picked []int
-	switch {
-	case name == "Dist-FIRAL" && cfg.transport == "tcp":
+	if name == "Dist-FIRAL" && cfg.transport == "tcp" {
 		picked, err = tcpSelect(ctx, cfg, labeled, src, reduced, relax)
-		if err != nil {
-			return err
+	} else {
+		ranks := 1
+		if name == "Dist-FIRAL" {
+			ranks = cfg.ranks
 		}
-	case name == "Dist-FIRAL":
-		ranks := max(cfg.ranks, 1)
-		selected := make([][]int, ranks)
-		errs := make([]error, ranks)
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			sh := distfiral.MakeStreamShard(labeled, src, reduced, cfg.block, ranks, c.Rank())
-			sel, _, _, err := distfiral.Select(ctx, c, sh, cfg.budget, 0, relax)
-			selected[c.Rank()], errs[c.Rank()] = sel, err
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		var res *firal.Result
+		if res, err = distfiral.SelectInProcess(ctx, ranks, labeled, src, reduced, cfg.block, cfg.budget, firal.Options{Relax: relax}); err == nil {
+			picked = res.Selected
 		}
-		picked = selected[0]
-	default:
-		// The prefetcher overlaps each block's float32 decode with the
-		// previous block's solver kernels; selections are bit-identical to
-		// the synchronous path. Its Close closes src too — harmless next to
-		// the defer above (shard Close is idempotent), and it guarantees
-		// the in-flight read is drained before the mapping goes away.
-		swept := dataset.WithPrefetch(ctx, src, cfg.block)
-		defer swept.Close()
-		pool := hessian.NewStream(swept, reduced, cfg.block)
-		p := firal.NewProblem(labeled, pool)
-		res, err := firal.SelectApprox(ctx, p, cfg.budget, firal.Options{Relax: relax})
-		if err != nil {
-			return err
-		}
-		picked = res.Selected
+	}
+	if err != nil {
+		return err
 	}
 	log.Printf("selected %d of %d points in %.2fs", len(picked), n, time.Since(t0).Seconds())
 	for _, i := range picked {

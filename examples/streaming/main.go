@@ -2,10 +2,11 @@
 // in-memory matrix. The walkthrough packs a synthetic pool into the
 // float32 shard format block by block, memory-maps it back through
 // dataset.OpenShards, attaches classifier probabilities in one streamed
-// pass, and runs Approx-FIRAL over a hessian.Stream — the same path
-// `firal -shards` uses, and the one that scales selection past resident
-// RAM (the BENCH_round.json pool_stream_n1e6_d64 entry scores a
-// 1,000,000×64 pool this way at 0 allocs/op steady state).
+// pass, and runs Approx-FIRAL over a hessian.Stream through
+// distfiral.SelectInProcess — the same call `firal -shards` makes, and
+// the path that scales selection past resident RAM (the
+// BENCH_round.json pool_stream_n1e6_d64 entry scores a 1,000,000×64
+// pool this way at 0 allocs/op steady state).
 //
 //	go run ./examples/streaming
 package main
@@ -18,6 +19,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/dataset"
+	"repro/internal/distfiral"
 	"repro/internal/firal"
 	"repro/internal/hessian"
 	"repro/internal/logreg"
@@ -94,18 +96,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// ❹ Select through the block-streaming solver path. hessian.NewStream
-	// implements the same Pool contract as a resident set, so RELAX and
-	// ROUND run unchanged — their kernels just iterate shard blocks.
-	// dataset.WithPrefetch decodes block k+1 asynchronously while the
+	// ❹ Select through the block-streaming solver path.
+	// distfiral.SelectInProcess cuts the pool into hessian.Stream shards,
+	// which implement the same Pool contract as a resident set, so RELAX
+	// and ROUND run unchanged — their kernels just iterate shard blocks.
+	// At one rank it is the serial firal.SelectApprox over the whole
+	// pool; more ranks give the § III-C distributed solve. The stream's
+	// read-ahead (dataset.WithPrefetch) decodes block k+1 while the
 	// kernels chew block k; selections are bit-identical with or without
-	// it (this demo pool fits one block, so the hook returns src as-is).
+	// it. src stays ours to close.
 	labeled := hessian.NewSet(labX, hessian.ReduceProbs(softmax.Probabilities(nil, labX, model.Theta)))
-	swept := dataset.WithPrefetch(context.Background(), src, blockRows)
-	defer swept.Close()
-	pool := hessian.NewStream(swept, reduced, blockRows)
-	problem := firal.NewProblem(labeled, pool)
-	res, err := firal.SelectApprox(context.Background(), problem, budget, firal.Options{
+	res, err := distfiral.SelectInProcess(context.Background(), 1, labeled, src, reduced, blockRows, budget, firal.Options{
 		Relax: firal.RelaxOptions{Seed: 1, MaxIter: 20}, // capped so the demo stays snappy
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package firal_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	firal "repro"
@@ -204,6 +205,36 @@ func TestDistributedMatchesSerialThroughPublicAPI(t *testing.T) {
 		if repS.Selected[i] != repD.Selected[i] {
 			t.Fatalf("serial %v vs distributed %v", repS.Selected, repD.Selected)
 		}
+	}
+}
+
+// TestDistributedFIRALEtaGrid pins that FIRALOptions.EtaGrid is honoured
+// or refused, never ignored: at one rank DistributedFIRAL tunes η over
+// the grid exactly as ApproxFIRAL does, and at two ranks, where η tuning
+// is not implemented, the selection fails instead of silently using the
+// default η.
+func TestDistributedFIRALEtaGrid(t *testing.T) {
+	opts := firal.FIRALOptions{MaxRelaxIterations: 6, Probes: 5, Seed: 11, EtaGrid: []float64{1, 10, 100}}
+	step := func(sel firal.Selector) (*firal.RoundReport, error) {
+		l, err := firal.NewLearner(smallConfig(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.StepContext(context.Background(), sel, 5)
+	}
+	repA, err := step(firal.ApproxFIRAL(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	repD, err := step(firal.DistributedFIRAL(1, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(repA.Selected, repD.Selected) {
+		t.Fatalf("one-rank DistributedFIRAL with an η grid selected %v, ApproxFIRAL %v", repD.Selected, repA.Selected)
+	}
+	if _, err := step(firal.DistributedFIRAL(2, opts)); err == nil {
+		t.Fatal("two-rank DistributedFIRAL accepted an η grid it cannot tune")
 	}
 }
 

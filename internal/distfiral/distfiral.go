@@ -8,8 +8,10 @@
 // rank count. This package supplies what the distributed run adds — shard
 // construction, the adapter that lets an *mpi.Comm serve as the solvers'
 // firal.Collective (timing each collective into the "comm" phase and
-// agreeing on cancellation once per iteration), and SelectResilient, the
-// heal-reshard-resume loop over rank failures. Communication per § III-C:
+// agreeing on cancellation once per iteration), SelectInProcess, the one
+// in-process selection runner for every rank count, and SelectResilient,
+// the heal-reshard-resume loop over rank failures. Communication per
+// § III-C:
 //
 //   - RELAX: the probe block is broadcast from rank 0; the block-diagonal
 //     preconditioner, the block matvec partials inside CG and the two
@@ -21,6 +23,7 @@ package distfiral
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/dataset"
 	"repro/internal/firal"
@@ -204,14 +207,65 @@ func Round(ctx context.Context, c *mpi.Comm, s *Shard, zLocal []float64, b int, 
 // Select runs the full distributed Approx-FIRAL (RELAX + ROUND) on one
 // rank's shard. All ranks return identical Selected slices. Cancelling
 // the context aborts all ranks together at the next collective check.
-func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, relaxOpts firal.RelaxOptions) ([]int, *RelaxResult, *RoundResult, error) {
+// exclude is passed to Round: global pool indices the selection must
+// skip, identical on every rank.
+func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, relaxOpts firal.RelaxOptions, exclude ...int) ([]int, *RelaxResult, *RoundResult, error) {
 	relax, err := Relax(ctx, c, s, b, relaxOpts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	round, err := Round(ctx, c, s, relax.Z, b, eta)
+	round, err := Round(ctx, c, s, relax.Z, b, eta, exclude...)
 	if err != nil {
 		return nil, relax, nil, err
 	}
 	return round.Selected, relax, round, nil
+}
+
+// SelectInProcess is the one in-process Approx-FIRAL runner: it selects
+// b points of the pool src (with reduced probabilities probs) on `ranks`
+// in-process ranks, each holding its MakeStreamShard partition, so
+// Approx-FIRAL and Dist-FIRAL differ only by the rank count. src stays
+// the caller's; SelectInProcess never closes it, and no read of it is in
+// flight when SelectInProcess returns (a sweep schedules no read-ahead
+// past its last block, and the solvers leave only between sweeps).
+//
+// At ranks ≤ 1 it runs firal.SelectApprox on the single shard, under the
+// serial Collective, which polls ctx inside CG as well. At ranks ≥ 2 every
+// rank runs Select under mpi.Run; o.Relax.OnIteration then runs on rank
+// 0 only (the other ranks get a no-op hook, since the checkpoint gather
+// is a collective), the first rank error is returned, and Result.Eta is
+// the η ROUND used. η tuning over o.EtaGrid is serial only: a grid at
+// ranks ≥ 2 is an error.
+func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, blockRows, b int, o firal.Options) (*firal.Result, error) {
+	if ranks <= 1 {
+		sh := MakeStreamShard(labeled, src, probs, blockRows, 1, 0)
+		return firal.SelectApprox(ctx, firal.NewProblem(sh.Labeled, sh.PoolLocal), b, o)
+	}
+	if len(o.EtaGrid) > 0 {
+		return nil, fmt.Errorf("distfiral: η grid tuning is serial only; got a %d-value grid at %d ranks", len(o.EtaGrid), ranks)
+	}
+	var res *firal.Result
+	errs := make([]error, ranks)
+	mpi.Run(ranks, func(c *mpi.Comm) {
+		ro := o.Relax
+		if c.Rank() != 0 && ro.OnIteration != nil {
+			ro.OnIteration = func(*firal.RelaxCheckpoint) {}
+		}
+		sh := MakeStreamShard(labeled, src, probs, blockRows, ranks, c.Rank())
+		sel, relax, round, err := Select(ctx, c, sh, b, o.Eta, ro, o.Exclude...)
+		errs[c.Rank()] = err
+		if err == nil && c.Rank() == 0 {
+			eta := o.Eta
+			if eta <= 0 {
+				eta = sh.p.DefaultEta()
+			}
+			res = &firal.Result{Selected: sel, Eta: eta, Relax: relax, Round: round}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }

@@ -1,0 +1,192 @@
+package distfiral
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"path/filepath"
+	"slices"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/firal"
+	"repro/internal/hessian"
+	"repro/internal/mat"
+	"repro/internal/mpi"
+)
+
+// inflightSource counts the ReadRows calls started on, and in progress
+// on, the wrapped source. It does not forward dataset.Resident, so a
+// streaming shard below it still gets block read-ahead.
+type inflightSource struct {
+	dataset.PoolSource
+	started, n atomic.Int64
+}
+
+func (s *inflightSource) ReadRows(lo, hi int, dst *mat.Dense) error {
+	s.started.Add(1)
+	s.n.Add(1)
+	defer s.n.Add(-1)
+	return s.PoolSource.ReadRows(lo, hi, dst)
+}
+
+// checkIdle fails if a read of s is in flight now or starts within a
+// short window after now. A read-ahead left scheduled past a sweep would
+// be a goroutine that may not have reached ReadRows yet, so the window
+// gives it time to show; a correct run starts none.
+func (s *inflightSource) checkIdle(t *testing.T, when string) {
+	t.Helper()
+	if s == nil {
+		return
+	}
+	before := s.started.Load()
+	if n := s.n.Load(); n != 0 {
+		t.Fatalf("%d reads of the caller's source in flight %s", n, when)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if late := s.started.Load() - before; late != 0 {
+		t.Fatalf("%d reads of the caller's source started %s", late, when)
+	}
+}
+
+// twoFileShard packs x into two shard files split at row `split`.
+func twoFileShard(t *testing.T, x *mat.Dense, split int) *dataset.ShardSource {
+	t.Helper()
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "a.shard"), filepath.Join(dir, "b.shard")}
+	for i, part := range []*mat.Dense{x.RowSlice(0, split), x.RowSlice(split, x.Rows)} {
+		if err := dataset.PackShard(paths[i], dataset.NewMatrixSource(part)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := dataset.OpenShards(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	return src
+}
+
+// oldHarness is the selection every front end assembled by hand before
+// SelectInProcess: at p = 1 SelectApprox over a prefetched NewStream, at
+// p ≥ 2 mpi.Run over MakeStreamShard partitions with RELAX and ROUND
+// composed per rank. It is the bit-identity oracle.
+func oldHarness(t *testing.T, ranks int, labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, blockRows, b int, o firal.Options) []int {
+	t.Helper()
+	ctx := context.Background()
+	if ranks <= 1 {
+		// The prefetcher is not closed: its Close would close src, which
+		// the caller still uses.
+		pool := hessian.NewStream(dataset.WithPrefetch(ctx, src, blockRows), probs, blockRows)
+		res, err := firal.SelectApprox(ctx, firal.NewProblem(labeled, pool), b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Selected
+	}
+	selected := make([][]int, ranks)
+	errs := make([]error, ranks)
+	mpi.Run(ranks, func(c *mpi.Comm) {
+		sh := MakeStreamShard(labeled, src, probs, blockRows, ranks, c.Rank())
+		relax, err := Relax(ctx, c, sh, b, o.Relax)
+		if err != nil {
+			errs[c.Rank()] = err
+			return
+		}
+		round, err := Round(ctx, c, sh, relax.Z, b, o.Eta, o.Exclude...)
+		if err != nil {
+			errs[c.Rank()] = err
+			return
+		}
+		selected[c.Rank()] = round.Selected
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("oracle rank %d: %v", r, err)
+		}
+	}
+	return selected[0]
+}
+
+// TestSelectInProcess pins the one in-process runner against the
+// hand-built harnesses it replaced, over a resident MatrixSource and a
+// two-file ShardSource whose block size is below one rank's slice, so
+// read-ahead engages: the selections are bit-identical with and without
+// an exclude set, OnIteration fires on rank 0 only, an η grid is refused
+// at p ≥ 2, and no read of the caller's source is in flight on return —
+// after a full run and after a cancellation mid-RELAX.
+func TestSelectInProcess(t *testing.T) {
+	labeled, pool := testSets(41, 20, 150, 6, 3)
+	const b, blockRows = 5, 16
+	base := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 3, Seed: 9, Probes: 4}}
+	shard := twoFileShard(t, pool.X, 61)
+	wantEta := 8 * math.Sqrt(float64(pool.Ed()))
+
+	streamed := &inflightSource{PoolSource: shard}
+	cases := []struct {
+		name     string
+		src      dataset.PoolSource
+		inflight *inflightSource // under src when the source streams
+	}{
+		{"matrix", dataset.NewMatrixSource(pool.X), nil},
+		{"shard", streamed, streamed},
+	}
+	for _, tc := range cases {
+		for _, ranks := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/p=%d", tc.name, ranks), func(t *testing.T) {
+				ctx := context.Background()
+				free := oldHarness(t, ranks, labeled, tc.src, pool.H, blockRows, b, base)
+				o := base
+				o.Exclude = free[:2]
+				want := oldHarness(t, ranks, labeled, tc.src, pool.H, blockRows, b, o)
+
+				var calls atomic.Int64
+				o.Relax.OnIteration = func(*firal.RelaxCheckpoint) { calls.Add(1) }
+				res, err := SelectInProcess(ctx, ranks, labeled, tc.src, pool.H, blockRows, b, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.inflight.checkIdle(t, "after a full run")
+				if !slices.Equal(res.Selected, want) {
+					t.Fatalf("selected %v, old harness %v", res.Selected, want)
+				}
+				for _, i := range res.Selected {
+					if slices.Contains(o.Exclude, i) {
+						t.Fatalf("selected excluded index %d (exclude %v)", i, o.Exclude)
+					}
+				}
+				if got, want := calls.Load(), int64(res.Relax.Iterations+1); got != want {
+					t.Fatalf("OnIteration fired %d times, want %d (rank 0 only)", got, want)
+				}
+				if res.Eta != wantEta {
+					t.Fatalf("Result.Eta = %v, want the default η %v", res.Eta, wantEta)
+				}
+
+				if ranks >= 2 {
+					g := base
+					g.EtaGrid = []float64{1, 10}
+					if _, err := SelectInProcess(ctx, ranks, labeled, tc.src, pool.H, blockRows, b, g); err == nil {
+						t.Fatal("accepted an η grid at p ≥ 2")
+					}
+				}
+
+				cctx, cancel := context.WithCancel(ctx)
+				defer cancel()
+				c := base
+				c.Relax.FixedIterations = 50
+				c.Relax.OnIteration = func(ck *firal.RelaxCheckpoint) {
+					if ck.Iteration == 2 {
+						cancel()
+					}
+				}
+				if _, err := SelectInProcess(cctx, ranks, labeled, tc.src, pool.H, blockRows, b, c); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled mid-RELAX: err = %v, want context.Canceled", err)
+				}
+				tc.inflight.checkIdle(t, "after a cancelled run")
+			})
+		}
+	}
+}

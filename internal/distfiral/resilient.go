@@ -116,17 +116,11 @@ func SelectResilient(ctx context.Context, c *mpi.Comm, mk ShardMaker, b int, eta
 				userHook(ck)
 			}
 		}
-		relax, err := Relax(ctx, c, s, b, attempt)
+		sel, relax, round, err := Select(ctx, c, s, b, eta, attempt)
 		if err == nil {
-			var round *RoundResult
-			round, err = Round(ctx, c, s, relax.Z, b, eta)
-			if err == nil {
-				res.Selected = round.Selected
-				res.Relax = relax
-				res.Round = round
-				res.Rank, res.Size = c.Rank(), c.Size()
-				return res, nil
-			}
+			res.Selected, res.Relax, res.Round = sel, relax, round
+			res.Rank, res.Size = c.Rank(), c.Size()
+			return res, nil
 		}
 		if !errors.Is(err, mpi.ErrRankLost) {
 			return nil, err

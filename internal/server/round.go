@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/hessian"
 	"repro/internal/logreg"
 	"repro/internal/mat"
-	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/rnd"
 	"repro/internal/softmax"
@@ -110,10 +108,12 @@ type roundOutput struct {
 // selectOnce performs one train+select: assemble the labeled set (direct
 // uploads plus index-labeled pool rows), train the classifier, stream the
 // pool once for probabilities, and dispatch to the session's selector with
-// previously selected rows excluded. For Approx- and Dist-FIRAL the RELAX
-// state is checkpointed through the solver's iteration hook and restored
-// when a matching checkpoint survives from an interrupted attempt, and
-// each round warm-starts from the previous round's converged weights.
+// previously selected rows excluded. Approx- and Dist-FIRAL are one
+// distfiral.SelectInProcess call at one rank or at Config.Ranks. Their
+// RELAX state is checkpointed through the solver's iteration hook and
+// restored when a matching checkpoint survives from an interrupted
+// attempt, and each round warm-starts from the previous round's
+// converged weights.
 func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (*roundOutput, error) {
 	sess.mu.Lock()
 	meta := sess.meta // shallow copy; slices are not mutated while a round runs
@@ -215,66 +215,17 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		}
 		labeled := hessian.NewSet(labM, hessian.ReduceProbs(softmax.Probabilities(nil, labM, model.Theta)))
 
+		// Dist-FIRAL runs the same solve on Config.Ranks in-process ranks.
+		// RELAX checkpoints are global (rank-count independent) and share
+		// the serial format, so an interrupted dist round resumes, and the
+		// next one warm-starts, like an Approx one — even if the server
+		// restarts with a different -ranks. The Subrange pins the round's
+		// row count of the session's live pool.
+		ranks := 1
 		if meta.Selector == "Dist-FIRAL" {
-			// In-process distributed rounds: Config.Ranks goroutine ranks
-			// run the § III-C solver over stream shards of the pinned pool
-			// view. RELAX checkpoints are global (rank-count independent)
-			// and share the serial format, so an interrupted dist round
-			// resumes, and the next one warm-starts, like an Approx one —
-			// even if the server restarts with a different -ranks.
-			pinned := dataset.Subrange(src, 0, meta.Rows)
-			ranks := s.cfg.Ranks
-			type rankOut struct {
-				sel                 []int
-				relaxIters, cgIters int
-				err                 error
-			}
-			outs := make([]rankOut, ranks)
-			mpi.Run(ranks, func(c *mpi.Comm) {
-				ro := relax
-				if c.Rank() != 0 {
-					// The checkpoint gather is a collective, so the hook
-					// must be set on every rank; only rank 0 touches disk
-					// and progress.
-					ro.OnIteration = func(*firal.RelaxCheckpoint) {}
-				}
-				sh := distfiral.MakeStreamShard(labeled, pinned, reduced, blockRows, ranks, c.Rank())
-				rres, rerr := distfiral.Relax(ctx, c, sh, rm.Budget, ro)
-				if rerr != nil {
-					outs[c.Rank()].err = rerr
-					return
-				}
-				rd, rerr := distfiral.Round(ctx, c, sh, rres.Z, rm.Budget, 0, exclude...)
-				if rerr != nil {
-					outs[c.Rank()].err = rerr
-					return
-				}
-				outs[c.Rank()] = rankOut{sel: rd.Selected, relaxIters: rres.Iterations, cgIters: rres.CGIterations}
-			})
-			for _, ro := range outs {
-				if ro.err != nil {
-					return nil, ro.err
-				}
-			}
-			out.selected = outs[0].sel
-			out.eta = 8 * math.Sqrt(float64(meta.Dim*(meta.Classes-1)))
-			out.relaxIters = outs[0].relaxIters
-			out.cgIters = outs[0].cgIters
-			return out, nil
+			ranks = s.cfg.Ranks
 		}
-
-		// The sweep source is a pinned [0, meta.Rows) view of the session's
-		// live pool wrapped in block read-ahead: while the solver kernels
-		// chew block k, block k+1 is already decoding. The Subrange both
-		// pins the round's row count and makes the prefetcher's Close a
-		// no-op chain — the session's LiveSource outlives the round.
-		// Cancelling the round stops further read-ahead; the solver exits
-		// at its next ctx poll and the deferred Close drains whatever read
-		// is still in flight.
-		swept := dataset.WithPrefetch(ctx, dataset.Subrange(src, 0, meta.Rows), blockRows)
-		defer swept.Close()
-		pool := hessian.NewStream(swept, reduced, blockRows)
-		res, err := firal.SelectApprox(ctx, firal.NewProblem(labeled, pool), rm.Budget,
+		res, err := distfiral.SelectInProcess(ctx, ranks, labeled, dataset.Subrange(src, 0, meta.Rows), reduced, blockRows, rm.Budget,
 			firal.Options{Relax: relax, Exclude: exclude})
 		if err != nil {
 			return nil, err

@@ -180,10 +180,7 @@ func (l *Learner) state() *State {
 	labX := mat.FromRows(l.labeledX)
 	labProbs := softmax.Probabilities(nil, labX, l.model.Theta)
 	return &State{
-		poolX:     aliveX,
 		poolProbs: poolProbs,
-		labX:      labX,
-		labProbs:  labProbs,
 		pool:      hessian.NewSet(aliveX, hessian.ReduceProbs(poolProbs)),
 		labeled:   hessian.NewSet(labX, hessian.ReduceProbs(labProbs)),
 		seed:      l.seed + int64(l.round)*7919,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/firal"
 	"repro/internal/hessian"
 	"repro/internal/mat"
-	"repro/internal/mpi"
 	"repro/internal/rnd"
 )
 
@@ -17,36 +16,33 @@ import (
 // pool, the labeled set, and the current classifier's probabilities.
 // Accessors return live views — do not modify them.
 type State struct {
-	poolX     *mat.Dense
-	poolProbs *mat.Dense // full softmax, n×c
-	labX      *mat.Dense
-	labProbs  *mat.Dense
+	poolProbs *mat.Dense   // full softmax, n×c
 	pool      *hessian.Set // reduced probabilities (c−1 columns)
 	labeled   *hessian.Set
 	seed      int64
 }
 
 // NumPool returns the number of remaining pool points.
-func (s *State) NumPool() int { return s.poolX.Rows }
+func (s *State) NumPool() int { return s.pool.X.Rows }
 
 // Dim returns the feature dimension d.
-func (s *State) Dim() int { return s.poolX.Cols }
+func (s *State) Dim() int { return s.pool.X.Cols }
 
 // Classes returns the number of classes c.
 func (s *State) Classes() int { return s.poolProbs.Cols }
 
 // PoolPoint returns pool point i's feature vector (view).
-func (s *State) PoolPoint(i int) []float64 { return s.poolX.Row(i) }
+func (s *State) PoolPoint(i int) []float64 { return s.pool.X.Row(i) }
 
 // PoolProbabilities returns the classifier's class probabilities for pool
 // point i (view).
 func (s *State) PoolProbabilities(i int) []float64 { return s.poolProbs.Row(i) }
 
 // NumLabeled returns the labeled-set size.
-func (s *State) NumLabeled() int { return s.labX.Rows }
+func (s *State) NumLabeled() int { return s.labeled.X.Rows }
 
 // LabeledPoint returns labeled point i's feature vector (view).
-func (s *State) LabeledPoint(i int) []float64 { return s.labX.Row(i) }
+func (s *State) LabeledPoint(i int) []float64 { return s.labeled.X.Row(i) }
 
 // Seed returns the per-round RNG seed stochastic selectors should use.
 func (s *State) Seed() int64 { return s.seed }
@@ -82,21 +78,17 @@ type FIRALOptions struct {
 	Seed int64
 }
 
-func (o FIRALOptions) relax(seed int64) firal.RelaxOptions {
+func (o FIRALOptions) options(seed int64) firal.Options {
 	if o.Seed != 0 {
 		seed = o.Seed
 	}
-	return firal.RelaxOptions{
-		MaxIter: o.MaxRelaxIterations,
-		Probes:  o.Probes,
-		CGTol:   o.CGTol,
-		Seed:    seed,
-	}
-}
-
-func (o FIRALOptions) options(seed int64) firal.Options {
 	return firal.Options{
-		Relax:   o.relax(seed),
+		Relax: firal.RelaxOptions{
+			MaxIter: o.MaxRelaxIterations,
+			Probes:  o.Probes,
+			CGTol:   o.CGTol,
+			Seed:    seed,
+		},
 		Eta:     o.Eta,
 		EtaGrid: o.EtaGrid,
 	}
@@ -135,7 +127,7 @@ func KMeans() Selector {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return baselines.KMeans(s.poolX, b, rnd.New(s.seed)), nil
+		return baselines.KMeans(s.pool.X, b, rnd.New(s.seed)), nil
 	})
 }
 
@@ -177,16 +169,7 @@ func LeastConfidence() Selector {
 // diagonal ROUND (Algorithm 3) selector. Cancelling the context aborts
 // mid-RELAX (the mirror-descent loop and the inner CG solves both poll
 // it).
-func ApproxFIRAL(o FIRALOptions) Selector {
-	return SelectorFunc("Approx-FIRAL", func(ctx context.Context, s *State, b int) ([]int, error) {
-		p := firal.NewProblem(s.labeled, s.pool)
-		res, err := firal.SelectApprox(ctx, p, b, o.options(s.seed))
-		if err != nil {
-			return nil, err
-		}
-		return res.Selected, nil
-	})
-}
+func ApproxFIRAL(o FIRALOptions) Selector { return approxSelector("Approx-FIRAL", 1, o) }
 
 // ExactFIRAL is the original Algorithm 1 (dense Hessians; use only at
 // small n, d, c).
@@ -204,29 +187,22 @@ func ExactFIRAL(o FIRALOptions) Selector {
 // DistributedFIRAL runs Approx-FIRAL sharded over `ranks` simulated
 // distributed-memory ranks (one goroutine per rank, message-passing
 // collectives as in § III-C). Selections match the serial ApproxFIRAL up
-// to floating-point summation order. Cancellation is detected
-// collectively, so all ranks abort together.
+// to floating-point summation order, and are the serial ones at ranks ≤ 1.
+// Cancellation is detected collectively, so all ranks abort together.
+// η tuning is serial only: at ranks ≥ 2, Select with a non-empty
+// FIRALOptions.EtaGrid returns an error.
 func DistributedFIRAL(ranks int, o FIRALOptions) Selector {
-	if ranks < 1 {
-		ranks = 1
-	}
-	return SelectorFunc("Approx-FIRAL(dist)", func(ctx context.Context, s *State, b int) ([]int, error) {
-		// Every rank reports its selection and error; failures on ranks
-		// r>0 must surface too, or rank 0 could return a partial/garbage
-		// selection with a nil error.
-		selected := make([][]int, ranks)
-		errs := make([]error, ranks)
-		src := dataset.NewMatrixSource(s.pool.X)
-		mpi.Run(ranks, func(c *mpi.Comm) {
-			sh := distfiral.MakeStreamShard(s.labeled, src, s.pool.H, 0, ranks, c.Rank())
-			sel, _, _, err := distfiral.Select(ctx, c, sh, b, o.Eta, o.relax(s.seed))
-			selected[c.Rank()], errs[c.Rank()] = sel, err
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+	return approxSelector("Approx-FIRAL(dist)", ranks, o)
+}
+
+// approxSelector is the body of ApproxFIRAL and DistributedFIRAL: one
+// distfiral.SelectInProcess over the state's pool on `ranks` ranks.
+func approxSelector(name string, ranks int, o FIRALOptions) Selector {
+	return SelectorFunc(name, func(ctx context.Context, s *State, b int) ([]int, error) {
+		res, err := distfiral.SelectInProcess(ctx, ranks, s.labeled, dataset.NewMatrixSource(s.pool.X), s.pool.H, 0, b, o.options(s.seed))
+		if err != nil {
+			return nil, err
 		}
-		return selected[0], nil
+		return res.Selected, nil
 	})
 }
