@@ -61,7 +61,7 @@ func BenchmarkAblation_Probes40(b *testing.B) { benchmarkRelaxProbes(b, 40) }
 func benchmarkAllreduceWords(b *testing.B, ranks, words int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mpi.Run(ranks, func(c *mpi.Comm) {
+		runRanks(b, ranks, func(c *mpi.Comm) {
 			data := make([]float64, words)
 			for j := range data {
 				data[j] = float64(c.Rank() + j)

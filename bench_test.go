@@ -280,13 +280,21 @@ func BenchmarkFig5_RoundC8(b *testing.B)  { benchmarkFig5Round(b, 24, 8) }
 func BenchmarkFig5_RoundC16(b *testing.B) { benchmarkFig5Round(b, 24, 16) }
 func BenchmarkFig5_RoundC32(b *testing.B) { benchmarkFig5Round(b, 24, 32) }
 
+// runRanks is mpi.Run failing the benchmark when a rank panicked.
+func runRanks(b *testing.B, p int, fn func(c *mpi.Comm)) {
+	b.Helper()
+	if _, err := mpi.Run(p, fn); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // --- Figs. 6–7: distributed RELAX/ROUND at the paper's rank counts. ---
 
 func benchmarkFig6Relax(b *testing.B, ranks int) {
 	labeled, pool := experiments.SynthSets(20, 3000, 32, 10, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mpi.Run(ranks, func(c *mpi.Comm) {
+		runRanks(b, ranks, func(c *mpi.Comm) {
 			sh := distfiral.MakeStreamShard(labeled, dataset.NewMatrixSource(pool.X), pool.H, 0, ranks, c.Rank())
 			_, err := distfiral.Relax(context.Background(), c, sh, 10, firal.RelaxOptions{
 				FixedIterations: 1, Probes: 10, CGTol: 1e-30, CGMaxIter: 10, Seed: 1,
@@ -308,7 +316,7 @@ func benchmarkFig7Round(b *testing.B, ranks int) {
 	labeled, pool := experiments.SynthSets(20, 3000, 32, 10, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mpi.Run(ranks, func(c *mpi.Comm) {
+		runRanks(b, ranks, func(c *mpi.Comm) {
 			sh := distfiral.MakeStreamShard(labeled, dataset.NewMatrixSource(pool.X), pool.H, 0, ranks, c.Rank())
 			z := make([]float64, sh.PoolLocal.N())
 			mat.Fill(z, 1.0/3000)
@@ -342,7 +350,7 @@ func BenchmarkTableII_ComplexityRatios(b *testing.B) {
 func benchmarkAllreduce(b *testing.B, ranks, words int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mpi.Run(ranks, func(c *mpi.Comm) {
+		runRanks(b, ranks, func(c *mpi.Comm) {
 			data := make([]float64, words)
 			c.Allreduce(data, mpi.Sum)
 		})

@@ -99,8 +99,13 @@
 // deadlines): the in-process mailbox world behind mpi.Run, and a
 // length-prefixed TCP transport with rendezvous bootstrap for real
 // multi-process runs (cmd/firal -transport tcp -peers host:port
-// -ranks p -rank r). With an operation timeout set, a dead rank surfaces
-// as mpi.ErrRankLost; survivors agree on the dead set (Comm.Heal), and
+// -ranks p -rank r). Failures are sticky error values, not panics: a
+// Comm keeps its first transport error (Comm.Err), a streamed pool its
+// first read error, and the solvers' per-iteration poll agrees on them
+// so every rank stops at the same iteration. With an operation timeout
+// set, a dead rank surfaces as mpi.ErrRankLost; in-process, mpi.Run
+// closes a failed rank's transport so its peers see the same. Survivors
+// agree on the dead set (Comm.Heal), and
 // distfiral.SelectResilient re-shards the survivors and resumes the
 // interrupted RELAX iteration from the last globally-agreed checkpoint,
 // reproducing bit-for-bit what a fresh run at the reduced rank count

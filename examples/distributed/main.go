@@ -113,7 +113,7 @@ func tcpBitIdentity() {
 	src := dataset.NewMatrixSource(pool.X)
 	run := func(ts []mpi.Transport) []int {
 		var sel []int
-		mpi.RunTransports(ts, func(c *mpi.Comm) {
+		_, err := mpi.RunTransports(ts, func(c *mpi.Comm) {
 			sh := distfiral.MakeStreamShard(labeled, src, pool.H, 0, c.Size(), c.Rank())
 			s, _, _, err := distfiral.Select(ctx, c, sh, b, 0, opts)
 			if err != nil {
@@ -123,6 +123,9 @@ func tcpBitIdentity() {
 				sel = s
 			}
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		return sel
 	}
 

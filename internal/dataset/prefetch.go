@@ -51,7 +51,8 @@ type BlockLender interface {
 	// LendBlock returns rows [lo, hi) in a lender-owned buffer, valid
 	// until ReturnBlock.
 	LendBlock(lo, hi int) (*mat.Dense, error)
-	// ReturnBlock gives a lent block back for reuse.
+	// ReturnBlock gives a lent block back for reuse; any other block is
+	// ignored.
 	ReturnBlock(b *mat.Dense)
 }
 
@@ -109,10 +110,10 @@ func (b *pfBlock) prep(lo, hi, d int) {
 // read-ahead is scheduled (an already in-flight read finishes and is
 // served or drained — never torn mid-decode), while demand reads keep
 // succeeding synchronously. Cancellation must not surface as a read
-// error because the solvers treat mid-sweep read failures as corruption
-// and panic; they exit a cancelled sweep at their own per-iteration ctx
-// polls (the ctxpoll contract), and the prefetch layer just stops
-// working ahead of a sweep that is about to stop.
+// error, because a read error fails the selection where a cancelled one
+// must end cancelled: the solvers exit a cancelled sweep at their own
+// per-iteration ctx polls (the ctxpoll contract), and the prefetch layer
+// just stops working ahead of a sweep that is about to stop.
 type PrefetchSource struct {
 	src    PoolSource
 	ctx    context.Context
@@ -343,7 +344,8 @@ func (p *PrefetchSource) LendBlock(lo, hi int) (*mat.Dense, error) {
 }
 
 // ReturnBlock gives a block obtained from LendBlock back to the buffer
-// pool, freeing it for the next read-ahead.
+// pool, freeing it for the next read-ahead. A block it did not lend (the
+// zero block a hessian.Stream serves for a failed read) is ignored.
 func (p *PrefetchSource) ReturnBlock(m *mat.Dense) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -355,7 +357,6 @@ func (p *PrefetchSource) ReturnBlock(m *mat.Dense) {
 			return
 		}
 	}
-	panic("dataset: ReturnBlock of a block this PrefetchSource did not lend")
 }
 
 // ReadRows copies rows [lo, hi) into dst. Block-sized windows flow

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/mat"
@@ -233,7 +234,9 @@ func openShardFile(path string) (*shardFile, int, error) {
 	}
 	d := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	rows := int(binary.LittleEndian.Uint64(hdr[12:20]))
-	if d <= 0 || rows < 0 {
+	// The payload size must fit an int64 before it is compared with the
+	// file size: 2⁶¹ rows × 8 dims × 4 bytes wraps to 0.
+	if d <= 0 || rows < 0 || int64(rows) > (math.MaxInt64-shardHeaderSize)/(4*int64(d)) {
 		f.Close()
 		return nil, 0, fmt.Errorf("dataset: shard %s: invalid header shape %d rows × %d dims", path, rows, d)
 	}
@@ -312,11 +315,23 @@ func (s *ShardSource) ReadRows(lo, hi int, dst *mat.Dense) error {
 
 // decodeRows converts the float32 payload rows [lo, hi) of this file into
 // dst starting at dst row dstRow.
-func (sf *shardFile) decodeRows(lo, hi, d int, dst *mat.Dense, dstRow int) error {
+func (sf *shardFile) decodeRows(lo, hi, d int, dst *mat.Dense, dstRow int) (err error) {
 	off := shardHeaderSize + lo*d*4
 	n := (hi - lo) * d * 4
 	raw := sf.data
 	if raw != nil {
+		// A file truncated after it was mapped turns the access of a page
+		// past its new end into SIGBUS, which would kill the process;
+		// SetPanicOnFault makes it a panic, and the recover this error.
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer func() {
+			if e := recover(); e != nil {
+				if _, fault := e.(interface{ Addr() uintptr }); !fault {
+					panic(e)
+				}
+				err = fmt.Errorf("mapped read of rows [%d, %d) faulted (file shrunk after open?): %v", lo, hi, e)
+			}
+		}()
 		raw = raw[off : off+n]
 	} else {
 		sf.mu.Lock()

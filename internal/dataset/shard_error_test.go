@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,4 +121,69 @@ func TestOpenShardsActionableErrors(t *testing.T) {
 			t.Errorf("mismatch error should name both shards: %v", err)
 		}
 	})
+}
+
+// shardHeader is a 20-byte shard header declaring rows × d.
+func shardHeader(d uint32, rows uint64) []byte {
+	h := []byte(shardMagic)
+	h = binary.LittleEndian.AppendUint32(h, d)
+	return binary.LittleEndian.AppendUint64(h, rows)
+}
+
+// FuzzShardHeader opens arbitrary bytes as a shard and reads every row.
+// The oracle: nothing panics, and a file that opens reads back in full —
+// the open-time checks must catch every header the reads cannot serve.
+func FuzzShardHeader(f *testing.F) {
+	valid := shardHeader(2, 3)
+	for i := 0; i < 6; i++ {
+		valid = binary.LittleEndian.AppendUint32(valid, math.Float32bits(float32(i)))
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-4])
+	f.Add(shardHeader(8, 1<<61)) // 2⁶¹ × 8 × 4 bytes wraps to 0
+	f.Add(shardHeader(1<<31, 1<<33))
+	f.Add(shardHeader(0, 0))
+	f.Add(shardHeader(3, 0))
+	f.Add([]byte("FIRALSH1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.shard")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenShards(path)
+		if err != nil {
+			return
+		}
+		defer src.Close()
+		n, d := src.NumRows(), src.Dim()
+		const block = 7
+		for lo := 0; lo < n; lo += block {
+			hi := min(lo+block, n)
+			if err := src.ReadRows(lo, hi, mat.NewDense(hi-lo, d)); err != nil {
+				t.Fatalf("ReadRows(%d, %d) of an open %d×%d shard: %v", lo, hi, n, d, err)
+			}
+		}
+	})
+}
+
+// TestShardTruncatedAfterOpen shrinks a shard under an open source. A
+// read past the new end must come back as an error; on the mmap path it
+// used to kill the process with SIGBUS.
+func TestShardTruncatedAfterOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shrinks.shard")
+	const rows, dim = 8192, 4 // 128 KiB of payload: many pages
+	writeTestShard(t, path, rows, dim)
+	src, err := OpenShards(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if err := os.Truncate(path, shardHeaderSize+16); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.ReadRows(rows-64, rows, mat.NewDense(64, dim)); err == nil {
+		t.Fatal("reading rows past the truncated end succeeded")
+	} else if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %v does not name the shard", err)
+	}
 }

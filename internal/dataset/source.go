@@ -26,9 +26,10 @@ import (
 //     forward in fixed-size blocks.
 //   - Sources must surface data errors (missing files, malformed rows,
 //     shape mismatches) at open/validation time. After a successful open,
-//     ReadRows on an in-range window is expected to succeed; the blocked
-//     solver kernels treat a mid-sweep read failure as unrecoverable and
-//     panic with the source error.
+//     ReadRows on an in-range window is expected to succeed. A failure
+//     must come back as an error, never a panic: a hessian.Stream keeps
+//     it (hessian.ErrPoolRead), and the solvers fail the selection at
+//     their next per-iteration poll.
 //   - ReadRows must be safe for concurrent use by multiple goroutines
 //     (each with its own dst); the simulated MPI ranks of
 //     internal/distfiral share one source through Subrange views.

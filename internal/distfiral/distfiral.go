@@ -8,7 +8,8 @@
 // rank count. This package supplies what the distributed run adds — shard
 // construction, the adapter that lets an *mpi.Comm serve as the solvers'
 // firal.Collective (timing each collective into the "comm" phase and
-// agreeing on cancellation once per iteration), SelectInProcess, the one
+// agreeing on cancellation and read failures once per iteration),
+// SelectInProcess, the one
 // in-process selection runner for every rank count, and SelectResilient,
 // the heal-reshard-resume loop over rank failures. Communication per
 // § III-C:
@@ -22,7 +23,9 @@
 package distfiral
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/dataset"
@@ -84,74 +87,89 @@ func (s *Shard) bind(cm firal.Collective) (firal.Group, *firal.Problem) {
 }
 
 // comm adapts an *mpi.Comm to firal.Collective, timing every collective
-// into ph's "comm" phase.
+// into ph's "comm" phase. cg is the CG solves' context: the caller's
+// cancellation never reaches it (ranks must not leave a solve at
+// different inner iterations), but a failed comm cancels it with the
+// comm's error as cause, so a survivor stops computing on a dead group
+// and reaches Heal promptly.
 type comm struct {
-	c  *mpi.Comm
-	ph *timing.Phases
+	*mpi.Comm
+	ph     *timing.Phases
+	cg     context.Context
+	stopCG context.CancelCauseFunc
 }
 
-func newComm(c *mpi.Comm) comm { return comm{c: c, ph: timing.New()} }
-
-func (a comm) Rank() int { return a.c.Rank() }
-func (a comm) Size() int { return a.c.Size() }
+func newComm(c *mpi.Comm) comm {
+	cg, stop := context.WithCancelCause(context.Background())
+	return comm{Comm: c, ph: timing.New(), cg: cg, stopCG: stop}
+}
 
 func (a comm) Bcast(root int, buf []float64) {
 	defer a.ph.Start("comm")()
-	a.c.Bcast(root, buf)
+	a.Comm.Bcast(root, buf)
 }
 
+// Allreduce is the one collective inside a CG solve (the matvec
+// partials), so it is where a failed comm stops the solve.
 func (a comm) Allreduce(buf []float64) {
 	defer a.ph.Start("comm")()
-	a.c.Allreduce(buf, mpi.Sum)
+	a.Comm.Allreduce(buf, mpi.Sum)
+	if err := a.Err(); err != nil {
+		a.stopCG(err)
+	}
 }
 
 func (a comm) AllreduceScalar(x float64, op mpi.Op) float64 {
 	defer a.ph.Start("comm")()
-	return a.c.AllreduceScalar(x, op)
+	return a.Comm.AllreduceScalar(x, op)
 }
 
 func (a comm) AllreduceMaxLoc(val float64, loc int) (float64, int, int) {
 	defer a.ph.Start("comm")()
-	return a.c.AllreduceMaxLoc(val, loc)
+	return a.Comm.AllreduceMaxLoc(val, loc)
 }
 
 func (a comm) Allgatherv(local []float64) []float64 {
 	defer a.ph.Start("comm")()
-	out, _ := a.c.Allgatherv(local)
+	out, _ := a.Comm.Allgatherv(local)
 	return out
 }
 
-// Cancelled is the SPMD-safe cancellation check: rank 0 polls the context
-// and broadcasts a one-float stop flag, so every rank leaves the
-// collective schedule at the same iteration. Checking ctx directly on
-// each rank would let ranks observe cancellation at different iterations
-// and deadlock inside a collective. Ranks that learn of the cancellation
-// through the flag before their own ctx fires report context.Canceled.
-func (a comm) Cancelled(ctx context.Context) error {
-	if ctx.Done() == nil {
-		// Non-cancellable context (e.g. context.Background), uniform
-		// across ranks: skip the flag broadcast so benchmarks and
-		// experiments measure the paper's communication pattern only.
-		return nil
-	}
-	flag := []float64{0}
-	if a.c.Rank() == 0 && ctx.Err() != nil {
-		flag[0] = 1
-	}
-	a.Bcast(0, flag)
-	if flag[0] == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
+// errPeerRead is what the poll returns on the ranks whose own reads
+// succeeded when another rank's failed.
+var errPeerRead = fmt.Errorf("%w on another rank", hessian.ErrPoolRead)
+
+// Cancelled is the SPMD-safe poll. A rank whose comm has failed returns
+// that error at once: its schedule is broken anyway. Otherwise every rank
+// offers a code (0 go on, 1 ctx done, 2 pool read failed) and one Max
+// allreduce agrees on the worst, so all ranks leave the collective
+// schedule at the same iteration. The failed rank returns its own pool
+// error, with the source chain; ranks that learn of a cancellation
+// before their own ctx fires report context.Canceled.
+func (a comm) Cancelled(ctx context.Context, poolErr error) error {
+	if err := a.Err(); err != nil {
 		return err
 	}
-	return context.Canceled
+	code := 0.0
+	if poolErr != nil {
+		code = 2
+	} else if ctx.Err() != nil {
+		code = 1
+	}
+	code = a.AllreduceScalar(code, mpi.Max)
+	switch {
+	case a.Err() != nil:
+		return a.Err()
+	case code == 2:
+		return cmp.Or(poolErr, errPeerRead)
+	case code == 1:
+		return cmp.Or(ctx.Err(), context.Canceled)
+	}
+	return nil
 }
 
-// SolverContext hands the CG solves a background context: their matvecs
-// are collectives, so ranks must not abort them at different inner
-// iterations; cancellation is honored at the loop-top Cancelled instead.
-func (a comm) SolverContext(context.Context) context.Context { return context.Background() }
+// SolverContext hands the CG solves the comm's context (see comm).
+func (a comm) SolverContext(context.Context) context.Context { return a.cg }
 
 // RelaxResult and RoundResult are the solvers' reports; in a distributed
 // run RelaxResult.Z is this rank's window of z⋄, and both Timings carry
@@ -162,20 +180,14 @@ type (
 )
 
 // Relax runs the distributed fast RELAX (Algorithm 2 over MPI; see
-// firal.RelaxGroup). Cancellation is detected collectively once per
-// mirror-descent iteration; all ranks abort together with the context
-// error.
-//
-// o.WarmStart, o.OnIteration and o.Resume work as in the serial solver,
-// with global vectors: each completed iteration allgathers the full
-// simplex iterate so every rank holds an identical RelaxCheckpoint that
-// can be resumed under a different rank count (the pool is re-sliced by
-// this rank's Partition window). Because the checkpoint gather is a
-// collective, OnIteration must be set on all ranks or on none. A lost
-// rank surfaces as an error satisfying errors.Is(err, mpi.ErrRankLost);
-// see SelectResilient for the heal-reshard-resume loop.
+// firal.RelaxGroup). o.WarmStart, o.OnIteration and o.Resume work as in
+// the serial solver, with global vectors: each completed iteration
+// allgathers the full simplex iterate so every rank holds an identical
+// RelaxCheckpoint that can be resumed under a different rank count (the
+// pool is re-sliced by this rank's Partition window). Because the
+// checkpoint gather is a collective, OnIteration must be set on all
+// ranks or on none. Failures end it as Select describes.
 func Relax(ctx context.Context, c *mpi.Comm, s *Shard, b int, o firal.RelaxOptions) (res *RelaxResult, err error) {
-	defer mpi.RecoverLost(&err)
 	cm := newComm(c)
 	g, p := s.bind(cm)
 	if res, err = firal.RelaxGroup(ctx, g, p, b, o); err == nil {
@@ -186,16 +198,11 @@ func Relax(ctx context.Context, c *mpi.Comm, s *Shard, b int, o firal.RelaxOptio
 
 // Round runs the distributed diagonal ROUND step (Algorithm 3 over MPI;
 // see firal.RoundGroup). zLocal is this rank's slice of z⋄; selections
-// are global pool indices, identical across ranks. Cancellation is
-// detected collectively once per selected candidate. A lost rank surfaces
-// as an error satisfying errors.Is(err, mpi.ErrRankLost); see
-// SelectResilient for the heal-reshard-resume loop.
-//
-// exclude lists global pool indices the step must not select (tombstones
-// from earlier selection rounds, mirroring firal.Options.Exclude); it
-// must be identical on every rank.
+// are global pool indices, identical across ranks. exclude lists global
+// pool indices the step must not select (tombstones from earlier
+// selection rounds, mirroring firal.Options.Exclude); it must be
+// identical on every rank. Failures end it as Select describes.
 func Round(ctx context.Context, c *mpi.Comm, s *Shard, zLocal []float64, b int, eta float64, exclude ...int) (res *RoundResult, err error) {
-	defer mpi.RecoverLost(&err)
 	cm := newComm(c)
 	g, p := s.bind(cm)
 	if res, err = firal.RoundGroup(ctx, g, p, zLocal, b, firal.RoundOptions{Eta: eta, Exclude: exclude}); err == nil {
@@ -205,10 +212,15 @@ func Round(ctx context.Context, c *mpi.Comm, s *Shard, zLocal []float64, b int, 
 }
 
 // Select runs the full distributed Approx-FIRAL (RELAX + ROUND) on one
-// rank's shard. All ranks return identical Selected slices. Cancelling
-// the context aborts all ranks together at the next collective check.
-// exclude is passed to Round: global pool indices the selection must
-// skip, identical on every rank.
+// rank's shard. All ranks return identical Selected slices. exclude is
+// passed to Round: global pool indices the selection must skip,
+// identical on every rank.
+//
+// All ranks stop together, at the next per-iteration poll, once any
+// rank's context is cancelled or a pool read fails (an error wrapping
+// hessian.ErrPoolRead). A lost rank fails the survivors with an error
+// satisfying errors.Is(err, mpi.ErrRankLost); see SelectResilient for
+// the heal-reshard-resume loop.
 func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, relaxOpts firal.RelaxOptions, exclude ...int) ([]int, *RelaxResult, *RoundResult, error) {
 	relax, err := Relax(ctx, c, s, b, relaxOpts)
 	if err != nil {
@@ -233,9 +245,11 @@ func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, rela
 // serial Collective, which polls ctx inside CG as well. At ranks ≥ 2 every
 // rank runs Select under mpi.Run; o.Relax.OnIteration then runs on rank
 // 0 only (the other ranks get a no-op hook, since the checkpoint gather
-// is a collective), the first rank error is returned, and Result.Eta is
-// the η ROUND used. η tuning over o.EtaGrid is serial only: a grid at
-// ranks ≥ 2 is an error.
+// is a collective) and Result.Eta is the η ROUND used. η tuning over
+// o.EtaGrid is serial only: a grid at ranks ≥ 2 is an error. A failure
+// returns its root cause: a rank's panic first, then a failed rank's own
+// error before the ErrRankLost or peer read error its peers report. A
+// failed pool read matches hessian.ErrPoolRead at every rank count.
 func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, blockRows, b int, o firal.Options) (*firal.Result, error) {
 	if ranks <= 1 {
 		sh := MakeStreamShard(labeled, src, probs, blockRows, 1, 0)
@@ -246,7 +260,7 @@ func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src d
 	}
 	var res *firal.Result
 	errs := make([]error, ranks)
-	mpi.Run(ranks, func(c *mpi.Comm) {
+	_, runErr := mpi.Run(ranks, func(c *mpi.Comm) {
 		ro := o.Relax
 		if c.Rank() != 0 && ro.OnIteration != nil {
 			ro.OnIteration = func(*firal.RelaxCheckpoint) {}
@@ -262,10 +276,20 @@ func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src d
 			res = &firal.Result{Selected: sel, Eta: eta, Relax: relax, Round: round}
 		}
 	})
+	if runErr != nil {
+		return nil, runErr
+	}
+	// The root cause first: the peers of a failed rank report ErrRankLost
+	// or errPeerRead.
+	var peer error
 	for _, err := range errs {
-		if err != nil {
+		switch {
+		case err == nil:
+		case errors.Is(err, mpi.ErrRankLost) || errors.Is(err, errPeerRead):
+			peer = cmp.Or(peer, err)
+		default:
 			return nil, err
 		}
 	}
-	return res, nil
+	return res, peer
 }

@@ -16,6 +16,25 @@ import (
 	"repro/internal/softmax"
 )
 
+// runRanks is mpi.Run failing the test when a rank panicked.
+func runRanks(t testing.TB, p int, fn func(c *mpi.Comm)) []mpi.Stats {
+	t.Helper()
+	stats, err := mpi.Run(p, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
+// runTransports is mpi.RunTransports failing the test when a rank
+// panicked.
+func runTransports(t testing.TB, ts []mpi.Transport, fn func(c *mpi.Comm)) {
+	t.Helper()
+	if _, err := mpi.RunTransports(ts, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // testSets builds a labeled set and a pool with class structure (reduced
 // probabilities, as the FIRAL solvers require).
 func testSets(seed int64, nLabeled, nPool, d, c int) (*hessian.Set, *hessian.Set) {
@@ -91,7 +110,7 @@ func TestDistributedRelaxMatchesSerial(t *testing.T) {
 		for _, p := range []int{1, 2, 3, 4} {
 			zGlobal := make([]float64, pool.N())
 			var mu sync.Mutex
-			mpi.Run(p, func(c *mpi.Comm) {
+			runRanks(t, p, func(c *mpi.Comm) {
 				sh := residentShard(labeled, pool, p, c.Rank())
 				res, err := Relax(context.Background(), c, sh, b, tc.opts)
 				if err != nil {
@@ -147,7 +166,7 @@ func TestDistributedRoundMatchesSerial(t *testing.T) {
 		var nus []float64
 		var minEig float64
 		var once sync.Once
-		mpi.Run(p, func(c *mpi.Comm) {
+		runRanks(t, p, func(c *mpi.Comm) {
 			sh := residentShard(labeled, pool, p, c.Rank())
 			zLocal := append([]float64(nil), z[sh.PoolOffset:sh.PoolOffset+sh.PoolLocal.N()]...)
 			res, err := Round(context.Background(), c, sh, zLocal, b, 0)
@@ -199,7 +218,7 @@ func TestDistributedRoundRejectsNonFiniteScore(t *testing.T) {
 		z[i] = 0
 	}
 	errs := make([]error, 2)
-	mpi.Run(2, func(c *mpi.Comm) {
+	runRanks(t, 2, func(c *mpi.Comm) {
 		sh := residentShard(labeled, bad, 2, c.Rank())
 		zLocal := z[sh.PoolOffset : sh.PoolOffset+sh.PoolLocal.N()]
 		_, errs[c.Rank()] = Round(context.Background(), c, sh, zLocal, 4, 0)
@@ -232,7 +251,7 @@ func TestDistributedNonFiniteSigmaIsTyped(t *testing.T) {
 			z[i] = 4 / float64(len(z))
 		}
 		relaxErrs, roundErrs := make([]error, 2), make([]error, 2)
-		mpi.Run(2, func(c *mpi.Comm) {
+		runRanks(t, 2, func(c *mpi.Comm) {
 			sh := residentShard(labeled, pool, 2, c.Rank())
 			if pl.name != "labeled feature" && c.Rank() == 0 && sh.PoolOffset+sh.PoolLocal.N() > 12 {
 				t.Errorf("%s: row 12 is in rank 0's slice", pl.name)
@@ -259,7 +278,7 @@ func TestAllRanksAgreeOnSelection(t *testing.T) {
 	b := 4
 	p := 3
 	results := make([][]int, p)
-	mpi.Run(p, func(c *mpi.Comm) {
+	runRanks(t, p, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, p, c.Rank())
 		sel, _, _, err := Select(context.Background(), c, sh, b, 0, firal.RelaxOptions{FixedIterations: 5, Seed: 3})
 		if err != nil {
@@ -285,7 +304,7 @@ func TestAllRanksAgreeOnSelection(t *testing.T) {
 func TestBudgetExceedsPool(t *testing.T) {
 	labeled, pool := testSets(5, 6, 5, 2, 3)
 	p := 2
-	mpi.Run(p, func(c *mpi.Comm) {
+	runRanks(t, p, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, p, c.Rank())
 		z := make([]float64, sh.PoolLocal.N())
 		mat.Fill(z, 1)
@@ -311,7 +330,7 @@ func TestBudgetExceedsPool(t *testing.T) {
 // communicates (guards against accidentally serial fallbacks).
 func TestCommStatsNonzero(t *testing.T) {
 	labeled, pool := testSets(6, 6, 20, 2, 3)
-	stats := mpi.Run(3, func(c *mpi.Comm) {
+	stats := runRanks(t, 3, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, 3, c.Rank())
 		if _, _, _, err := Select(context.Background(), c, sh, 3, 0, firal.RelaxOptions{FixedIterations: 3, Seed: 1}); err != nil {
 			t.Errorf("%v", err)

@@ -36,7 +36,7 @@ func equalInts(a, b []int) bool {
 func victimCollectives(t *testing.T, labeled, pool *hessian.Set, p, b, victim int, opts firal.RelaxOptions) int {
 	t.Helper()
 	opts.OnIteration = func(*firal.RelaxCheckpoint) {}
-	stats := mpi.Run(p, func(c *mpi.Comm) {
+	stats := runRanks(t, p, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, p, c.Rank())
 		if _, err := Relax(context.Background(), c, sh, b, opts); err != nil {
 			t.Errorf("calibration relax: %v", err)
@@ -52,7 +52,7 @@ func freshSelect(t *testing.T, labeled, pool *hessian.Set, p, b int, opts firal.
 	opts.Resume = ck
 	var out []int
 	var once sync.Once
-	mpi.Run(p, func(c *mpi.Comm) {
+	runRanks(t, p, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, p, c.Rank())
 		sel, _, _, err := Select(context.Background(), c, sh, b, 0, opts)
 		if err != nil {
@@ -72,7 +72,7 @@ func runResilientWithKill(t *testing.T, labeled, pool *hessian.Set, p, b, victim
 	plan := &mpitest.FaultPlan{Victim: victim, Kind: mpitest.FaultKill, AfterCollectives: afterCollectives}
 	var mu sync.Mutex
 	results := make(map[int]*ResilientResult)
-	mpi.RunTransports(plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
+	runTransports(t, plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
 		c.SetOpTimeout(distFaultTimeout)
 		mk := func(size, rank int) (*Shard, error) {
 			return residentShard(labeled, pool, size, rank), nil
@@ -188,7 +188,7 @@ func TestSelectResilientCleanRunMatchesSelect(t *testing.T) {
 	want := freshSelect(t, labeled, pool, p, b, opts, nil)
 	var mu sync.Mutex
 	results := make(map[int]*ResilientResult)
-	mpi.Run(p, func(c *mpi.Comm) {
+	runRanks(t, p, func(c *mpi.Comm) {
 		c.SetOpTimeout(5 * time.Second)
 		mk := func(size, rank int) (*Shard, error) {
 			return residentShard(labeled, pool, size, rank), nil
@@ -216,7 +216,7 @@ func TestSelectResilientCleanRunMatchesSelect(t *testing.T) {
 // failure detector is a lie and must be refused up front.
 func TestSelectResilientRequiresTimeout(t *testing.T) {
 	labeled, pool := testSets(9, 6, 12, 2, 3)
-	mpi.Run(2, func(c *mpi.Comm) {
+	runRanks(t, 2, func(c *mpi.Comm) {
 		mk := func(size, rank int) (*Shard, error) {
 			return residentShard(labeled, pool, size, rank), nil
 		}
@@ -238,7 +238,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 	var mu sync.Mutex
 	var cks []*firal.RelaxCheckpoint // rank 0's checkpoint stream
 	full := make([][]float64, p)
-	mpi.Run(p, func(c *mpi.Comm) {
+	runRanks(t, p, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, p, c.Rank())
 		o := opts
 		o.OnIteration = func(ck *firal.RelaxCheckpoint) {
@@ -262,7 +262,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 
 	// Resume from the middle at the same rank count: bit-identical z⋄.
 	resumed := make([][]float64, p)
-	mpi.Run(p, func(c *mpi.Comm) {
+	runRanks(t, p, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, p, c.Rank())
 		o := opts
 		o.Resume = cks[2] // after iteration 3
@@ -287,7 +287,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 	// descent is skipped and the restored iterate reproduces the full
 	// run's z⋄ exactly (the checkpoint is global, so re-sharding at p−1
 	// just re-slices it).
-	mpi.Run(p-1, func(c *mpi.Comm) {
+	runRanks(t, p-1, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, p-1, c.Rank())
 		o := opts
 		o.Resume = cks[len(cks)-1]
@@ -313,7 +313,7 @@ func TestDistributedRelaxCheckpointResume(t *testing.T) {
 // TestRelaxRejectsMismatchedCheckpoint pins the ErrBadCheckpoint wrap.
 func TestRelaxRejectsMismatchedCheckpoint(t *testing.T) {
 	labeled, pool := testSets(9, 6, 12, 2, 3)
-	mpi.Run(2, func(c *mpi.Comm) {
+	runRanks(t, 2, func(c *mpi.Comm) {
 		sh := residentShard(labeled, pool, 2, c.Rank())
 		o := firal.RelaxOptions{FixedIterations: 2, Resume: &firal.RelaxCheckpoint{Iteration: 1, Z: make([]float64, 5)}}
 		_, err := Relax(context.Background(), c, sh, 2, o)

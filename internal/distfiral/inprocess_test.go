@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync/atomic"
@@ -89,7 +90,7 @@ func oldHarness(t *testing.T, ranks int, labeled *hessian.Set, src dataset.PoolS
 	}
 	selected := make([][]int, ranks)
 	errs := make([]error, ranks)
-	mpi.Run(ranks, func(c *mpi.Comm) {
+	runRanks(t, ranks, func(c *mpi.Comm) {
 		sh := MakeStreamShard(labeled, src, probs, blockRows, ranks, c.Rank())
 		relax, err := Relax(ctx, c, sh, b, o.Relax)
 		if err != nil {
@@ -187,6 +188,80 @@ func TestSelectInProcess(t *testing.T) {
 				}
 				tc.inflight.checkIdle(t, "after a cancelled run")
 			})
+		}
+	}
+}
+
+// failingSource fails every read touching rows [lo, hi) once `after` of
+// them have gone through.
+type failingSource struct {
+	dataset.PoolSource
+	lo, hi int
+	after  int64
+	n      atomic.Int64
+}
+
+var errInjected = errors.New("injected read failure")
+
+func (s *failingSource) ReadRows(lo, hi int, dst *mat.Dense) error {
+	if lo < s.hi && hi > s.lo && s.n.Add(1) > s.after {
+		return errInjected
+	}
+	return s.PoolSource.ReadRows(lo, hi, dst)
+}
+
+// TestSelectInProcessReadFailure fails the reads of rank 1's row window
+// (at one rank, the same rows) from the first, the middle or the last of
+// them on, so the failure lands at the start, in RELAX or in ROUND's
+// last step. Every run must return an error matching hessian.ErrPoolRead
+// with the source error below it, instead of hanging, panicking or
+// selecting.
+func TestSelectInProcessReadFailure(t *testing.T) {
+	labeled, pool := testSets(43, 20, 150, 6, 3)
+	shard := twoFileShard(t, pool.X, 61)
+	o := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 3, Seed: 9, Probes: 4}}
+	for _, ranks := range []int{1, 2, 3} {
+		lo, hi := mpi.Partition(pool.X.Rows, max(ranks, 2), 1)
+		clean := &failingSource{PoolSource: shard, lo: lo, hi: hi, after: math.MaxInt64}
+		if _, err := SelectInProcess(context.Background(), ranks, labeled, clean, pool.H, 16, 5, o); err != nil {
+			t.Fatal(err)
+		}
+		reads := clean.n.Load()
+		for _, after := range []int64{0, reads / 2, reads - 1} {
+			t.Run(fmt.Sprintf("p=%d/after=%d", ranks, after), func(t *testing.T) {
+				src := &failingSource{PoolSource: shard, lo: lo, hi: hi, after: after}
+				res, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 16, 5, o)
+				if !errors.Is(err, hessian.ErrPoolRead) || !errors.Is(err, errInjected) {
+					t.Fatalf("got %v (result %v), want a pool read error over the injected one", err, res)
+				}
+			})
+		}
+	}
+}
+
+// TestSelectInProcessShardTruncated shrinks the pool's shard file after
+// it was opened (and mapped): the selection must fail with ErrPoolRead
+// at every rank count instead of killing the process. The pool spans
+// many pages, since a mapping still reads zeros up to the end of the
+// page that holds the new end of file.
+func TestSelectInProcessShardTruncated(t *testing.T) {
+	labeled, pool := testSets(44, 20, 2000, 6, 3)
+	o := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 2, Seed: 9, Probes: 4}}
+	for _, ranks := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "pool.shard")
+		if err := dataset.PackShard(path, dataset.NewMatrixSource(pool.X)); err != nil {
+			t.Fatal(err)
+		}
+		src, err := dataset.OpenShards(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		if err := os.Truncate(path, 20); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 256, 5, o); !errors.Is(err, hessian.ErrPoolRead) {
+			t.Fatalf("p=%d: got %v, want ErrPoolRead", ranks, err)
 		}
 	}
 }

@@ -56,10 +56,11 @@ func ckKey(ck *firal.RelaxCheckpoint) float64 {
 // died inside it), never more — completing gather k requires every live
 // rank to have entered it — so the minimum over ranks is always each
 // rank's last or previous checkpoint.
-func agreeCheckpoint(c *mpi.Comm, last, prev *firal.RelaxCheckpoint) (ck *firal.RelaxCheckpoint, err error) {
-	defer mpi.RecoverLost(&err)
+func agreeCheckpoint(c *mpi.Comm, last, prev *firal.RelaxCheckpoint) (*firal.RelaxCheckpoint, error) {
 	minKey := c.AllreduceScalar(ckKey(last), mpi.Min)
 	switch {
+	case c.Err() != nil:
+		return nil, c.Err()
 	case ckKey(last) == minKey:
 		return last, nil
 	case ckKey(prev) == minKey:

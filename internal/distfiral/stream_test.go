@@ -35,7 +35,7 @@ func TestStreamShardMatchesResidentShard(t *testing.T) {
 
 	run := func(mk func(rank int) *Shard) [][]int {
 		selected := make([][]int, ranks)
-		mpi.Run(ranks, func(c *mpi.Comm) {
+		runRanks(t, ranks, func(c *mpi.Comm) {
 			sel, _, _, err := Select(context.Background(), c, mk(c.Rank()), b, 0, opts)
 			if err != nil {
 				t.Errorf("rank %d: %v", c.Rank(), err)
@@ -95,7 +95,7 @@ func TestMoreRanksThanPoolRows(t *testing.T) {
 	run := func(name string, mk func(rank int) *Shard) {
 		selected := make([][]int, ranks)
 		errs := make([]error, ranks)
-		mpi.Run(ranks, func(c *mpi.Comm) {
+		runRanks(t, ranks, func(c *mpi.Comm) {
 			selected[c.Rank()], _, _, errs[c.Rank()] = Select(context.Background(), c, mk(c.Rank()), b, 0, opts)
 		})
 		for r := 0; r < ranks; r++ {
@@ -150,7 +150,7 @@ func TestStreamShardExactRequiresResidentPool(t *testing.T) {
 	// The distributed Approx path must still run on the very same shards.
 	selected := make([][]int, ranks)
 	errsSel := make([]error, ranks)
-	mpi.Run(ranks, func(c *mpi.Comm) {
+	runRanks(t, ranks, func(c *mpi.Comm) {
 		selected[c.Rank()], _, _, errsSel[c.Rank()] = Select(context.Background(), c, shards[c.Rank()], 3, 0,
 			firal.RelaxOptions{FixedIterations: 2, Seed: 4})
 	})

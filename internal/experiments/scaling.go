@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -90,104 +91,51 @@ func maxPhases(perRank []*timing.Phases) map[string]float64 {
 // iteration of the distributed RELAX step at each rank count.
 func RunRelaxScaling(ctx context.Context, o ScalingOptions) ([]*ScalingPoint, error) {
 	o.defaults()
-	var points []*ScalingPoint
-	var firstErr error
-	for _, p := range o.Ranks {
-		// Cancellation is honored between measurements; the timed solve
-		// itself runs under a background context so the per-iteration
-		// cancellation-flag broadcast is skipped and the measured comm
-		// phase is exactly the paper's communication schedule.
-		if err := ctx.Err(); err != nil {
+	return sweepRanks(ctx, o, func(c *mpi.Comm, sh *distfiral.Shard, _ int) (*timing.Phases, error) {
+		res, err := distfiral.Relax(context.Background(), c, sh, 10, firal.RelaxOptions{
+			FixedIterations: 1,
+			Probes:          o.S,
+			CGTol:           1e-30,
+			CGMaxIter:       o.NCG,
+			Seed:            o.Seed,
+		})
+		if err != nil {
 			return nil, err
 		}
-		n := o.N
-		if !o.Strong {
-			n = o.NPerRank * p
-		}
-		labeled, pool := SynthSets(2*o.C, n, o.D, o.C, o.Seed)
-		src := dataset.NewMatrixSource(pool.X)
-		phases := make([]*timing.Phases, p)
-		wall := Timed(func() {
-			mpi.Run(p, func(c *mpi.Comm) {
-				sh := distfiral.MakeStreamShard(labeled, src, pool.H, 0, p, c.Rank())
-				res, err := distfiral.Relax(context.Background(), c, sh, 10, firal.RelaxOptions{
-					FixedIterations: 1,
-					Probes:          o.S,
-					CGTol:           1e-30,
-					CGMaxIter:       o.NCG,
-					Seed:            o.Seed,
-				})
-				if err != nil {
-					if c.Rank() == 0 {
-						firstErr = err
-					}
-					return
-				}
-				phases[c.Rank()] = res.Timings
-			})
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
+		return res.Timings, nil
+	}, func(p, n int, meas map[string]float64, wall float64) *ScalingPoint {
 		q := perfmodel.RelaxParams{N: n, D: o.D, C: o.C, S: o.S, NCG: 2 * o.NCG, P: p}
 		pre, cg, grad, comm := o.Machine.RelaxIter(q)
-		points = append(points, &ScalingPoint{
+		return &ScalingPoint{
 			Ranks: p, N: n,
-			Measured: maxPhases(phases),
+			Measured: meas,
 			Theory: map[string]float64{
 				"precond": pre, "cg": cg, "gradient": grad, "comm": comm,
 			},
 			Wall: wall,
-		})
-	}
-	fillIdeal(points, o.Strong)
-	return points, nil
+		}
+	})
 }
 
 // RunRoundScaling reproduces Fig. 7: time per selected point of the
 // distributed ROUND step at each rank count.
 func RunRoundScaling(ctx context.Context, o ScalingOptions) ([]*ScalingPoint, error) {
 	o.defaults()
-	var points []*ScalingPoint
-	var firstErr error
-	for _, p := range o.Ranks {
-		// As in RunRelaxScaling: poll between measurements, time the
-		// solve itself without the cancellation broadcast.
-		if err := ctx.Err(); err != nil {
+	return sweepRanks(ctx, o, func(c *mpi.Comm, sh *distfiral.Shard, n int) (*timing.Phases, error) {
+		z := make([]float64, sh.PoolLocal.N())
+		mat.Fill(z, float64(o.B)/float64(n))
+		res, err := distfiral.Round(context.Background(), c, sh, z, o.B, 0)
+		if err != nil {
 			return nil, err
 		}
-		n := o.N
-		if !o.Strong {
-			n = o.NPerRank * p
-		}
-		labeled, pool := SynthSets(2*o.C, n, o.D, o.C, o.Seed)
-		src := dataset.NewMatrixSource(pool.X)
-		phases := make([]*timing.Phases, p)
-		wall := Timed(func() {
-			mpi.Run(p, func(c *mpi.Comm) {
-				sh := distfiral.MakeStreamShard(labeled, src, pool.H, 0, p, c.Rank())
-				z := make([]float64, sh.PoolLocal.N())
-				mat.Fill(z, float64(o.B)/float64(n))
-				res, err := distfiral.Round(context.Background(), c, sh, z, o.B, 0)
-				if err != nil {
-					if c.Rank() == 0 {
-						firstErr = err
-					}
-					return
-				}
-				phases[c.Rank()] = res.Timings
-			})
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
+		return res.Timings, nil
+	}, func(p, n int, meas map[string]float64, wall float64) *ScalingPoint {
 		// Per-point times, as in Fig. 7.
-		meas := maxPhases(phases)
 		for k := range meas {
 			meas[k] /= float64(o.B)
 		}
 		q := perfmodel.RoundParams{N: n, D: o.D, C: o.C, P: p}
-		points = append(points, &ScalingPoint{
+		return &ScalingPoint{
 			Ranks: p, N: n,
 			Measured: meas,
 			Theory: map[string]float64{
@@ -197,7 +145,44 @@ func RunRoundScaling(ctx context.Context, o ScalingOptions) ([]*ScalingPoint, er
 				"comm":      o.Machine.RoundComm(q),
 			},
 			Wall: wall / float64(o.B),
+		}
+	})
+}
+
+// sweepRanks is the Fig. 6/7 measurement loop. At each rank count it
+// builds the pool, times solve on every in-process rank's shard (n is
+// the global pool size) and turns the critical-path phases and the wall
+// time into a point. Cancellation is honored between measurements; the
+// timed solve runs under a background context, and its comm phase
+// includes the solver's per-iteration agreed poll, one one-float
+// allreduce on top of the paper's communication schedule.
+func sweepRanks(ctx context.Context, o ScalingOptions,
+	solve func(c *mpi.Comm, sh *distfiral.Shard, n int) (*timing.Phases, error),
+	point func(p, n int, meas map[string]float64, wall float64) *ScalingPoint) ([]*ScalingPoint, error) {
+	var points []*ScalingPoint
+	for _, p := range o.Ranks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		n := o.N
+		if !o.Strong {
+			n = o.NPerRank * p
+		}
+		labeled, pool := SynthSets(2*o.C, n, o.D, o.C, o.Seed)
+		src := dataset.NewMatrixSource(pool.X)
+		phases := make([]*timing.Phases, p)
+		errs := make([]error, p)
+		var runErr error
+		wall := Timed(func() {
+			_, runErr = mpi.Run(p, func(c *mpi.Comm) {
+				sh := distfiral.MakeStreamShard(labeled, src, pool.H, 0, p, c.Rank())
+				phases[c.Rank()], errs[c.Rank()] = solve(c, sh, n)
+			})
 		})
+		if err := cmp.Or(runErr, errs[0]); err != nil {
+			return nil, err
+		}
+		points = append(points, point(p, n, maxPhases(phases), wall))
 	}
 	fillIdeal(points, o.Strong)
 	return points, nil

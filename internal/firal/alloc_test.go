@@ -275,7 +275,8 @@ func TestRelaxGroupIterationsZeroAlloc(t *testing.T) {
 		"AllreduceScalar": func() { buf[0] = cm.AllreduceScalar(buf[1], mpi.Max) },
 		"AllreduceMaxLoc": func() { buf[0], _, _ = cm.AllreduceMaxLoc(buf[1], 3) },
 		"Allgatherv":      func() { buf = cm.Allgatherv(buf) },
-		"Cancelled":       func() { _ = cm.Cancelled(ctx) },
+		"Cancelled":       func() { _ = cm.Cancelled(ctx, nil) },
+		"Err":             func() { _ = cm.Err() },
 		"SolverContext":   func() { ctx = cm.SolverContext(ctx) },
 	} {
 		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {

@@ -1,6 +1,7 @@
 package firal
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -20,11 +21,11 @@ import (
 // every rank count; a single rank is the Collective whose operations
 // are identities (see solo), and internal/distfiral adapts an *mpi.Comm.
 //
-// The Collective also decides how cancellation is polled. A single rank
-// checks the context directly, inside the CG solves too. Ranks must
-// leave the collective schedule at the same iteration, so a distributed
-// implementation agrees on cancellation once per iteration and hands the
-// CG solves a context they cannot abort on their own.
+// The Collective also decides how failure and cancellation are polled.
+// A single rank checks them directly, inside the CG solves too. Ranks
+// must leave the collective schedule at the same iteration, so a
+// distributed implementation agrees on them once per iteration and hands
+// the CG solves a context only a failed comm can stop.
 type Collective interface {
 	// Rank and Size place this rank in the group.
 	Rank() int
@@ -41,9 +42,14 @@ type Collective interface {
 	// Allgatherv concatenates every rank's local slice in rank order. It
 	// serves RELAX checkpoints only: ROUND replicates its eigensolves.
 	Allgatherv(local []float64) []float64
-	// Cancelled is polled at the top of every solver iteration; a non-nil
-	// error aborts the solve on every rank.
-	Cancelled(ctx context.Context) error
+	// Cancelled is polled at the top of every solver iteration with the
+	// rank's pool error (Pool.Err); a non-nil result aborts the solve on
+	// every rank, with an error wrapping hessian.ErrPoolRead if any rank's
+	// read failed.
+	Cancelled(ctx context.Context, poolErr error) error
+	// Err returns the rank's sticky comm error: the results of a
+	// collective that ran after it was set are meaningless.
+	Err() error
 	// SolverContext is the context handed to the CG solves.
 	SolverContext(ctx context.Context) context.Context
 }
@@ -60,8 +66,10 @@ func (solo) Bcast(int, []float64)                              {}
 func (solo) Allreduce([]float64)                               {}
 func (solo) AllreduceScalar(x float64, _ mpi.Op) float64       { return x }
 func (solo) Allgatherv(local []float64) []float64              { return local }
-func (solo) Cancelled(ctx context.Context) error               { return ctx.Err() }
+func (solo) Err() error                                        { return nil }
 func (solo) SolverContext(ctx context.Context) context.Context { return ctx }
+
+func (solo) Cancelled(ctx context.Context, poolErr error) error { return cmp.Or(poolErr, ctx.Err()) }
 
 func (solo) AllreduceMaxLoc(val float64, loc int) (float64, int, int) { return val, 0, loc }
 

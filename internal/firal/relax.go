@@ -195,17 +195,23 @@ const (
 // gradient's ∞-norm for a scale-free schedule. z and g are this rank's
 // slices; the ∞-norm and the normalizing sum are reduced over the group.
 //
+// A non-finite ∞-norm or normalizing sum returns an error wrapping
+// ErrNonFinite; both are replicated, so every rank returns it together.
+//
 //firal:hotpath
-func mirrorStep(cm Collective, z, g []float64, t int) {
+func mirrorStep(cm Collective, z, g []float64, t int) error {
 	gmax := 0.0
 	for _, v := range g {
-		if a := math.Abs(v); a > gmax {
+		if a := math.Abs(v); a > gmax || a != a {
 			gmax = a
 		}
 	}
 	gmax = cm.AllreduceScalar(gmax, mpi.Max)
+	if math.IsNaN(gmax) || math.IsInf(gmax, 0) {
+		return fmt.Errorf("%w: mirror step %d gradient ∞-norm %g", ErrNonFinite, t, gmax)
+	}
 	if gmax == 0 {
-		return
+		return nil
 	}
 	beta := beta0 / (gmax * math.Sqrt(float64(t)))
 	var sum float64
@@ -213,10 +219,15 @@ func mirrorStep(cm Collective, z, g []float64, t int) {
 		z[i] *= math.Exp(-beta * g[i])
 		sum += z[i]
 	}
-	inv := 1 / cm.AllreduceScalar(sum, mpi.Sum)
+	sum = cm.AllreduceScalar(sum, mpi.Sum)
+	if math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return fmt.Errorf("%w: mirror step %d normalizing sum %g", ErrNonFinite, t, sum)
+	}
+	inv := 1 / sum
 	for i := range z {
 		z[i] *= inv
 	}
+	return nil
 }
 
 // relConv reports whether the objective change between prev and cur is
@@ -377,7 +388,7 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 	resumed := len(sc.fHist)
 
 	for t := start; t <= o.MaxIter; t++ {
-		if err := cm.Cancelled(ctx); err != nil {
+		if err := cm.Cancelled(ctx, p.Pool.Err()); err != nil {
 			return nil, err
 		}
 		// Line 4: fresh Rademacher probe block V ∈ R^{dc×s}, drawn in the
@@ -450,13 +461,19 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 
 		// Lines 10–11: entropic mirror-descent update.
 		stop = ph.Start("other")
-		mirrorStep(cm, z, gr, t)
+		err = mirrorStep(cm, z, gr, t)
 		stop()
+		if err != nil {
+			return nil, err
+		}
 
 		res.Iterations = t
 		sc.fHist = append(sc.fHist, f) //firal:allow(alloc) recorded history, one float per iteration
 		if o.OnIteration != nil {
 			ck := RelaxCheckpoint{Iteration: t, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
+			if err := cm.Err(); err != nil {
+				return nil, err // never publish a gather that failed
+			}
 			o.OnIteration(&ck)
 		}
 		// f is replicated, so the windowed stop fires on every rank at once.
@@ -468,6 +485,9 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 		// Final Done checkpoint: a caller interrupted during the ROUND
 		// phase resumes with mirror descent skipped.
 		ck := RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
+		if err := cm.Err(); err != nil {
+			return nil, err
+		}
 		o.OnIteration(&ck)
 	}
 

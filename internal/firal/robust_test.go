@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/hessian"
 	"repro/internal/mat"
+	"repro/internal/mpi"
 )
 
 // TestExactGradientFiniteDifference validates the exact RELAX gradient
@@ -243,5 +244,42 @@ func TestDefaultEta(t *testing.T) {
 	want := 8 * math.Sqrt(float64(4*2)) // d=4, c−1=2 blocks
 	if math.Abs(p.DefaultEta()-want) > 1e-12 {
 		t.Fatalf("DefaultEta %g want %g", p.DefaultEta(), want)
+	}
+}
+
+// commScalars is a Collective whose scalar allreduces run over an
+// *mpi.Comm: all the mirror step needs.
+type commScalars struct {
+	solo
+	c *mpi.Comm
+}
+
+func (a commScalars) AllreduceScalar(x float64, op mpi.Op) float64 { return a.c.AllreduceScalar(x, op) }
+
+// TestMirrorStepNonFiniteGradient pins the mirror step's guard: a NaN or
+// infinite gradient entry returns ErrNonFinite instead of leaving z as
+// it was (an all-NaN gradient used to reduce to a zero ∞-norm). At two
+// ranks only rank 1 holds the bad entry, and both ranks must fail.
+func TestMirrorStepNonFiniteGradient(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+		z := []float64{0.25, 0.25, 0.25, 0.25}
+		if err := mirrorStep(solo{}, z, []float64{bad, bad, bad, bad}, 1); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("serial gradient %g: err = %v, want ErrNonFinite", bad, err)
+		}
+		errs := make([]error, 2)
+		if _, err := mpi.Run(2, func(c *mpi.Comm) {
+			g := []float64{1, -2}
+			if c.Rank() == 1 {
+				g[1] = bad
+			}
+			errs[c.Rank()] = mirrorStep(commScalars{c: c}, []float64{0.25, 0.25}, g, 1)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for r, err := range errs {
+			if !errors.Is(err, ErrNonFinite) {
+				t.Errorf("rank %d of 2, gradient %g on rank 1: err = %v, want ErrNonFinite", r, bad, err)
+			}
+		}
 	}
 }

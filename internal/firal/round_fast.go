@@ -450,7 +450,7 @@ func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState,
 	probs := pool.Probs()
 	ph := res.Timings
 	for t := 1; t <= min(b, g.Total); t++ {
-		if err := cm.Cancelled(ctx); err != nil {
+		if err := cm.Cancelled(ctx, pool.Err()); err != nil {
 			return err
 		}
 		// Line 7: local objective, then the global argmax.
@@ -475,6 +475,9 @@ func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState,
 		}
 		stop()
 		bestV, owner, best := cm.AllreduceMaxLoc(bestV, best)
+		if err := cm.Err(); err != nil {
+			return err // the winner of a failed argmax is meaningless
+		}
 		if best == nonFiniteLoc {
 			return fmt.Errorf("%w: greedy step %d, rank %d", ErrNonFinite, t, owner)
 		}
@@ -502,6 +505,11 @@ func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState,
 			return err
 		}
 		res.Nu = append(res.Nu, nu) //firal:allow(alloc) result history, one entry per selection
+	}
+	// No collective follows the last step's reads and winner broadcast
+	// inside a selection, so they get one more agreed poll.
+	if err := cm.Cancelled(ctx, pool.Err()); err != nil {
+		return err
 	}
 	stop := ph.Start("eig")
 	res.MinEigH = st.MinEig()

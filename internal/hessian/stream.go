@@ -1,7 +1,9 @@
 package hessian
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
@@ -38,12 +40,17 @@ type Pool interface {
 	BlockRows() int
 	// Block returns feature rows [lo, hi) as a matrix, drawing any header
 	// or copy scratch from ws; release it with PutBlock. Resident pools
-	// return a zero-copy view. Sources are expected to fail at open time
-	// (see dataset.PoolSource); a read failure mid-sweep panics.
+	// return a zero-copy view. A failed read yields zeros (see Err).
 	Block(ws *mat.Workspace, lo, hi int) *mat.Dense
 	// PutBlock releases a matrix obtained from Block.
 	PutBlock(ws *mat.Workspace, b *mat.Dense)
+	// Err returns the first read error, wrapping ErrPoolRead, or nil.
+	// The solvers poll it once per iteration.
+	Err() error
 }
+
+// ErrPoolRead marks a failed read of a streamed pool's rows.
+var ErrPoolRead = errors.New("hessian: pool read failed")
 
 // Set implements Pool with resident storage.
 
@@ -81,6 +88,9 @@ func (s *Set) PutBlock(ws *mat.Workspace, b *mat.Dense) {
 	}
 }
 
+// Err returns nil: a resident set cannot fail a read.
+func (s *Set) Err() error { return nil }
+
 // Stream is the block-streaming Pool: features come from a
 // dataset.PoolSource block by block while the probability rows stay
 // resident. It is how selection scales past resident pools — an mmap'd
@@ -89,13 +99,16 @@ func (s *Set) PutBlock(ws *mat.Workspace, b *mat.Dense) {
 //
 // Like Set, a Stream is read-only after construction and may be shared by
 // goroutines that each bring their own Workspace, provided the source's
-// ReadRows is concurrency-safe (all dataset sources are).
+// ReadRows is concurrency-safe (all dataset sources are); its read error
+// is set at most once.
 type Stream struct {
 	src       dataset.PoolSource
 	res       dataset.Resident    // non-nil: zero-copy fast path
 	lend      dataset.BlockLender // non-nil: prefetching zero-copy handoff
 	h         *mat.Dense
 	blockRows int
+
+	err atomic.Pointer[error] // first read error, wrapping ErrPoolRead
 }
 
 // NewStream builds a streaming pool over src with resident reduced
@@ -135,7 +148,22 @@ func (st *Stream) Probs() *mat.Dense { return st.h }
 // BlockRows returns the configured block granularity.
 func (st *Stream) BlockRows() int { return st.blockRows }
 
-// Row fetches feature row i into buf (resident sources return a view).
+// Err returns the first read error, wrapping ErrPoolRead, or nil.
+func (st *Stream) Err() error {
+	if e := st.err.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// fail records a read error of rows [lo, hi) unless one is already kept.
+func (st *Stream) fail(lo, hi int, err error) {
+	err = fmt.Errorf("%w: rows [%d, %d): %w", ErrPoolRead, lo, hi, err)
+	st.err.CompareAndSwap(nil, &err)
+}
+
+// Row fetches feature row i into buf (resident sources return a view). A
+// failed read is recorded (see Err) and yields zeros.
 func (st *Stream) Row(i int, buf []float64) []float64 {
 	if st.res != nil {
 		return st.res.ResidentRows(i, i+1)
@@ -146,7 +174,8 @@ func (st *Stream) Row(i int, buf []float64) []float64 {
 	}
 	tmp := mat.Dense{Rows: 1, Cols: d, Stride: d, Data: buf[:d]}
 	if err := st.src.ReadRows(i, i+1, &tmp); err != nil {
-		panic(fmt.Sprintf("hessian: pool source read failed: %v", err))
+		st.fail(i, i+1, err)
+		clear(buf[:d])
 	}
 	return buf[:d]
 }
@@ -155,7 +184,7 @@ func (st *Stream) Row(i int, buf []float64) []float64 {
 // borrowed prefetch buffer for lending sources (dataset.BlockLender —
 // the async read-ahead path, where the block's decode already ran under
 // the previous block's kernels), otherwise decoded into workspace
-// scratch.
+// scratch. A failed read is recorded (see Err) and yields a zero block.
 func (st *Stream) Block(ws *mat.Workspace, lo, hi int) *mat.Dense {
 	if st.res != nil {
 		return ws.View(st.res.ResidentRows(lo, hi), hi-lo, st.D())
@@ -163,13 +192,15 @@ func (st *Stream) Block(ws *mat.Workspace, lo, hi int) *mat.Dense {
 	if st.lend != nil {
 		b, err := st.lend.LendBlock(lo, hi)
 		if err != nil {
-			panic(fmt.Sprintf("hessian: pool source read failed: %v", err))
+			st.fail(lo, hi, err)
+			b = mat.NewDense(hi-lo, st.D()) // not lent: ReturnBlock ignores it
 		}
 		return b
 	}
 	b := ws.Matrix(hi-lo, st.D())
 	if err := st.src.ReadRows(lo, hi, b); err != nil {
-		panic(fmt.Sprintf("hessian: pool source read failed: %v", err))
+		st.fail(lo, hi, err)
+		b.Zero()
 	}
 	return b
 }

@@ -1,8 +1,11 @@
 package hessian
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -212,6 +215,103 @@ func TestStreamZeroAllocWarm(t *testing.T) {
 		iter() // warm the workspace and block scratch
 		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
 			t.Errorf("%s: blocked kernels allocate %.1f objects per sweep with a warm workspace", tc.name, allocs)
+		}
+	}
+}
+
+// badRows fails every read touching rows [lo, hi). It hides the
+// wrapped source's Resident fast path, so a Stream over it copies.
+type badRows struct {
+	dataset.PoolSource
+	lo, hi int
+}
+
+var errBadRows = errors.New("bad rows")
+
+func (s badRows) ReadRows(lo, hi int, dst *mat.Dense) error {
+	if lo < s.hi && hi > s.lo {
+		return errBadRows
+	}
+	return s.PoolSource.ReadRows(lo, hi, dst)
+}
+
+// TestStreamReadErrorIsSticky pins the failure model of a streamed pool
+// on the workspace and the lending (prefetch) path: a failed read serves
+// zeros instead of panicking, Err keeps the first error wrapped in
+// ErrPoolRead over the source's, the zero block goes back through
+// PutBlock, and reads of good rows keep working.
+func TestStreamReadErrorIsSticky(t *testing.T) {
+	set, _ := streamTestData(8, 40, 3, 2)
+	src := badRows{PoolSource: dataset.NewMatrixSource(set.X), lo: 10, hi: 12}
+	for name, st := range map[string]*Stream{
+		"workspace": NewStream(src, set.H, 8),
+		"lend":      NewStream(dataset.NewPrefetchSource(nil, src, 8), set.H, 8),
+	} {
+		ws := mat.NewWorkspace()
+		for round := 0; round < 2; round++ {
+			for lo := 0; lo < 40; lo += 8 {
+				b := st.Block(ws, lo, lo+8)
+				for i := 0; i < 8; i++ {
+					want := set.X.Row(lo + i)
+					if lo == 8 {
+						want = make([]float64, 3)
+					}
+					if maxAbsDiff(b.Row(i), want) != 0 {
+						t.Fatalf("%s: row %d = %v, want %v", name, lo+i, b.Row(i), want)
+					}
+				}
+				st.PutBlock(ws, b)
+			}
+		}
+		if row := st.Row(11, make([]float64, 3)); maxAbsDiff(row, make([]float64, 3)) != 0 {
+			t.Fatalf("%s: failed row read gave %v, want zeros", name, row)
+		}
+		err := st.Err()
+		if !errors.Is(err, ErrPoolRead) || !errors.Is(err, errBadRows) {
+			t.Fatalf("%s: Err() = %v, want ErrPoolRead over the source error", name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "rows [8, 16)") {
+			t.Fatalf("%s: Err() = %q does not name the first failed window", name, msg)
+		}
+	}
+	if set.Err() != nil {
+		t.Fatal("a resident set reported a read error")
+	}
+}
+
+// TestStreamReadErrorConcurrent shares one failing Stream between four
+// sweepers, on both paths: each sees zeros for the rows that failed and
+// good rows elsewhere, and Err keeps one wrapped failure. It is the
+// -race check of the sticky error.
+func TestStreamReadErrorConcurrent(t *testing.T) {
+	set, _ := streamTestData(9, 64, 3, 2)
+	src := badRows{PoolSource: dataset.NewMatrixSource(set.X), lo: 20, hi: 22}
+	for name, st := range map[string]*Stream{
+		"workspace": NewStream(src, set.H, 8),
+		"lend":      NewStream(dataset.NewPrefetchSource(nil, src, 8), set.H, 8),
+	} {
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ws := mat.NewWorkspace()
+				for lo := 0; lo < 64; lo += 8 {
+					b := st.Block(ws, lo, lo+8)
+					want := set.X.At(lo+4, 0)
+					if lo == 16 {
+						want = 0
+					}
+					if got := b.At(4, 0); got != want {
+						t.Errorf("%s: row %d col 0 = %g, want %g", name, lo+4, got, want)
+					}
+					st.PutBlock(ws, b)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := st.Err(); !errors.Is(err, ErrPoolRead) || !errors.Is(err, errBadRows) {
+			t.Fatalf("%s: Err() = %v, want ErrPoolRead over the source error", name, err)
 		}
 	}
 }

@@ -40,8 +40,9 @@ type BlockOp func(dst, v *mat.Dense)
 // iterating, and the operator keeps being applied to the full block (the
 // masked columns' stale directions are computed but ignored — with a
 // streamed pool the decode dominates, and it is already shared). On cancellation the still-active columns
-// report ctx.Err() with x holding their best iterates; columns that
-// already converged keep their results.
+// report context.Cause(ctx) — ctx.Err() unless the canceller named a
+// cause — with x holding their best iterates; columns that already
+// converged keep their results.
 //
 //firal:hotpath
 func SolveBlockInto(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.Dense, results []Result, opt Options) []Result {
@@ -142,7 +143,8 @@ func SolveBlockInto(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.D
 	}
 
 	for it := 0; it < maxIter && nActive > 0; it++ {
-		if err := ctx.Err(); err != nil {
+		if ctx.Err() != nil {
+			err := context.Cause(ctx)
 			for j := 0; j < s; j++ {
 				if act[j] == 0 {
 					continue

@@ -18,7 +18,7 @@
 // Solves are cancellable: SolveBlockInto takes a context.Context and
 // checks it once per iteration, so a deadline or cancellation aborts a
 // long solve between operator applications (the columns still active
-// report ctx.Err() and keep their best iterates in x).
+// report context.Cause(ctx) and keep their best iterates in x).
 package krylov
 
 import "repro/internal/mat"

@@ -43,9 +43,9 @@ func agreeTag(epoch, round int) int {
 // rank order), plus the dead ranks in this Comm's numbering. The caller
 // must have an operation timeout set — without deadlines a lost rank
 // blocks forever and there is nothing to heal from. The returned Comm
-// inherits the timeout and traffic counters; its collective
-// sequence restarts under a fresh epoch, so stale messages from the
-// abandoned schedule are never matched again.
+// inherits the timeout and traffic counters but not the sticky error;
+// its collective sequence restarts under a fresh epoch, so stale
+// messages from the abandoned schedule are never matched again.
 //
 // All survivors must call Heal (they will: once a rank is lost, every
 // survivor's collective schedule eventually times out) and must then

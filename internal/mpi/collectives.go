@@ -10,6 +10,8 @@ const (
 	Min
 )
 
+// reduce folds src into dst. Max and Min propagate NaN (v != v) like Sum,
+// so every rank ends with the same value at every rank count.
 func (op Op) reduce(dst, src []float64) {
 	switch op {
 	case Sum:
@@ -18,13 +20,13 @@ func (op Op) reduce(dst, src []float64) {
 		}
 	case Max:
 		for i, v := range src {
-			if v > dst[i] {
+			if v > dst[i] || v != v {
 				dst[i] = v
 			}
 		}
 	case Min:
 		for i, v := range src {
-			if v < dst[i] {
+			if v < dst[i] || v != v {
 				dst[i] = v
 			}
 		}

@@ -14,14 +14,22 @@ const faultOpTimeout = 100 * time.Millisecond
 
 // runSchedule is a fixed SPMD collective schedule that every rank runs
 // until it completes or a rank is lost.
-func runSchedule(c *mpi.Comm, iters int) (err error) {
-	defer mpi.RecoverLost(&err)
-	for i := 0; i < iters; i++ {
+func runSchedule(c *mpi.Comm, iters int) error {
+	for i := 0; i < iters && c.Err() == nil; i++ {
 		data := []float64{float64(c.Rank()), 1}
 		c.Allreduce(data, mpi.Sum)
 		c.Bcast(i%c.Size(), data)
 	}
-	return nil
+	return c.Err()
+}
+
+// runTransports is mpi.RunTransports failing the test when a rank
+// panicked.
+func runTransports(t *testing.T, ts []mpi.Transport, fn func(c *mpi.Comm)) {
+	t.Helper()
+	if _, err := mpi.RunTransports(ts, fn); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestHealAfterKill kills one rank mid-schedule and checks that every
@@ -32,7 +40,7 @@ func TestHealAfterKill(t *testing.T) {
 	plan := &mpitest.FaultPlan{Victim: victim, Kind: mpitest.FaultKill, AfterCollectives: 3}
 	var mu sync.Mutex
 	deadSets := make(map[int][]int)
-	mpi.RunTransports(plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
+	runTransports(t, plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
 		c.SetOpTimeout(faultOpTimeout)
 		err := runSchedule(c, 10)
 		if c.Rank() == victim {
@@ -81,7 +89,7 @@ func TestHealAfterKill(t *testing.T) {
 func TestPartitionSplitBrain(t *testing.T) {
 	const p, victim = 3, 1
 	plan := &mpitest.FaultPlan{Victim: victim, Kind: mpitest.FaultPartition, AfterCollectives: 2}
-	mpi.RunTransports(plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
+	runTransports(t, plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
 		c.SetOpTimeout(faultOpTimeout)
 		err := runSchedule(c, 10)
 		if !errors.Is(err, mpi.ErrRankLost) {
@@ -112,7 +120,7 @@ func TestPartitionSplitBrain(t *testing.T) {
 func TestDelayBelowTimeoutIsHarmless(t *testing.T) {
 	const p = 3
 	plan := &mpitest.FaultPlan{Victim: 1, Kind: mpitest.FaultDelay, AfterCollectives: 1, Delay: 10 * time.Millisecond}
-	mpi.RunTransports(plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
+	runTransports(t, plan.Wrap(mpi.NewLocalWorld(p)), func(c *mpi.Comm) {
 		c.SetOpTimeout(time.Second)
 		if err := runSchedule(c, 4); err != nil {
 			t.Errorf("rank %d: delayed schedule failed: %v", c.Rank(), err)
@@ -123,30 +131,31 @@ func TestDelayBelowTimeoutIsHarmless(t *testing.T) {
 // TestHealRequiresTimeout pins the guard: healing without deadlines is
 // meaningless and must be refused, not deadlock.
 func TestHealRequiresTimeout(t *testing.T) {
-	mpi.RunTransports(mpi.NewLocalWorld(2), func(c *mpi.Comm) {
+	runTransports(t, mpi.NewLocalWorld(2), func(c *mpi.Comm) {
 		if _, _, err := c.Heal(); err == nil {
 			t.Errorf("rank %d: Heal without SetOpTimeout should fail", c.Rank())
 		}
 	})
 }
 
-// TestSendRecvErrorsWrapContext pins the satellite fix: point-to-point
-// failures must wrap rank and tag with %w so errors.Is sees ErrRankLost
-// through the context.
+// TestSendRecvErrorsWrapContext pins that a collective's transport
+// failure is kept with the rank and tag wrapped by %w, so errors.Is sees
+// ErrRankLost through the context.
 func TestSendRecvErrorsWrapContext(t *testing.T) {
 	// Rank 0 exits immediately without sending: rank 1's deadline is the
 	// failure detector.
-	mpi.RunTransports(mpi.NewLocalWorld(2), func(c *mpi.Comm) {
+	runTransports(t, mpi.NewLocalWorld(2), func(c *mpi.Comm) {
 		if c.Rank() != 1 {
 			return
 		}
 		c.SetOpTimeout(50 * time.Millisecond)
-		_, err := c.Recv(0, 42)
+		c.Bcast(0, make([]float64, 1))
+		err := c.Err()
 		if !errors.Is(err, mpi.ErrRankLost) {
 			t.Errorf("recv error %v does not wrap ErrRankLost", err)
 		}
 		var lost *mpi.LostError
-		if !errors.As(err, &lost) || lost.Rank != 0 || lost.Tag != 42 {
+		if !errors.As(err, &lost) || lost.Rank != 0 || lost.Tag >= 0 {
 			t.Errorf("recv error %v does not carry rank/tag context", err)
 		}
 	})

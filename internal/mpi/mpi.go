@@ -21,6 +21,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -28,15 +29,16 @@ import (
 
 // Comm is one rank's handle on the communicator, layering the collective
 // schedule (SPMD tag sequencing, traffic counters and optional operation
-// deadlines) over a Transport. A Comm is confined to its rank's goroutine
-// and is not safe for concurrent use; concurrent point-to-point traffic
-// belongs on the Transport directly.
+// deadlines) over a Transport; its failures surface as the sticky error
+// of Err. A Comm is confined to its rank's goroutine and is not safe for
+// concurrent use; point-to-point traffic belongs on the Transport.
 type Comm struct {
 	t         Transport
 	collSeq   int // per-rank collective sequence number (SPMD ordering)
 	epoch     int // incremented by Heal; scopes agreement tags
 	opTimeout time.Duration
 	stats     Stats
+	err       error // first transport error; see Err
 }
 
 // NewComm wraps a Transport endpoint in a communicator. All ranks of a
@@ -84,22 +86,25 @@ func (c *Comm) deadline() time.Time {
 }
 
 // Run executes fn on p in-process ranks, one goroutine per rank, and
-// blocks until all complete. Panics inside a rank are re-raised in the
-// caller annotated with the rank. It returns the per-rank stats.
-func Run(p int, fn func(c *Comm)) []Stats {
+// blocks until all complete. It returns the per-rank stats and, if a
+// rank panicked, an error naming that rank (see RunTransports).
+func Run(p int, fn func(c *Comm)) ([]Stats, error) {
 	return RunTransports(NewLocalWorld(p), fn)
 }
 
 // RunTransports is Run over caller-supplied endpoints (one per rank, in
 // rank order): the seam the conformance and fault-injection suites use
-// to drive the same SPMD body over any Transport implementation.
-func RunTransports(ts []Transport, fn func(c *Comm)) []Stats {
+// to drive the same SPMD body over any Transport implementation. A rank
+// that panics, or returns while its Comm holds an error, has its
+// transport closed, so peers waiting on it fail with ErrRankLost instead
+// of blocking for ever.
+func RunTransports(ts []Transport, fn func(c *Comm)) ([]Stats, error) {
 	p := len(ts)
 	if p == 0 {
 		panic("mpi: non-positive rank count")
 	}
 	comms := make([]*Comm, p)
-	errs := make([]any, p)
+	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		comms[r] = NewComm(ts[r])
@@ -108,96 +113,49 @@ func RunTransports(ts []Transport, fn func(c *Comm)) []Stats {
 			defer wg.Done()
 			defer func() {
 				if e := recover(); e != nil {
-					errs[r] = e
+					errs[r] = fmt.Errorf("mpi: rank %d panicked: %v", r, e)
+				}
+				if errs[r] != nil || comms[r].err != nil {
+					ts[r].Close()
 				}
 			}()
 			fn(comms[r])
 		}(r)
 	}
 	wg.Wait()
-	for r, e := range errs {
-		if e != nil {
-			panic(fmt.Sprintf("mpi: rank %d panicked: %v", r, e))
-		}
-	}
 	stats := make([]Stats, p)
 	for r := range stats {
 		stats[r] = comms[r].stats
 	}
-	return stats
+	return stats, errors.Join(errs...)
 }
 
-// Send transmits a copy of data to rank dst with the given tag
-// (user tags must be non-negative; negative tags are reserved for
-// collectives). A failure wraps the destination rank and tag and
-// satisfies errors.Is(err, ErrRankLost) when the peer is gone.
-func (c *Comm) Send(dst, tag int, data []float64) error {
-	c.countSend(data)
-	if err := c.t.Send(dst, tag, data, c.deadline()); err != nil {
-		return fmt.Errorf("mpi: rank %d send to rank %d tag %d: %w", c.Rank(), dst, tag, err)
+// Err returns the first transport error of the Comm's collectives, or
+// nil; errors.Is(err, ErrRankLost) holds when a peer is gone. Once it is
+// set, every collective returns at once without touching the wire.
+func (c *Comm) Err() error { return c.err }
+
+// send is the collectives' send. The first failure is kept in c.err.
+func (c *Comm) send(dst, tag int, data []float64) {
+	if c.err != nil {
+		return
 	}
-	return nil
-}
-
-// Recv blocks until a message with the given tag arrives from src and
-// returns its payload. A failure wraps the source rank and tag and
-// satisfies errors.Is(err, ErrRankLost) when the peer is gone.
-func (c *Comm) Recv(src, tag int) ([]float64, error) {
-	data, err := c.t.Recv(src, tag, c.deadline())
-	if err != nil {
-		return nil, fmt.Errorf("mpi: rank %d recv from rank %d tag %d: %w", c.Rank(), src, tag, err)
-	}
-	return data, nil
-}
-
-func (c *Comm) countSend(data []float64) {
 	c.stats.SentMessages++
 	c.stats.SentBytes += int64(8 * len(data))
-}
-
-// collFailure carries a collective's transport error up through the
-// collective call stack as a panic: the collectives are used inside
-// krylov.BlockOp closures with no error return, so the failure unwinds
-// to the nearest RecoverLost instead of threading through every
-// signature.
-type collFailure struct{ err error }
-
-// RecoverLost converts a collective transport failure into an error
-// return. Use it as the first deferred call of any function whose body
-// runs collectives that may lose a rank:
-//
-//	func f(...) (err error) {
-//		defer mpi.RecoverLost(&err)
-//		...collectives...
-//	}
-//
-// Panics that are not collective failures are re-raised unchanged.
-func RecoverLost(errp *error) {
-	e := recover()
-	if e == nil {
-		return
-	}
-	if cf, ok := e.(collFailure); ok {
-		*errp = cf.err
-		return
-	}
-	panic(e)
-}
-
-// send is the collective-internal send: it panics with a collFailure on
-// transport error (unwound by RecoverLost).
-func (c *Comm) send(dst, tag int, data []float64) {
-	c.countSend(data)
 	if err := c.t.Send(dst, tag, data, c.deadline()); err != nil {
-		panic(collFailure{fmt.Errorf("mpi: rank %d collective send to rank %d tag %d: %w", c.Rank(), dst, tag, err)})
+		c.err = fmt.Errorf("mpi: rank %d collective send to rank %d tag %d: %w", c.Rank(), dst, tag, err)
 	}
 }
 
-// recv is the collective-internal receive, panicking like send.
+// recv is the collectives' receive. After a failure it yields nil,
+// which every collective treats as an empty copy or reduce.
 func (c *Comm) recv(src, tag int) []float64 {
+	if c.err != nil {
+		return nil
+	}
 	data, err := c.t.Recv(src, tag, c.deadline())
 	if err != nil {
-		panic(collFailure{fmt.Errorf("mpi: rank %d collective recv from rank %d tag %d: %w", c.Rank(), src, tag, err)})
+		c.err = fmt.Errorf("mpi: rank %d collective recv from rank %d tag %d: %w", c.Rank(), src, tag, err)
 	}
 	return data
 }
@@ -210,7 +168,9 @@ func (c *Comm) recv(src, tag int) []float64 {
 // far ahead the failed schedule had run.
 func (c *Comm) nextCollTag() int {
 	c.collSeq++
-	c.stats.Collectives++
+	if c.err == nil {
+		c.stats.Collectives++
+	}
 	return -(c.epoch<<collTagEpochShift + c.collSeq)
 }
 

@@ -1,24 +1,39 @@
 package mpi
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // ranksToTest includes the paper's GPU counts (1, 2, 3, 6, 12) plus other
 // awkward values.
 var ranksToTest = []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 13}
 
+// run is Run failing the test when a rank panicked.
+func run(t testing.TB, p int, fn func(c *Comm)) []Stats {
+	t.Helper()
+	stats, err := Run(p, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
 func TestSendRecv(t *testing.T) {
-	Run(2, func(c *Comm) {
+	run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 7, []float64{1, 2, 3}); err != nil {
+			if err := c.Transport().Send(1, 7, []float64{1, 2, 3}, time.Time{}); err != nil {
 				t.Errorf("send: %v", err)
 			}
 		} else {
-			got, err := c.Recv(0, 7)
+			got, err := c.Transport().Recv(0, 7, time.Time{})
 			if err != nil {
 				t.Errorf("recv: %v", err)
 				return
@@ -31,17 +46,17 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestSendCopiesData(t *testing.T) {
-	Run(2, func(c *Comm) {
+	run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := []float64{1}
-			if err := c.Send(1, 0, buf); err != nil {
+			if err := c.Transport().Send(1, 0, buf, time.Time{}); err != nil {
 				t.Errorf("send: %v", err)
 			}
 			buf[0] = 99 // must not affect receiver
 			c.Barrier()
 		} else {
 			c.Barrier()
-			got, err := c.Recv(0, 0)
+			got, err := c.Transport().Recv(0, 0, time.Time{})
 			if err != nil {
 				t.Errorf("recv: %v", err)
 				return
@@ -54,17 +69,17 @@ func TestSendCopiesData(t *testing.T) {
 }
 
 func TestRecvOutOfOrderTags(t *testing.T) {
-	Run(2, func(c *Comm) {
+	run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
 			for tag, v := range map[int]float64{1: 1, 2: 2} {
-				if err := c.Send(1, tag, []float64{v}); err != nil {
+				if err := c.Transport().Send(1, tag, []float64{v}, time.Time{}); err != nil {
 					t.Errorf("send tag %d: %v", tag, err)
 				}
 			}
 		} else {
 			// Receive in reverse tag order.
 			for _, tag := range []int{2, 1} {
-				got, err := c.Recv(0, tag)
+				got, err := c.Transport().Recv(0, tag, time.Time{})
 				if err != nil {
 					t.Errorf("recv tag %d: %v", tag, err)
 					return
@@ -81,7 +96,7 @@ func TestBarrier(t *testing.T) {
 	for _, p := range ranksToTest {
 		var mu sync.Mutex
 		phase := make([]int, p)
-		Run(p, func(c *Comm) {
+		run(t, p, func(c *Comm) {
 			mu.Lock()
 			phase[c.Rank()] = 1
 			mu.Unlock()
@@ -100,7 +115,7 @@ func TestBarrier(t *testing.T) {
 func TestBcastAllRootsAllSizes(t *testing.T) {
 	for _, p := range ranksToTest {
 		for root := 0; root < p; root++ {
-			Run(p, func(c *Comm) {
+			run(t, p, func(c *Comm) {
 				data := make([]float64, 5)
 				if c.Rank() == root {
 					for i := range data {
@@ -122,7 +137,7 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 func TestAllreduceSum(t *testing.T) {
 	for _, p := range ranksToTest {
 		for _, n := range []int{1, 2, 3, 7, 64, 101} {
-			Run(p, func(c *Comm) {
+			run(t, p, func(c *Comm) {
 				data := make([]float64, n)
 				for i := range data {
 					data[i] = float64(c.Rank()*n + i)
@@ -142,7 +157,7 @@ func TestAllreduceSum(t *testing.T) {
 
 func TestAllreduceMaxMin(t *testing.T) {
 	for _, p := range ranksToTest {
-		Run(p, func(c *Comm) {
+		run(t, p, func(c *Comm) {
 			v := []float64{float64(c.Rank()), -float64(c.Rank())}
 			c.Allreduce(v, Max)
 			if v[0] != float64(p-1) || v[1] != 0 {
@@ -159,7 +174,7 @@ func TestAllreduceMaxMin(t *testing.T) {
 
 func TestAllgather(t *testing.T) {
 	for _, p := range ranksToTest {
-		Run(p, func(c *Comm) {
+		run(t, p, func(c *Comm) {
 			local := []float64{float64(c.Rank()), float64(c.Rank() * 10)}
 			out := c.Allgather(local)
 			if len(out) != 2*p {
@@ -178,7 +193,7 @@ func TestAllgather(t *testing.T) {
 
 func TestAllgatherv(t *testing.T) {
 	for _, p := range ranksToTest {
-		Run(p, func(c *Comm) {
+		run(t, p, func(c *Comm) {
 			// Rank r contributes r+1 elements, each equal to r.
 			local := make([]float64, c.Rank()+1)
 			for i := range local {
@@ -210,7 +225,7 @@ func TestAllgatherv(t *testing.T) {
 
 func TestAllreduceMaxLoc(t *testing.T) {
 	for _, p := range ranksToTest {
-		Run(p, func(c *Comm) {
+		run(t, p, func(c *Comm) {
 			// Rank r proposes value (r % 3) with loc 100+r: the winner is
 			// the smallest rank with value 2 (or value p-1 patterns for
 			// small p).
@@ -250,7 +265,7 @@ func TestAllreduceRandomProperty(t *testing.T) {
 		}
 		okAll := true
 		var mu sync.Mutex
-		Run(p, func(c *Comm) {
+		run(t, p, func(c *Comm) {
 			data := append([]float64(nil), inputs[c.Rank()]...)
 			c.Allreduce(data, Sum)
 			for i := range data {
@@ -271,7 +286,7 @@ func TestAllreduceRandomProperty(t *testing.T) {
 
 func TestMixedCollectiveSequence(t *testing.T) {
 	// Interleave different collectives to exercise tag sequencing.
-	Run(6, func(c *Comm) {
+	run(t, 6, func(c *Comm) {
 		a := []float64{1}
 		c.Allreduce(a, Sum)
 		if a[0] != 6 {
@@ -320,7 +335,7 @@ func TestPartition(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	stats := Run(4, func(c *Comm) {
+	stats := run(t, 4, func(c *Comm) {
 		data := make([]float64, 16)
 		c.Allreduce(data, Sum)
 	})
@@ -334,15 +349,109 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestRunPanicsPropagate pins that a rank's panic comes back from Run as
+// an error naming the rank, and that the peers it leaves waiting inside a
+// collective fail instead of blocking for ever: p = 2 runs recursive
+// doubling, p = 3 the ring, where rank 0 waits on rank 2, which is alive
+// but stuck behind the dead rank 1.
 func TestRunPanicsPropagate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic to propagate from rank")
+	for _, p := range []int{2, 3} {
+		before := runtime.NumGoroutine()
+		peerErrs := make([]error, p)
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(p, func(c *Comm) {
+				if c.Rank() == 1 {
+					panic("boom")
+				}
+				c.Allreduce([]float64{1, 2, 3}, Sum)
+				peerErrs[c.Rank()] = c.Err()
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "rank 1 panicked: boom") {
+				t.Fatalf("p=%d: Run error %v, want rank 1's panic", p, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("p=%d: Run still blocked after 5 s", p)
 		}
-	}()
-	Run(2, func(c *Comm) {
-		if c.Rank() == 1 {
-			panic("boom")
+		for r, err := range peerErrs {
+			if r != 1 && !errors.Is(err, ErrRankLost) {
+				t.Errorf("p=%d rank %d: comm error %v, want ErrRankLost", p, r, err)
+			}
 		}
-	})
+		waitGoroutines(t, before)
+	}
+}
+
+// waitGoroutines fails the test if the goroutine count does not settle
+// back to before.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStickyCommError pins the sticky error: after one failed collective
+// every later one returns at once without traffic, and Err keeps the
+// first error.
+func TestStickyCommError(t *testing.T) {
+	ts := NewLocalWorld(2)
+	ts[1].Close()
+	c := NewComm(ts[0])
+	c.Allreduce([]float64{1}, Sum)
+	first := c.Err()
+	if !errors.Is(first, ErrRankLost) {
+		t.Fatalf("first error %v, want ErrRankLost", first)
+	}
+	stats := c.Stats()
+	buf := []float64{7}
+	c.Bcast(1, buf)
+	c.Allreduce(buf, Max)
+	c.Barrier()
+	c.Allgatherv(buf)
+	if _, _, loc := c.AllreduceMaxLoc(1, 3); loc != 3 {
+		t.Errorf("maxloc after failure: loc %d, want the local 3", loc)
+	}
+	if buf[0] != 7 {
+		t.Errorf("collectives after failure changed the buffer to %v", buf)
+	}
+	if c.Stats() != stats {
+		t.Errorf("stats moved after failure: %+v → %+v", stats, c.Stats())
+	}
+	if c.Err() != first {
+		t.Errorf("Err changed from %v to %v", first, c.Err())
+	}
+}
+
+// TestAllreduceNaN pins that Max and Min propagate a NaN from any rank
+// to every rank at every rank count, instead of splitting the replicas
+// or dropping it.
+func TestAllreduceNaN(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4} {
+		for _, op := range []Op{Max, Min} {
+			for nanRank := 0; nanRank < p; nanRank++ {
+				got := make([]float64, p)
+				run(t, p, func(c *Comm) {
+					v := 5.0
+					if c.Rank() == nanRank {
+						v = math.NaN()
+					}
+					got[c.Rank()] = c.AllreduceScalar(v, op)
+				})
+				for r, v := range got {
+					if !math.IsNaN(v) {
+						t.Errorf("p=%d op=%d NaN on rank %d: rank %d got %g", p, op, nanRank, r, v)
+					}
+				}
+			}
+		}
+	}
 }

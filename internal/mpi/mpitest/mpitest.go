@@ -32,6 +32,14 @@ type Factory func(t testing.TB, p int) []mpi.Transport
 // GPU counts plus the awkward in-between values.
 var Sizes = []int{1, 2, 3, 4, 6, 12}
 
+// run is mpi.RunTransports failing the test when a rank panicked.
+func run(t testing.TB, ts []mpi.Transport, fn func(c *mpi.Comm)) {
+	t.Helper()
+	if _, err := mpi.RunTransports(ts, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // RunConformance runs the full collectives matrix against the factory's
 // transport. Every subtest builds a fresh group, so factories may be
 // stateful per call.
@@ -49,7 +57,7 @@ func RunConformance(t *testing.T, f Factory) {
 func conformBcast(t *testing.T, f Factory) {
 	for _, p := range Sizes {
 		for root := 0; root < p; root++ {
-			mpi.RunTransports(f(t, p), func(c *mpi.Comm) {
+			run(t, f(t, p), func(c *mpi.Comm) {
 				data := make([]float64, 5)
 				if c.Rank() == root {
 					for i := range data {
@@ -71,7 +79,7 @@ func conformBcast(t *testing.T, f Factory) {
 func conformAllreduce(t *testing.T, f Factory) {
 	for _, p := range Sizes {
 		for _, n := range []int{1, 3, 64, 101} {
-			mpi.RunTransports(f(t, p), func(c *mpi.Comm) {
+			run(t, f(t, p), func(c *mpi.Comm) {
 				data := make([]float64, n)
 				for i := range data {
 					data[i] = float64(c.Rank()*n + i)
@@ -101,7 +109,7 @@ func conformAllreduce(t *testing.T, f Factory) {
 
 func conformRagged(t *testing.T, f Factory) {
 	for _, p := range Sizes {
-		mpi.RunTransports(f(t, p), func(c *mpi.Comm) {
+		run(t, f(t, p), func(c *mpi.Comm) {
 			// Rank r contributes r+1 elements (including a rank with the
 			// minimum payload), each equal to r.
 			local := make([]float64, c.Rank()+1)
@@ -133,7 +141,7 @@ func conformRagged(t *testing.T, f Factory) {
 
 func conformMaxLoc(t *testing.T, f Factory) {
 	for _, p := range Sizes {
-		mpi.RunTransports(f(t, p), func(c *mpi.Comm) {
+		run(t, f(t, p), func(c *mpi.Comm) {
 			val := float64(c.Rank() % 3)
 			v, r, loc := c.AllreduceMaxLoc(val, 100+c.Rank())
 			wantRank, wantVal := 0, 0.0
@@ -153,7 +161,7 @@ func conformBarrier(t *testing.T, f Factory) {
 	for _, p := range Sizes {
 		var mu sync.Mutex
 		arrived := make([]bool, p)
-		mpi.RunTransports(f(t, p), func(c *mpi.Comm) {
+		run(t, f(t, p), func(c *mpi.Comm) {
 			mu.Lock()
 			arrived[c.Rank()] = true
 			mu.Unlock()
@@ -221,17 +229,17 @@ func conformConcurrentTags(t *testing.T, f Factory) {
 // sender mutating its buffer right after Send must not corrupt what the
 // receiver sees, on any transport.
 func conformAliasing(t *testing.T, f Factory) {
-	mpi.RunTransports(f(t, 2), func(c *mpi.Comm) {
+	run(t, f(t, 2), func(c *mpi.Comm) {
 		if c.Rank() == 0 {
 			buf := []float64{1, 2, 3}
-			if err := c.Send(1, 5, buf); err != nil {
+			if err := c.Transport().Send(1, 5, buf, noDeadline()); err != nil {
 				t.Errorf("send: %v", err)
 			}
 			buf[0], buf[1], buf[2] = 99, 98, 97 // must not reach rank 1
 			c.Barrier()
 		} else {
 			c.Barrier()
-			got, err := c.Recv(0, 5)
+			got, err := c.Transport().Recv(0, 5, noDeadline())
 			if err != nil {
 				t.Errorf("recv: %v", err)
 				return
@@ -244,7 +252,7 @@ func conformAliasing(t *testing.T, f Factory) {
 }
 
 func conformMixed(t *testing.T, f Factory) {
-	mpi.RunTransports(f(t, 6), func(c *mpi.Comm) {
+	run(t, f(t, 6), func(c *mpi.Comm) {
 		a := []float64{1}
 		c.Allreduce(a, mpi.Sum)
 		if a[0] != 6 {

@@ -9,9 +9,9 @@ import (
 
 // ErrRankLost is the sentinel for a peer that stopped responding: a
 // point-to-point deadline expired or the peer's connection failed.
-// Collective wrappers surface it through RecoverLost; callers must test
-// with errors.Is and may then run Comm.Heal to agree on the dead set and
-// continue on the survivors.
+// A Comm keeps the first one as its sticky error (Comm.Err); callers must
+// test with errors.Is and may then run Comm.Heal to agree on the dead set
+// and continue on the survivors.
 var ErrRankLost = errors.New("mpi: rank lost")
 
 // LostError reports which rank was given up on and during which

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/baselines"
@@ -29,6 +30,8 @@ const roundSeedStride = 7919
 // outcome. Cancellation (session delete, server shutdown) marks the round
 // interrupted — its checkpoint stays on disk and the next server startup
 // resumes it; any other failure marks it failed and clears the checkpoint.
+// A panic here is a programming error; the last-resort recover fails the
+// round with it, instead of the daemon, and logs the stack.
 func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *Session, rm *RoundMeta, ticket *Ticket) {
 	defer s.wg.Done()
 	defer sess.roundWG.Done()
@@ -46,6 +49,13 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 		}
 		sess.mu.Unlock()
 	}
+	defer func() {
+		if e := recover(); e != nil {
+			s.cfg.Logf("session %s: round %d panicked: %v\n%s", sess.meta.ID, rm.Round, e, debug.Stack())
+			os.Remove(checkpointPath(sess.dir))
+			finish(RoundFailed, fmt.Sprintf("panic: %v", e))
+		}
+	}()
 
 	if err := ticket.Wait(ctx); err != nil {
 		finish(RoundInterrupted, "")
