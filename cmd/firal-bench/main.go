@@ -132,6 +132,34 @@ func main() {
 	blocked.Extra = map[string]float64{"speedup_vs_naive": naive.NsPerOp / blocked.NsPerOp}
 	rep.Results = append(rep.Results, blocked, naive)
 
+	// --- The symmetric eigensolver at ROUND's per-class shape: the full
+	// eigendecomposition of M_k and the values-only solve of (H̃)_k, both
+	// d=64 with a warm workspace and caller-owned outputs. ---
+	const ed = 64
+	ea := mat.NewDense(ed, ed)
+	rng.Normal(ea.Data, 0, 1)
+	ea.Symmetrize()
+	ews := mat.NewWorkspace()
+	evals, evecs := make([]float64, ed), mat.NewDense(ed, ed)
+	rep.Results = append(rep.Results, run("symeig_d64", func(b *testing.B) {
+		mat.SymEigInto(ews, evals, evecs, ea) // warm the workspace
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := mat.SymEigInto(ews, evals, evecs, ea); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	rep.Results = append(rep.Results, run("symeigvals_d64", func(b *testing.B) {
+		mat.SymEigvalsInto(ews, evals, ea) // warm the workspace
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := mat.SymEigvalsInto(ews, evals, ea); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+
 	// --- Lemma-2 Hessian matvec on one vector (s=1) with a warm
 	// workspace. ---
 	labeled, pool := experiments.SynthSets(20, 2000, 64, 10, 2)

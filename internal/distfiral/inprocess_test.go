@@ -265,3 +265,47 @@ func TestSelectInProcessShardTruncated(t *testing.T) {
 		}
 	}
 }
+
+// TestReadFailureInLastRelaxIterationPublishesNothing fails the reads of
+// rank 1's row window half-way through the last RELAX iteration. That
+// iteration's weights then come from zero-filled rows, so neither its
+// checkpoint nor the Done checkpoint (firald's warm start) may be
+// published: the poll before each publish must fail the round with
+// ErrPoolRead first.
+func TestReadFailureInLastRelaxIterationPublishesNothing(t *testing.T) {
+	labeled, pool := testSets(45, 20, 150, 6, 3)
+	shard := twoFileShard(t, pool.X, 61)
+	const iters = 3
+	for _, ranks := range []int{1, 2} {
+		lo, hi := mpi.Partition(pool.X.Rows, max(ranks, 2), 1)
+		clean := &failingSource{PoolSource: shard, lo: lo, hi: hi, after: math.MaxInt64}
+		var at []int64 // reads done when checkpoint Iteration 1, 2, … was published
+		o := firal.Options{Relax: firal.RelaxOptions{FixedIterations: iters, Seed: 9, Probes: 4,
+			OnIteration: func(ck *firal.RelaxCheckpoint) {
+				if !ck.Done {
+					at = append(at, clean.n.Load())
+				}
+			}}}
+		if _, err := SelectInProcess(context.Background(), ranks, labeled, clean, pool.H, 16, 5, o); err != nil {
+			t.Fatal(err)
+		}
+		if len(at) != iters || at[iters-1]-at[iters-2] < 2 {
+			t.Fatalf("p=%d: clean run published after reads %v", ranks, at)
+		}
+		src := &failingSource{PoolSource: shard, lo: lo, hi: hi, after: (at[iters-2] + at[iters-1]) / 2}
+		var published []firal.RelaxCheckpoint
+		o.Relax.OnIteration = func(ck *firal.RelaxCheckpoint) { published = append(published, *ck) }
+		_, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 16, 5, o)
+		if !errors.Is(err, hessian.ErrPoolRead) || !errors.Is(err, errInjected) {
+			t.Fatalf("p=%d: got %v, want a pool read error over the injected one", ranks, err)
+		}
+		for _, ck := range published {
+			if ck.Done || ck.Iteration >= iters {
+				t.Fatalf("p=%d: published checkpoint iteration %d (Done %v) after the read failure", ranks, ck.Iteration, ck.Done)
+			}
+		}
+		if len(published) != iters-1 {
+			t.Fatalf("p=%d: published %d checkpoints, want the %d before the failure", ranks, len(published), iters-1)
+		}
+	}
+}

@@ -59,10 +59,11 @@ func NewProblem(labeled *hessian.Set, pool hessian.Pool) *Problem {
 // solvers cannot recover from is NaN or infinite: a diagonal block of Σz
 // (from a NaN feature or probability in the pool or the labeled set), or
 // an unselected point's ROUND score (for example from a NaN eigenvalue of
-// the FTRL state). RELAX and ROUND stop there instead of failing inside a
-// factorization or skipping the point and returning fewer than b
-// selections.
-var ErrNonFinite = errors.New("firal: non-finite Σz block or ROUND score")
+// the FTRL state), or an eigenvalue that enters ROUND's ν solve. RELAX
+// and ROUND stop there instead of failing inside a factorization,
+// skipping the point and returning fewer than b selections, or
+// returning a ν that only looks plausible.
+var ErrNonFinite = errors.New("firal: non-finite Σz block, ROUND score or ν eigenvalue")
 
 // ErrResidentPool is returned by the exact Algorithm-1 solvers when the
 // pool streams from a PoolSource: they assemble dense pool Hessians and

@@ -470,6 +470,12 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 		res.Iterations = t
 		sc.fHist = append(sc.fHist, f) //firal:allow(alloc) recorded history, one float per iteration
 		if o.OnIteration != nil {
+			// A read that failed in this iteration left zero-filled rows
+			// behind; the agreed poll finds it before anything computed
+			// from them is published.
+			if err := cm.Cancelled(ctx, p.Pool.Err()); err != nil {
+				return nil, err
+			}
 			ck := RelaxCheckpoint{Iteration: t, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
 			if err := cm.Err(); err != nil {
 				return nil, err // never publish a gather that failed
@@ -483,7 +489,11 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 	}
 	if o.OnIteration != nil {
 		// Final Done checkpoint: a caller interrupted during the ROUND
-		// phase resumes with mirror descent skipped.
+		// phase resumes with mirror descent skipped. It gets its own
+		// poll, as every publish does.
+		if err := cm.Cancelled(ctx, p.Pool.Err()); err != nil {
+			return nil, err
+		}
 		ck := RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
 		if err := cm.Err(); err != nil {
 			return nil, err

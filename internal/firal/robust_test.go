@@ -283,3 +283,15 @@ func TestMirrorStepNonFiniteGradient(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveNuRejectsNonFinite: a NaN or infinite eigenvalue in the ν
+// solve is ErrNonFinite, not opt.ErrNoBracket, and not a finite ν from a
+// sum that (ν + ∞)⁻² drops out of.
+func TestSolveNuRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		lam := []float64{0, 0.3, bad, 2.2}
+		if nu, err := solveNu(lam, float64(len(lam))); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("λ = %g: ν = %g, err = %v, want ErrNonFinite", bad, nu, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package firal
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/hessian"
@@ -222,12 +223,18 @@ func woodburyObjective(p *Problem, k, kinv, isqrt *mat.Dense, eta float64, ri []
 
 // solveNu finds ν with Σ_j (ν + λ_j)⁻² = 1 by bisection on the provable
 // bracket ν ∈ [−λ_min + ẽd^{-1/2}, −λ_min + ẽd^{1/2}] (DESIGN.md § 5).
-// The bisection is written out over lam rather than taking a closure:
-// solveNu runs once per ROUND candidate inside the 0-allocs/op
-// steady-state loop, and a closure over lam would heap-allocate there.
+// A NaN or infinite λ_j is ErrNonFinite: a NaN has no bracket, and an
+// infinite λ_j drops out of the sum and would leave a finite ν that only
+// looks plausible. The bisection is written out over lam rather than
+// taking a closure: solveNu runs once per ROUND candidate inside the
+// 0-allocs/op steady-state loop, and a closure over lam would
+// heap-allocate there.
 func solveNu(lam []float64, edF float64) (float64, error) {
 	lmin := lam[0]
-	for _, l := range lam {
+	for j, l := range lam {
+		if math.IsNaN(l) || math.IsInf(l, 0) {
+			return 0, fmt.Errorf("%w: ν solve eigenvalue %d is %g", ErrNonFinite, j, l)
+		}
 		if l < lmin {
 			lmin = l
 		}

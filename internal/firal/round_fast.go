@@ -41,9 +41,8 @@ type RoundState struct {
 	isqrt []*mat.Dense // (Σ⋄)_k^{-1/2}
 	hot   []*mat.Dense // (Σ⋄)_k^{-1/2} (Ho)_k (Σ⋄)_k^{-1/2}
 	hacc  []*mat.Dense // (H)_k accumulated (line 8)
-	wts   *mat.Dense   // every W_kᵀ stacked, (c·d)×d
-	wt    []*mat.Dense // W_kᵀ, rows [k·d, (k+1)·d) of wts: row j is (Σ⋄)_k^{-1/2} v_j for eigenvector v_j of M_k
-	wp    mat.Packed   // wts packed as the right operand of x·W_k, repacked whenever wts changes
+	wt    []*mat.Dense // W_kᵀ: row j is (Σ⋄)_k^{-1/2} v_j for eigenvector v_j of M_k
+	wl    []mat.Packed // W_kᵀ packed as the left operand of W_kᵀ·xᵀ, repacked whenever W_k changes
 	lamM  []float64    // eigenvalues of every M_k, c×d
 	a, a2 []float64    // a_kj = 1/(ν + max(λ_kj, 0)) and a_kj², c×d
 
@@ -51,16 +50,23 @@ type RoundState struct {
 	// Scores/Update loop stays allocation-free after warm-up. A RoundState
 	// is owned by one goroutine.
 	ws     *mat.Workspace
-	tmp    *mat.Dense // d×d product scratch
-	pk     *mat.Dense // d×d scratch: (H̃)_k, then M_k
-	lamBuf []float64  // eigenvalues of every (H̃)_k, c×d (line 9)
-	nuBuf  []float64  // scaled eigenvalues for the ν solve, c×d
+	lamBuf []float64 // eigenvalues of every (H̃)_k, c×d (line 9)
+	nuBuf  []float64 // scaled eigenvalues for the ν solve, c×d
 
-	// The Scores sweep: per-worker packed row tiles and tile products and
+	// The per-class eigensolves: one scratch set per worker, the job
+	// every class runs and each class's error, read by classItems (bound
+	// once as classFn so the dispatch does not allocate a closure).
+	cs      []classScratch
+	job     classJob
+	per     int
+	errs    []error
+	classFn func(lo, hi int)
+
+	// The Scores sweep: per-worker packed row tiles and norm sums and
 	// the current row block, read by scoreItems (bound once as scoreFn so
 	// the dispatch does not allocate a closure).
 	xp      []mat.Packed
-	ybuf    []float64
+	qbuf    []float64
 	xb, h   *mat.Dense
 	dst     []float64
 	base, m int
@@ -68,9 +74,26 @@ type RoundState struct {
 	scoreFn func(lo, hi int)
 }
 
+// classScratch is one worker's scratch for the per-class eigensolves.
+type classScratch struct {
+	ws  *mat.Workspace
+	tmp *mat.Dense // d×d product scratch
+	pk  *mat.Dense // d×d scratch: (H̃)_k, then M_k
+}
+
+// classJob names the per-class work of one forClasses pass.
+type classJob uint8
+
+const (
+	jobSetup  classJob = iota // lines 4–5: (Σ⋄)_k^{-1/2} and the eigenbasis of B_1
+	jobUpdate                 // line 9 and the eigenbasis of B_{t+1}
+	jobLast                   // line 9 only: the last step's eigenbasis is never read
+	jobMinEig                 // the eigenvalues of (H)_k
+)
+
 // scoreTile is the row tile of the Scores sweep: a 64-row tile of a d=64
-// block and its product with one W_k are 32 KiB each, so both stay in L1
-// while the two weighted row norms read the product back.
+// block and one packed W_k are 32 KiB each, so both stay in L1 while
+// every eight-point panel of the tile runs against W_k.
 const scoreTile = 64
 
 // NewRoundState performs lines 3–5 of Algorithm 3 given the diagonal
@@ -95,27 +118,23 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float6
 	d := sig[0].Rows
 	st := prev
 	if st == nil || st.d != d || st.c != c {
-		wts := mat.NewDense(c*d, d)
 		st = &RoundState{
 			d: d, c: c,
 			hacc:   newBlocks(c, d),
 			isqrt:  newBlocks(c, d),
 			hot:    newBlocks(c, d),
-			wts:    wts,
-			wt:     make([]*mat.Dense, c),
+			wt:     newBlocks(c, d),
+			wl:     make([]mat.Packed, c),
 			lamM:   make([]float64, c*d),
 			a:      make([]float64, c*d),
 			a2:     make([]float64, c*d),
 			ws:     mat.NewWorkspace(),
-			tmp:    mat.NewDense(d, d),
-			pk:     mat.NewDense(d, d),
 			lamBuf: make([]float64, c*d),
 			nuBuf:  make([]float64, c*d),
-		}
-		for k := range st.wt {
-			st.wt[k] = &mat.Dense{Rows: d, Cols: d, Stride: d, Data: wts.Data[k*d*d : (k+1)*d*d]}
+			errs:   make([]error, c),
 		}
 		st.scoreFn = st.scoreItems
+		st.classFn = st.classItems
 	}
 	st.eta, st.b, st.edF = eta, b, float64(d*c)
 	st.sig, st.ho = sig, ho
@@ -123,22 +142,11 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float6
 	// Line 4: the (Σ⋄)_k^{-1/2} transforms; line 5: the eigenbasis of
 	// B_1, where H = 0 leaves M_k = (η/b)(Σ⋄)_k^{-1/2}(Ho)_k(Σ⋄)_k^{-1/2}.
 	stop := ph.Start("eig")
-	for k := 0; k < c; k++ {
-		if err := mat.InvSqrtInto(st.ws, st.isqrt[k], st.sig[k], 1e-10); err != nil {
-			stop()
-			return nil, err
-		}
-		mat.Mul(st.tmp, st.isqrt[k], st.ho[k])
-		mat.Mul(st.hot[k], st.tmp, st.isqrt[k])
-		st.pk.CopyFrom(st.hot[k])
-		st.pk.Scale(eta / float64(b))
-		if err := st.basis(k, st.pk); err != nil {
-			stop()
-			return nil, err
-		}
-	}
-	st.wp.PackRight(st.wts)
+	err := st.forClasses(jobSetup)
 	stop()
+	if err != nil {
+		return nil, err
+	}
 
 	stop = ph.Start("other")
 	for _, h := range st.hacc {
@@ -158,14 +166,86 @@ func newBlocks(c, d int) []*mat.Dense {
 	return out
 }
 
-// basis eigendecomposes M_k, given in m (which it overwrites), into the
-// class's eigenvalues lamM and its mapped-back basis W_kᵀ.
-func (st *RoundState) basis(k int, m *mat.Dense) error {
+// forClasses runs job for every class on the worker pool and returns the
+// error of the lowest-numbered failing class, as a loop over the classes
+// would. The classes are split into one contiguous run per worker, and
+// each run uses its own scratch set; every class writes only its own
+// state, so the result does not depend on the worker count.
+//
+//firal:hotpath
+func (st *RoundState) forClasses(job classJob) error {
+	items := min(parallel.Workers(), st.c)
+	for len(st.cs) < items {
+		//firal:allow(alloc) — amortized: one scratch set per worker, grown only when the worker count grows
+		st.cs = append(st.cs, classScratch{ws: mat.NewWorkspace(), tmp: mat.NewDense(st.d, st.d), pk: mat.NewDense(st.d, st.d)})
+	}
+	st.job, st.per = job, (st.c+items-1)/items
+	parallel.ForChunkMin((st.c+st.per-1)/st.per, 1, st.classFn)
+	for _, err := range st.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// classItems runs the current job for the classes of forClasses items
+// [lo, hi): item it covers classes [it·per, (it+1)·per) with scratch it.
+//
+//firal:hotpath
+func (st *RoundState) classItems(lo, hi int) {
+	for it := lo; it < hi; it++ {
+		sc := &st.cs[it]
+		for k := it * st.per; k < min((it+1)*st.per, st.c); k++ {
+			st.errs[k] = st.classStep(sc, k)
+		}
+	}
+}
+
+// classStep runs the current job for class k.
+//
+//firal:hotpath
+func (st *RoundState) classStep(sc *classScratch, k int) error {
 	d := st.d
-	if _, _, err := mat.SymEigInto(st.ws, st.lamM[k*d:(k+1)*d:(k+1)*d], m, m); err != nil {
+	switch st.job {
+	case jobSetup:
+		if err := mat.InvSqrtInto(sc.ws, st.isqrt[k], st.sig[k], 1e-10); err != nil {
+			return err
+		}
+		mat.Mul(sc.tmp, st.isqrt[k], st.ho[k])
+		mat.Mul(st.hot[k], sc.tmp, st.isqrt[k])
+		sc.pk.CopyFrom(st.hot[k])
+		sc.pk.Scale(st.eta / float64(st.b))
+		return st.basis(sc, k)
+	case jobMinEig:
+		_, err := mat.SymEigvalsInto(sc.ws, st.lamBuf[k*d:(k+1)*d:(k+1)*d], st.hacc[k])
 		return err
 	}
-	mat.MulTransA(st.wt[k], m, st.isqrt[k])
+	mat.Mul(sc.tmp, st.isqrt[k], st.hacc[k])
+	mat.Mul(sc.pk, sc.tmp, st.isqrt[k])
+	sc.pk.Symmetrize()
+	if _, err := mat.SymEigvalsInto(sc.ws, st.lamBuf[k*d:(k+1)*d:(k+1)*d], sc.pk); err != nil {
+		return err
+	}
+	if st.job == jobLast {
+		return nil
+	}
+	// M_k = η(H̃)_k + (η/b)(Σ⋄)_k^{-1/2}(Ho)_k(Σ⋄)_k^{-1/2}.
+	sc.pk.Scale(st.eta)
+	sc.pk.AddScaled(st.eta/float64(st.b), st.hot[k])
+	return st.basis(sc, k)
+}
+
+// basis eigendecomposes M_k, given in sc.pk (which it overwrites), into
+// the class's eigenvalues lamM and its mapped-back basis W_kᵀ, and packs
+// W_kᵀ for Scores.
+func (st *RoundState) basis(sc *classScratch, k int) error {
+	d := st.d
+	if _, _, err := mat.SymEigInto(sc.ws, st.lamM[k*d:(k+1)*d:(k+1)*d], sc.pk, sc.pk); err != nil {
+		return err
+	}
+	mat.MulTransA(st.wt[k], sc.pk, st.isqrt[k])
+	st.wl[k].PackLeft(st.wt[k])
 	return nil
 }
 
@@ -188,11 +268,12 @@ func (st *RoundState) weigh(nu float64) {
 // with γ_ik = h_ik(1 − h_ik). The pool is visited in row blocks
 // (outermost), so a streamed pool is read exactly once per rescoring
 // pass. Workers split each block into runs of 64-row tiles; per tile and
-// class one product y = x·W_k gives both quadratic forms as weighted row
-// norms of y (see RoundState), so no block-sized product is materialised
-// and the cost is one GEMM, O(n c d²), per round (Table II). Each point is
-// scored by one worker in class order, so the scores do not depend on the
-// worker count.
+// class the fused kernel mat.WeightedSqNorms forms y = x·W_k tile by
+// register tile and folds it into both quadratic forms as weighted row
+// norms (see RoundState), so no product is stored and the cost is one
+// GEMM, O(n c d²), per round (Table II). Each point is scored by one
+// worker in class order, so the scores do not depend on the worker
+// count.
 //
 //firal:hotpath
 func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
@@ -206,8 +287,8 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 	bs := min(pool.BlockRows(), n)
 	items := min(parallel.Workers(), (bs+scoreTile-1)/scoreTile)
 	//firal:allow(alloc) — amortized: regrows only when the worker count grows
-	if len(st.ybuf) < items*scoreTile*st.d {
-		st.ybuf = make([]float64, items*scoreTile*st.d)
+	if len(st.qbuf) < items*2*scoreTile {
+		st.qbuf = make([]float64, items*2*scoreTile)
 	}
 	//firal:allow(alloc) — amortized: regrows only when the worker count grows
 	if len(st.xp) < items {
@@ -231,43 +312,36 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 //
 //firal:hotpath
 func (st *RoundState) scoreItems(lo, hi int) {
-	tile := scoreTile * st.d
 	for it := lo; it < hi; it++ {
-		y := st.ybuf[it*tile : (it+1)*tile]
+		q := st.qbuf[it*2*scoreTile : (it+1)*2*scoreTile]
 		for r0 := it * st.rows; r0 < min((it+1)*st.rows, st.m); r0 += scoreTile {
-			st.scoreTile(&st.xp[it], y, r0, min(r0+scoreTile, st.m))
+			st.scoreTile(&st.xp[it], q, r0, min(r0+scoreTile, st.m))
 		}
 	}
 }
 
 // scoreTile writes the scores of block rows [r0, r1). It packs the tile
-// once into xp and multiplies it with each class's rows of the packed
-// W_kᵀ stack into y, in the blocked order whatever the shape.
+// once into xp, as the right operand of every W_kᵀ·xᵀ, and gets each
+// class's two quadratic forms of every point from the fused kernel, in
+// the order of y = x·W_k's elements and of the row norms over them.
 //
 //firal:hotpath
-func (st *RoundState) scoreTile(xp *mat.Packed, y []float64, r0, r1 int) {
-	d, xs := st.d, st.xb.Stride
-	xt := mat.Dense{Rows: r1 - r0, Cols: d, Stride: xs, Data: st.xb.Data[r0*xs:]}
-	yt := mat.Dense{Rows: r1 - r0, Cols: d, Stride: d, Data: y}
+func (st *RoundState) scoreTile(xp *mat.Packed, q []float64, r0, r1 int) {
+	d, xs, m := st.d, st.xb.Stride, r1-r0
+	xt := mat.Dense{Rows: m, Cols: d, Stride: xs, Data: st.xb.Data[r0*xs:]}
+	qb, qp := q[:m], q[scoreTile:scoreTile+m]
 	out := st.dst[st.base+r0 : st.base+r1]
 	clear(out)
-	xp.PackLeft(&xt)
+	xp.PackRight(&xt)
 	for k := 0; k < st.c; k++ {
-		mat.MulPacked(&yt, xp, &st.wp, k*d)
-		a, a2 := st.a[k*d:(k+1)*d], st.a2[k*d:(k+1)*d]
+		mat.WeightedSqNorms(qb, qp, &st.wl[k], xp, st.a[k*d:(k+1)*d], st.a2[k*d:(k+1)*d])
 		for i := range out {
 			hv := st.h.At(st.base+r0+i, k)
 			gamma := hv * (1 - hv)
 			if gamma == 0 {
 				continue
 			}
-			var qb, qp float64
-			for j, v := range y[i*d : (i+1)*d] {
-				v2 := v * v
-				qb += v2 * a[j]
-				qp += v2 * a2[j]
-			}
-			out[i] += gamma * qp / (1 + st.eta*gamma*qb)
+			out[i] += gamma * qp[i] / (1 + st.eta*gamma*qb[i])
 		}
 	}
 }
@@ -290,38 +364,35 @@ func (st *RoundState) AddPoint(x, h []float64) {
 // AddPoint; per class the eigenvalues of (H̃)_k = (Σ⋄)_k^{-1/2} (H)_k
 // (Σ⋄)_k^{-1/2} (line 9) and the eigenbasis of M_k; the ν bisection over
 // all the (H̃)_k eigenvalues (line 10); and the eigenbasis weights of
-// B_{t+1} (line 11). It returns ν_{t+1}.
+// B_{t+1} (line 11). The per-class work runs on the worker pool. It
+// returns ν_{t+1}.
 func (st *RoundState) Update(x, h []float64, ph *timing.Phases) (float64, error) {
+	return st.update(x, h, ph, false)
+}
+
+// update is Update; on the last greedy step (last) it computes ν but
+// skips the eigenbases and weights of B_{t+1}, which nothing reads.
+func (st *RoundState) update(x, h []float64, ph *timing.Phases, last bool) (float64, error) {
 	stop := ph.Start("other")
 	st.AddPoint(x, h)
 	stop()
 
 	stop = ph.Start("eig")
-	d := st.d
-	for k := 0; k < st.c; k++ {
-		mat.Mul(st.tmp, st.isqrt[k], st.hacc[k])
-		mat.Mul(st.pk, st.tmp, st.isqrt[k])
-		st.pk.Symmetrize()
-		if _, err := mat.SymEigvalsInto(st.ws, st.lamBuf[k*d:(k+1)*d:(k+1)*d], st.pk); err != nil {
-			stop()
-			return 0, err
-		}
-		// M_k = η(H̃)_k + (η/b)(Σ⋄)_k^{-1/2}(Ho)_k(Σ⋄)_k^{-1/2}.
-		st.pk.Scale(st.eta)
-		st.pk.AddScaled(st.eta/float64(st.b), st.hot[k])
-		if err := st.basis(k, st.pk); err != nil {
-			stop()
-			return 0, err
-		}
+	job := jobUpdate
+	if last {
+		job = jobLast
 	}
-	st.wp.PackRight(st.wts)
+	err := st.forClasses(job)
 	stop()
+	if err != nil {
+		return 0, err
+	}
 
 	stop = ph.Start("other")
 	defer stop()
 	for i, l := range st.lamBuf {
-		if l < 0 {
-			l = 0 // roundoff guard: H̃ is PSD
+		if l < 0 && !math.IsInf(l, -1) {
+			l = 0 // roundoff guard: H̃ is PSD; solveNu rejects −Inf
 		}
 		st.nuBuf[i] = st.eta * l
 	}
@@ -329,21 +400,23 @@ func (st *RoundState) Update(x, h []float64, ph *timing.Phases) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	st.weigh(nu)
+	if !last {
+		st.weigh(nu)
+	}
 	return nu, nil
 }
 
 // MinEig returns min_k λ_min((H)_k) of the accumulated selected-point
-// Hessian blocks — the η-tuning criterion.
+// Hessian blocks — the η-tuning criterion — or −Inf when a class's
+// eigensolve fails. The per-class solves run on the worker pool.
 func (st *RoundState) MinEig() float64 {
+	if st.d == 0 || st.forClasses(jobMinEig) != nil {
+		return math.Inf(-1)
+	}
 	minEig := math.Inf(1)
-	for _, blk := range st.hacc {
-		vals, err := mat.SymEigvalsInto(st.ws, st.nuBuf[:st.d:st.d], blk)
-		if err != nil || len(vals) == 0 {
-			return math.Inf(-1)
-		}
-		if vals[0] < minEig {
-			minEig = vals[0]
+	for k := 0; k < st.c; k++ {
+		if v := st.lamBuf[k*st.d]; v < minEig {
+			minEig = v
 		}
 	}
 	return minEig
@@ -500,7 +573,7 @@ func (g Group) roundLoop(ctx context.Context, pool hessian.Pool, st *RoundState,
 
 		// Lines 8–11: accumulate (H)_k, ν_{t+1} and the eigenbasis of
 		// B_{t+1}.
-		nu, err := st.Update(xh[:d], xh[d:d+c], ph)
+		nu, err := st.update(xh[:d], xh[d:d+c], ph, t == min(b, g.Total))
 		if err != nil {
 			return err
 		}

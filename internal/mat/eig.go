@@ -100,7 +100,16 @@ func SymEigvalsInto(ws *Workspace, dst []float64, a *Dense) ([]float64, error) {
 // diagonal d and sub-diagonal e (e[0] unused). When g (length-n scratch)
 // is non-nil, z is overwritten with the accumulated orthogonal
 // transformation Q such that Qᵀ A Q = T; otherwise z holds scratch data on
-// return.
+// return. z must be symmetric on entry.
+//
+// Step i works on the leading i×i block A of z and keeps both of its
+// triangles: the rank-2 update writes element (k, j) with the same
+// products as (j, k), summed in the other order, so the block stays
+// exactly symmetric and its row k is its column k. That turns the
+// symmetric product p = A·u (per element Σ_k A_jk u_k over ascending k,
+// with the lower triangle read by rows and the upper by columns) into
+// AccumRows over the rows of A, and every loop of the reduction and of
+// the back-accumulation into a contiguous row kernel.
 func tred2(z *Dense, d, e, g []float64) {
 	n := z.Rows
 	wantV := g != nil
@@ -127,31 +136,26 @@ func tred2(z *Dense, d, e, g []float64) {
 				e[i] = scale * g
 				h -= f * g
 				zi[l] = f - g
+				a := Dense{Rows: i, Cols: i, Stride: z.Stride, Data: z.Data}
+				u, p := zi[:i], e[:i]
+				// p = A·u/h. AccumRows skips a zero u_k; the sum starts
+				// from +0 and so never is −0, which makes adding the
+				// zero product of a finite entry a no-op.
+				clear(p)
+				AccumRows(p, u, 1, &a)
 				f = 0
-				for j := 0; j <= l; j++ {
+				for j, uj := range u {
 					if wantV {
-						z.Set(j, i, zi[j]/h)
+						z.Set(j, i, uj/h)
 					}
-					g := 0.0
-					for k := 0; k <= j; k++ {
-						g += z.At(j, k) * zi[k]
-					}
-					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * zi[k]
-					}
-					e[j] = g / h
-					f += e[j] * zi[j]
+					p[j] /= h
+					f += p[j] * uj
 				}
 				hh := f / (h + h)
-				for j := 0; j <= l; j++ {
-					f := zi[j]
-					g := e[j] - hh*f
-					e[j] = g
-					zj := z.Row(j)
-					for k := 0; k <= j; k++ {
-						zj[k] -= f*e[k] + g*zi[k]
-					}
+				for j, uj := range u {
+					p[j] -= hh * uj
 				}
+				symRank2(&a, u, p)
 			}
 		} else {
 			e[i] = z.At(i, l)
@@ -173,23 +177,11 @@ func tred2(z *Dense, d, e, g []float64) {
 			// j, k ≤ l, row by row. No update touches an operand of any g,
 			// so this is the column-by-column recurrence, element for
 			// element.
-			zi := z.Row(i)
+			a := Dense{Rows: i, Cols: i, Stride: z.Stride, Data: z.Data}
 			gi := g[:i]
 			clear(gi)
-			for k := 0; k <= l; k++ {
-				zik, zk := zi[k], z.Row(k)[:i]
-				for j := range gi {
-					gi[j] += zik * zk[j]
-				}
-			}
-			for k := 0; k <= l; k++ {
-				zk := z.Row(k)
-				zki := zk[i]
-				zk = zk[:i]
-				for j := range gi {
-					zk[j] = zk[j] - gi[j]*zki
-				}
-			}
+			AccumRows(gi, z.Row(i), 1, &a)
+			rank1Sub(&a, z.Data[i:], z.Stride, gi)
 		}
 		d[i] = z.At(i, i)
 		z.Set(i, i, 1)
@@ -251,13 +243,7 @@ func tql(d, e []float64, zt *Dense) error {
 				d[i+1] = g + p
 				g = c*r - b
 				if zt != nil {
-					zi, zj := zt.Row(i), zt.Row(i+1)
-					zj = zj[:len(zi)]
-					for k := range zi {
-						f := zj[k]
-						zj[k] = s*zi[k] + c*f
-						zi[k] = c*zi[k] - s*f
-					}
+					rot(zt.Row(i), zt.Row(i+1), c, s)
 				}
 			}
 			if broke {
@@ -309,6 +295,97 @@ func (m *Dense) transposeSquare() {
 			a, b := m.At(i, j), m.At(j, i)
 			m.Set(i, j, b)
 			m.Set(j, i, a)
+		}
+	}
+}
+
+// The row kernels of the eigensolver. Each runs the loop of its Go twin
+// (rotGo, symRank2Go, rank1SubGo) on the host's widest vector level:
+// eight columns per ZMM register at the avx512 level, then four per YMM
+// register, then one, with the Go loop's multiplies and adds in its
+// per-element order and never a fused multiply-add, so every level gives
+// the same bits (eig_amd64.s).
+
+// rot applies tql's plane rotation to rows x and y: y ← s·x + c·y and
+// x ← c·x − s·y, element by element from the old values.
+//
+//firal:hotpath
+func rot(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	if kernel == kernelPortable || len(x) == 0 {
+		rotGo(x, y, c, s)
+		return
+	}
+	rotAVX(len(x), &x[0], &y[0], c, s, kernel == kernelAVX512)
+}
+
+//firal:hotpath
+func rotGo(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k := range x {
+		f := y[k]
+		y[k] = s*x[k] + c*f
+		x[k] = c*x[k] - s*f
+	}
+}
+
+// symRank2 subtracts the symmetric rank-2 term u·pᵀ + p·uᵀ from the
+// square a: a_jk −= u_j·p_k + p_j·u_k.
+//
+//firal:hotpath
+func symRank2(a *Dense, u, p []float64) {
+	n := a.Rows
+	if a.Cols != n || len(u) != n || len(p) != n {
+		panic("mat: symRank2 dimension mismatch")
+	}
+	if n == 0 {
+		return
+	}
+	_ = a.Row(n - 1) // bounds: every row lies inside a.Data
+	if kernel == kernelPortable {
+		symRank2Go(a, u, p)
+		return
+	}
+	symRank2AVX(n, &a.Data[0], a.Stride, &u[0], &p[0], kernel == kernelAVX512)
+}
+
+//firal:hotpath
+func symRank2Go(a *Dense, u, p []float64) {
+	for j := 0; j < a.Rows; j++ {
+		f, g := u[j], p[j]
+		aj := a.Row(j)
+		for k := range aj {
+			aj[k] -= f*p[k] + g*u[k]
+		}
+	}
+}
+
+// rank1Sub subtracts the rank-1 term c·xᵀ from a, with c_k = c[k·cs]:
+// a_kj = a_kj − x_j·c_k.
+//
+//firal:hotpath
+func rank1Sub(a *Dense, c []float64, cs int, x []float64) {
+	if len(x) != a.Cols {
+		panic("mat: rank1Sub dimension mismatch")
+	}
+	if a.Rows == 0 || len(x) == 0 {
+		return
+	}
+	_ = c[(a.Rows-1)*cs]  // bounds: every coefficient lies inside c
+	_ = a.Row(a.Rows - 1) // and every row inside a.Data
+	if kernel == kernelPortable {
+		rank1SubGo(a, c, cs, x)
+		return
+	}
+	rank1SubAVX(len(x), &a.Data[0], a.Stride, a.Rows, &c[0], cs, &x[0], kernel == kernelAVX512)
+}
+
+//firal:hotpath
+func rank1SubGo(a *Dense, c []float64, cs int, x []float64) {
+	for k := 0; k < a.Rows; k++ {
+		ck, ak := c[k*cs], a.Row(k)
+		for j := range ak {
+			ak[j] = ak[j] - x[j]*ck
 		}
 	}
 }

@@ -75,6 +75,15 @@ func growBuf(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
+// panelLen is the packing scratch one k-panel needs: r operand rows, at
+// most rmax of them per panel, in lanes of w, over an inner dimension k
+// of at most gemmKC. Scratch sized to the product rather than to the
+// largest panel keeps the pooled buffers of small products, several of
+// which can run at once, small.
+func panelLen(r, rmax, w, k int) int {
+	return (min(r, rmax) + w - 1) / w * w * min(k, gemmKC)
+}
+
 // UseBlocked reports whether the product kernels compute an m×n result
 // with inner dimension k on the packed-panel (blocked) path. It is the one
 // dispatch rule between the two per-element summation orders:
@@ -244,7 +253,7 @@ func gemm(dst, a, b *Dense, transA, transB bool) {
 		kd = a.Rows
 	}
 	sc := gemmPool.Get()
-	bp := growBuf(&sc.b, gemmKC*(gemmNC+gemmNR))
+	bp := growBuf(&sc.b, panelLen(n, gemmNC, gemmNR, kd))
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < kd; pc += gemmKC {
@@ -270,8 +279,8 @@ func gemmSerial(dst, a, b *Dense, transA, transB bool) {
 		kd = a.Rows
 	}
 	sc := gemmPool.Get()
-	bp := growBuf(&sc.b, gemmKC*(gemmNC+gemmNR))
-	ap := growBuf(&sc.a, gemmMC*gemmKC)
+	bp := growBuf(&sc.b, panelLen(n, gemmNC, gemmNR, kd))
+	ap := growBuf(&sc.a, panelLen(m, gemmMC, gemmMR, kd))
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < kd; pc += gemmKC {
@@ -297,7 +306,7 @@ func gemmTileParallel(dst, a *Dense, transA bool, bp []float64, pc, jc, kc, nc, 
 
 var gemmTileTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
 	wsc := gemmPool.Get()
-	ap := growBuf(&wsc.a, gemmMC*gemmKC)
+	ap := growBuf(&wsc.a, panelLen(hi-lo, gemmMC, gemmMR, t.i3))
 	gemmRowRange(t.m1, t.m2, t.b1, ap, t.v1, t.i1, t.i2, t.i3, t.i4, lo, hi)
 	gemmPool.Put(wsc)
 })

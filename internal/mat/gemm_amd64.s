@@ -113,3 +113,95 @@ done:
 	VMOVUPD Y7, 224(DX)
 	VZEROUPPER
 	RET
+
+// func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64)
+//
+// The fused ROUND norms of WeightedSqNorms (packed.go) for one right lane
+// panel x of eight points: for each of jt left lane panels of w, the 4×8
+// tile Z0–Z3 (row r = one j, eight points) is formed as micro4x8avx512
+// forms it, with the left value broadcast, and folded at once, rows in
+// ascending j: v2 = y·y, then qb += v2·a_j and qp += v2·a2_j. The sums of
+// the eight points live in Z10 (qb) and Z11 (qp) across all panels.
+TEXT ·sqNormsAVX512(SB), NOSPLIT, $0-64
+	MOVQ kc+0(FP), CX
+	MOVQ jt+8(FP), R8
+	MOVQ w+16(FP), SI
+	MOVQ x+24(FP), DI
+	MOVQ a+32(FP), R9
+	MOVQ a2+40(FP), R10
+	MOVQ qb+48(FP), DX
+	MOVQ qp+56(FP), R11
+
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+
+sqtile:
+	TESTQ  R8, R8
+	JZ     sqdone
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ   DI, BX
+	MOVQ   CX, R12
+	TESTQ  R12, R12
+	JZ     sqfold
+
+sqk:
+	VMOVUPD      (BX), Z4   // x: eight points at this k
+	VBROADCASTSD (SI), Z5   // w_j0 ×8
+	VMULPD       Z4, Z5, Z5
+	VADDPD       Z5, Z0, Z0
+	VBROADCASTSD 8(SI), Z6  // w_j1 ×8
+	VMULPD       Z4, Z6, Z6
+	VADDPD       Z6, Z1, Z1
+	VBROADCASTSD 16(SI), Z7 // w_j2 ×8
+	VMULPD       Z4, Z7, Z7
+	VADDPD       Z7, Z2, Z2
+	VBROADCASTSD 24(SI), Z8 // w_j3 ×8
+	VMULPD       Z4, Z8, Z8
+	VADDPD       Z8, Z3, Z3
+	ADDQ         $32, SI
+	ADDQ         $64, BX
+	DECQ         R12
+	JNZ          sqk
+
+sqfold:
+	VMULPD       Z0, Z0, Z0
+	VBROADCASTSD (R9), Z5
+	VMULPD       Z5, Z0, Z5
+	VADDPD       Z5, Z10, Z10
+	VBROADCASTSD (R10), Z6
+	VMULPD       Z6, Z0, Z6
+	VADDPD       Z6, Z11, Z11
+	VMULPD       Z1, Z1, Z1
+	VBROADCASTSD 8(R9), Z5
+	VMULPD       Z5, Z1, Z5
+	VADDPD       Z5, Z10, Z10
+	VBROADCASTSD 8(R10), Z6
+	VMULPD       Z6, Z1, Z6
+	VADDPD       Z6, Z11, Z11
+	VMULPD       Z2, Z2, Z2
+	VBROADCASTSD 16(R9), Z5
+	VMULPD       Z5, Z2, Z5
+	VADDPD       Z5, Z10, Z10
+	VBROADCASTSD 16(R10), Z6
+	VMULPD       Z6, Z2, Z6
+	VADDPD       Z6, Z11, Z11
+	VMULPD       Z3, Z3, Z3
+	VBROADCASTSD 24(R9), Z5
+	VMULPD       Z5, Z3, Z5
+	VADDPD       Z5, Z10, Z10
+	VBROADCASTSD 24(R10), Z6
+	VMULPD       Z6, Z3, Z6
+	VADDPD       Z6, Z11, Z11
+	ADDQ         $32, R9
+	ADDQ         $32, R10
+	DECQ         R8
+	JMP          sqtile
+
+sqdone:
+	VMOVUPD Z10, (DX)
+	VMOVUPD Z11, (R11)
+	VZEROUPPER
+	RET

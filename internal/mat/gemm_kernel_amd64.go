@@ -81,3 +81,27 @@ func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
 //
 //go:noescape
 func gramRank4AVX(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
+
+// rotAVX runs rotGo over n elements of x and y; wide adds the ZMM pass.
+//
+//go:noescape
+func rotAVX(n int, x, y *float64, c, s float64, wide bool)
+
+// symRank2AVX runs symRank2Go over the n×n matrix at a (row stride as);
+// wide adds the ZMM pass.
+//
+//go:noescape
+func symRank2AVX(n int, a *float64, as int, u, p *float64, wide bool)
+
+// rank1SubAVX runs rank1SubGo over rows×n of the matrix at a (row
+// stride as) with coefficients c[k·cs]; wide adds the ZMM pass.
+//
+//go:noescape
+func rank1SubAVX(n int, a *float64, as, rows int, c *float64, cs int, x *float64, wide bool)
+
+// sqNormsAVX512 is WeightedSqNorms for eight rows of x over jt whole
+// lane panels of w at inner dimension kc ≤ gemmKC, writing the eight
+// sums to qb and qp.
+//
+//go:noescape
+func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64)

@@ -28,3 +28,19 @@ func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int) {
 func gramRank4AVX(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64) {
 	panic("mat: asm Gram kernel unavailable on this architecture")
 }
+
+func rotAVX(n int, x, y *float64, c, s float64, wide bool) {
+	panic("mat: asm rotation kernel unavailable on this architecture")
+}
+
+func symRank2AVX(n int, a *float64, as int, u, p *float64, wide bool) {
+	panic("mat: asm rank-2 kernel unavailable on this architecture")
+}
+
+func rank1SubAVX(n int, a *float64, as, rows int, c *float64, cs int, x *float64, wide bool) {
+	panic("mat: asm rank-1 kernel unavailable on this architecture")
+}
+
+func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64) {
+	panic("mat: asm norm kernel unavailable on this architecture")
+}

@@ -91,7 +91,7 @@ func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
 	}
 	dst.Zero()
 	sc := gemmPool.Get()
-	ap := growBuf(&sc.a, gemmMC*gemmKC)
+	ap := growBuf(&sc.a, panelLen(a.Rows, gemmMC, gemmMR, b.k))
 	brp := b.padded()
 	for ic := 0; ic < a.Rows; ic += gemmMC {
 		mc := min(gemmMC, a.Rows-ic)
@@ -102,6 +102,76 @@ func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
 		}
 	}
 	gemmPool.Put(sc)
+}
+
+// WeightedSqNorms sets, for every row p of the product y = x·wᵀ of the
+// packed right operand x (rows p) and the packed left operand w (rows j),
+//
+//	qb[p] = Σ_j y_pj²·a[j],   qp[p] = Σ_j y_pj²·a2[j],
+//
+// each sum over ascending j from zero, a multiply and then an add per
+// term: ROUND's two weighted row norms, without forming y. Each y_pj is
+// the element MulPacked computes for the operands packed the other way
+// round (the same products, each commuted, summed in the same order),
+// up to the sign of a zero, which its square drops. It runs on the
+// calling goroutine.
+//
+// y is formed in 4×8 tiles — four rows j of w by eight rows p of x —
+// which are folded into the eight points' sums as soon as they are
+// complete, in ascending j, so no tile is zeroed, stored or read back. At
+// the avx512 level one kernel call keeps the tile and both sums of eight
+// points in ZMM registers across every whole lane panel of w; a ragged
+// last panel of w, an inner dimension past one k-panel, and the other
+// levels run the tile from microTile and the fold in Go.
+//
+//firal:hotpath
+func WeightedSqNorms(qb, qp []float64, w, x *Packed, a, a2 []float64) {
+	if w.w != gemmMR || x.w != gemmNR || w.k != x.k {
+		panic("mat: WeightedSqNorms needs a left w and a right x with one inner dimension")
+	}
+	if len(qb) != x.rows || len(qp) != x.rows || len(a) != w.rows || len(a2) != w.rows {
+		panic("mat: WeightedSqNorms length mismatch")
+	}
+	full := w.rows &^ (gemmMR - 1) // rows j in whole lane panels
+	asm := kernel == kernelAVX512 && w.k > 0 && w.k <= gemmKC && full > 0
+	for p0 := 0; p0 < x.rows; p0 += gemmNR {
+		var sb, sp [gemmNR]float64
+		j0 := 0
+		if asm {
+			sqNormsAVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
+			j0 = full
+		}
+		for ; j0 < w.rows; j0 += gemmMR {
+			sqNormsTile(&sb, &sp, w, x, j0, p0, a, a2)
+		}
+		n := min(gemmNR, x.rows-p0)
+		copy(qb[p0:p0+n], sb[:n])
+		copy(qp[p0:p0+n], sp[:n])
+	}
+}
+
+// sqNormsTile adds the terms of rows [j0, j0+4) of w (those that exist)
+// to the sums sb and sp of the eight rows of x from p0.
+//
+//firal:hotpath
+func sqNormsTile(sb, sp *[gemmNR]float64, w, x *Packed, j0, p0 int, a, a2 []float64) {
+	var y, acc [gemmMR * gemmNR]float64
+	wrp, xrp := w.padded(), x.padded()
+	for pc := 0; pc < w.k; pc += gemmKC {
+		kc := min(gemmKC, w.k-pc)
+		microTile(kc, w.data[pc*wrp+j0*kc:], x.data[pc*xrp+p0*kc:], &acc)
+		for i, v := range acc {
+			y[i] += v
+		}
+	}
+	for r := 0; r < min(gemmMR, w.rows-j0); r++ {
+		aj, a2j := a[j0+r], a2[j0+r]
+		for p, v := range y[r*gemmNR : (r+1)*gemmNR] {
+			v2 := v * v
+			sb[p] += v2 * aj
+			sp[p] += v2 * a2j
+		}
+	}
 }
 
 // checkPacked validates the right operand and column window of a packed

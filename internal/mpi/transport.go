@@ -107,13 +107,6 @@ func (m *matcher) markDead(src int, err error) {
 	m.mu.Unlock()
 }
 
-// deadErr returns the recorded loss error for src, or nil.
-func (m *matcher) deadErr(src int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dead[src]
-}
-
 // closedErr returns the close error, or nil while the endpoint is open.
 func (m *matcher) closedErr() error {
 	m.mu.Lock()
