@@ -225,6 +225,24 @@ func pack(dst []float64, src *Dense, trans bool, r0, k0, n, kc, w int) {
 			}
 			continue
 		}
+		if lanes == 8 && w == 8 {
+			// A full right panel (ROUND's point tiles): the same, eight
+			// rows in step.
+			s0 := src.Row(r0 + q)[k0 : k0+kc]
+			s1 := src.Row(r0 + q + 1)[k0 : k0+kc]
+			s2 := src.Row(r0 + q + 2)[k0 : k0+kc]
+			s3 := src.Row(r0 + q + 3)[k0 : k0+kc]
+			s4 := src.Row(r0 + q + 4)[k0 : k0+kc]
+			s5 := src.Row(r0 + q + 5)[k0 : k0+kc]
+			s6 := src.Row(r0 + q + 6)[k0 : k0+kc]
+			s7 := src.Row(r0 + q + 7)[k0 : k0+kc]
+			for t := range s0 {
+				d := p[8*t : 8*t+8 : 8*t+8]
+				d[0], d[1], d[2], d[3] = s0[t], s1[t], s2[t], s3[t]
+				d[4], d[5], d[6], d[7] = s4[t], s5[t], s6[t], s7[t]
+			}
+			continue
+		}
 		for l := 0; l < lanes; l++ {
 			for t, v := range src.Row(r0 + q + l)[k0 : k0+kc] {
 				p[t*w+l] = v
