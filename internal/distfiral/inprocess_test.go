@@ -270,8 +270,8 @@ func TestSelectInProcessShardTruncated(t *testing.T) {
 // rank 1's row window half-way through the last RELAX iteration. That
 // iteration's weights then come from zero-filled rows, so neither its
 // checkpoint nor the Done checkpoint (firald's warm start) may be
-// published: the poll before each publish must fail the round with
-// ErrPoolRead first.
+// published: the poll before the iteration's checkpoint must fail the
+// round with ErrPoolRead first.
 func TestReadFailureInLastRelaxIterationPublishesNothing(t *testing.T) {
 	labeled, pool := testSets(45, 20, 150, 6, 3)
 	shard := twoFileShard(t, pool.X, 61)

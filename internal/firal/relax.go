@@ -489,11 +489,9 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 	}
 	if o.OnIteration != nil {
 		// Final Done checkpoint: a caller interrupted during the ROUND
-		// phase resumes with mirror descent skipped. It gets its own
-		// poll, as every publish does.
-		if err := cm.Cancelled(ctx, p.Pool.Err()); err != nil {
-			return nil, err
-		}
+		// phase resumes with mirror descent skipped. Nothing has read the
+		// pool since the last iteration's poll, so it needs none of its
+		// own.
 		ck := RelaxCheckpoint{Iteration: res.Iterations, Done: true, Z: cm.Allgatherv(z), FHist: sc.fHist, CGIterations: res.CGIterations}
 		if err := cm.Err(); err != nil {
 			return nil, err

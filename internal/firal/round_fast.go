@@ -212,8 +212,8 @@ func (st *RoundState) classStep(sc *classScratch, k int) error {
 		if err := mat.InvSqrtInto(sc.ws, st.isqrt[k], st.sig[k], 1e-10); err != nil {
 			return err
 		}
-		mat.Mul(sc.tmp, st.isqrt[k], st.ho[k])
-		mat.Mul(st.hot[k], sc.tmp, st.isqrt[k])
+		mat.MulWS(sc.ws, sc.tmp, st.isqrt[k], st.ho[k])
+		mat.MulWS(sc.ws, st.hot[k], sc.tmp, st.isqrt[k])
 		sc.pk.CopyFrom(st.hot[k])
 		sc.pk.Scale(st.eta / float64(st.b))
 		return st.basis(sc, k)
@@ -221,8 +221,8 @@ func (st *RoundState) classStep(sc *classScratch, k int) error {
 		_, err := mat.SymEigvalsInto(sc.ws, st.lamBuf[k*d:(k+1)*d:(k+1)*d], st.hacc[k])
 		return err
 	}
-	mat.Mul(sc.tmp, st.isqrt[k], st.hacc[k])
-	mat.Mul(sc.pk, sc.tmp, st.isqrt[k])
+	mat.MulWS(sc.ws, sc.tmp, st.isqrt[k], st.hacc[k])
+	mat.MulWS(sc.ws, sc.pk, sc.tmp, st.isqrt[k])
 	sc.pk.Symmetrize()
 	if _, err := mat.SymEigvalsInto(sc.ws, st.lamBuf[k*d:(k+1)*d:(k+1)*d], sc.pk); err != nil {
 		return err
@@ -244,7 +244,7 @@ func (st *RoundState) basis(sc *classScratch, k int) error {
 	if _, _, err := mat.SymEigInto(sc.ws, st.lamM[k*d:(k+1)*d:(k+1)*d], sc.pk, sc.pk); err != nil {
 		return err
 	}
-	mat.MulTransA(st.wt[k], sc.pk, st.isqrt[k])
+	mat.MulTransAWS(sc.ws, st.wt[k], sc.pk, st.isqrt[k])
 	st.wl[k].PackLeft(st.wt[k])
 	return nil
 }

@@ -108,7 +108,7 @@ func TestRoundFastBitsPinned(t *testing.T) {
 	p := testProblem(632, 20, 600, 32, 8)
 	z := make([]float64, p.N())
 	mat.Fill(z, 5/float64(p.N()))
-	check := func(what string, w int, sel []int, nu, obj []float64, minEig float64) {
+	check := func(t *testing.T, what string, w int, sel []int, nu, obj []float64, minEig float64) {
 		t.Helper()
 		if fmt.Sprint(sel) != fmt.Sprint(wantSel) {
 			t.Fatalf("%s: selected %v, want %v", what, sel, wantSel)
@@ -123,38 +123,39 @@ func TestRoundFastBitsPinned(t *testing.T) {
 		}
 	}
 	for _, w := range []int{1, 2, 3} {
-		prev := parallel.SetMaxWorkers(w)
-		res, err := RoundFast(p, z, 5, RoundOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("RoundFast at %d workers", w), w, res.Selected, res.Nu, res.Objectives, res.MinEigH)
-
-		st, err := testRoundState(p, z, 5, p.DefaultEta(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := p.ResidentPool()
-		scores := make([]float64, p.N())
-		selected := make([]bool, p.N())
-		var sel []int
-		var nus, objs []float64
-		for step := 0; step < 5; step++ {
-			st.Scores(p.Pool, scores)
-			best, bestV := -1, math.Inf(-1)
-			for i, v := range scores {
-				if !selected[i] && v > bestV {
-					best, bestV = i, v
-				}
-			}
-			selected[best] = true
-			nu, err := st.Update(pool.X.Row(best), pool.H.Row(best), nil)
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(w))
+			res, err := RoundFast(p, z, 5, RoundOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel, nus, objs = append(sel, best), append(nus, nu), append(objs, bestV)
-		}
-		check(fmt.Sprintf("Update at %d workers", w), w, sel, nus, objs, st.MinEig())
-		parallel.SetMaxWorkers(prev)
+			check(t, "RoundFast", w, res.Selected, res.Nu, res.Objectives, res.MinEigH)
+
+			st, err := testRoundState(p, z, 5, p.DefaultEta(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := p.ResidentPool()
+			scores := make([]float64, p.N())
+			selected := make([]bool, p.N())
+			var sel []int
+			var nus, objs []float64
+			for step := 0; step < 5; step++ {
+				st.Scores(p.Pool, scores)
+				best, bestV := -1, math.Inf(-1)
+				for i, v := range scores {
+					if !selected[i] && v > bestV {
+						best, bestV = i, v
+					}
+				}
+				selected[best] = true
+				nu, err := st.Update(pool.X.Row(best), pool.H.Row(best), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sel, nus, objs = append(sel, best), append(nus, nu), append(objs, bestV)
+			}
+			check(t, "Update", w, sel, nus, objs, st.MinEig())
+		})
 	}
 }

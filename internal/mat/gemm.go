@@ -156,6 +156,41 @@ func MulTransA(dst, a, b *Dense) *Dense {
 	return dst
 }
 
+// MulWS is Mul on the calling goroutine, with its packing scratch drawn
+// from ws. It is for callers that already run one task per pool worker,
+// such as ROUND's per-class solves: they gain nothing from a nested fan
+// out, and sharing the global packing scratch across them regrows those
+// buffers as they pass between product shapes. Same bits as Mul; dst
+// must not be nil.
+//
+//firal:hotpath
+func MulWS(ws *Workspace, dst, a, b *Dense) {
+	if a.Cols != b.Rows {
+		panic("mat: Mul inner dimension mismatch")
+	}
+	prepDst(dst, a.Rows, b.Cols)
+	if UseBlocked(a.Rows, b.Cols, a.Cols) {
+		gemmWS(ws, dst, a, b, false)
+		return
+	}
+	refMulRange(dst, a, b, 0, a.Rows)
+}
+
+// MulTransAWS is MulTransA as MulWS is Mul.
+//
+//firal:hotpath
+func MulTransAWS(ws *Workspace, dst, a, b *Dense) {
+	if a.Rows != b.Rows {
+		panic("mat: MulTransA row mismatch")
+	}
+	prepDst(dst, a.Cols, b.Cols)
+	if UseBlocked(a.Cols, b.Cols, a.Rows) {
+		gemmWS(ws, dst, a, b, true)
+		return
+	}
+	mulTransASmallRange(dst, a, b, 0, a.Cols)
+}
+
 var mulTransATasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
 	mulTransASmallRange(t.m1, t.m2, t.m3, lo, hi)
 })
@@ -281,6 +316,35 @@ func gemmSerial(dst, a, b *Dense, transA, transB bool) {
 	sc := gemmPool.Get()
 	bp := growBuf(&sc.b, panelLen(n, gemmNC, gemmNR, kd))
 	ap := growBuf(&sc.a, panelLen(m, gemmMC, gemmMR, kd))
+	gemmPanels(dst, a, b, transA, transB, ap, bp)
+	gemmPool.Put(sc)
+}
+
+// gemmWS is gemmSerial for an untransposed b, with its packing scratch
+// from ws.
+//
+//firal:hotpath
+func gemmWS(ws *Workspace, dst, a, b *Dense, transA bool) {
+	kd := a.Cols
+	if transA {
+		kd = a.Rows
+	}
+	bp := ws.Vec(panelLen(dst.Cols, gemmNC, gemmNR, kd))
+	ap := ws.Vec(panelLen(dst.Rows, gemmMC, gemmMR, kd))
+	gemmPanels(dst, a, b, transA, false, ap, bp)
+	ws.PutVec(ap)
+	ws.PutVec(bp)
+}
+
+// gemmPanels runs gemmSerial's loops with the packing scratch ap and bp.
+//
+//firal:hotpath
+func gemmPanels(dst, a, b *Dense, transA, transB bool, ap, bp []float64) {
+	m, n := dst.Rows, dst.Cols
+	kd := a.Cols
+	if transA {
+		kd = a.Rows
+	}
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < kd; pc += gemmKC {
@@ -289,7 +353,6 @@ func gemmSerial(dst, a, b *Dense, transA, transB bool) {
 			gemmRowRange(dst, a, transA, ap, bp, pc, jc, kc, nc, 0, m)
 		}
 	}
-	gemmPool.Put(sc)
 }
 
 // gemmTileParallel fans the row loop of one packed-B tile out across

@@ -205,129 +205,3 @@ sqdone:
 	VMOVUPD Z11, (R11)
 	VZEROUPPER
 	RET
-
-// func sqNormsAVX(kc, jt int, w, x, a, a2, qb, qp *float64)
-//
-// sqNormsAVX512 on YMM registers: tile row r lives in the pair Y<2r>
-// (points 0–3) and Y<2r+1> (points 4–7), as in micro4x8avx, and the sums
-// in Y12–Y13 (qb) and Y14–Y15 (qp).
-TEXT ·sqNormsAVX(SB), NOSPLIT, $0-64
-	MOVQ kc+0(FP), CX
-	MOVQ jt+8(FP), R8
-	MOVQ w+16(FP), SI
-	MOVQ x+24(FP), DI
-	MOVQ a+32(FP), R9
-	MOVQ a2+40(FP), R10
-	MOVQ qb+48(FP), DX
-	MOVQ qp+56(FP), R11
-
-	VXORPD Y12, Y12, Y12
-	VXORPD Y13, Y13, Y13
-	VXORPD Y14, Y14, Y14
-	VXORPD Y15, Y15, Y15
-
-ytile:
-	TESTQ  R8, R8
-	JZ     ydone
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ   DI, BX
-	MOVQ   CX, R12
-	TESTQ  R12, R12
-	JZ     yfold
-
-yk:
-	VMOVUPD      (BX), Y8    // x: points 0–3 at this k
-	VMOVUPD      32(BX), Y9  // x: points 4–7
-	VBROADCASTSD (SI), Y10   // w_j0 ×4
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y1, Y1
-	VBROADCASTSD 8(SI), Y10  // w_j1 ×4
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y2, Y2
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y3, Y3
-	VBROADCASTSD 16(SI), Y10 // w_j2 ×4
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y4, Y4
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y5, Y5
-	VBROADCASTSD 24(SI), Y10 // w_j3 ×4
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y6, Y6
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y7, Y7
-	ADDQ         $32, SI
-	ADDQ         $64, BX
-	DECQ         R12
-	JNZ          yk
-
-yfold:
-	VMULPD       Y0, Y0, Y0
-	VMULPD       Y1, Y1, Y1
-	VBROADCASTSD (R9), Y10
-	VMULPD       Y10, Y0, Y11
-	VADDPD       Y11, Y12, Y12
-	VMULPD       Y10, Y1, Y11
-	VADDPD       Y11, Y13, Y13
-	VBROADCASTSD (R10), Y10
-	VMULPD       Y10, Y0, Y11
-	VADDPD       Y11, Y14, Y14
-	VMULPD       Y10, Y1, Y11
-	VADDPD       Y11, Y15, Y15
-	VMULPD       Y2, Y2, Y2
-	VMULPD       Y3, Y3, Y3
-	VBROADCASTSD 8(R9), Y10
-	VMULPD       Y10, Y2, Y11
-	VADDPD       Y11, Y12, Y12
-	VMULPD       Y10, Y3, Y11
-	VADDPD       Y11, Y13, Y13
-	VBROADCASTSD 8(R10), Y10
-	VMULPD       Y10, Y2, Y11
-	VADDPD       Y11, Y14, Y14
-	VMULPD       Y10, Y3, Y11
-	VADDPD       Y11, Y15, Y15
-	VMULPD       Y4, Y4, Y4
-	VMULPD       Y5, Y5, Y5
-	VBROADCASTSD 16(R9), Y10
-	VMULPD       Y10, Y4, Y11
-	VADDPD       Y11, Y12, Y12
-	VMULPD       Y10, Y5, Y11
-	VADDPD       Y11, Y13, Y13
-	VBROADCASTSD 16(R10), Y10
-	VMULPD       Y10, Y4, Y11
-	VADDPD       Y11, Y14, Y14
-	VMULPD       Y10, Y5, Y11
-	VADDPD       Y11, Y15, Y15
-	VMULPD       Y6, Y6, Y6
-	VMULPD       Y7, Y7, Y7
-	VBROADCASTSD 24(R9), Y10
-	VMULPD       Y10, Y6, Y11
-	VADDPD       Y11, Y12, Y12
-	VMULPD       Y10, Y7, Y11
-	VADDPD       Y11, Y13, Y13
-	VBROADCASTSD 24(R10), Y10
-	VMULPD       Y10, Y6, Y11
-	VADDPD       Y11, Y14, Y14
-	VMULPD       Y10, Y7, Y11
-	VADDPD       Y11, Y15, Y15
-	ADDQ         $32, R9
-	ADDQ         $32, R10
-	DECQ         R8
-	JMP          ytile
-
-ydone:
-	VMOVUPD Y12, (DX)
-	VMOVUPD Y13, 32(DX)
-	VMOVUPD Y14, (R11)
-	VMOVUPD Y15, 32(R11)
-	VZEROUPPER
-	RET

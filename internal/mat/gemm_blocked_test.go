@@ -1,8 +1,12 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 func randDense(rng *rand.Rand, r, c int) *Dense {
@@ -137,4 +141,37 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestMulWSMatchesMul checks that MulWS and MulTransAWS give Mul's and
+// MulTransA's bits on both the blocked and the small path, whatever the
+// worker count, and that a warm workspace makes them allocate nothing.
+func TestMulWSMatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	ws := NewWorkspace()
+	for _, w := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(w))
+			for _, sh := range [][3]int{{3, 5, 4}, {16, 8, 8}, {32, 32, 32}, {64, 64, 64}, {70, 33, 300}} {
+				m, k, n := sh[0], sh[1], sh[2]
+				a, at, b := randDense(rng, m, k), randDense(rng, k, m), randDense(rng, k, n)
+				a.Data[0], at.Data[0] = 0, 0 // the small paths skip zero terms
+				want, got := Mul(nil, a, b), NewDense(m, n)
+				MulWS(ws, got, a, b)
+				wantT, gotT := MulTransA(nil, at, b), NewDense(m, n)
+				MulTransAWS(ws, gotT, at, b)
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) ||
+						math.Float64bits(gotT.Data[i]) != math.Float64bits(wantT.Data[i]) {
+						t.Fatalf("%d workers, %d×%d×%d: element %d differs", w, m, k, n, i)
+					}
+				}
+				if !RaceEnabled {
+					if allocs := testing.AllocsPerRun(10, func() { MulWS(ws, got, a, b); MulTransAWS(ws, gotT, at, b) }); allocs != 0 {
+						t.Errorf("%d×%d×%d: %.1f allocations per warm call", m, k, n, allocs)
+					}
+				}
+			}
+		})
+	}
 }

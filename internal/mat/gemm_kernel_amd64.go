@@ -105,8 +105,3 @@ func rank1SubAVX(n int, a *float64, as, rows int, c *float64, cs int, x *float64
 //
 //go:noescape
 func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64)
-
-// sqNormsAVX is sqNormsAVX512 on YMM registers.
-//
-//go:noescape
-func sqNormsAVX(kc, jt int, w, x, a, a2, qb, qp *float64)

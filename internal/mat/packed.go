@@ -119,11 +119,10 @@ func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
 // y is formed in 4×8 tiles — four rows j of w by eight rows p of x —
 // which are folded into the eight points' sums as soon as they are
 // complete, in ascending j, so no tile is zeroed, stored or read back. At
-// the avx512 and avx levels one kernel call keeps the tile and both sums
-// of eight points in ZMM (or pairs of YMM) registers across every whole
-// lane panel of w; a ragged last panel of w, an inner dimension past one
-// k-panel, and the portable level run the tile from microTile and the
-// fold in Go.
+// the avx512 level one kernel call keeps the tile and both sums of eight
+// points in ZMM registers across every whole lane panel of w; a ragged
+// last panel of w, an inner dimension past one k-panel, and the avx and
+// portable levels run the tile from microTile and the fold in Go.
 //
 //firal:hotpath
 func WeightedSqNorms(qb, qp []float64, w, x *Packed, a, a2 []float64) {
@@ -134,16 +133,12 @@ func WeightedSqNorms(qb, qp []float64, w, x *Packed, a, a2 []float64) {
 		panic("mat: WeightedSqNorms length mismatch")
 	}
 	full := w.rows &^ (gemmMR - 1) // rows j in whole lane panels
-	asm := kernel != kernelPortable && w.k > 0 && w.k <= gemmKC && full > 0
+	asm := kernel == kernelAVX512 && w.k > 0 && w.k <= gemmKC && full > 0
 	for p0 := 0; p0 < x.rows; p0 += gemmNR {
 		var sb, sp [gemmNR]float64
 		j0 := 0
 		if asm {
-			if kernel == kernelAVX512 {
-				sqNormsAVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
-			} else {
-				sqNormsAVX(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
-			}
+			sqNormsAVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
 			j0 = full
 		}
 		for ; j0 < w.rows; j0 += gemmMR {
