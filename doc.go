@@ -132,7 +132,10 @@
 // (WithParallelism), which compose by minimum across concurrent
 // sessions instead of racing on process state. Hot paths hand the pool
 // pre-built dispatch funcs from pooled task records — never fresh
-// closures, whose captures would heap-allocate per call.
+// closures, whose captures would heap-allocate per call. Workers split
+// output elements, never the sum of one element, so no selection bit
+// depends on the worker count: a session capped by a stricter
+// concurrent limit selects what it would alone.
 //
 // With a warm workspace the Lemma-2 Hessian matvec, CG iterations, the
 // preconditioner rebuild (in-place Cholesky refactorization), and the

@@ -10,7 +10,7 @@
 //     make/new, growing appends, map literals, closure literals,
 //     explicit interface-boxing conversions, or fmt calls outside
 //     return statements (Workspace-arena contract).
-//   - pooledfork: parallel.For/ForChunk/ForChunkMin/Fork arguments in
+//   - pooledfork: parallel.For/ForChunk/ForChunkMin arguments in
 //     hotpath functions must be pooled task records, never func
 //     literals (worker-pool contract).
 //   - limitpair: parallel.AcquireLimit must be paired with a deferred

@@ -134,7 +134,7 @@ func isParallelDispatch(pass *goanalysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	switch f.Name() {
-	case "For", "ForChunk", "ForChunkMin", "Fork":
+	case "For", "ForChunk", "ForChunkMin":
 		return true
 	}
 	return false

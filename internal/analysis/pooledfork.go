@@ -10,7 +10,7 @@ import (
 
 // PooledFork enforces the worker-pool contract inside //firal:hotpath
 // functions: the function value handed to parallel.For / ForChunk /
-// ForChunkMin / Fork must come from a pooled task record (the
+// ForChunkMin must come from a pooled task record (the
 // mat.kernelTask pattern — the dispatch func is built once, closing
 // over the record), never from a func literal at the call site, which
 // heap-allocates its capture environment on every kernel invocation.

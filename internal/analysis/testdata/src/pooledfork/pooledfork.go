@@ -40,11 +40,6 @@ func scaleLiteral(xs []float64) {
 }
 
 //firal:hotpath
-func forkLiteral(n int) {
-	parallel.Fork(n, func(i int) {}) // want "func literal passed to parallel dispatch"
-}
-
-//firal:hotpath
 func allowedLiteral(xs []float64) {
 	//firal:allow(closure) — cold path run once at session setup
 	parallel.For(len(xs), func(i int) { xs[i] = 0 })

@@ -17,5 +17,3 @@ func For(n int, fn func(i int)) {}
 func ForChunk(n int, fn func(lo, hi int)) {}
 
 func ForChunkMin(n, minPer int, fn func(lo, hi int)) {}
-
-func Fork(n int, fn func(i int)) {}

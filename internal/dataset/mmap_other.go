@@ -14,3 +14,13 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 }
 
 func munmapFile(data []byte) {}
+
+// fileSize returns the file's current size. It is only called on the
+// mapped read path, which mmapFile never enables here.
+func fileSize(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
+}

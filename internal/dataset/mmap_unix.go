@@ -20,3 +20,13 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 func munmapFile(data []byte) {
 	_ = syscall.Munmap(data)
 }
+
+// fileSize returns the file's current size with one fstat into a stack
+// buffer, so the mapped read path stays allocation-free.
+func fileSize(f *os.File) (int64, error) {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(int(f.Fd()), &st); err != nil {
+		return 0, os.NewSyscallError("fstat", err)
+	}
+	return st.Size, nil
+}

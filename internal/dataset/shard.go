@@ -352,5 +352,17 @@ func (sf *shardFile) decodeRows(lo, hi, d int, dst *mat.Dense, dstRow int) (err 
 			out[j] = float64(math.Float32frombits(bits))
 		}
 	}
+	if sf.data != nil {
+		// Within the page that holds a shrunk file's new end, a mapping
+		// reads zeros instead of faulting; the file size, taken after the
+		// decode, tells them apart.
+		size, err := fileSize(sf.f)
+		if err != nil {
+			return err
+		}
+		if end := int64(off + n); size < end {
+			return fmt.Errorf("mapped rows [%d, %d) end at byte %d, past the file's end at %d (file shrunk after open?)", lo, hi, end, size)
+		}
+	}
 	return nil
 }

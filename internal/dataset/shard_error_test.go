@@ -167,23 +167,33 @@ func FuzzShardHeader(f *testing.F) {
 }
 
 // TestShardTruncatedAfterOpen shrinks a shard under an open source. A
-// read past the new end must come back as an error; on the mmap path it
-// used to kill the process with SIGBUS.
+// read of rows past the new end must fail and name the shard, both when
+// they lie in pages wholly past it (a mapping faults there, which used to
+// kill the process with SIGBUS) and when they share the page of the new
+// end (a mapping reads zeros there): a 150×6 pool, 3,620 bytes in one
+// page, truncated to its 20-byte header.
 func TestShardTruncatedAfterOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shrinks.shard")
-	const rows, dim = 8192, 4 // 128 KiB of payload: many pages
-	writeTestShard(t, path, rows, dim)
-	src, err := OpenShards(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if err := os.Truncate(path, shardHeaderSize+16); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.ReadRows(rows-64, rows, mat.NewDense(64, dim)); err == nil {
-		t.Fatal("reading rows past the truncated end succeeded")
-	} else if !strings.Contains(err.Error(), path) {
-		t.Fatalf("error %v does not name the shard", err)
+	for _, tc := range []struct {
+		rows, dim, lo int
+		size          int64
+	}{
+		{8192, 4, 8192 - 64, shardHeaderSize + 16}, // 128 KiB of payload: many pages
+		{150, 6, 0, shardHeaderSize},
+	} {
+		path := filepath.Join(t.TempDir(), "shrinks.shard")
+		writeTestShard(t, path, tc.rows, tc.dim)
+		src, err := OpenShards(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		if err := os.Truncate(path, tc.size); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.ReadRows(tc.lo, tc.rows, mat.NewDense(tc.rows-tc.lo, tc.dim)); err == nil {
+			t.Fatalf("%d×%d: reading rows past the truncated end succeeded", tc.rows, tc.dim)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Fatalf("%d×%d: error %v does not name the shard", tc.rows, tc.dim, err)
+		}
 	}
 }

@@ -239,29 +239,32 @@ func TestSelectInProcessReadFailure(t *testing.T) {
 	}
 }
 
-// TestSelectInProcessShardTruncated shrinks the pool's shard file after
-// it was opened (and mapped): the selection must fail with ErrPoolRead
-// at every rank count instead of killing the process. The pool spans
-// many pages, since a mapping still reads zeros up to the end of the
-// page that holds the new end of file.
+// TestSelectInProcessShardTruncated shrinks the pool's shard file to its
+// 20-byte header after it was opened (and mapped): the selection must
+// fail with ErrPoolRead at every rank count instead of killing the
+// process or selecting from zeros. The 2000-row pool spans many pages,
+// where a mapping faults; the 150-row one fits in the page that holds the
+// new end of file, where a mapping reads zeros.
 func TestSelectInProcessShardTruncated(t *testing.T) {
-	labeled, pool := testSets(44, 20, 2000, 6, 3)
 	o := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 2, Seed: 9, Probes: 4}}
-	for _, ranks := range []int{1, 2} {
-		path := filepath.Join(t.TempDir(), "pool.shard")
-		if err := dataset.PackShard(path, dataset.NewMatrixSource(pool.X)); err != nil {
-			t.Fatal(err)
-		}
-		src, err := dataset.OpenShards(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		if err := os.Truncate(path, 20); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 256, 5, o); !errors.Is(err, hessian.ErrPoolRead) {
-			t.Fatalf("p=%d: got %v, want ErrPoolRead", ranks, err)
+	for _, n := range []int{2000, 150} {
+		labeled, pool := testSets(44, 20, n, 6, 3)
+		for _, ranks := range []int{1, 2} {
+			path := filepath.Join(t.TempDir(), "pool.shard")
+			if err := dataset.PackShard(path, dataset.NewMatrixSource(pool.X)); err != nil {
+				t.Fatal(err)
+			}
+			src, err := dataset.OpenShards(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			if err := os.Truncate(path, 20); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 256, 5, o); !errors.Is(err, hessian.ErrPoolRead) {
+				t.Fatalf("n=%d p=%d: got %v, want ErrPoolRead", n, ranks, err)
+			}
 		}
 	}
 }

@@ -97,25 +97,21 @@ func TestScoresMatchUnfused(t *testing.T) {
 func TestRoundFastBitsPinned(t *testing.T) {
 	wantSel := []int{350, 158, 134, 500, 194}
 	wantNu := []uint64{0x4025206afa62a558, 0x4022a6b831e77916, 0x40212700d8336e48, 0x401fd033d07064d8, 0x401d7d28a48bb4d7}
-	// The objectives' low bits depend on the worker count, through the
-	// Σ⋄ blocks; the selections, ν and MinEigH do not.
-	wantObj := map[int][]uint64{
-		1: {0x3f6e61fde8a0a660, 0x3f756667262d2feb, 0x3f7826c12a6b744f, 0x3f7a6eeda1e8a0f4, 0x3f7c1b5cf59c9460},
-		2: {0x3f6e61fde8a0a65e, 0x3f756667262d2fee, 0x3f7826c12a6b744e, 0x3f7a6eeda1e8a10b, 0x3f7c1b5cf59c9479},
-		3: {0x3f6e61fde8a0a65d, 0x3f756667262d2ff0, 0x3f7826c12a6b7450, 0x3f7a6eeda1e8a0f9, 0x3f7c1b5cf59c9479},
-	}
+	// One pin serves every worker count: no kernel splits the summation
+	// of one element, the Σ⋄ blocks' included.
+	wantObj := []uint64{0x3f6e61fde8a0a660, 0x3f756667262d2feb, 0x3f7826c12a6b744f, 0x3f7a6eeda1e8a0f4, 0x3f7c1b5cf59c9460}
 	const wantMin = 0xbcc3142ac8e64b12
 	p := testProblem(632, 20, 600, 32, 8)
 	z := make([]float64, p.N())
 	mat.Fill(z, 5/float64(p.N()))
-	check := func(t *testing.T, what string, w int, sel []int, nu, obj []float64, minEig float64) {
+	check := func(t *testing.T, what string, sel []int, nu, obj []float64, minEig float64) {
 		t.Helper()
 		if fmt.Sprint(sel) != fmt.Sprint(wantSel) {
 			t.Fatalf("%s: selected %v, want %v", what, sel, wantSel)
 		}
 		for i := range wantNu {
-			if math.Float64bits(nu[i]) != wantNu[i] || math.Float64bits(obj[i]) != wantObj[w][i] {
-				t.Fatalf("%s: step %d ν %x objective %x, want %x %x", what, i, math.Float64bits(nu[i]), math.Float64bits(obj[i]), wantNu[i], wantObj[w][i])
+			if math.Float64bits(nu[i]) != wantNu[i] || math.Float64bits(obj[i]) != wantObj[i] {
+				t.Fatalf("%s: step %d ν %x objective %x, want %x %x", what, i, math.Float64bits(nu[i]), math.Float64bits(obj[i]), wantNu[i], wantObj[i])
 			}
 		}
 		if math.Float64bits(minEig) != wantMin {
@@ -129,7 +125,7 @@ func TestRoundFastBitsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, "RoundFast", w, res.Selected, res.Nu, res.Objectives, res.MinEigH)
+			check(t, "RoundFast", res.Selected, res.Nu, res.Objectives, res.MinEigH)
 
 			st, err := testRoundState(p, z, 5, p.DefaultEta(), nil)
 			if err != nil {
@@ -155,7 +151,7 @@ func TestRoundFastBitsPinned(t *testing.T) {
 				}
 				sel, nus, objs = append(sel, best), append(nus, nu), append(objs, bestV)
 			}
-			check(t, "Update", w, sel, nus, objs, st.MinEig())
+			check(t, "Update", sel, nus, objs, st.MinEig())
 		})
 	}
 }

@@ -493,9 +493,9 @@ func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float6
 				u[i] = wi * hv * (1 - hv)
 			}
 			if single {
-				mat.WeightedGramWS(ws, blocks[k], xb, u)
+				mat.WeightedGram(blocks[k], xb, u)
 			} else {
-				mat.WeightedGramWS(ws, acc, xb, u[:m])
+				mat.WeightedGram(acc, xb, u[:m])
 				blocks[k].AddScaled(1, acc)
 			}
 		}

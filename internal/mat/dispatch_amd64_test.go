@@ -65,7 +65,6 @@ func TestAsmDispatchBitIdentical(t *testing.T) {
 				}
 			}
 			rowsB := &Dense{Rows: m, Cols: k, Stride: k, Data: xm}
-			ws := NewWorkspace()
 			run := func() [][]float64 {
 				inOrder := NewDense(m, n)
 				MulTransBInOrder(inOrder, a, bt, UseBlocked(m, n, k))
@@ -80,8 +79,8 @@ func TestAsmDispatchBitIdentical(t *testing.T) {
 					MulTransA(nil, at, b).Data,
 					MulTransB(nil, a, bt).Data,
 					inOrder.Data,
-					WeightedGramWS(ws, nil, a, w).Data,
-					WeightedGramWS(ws, nil, a, nil).Data,
+					WeightedGram(nil, a, w).Data,
+					WeightedGram(nil, a, nil).Data,
 					MatVec(nil, a, x),
 					RowDots(nil, a, rowsB),
 				}
@@ -89,7 +88,7 @@ func TestAsmDispatchBitIdentical(t *testing.T) {
 			cases = append(cases, dispatchCase{sh, special, run, atLevel(kernelPortable, run)})
 		}
 	}
-	names := []string{"MulPacked", "Mul", "MulTransA", "MulTransB", "MulTransBInOrder", "WeightedGramWS", "WeightedGramWS(unit)", "MatVec", "RowDots"}
+	names := []string{"MulPacked", "Mul", "MulTransA", "MulTransB", "MulTransBInOrder", "WeightedGram", "WeightedGram(unit)", "MatVec", "RowDots"}
 	forEachLevel(t, func(t *testing.T) {
 		for _, c := range cases {
 			got := c.run()
@@ -116,10 +115,12 @@ type dispatchCase struct {
 
 // TestGramRank4KernelMatchesPortable pins weightedGramRange's rank-4
 // update at every kernel level the host has to its Go loop bit for bit:
-// every dimension from 1 to 70 (all four-column tails), row counts 0…9
-// (every count mod 4, so the single-row tail runs too), a dst stride
-// wider than d, and weights that are nil (unit), negative, or zero across
-// a whole four-row group.
+// every dimension from 1 to 70 (all four-column tails), point counts 0…9
+// (every count mod 4, so the single-point tail runs too), a dst stride
+// wider than d, weights that are nil (unit), negative, or zero across a
+// whole four-point group, and triangle row ranges that are whole, start
+// past row 0, end before row d, hold a single row or are empty. Rows
+// outside the range must keep their bits.
 func TestGramRank4KernelMatchesPortable(t *testing.T) {
 	forEachLevel(t, testGramRank4)
 }
@@ -127,6 +128,11 @@ func TestGramRank4KernelMatchesPortable(t *testing.T) {
 func testGramRank4(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for d := 1; d <= 70; d++ {
+		ranges := [][2]int{{0, d}, {d / 3, d - d/4}, {0, 1}, {d - 1, d}, {d / 2, d / 2}}
+		before := make([]float64, d*(d+1))
+		spread(rng, before)
+		got := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: make([]float64, len(before))}
+		want := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: make([]float64, len(before))}
 		for rows := 0; rows <= 9; rows++ {
 			x := &Dense{Rows: rows, Cols: d, Stride: d + 2, Data: make([]float64, max(1, rows*(d+2)))}
 			spread(rng, x.Data)
@@ -142,15 +148,26 @@ func testGramRank4(t *testing.T) {
 						}
 					}
 				}
-				got := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: make([]float64, d*(d+1))}
-				spread(rng, got.Data)
-				want := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: append([]float64(nil), got.Data...)}
-				weightedGramRange(got, x, w, 0, rows)
-				atLevel(kernelPortable, func() *Dense { weightedGramRange(want, x, w, 0, rows); return want })
-				for k := range got.Data {
-					if !sameBits(got.Data[k], want.Data[k]) {
-						t.Fatalf("%s d=%d rows=%d weights=%d: dst[%d] = %x, portable %x", kernel, d, rows, wk, k,
-							math.Float64bits(got.Data[k]), math.Float64bits(want.Data[k]))
+				for _, rg := range ranges {
+					copy(got.Data, before)
+					copy(want.Data, before)
+					weightedGramRange(got, x, w, rg[0], rg[1])
+					atLevel(kernelPortable, func() *Dense { weightedGramRange(want, x, w, rg[0], rg[1]); return want })
+					for k := range got.Data {
+						if !sameBits(got.Data[k], want.Data[k]) {
+							t.Fatalf("%s d=%d rows=%d weights=%d range=%v: dst[%d] = %x, portable %x", kernel, d, rows, wk, rg, k,
+								math.Float64bits(got.Data[k]), math.Float64bits(want.Data[k]))
+						}
+					}
+					for r := 0; r < d; r++ {
+						if r >= rg[0] && r < rg[1] {
+							continue
+						}
+						for c, v := range got.Row(r) {
+							if !sameBits(v, before[r*got.Stride+c]) {
+								t.Fatalf("%s d=%d rows=%d weights=%d range=%v: row %d outside the range changed", kernel, d, rows, wk, rg, r)
+							}
+						}
 					}
 				}
 			}

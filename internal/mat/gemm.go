@@ -21,12 +21,13 @@ import "repro/internal/parallel"
 // the portable Go loops everywhere else. Every level multiplies and adds
 // separately, in the same order, so all three give the same bits.
 //
-// Results are deterministic for a fixed worker count: workers split output
-// rows, and every output element accumulates its k-terms in the same
-// order (k-panels of gemmKC in ascending order) regardless of how rows are
-// distributed. The blocked kernels reorder floating-point sums relative to
-// the reference kernels, so results agree to roundoff (~1e-12 relative),
-// not bit-for-bit.
+// No kernel's bits depend on the worker count: workers split output
+// elements (rows of a product, rows of the Gram triangle), never the
+// summation of one element, and every output element accumulates its
+// terms in the same order (k-panels of gemmKC in ascending order, points
+// in ascending order) however the elements are distributed. The blocked
+// kernels reorder floating-point sums relative to the reference kernels,
+// so results agree to roundoff (~1e-12 relative), not bit-for-bit.
 
 const (
 	gemmMR = 4 // micro-kernel rows
@@ -537,81 +538,54 @@ func matVecRange(dst []float64, a *Dense, x []float64, lo, hi int) {
 //
 // Only the lower triangle is accumulated (rank-4 panels of rows); the
 // upper triangle is mirrored at the end, so the result is exactly
-// symmetric.
-func WeightedGram(dst *Dense, x *Dense, w []float64) *Dense {
-	return WeightedGramWS(nil, dst, x, w)
-}
-
-// WeightedGramWS is WeightedGram with the per-worker partial buffers of
-// the parallel reduction drawn from ws (acquired and returned on the
-// calling goroutine, so the single-owner workspace contract holds); hot
-// loops that rebuild Gram blocks every iteration reuse them instead of
-// re-allocating O(workers·d²) per call.
+// symmetric. Workers split the triangle, not the points: each takes a
+// chunk of pairs of triangle rows, row i with row d−1−i, so every pair
+// (bar an odd d's middle row) holds d+1 elements and chunks balance. Every
+// worker sums over all points in the serial order, so each element is the
+// serial sum at any worker count.
 //
 //firal:hotpath
-func WeightedGramWS(ws *Workspace, dst *Dense, x *Dense, w []float64) *Dense {
+func WeightedGram(dst *Dense, x *Dense, w []float64) *Dense {
 	d := x.Cols
 	dst = prepDst(dst, d, d)
-	// Per-row cost is O(d²), so cap workers well below ForChunk's scalar
-	// floor; a few dozen rows per worker already amortize the fork.
-	nw := parallel.Workers()
-	if lim := x.Rows / 64; nw > lim {
-		nw = lim
+	// A pair costs n·(d+1) multiply-adds; engage a worker for at least
+	// gemmMinWork of them.
+	pairs := (d + 1) / 2
+	minPairs := 1 + gemmMinWork/(x.Rows*(d+1)+1)
+	if parallel.SerialMin(pairs, minPairs) {
+		weightedGramRange(dst, x, w, 0, d)
+	} else {
+		t := gramTasks.Get()
+		t.m1, t.m2, t.v1 = dst, x, w
+		parallel.ForChunkMin(pairs, minPairs, t.fn)
+		t.release(gramTasks)
 	}
-	if nw <= 1 {
-		weightedGramRange(dst, x, w, 0, x.Rows)
-		mirrorLower(dst)
-		return dst
-	}
-	// Each worker accumulates into a private d×d region of one workspace
-	// buffer; regions are summed serially so the result is deterministic
-	// for a fixed worker count. Fork (not For) because the task count
-	// equals the worker count, far below For's per-worker iteration floor,
-	// which would serialize it. The per-worker Dense headers live on the
-	// pooled task record, so the whole reduction is allocation-free with a
-	// warm workspace.
-	buf := ws.Vec(nw * d * d)
-	t := gramTasks.Get()
-	if cap(t.hdrs) < nw {
-		//firal:allow(alloc) — amortized: grows once per worker-count change
-		t.hdrs = make([]Dense, nw)
-	}
-	t.m1, t.v1, t.v2 = x, w, buf
-	t.i1, t.i2, t.i3 = d, (x.Rows+nw-1)/nw, x.Rows
-	parallel.Fork(nw, t.forkFn)
-	for i := 0; i < nw; i++ {
-		dst.AddScaled(1, &t.hdrs[i])
-	}
-	t.release(gramTasks)
-	ws.PutVec(buf)
 	mirrorLower(dst)
 	return dst
 }
 
-var gramTasks = newForkTaskPool(func(t *kernelTask, widx int) {
-	d, chunk, rows := t.i1, t.i2, t.i3
-	p := &t.hdrs[widx]
-	p.Rows, p.Cols, p.Stride = d, d, d
-	p.Data = t.v2[widx*d*d : (widx+1)*d*d]
-	p.Zero() // workspace contents are unspecified
-	lo := widx * chunk
-	hi := min(lo+chunk, rows)
-	if lo >= hi {
-		return
-	}
-	weightedGramRange(p, t.m1, t.v1, lo, hi)
+// gramTasks runs the pairs [lo, hi): triangle rows [lo, hi) and their
+// mirrors [d−hi, d−lo), less the middle row of an odd d already done.
+var gramTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
+	d := t.m2.Cols
+	weightedGramRange(t.m1, t.m2, t.v1, lo, hi)
+	weightedGramRange(t.m1, t.m2, t.v1, max(hi, d-hi), d-lo)
 })
 
-// weightedGramRange accumulates the lower triangle of Σ_i w_i x_i x_iᵀ for
-// rows [lo, hi), four rows at a time so each loaded dst element absorbs
-// four multiply-adds. On amd64 hosts with AVX the rank-4 update runs the
-// loop of dot_amd64.s, four columns per instruction in the same order.
+// weightedGramRange accumulates rows [r0, r1) of the lower triangle of
+// Σ_i w_i x_i x_iᵀ over every point in order, four points at a time so
+// each loaded dst element absorbs four multiply-adds. On amd64 hosts with
+// AVX the rank-4 update runs the loop of dot_amd64.s, four columns per
+// instruction in the same order.
 //
 //firal:hotpath
-func weightedGramRange(dst *Dense, x *Dense, w []float64, lo, hi int) {
-	d := x.Cols
-	i := lo
-	for ; i+4 <= hi; i += 4 {
+func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
+	if r0 >= r1 {
+		return
+	}
+	n := x.Rows
+	i := 0
+	for ; i+4 <= n; i += 4 {
 		w0, w1, w2, w3 := 1.0, 1.0, 1.0, 1.0
 		if w != nil {
 			w0, w1, w2, w3 = w[i], w[i+1], w[i+2], w[i+3]
@@ -623,12 +597,13 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, lo, hi int) {
 		x1 := x.Row(i + 1)
 		x2 := x.Row(i + 2)
 		x3 := x.Row(i + 3)
-		if kernel != kernelPortable && d > 0 {
-			_ = dst.Row(d - 1)[d-1] // bounds: the d×d triangle lies inside dst
-			gramRank4AVX(d, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
+		if kernel != kernelPortable {
+			_ = dst.Row(r1 - 1)[r1-1] // bounds: the triangle rows lie inside dst
+			_ = x3[r1-1]
+			gramRank4AVX(r0, r1, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
 			continue
 		}
-		for r := 0; r < d; r++ {
+		for r := r0; r < r1; r++ {
 			v0 := w0 * x0[r]
 			v1 := w1 * x1[r]
 			v2 := w2 * x2[r]
@@ -639,7 +614,7 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, lo, hi int) {
 			}
 		}
 	}
-	for ; i < hi; i++ {
+	for ; i < n; i++ {
 		wi := 1.0
 		if w != nil {
 			wi = w[i]
@@ -648,7 +623,7 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, lo, hi int) {
 			continue
 		}
 		xi := x.Row(i)
-		for r := 0; r < d; r++ {
+		for r := r0; r < r1; r++ {
 			v := wi * xi[r]
 			if v == 0 {
 				continue

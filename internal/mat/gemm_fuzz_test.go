@@ -114,16 +114,15 @@ func FuzzGEMMShapes(f *testing.F) {
 	})
 }
 
-// TestWeightedGramMatchesRefUnderPool checks the Fork-based parallel
-// reduction (workspace partials, pooled task headers) against the serial
-// oracle, including the zero-weight row skip and a row count that leaves
-// the final worker an empty chunk.
+// TestWeightedGramMatchesRefUnderPool checks the triangle-split parallel
+// Gram against the serial oracle, including the zero-weight row skip, odd
+// and even dimensions (the middle row of an odd d belongs to one pair)
+// and chunk counts that do not divide the pairs, and requires the bits of
+// the 1-worker result at 2, 3 and 4 workers.
 func TestWeightedGramMatchesRefUnderPool(t *testing.T) {
-	prev := parallel.SetMaxWorkers(4)
-	defer parallel.SetMaxWorkers(prev)
-	ws := NewWorkspace()
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	for _, rows := range []int{64, 255, 256, 257, 1000} {
-		for _, d := range []int{1, 3, 8, 17} {
+		for _, d := range []int{1, 3, 8, 17, 64, 65} {
 			s := lcg(uint64(rows*d + 1))
 			x := NewDense(rows, d)
 			s.fill(x.Data)
@@ -132,15 +131,28 @@ func TestWeightedGramMatchesRefUnderPool(t *testing.T) {
 			for i := 0; i < rows; i += 7 {
 				w[i] = 0
 			}
-			want := RefWeightedGram(nil, x, w)
-			got := WeightedGramWS(ws, nil, x, w)
-			if relDiff(got, want) > 1e-12 {
-				t.Errorf("rows=%d d=%d: rel diff %g", rows, d, relDiff(got, want))
+			parallel.SetMaxWorkers(1)
+			serial, serialNil := WeightedGram(nil, x, w), WeightedGram(nil, x, nil)
+			if e := relDiff(serial, RefWeightedGram(nil, x, w)); e > 1e-12 {
+				t.Errorf("rows=%d d=%d: rel diff %g", rows, d, e)
 			}
-			gotNil := WeightedGramWS(ws, nil, x, nil)
-			wantNil := RefWeightedGram(nil, x, nil)
-			if relDiff(gotNil, wantNil) > 1e-12 {
-				t.Errorf("rows=%d d=%d nil weights: rel diff %g", rows, d, relDiff(gotNil, wantNil))
+			if e := relDiff(serialNil, RefWeightedGram(nil, x, nil)); e > 1e-12 {
+				t.Errorf("rows=%d d=%d nil weights: rel diff %g", rows, d, e)
+			}
+			for workers := 2; workers <= 4; workers++ {
+				parallel.SetMaxWorkers(workers)
+				for _, c := range []struct {
+					w    []float64
+					want *Dense
+				}{{w, serial}, {nil, serialNil}} {
+					got := WeightedGram(nil, x, c.w)
+					for k := range got.Data {
+						if !sameBits(got.Data[k], c.want.Data[k]) {
+							t.Fatalf("rows=%d d=%d unit=%v workers=%d: element %d = %x, 1 worker %x", rows, d, c.w == nil, workers, k,
+								math.Float64bits(got.Data[k]), math.Float64bits(c.want.Data[k]))
+						}
+					}
+				}
 			}
 		}
 	}
@@ -168,9 +180,8 @@ func TestKernelsZeroAllocMulticore(t *testing.T) {
 	w := make([]float64, 600)
 	s.fill(x)
 	s.fill(w)
-	ws := NewWorkspace()
 	warmAndPin := func(name string, fn func()) {
-		fn() // warm pools and workspace
+		fn() // warm the pools
 		if allocs := testing.AllocsPerRun(30, fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f objects per warm call at 4 workers", name, allocs)
 		}
@@ -181,5 +192,5 @@ func TestKernelsZeroAllocMulticore(t *testing.T) {
 	warmAndPin("MulTransB", func() { MulTransB(small, b, b) })
 	warmAndPin("MatVec", func() { MatVec(y, a, x) })
 	warmAndPin("RowDots", func() { RowDots(y, a, dst) })
-	warmAndPin("WeightedGramWS", func() { WeightedGramWS(ws, small, a, w) })
+	warmAndPin("WeightedGram", func() { WeightedGram(small, a, w) })
 }

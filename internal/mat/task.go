@@ -12,30 +12,23 @@ import "repro/internal/parallel"
 // Instead, each parallel kernel keeps a FreeList of kernelTask records
 // whose dispatch func was built once, closing over the record itself;
 // a call checks out a record, fills in the operand slots, hands the
-// pre-built func to parallel.ForChunk/Fork, and clears the slots on
-// return. Steady state: zero allocations and zero goroutine forks.
+// pre-built func to parallel.ForChunk/ForChunkMin, and clears the slots
+// on return. Steady state: zero allocations and zero goroutine forks.
 type kernelTask struct {
-	m1, m2, m3, m4 *Dense
+	m1, m2, m3     *Dense
 	v1, v2         []float64
-	f1             float64
 	i1, i2, i3, i4 int
 	b1             bool
-	hdrs           []Dense // per-worker matrix headers (Fork reductions)
 
-	// fn/forkFn are bound to this record at pool-New time; exactly one is
-	// non-nil per pool.
-	fn     func(lo, hi int)
-	forkFn func(i int)
+	// fn is bound to this record at pool-New time.
+	fn func(lo, hi int)
 }
 
 // release clears every reference slot (so pooled records don't pin
 // operand memory) and returns the record to its pool.
 func (t *kernelTask) release(p *taskPool) {
-	t.m1, t.m2, t.m3, t.m4 = nil, nil, nil, nil
+	t.m1, t.m2, t.m3 = nil, nil, nil
 	t.v1, t.v2 = nil, nil
-	for i := range t.hdrs {
-		t.hdrs[i].Data = nil
-	}
 	p.Put(t)
 }
 
@@ -49,17 +42,6 @@ func newChunkTaskPool(body func(t *kernelTask, lo, hi int)) *taskPool {
 	p.New = func() *kernelTask {
 		t := &kernelTask{}
 		t.fn = func(lo, hi int) { body(t, lo, hi) }
-		return t
-	}
-	return p
-}
-
-// newForkTaskPool is newChunkTaskPool for Fork-style (per-index) bodies.
-func newForkTaskPool(body func(t *kernelTask, i int)) *taskPool {
-	p := &taskPool{}
-	p.New = func() *kernelTask {
-		t := &kernelTask{}
-		t.forkFn = func(i int) { body(t, i) }
 		return t
 	}
 	return p

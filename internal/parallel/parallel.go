@@ -12,16 +12,14 @@
 //   - Workers live for the life of the process (parked on a channel when
 //     idle) and are shared by every caller; the pool is resized by
 //     SetMaxWorkers and grows lazily up to the target.
-//   - A steady-state For/ForChunk/Fork call forks no goroutines and
+//   - A steady-state For/ForChunk call forks no goroutines and
 //     performs no allocations of its own. The function value passed in is
 //     the caller's responsibility: a closure literal that captures loop
 //     variables is heap-allocated at every call site, so allocation-free
 //     kernels must pass a func stored in reusable (pooled) state instead
 //     of capturing ad hoc — see the kernel task pools in internal/mat.
 //   - ForChunk bodies must not rely on chunks running concurrently with
-//     one another (the pool may run them sequentially on the caller);
-//     Fork is the primitive that guarantees all n tasks are in flight at
-//     once.
+//     one another (the pool may run them sequentially on the caller).
 //   - Loop bodies must not hold locks that the code launching the loop
 //     also holds, as the caller participates in its own loop.
 package parallel
@@ -54,8 +52,8 @@ var limits struct {
 	active map[*Limit]int
 }
 
-// SetMaxWorkers overrides the process-wide base worker count used by For,
-// ForChunk and Fork, and resizes the persistent pool to match. n <= 0
+// SetMaxWorkers overrides the process-wide base worker count used by For
+// and ForChunk, and resizes the persistent pool to match. n <= 0
 // restores the default (GOMAXPROCS). It returns the previous value.
 //
 // The setting is process-wide; concurrent callers don't race, but the
@@ -157,36 +155,6 @@ func For(n int, fn func(i int)) {
 	})
 }
 
-// Fork runs fn(0), …, fn(n-1) concurrently — all n tasks are guaranteed
-// to be in flight at once — and waits. Unlike For it has no work floor,
-// so it is for coarse-grained tasks whose count the caller has already
-// sized to the available workers (e.g. one pre-partitioned reduction
-// chunk per worker). Tasks run on idle pool workers when possible;
-// any shortfall is covered by freshly spawned goroutines, so the
-// concurrency guarantee holds even when the pool is busy.
-func Fork(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 {
-		fn(0)
-		return
-	}
-	j := forkJobPool.Get()
-	j.fn = fn
-	j.exits.Store(int64(n))
-	h := defaultPool.claim(nil, j, 1, n-1)
-	for i := h + 1; i < n; i++ {
-		go spawnedFork(j, i)
-	}
-	fn(0)
-	if j.exits.Add(-1) > 0 {
-		<-j.done
-	}
-	j.fn = nil
-	forkJobPool.Put(j)
-}
-
 // chunkWorkers returns the number of workers a chunked loop will engage
 // for n iterations with a per-worker floor of minPer: at most Workers(),
 // and at most n/minPer so that every worker gets at least minPer
@@ -253,7 +221,7 @@ func forChunk(n, minPer int, fn func(lo, hi int)) {
 	// upper bound w and is corrected after claiming; it stays positive
 	// throughout because at most h+1 participants can decrement it.
 	j.exits.Store(int64(w))
-	h := defaultPool.claim(j, nil, 0, w-1)
+	h := defaultPool.claim(j, w-1)
 	if h+1 < w {
 		j.exits.Add(int64(h + 1 - w))
 	}

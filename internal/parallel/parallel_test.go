@@ -101,32 +101,6 @@ func TestForChunkCapsWorkersByMinWork(t *testing.T) {
 	}
 }
 
-func TestForkAlwaysRunsConcurrently(t *testing.T) {
-	// Fork must not inherit For's per-worker iteration floor: all n tasks
-	// must be in flight at once. Every task blocks on a barrier that only
-	// opens when all n have started, so a serializing Fork deadlocks the
-	// test (caught by the test timeout) instead of passing silently.
-	const n = 4
-	var barrier sync.WaitGroup
-	barrier.Add(n)
-	var count atomic.Int32
-	Fork(n, func(i int) {
-		barrier.Done()
-		barrier.Wait()
-		count.Add(1)
-	})
-	if count.Load() != n {
-		t.Fatalf("Fork ran %d of %d tasks", count.Load(), n)
-	}
-	// Degenerate sizes.
-	ran := false
-	Fork(1, func(i int) { ran = true })
-	if !ran {
-		t.Fatal("Fork(1) did not run")
-	}
-	Fork(0, func(i int) { t.Error("Fork(0) ran") })
-}
-
 func TestForChunkEmpty(t *testing.T) {
 	called := false
 	ForChunk(0, func(lo, hi int) { called = true })
@@ -247,8 +221,8 @@ func TestConcurrentLimitsNeverExceedOwnCap(t *testing.T) {
 }
 
 // TestPoolStress hammers the pool from many goroutines mixing chunked
-// loops, forks, nested dispatch, and live resizes — the -race companion
-// of the pool's channel/atomic protocol.
+// loops, nested dispatch, and live resizes — the -race companion of the
+// pool's channel/atomic protocol.
 func TestPoolStress(t *testing.T) {
 	prev := SetMaxWorkers(4)
 	defer SetMaxWorkers(prev)
@@ -262,8 +236,8 @@ func TestPoolStress(t *testing.T) {
 				ForChunk(3000, func(lo, hi int) {
 					// Nested dispatch: the caller participates, so this
 					// must complete even with every worker busy.
-					Fork(2, func(i int) {
-						atomic.AddInt64(&sum, int64(hi-lo))
+					ForChunkMin(2, 1, func(ilo, ihi int) {
+						atomic.AddInt64(&sum, int64((ihi-ilo)*(hi-lo)))
 					})
 				})
 				if sum != 2*3000 {
@@ -318,18 +292,10 @@ func TestForChunkZeroAllocSteadyState(t *testing.T) {
 	var sink int64
 	body := struct{ fn func(lo, hi int) }{}
 	body.fn = func(lo, hi int) { atomic.AddInt64(&sink, int64(hi-lo)) }
-	fork := struct{ fn func(i int) }{}
-	fork.fn = func(i int) { atomic.AddInt64(&sink, 1) }
-	ForChunk(4096, body.fn) // warm the job pools and spawn the workers
-	Fork(4, fork.fn)
+	ForChunk(4096, body.fn) // warm the job pool and spawn the workers
 	if allocs := testing.AllocsPerRun(50, func() {
 		ForChunk(4096, body.fn)
 	}); allocs != 0 {
 		t.Errorf("ForChunk allocates %.1f objects per warm call", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		Fork(4, fork.fn)
-	}); allocs != 0 {
-		t.Errorf("Fork allocates %.1f objects per warm call", allocs)
 	}
 }

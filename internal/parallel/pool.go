@@ -5,26 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// The persistent worker pool. Before it existed, every For/ForChunk/Fork
-// call forked O(workers) fresh goroutines, whose spawn cost and closure
+// The persistent worker pool. Before it existed, every For/ForChunk call
+// forked O(workers) fresh goroutines, whose spawn cost and closure
 // captures were the dominant transient-allocation source on multicore once
 // the kernels themselves reached 0 allocs/op. The pool keeps long-lived
 // workers parked on private channels; a dispatch hands each claimed worker
-// a small by-value work item, so a steady-state kernel call forks zero
-// goroutines and allocates nothing (job records are recycled through
-// FreeLists).
+// the shared job, so a steady-state kernel call forks zero goroutines and
+// allocates nothing (job records are recycled through a FreeList).
 //
 // Dispatch protocol:
 //
 //   - The caller always participates in its own job, so dispatch never
 //     waits for a free worker and nested parallel calls cannot deadlock:
 //     a dispatch that finds no idle workers simply runs serially.
-//   - Chunked jobs (For/ForChunk) share one chunkJob whose participants
-//     claim contiguous [lo, hi) ranges with an atomic cursor; work is
-//     self-balancing across however many helpers actually joined.
-//   - Fork jobs assign one fixed index per participant. Fork guarantees
-//     all n tasks run concurrently, so any shortfall of idle workers is
-//     covered by freshly spawned goroutines (steady state: none).
+//   - The participants of a job share one chunkJob and claim contiguous
+//     [lo, hi) ranges with an atomic cursor; work is self-balancing
+//     across however many helpers actually joined.
 //   - A participant re-enqueues its worker on the idle list *before*
 //     decrementing the job's exit counter, so the worker is reclaimable
 //     immediately; the job itself is only recycled after the last
@@ -46,15 +42,7 @@ type pool struct {
 // and only ever receives while the worker is off the idle list, so sends
 // never block (and may legally happen while the pool lock is held).
 type worker struct {
-	wake chan workItem
-}
-
-// workItem is the by-value message handed to a claimed worker: either a
-// shared chunk-claiming job, or one index of a fork job.
-type workItem struct {
-	cj *chunkJob
-	fj *forkJob
-	i  int
+	wake chan *chunkJob
 }
 
 // chunkJob is the shared state of one ForChunk dispatch. Participants
@@ -98,30 +86,12 @@ func (j *chunkJob) exit() {
 	}
 }
 
-// forkJob is the shared state of one Fork dispatch.
-type forkJob struct {
-	fn    func(i int)
-	exits atomic.Int64
-	done  chan struct{}
-}
-
-var forkJobPool = FreeList[forkJob]{New: func() *forkJob {
-	return &forkJob{done: make(chan struct{}, 1)}
-}}
-
-func (j *forkJob) exit() {
-	if j.exits.Add(-1) == 0 {
-		j.done <- struct{}{}
-	}
-}
-
 var defaultPool pool
 
 // claim hands the job to up to max workers, popping idle ones and
 // spawning fresh pool workers only while the pool is below its size
-// target. Exactly one of cj/fj is non-nil; fork helpers receive indices
-// i0, i0+1, … It returns the number of workers claimed.
-func (p *pool) claim(cj *chunkJob, fj *forkJob, i0, max int) int {
+// target. It returns the number of workers claimed.
+func (p *pool) claim(j *chunkJob, max int) int {
 	if max <= 0 {
 		return 0
 	}
@@ -135,13 +105,13 @@ func (p *pool) claim(cj *chunkJob, fj *forkJob, i0, max int) int {
 			p.idle[k-1] = nil
 			p.idle = p.idle[:k-1]
 		} else if p.live < base {
-			w = &worker{wake: make(chan workItem, 1)}
+			w = &worker{wake: make(chan *chunkJob, 1)}
 			p.live++
 			go p.run(w)
 		} else {
 			break
 		}
-		w.wake <- workItem{cj: cj, fj: fj, i: i0 + h}
+		w.wake <- j
 		h++
 	}
 	p.mu.Unlock()
@@ -164,26 +134,17 @@ func (p *pool) putIdle(w *worker) bool {
 	return true
 }
 
-// run is the worker loop: execute one item, park again. The worker goes
-// back on the idle list before the job's exit bookkeeping so it is
-// reclaimable immediately; a new item then simply waits in the buffered
-// wake channel until the loop comes around.
+// run is the worker loop: run its share of one job, park again. The
+// worker goes back on the idle list before the job's exit bookkeeping so
+// it is reclaimable immediately; a new job then simply waits in the
+// buffered wake channel until the loop comes around.
 func (p *pool) run(w *worker) {
-	for it := range w.wake {
-		if it.cj != nil {
-			it.cj.run()
-			alive := p.putIdle(w)
-			it.cj.exit()
-			if !alive {
-				return
-			}
-		} else {
-			it.fj.fn(it.i)
-			alive := p.putIdle(w)
-			it.fj.exit()
-			if !alive {
-				return
-			}
+	for j := range w.wake {
+		j.run()
+		alive := p.putIdle(w)
+		j.exit()
+		if !alive {
+			return
 		}
 	}
 }
@@ -195,17 +156,10 @@ func (p *pool) resize() {
 	base := baseWorkers()
 	p.mu.Lock()
 	for p.live < base {
-		w := &worker{wake: make(chan workItem, 1)}
+		w := &worker{wake: make(chan *chunkJob, 1)}
 		p.live++
 		p.idle = append(p.idle, w)
 		go p.run(w)
 	}
 	p.mu.Unlock()
-}
-
-// spawnedFork runs one fork index on a fresh goroutine — the fallback
-// when Fork needs more concurrent tasks than the pool has idle workers.
-func spawnedFork(j *forkJob, i int) {
-	j.fn(i)
-	j.exit()
 }
