@@ -6,10 +6,12 @@
 //
 // Usage:
 //
-//	firal-bench                 # full run, writes BENCH_round.json
-//	firal-bench -quick          # CI smoke: one short pass per benchmark
-//	firal-bench -out results.json
+//	firal-bench -out BENCH_round.json   # full run, records the baseline
+//	firal-bench -quick                  # CI smoke: one short pass per benchmark
 //	firal-bench -against BENCH_round.json -tol 10   # diff vs a baseline
+//
+// Without -out the results are only printed, so a quick or diff run never
+// overwrites the recorded baseline.
 //
 // With -against, results are compared to the baseline file after the
 // run: a baseline row with no fresh result fails the diff, and a
@@ -69,7 +71,7 @@ func main() {
 	log.SetPrefix("firal-bench: ")
 	testing.Init() // registers -test.benchtime, which testing.Benchmark reads
 	var (
-		out     = flag.String("out", "BENCH_round.json", "output JSON path")
+		out     = flag.String("out", "", "output JSON path (empty = print only)")
 		quick   = flag.Bool("quick", false, "single short pass per benchmark (CI smoke)")
 		against = flag.String("against", "", "baseline JSON to diff results against")
 		tol     = flag.Float64("tol", 6, "allowed ns/op factor over the baseline")
@@ -326,15 +328,17 @@ func main() {
 		rep.Results = append(rep.Results, e)
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
+	if *out != "" {
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			log.Fatal(err)
+		}
+		data = append(data, '\n')
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("wrote %s (%d benchmarks)", *out, len(rep.Results))
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d benchmarks)", *out, len(rep.Results))
 
 	if *against != "" {
 		if err := diffAgainst(*against, rep, *tol); err != nil {

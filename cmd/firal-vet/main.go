@@ -1,6 +1,6 @@
 // Command firal-vet machine-enforces the repo's standing contracts
 // (ARCHITECTURE.md § Contract enforcement) with six custom go/analysis
-// analyzers: hotpath, pooledfork, limitpair, sentinelerr, lockorder,
+// analyzers: hotpath, pooledfork, maxworkers, sentinelerr, lockorder,
 // ctxpoll.
 //
 // It speaks the `go vet -vettool=` protocol (the unitchecker driver the

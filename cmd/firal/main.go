@@ -61,6 +61,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/dataset"
 	"repro/internal/mat"
+	"repro/internal/parallel"
 )
 
 func main() {
@@ -94,6 +95,11 @@ func main() {
 		pack      = flag.String("pack", "", "write the -pool CSV (features only) to this shard file and exit")
 	)
 	flag.Parse()
+	// The worker count is a process setting: it serves the resident
+	// Learner path and the -shards path alike.
+	if *workers > 0 {
+		parallel.SetMaxWorkers(*workers)
+	}
 
 	if *pack != "" {
 		if err := packShard(*pack, *poolPath, *labelCol); err != nil {
@@ -105,7 +111,7 @@ func main() {
 		if err := streamSelect(streamConfig{
 			shards: strings.Split(*shards, ","), labeled: *labPath, labelCol: *labelCol,
 			selector: *selName, ranks: *ranks, budget: *budget, block: *blockRows,
-			seed: *seed, probes: *probes, cgtol: *cgtol, relaxIters: *relaxIt, workers: *workers,
+			seed: *seed, probes: *probes, cgtol: *cgtol, relaxIters: *relaxIt,
 			transport: *transport, rank: *rank, peers: *peers,
 			opTimeout: *opTimeout, killAfter: *killAfter,
 		}); err != nil {
@@ -174,9 +180,6 @@ func main() {
 	opts := []pub.RunOption{
 		pub.WithRounds(*rounds),
 		pub.WithBudget(*budget),
-	}
-	if *workers > 0 {
-		opts = append(opts, pub.WithParallelism(*workers))
 	}
 	if *targetAcc > 0 {
 		opts = append(opts, pub.WithStopCriterion(announcing(pub.TargetAccuracy(*targetAcc))))

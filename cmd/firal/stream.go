@@ -19,7 +19,6 @@ import (
 	"repro/internal/logreg"
 	"repro/internal/mat"
 	"repro/internal/mpi"
-	"repro/internal/parallel"
 	"repro/internal/softmax"
 )
 
@@ -55,7 +54,6 @@ type streamConfig struct {
 	probes     int
 	cgtol      float64
 	relaxIters int
-	workers    int
 
 	// Real-network mode (-transport tcp): this process is rank `rank` of
 	// a `ranks`-wide world bootstrapped through the `peers` rendezvous.
@@ -100,10 +98,6 @@ func streamSelect(cfg streamConfig) error {
 	}
 	if cfg.labeled == "" {
 		return fmt.Errorf("streaming selection needs -labeled (the classifier trains on it)")
-	}
-	if cfg.workers > 0 {
-		lim := parallel.AcquireLimit(cfg.workers)
-		defer lim.Release()
 	}
 
 	labX, labY, err := loadCSV(cfg.labeled, cfg.labelCol)

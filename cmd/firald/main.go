@@ -8,6 +8,9 @@
 //
 //	firald -data /var/lib/firal [-addr :8080] [-concurrency 2] [-queue 8]
 //
+// GOMAXPROCS sets the worker count every round runs with; sessions share
+// it and have no worker setting of their own.
+//
 // SIGINT/SIGTERM drain gracefully: in-flight HTTP requests get
 // -drain-timeout to finish, running rounds are interrupted at their last
 // checkpoint, and the next start resumes them. See ARCHITECTURE.md
@@ -26,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/server"
 )
 
@@ -45,6 +49,12 @@ func run() error {
 	maxResident := flag.Int64("max-resident", 1<<30, "byte cap on resident-pool materialization (Exact-FIRAL, K-Means)")
 	ranks := flag.Int("ranks", 0, "in-process ranks per Dist-FIRAL round (0 = Dist-FIRAL not servable)")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight HTTP requests on shutdown")
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: firald -data DIR [flags]\n\n"+
+			"GOMAXPROCS sets the worker count every round runs with (now %d);\n"+
+			"sessions share it and have no worker setting of their own.\n\n", parallel.Workers())
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 	if *data == "" {
 		return errors.New("firald: -data is required (session state and round checkpoints live there)")
@@ -71,8 +81,8 @@ func run() error {
 	}
 	// Print the actual address so -addr :0 callers (tests, scripts) can
 	// find the port.
-	log.Printf("firald listening on %s (data %s, concurrency %d, queue %d)",
-		ln.Addr(), *data, *concurrency, *queue)
+	log.Printf("firald listening on %s (data %s, concurrency %d, queue %d, workers %d)",
+		ln.Addr(), *data, *concurrency, *queue, parallel.Workers())
 	fmt.Printf("listening %s\n", ln.Addr())
 
 	hs := &http.Server{Handler: srv.Handler()}

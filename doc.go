@@ -127,15 +127,13 @@
 // Parallel loops run on a persistent worker pool (internal/parallel):
 // workers live for the life of the process, parked on channels when
 // idle, so a steady-state kernel call forks no goroutines. The pool is
-// sized by GOMAXPROCS (or parallel.SetMaxWorkers, which resizes it);
-// sessions cap their own parallelism with scoped parallel limits
-// (WithParallelism), which compose by minimum across concurrent
-// sessions instead of racing on process state. Hot paths hand the pool
-// pre-built dispatch funcs from pooled task records — never fresh
-// closures, whose captures would heap-allocate per call. Workers split
-// output elements, never the sum of one element, so no selection bit
-// depends on the worker count: a session capped by a stricter
-// concurrent limit selects what it would alone.
+// sized by GOMAXPROCS, or by parallel.SetMaxWorkers at a process entry
+// point (cmd/firal -workers); the worker count is a process setting that
+// every session in the process shares. Hot paths hand the pool pre-built
+// dispatch funcs from pooled task records — never fresh closures, whose
+// captures would heap-allocate per call. Workers split output elements,
+// never the sum of one element, so no selection bit depends on the
+// worker count: it changes speed, never a selection.
 //
 // With a warm workspace the Lemma-2 Hessian matvec, CG iterations, the
 // preconditioner rebuild (in-place Cholesky refactorization), and the

@@ -81,7 +81,6 @@ func main() {
 		"labeled":  map[string]any{"x": labX, "y": ds.LabeledY},
 		"selector": "firal",
 		"seed":     42,
-		"workers":  2,
 	}
 	curl("POST", "/v1/sessions", `-d '{"shards":["pool.shard"],"labeled":{...},"selector":"firal"}'`)
 	var sess struct {
@@ -134,7 +133,7 @@ func main() {
 	if rv.Status != "done" {
 		log.Fatalf("round ended %s: %s", rv.Status, rv.Error)
 	}
-	fmt.Printf("  → done under %d scoped workers\n\n", rv.WorkersObserved)
+	fmt.Printf("  → done on %d workers (the process's GOMAXPROCS)\n\n", rv.WorkersObserved)
 
 	// 5. Fetch the selection: these are the global pool rows to label.
 	curl("GET", fmt.Sprintf("/v1/sessions/%s/rounds/%d/selected", sess.ID, kicked.Round), "")

@@ -13,9 +13,9 @@
 //   - pooledfork: parallel.For/ForChunk/ForChunkMin arguments in
 //     hotpath functions must be pooled task records, never func
 //     literals (worker-pool contract).
-//   - limitpair: parallel.AcquireLimit must be paired with a deferred
-//     (or all-paths) Release, and SetMaxWorkers is forbidden outside
-//     internal/parallel and main packages (scoped-limit contract).
+//   - maxworkers: parallel.SetMaxWorkers, the process-wide worker
+//     count, is forbidden outside internal/parallel, main packages and
+//     tests (process worker-count contract).
 //   - sentinelerr: sentinel errors (ErrResidentPool, ErrSaturated,
 //     ErrRankLost, any package-level Err*) are compared with
 //     errors.Is, never == or switch cases (streaming contract).

@@ -16,7 +16,7 @@ func Analyzers() []*goanalysis.Analyzer {
 	return []*goanalysis.Analyzer{
 		Hotpath,
 		PooledFork,
-		LimitPair,
+		MaxWorkers,
 		SentinelErr,
 		LockOrder,
 		CtxPoll,

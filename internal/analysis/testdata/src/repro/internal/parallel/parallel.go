@@ -4,13 +4,9 @@
 // same code paths as the real module.
 package parallel
 
-type Limit struct{ n int }
-
-func AcquireLimit(n int) *Limit { return &Limit{n: n} }
-
-func (l *Limit) Release() {}
-
 func SetMaxWorkers(n int) int { return n }
+
+func Workers() int { return 1 }
 
 func For(n int, fn func(i int)) {}
 

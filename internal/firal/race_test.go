@@ -9,33 +9,22 @@ import (
 )
 
 // TestConcurrentSelectSessions drives several full Approx-FIRAL
-// selections at once, each holding its own parallelism Limit on the
-// shared worker pool. Run with -race this exercises the pool's dispatch
-// protocol, the pooled kernel tasks, and the per-session limit registry
+// selections at once on the shared worker pool. Run with -race this
+// exercises the pool's dispatch protocol and the pooled kernel tasks
 // under real kernel load; without -race it still checks that concurrent
 // sessions produce the same selections as a serial run. (Pool resizing
-// under dispatch load is covered by TestPoolStress in internal/parallel;
-// here the worker target stays fixed so the kernel reductions remain
-// comparable to the serial baselines.)
+// under dispatch load is covered by TestPoolStress in internal/parallel.)
 func TestConcurrentSelectSessions(t *testing.T) {
 	prev := parallel.SetMaxWorkers(4)
 	defer parallel.SetMaxWorkers(prev)
 
-	// Serial baselines, computed under the same worker limit every
-	// session will hold (limits compose by min, so a uniform limit keeps
-	// the effective worker count — and with it the grouping of the
-	// deterministic kernel reductions — identical between the serial and
-	// concurrent runs).
 	const sessions = 4
-	const sessionLimit = 2
 	want := make([][]int, sessions)
 	for g := 0; g < sessions; g++ {
-		lim := parallel.AcquireLimit(sessionLimit)
 		p := testProblem(int64(100+g), 10, 300, 16, 5)
 		res, err := SelectApprox(context.Background(), p, 3, Options{
 			Relax: RelaxOptions{FixedIterations: 2, Seed: int64(g)},
 		})
-		lim.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,10 +38,8 @@ func TestConcurrentSelectSessions(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			lim := parallel.AcquireLimit(sessionLimit)
-			defer lim.Release()
 			// Each session owns its Problem and workspace; only the worker
-			// pool and the limit registry are shared.
+			// pool is shared.
 			p := testProblem(int64(100+g), 10, 300, 16, 5)
 			res, err := SelectApprox(context.Background(), p, 3, Options{
 				Relax: RelaxOptions{FixedIterations: 2, Seed: int64(g)},

@@ -25,9 +25,7 @@
 package parallel
 
 import (
-	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -39,26 +37,17 @@ import (
 // of work.
 const minWork = 256
 
-// maxWorkers overrides the base worker count; 0 means GOMAXPROCS.
+// maxWorkers overrides the worker count; 0 means GOMAXPROCS.
 var maxWorkers atomic.Int64
 
-// limitMin caches the smallest active session Limit (0 = none) so the
-// hot Workers() read stays a single atomic load.
-var limitMin atomic.Int64
-
-// limits is the registry of active session limits.
-var limits struct {
-	mu     sync.Mutex
-	active map[*Limit]int
-}
-
-// SetMaxWorkers overrides the process-wide base worker count used by For
-// and ForChunk, and resizes the persistent pool to match. n <= 0
+// SetMaxWorkers overrides the process-wide worker count used by For and
+// ForChunk, and resizes the persistent pool to match. n <= 0
 // restores the default (GOMAXPROCS). It returns the previous value.
 //
-// The setting is process-wide; concurrent callers don't race, but the
-// last restore wins. Scoped callers (one session among several) should
-// use AcquireLimit instead, which composes safely.
+// The setting is process-wide and belongs to process entry points
+// (package main) and tests; concurrent callers don't race, but the last
+// restore wins. There is no per-session cap: every session in a process
+// shares its workers.
 func SetMaxWorkers(n int) int {
 	if n < 0 {
 		n = 0
@@ -68,80 +57,14 @@ func SetMaxWorkers(n int) int {
 	return prev
 }
 
-// baseWorkers is the process-wide worker target, before session limits:
-// the SetMaxWorkers override, or GOMAXPROCS. This also sizes the pool.
-func baseWorkers() int {
+// Workers reports the number of workers parallel loops will use and the
+// size the persistent pool grows to: the SetMaxWorkers override, or
+// GOMAXPROCS.
+func Workers() int {
 	if n := maxWorkers.Load(); n > 0 {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Workers reports the number of workers parallel loops will use: the
-// process-wide base capped by the strictest active Limit.
-func Workers() int {
-	n := baseWorkers()
-	if l := limitMin.Load(); l > 0 && int(l) < n {
-		n = int(l)
-	}
-	return n
-}
-
-// Limit is a scoped cap on the parallelism a session observes, acquired
-// with AcquireLimit and ended with Release. Unlike SetMaxWorkers —
-// whose save/restore pattern races between concurrent sessions, with
-// the last restore clobbering the rest — limits compose: while several
-// are active, Workers() reports the smallest, and releasing one exactly
-// removes its own contribution. A session therefore never observes MORE
-// parallelism than it asked for, though it may observe less while a
-// stricter session is active. Limits do not shrink the shared worker
-// pool; they only cap how many pool workers a dispatch engages.
-type Limit struct {
-	n        int
-	released atomic.Bool
-}
-
-// AcquireLimit registers a cap of n workers (n < 1 is treated as 1) and
-// returns the Limit to Release when the session ends. Release is
-// idempotent and safe to defer.
-func AcquireLimit(n int) *Limit {
-	if n < 1 {
-		n = 1
-	}
-	l := &Limit{n: n}
-	limits.mu.Lock()
-	if limits.active == nil {
-		limits.active = make(map[*Limit]int)
-	}
-	limits.active[l] = n
-	recomputeLimitLocked()
-	limits.mu.Unlock()
-	return l
-}
-
-// Release removes the limit's contribution to Workers().
-func (l *Limit) Release() {
-	if l == nil || l.released.Swap(true) {
-		return
-	}
-	limits.mu.Lock()
-	delete(limits.active, l)
-	recomputeLimitLocked()
-	limits.mu.Unlock()
-}
-
-func recomputeLimitLocked() {
-	m := math.MaxInt
-	for _, n := range limits.active {
-		if n < m {
-			m = n
-		}
-	}
-	if m == math.MaxInt {
-		limitMin.Store(0)
-	} else {
-		limitMin.Store(int64(m))
-	}
 }
 
 // For runs fn(i) for every i in [0, n), distributing iterations across

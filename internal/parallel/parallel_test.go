@@ -160,66 +160,6 @@ func TestForChunkBoundaryChunkCounts(t *testing.T) {
 	}
 }
 
-func TestAcquireLimitComposesByMin(t *testing.T) {
-	prev := SetMaxWorkers(8)
-	defer SetMaxWorkers(prev)
-	if Workers() != 8 {
-		t.Fatalf("base workers = %d, want 8", Workers())
-	}
-	a := AcquireLimit(4)
-	if Workers() != 4 {
-		t.Fatalf("Workers() = %d under limit 4", Workers())
-	}
-	b := AcquireLimit(2)
-	if Workers() != 2 {
-		t.Fatalf("Workers() = %d under limits {4,2}", Workers())
-	}
-	// Releasing the looser limit keeps the stricter one in force.
-	a.Release()
-	if Workers() != 2 {
-		t.Fatalf("Workers() = %d after releasing looser limit", Workers())
-	}
-	b.Release()
-	if Workers() != 8 {
-		t.Fatalf("Workers() = %d after releasing all limits", Workers())
-	}
-	// Release is idempotent; a limit below 1 is clamped.
-	b.Release()
-	c := AcquireLimit(0)
-	if Workers() != 1 {
-		t.Fatalf("Workers() = %d under clamped limit", Workers())
-	}
-	c.Release()
-}
-
-// TestConcurrentLimitsNeverExceedOwnCap is the safety property that
-// replaced the SetMaxWorkers save/restore pattern: a session holding a
-// limit never observes more parallelism than it asked for, no matter what
-// other sessions do concurrently.
-func TestConcurrentLimitsNeverExceedOwnCap(t *testing.T) {
-	prev := SetMaxWorkers(8)
-	defer SetMaxWorkers(prev)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(cap int) {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				l := AcquireLimit(cap)
-				if w := Workers(); w > cap {
-					t.Errorf("Workers() = %d exceeds own cap %d", w, cap)
-				}
-				ForChunk(2048, func(lo, hi int) {})
-				l.Release()
-			}
-		}(g + 1)
-	}
-	wg.Wait()
-	if Workers() != 8 {
-		t.Fatalf("Workers() = %d after all limits released", Workers())
-	}
-}
-
 // TestPoolStress hammers the pool from many goroutines mixing chunked
 // loops, nested dispatch, and live resizes — the -race companion of the
 // pool's channel/atomic protocol.

@@ -27,11 +27,9 @@ import (
 //     participant's decrement, which the caller observes via the job's
 //     buffered done channel.
 //
-// Sizing: the pool grows on demand up to baseWorkers() (GOMAXPROCS, or
+// Sizing: the pool grows on demand up to Workers() (GOMAXPROCS, or
 // the SetMaxWorkers override) and retires surplus workers as they go
-// idle after the target shrinks. Session-scoped Limits cap how many
-// helpers a dispatch claims but never shrink the shared pool — another
-// session may still need it.
+// idle after the target shrinks.
 type pool struct {
 	mu   sync.Mutex
 	idle []*worker
@@ -95,7 +93,7 @@ func (p *pool) claim(j *chunkJob, max int) int {
 	if max <= 0 {
 		return 0
 	}
-	base := baseWorkers()
+	base := Workers()
 	p.mu.Lock()
 	h := 0
 	for h < max {
@@ -123,7 +121,7 @@ func (p *pool) claim(j *chunkJob, max int) int {
 // alive.
 func (p *pool) putIdle(w *worker) bool {
 	p.mu.Lock()
-	if p.live > baseWorkers() {
+	if p.live > Workers() {
 		p.live--
 		p.mu.Unlock()
 		close(w.wake)
@@ -153,7 +151,7 @@ func (p *pool) run(w *worker) {
 // SetMaxWorkers takes effect immediately rather than at the next
 // dispatch. Shrinking happens lazily as busy workers go idle.
 func (p *pool) resize() {
-	base := baseWorkers()
+	base := Workers()
 	p.mu.Lock()
 	for p.live < base {
 		w := &worker{wake: make(chan *chunkJob, 1)}

@@ -7,7 +7,9 @@
 // resumes — bit-for-bit — after a crash or restart. An admission layer
 // bounds concurrent rounds with a FIFO queue and sheds load past a
 // configurable depth, so overload degrades into backpressure instead of
-// thrashing the worker pool. See ARCHITECTURE.md § Service layer.
+// thrashing the worker pool. The worker count is the process's
+// (GOMAXPROCS in firald); sessions share it and carry none of their own.
+// See ARCHITECTURE.md § Service layer.
 package server
 
 import (

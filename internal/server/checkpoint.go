@@ -129,7 +129,8 @@ func readCheckpoint(path string) (round int, ck *firal.RelaxCheckpoint, err erro
 			return nil, fmt.Errorf("server: checkpoint %s: truncated before %s length", path, what)
 		}
 		n := int(u64())
-		if n < 0 || off+8*n > len(raw) {
+		// Compare counts, not byte offsets: 8*n wraps for n ≥ 2⁶⁰.
+		if n < 0 || n > (len(raw)-off)/8 {
 			return nil, fmt.Errorf("server: checkpoint %s: truncated %s (want %d floats, %d bytes left)",
 				path, what, n, len(raw)-off)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -65,4 +66,79 @@ func TestCheckpointCorruption(t *testing.T) {
 	if _, _, err := readCheckpoint(path); err == nil {
 		t.Fatal("truncated checkpoint decoded without error")
 	}
+
+	// A weight count whose byte length wraps past 2⁶⁴ must fail the length
+	// check, not reach make and panic.
+	wrap := filepath.Join(dir, "warm.ckpt")
+	os.WriteFile(wrap, wrappedCheckpoint(), 0o644)
+	if _, _, err := readCheckpoint(wrap); err == nil || !strings.Contains(err.Error(), wrap) {
+		t.Fatalf("wrapping weight count: %v", err)
+	}
+}
+
+// wrappedCheckpoint is a FIRALCK1 file whose weight count is 2⁶¹+1:
+// 8 bytes per weight wraps that to 8 bytes, which the file still holds.
+func wrappedCheckpoint() []byte {
+	raw := []byte(ckptMagic)
+	raw = binary.LittleEndian.AppendUint32(raw, 1) // round
+	raw = binary.LittleEndian.AppendUint32(raw, 0) // iteration
+	raw = append(raw, 0)                           // done
+	raw = binary.LittleEndian.AppendUint64(raw, 0) // CG iterations
+	raw = binary.LittleEndian.AppendUint64(raw, 1<<61+1)
+	return binary.LittleEndian.AppendUint64(raw, 0)
+}
+
+// FuzzCheckpoint feeds arbitrary bytes to readCheckpoint. It must never
+// panic, and whatever it accepts must survive writeCheckpoint and a
+// second read bit for bit.
+func FuzzCheckpoint(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.ckpt")
+	ck := &firal.RelaxCheckpoint{Iteration: 4, Done: true, CGIterations: 9,
+		Z: []float64{0.25, 0.75}, FHist: []float64{math.Pi}}
+	if err := writeCheckpoint(seed, 2, ck); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-8])
+	f.Add(wrappedCheckpoint())
+	f.Add([]byte(ckptMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "round.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		round, ck, err := readCheckpoint(path)
+		if err != nil {
+			return
+		}
+		again := filepath.Join(dir, "again.ckpt")
+		if err := writeCheckpoint(again, round, ck); err != nil {
+			t.Fatal(err)
+		}
+		round2, ck2, err := readCheckpoint(again)
+		if err != nil {
+			t.Fatalf("rewritten checkpoint unreadable: %v", err)
+		}
+		if round2 != round || ck2.Iteration != ck.Iteration || ck2.Done != ck.Done ||
+			ck2.CGIterations != ck.CGIterations || !sameBits(ck2.Z, ck.Z) || !sameBits(ck2.FHist, ck.FHist) {
+			t.Fatalf("round trip changed the checkpoint: round %d %+v, then round %d %+v", round, ck, round2, ck2)
+		}
+	})
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -26,8 +26,8 @@ import (
 const roundSeedStride = 7919
 
 // runRound is the round goroutine: wait for an admission slot, run one
-// train+select under the session's scoped worker limit, and record the
-// outcome. Cancellation (session delete, server shutdown) marks the round
+// train+select on the process-wide worker pool, and record the outcome.
+// Cancellation (session delete, server shutdown) marks the round
 // interrupted — its checkpoint stays on disk and the next server startup
 // resumes it; any other failure marks it failed and clears the checkpoint.
 // A panic here is a programming error; the last-resort recover fails the
@@ -66,14 +66,6 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 	if err := sess.persistLocked(); err != nil {
 		s.cfg.Logf("session %s: persist round %d: %v", sess.meta.ID, rm.Round, err)
 	}
-	workers := sess.meta.Workers
-	sess.mu.Unlock()
-
-	if workers > 0 {
-		lim := parallel.AcquireLimit(workers)
-		defer lim.Release()
-	}
-	sess.mu.Lock()
 	rm.WorkersObserved = parallel.Workers()
 	sess.mu.Unlock()
 

@@ -286,7 +286,6 @@ func (s *Server) createSession(req *createRequest) (*Session, error) {
 			CGTol:           req.CGTol,
 			RelaxIters:      req.RelaxIters,
 			FixedRelaxIters: req.FixedRelaxIters,
-			Workers:         req.Workers,
 			BlockRows:       req.BlockRows,
 			LabeledX:        req.Labeled.X,
 			LabeledY:        req.Labeled.Y,

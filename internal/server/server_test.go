@@ -148,7 +148,6 @@ func TestSessionLifecycle(t *testing.T) {
 		Selector:        "firal",
 		Probes:          4,
 		FixedRelaxIters: 3,
-		Workers:         2,
 	}, &sv)
 	if sv.Selector != "Approx-FIRAL" {
 		t.Fatalf("alias not canonicalized: %q", sv.Selector)
@@ -178,8 +177,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if rv.Status != RoundDone {
 		t.Fatalf("round 1 ended %s: %s", rv.Status, rv.Error)
 	}
-	if rv.WorkersObserved < 1 || rv.WorkersObserved > 2 {
-		t.Fatalf("workers observed %d under a scoped limit of 2", rv.WorkersObserved)
+	if rv.WorkersObserved != parallel.Workers() {
+		t.Fatalf("workers observed %d, want the process count %d", rv.WorkersObserved, parallel.Workers())
 	}
 
 	var sel struct {
@@ -308,7 +307,6 @@ func TestResumeBitForBit(t *testing.T) {
 			Selector:        "Approx-FIRAL",
 			Probes:          4,
 			FixedRelaxIters: 25,
-			Workers:         2,
 		}
 	}
 
@@ -439,8 +437,7 @@ func TestAdmissionBackpressure(t *testing.T) {
 
 // TestConcurrentSessions runs N full client lifecycles in parallel — the
 // -race companion of the admission test. Every session must see only its
-// own pool's indices, observe no more parallelism than its scoped worker
-// limit, and leave nothing behind after delete.
+// own pool's indices and leave nothing behind after delete.
 func TestConcurrentSessions(t *testing.T) {
 	const clients = 5
 	poolDir := t.TempDir()
@@ -460,7 +457,7 @@ func TestConcurrentSessions(t *testing.T) {
 			var sv sessionView
 			code := a.do("POST", "/v1/sessions", &createRequest{
 				Shards: []string{shard}, Labeled: labeledUpload{X: labX, Y: labY},
-				Selector: "Approx-FIRAL", Probes: 3, FixedRelaxIters: 2, Workers: 1, Seed: int64(k),
+				Selector: "Approx-FIRAL", Probes: 3, FixedRelaxIters: 2, Seed: int64(k),
 			}, &sv)
 			if code != http.StatusCreated {
 				fail("create: status %d", code)
@@ -488,10 +485,6 @@ func TestConcurrentSessions(t *testing.T) {
 								fail("round %d index %d outside own pool [0,%d)", round, i, n)
 								return
 							}
-						}
-						if rv.WorkersObserved != 1 {
-							fail("round %d observed %d workers under AcquireLimit(1)", round, rv.WorkersObserved)
-							return
 						}
 						break
 					}
@@ -654,7 +647,7 @@ func TestMultiTenantThroughput(t *testing.T) {
 			var sv sessionView
 			a.must(http.StatusCreated, "POST", "/v1/sessions", &createRequest{
 				Shards: []string{tn.shard}, Labeled: labeledUpload{X: tn.labX, Y: tn.labY},
-				Selector: "Approx-FIRAL", Probes: 4, FixedRelaxIters: 4, Workers: 2, Seed: int64(k),
+				Selector: "Approx-FIRAL", Probes: 4, FixedRelaxIters: 4, Seed: int64(k),
 			}, &sv)
 			ids[k] = sv.ID
 		}

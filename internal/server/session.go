@@ -49,9 +49,9 @@ type RoundMeta struct {
 	CGIterations    int     `json:"cg_iterations,omitempty"`
 	SelectSeconds   float64 `json:"select_seconds,omitempty"`
 	TrainSeconds    float64 `json:"train_seconds,omitempty"`
-	// WorkersObserved is parallel.Workers() sampled inside the round's
-	// scoped limit — what the solver actually saw, pinned by the
-	// concurrency tests to verify AcquireLimit scoping.
+	// WorkersObserved is parallel.Workers() sampled when the round starts
+	// running: the process worker count (GOMAXPROCS, or
+	// parallel.SetMaxWorkers in the hosting process) the solver ran with.
 	WorkersObserved int `json:"workers_observed,omitempty"`
 }
 
@@ -78,7 +78,6 @@ type sessionMeta struct {
 	CGTol           float64 `json:"cgtol,omitempty"`
 	RelaxIters      int     `json:"relax_iters,omitempty"`
 	FixedRelaxIters int     `json:"fixed_relax_iters,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
 	BlockRows       int     `json:"block_rows,omitempty"`
 
 	// LabeledX/LabeledY are directly uploaded labeled examples (the

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hessian"
 	"repro/internal/logreg"
 	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/softmax"
 )
 
@@ -269,14 +268,6 @@ func (l *Learner) RunContext(ctx context.Context, sel Selector, opts ...RunOptio
 	}
 	if rc.budget <= 0 {
 		return nil, fmt.Errorf("%w: non-positive budget (set Config.Budget or WithBudget)", ErrBadConfig)
-	}
-	if rc.workers > 0 {
-		// A scoped limit rather than SetMaxWorkers: concurrent sessions
-		// compose by min instead of racing on save/restore, so this
-		// session never observes more parallelism than requested and
-		// releasing never clobbers another session's setting.
-		lim := parallel.AcquireLimit(rc.workers)
-		defer lim.Release()
 	}
 	var reports []*RoundReport
 	for r := 0; (rc.rounds <= 0 || r < rc.rounds) && len(l.alive) > 0; r++ {

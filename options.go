@@ -15,9 +15,6 @@ type runConfig struct {
 	budget    int
 	stops     []StopCriterion
 	observers []RoundObserver
-	// workers overrides the data-parallel worker count for the run; 0
-	// keeps the current setting.
-	workers int
 }
 
 // RunOption customizes a RunContext session.
@@ -60,24 +57,6 @@ func WithObserver(o RoundObserver) RunOption {
 	return func(rc *runConfig) {
 		if o != nil {
 			rc.observers = append(rc.observers, o)
-		}
-	}
-}
-
-// WithParallelism caps the data-parallel worker count (internal/parallel)
-// for the duration of the session. n = 1 simulates a single-threaded
-// device; n <= 0 is ignored. The cap cannot raise the worker count above
-// the process-wide base (GOMAXPROCS, or parallel.SetMaxWorkers).
-//
-// Sessions running concurrently in one process are safe: each holds its
-// own scoped limit and the effective worker count is the minimum of the
-// active limits, so a session never observes more parallelism than it
-// asked for — though it may observe less while a stricter concurrent
-// session is running — and ending a session removes exactly its own cap.
-func WithParallelism(n int) RunOption {
-	return func(rc *runConfig) {
-		if n > 0 {
-			rc.workers = n
 		}
 	}
 }

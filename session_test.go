@@ -7,7 +7,6 @@ import (
 	"time"
 
 	firal "repro"
-	"repro/internal/parallel"
 )
 
 // TestRunContextDefaultsToConfigSchedule: without WithRounds/WithBudget
@@ -155,29 +154,6 @@ func TestPoolExhaustedCriterionAndReportField(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("selected %d of %d pool points", got, want)
-	}
-}
-
-func TestWithParallelismRestoresWorkerCount(t *testing.T) {
-	before := parallel.Workers()
-	l, err := firal.NewLearner(smallConfig(26))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = l.RunContext(context.Background(), firal.Random(),
-		firal.WithRounds(1), firal.WithBudget(3),
-		firal.WithParallelism(1),
-		firal.WithObserver(func(r *firal.RoundReport) {
-			if parallel.Workers() != 1 {
-				t.Errorf("worker count inside session: %d", parallel.Workers())
-			}
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.Workers() != before {
-		t.Fatalf("worker count not restored: %d, want %d", parallel.Workers(), before)
 	}
 }
 
