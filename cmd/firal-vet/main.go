@@ -1,7 +1,6 @@
 // Command firal-vet machine-enforces the repo's standing contracts
-// (ARCHITECTURE.md § Contract enforcement) with six custom go/analysis
-// analyzers: hotpath, pooledfork, maxworkers, sentinelerr, lockorder,
-// ctxpoll.
+// (ARCHITECTURE.md § Contract enforcement) with five custom go/analysis
+// analyzers: hotpath, maxworkers, sentinelerr, lockorder, ctxpoll.
 //
 // It speaks the `go vet -vettool=` protocol (the unitchecker driver the
 // toolchain's own vet binary uses), and for convenience also runs

@@ -44,7 +44,6 @@ func run() error {
 	data := flag.String("data", "", "data directory for session state and checkpoints (required)")
 	concurrency := flag.Int("concurrency", 2, "rounds allowed to run at once")
 	queue := flag.Int("queue", 8, "rounds allowed to wait beyond the running ones before 429")
-	checkpointEvery := flag.Int("checkpoint-every", 1, "checkpoint RELAX state every k mirror-descent iterations")
 	block := flag.Int("block", 0, "streaming row-block size (0 = library default)")
 	maxResident := flag.Int64("max-resident", 1<<30, "byte cap on resident-pool materialization (Exact-FIRAL, K-Means)")
 	ranks := flag.Int("ranks", 0, "in-process ranks per Dist-FIRAL round (0 = Dist-FIRAL not servable)")
@@ -64,7 +63,6 @@ func run() error {
 		DataDir:          *data,
 		Concurrency:      *concurrency,
 		QueueDepth:       *queue,
-		CheckpointEvery:  *checkpointEvery,
 		BlockRows:        *block,
 		MaxResidentBytes: *maxResident,
 		Ranks:            *ranks,

@@ -32,7 +32,7 @@ func buildFirald(t *testing.T) string {
 // base URL plus the process handle.
 func startFirald(t *testing.T, bin, dataDir string) (*exec.Cmd, string) {
 	t.Helper()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data", dataDir, "-checkpoint-every", "1")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data", dataDir)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -177,11 +177,11 @@ func TestKillMidRoundResume(t *testing.T) {
 	refCmd.Process.Kill()
 	refCmd.Wait()
 
-	// Victim run: SIGKILL as soon as the first checkpoint lands on disk.
+	// Victim run: SIGKILL as soon as the first RELAX state lands on disk.
 	dataDir := t.TempDir()
 	cmd, base := startFirald(t, bin, dataDir)
 	id := newSession(base)
-	ckpt := filepath.Join(dataDir, id, "round.ckpt")
+	ckpt := filepath.Join(dataDir, id, "warm.ckpt")
 	for deadline := time.Now().Add(60 * time.Second); ; {
 		if _, err := os.Stat(ckpt); err == nil {
 			break

@@ -7,12 +7,11 @@
 // The suite:
 //
 //   - hotpath: functions annotated //firal:hotpath must not contain
-//     make/new, growing appends, map literals, closure literals,
-//     explicit interface-boxing conversions, or fmt calls outside
-//     return statements (Workspace-arena contract).
-//   - pooledfork: parallel.For/ForChunk/ForChunkMin arguments in
-//     hotpath functions must be pooled task records, never func
-//     literals (worker-pool contract).
+//     make/new, growing appends, map literals, closure literals
+//     (including one handed to parallel.For/ForChunk/ForChunkMin,
+//     where a pooled task record belongs), explicit interface-boxing
+//     conversions, or fmt calls outside return statements
+//     (Workspace-arena and worker-pool contracts).
 //   - maxworkers: parallel.SetMaxWorkers, the process-wide worker
 //     count, is forbidden outside internal/parallel, main packages and
 //     tests (process worker-count contract).
@@ -28,8 +27,8 @@
 //
 // Escape hatch: a `//firal:allow(<category>)` comment on — or on the
 // line above — a statement suppresses that analyzer category for the
-// whole statement. Categories: alloc, closure, limit, sentinel,
-// lockorder, ctxpoll. Use it for cold setup branches and deliberate,
+// whole statement. Categories: alloc, limit, sentinel, lockorder,
+// ctxpoll. Use it for cold setup branches and deliberate,
 // documented exceptions; the comment is grep-able, so every exception
 // stays auditable.
 package analysis

@@ -15,7 +15,6 @@ import (
 func Analyzers() []*goanalysis.Analyzer {
 	return []*goanalysis.Analyzer{
 		Hotpath,
-		PooledFork,
 		MaxWorkers,
 		SentinelErr,
 		LockOrder,
@@ -123,21 +122,6 @@ func calleeIn(pass *goanalysis.Pass, call *ast.CallExpr, pkgSuffix string) *type
 		return nil
 	}
 	return f
-}
-
-// isParallelDispatch reports whether call invokes one of the
-// internal/parallel loop primitives that hot code must feed pooled task
-// records.
-func isParallelDispatch(pass *goanalysis.Pass, call *ast.CallExpr) bool {
-	f := calleeIn(pass, call, "internal/parallel")
-	if f == nil {
-		return false
-	}
-	switch f.Name() {
-	case "For", "ForChunk", "ForChunkMin":
-		return true
-	}
-	return false
 }
 
 // namedTypeName returns the name of the (possibly pointer-wrapped)

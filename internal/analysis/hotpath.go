@@ -110,10 +110,9 @@ func (w *hotWalker) walk(n ast.Node) {
 			}
 		}
 	case *ast.FuncLit:
-		// Func literals handed to the parallel dispatchers are
-		// pooledfork's finding, with a more specific message; every
-		// other closure literal heap-allocates its capture environment
-		// at each execution of this line.
+		// A closure literal heap-allocates its capture environment at
+		// each execution of this line, including one handed to a
+		// parallel dispatcher (the pooled task record avoids it).
 		w.reportf(n.Pos(), "closure literal in //firal:hotpath function allocates per call; hoist it or use a pooled task record")
 		return // one report per closure; don't cascade into its body
 	case *ast.CompositeLit:
@@ -135,18 +134,6 @@ func (w *hotWalker) walk(n ast.Node) {
 			return
 		}
 		w.checkCall(n)
-		if isParallelDispatch(w.pass, n) {
-			// A func-literal argument here is pooledfork's finding,
-			// with the task-record guidance; don't double-report it.
-			w.walk(n.Fun)
-			for _, a := range n.Args {
-				if _, ok := ast.Unparen(a).(*ast.FuncLit); ok {
-					continue
-				}
-				w.walk(a)
-			}
-			return
-		}
 	}
 	for _, c := range children(n) {
 		w.walk(c)

@@ -4,7 +4,11 @@
 // suppression.
 package hotpath
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/parallel"
+)
 
 type state struct {
 	buf   []float64
@@ -42,6 +46,35 @@ func lookup(k string) map[string]int {
 func closures(xs []float64) float64 {
 	f := func(v float64) float64 { return v * v } // want "closure literal in //firal:hotpath function"
 	return f(xs[0])
+}
+
+// pooledTask mimics the pooled kernel-task pattern: the dispatch func
+// is built once, closing over the record, and reused on every call.
+type pooledTask struct {
+	xs []float64
+	fn func(lo, hi int)
+}
+
+var pooled = func() *pooledTask {
+	t := &pooledTask{}
+	t.fn = func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t.xs[i] *= 2
+		}
+	}
+	return t
+}()
+
+//firal:hotpath
+func dispatch(xs []float64) {
+	pooled.xs = xs
+	parallel.ForChunk(len(xs), pooled.fn) // pooled record: no finding
+	pooled.xs = nil
+	parallel.ForChunk(len(xs), func(lo, hi int) { // want "closure literal in //firal:hotpath function"
+		for i := lo; i < hi; i++ {
+			xs[i] *= 2
+		}
+	})
 }
 
 //firal:hotpath

@@ -15,7 +15,7 @@ import (
 //
 // Optional-interface policy — each decision is explicit, because a
 // transparent wrapper that silently narrows a source changes consumer
-// behaviour (Subrange's identity shortcut, Stream's fast paths):
+// behaviour (Stream's fast paths):
 //
 //   - Resident is deliberately NOT forwarded even when the wrapped
 //     source implements it: resident blocks bypass ReadRows entirely,
@@ -26,10 +26,6 @@ import (
 //     the counters the same way. To count a prefetched sweep, wrap the
 //     CountingSource in WithPrefetch (counting below the prefetcher) —
 //     every asynchronous read still lands on ReadRows and is counted.
-//   - Generation IS forwarded (reporting 0 for fixed sources): it
-//     carries the growable-pool snapshot decision, and hiding it would
-//     let Subrange(counting-over-LiveSource, 0, n) identity-shortcut to
-//     an unpinned view that tracks later appends.
 //
 // Counters are atomic, matching the PoolSource contract that ReadRows
 // tolerates concurrent callers.
@@ -49,17 +45,6 @@ func (s *CountingSource) NumRows() int { return s.src.NumRows() }
 
 // Dim returns the feature dimension.
 func (s *CountingSource) Dim() int { return s.src.Dim() }
-
-// Generation forwards the wrapped source's append-generation counter
-// when it has one, and reports 0 for fixed-size sources, so views over a
-// counted growable pool stay pinned exactly as they would uncounted (see
-// the optional-interface policy above).
-func (s *CountingSource) Generation() int64 {
-	if g, ok := s.src.(interface{ Generation() int64 }); ok {
-		return g.Generation()
-	}
-	return 0
-}
 
 // ReadRows forwards to the wrapped source, counting the call and the rows
 // served (failed reads are counted too — the consumer paid for the

@@ -20,10 +20,11 @@ import (
 //
 //   - NumRows and ReadRows reflect every Append completed before the call
 //     (rows only grow; indices of existing rows never move).
-//   - Generation() counts completed appends. A consumer that must pin a
-//     fixed n for one solve (a selection round needs a stable simplex
-//     dimension) wraps the live source in Subrange(live, 0, n): the view
-//     keeps serving exactly those rows while later appends land.
+//   - Append returns the count of completed appends (the generation).
+//     A consumer that must pin a fixed n for one solve (a selection
+//     round needs a stable simplex dimension) wraps the live source in
+//     Subrange(live, 0, n): the view keeps serving exactly those rows
+//     while later appends land.
 //   - Append takes ownership of the segment; Close closes every segment.
 type LiveSource struct {
 	mu    sync.Mutex // serializes appenders; readers never take it
@@ -73,11 +74,6 @@ func (s *LiveSource) Append(src PoolSource) (int64, error) {
 	s.state.Store(next)
 	return next.gen, nil
 }
-
-// Generation returns the number of completed appends. A changed
-// generation tells a caching consumer (a delta-only probability pass)
-// that rows were added since it last looked.
-func (s *LiveSource) Generation() int64 { return s.state.Load().gen }
 
 // NumRows returns the current total row count.
 func (s *LiveSource) NumRows() int { return s.state.Load().rows }

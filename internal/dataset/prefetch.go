@@ -206,18 +206,6 @@ func (p *PrefetchSource) NumRows() int { return p.src.NumRows() }
 // Dim returns the feature dimension.
 func (p *PrefetchSource) Dim() int { return p.src.Dim() }
 
-// Generation forwards the wrapped source's append-generation counter
-// when it has one, and reports 0 for fixed-size sources. Implementing
-// the method unconditionally means Subrange never identity-shortcuts a
-// prefetch wrapper — the conservative choice: a view over a growable
-// pool stays pinned whether or not the prefetch layer sits in between.
-func (p *PrefetchSource) Generation() int64 {
-	if g, ok := p.src.(interface{ Generation() int64 }); ok {
-		return g.Generation()
-	}
-	return 0
-}
-
 // Stats reports how many block requests were served from a completed
 // prefetch (hits) versus read synchronously (misses). Test diagnostics;
 // sweep k of a B-block pool scores B−1 hits once warm.

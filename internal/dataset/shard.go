@@ -114,8 +114,8 @@ func (sw *ShardWriter) AppendBlock(x *mat.Dense) error {
 // Rows returns the number of rows appended so far.
 func (sw *ShardWriter) Rows() int { return sw.rows }
 
-// Close flushes the payload, patches the row count into the header, and
-// closes the file.
+// Close flushes the payload, patches the row count into the header,
+// fsyncs the file and closes it, so a closed shard is on stable storage.
 func (sw *ShardWriter) Close() error {
 	if flushErr := sw.w.Flush(); sw.err == nil && flushErr != nil {
 		sw.err = fmt.Errorf("dataset: shard %s: flush: %w", sw.path, flushErr)
@@ -125,6 +125,8 @@ func (sw *ShardWriter) Close() error {
 		binary.LittleEndian.PutUint64(cnt[:], uint64(sw.rows))
 		if _, err := sw.f.WriteAt(cnt[:], 12); err != nil {
 			sw.err = fmt.Errorf("dataset: shard %s: patch row count: %w", sw.path, err)
+		} else if err := sw.f.Sync(); err != nil {
+			sw.err = fmt.Errorf("dataset: shard %s: fsync: %w", sw.path, err)
 		}
 	}
 	if closeErr := sw.f.Close(); sw.err == nil && closeErr != nil {

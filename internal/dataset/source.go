@@ -131,18 +131,12 @@ type subrange struct {
 
 // Subrange returns a PoolSource view of rows [lo, hi) of src. The view
 // shares src (Close is a no-op; close the parent instead) and preserves
-// the Resident fast path when src supports it.
+// the Resident fast path when src supports it. It always wraps, even for
+// the whole of src, so a view over a growable pool (LiveSource) stays
+// pinned to its rows while appends land.
 func Subrange(src PoolSource, lo, hi int) PoolSource {
 	if lo < 0 || hi > src.NumRows() || lo > hi {
 		panic(fmt.Sprintf("dataset: Subrange [%d, %d) out of range [0, %d)", lo, hi, src.NumRows()))
-	}
-	if lo == 0 && hi == src.NumRows() {
-		// The identity shortcut is only sound for fixed-size sources: a
-		// growable pool (LiveSource) must still be wrapped so the window
-		// stays pinned while appends land.
-		if _, growable := src.(interface{ Generation() int64 }); !growable {
-			return src
-		}
 	}
 	if res, ok := src.(Resident); ok {
 		return &residentSubrange{subrange{src: src, lo: lo, hi: hi}, res}

@@ -11,11 +11,15 @@ import (
 	"repro/internal/firal"
 )
 
-// Round checkpoints persist the resumable RELAX state of an in-flight
-// selection round so a killed server resumes instead of recomputing. The
-// format is fixed little-endian binary — float64 bits are written raw, so
-// a resumed mirror-descent trajectory is bit-for-bit the uninterrupted
-// one (a text codec that rounds weights would diverge):
+// A session's RELAX state file persists the newest checkpoint of its
+// latest Approx- or Dist-FIRAL round, tagged with that round's number. It
+// serves two readers: an interrupted round resumes from its own state
+// instead of recomputing, and the next round warm-starts mirror descent
+// from a finished (done) solve, reprojecting the weights onto the grown
+// simplex if the pool was appended to in between. The format is fixed
+// little-endian binary — float64 bits are written raw, so a resumed
+// mirror-descent trajectory is bit-for-bit the uninterrupted one (a text
+// codec that rounds weights would diverge):
 //
 //	offset 0   8 bytes  magic "FIRALCK1"
 //	offset 8   uint32   round number the state belongs to
@@ -25,77 +29,78 @@ import (
 //	offset 25  uint64   nz, then nz float64 simplex weights
 //	...        uint64   nf, then nf float64 objective history
 //
-// Writes are atomic (temp file + rename in the same directory), so a
-// crash mid-write leaves the previous checkpoint intact rather than a
-// torn file.
+// Writes go through writeFileAtomic, so a crash mid-write leaves the
+// previous checkpoint intact rather than a torn file.
 
 const ckptMagic = "FIRALCK1"
 
-// checkpointPath is the per-session location of the in-flight round's
-// checkpoint. One file per session: a session runs at most one round at a
-// time, and a completed round deletes it.
-func checkpointPath(sessionDir string) string {
-	return filepath.Join(sessionDir, "round.ckpt")
-}
-
-// warmPath is the per-session location of the last completed round's
-// converged RELAX weights (same codec, round field = the round that wrote
-// it). Unlike round.ckpt it survives round completion: the next round
-// reads it to warm-start mirror descent, reprojecting the weights onto
-// the grown simplex if the pool was appended to in between.
-func warmPath(sessionDir string) string {
+// statePath is the location of a session's RELAX state file.
+func statePath(sessionDir string) string {
 	return filepath.Join(sessionDir, "warm.ckpt")
 }
 
-// writeCheckpoint atomically persists the RELAX state of round `round`.
-func writeCheckpoint(path string, round int, ck *firal.RelaxCheckpoint) error {
+// writeFileAtomic replaces path with the bytes fill writes: it writes a
+// temp file beside path, flushes and fsyncs it, closes it and renames it
+// over path. On any error the temp file is removed and path is left as
+// it was.
+func writeFileAtomic(path string, fill func(*bufio.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var scratch [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		w.Write(scratch[:4])
+	w := bufio.NewWriterSize(f, 64<<10)
+	err = fill(w)
+	if err == nil {
+		err = w.Flush()
 	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		w.Write(scratch[:])
+	if err == nil {
+		err = f.Sync()
 	}
-	putFloats := func(xs []float64) {
-		put64(uint64(len(xs)))
-		for _, x := range xs {
-			put64(math.Float64bits(x))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// writeCheckpoint atomically persists the RELAX state of round `round`.
+func writeCheckpoint(path string, round int, ck *firal.RelaxCheckpoint) error {
+	return writeFileAtomic(path, func(w *bufio.Writer) error {
+		// Write errors stick in w and surface at its Flush.
+		var scratch [8]byte
+		put32 := func(v uint32) {
+			binary.LittleEndian.PutUint32(scratch[:4], v)
+			w.Write(scratch[:4])
 		}
-	}
-	w.WriteString(ckptMagic)
-	put32(uint32(round))
-	put32(uint32(ck.Iteration))
-	if ck.Done {
-		w.WriteByte(1)
-	} else {
-		w.WriteByte(0)
-	}
-	put64(uint64(ck.CGIterations))
-	putFloats(ck.Z)
-	putFloats(ck.FHist)
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+		put64 := func(v uint64) {
+			binary.LittleEndian.PutUint64(scratch[:], v)
+			w.Write(scratch[:])
+		}
+		putFloats := func(xs []float64) {
+			put64(uint64(len(xs)))
+			for _, x := range xs {
+				put64(math.Float64bits(x))
+			}
+		}
+		w.WriteString(ckptMagic)
+		put32(uint32(round))
+		put32(uint32(ck.Iteration))
+		if ck.Done {
+			w.WriteByte(1)
+		} else {
+			w.WriteByte(0)
+		}
+		put64(uint64(ck.CGIterations))
+		putFloats(ck.Z)
+		putFloats(ck.FHist)
+		return nil
+	})
 }
 
 // readCheckpoint loads a checkpoint, reporting the round it belongs to.

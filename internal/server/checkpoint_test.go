@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,7 +17,7 @@ import (
 // objective history bit-for-bit — including values a text format would
 // mangle (subnormals, exact dyadic fractions, huge magnitudes).
 func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "round.ckpt")
+	path := filepath.Join(t.TempDir(), "state.ckpt")
 	ck := &firal.RelaxCheckpoint{
 		Iteration:    17,
 		Done:         true,
@@ -45,6 +47,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicFailure pins the writer's failure path: when fill
+// fails, the old file keeps its bytes and no temp file is left behind.
+func TestWriteFileAtomicFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "session.json")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := writeFileAtomic(path, func(w *bufio.Writer) error {
+		w.WriteString("new")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("writeFileAtomic returned %v, want the fill error", err)
+	}
+	if raw, _ := os.ReadFile(path); string(raw) != "old" {
+		t.Fatalf("file holds %q after a failed write, want \"old\"", raw)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+}
+
 // TestCheckpointCorruption pins that truncated or foreign files are
 // rejected with the path in the message, never partially decoded.
 func TestCheckpointCorruption(t *testing.T) {
@@ -56,7 +81,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		t.Fatalf("bogus file: %v", err)
 	}
 
-	path := filepath.Join(dir, "round.ckpt")
+	path := filepath.Join(dir, "state.ckpt")
 	ck := &firal.RelaxCheckpoint{Iteration: 3, Z: make([]float64, 100), FHist: []float64{1, 2, 3}}
 	if err := writeCheckpoint(path, 1, ck); err != nil {
 		t.Fatal(err)
@@ -108,7 +133,7 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add([]byte(ckptMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "round.ckpt")
+		path := filepath.Join(dir, "state.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -212,16 +211,14 @@ func testWarmStartedRounds(t *testing.T, cfg Config, selector string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// round.ckpt is cleared on completion; warm.ckpt survives it.
-	if _, err := os.Stat(checkpointPath(sess.dir)); !os.IsNotExist(err) {
-		t.Fatalf("round.ckpt still present after completion: %v", err)
-	}
-	wr, wck, err := readCheckpoint(warmPath(sess.dir))
+	// The state file holds round 1's finished solve after completion.
+	wr, wck, err := readCheckpoint(statePath(sess.dir))
 	if err != nil {
-		t.Fatalf("warm checkpoint: %v", err)
+		t.Fatalf("state file: %v", err)
 	}
-	if wr != 1 || len(wck.Z) != 200 {
-		t.Fatalf("warm checkpoint: round %d with %d weights, want round 1 with 200", wr, len(wck.Z))
+	if wr != 1 || !wck.Done || len(wck.Z) != 200 {
+		t.Fatalf("state file: round %d (done=%v) with %d weights, want round 1's done solve with 200",
+			wr, wck.Done, len(wck.Z))
 	}
 	sum := 0.0
 	for _, z := range wck.Z {
@@ -271,8 +268,8 @@ func testWarmStartedRounds(t *testing.T, cfg Config, selector string) {
 			}
 		}
 	}
-	if wr, _, err := readCheckpoint(warmPath(sess.dir)); err != nil || wr != 2 {
-		t.Fatalf("warm checkpoint after round 2: round %d, err %v; want round 2", wr, err)
+	if wr, wck, err := readCheckpoint(statePath(sess.dir)); err != nil || wr != 2 || !wck.Done {
+		t.Fatalf("state file after round 2: round %d, err %v; want round 2's done solve", wr, err)
 	}
 }
 

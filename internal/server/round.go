@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime/debug"
 	"time"
 
@@ -28,10 +27,11 @@ const roundSeedStride = 7919
 // runRound is the round goroutine: wait for an admission slot, run one
 // train+select on the process-wide worker pool, and record the outcome.
 // Cancellation (session delete, server shutdown) marks the round
-// interrupted — its checkpoint stays on disk and the next server startup
-// resumes it; any other failure marks it failed and clears the checkpoint.
-// A panic here is a programming error; the last-resort recover fails the
-// round with it, instead of the daemon, and logs the stack.
+// interrupted — its RELAX state stays on disk and the next server startup
+// resumes it; any other failure marks it failed, and the next round
+// warm-starts from its state only if its RELAX had finished. A panic here
+// is a programming error; the last-resort recover fails the round with
+// it, instead of the daemon, and logs the stack.
 func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *Session, rm *RoundMeta, ticket *Ticket) {
 	defer s.wg.Done()
 	defer sess.roundWG.Done()
@@ -52,7 +52,6 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 	defer func() {
 		if e := recover(); e != nil {
 			s.cfg.Logf("session %s: round %d panicked: %v\n%s", sess.meta.ID, rm.Round, e, debug.Stack())
-			os.Remove(checkpointPath(sess.dir))
 			finish(RoundFailed, fmt.Sprintf("panic: %v", e))
 		}
 	}()
@@ -78,7 +77,6 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 		return
 	case err != nil:
 		s.cfg.Logf("session %s: round %d failed: %v", sess.meta.ID, rm.Round, err)
-		os.Remove(checkpointPath(sess.dir)) // a failed round's state is not resumable
 		finish(RoundFailed, err.Error())
 		return
 	}
@@ -92,7 +90,6 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 	rm.SelectSeconds = time.Since(t0).Seconds() - out.trainSeconds
 	sess.mu.Unlock()
 
-	os.Remove(checkpointPath(sess.dir)) // the round is durable in session.json now
 	finish(RoundDone, "")
 	s.cfg.Logf("session %s: round %d done: %d selected in %.2fs",
 		sess.meta.ID, rm.Round, len(out.selected), rm.SelectSeconds)
@@ -112,10 +109,9 @@ type roundOutput struct {
 // pool once for probabilities, and dispatch to the session's selector with
 // previously selected rows excluded. Approx- and Dist-FIRAL are one
 // distfiral.SelectInProcess call at one rank or at Config.Ranks. Their
-// RELAX state is checkpointed through the solver's iteration hook and
-// restored when a matching checkpoint survives from an interrupted
-// attempt, and each round warm-starts from the previous round's
-// converged weights.
+// RELAX state is checkpointed through the solver's iteration hook into
+// the session's one state file, from which an interrupted attempt
+// resumes and the next round warm-starts.
 func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (*roundOutput, error) {
 	sess.mu.Lock()
 	meta := sess.meta // shallow copy; slices are not mutated while a round runs
@@ -175,44 +171,34 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 			CGTol:           meta.CGTol,
 			Seed:            seed,
 		}
-		// Warm start: seed mirror descent from the previous round's
-		// converged weights (reprojected onto the grown simplex if rows
-		// were appended in between). A resume checkpoint for *this* round
-		// takes precedence below — mid-round state beats a prior's.
-		if wr, wck, err := readCheckpoint(warmPath(sess.dir)); err == nil {
-			if wr == rm.Round-1 && len(wck.Z) > 0 && len(wck.Z) <= meta.Rows {
-				relax.WarmStart = firal.ReprojectSimplex(wck.Z, meta.Rows)
+		// The state file holds this round's own state (resume: mid-round
+		// state beats a prior's), or the previous round's finished solve
+		// (warm start, reprojected onto the grown simplex if rows were
+		// appended in between). The Done checkpoint fires before the
+		// budget scaling, so its Z still sums to 1 — exactly the simplex
+		// point the next round wants to start from. Any other state is
+		// ignored and overwritten by this round's first checkpoint.
+		if sr, ck, err := readCheckpoint(statePath(sess.dir)); err == nil {
+			switch {
+			case sr == rm.Round:
+				relax.Resume = ck
+				sess.mu.Lock()
+				sess.progress = roundProgress{RelaxIteration: ck.Iteration, RelaxDone: ck.Done, CGIterations: ck.CGIterations}
+				sess.mu.Unlock()
+				s.cfg.Logf("session %s: round %d resuming RELAX from iteration %d (done=%v)",
+					meta.ID, rm.Round, ck.Iteration, ck.Done)
+			case sr == rm.Round-1 && ck.Done && len(ck.Z) > 0 && len(ck.Z) <= meta.Rows:
+				relax.WarmStart = firal.ReprojectSimplex(ck.Z, meta.Rows)
 				s.cfg.Logf("session %s: round %d warm-started from round %d weights (%d → %d rows)",
-					meta.ID, rm.Round, wr, len(wck.Z), meta.Rows)
+					meta.ID, rm.Round, sr, len(ck.Z), meta.Rows)
 			}
 		}
-		if round, ck, err := readCheckpoint(checkpointPath(sess.dir)); err == nil && round == rm.Round {
-			relax.Resume = ck
-			sess.mu.Lock()
-			sess.progress = roundProgress{RelaxIteration: ck.Iteration, RelaxDone: ck.Done, CGIterations: ck.CGIterations}
-			sess.mu.Unlock()
-			s.cfg.Logf("session %s: round %d resuming RELAX from iteration %d (done=%v)",
-				meta.ID, rm.Round, ck.Iteration, ck.Done)
-		} else if err == nil {
-			os.Remove(checkpointPath(sess.dir)) // stale: belongs to another round
-		}
-		every := s.cfg.CheckpointEvery
 		relax.OnIteration = func(ck *firal.RelaxCheckpoint) {
 			sess.mu.Lock()
 			sess.progress = roundProgress{RelaxIteration: ck.Iteration, RelaxDone: ck.Done, CGIterations: ck.CGIterations}
 			sess.mu.Unlock()
-			if ck.Done || ck.Iteration%every == 0 {
-				if err := writeCheckpoint(checkpointPath(sess.dir), rm.Round, ck); err != nil {
-					s.cfg.Logf("session %s: round %d checkpoint: %v", meta.ID, rm.Round, err)
-				}
-			}
-			if ck.Done {
-				// The Done checkpoint fires before the budget scaling, so
-				// ck.Z still sums to 1 — exactly the simplex point the
-				// next round wants to start from.
-				if err := writeCheckpoint(warmPath(sess.dir), rm.Round, ck); err != nil {
-					s.cfg.Logf("session %s: round %d warm checkpoint: %v", meta.ID, rm.Round, err)
-				}
+			if err := writeCheckpoint(statePath(sess.dir), rm.Round, ck); err != nil {
+				s.cfg.Logf("session %s: round %d checkpoint: %v", meta.ID, rm.Round, err)
 			}
 		}
 		labeled := hessian.NewSet(labM, hessian.ReduceProbs(softmax.Probabilities(nil, labM, model.Theta)))

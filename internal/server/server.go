@@ -20,7 +20,7 @@ import (
 // Config configures a Server.
 type Config struct {
 	// DataDir is the root under which every session keeps its directory
-	// (session.json, round checkpoint, packed inline pools). Required.
+	// (session.json, RELAX state file, packed inline pools). Required.
 	DataDir string
 	// Concurrency is the number of selection rounds allowed to run at
 	// once (admission capacity C; default 2).
@@ -29,11 +29,6 @@ type Config struct {
 	// running ones (admission depth Q; default 8). Requests past C+Q are
 	// refused with 429.
 	QueueDepth int
-	// CheckpointEvery checkpoints RELAX state every k mirror-descent
-	// iterations (default 1: every iteration — an iteration on a
-	// million-row pool costs seconds, the 8 MB checkpoint write is
-	// noise).
-	CheckpointEvery int
 	// BlockRows is the streaming row-block size (0 = dataset default).
 	BlockRows int
 	// MaxResidentBytes caps pool materialization for selectors that need
@@ -55,9 +50,6 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 0
 	} else if c.QueueDepth == 0 {
 		c.QueueDepth = 8
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
 	}
 	if c.MaxResidentBytes <= 0 {
 		c.MaxResidentBytes = 1 << 30
@@ -215,9 +207,8 @@ func (s *Server) createSession(req *createRequest) (*Session, error) {
 	s.nextID++
 	s.mu.Unlock()
 
-	if len(req.Labeled.X) == 0 || len(req.Labeled.X) != len(req.Labeled.Y) {
-		return nil, fmt.Errorf("server: labeled set required: matching x (%d rows) and y (%d labels)",
-			len(req.Labeled.X), len(req.Labeled.Y))
+	if len(req.Labeled.Y) == 0 {
+		return nil, errors.New("server: labeled set required: labeled.x and labeled.y")
 	}
 	classes := req.Classes
 	if classes == 0 {
@@ -225,11 +216,6 @@ func (s *Server) createSession(req *createRequest) (*Session, error) {
 	}
 	if classes < 2 {
 		return nil, fmt.Errorf("server: need at least 2 classes in the labeled set, got %d", classes)
-	}
-	for i, y := range req.Labeled.Y {
-		if y < 0 || y >= classes {
-			return nil, fmt.Errorf("server: labeled.y[%d] = %d out of range [0, %d)", i, y, classes)
-		}
 	}
 	selector, err := servableSelector(req.Selector, s.cfg.Ranks)
 	if err != nil {
@@ -245,28 +231,13 @@ func (s *Server) createSession(req *createRequest) (*Session, error) {
 		return nil, err
 	}
 
-	// Pool registration: shard-path reference, or inline CSV packed into
-	// the session directory (features only — the pool is unlabeled).
-	shards := req.Shards
-	switch {
-	case len(shards) > 0 && req.PoolCSV != "":
-		return fail(errors.New("server: give either shards or pool_csv, not both"))
-	case len(shards) == 0 && req.PoolCSV == "":
-		return fail(errors.New("server: pool required: shards (paths) or pool_csv (inline upload)"))
-	case req.PoolCSV != "":
-		shardPath := filepath.Join(dir, "pool.shard")
-		if err := packInlinePool(shardPath, req.PoolCSV); err != nil {
-			return fail(fmt.Errorf("server: pool_csv: %w", err))
-		}
-		shards = []string{shardPath}
-	}
-	src, err := dataset.OpenShards(shards...)
+	shards, src, err := openPool(req.Shards, req.PoolCSV, filepath.Join(dir, "pool.shard"))
 	if err != nil {
-		return fail(err) // dataset errors name the offending shard and its expected shape
+		return fail(err)
 	}
-	if d := len(req.Labeled.X[0]); src.Dim() != d {
+	if err := checkExamples(req.Labeled.X, req.Labeled.Y, src.Dim(), classes); err != nil {
 		src.Close()
-		return fail(fmt.Errorf("server: pool dimension %d does not match labeled dimension %d", src.Dim(), d))
+		return fail(err)
 	}
 
 	sess := &Session{
@@ -324,19 +295,8 @@ func (s *Server) appendPool(sess *Session, shardPaths []string, poolCSV string) 
 	if rm := sess.activeRoundLocked(); rm != nil {
 		return 0, 0, fmt.Errorf("%w (round %d is %s; wait for it or cancel the session)", ErrRoundActive, rm.Round, rm.Status)
 	}
-	switch {
-	case len(shardPaths) > 0 && poolCSV != "":
-		return 0, 0, errors.New("server: give either shards or pool_csv, not both")
-	case len(shardPaths) == 0 && poolCSV == "":
-		return 0, 0, errors.New("server: append requires shards (paths) or pool_csv (inline upload)")
-	case poolCSV != "":
-		shardPath := filepath.Join(sess.dir, fmt.Sprintf("pool-%d.shard", len(sess.meta.Shards)))
-		if err := packInlinePool(shardPath, poolCSV); err != nil {
-			return 0, 0, fmt.Errorf("server: pool_csv: %w", err)
-		}
-		shardPaths = []string{shardPath}
-	}
-	seg, err := dataset.OpenShards(shardPaths...)
+	shardPaths, seg, err := openPool(shardPaths, poolCSV,
+		filepath.Join(sess.dir, fmt.Sprintf("pool-%d.shard", len(sess.meta.Shards))))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -389,16 +349,8 @@ func (s *Server) addLabels(sess *Session, examplesX [][]float64, examplesY []int
 	if rm := sess.activeRoundLocked(); rm != nil {
 		return fmt.Errorf("%w (round %d is %s; wait for it or cancel the session)", ErrRoundActive, rm.Round, rm.Status)
 	}
-	if len(examplesX) != len(examplesY) {
-		return fmt.Errorf("server: x (%d rows) and y (%d labels) must match", len(examplesX), len(examplesY))
-	}
-	for i, x := range examplesX {
-		if len(x) != sess.meta.Dim {
-			return fmt.Errorf("server: x[%d] has %d features, pool dimension is %d", i, len(x), sess.meta.Dim)
-		}
-		if y := examplesY[i]; y < 0 || y >= sess.meta.Classes {
-			return fmt.Errorf("server: y[%d] = %d out of range [0, %d)", i, y, sess.meta.Classes)
-		}
+	if err := checkExamples(examplesX, examplesY, sess.meta.Dim, sess.meta.Classes); err != nil {
+		return err
 	}
 	already := map[int]bool{}
 	for _, il := range sess.meta.IndexLabels {
@@ -543,6 +495,47 @@ func servableSelector(name string, ranks int) (string, error) {
 		return "", fmt.Errorf("server: selector %s needs the server started with -ranks (in-process rank count); use Approx-FIRAL or restart firald with -ranks", canonical)
 	}
 	return canonical, nil
+}
+
+// checkExamples validates labeled examples uploaded by value: x and y
+// pair up, every row has the pool's d features, and every label is a
+// class in [0, classes).
+func checkExamples(x [][]float64, y []int, d, classes int) error {
+	if len(x) != len(y) {
+		return fmt.Errorf("server: x (%d rows) and y (%d labels) must match", len(x), len(y))
+	}
+	for i, row := range x {
+		if len(row) != d {
+			return fmt.Errorf("server: x[%d] has %d features, pool dimension is %d", i, len(row), d)
+		}
+		if y[i] < 0 || y[i] >= classes {
+			return fmt.Errorf("server: y[%d] = %d out of range [0, %d)", i, y[i], classes)
+		}
+	}
+	return nil
+}
+
+// openPool opens a pool given as exactly one of shard paths or an inline
+// features-only CSV, which it first packs into a shard at packPath (the
+// pool is unlabeled). It returns the shard paths to record with the
+// source; dataset errors name the offending shard and its expected shape.
+func openPool(shards []string, csv, packPath string) ([]string, *dataset.ShardSource, error) {
+	switch {
+	case len(shards) > 0 && csv != "":
+		return nil, nil, errors.New("server: give either shards or pool_csv, not both")
+	case len(shards) == 0 && csv == "":
+		return nil, nil, errors.New("server: pool required: shards (paths) or pool_csv (inline upload)")
+	case csv != "":
+		if err := packInlinePool(packPath, csv); err != nil {
+			return nil, nil, fmt.Errorf("server: pool_csv: %w", err)
+		}
+		shards = []string{packPath}
+	}
+	src, err := dataset.OpenShards(shards...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return shards, src, nil
 }
 
 // packInlinePool writes an uploaded features-only CSV into a shard file.

@@ -251,6 +251,26 @@ func TestCreateValidation(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsRaggedLabels pins the width check on every labeled
+// row at create time, not only the first: a seed set whose second row is
+// short is refused with 400 naming the row, instead of training on a
+// zero-padded row.
+func TestCreateRejectsRaggedLabels(t *testing.T) {
+	shard, labX, labY := testPool(t, t.TempDir(), 50, 4, 2, 3)
+	_, a := newTestServer(t, Config{})
+	labX[1] = labX[1][:2]
+	var e struct {
+		Error string `json:"error"`
+	}
+	req := &createRequest{Shards: []string{shard}, Labeled: labeledUpload{X: labX, Y: labY}}
+	if code := a.do("POST", "/v1/sessions", req, &e); code != http.StatusBadRequest {
+		t.Fatalf("ragged labeled set: status %d, want 400 (%s)", code, e.Error)
+	}
+	if !strings.Contains(e.Error, "x[1]") {
+		t.Fatalf("error %q does not name x[1]", e.Error)
+	}
+}
+
 // TestInlineCSVPool uploads the pool as CSV text; the server packs it into
 // a session-local shard and selection runs against that.
 func TestInlineCSVPool(t *testing.T) {
@@ -292,7 +312,7 @@ func TestInlineCSVPool(t *testing.T) {
 // TestResumeBitForBit is the kill-mid-round acceptance test, in-process
 // for determinism: run a reference round to completion on one server;
 // interrupt the identically-configured round on a second server once its
-// first RELAX checkpoint hits disk; restart over the same data directory
+// first RELAX state hits disk; restart over the same data directory
 // and let recovery resume the solve. The resumed selection must equal the
 // uninterrupted one exactly — the checkpoint restores the mirror-descent
 // trajectory bit-for-bit, so there is no tolerance in this comparison.
@@ -322,7 +342,7 @@ func TestResumeBitForBit(t *testing.T) {
 
 	// Interrupted run: same pool, seed, and solver settings, own data dir.
 	dataDir := t.TempDir()
-	srv2, err := New(Config{DataDir: dataDir, CheckpointEvery: 1})
+	srv2, err := New(Config{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +353,8 @@ func TestResumeBitForBit(t *testing.T) {
 	a2.must(http.StatusAccepted, "POST", "/v1/sessions/"+sess.ID+"/rounds", &roundRequest{Budget: 6}, nil)
 
 	// Kill the server as soon as the round has checkpointed at least once
-	// (the checkpoint file is the observable for "mid-RELAX").
-	ckpt := checkpointPath(filepath.Join(dataDir, sess.ID))
+	// (the state file is the observable for "mid-RELAX").
+	ckpt := statePath(filepath.Join(dataDir, sess.ID))
 	for deadline := time.Now().Add(60 * time.Second); ; {
 		if _, err := os.Stat(ckpt); err == nil {
 			break
@@ -347,15 +367,15 @@ func TestResumeBitForBit(t *testing.T) {
 	hs2.Close()
 	srv2.Close() // cancels the running round; checkpoint stays on disk
 
-	if _, ck, err := readCheckpoint(ckpt); err != nil {
-		t.Fatalf("checkpoint unreadable after interrupt: %v", err)
+	if r, ck, err := readCheckpoint(ckpt); err != nil || r != 1 {
+		t.Fatalf("state file after interrupt: round %d, err %v; want round 1", r, err)
 	} else if ck.Done {
 		t.Skip("round finished before the interrupt landed; nothing to resume")
 	}
 
 	// Restart over the same directory: recovery must re-enqueue and finish
 	// the round without a new kick.
-	srv3, err := New(Config{DataDir: dataDir, CheckpointEvery: 1})
+	srv3, err := New(Config{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +396,104 @@ func TestResumeBitForBit(t *testing.T) {
 				i, resumed.Selected, refRound.Selected)
 		}
 	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Errorf("checkpoint not cleaned up after the round completed")
+	// The state file now holds round 1's finished solve, the warm start
+	// of round 2.
+	if r, ck, err := readCheckpoint(ckpt); err != nil || r != 1 || !ck.Done {
+		t.Errorf("state file after completion: round %d, err %v; want round 1's done solve", r, err)
+	}
+}
+
+// TestRecoverTwoFileLayout restarts over a session directory in the
+// layout older servers left mid-round: the interrupted round's state in
+// round.ckpt and the previous round's finished solve in warm.ckpt. The
+// server reads only warm.ckpt, so round 2 reruns from round 1's warm
+// start — the trajectory the old layout resumed — and must select exactly
+// what an uninterrupted reference selects.
+func TestRecoverTwoFileLayout(t *testing.T) {
+	shard, labX, labY := testPool(t, t.TempDir(), 500, 8, 3, 33)
+	mk := func() *createRequest {
+		return &createRequest{
+			Shards:          []string{shard},
+			Labeled:         labeledUpload{X: labX, Y: labY},
+			Seed:            7,
+			Probes:          4,
+			FixedRelaxIters: 25,
+		}
+	}
+	round := func(a *api, id string, r int) roundView {
+		a.must(http.StatusAccepted, "POST", "/v1/sessions/"+id+"/rounds", &roundRequest{Budget: 10}, nil)
+		rv := a.waitRound(id, r, 60*time.Second)
+		if rv.Status != RoundDone {
+			t.Fatalf("round %d: %s %s", r, rv.Status, rv.Error)
+		}
+		return rv
+	}
+
+	// Reference: two uninterrupted rounds.
+	_, ref := newTestServer(t, Config{})
+	var refSess sessionView
+	ref.must(http.StatusCreated, "POST", "/v1/sessions", mk(), &refSess)
+	round(ref, refSess.ID, 1)
+	refRound := round(ref, refSess.ID, 2)
+
+	// Victim: round 1 completes; its finished solve is round 2's warm start.
+	dataDir := t.TempDir()
+	srv2, err := New(Config{DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs2 := httptest.NewServer(srv2.Handler())
+	a2 := &api{t: t, base: hs2.URL}
+	var sess sessionView
+	a2.must(http.StatusCreated, "POST", "/v1/sessions", mk(), &sess)
+	round(a2, sess.ID, 1)
+	dir := filepath.Join(dataDir, sess.ID)
+	state := statePath(dir)
+	warm1, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Interrupt round 2 once its own state is on disk.
+	a2.must(http.StatusAccepted, "POST", "/v1/sessions/"+sess.ID+"/rounds", &roundRequest{Budget: 10}, nil)
+	for deadline := time.Now().Add(60 * time.Second); ; {
+		if r, _, err := readCheckpoint(state); err == nil && r == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("round 2 never checkpointed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hs2.Close()
+	srv2.Close()
+	if r, ck, err := readCheckpoint(state); err != nil || r != 2 {
+		t.Fatalf("state file after interrupt: round %d, err %v; want round 2", r, err)
+	} else if ck.Done {
+		t.Skip("round 2's RELAX finished before the interrupt landed; nothing to resume")
+	}
+
+	// Rewrite the directory into the two-file layout.
+	if err := os.Rename(state, filepath.Join(dir, "round.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(state, warm1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv3, err := New(Config{DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs3 := httptest.NewServer(srv3.Handler())
+	t.Cleanup(func() { hs3.Close(); srv3.Close() })
+	a3 := &api{t: t, base: hs3.URL}
+	resumed := a3.waitRound(sess.ID, 2, 60*time.Second)
+	if resumed.Status != RoundDone {
+		t.Fatalf("recovered round 2: %s %s", resumed.Status, resumed.Error)
+	}
+	if fmt.Sprint(resumed.Selected) != fmt.Sprint(refRound.Selected) {
+		t.Fatalf("recovered round 2 selected %v, reference %v", resumed.Selected, refRound.Selected)
 	}
 }
 

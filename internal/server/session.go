@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -168,12 +169,10 @@ func (s *Session) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(s.dir, "session.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	return writeFileAtomic(filepath.Join(s.dir, "session.json"), func(w *bufio.Writer) error {
+		_, err := w.Write(raw)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 func (s *Session) persist() error {

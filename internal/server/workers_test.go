@@ -44,7 +44,7 @@ func TestRoundIndependentOfConcurrentLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := os.ReadFile(warmPath(sess.dir))
+		warm, err := os.ReadFile(statePath(sess.dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestRoundIndependentOfConcurrentLimit(t *testing.T) {
 		t.Fatalf("selected %v at 1 worker, %v at 4", one.Selected, four.Selected)
 	}
 	if !bytes.Equal(warmOne, warmFour) {
-		t.Fatalf("warm.ckpt differs between 1 and 4 workers (%d bytes vs %d)", len(warmOne), len(warmFour))
+		t.Fatalf("state file differs between 1 and 4 workers (%d bytes vs %d)", len(warmOne), len(warmFour))
 	}
 }
 
