@@ -180,18 +180,27 @@ func main() {
 	}))
 
 	// --- Fused multi-probe Lemma-2 sweeps, s = 10 probes per sweep: the
-	// block-CG operator at the stream (c=1) and resident (c=10) shapes,
-	// and the Eq. 12 gradient accumulation. ---
+	// block-CG operator at the stream (c=1), service (c=2) and resident
+	// (c=10) shapes, and the Eq. 12 gradient accumulation. Each row also
+	// records its time at one worker, so the worker scaling of the sweeps
+	// stays visible. ---
 	for _, bc := range []struct {
 		name string
 		n, c int
 		quad bool
 	}{
 		{"matvec_block_n1e5_d64_c1_s10", 100_000, 1, false},
+		{"matvec_block_n2e4_d64_c2_s10", 20_000, 2, false},
 		{"matvec_block_n1e4_d64_c10_s10", 10_000, 10, false},
 		{"quad_block_n1e5_d64_c1_s10", 100_000, 1, true},
 	} {
-		rep.Results = append(rep.Results, run(bc.name, blockSweepBench(bc.n, bc.c, bc.quad)))
+		sweep := blockSweepBench(bc.n, bc.c, bc.quad)
+		e := run(bc.name, sweep)
+		prevW := parallel.SetMaxWorkers(1)
+		one := run(bc.name+"@1w", sweep)
+		parallel.SetMaxWorkers(prevW)
+		e.Extra = map[string]float64{"workers1_ns": one.NsPerOp}
+		rep.Results = append(rep.Results, e)
 	}
 
 	// --- Preconditioned CG solve (Σz x = b) of one right-hand side (s=1)
@@ -321,6 +330,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer setup.cleanup()
+	rep.Results = append(rep.Results, decodeBench(run, setup))
 	rep.Results = append(rep.Results, streamBench(run, setup))
 	if e, err := relaxStreamBench(setup); err != nil {
 		log.Fatal(err)
@@ -445,6 +455,36 @@ func buildStreamPool() (*streamSetup, error) {
 func (s *streamSetup) cleanup() {
 	s.src.Close()
 	os.RemoveAll(s.dir)
+}
+
+// decodeBench times reading the first 100,000 rows of the shard pool in
+// DefaultBlockRows blocks: the float32 → float64 widen every streamed
+// sweep pays per block, with the payload already in the page cache.
+// Extra records the payload rate in GB/s.
+func decodeBench(run func(string, func(b *testing.B)) entry, setup *streamSetup) entry {
+	const n, d = 100_000, streamD
+	block := mat.NewDense(dataset.DefaultBlockRows, d)
+	tail := block.RowSlice(0, n%block.Rows) // the ragged last block
+	read := func(b *testing.B) {
+		for lo := 0; lo < n; lo += block.Rows {
+			dst := block
+			if n-lo < block.Rows {
+				dst = tail
+			}
+			if err := setup.src.ReadRows(lo, lo+dst.Rows, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	e := run("shard_decode_n1e5_d64", func(b *testing.B) {
+		read(b) // fault the pages in
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read(b)
+		}
+	})
+	e.Extra = map[string]float64{"gb_per_s": 4 * n * d / e.NsPerOp}
+	return e
 }
 
 // streamBench measures one full ROUND rescoring pass over the 1,000,000×64

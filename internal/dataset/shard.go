@@ -346,12 +346,11 @@ func (sf *shardFile) decodeRows(lo, hi, d int, dst *mat.Dense, dstRow int) (err 
 			return err
 		}
 	}
-	for r := lo; r < hi; r++ {
-		out := dst.Row(dstRow + r - lo)
-		base := (r - lo) * d * 4
-		for j := 0; j < d; j++ {
-			bits := binary.LittleEndian.Uint32(raw[base+j*4 : base+j*4+4])
-			out[j] = float64(math.Float32frombits(bits))
+	if dst.Stride == d {
+		mat.WidenFloat32(dst.Data[dstRow*d:(dstRow+hi-lo)*d], raw)
+	} else {
+		for r := 0; r < hi-lo; r++ {
+			mat.WidenFloat32(dst.Row(dstRow+r), raw[r*d*4:(r+1)*d*4])
 		}
 	}
 	if sf.data != nil {

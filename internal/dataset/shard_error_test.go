@@ -166,6 +166,56 @@ func FuzzShardHeader(f *testing.F) {
 	})
 }
 
+// FuzzShardRows writes arbitrary payload bytes as a shard of dimension
+// 1 + dim%70 and reads every row back, in blocks that start anywhere, into
+// a contiguous destination (one widen over the whole range) and a strided
+// one (a widen per row). The oracle: every element has the bits of the
+// portable conversion of its little-endian float32, NaN payloads
+// included.
+func FuzzShardRows(f *testing.F) {
+	var specials []byte
+	for _, v := range []uint32{0, 0x80000000, 1, 0x807fffff, 0x7f800000, 0xff800000, 0x7fc12345, 0x7f800001, 0xffa00000, 0x3f800000} {
+		specials = binary.LittleEndian.AppendUint32(specials, v)
+	}
+	f.Add(uint8(3), uint8(2), specials)
+	f.Add(uint8(15), uint8(5), append(specials, specials...))
+	f.Add(uint8(63), uint8(7), make([]byte, 64*4*9+3))
+	f.Fuzz(func(t *testing.T, dim, block uint8, payload []byte) {
+		d := 1 + int(dim)%70
+		rows := len(payload) / (4 * d)
+		payload = payload[:rows*d*4]
+		path := filepath.Join(t.TempDir(), "rows.shard")
+		if err := os.WriteFile(path, append(shardHeader(uint32(d), uint64(rows)), payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenShards(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		bs := 1 + int(block)%9
+		for _, stride := range []int{d, d + 1} {
+			for lo := 0; lo < rows; lo += bs {
+				hi := min(lo+bs, rows)
+				dst := &mat.Dense{Rows: hi - lo, Cols: d, Stride: stride, Data: make([]float64, (hi-lo)*stride)}
+				if err := src.ReadRows(lo, hi, dst); err != nil {
+					t.Fatalf("ReadRows(%d, %d): %v", lo, hi, err)
+				}
+				for i := lo; i < hi; i++ {
+					for j, got := range dst.Row(i - lo) {
+						bits := binary.LittleEndian.Uint32(payload[(i*d+j)*4:])
+						want := float64(math.Float32frombits(bits))
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("row %d col %d (float32 %08x, stride %d): %x, want %x", i, j, bits, stride,
+								math.Float64bits(got), math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestShardTruncatedAfterOpen shrinks a shard under an open source. A
 // read of rows past the new end must fail and name the shard, both when
 // they lie in pages wholly past it (a mapping faults there, which used to

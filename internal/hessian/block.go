@@ -24,9 +24,11 @@ import (
 //
 //   - the dots use the order mat.UseBlocked(m, c, d) picks for the row
 //     block's per-probe product (mat.MulTransBInOrder), decided per block,
-//     so ragged tail blocks keep their own order; in the blocked order
-//     they multiply with the probe block packed once per sweep
-//     (mat.MulPackedRight), which gives the same bits;
+//     so ragged tail blocks keep their own order; they multiply with the
+//     probe block packed once per sweep (mat.MulPackedRightInOrder),
+//     which gives the same bits, in the blocked order and, where the dotu
+//     tile pays for the probes' columns (mat.UseDotuTile), in the
+//     unblocked one;
 //   - each class row of the result adds Γ_ik x_i over the block's rows in
 //     ascending order, skipping zero Γ (mat.AccumRows), unless
 //     mat.UseBlocked(c, d, m) sends the block's Γᵀ·X to the packed path
@@ -253,16 +255,17 @@ func (t *sweepTask) accumPacked(j int) {
 
 // dots writes the c dot products of block rows [r0, r1) with probes
 // [j0, j1) of vb into g: row r0+i, probe j at g[i·gs + (j−gj)·c:][:c].
-// In the blocked order it multiplies with pb, vb packed for the sweep,
-// when there is one.
+// It multiplies with pb, vb packed for the sweep, when there is one and
+// the block's order has a packed kernel that pays: the blocked order
+// always, the unblocked (dotu) order where mat.UseDotuTile.
 //
 //firal:hotpath
 func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, r0, r1, j0, j1 int) {
 	xs := t.xb.Stride
 	xt := mat.Dense{Rows: r1 - r0, Cols: t.d, Stride: xs, Data: t.xb.Data[r0*xs:]}
-	if t.blocked && pb != nil {
+	if pb != nil && (t.blocked || mat.UseDotuTile(j0*t.c, j1*t.c)) {
 		gt := mat.Dense{Rows: r1 - r0, Cols: (j1 - j0) * t.c, Stride: t.gs, Data: g[(j0-t.gj)*t.c:]}
-		mat.MulPackedRight(&gt, &xt, pb, j0*t.c)
+		mat.MulPackedRightInOrder(&gt, &xt, pb, j0*t.c, t.blocked)
 		return
 	}
 	step := j1 - j0
@@ -278,7 +281,8 @@ func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, r0, r1, j0,
 
 // gamma rewrites the dots of block rows [r0, r1) and probes [j0, j1) in
 // g (laid out as in dots) in place: G_ik ← w_i (G_ik − α_i) h_ik with
-// α_i = Σ_k G_ik h_ik.
+// α_i = Σ_k G_ik h_ik summed in mat.Dot's order (from +0, ascending k),
+// written out in straight-line code for c = 1 and 2.
 //
 //firal:hotpath
 func (t *sweepTask) gamma(g []float64, r0, r1, j0, j1 int) {
@@ -288,12 +292,33 @@ func (t *sweepTask) gamma(g []float64, r0, r1, j0, j1 int) {
 		if t.w != nil {
 			wi = t.w[t.base+i]
 		}
-		row := g[(i-r0)*t.gs:]
-		for j := j0 - t.gj; j < j1-t.gj; j++ {
-			gr := row[j*t.c : (j+1)*t.c]
-			alpha := mat.Dot(gr, hr)
-			for k := range gr {
-				gr[k] = wi * (gr[k] - alpha) * hr[k]
+		row := g[(i-r0)*t.gs+(j0-t.gj)*t.c : (i-r0)*t.gs+(j1-t.gj)*t.c]
+		switch t.c {
+		case 1:
+			h0 := hr[0]
+			for j, g0 := range row {
+				alpha := 0 + g0*h0
+				row[j] = wi * (g0 - alpha) * h0
+			}
+		case 2:
+			h0, h1 := hr[0], hr[1]
+			for j := 0; j+1 < len(row); j += 2 {
+				gr := row[j : j+2 : j+2]
+				g0, g1 := gr[0], gr[1]
+				alpha := 0 + g0*h0 + g1*h1
+				gr[0] = wi * (g0 - alpha) * h0
+				gr[1] = wi * (g1 - alpha) * h1
+			}
+		default:
+			for j := 0; j < len(row); j += t.c {
+				gr := row[j : j+t.c]
+				var alpha float64
+				for k, hk := range hr {
+					alpha += gr[k] * hk
+				}
+				for k, hk := range hr {
+					gr[k] = wi * (gr[k] - alpha) * hk
+				}
 			}
 		}
 	}
@@ -314,11 +339,13 @@ func (t *sweepTask) accumulate(g []float64, j, c0, c1, r0, r1 int) {
 }
 
 // packProbes packs the probe block vb, read as an (s·c)×d matrix, into pk
-// for the blocked dots and returns it. It returns nil, and the dots pack
-// per product, when no block of up to rows rows takes the blocked order
-// or when vb's probe rows are not contiguous.
+// for the packed dots and returns it. It returns nil, and the dots read
+// vb in place, when vb's probe rows are not contiguous, or when no block
+// of up to rows rows takes the blocked order and the dotu tile does not
+// pay on all s·c columns (mat.UseDotuTile), so on no narrower window
+// either.
 func (t *sweepTask) packProbes(pk *mat.Packed, vb *mat.Dense, rows int) *mat.Packed {
-	if vb.Stride != vb.Cols || !mat.UseBlocked(rows, t.c, t.d) {
+	if vb.Stride != vb.Cols || !mat.UseBlocked(rows, t.c, t.d) && !mat.UseDotuTile(0, vb.Rows*t.c) {
 		return nil
 	}
 	pk.PackRight(&mat.Dense{Rows: vb.Rows * t.c, Cols: t.d, Stride: t.d, Data: vb.Data})
@@ -426,16 +453,19 @@ func (t *sweepTask) quadRows(lo, hi int) {
 			for i := r0; i < r1; i++ {
 				hr := t.h.Row(t.base + i)
 				q0 := (i - r0) * sc
-				for j := 0; j < t.s; j++ {
-					hu := gu[q0+j*t.c : q0+(j+1)*t.c]
-					hv := gv[q0+j*t.c : q0+(j+1)*t.c]
-					alpha := mat.Dot(hv, hr)
-					var q float64
-					for k := range hr {
-						q += (hv[k] - alpha) * hr[k] * hu[k]
+				hu, hv := gu[q0:q0+sc], gv[q0:q0+sc]
+				qi := t.qdst[t.base+i]
+				for j := 0; j < sc; j += t.c {
+					var alpha, q float64 // alpha in mat.Dot's order
+					for k, hk := range hr {
+						alpha += hv[j+k] * hk
 					}
-					t.qdst[t.base+i] += t.scale * q
+					for k, hk := range hr {
+						q += (hv[j+k] - alpha) * hk * hu[j+k]
+					}
+					qi += t.scale * q
 				}
+				t.qdst[t.base+i] = qi
 			}
 		}
 	}

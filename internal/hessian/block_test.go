@@ -181,12 +181,16 @@ func TestThresholdTailsCoverBothOrders(t *testing.T) {
 	}
 }
 
-// sweepShapes is the (c, d) grid of the oracle tests: c ∈ {1, 2, 10}
-// against d ∈ {13, 64, 300} (300 spans two GEMM k-panels), plus c = 20,
-// where Γᵀ·X itself takes the packed path on the larger blocks.
+// sweepShapes is the (c, d) grid of the oracle tests: c ∈ {1, 2, 3, 7,
+// 10} against d ∈ {13, 64, 300} (300 spans two GEMM k-panels), plus
+// c = 20, where Γᵀ·X itself takes the packed path on the larger blocks.
+// c = 3 and c = 7 (the largest c whose dots are never blocked) leave the
+// probe block's last lane panel of eight ragged for most probe counts.
 var sweepShapes = [][2]int{
 	{1, 13}, {1, 64}, {1, 300},
 	{2, 13}, {2, 64}, {2, 300},
+	{3, 13}, {3, 64}, {3, 300},
+	{7, 13}, {7, 64}, {7, 300},
 	{10, 13}, {10, 64}, {10, 300},
 	{20, 13}, {20, 64},
 }
@@ -218,6 +222,45 @@ func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
 								math.Float64bits(v), math.Float64bits(want.Data[i]))
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockWSMidPanelSplit runs both fused sweeps with s = 13 probes on
+// 3 workers, which split the probes [0, 5), [5, 10), [10, 13): every
+// worker but the first starts inside a lane panel of the packed probe
+// block, and the last ends in a ragged one. At c = 3 all three take the
+// dotu tile; at c = 1 the second and third read the probes in place
+// (mat.UseDotuTile). Both sweeps must match their oracles bit for bit.
+func TestBlockWSMidPanelSplit(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(3))
+	ws := mat.NewWorkspace()
+	const s = 13
+	for _, c := range []int{1, 3} {
+		const d = 64
+		for _, pc := range sweepPools(c, d) {
+			vt, _ := blockVectors(d*c, s, int64(c))
+			want := mat.NewDense(s, d*c)
+			oracleMatVecBlock(pc.p, want, vt, pc.w)
+			got := mat.NewDense(s, d*c)
+			MatVecBlockWS(ws, pc.p, got, vt, pc.w)
+			for i, v := range got.Data {
+				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("c=%d %s: matvec element (%d,%d) = %x, oracle %x", c, pc.name, i/(d*c), i%(d*c),
+						math.Float64bits(v), math.Float64bits(want.Data[i]))
+				}
+			}
+			ut, _ := blockVectors(d*c, s, int64(10+c))
+			wantQ := make([]float64, pc.p.N())
+			gotQ := make([]float64, pc.p.N())
+			oracleQuadAccumBlock(pc.p, wantQ, ut, vt, 0.5)
+			QuadAccumBlockWS(ws, pc.p, gotQ, ut, vt, 0.5)
+			for i := range gotQ {
+				if math.Float64bits(gotQ[i]) != math.Float64bits(wantQ[i]) {
+					t.Fatalf("c=%d %s: quad g[%d] = %x, oracle %x", c, pc.name, i,
+						math.Float64bits(gotQ[i]), math.Float64bits(wantQ[i]))
 				}
 			}
 		}

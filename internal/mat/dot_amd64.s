@@ -1,11 +1,12 @@
 // AVX inner loops for the row kernels: the four-lane dot product of dotu,
 // the row-ordered multi-row axpy of the aᵀ·b reference kernel (with an
-// AVX-512F pass over runs of thirty-two columns) and the rank-4 row update
-// of the weighted Gram. They run only at the kernel level that supports
-// their registers (gemm_kernel_amd64.go). Every multiply and
-// add is a separate VMULPD/VADDPD (never FMA) in the portable loop's
-// order, so each kernel is bit-identical to its fallback (dotuGo,
-// accumRowsGo, the rank-4 loop of weightedGramRange).
+// AVX-512F pass over runs of thirty-two columns), the rank-4 row update
+// of the weighted Gram and the float32 widen of WidenFloat32. They run
+// only at the kernel level that supports their registers
+// (gemm_kernel_amd64.go). Every multiply and add is a separate
+// VMULPD/VADDPD (never FMA) in the portable loop's order, so each kernel
+// is bit-identical to its fallback (dotuGo, accumRowsGo, the rank-4 loop
+// of weightedGramRange, widenGo).
 
 #include "textflag.h"
 
@@ -430,5 +431,57 @@ nextrow:
 	JMP  row
 
 gramdone:
+	VZEROUPPER
+	RET
+
+// func widenAVX(n int, dst *float64, src *byte, wide bool)
+//
+// dst[i] = float64 of the float32 at src[4i:] for i < n. VCVTPS2PD
+// widens exactly and quiets a signalling NaN as CVTSS2SD, the Go
+// conversion, does. With wide set, sixteen floats per pass in two ZMM
+// registers; then eight per pass in two YMM registers, then one.
+TEXT ·widenAVX(SB), NOSPLIT, $0-25
+	MOVQ    n+0(FP), CX
+	MOVQ    dst+8(FP), DI
+	MOVQ    src+16(FP), SI
+	MOVBLZX wide+24(FP), AX
+	TESTQ   AX, AX
+	JZ      wyloop
+
+wzloop:
+	CMPQ      CX, $16
+	JLT       wyloop
+	VCVTPS2PD (SI), Z0
+	VCVTPS2PD 32(SI), Z1
+	VMOVUPD   Z0, (DI)
+	VMOVUPD   Z1, 64(DI)
+	ADDQ      $64, SI
+	ADDQ      $128, DI
+	SUBQ      $16, CX
+	JMP       wzloop
+
+wyloop:
+	CMPQ      CX, $8
+	JLT       wone
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y1, 32(DI)
+	ADDQ      $32, SI
+	ADDQ      $64, DI
+	SUBQ      $8, CX
+	JMP       wyloop
+
+wone:
+	TESTQ     CX, CX
+	JZ        wdone
+	VCVTSS2SD (SI), X0, X0
+	VMOVSD    X0, (DI)
+	ADDQ      $4, SI
+	ADDQ      $8, DI
+	DECQ      CX
+	JMP       wone
+
+wdone:
 	VZEROUPPER
 	RET

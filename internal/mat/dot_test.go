@@ -215,3 +215,156 @@ func TestMulTransBInOrderMatchesMulTransB(t *testing.T) {
 		}
 	}
 }
+
+// nanPayloads are NaNs that differ in sign and payload, so a kernel that
+// takes a product's or a sum's NaN from the other operand than the
+// portable loop does gives different bits.
+var nanPayloads = []float64{
+	math.Float64frombits(0x7ff8000000000001),
+	math.Float64frombits(0xfff8000000000abc),
+	math.Float64frombits(0x7ff80000deadbeef),
+	math.Float64frombits(0xfff8123400000000),
+}
+
+// sprinkleNaNs overwrites about one element in eight of x with a special
+// or a NaN with a payload.
+func sprinkleNaNs(rng *rand.Rand, x []float64) {
+	for i := range x {
+		if rng.Intn(8) == 0 {
+			if rng.Intn(2) == 0 {
+				x[i] = specials[rng.Intn(len(specials))]
+			} else {
+				x[i] = nanPayloads[rng.Intn(len(nanPayloads))]
+			}
+		}
+	}
+}
+
+// TestDotuTileMatchesDotu pins MulPackedRightInOrder's unblocked order at
+// every kernel level the host has to dotu bit for bit, NaN payloads
+// included at the avx512 level: every depth from 1 to 70 (every d%4 tail) and 300 (two
+// k-panels, whose lanes carry over), 1 to 9 rows of a (ragged four-row
+// tiles), 1 to 17 columns (ragged lane panels) from column 0 or from
+// column 5 of the packed operand (a window that starts mid-panel), a
+// strided a and a strided destination whose other columns must keep
+// their bits. The special inputs put NaNs with different payloads on
+// both sides of the products, so the operand order of every multiply
+// and add shows.
+func TestDotuTileMatchesDotu(t *testing.T) {
+	forEachLevel(t, testDotuTile)
+}
+
+func testDotuTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	depths := []int{300}
+	for d := 1; d <= 70; d++ {
+		depths = append(depths, d)
+	}
+	const sentinel = 0x7ff4000000000777 // a signalling NaN no kernel writes
+	// Both sides are asm at avx512 (the tile and dotsLanesAVX), which fix
+	// every operand order, so NaN payloads must agree too. A Go loop's
+	// payloads are not pinned: the compiler may commute a multiply's or an
+	// add's operands.
+	exact := kernel == kernelAVX512
+	for _, d := range depths {
+		for _, special := range []bool{false, true} {
+			const maxRows, maxCols, c0Max = 9, 17, 5
+			a := &Dense{Rows: maxRows, Cols: d, Stride: d + 3, Data: make([]float64, maxRows*(d+3))}
+			b := NewDense(c0Max+maxCols, d)
+			spread(rng, a.Data)
+			spread(rng, b.Data)
+			if special {
+				sprinkleNaNs(rng, a.Data)
+				sprinkleNaNs(rng, b.Data)
+			}
+			var pb Packed
+			pb.PackRight(b)
+			for rows := 1; rows <= maxRows; rows++ {
+				ar := a.RowSlice(0, rows)
+				for cols := 1; cols <= maxCols; cols++ {
+					for _, c0 := range []int{0, c0Max} {
+						dst := &Dense{Rows: rows, Cols: cols, Stride: cols + 2, Data: make([]float64, rows*(cols+2))}
+						for i := range dst.Data {
+							dst.Data[i] = math.Float64frombits(sentinel)
+						}
+						MulPackedRightInOrder(dst, ar, &pb, c0, false)
+						for i := 0; i < rows; i++ {
+							row := dst.Data[i*dst.Stride : (i+1)*dst.Stride]
+							for j, got := range row {
+								if j >= cols {
+									if math.Float64bits(got) != sentinel {
+										t.Fatalf("%s d=%d rows=%d cols=%d c0=%d: column %d of row %d outside dst changed", kernel, d, rows, cols, c0, j, i)
+									}
+									continue
+								}
+								want := dotu(a.Row(i), b.Row(c0+j))
+								if !sameBits(got, want) || exact && math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("%s d=%d rows=%d cols=%d c0=%d special=%v: (%d,%d) = %x, dotu %x", kernel, d, rows, cols, c0, special, i, j,
+										math.Float64bits(got), math.Float64bits(want))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWidenKernelMatchesPortable pins WidenFloat32 at every kernel level
+// the host has to widenGo bit for bit: signed zeros, float32 subnormals,
+// infinities, quiet and signalling NaNs with payloads and random bit
+// patterns, at every length from 0 to 70 (every sixteen-, eight- and
+// one-float tail) and 300, from a source that starts 8-byte aligned or
+// only 4-byte aligned (as a shard row does). The element past the end
+// must keep its bits.
+func TestWidenKernelMatchesPortable(t *testing.T) {
+	forEachLevel(t, testWiden)
+}
+
+func testWiden(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	special32 := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x007fffff, 0x80000001, 0x80400000, // subnormals
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0x7fc12345, 0xffc00001, // quiet NaNs
+		0x7f800001, 0x7fa00000, 0xff800123, 0x7fbfffff, // signalling NaNs
+		0x00800000, 0x7f7fffff, 0x3f800000, // smallest normal, largest, 1
+	}
+	lengths := []int{300}
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	const sentinel = 0x7ff4000000000777
+	for _, n := range lengths {
+		for _, off := range []int{0, 4} {
+			buf := make([]byte, off+4*n)
+			for i := 0; i < n; i++ {
+				v := rng.Uint32()
+				if rng.Intn(2) == 0 {
+					v = special32[rng.Intn(len(special32))]
+				}
+				buf[off+4*i] = byte(v)
+				buf[off+4*i+1] = byte(v >> 8)
+				buf[off+4*i+2] = byte(v >> 16)
+				buf[off+4*i+3] = byte(v >> 24)
+			}
+			src := buf[off:]
+			got := make([]float64, n+1)
+			got[n] = math.Float64frombits(sentinel)
+			want := make([]float64, n)
+			WidenFloat32(got[:n], src)
+			widenGo(want, src)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d offset=%d: element %d = %x, portable %x", kernel, n, off, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+			if math.Float64bits(got[n]) != sentinel {
+				t.Fatalf("%s n=%d offset=%d: wrote past the end", kernel, n, off)
+			}
+		}
+	}
+}

@@ -4,7 +4,9 @@
 // interleaved 8 values per k — into acc. Per k, row r of the tile adds
 // a[r]·b[0:8]: a multiply then an add (never FMA), so each element sums its
 // k-terms in ascending order from zero with the same roundings as the
-// portable kernel, and all levels produce bit-identical results.
+// portable kernel, and all levels produce bit-identical results. The
+// dotu tile at the end reads the same right panels for the unblocked
+// order (MulPackedRightInOrder); it runs at the avx512 level only.
 
 #include "textflag.h"
 
@@ -203,5 +205,227 @@ sqfold:
 sqdone:
 	VMOVUPD Z10, (DX)
 	VMOVUPD Z11, (R11)
+	VZEROUPPER
+	RET
+
+// func dotuTileAVX512(kc int, x0, x1, x2, x3, bp, lanes, out *float64, os, t0, mask, rows int, first, last bool)
+//
+// The dotu lanes of four rows x_r (x0…x3, kc values each) against the
+// eight rows of the right lane panel bp over kc inner steps. Z<4r+l>
+// holds lane l of row r for the eight panel rows: it adds x_r[t]·b[t]
+// over t ≡ l (mod 4), the kc%4 tail joins lane 0. Each step is a
+// broadcast of x_r[t], a VMULPD with x first and a VADDPD onto the lane,
+// dotuGo's order element by element. With first set the lanes start
+// from +0, else from lanes (row r's lane l at lanes[(4r+l)·8:]). With
+// last set row r < rows gets its sums (l0 + l1) + (l2 + l3) in the
+// panel rows set in mask, panel row t at out[r·os + t − t0] (a masked
+// store, so the destination holds only the columns in mask); otherwise
+// the lanes go back to lanes for the next k-panel.
+TEXT ·dotuTileAVX512(SB), NOSPLIT, $0-98
+	MOVQ    kc+0(FP), CX
+	MOVQ    x0+8(FP), R8
+	MOVQ    x1+16(FP), R9
+	MOVQ    x2+24(FP), R10
+	MOVQ    x3+32(FP), R11
+	MOVQ    bp+40(FP), SI
+	MOVQ    lanes+48(FP), DI
+	MOVBLZX first+96(FP), AX
+	TESTQ   AX, AX
+	JNZ     tzero
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	VMOVUPD 512(DI), Z8
+	VMOVUPD 576(DI), Z9
+	VMOVUPD 640(DI), Z10
+	VMOVUPD 704(DI), Z11
+	VMOVUPD 768(DI), Z12
+	VMOVUPD 832(DI), Z13
+	VMOVUPD 896(DI), Z14
+	VMOVUPD 960(DI), Z15
+	JMP     tbody
+
+tzero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+
+tbody:
+	MOVQ  CX, R12
+	SHRQ  $2, R12 // four-step groups
+	ANDQ  $3, CX  // tail steps
+	TESTQ R12, R12
+	JZ    ttail
+
+tloop:
+	VMOVUPD      (SI), Z16   // b[t]
+	VMOVUPD      64(SI), Z17 // b[t+1]
+	VMOVUPD      128(SI), Z18
+	VMOVUPD      192(SI), Z19
+
+	VBROADCASTSD (R8), Z20
+	VBROADCASTSD 8(R8), Z21
+	VBROADCASTSD 16(R8), Z22
+	VBROADCASTSD 24(R8), Z23
+	VMULPD       Z16, Z20, Z24
+	VADDPD       Z24, Z0, Z0
+	VMULPD       Z17, Z21, Z25
+	VADDPD       Z25, Z1, Z1
+	VMULPD       Z18, Z22, Z26
+	VADDPD       Z26, Z2, Z2
+	VMULPD       Z19, Z23, Z27
+	VADDPD       Z27, Z3, Z3
+
+	VBROADCASTSD (R9), Z20
+	VBROADCASTSD 8(R9), Z21
+	VBROADCASTSD 16(R9), Z22
+	VBROADCASTSD 24(R9), Z23
+	VMULPD       Z16, Z20, Z24
+	VADDPD       Z24, Z4, Z4
+	VMULPD       Z17, Z21, Z25
+	VADDPD       Z25, Z5, Z5
+	VMULPD       Z18, Z22, Z26
+	VADDPD       Z26, Z6, Z6
+	VMULPD       Z19, Z23, Z27
+	VADDPD       Z27, Z7, Z7
+
+	VBROADCASTSD (R10), Z20
+	VBROADCASTSD 8(R10), Z21
+	VBROADCASTSD 16(R10), Z22
+	VBROADCASTSD 24(R10), Z23
+	VMULPD       Z16, Z20, Z24
+	VADDPD       Z24, Z8, Z8
+	VMULPD       Z17, Z21, Z25
+	VADDPD       Z25, Z9, Z9
+	VMULPD       Z18, Z22, Z26
+	VADDPD       Z26, Z10, Z10
+	VMULPD       Z19, Z23, Z27
+	VADDPD       Z27, Z11, Z11
+
+	VBROADCASTSD (R11), Z20
+	VBROADCASTSD 8(R11), Z21
+	VBROADCASTSD 16(R11), Z22
+	VBROADCASTSD 24(R11), Z23
+	VMULPD       Z16, Z20, Z24
+	VADDPD       Z24, Z12, Z12
+	VMULPD       Z17, Z21, Z25
+	VADDPD       Z25, Z13, Z13
+	VMULPD       Z18, Z22, Z26
+	VADDPD       Z26, Z14, Z14
+	VMULPD       Z19, Z23, Z27
+	VADDPD       Z27, Z15, Z15
+
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	ADDQ $256, SI
+	DECQ R12
+	JNZ  tloop
+
+ttail:
+	TESTQ CX, CX
+	JZ    tout
+
+ttailloop:
+	VMOVUPD      (SI), Z16
+	VBROADCASTSD (R8), Z20
+	VMULPD       Z16, Z20, Z24
+	VADDPD       Z24, Z0, Z0
+	VBROADCASTSD (R9), Z21
+	VMULPD       Z16, Z21, Z25
+	VADDPD       Z25, Z4, Z4
+	VBROADCASTSD (R10), Z22
+	VMULPD       Z16, Z22, Z26
+	VADDPD       Z26, Z8, Z8
+	VBROADCASTSD (R11), Z23
+	VMULPD       Z16, Z23, Z27
+	VADDPD       Z27, Z12, Z12
+	ADDQ         $8, R8
+	ADDQ         $8, R9
+	ADDQ         $8, R10
+	ADDQ         $8, R11
+	ADDQ         $64, SI
+	DECQ         CX
+	JNZ          ttailloop
+
+tout:
+	MOVBLZX last+97(FP), AX
+	TESTQ   AX, AX
+	JNZ     tfinish
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VMOVUPD Z8, 512(DI)
+	VMOVUPD Z9, 576(DI)
+	VMOVUPD Z10, 640(DI)
+	VMOVUPD Z11, 704(DI)
+	VMOVUPD Z12, 768(DI)
+	VMOVUPD Z13, 832(DI)
+	VMOVUPD Z14, 896(DI)
+	VMOVUPD Z15, 960(DI)
+	VZEROUPPER
+	RET
+
+tfinish:
+	MOVQ    out+56(FP), DX
+	MOVQ    os+64(FP), R13
+	SHLQ    $3, R13
+	MOVQ    t0+72(FP), AX
+	SHLQ    $3, AX
+	SUBQ    AX, DX         // panel row 0 of tile row 0
+	MOVQ    mask+80(FP), AX
+	KMOVW   AX, K1
+	MOVQ    rows+88(FP), R12
+	VADDPD  Z1, Z0, Z0     // l0 + l1
+	VADDPD  Z3, Z2, Z2     // l2 + l3
+	VADDPD  Z2, Z0, Z0
+	VMOVUPD Z0, K1, (DX)
+	DECQ    R12
+	JZ      tdone
+	ADDQ    R13, DX
+	VADDPD  Z5, Z4, Z4
+	VADDPD  Z7, Z6, Z6
+	VADDPD  Z6, Z4, Z4
+	VMOVUPD Z4, K1, (DX)
+	DECQ    R12
+	JZ      tdone
+	ADDQ    R13, DX
+	VADDPD  Z9, Z8, Z8
+	VADDPD  Z11, Z10, Z10
+	VADDPD  Z10, Z8, Z8
+	VMOVUPD Z8, K1, (DX)
+	DECQ    R12
+	JZ      tdone
+	ADDQ    R13, DX
+	VADDPD  Z13, Z12, Z12
+	VADDPD  Z15, Z14, Z14
+	VADDPD  Z14, Z12, Z12
+	VMOVUPD Z12, K1, (DX)
+
+tdone:
 	VZEROUPPER
 	RET

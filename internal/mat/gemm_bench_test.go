@@ -121,3 +121,45 @@ func BenchmarkGramRank4(b *testing.B) {
 		weightedGramRange(dst, x, w, 0, 64)
 	}
 }
+
+// BenchmarkDotuOrder times the unblocked (dotu-order) product of a 64-row
+// tile with 16 probe rows at d = 64, the Lemma-2 sweep's dot shape for
+// small c: "rows" reads the probes in place (MulTransBInOrder), "tile"
+// reads them packed (MulPackedRightInOrder). Both give the same bits.
+func BenchmarkDotuOrder(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	x, v := randDense(rng, 64, 64), randDense(rng, 16, 64)
+	dst := NewDense(64, 16)
+	var pv Packed
+	pv.PackRight(v)
+	b.Run("rows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MulTransBInOrder(dst, x, v, false)
+		}
+	})
+	b.Run("tile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MulPackedRightInOrder(dst, x, &pv, 0, false)
+		}
+	})
+}
+
+// BenchmarkWidenFloat32 widens a 4096×64 float32 block, the decode of a
+// shard block.
+func BenchmarkWidenFloat32(b *testing.B) {
+	const n = 4096 * 64
+	src := make([]byte, 4*n)
+	rand.New(rand.NewSource(9)).Read(src)
+	dst := make([]float64, n)
+	b.SetBytes(4 * n)
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			WidenFloat32(dst, src)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			widenGo(dst, src)
+		}
+	})
+}

@@ -8,8 +8,10 @@ package mat
 //     (mask 0xE6; a CPU flag alone is not enough, because an OS that does
 //     not save the upper ZMM halves would corrupt them across context
 //     switches). The GEMM micro-kernel keeps one 4×8 tile row per ZMM
-//     register, and AccumRows runs thirty-two columns per pass before its
-//     AVX passes; the other loops run their AVX code.
+//     register, the dotu-order tile of MulPackedRightInOrder keeps the
+//     four dotu lanes of four rows in sixteen, AccumRows runs thirty-two
+//     columns per pass before its AVX passes and WidenFloat32 sixteen
+//     floats; the other loops run their AVX code.
 //   - kernelAVX: the CPU has AVX and the OS saves the YMM state (XCR0 bits
 //     1 and 2). The micro-kernel keeps a tile row in two YMM registers.
 //   - kernelPortable: every other host runs the Go loops.
@@ -57,6 +59,18 @@ func micro4x8avx512(kc int, ap, bp, acc *float64)
 //
 //go:noescape
 func micro4x8avx(kc int, ap, bp, acc *float64)
+
+// dotuTileAVX512 runs the dotu lanes of the four rows x0…x3 against the
+// right lane panel bp over kc inner steps (see dotuTile).
+//
+//go:noescape
+func dotuTileAVX512(kc int, x0, x1, x2, x3, bp, lanes, out *float64, os, t0, mask, rows int, first, last bool)
+
+// widenAVX sets dst[i] to the float32 at src[4i:] for i < n; wide adds
+// the ZMM pass.
+//
+//go:noescape
+func widenAVX(n int, dst *float64, src *byte, wide bool)
 
 // dotsLanesAVX writes out[j] = dotu(x[:n], y[j·ys:][:n]) for j < ny.
 //

@@ -13,6 +13,14 @@ func micro4x8avx(kc int, ap, bp, acc *float64) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }
 
+func dotuTileAVX512(kc int, x0, x1, x2, x3, bp, lanes, out *float64, os, t0, mask, rows int, first, last bool) {
+	panic("mat: asm dot tile unavailable on this architecture")
+}
+
+func widenAVX(n int, dst *float64, src *byte, wide bool) {
+	panic("mat: asm widen kernel unavailable on this architecture")
+}
+
 func dotsLanesAVX(n int, x, y *float64, ys, ny int, out *float64) {
 	panic("mat: asm dot kernel unavailable on this architecture")
 }

@@ -5,7 +5,8 @@ package mat
 // The blocked kernels copy their operands into panels, so the inner kernel
 // streams contiguous memory whatever the operand layout, and each loaded
 // element feeds several multiply-adds. This file is the one place that
-// knows the panel layout: pack writes it, micro4x8 reads it, and Packed
+// knows the panel layout: pack writes it, micro4x8 and dotuTile (the
+// unblocked, dotu-order product of a right operand) read it, and Packed
 // keeps a whole constant operand in it, so the products that reuse one
 // operand (ROUND's stack of every W_kᵀ, the Lemma-2 probe block) copy it
 // once instead of once per product.
@@ -102,6 +103,114 @@ func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
 		}
 	}
 	gemmPool.Put(sc)
+}
+
+// MulPackedRightInOrder is MulPackedRight in the order MulTransBInOrder
+// takes: each element is bit for bit the one MulTransBInOrder(dst, a,
+// b_c, blocked) computes. The unblocked order is dotu's four lanes per
+// element; it runs dotuTile over four rows of a and one right lane panel
+// at a time, k-panel by k-panel, so the lanes of a dot longer than one
+// k-panel carry over (gemmKC is a multiple of four, so every k-panel
+// starts on lane 0). The tile writes only the rows and columns of dst it
+// covers. It runs on the calling goroutine.
+//
+//firal:hotpath
+func MulPackedRightInOrder(dst, a *Dense, b *Packed, c0 int, blocked bool) {
+	if blocked {
+		MulPackedRight(dst, a, b, c0)
+		return
+	}
+	checkPacked(dst, b, c0, a.Cols)
+	if a.Rows != dst.Rows {
+		panic("mat: destination has wrong shape")
+	}
+	if b.k == 0 {
+		dst.Zero() // an empty dotu is +0
+		return
+	}
+	brp := b.padded()
+	var lanes dotuLanes
+	c1 := c0 + dst.Cols
+	for i := 0; i < a.Rows; i += gemmMR {
+		mr := min(gemmMR, a.Rows-i)
+		for pj := c0 - c0%gemmNR; pj < c1; pj += gemmNR {
+			t0, t1 := max(c0-pj, 0), min(c1-pj, gemmNR)
+			out := dst.Data[i*dst.Stride+pj+t0-c0:]
+			for pc := 0; pc < b.k; pc += gemmKC {
+				kc := min(gemmKC, b.k-pc)
+				dotuTile(kc, a, i, mr, pc, b.data[pc*brp+pj*kc:], &lanes, out, dst.Stride, t0, t1, pc == 0, pc+kc == b.k)
+			}
+		}
+	}
+}
+
+// UseDotuTile reports whether the unblocked order of
+// MulPackedRightInOrder should compute columns [c0, c1) of a product,
+// rather than MulTransBInOrder on the unpacked operand, which gives the
+// same bits. The dotu tile runs at the avx512 level only; elsewhere
+// MulPackedRightInOrder runs a Go loop. It computes whole lane panels of
+// eight columns, at about the cost of four columns of the row loop
+// (dotsLanesAVX) at d = 64, so it pays when the panels the window
+// touches hold less than twice its columns.
+func UseDotuTile(c0, c1 int) bool {
+	panels := (c1+gemmNR-1)/gemmNR - c0/gemmNR
+	return kernel == kernelAVX512 && 2*gemmNR*panels < 4*(c1-c0)
+}
+
+// dotuLanes holds the sixteen lane accumulators of a dotu tile between
+// k-panels: row r's lane l for the eight panel rows at [(4r+l)·8:].
+type dotuLanes [gemmMR * 4 * gemmNR]float64
+
+// dotuTile runs the dotu lanes of rows [i, i+mr) of a, columns
+// [pc, pc+kc), against the right lane panel bp over its kc steps. Lane l
+// of a row and a panel row adds a_t·b_t over t ≡ l (mod 4) in ascending
+// t, the kc%4 tail joins lane 0: a multiply with a's value first, then
+// an add onto the lane, as dotuGo sums. With first set the lanes start from +0, else
+// from lanes. With last set the sums (l0 + l1) + (l2 + l3) of row r < mr
+// and panel rows [t0, t1) go to out[r·os:][:t1−t0]; otherwise the lanes
+// go back to lanes for the next k-panel. Tile rows past mr repeat row
+// i+mr−1 and are not written.
+//
+//firal:hotpath
+func dotuTile(kc int, a *Dense, i, mr, pc int, bp []float64, lanes *dotuLanes, out []float64, os, t0, t1 int, first, last bool) {
+	x0 := a.Data[i*a.Stride+pc:][:kc]
+	x1 := a.Data[(i+min(1, mr-1))*a.Stride+pc:][:kc]
+	x2 := a.Data[(i+min(2, mr-1))*a.Stride+pc:][:kc]
+	x3 := a.Data[(i+min(3, mr-1))*a.Stride+pc:][:kc]
+	bp = bp[:gemmNR*kc]
+	_ = out[(mr-1)*os+t1-t0-1]
+	if kernel == kernelAVX512 {
+		mask := 1<<t1 - 1<<t0
+		dotuTileAVX512(kc, &x0[0], &x1[0], &x2[0], &x3[0], &bp[0], &lanes[0], &out[0], os, t0, mask, mr, first, last)
+		return
+	}
+	if first {
+		clear(lanes[:])
+	}
+	var sums [gemmMR * gemmNR]float64
+	for r, xr := range [gemmMR][]float64{x0, x1, x2, x3} {
+		ln := lanes[r*4*gemmNR : (r+1)*4*gemmNR]
+		for j := 0; j < gemmNR; j++ {
+			s0, s1, s2, s3 := ln[j], ln[gemmNR+j], ln[2*gemmNR+j], ln[3*gemmNR+j]
+			t := 0
+			for ; t+4 <= kc; t += 4 {
+				s0 += xr[t] * bp[gemmNR*t+j]
+				s1 += xr[t+1] * bp[gemmNR*(t+1)+j]
+				s2 += xr[t+2] * bp[gemmNR*(t+2)+j]
+				s3 += xr[t+3] * bp[gemmNR*(t+3)+j]
+			}
+			for ; t < kc; t++ {
+				s0 += xr[t] * bp[gemmNR*t+j]
+			}
+			ln[j], ln[gemmNR+j], ln[2*gemmNR+j], ln[3*gemmNR+j] = s0, s1, s2, s3
+			sums[r*gemmNR+j] = (s0 + s1) + (s2 + s3)
+		}
+	}
+	if last {
+		for r := 0; r < mr; r++ {
+			copy(out[r*os:r*os+t1-t0], sums[r*gemmNR+t0:])
+		}
+	}
 }
 
 // WeightedSqNorms sets, for every row p of the product y = x·wᵀ of the

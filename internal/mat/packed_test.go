@@ -80,6 +80,7 @@ func TestPackedZeroAllocWarm(t *testing.T) {
 		pa.PackLeft(x)
 		MulPacked(dst, &pa, &pb, 64)
 		MulPackedRight(dst, x, &pb, 128)
+		MulPackedRightInOrder(dst, x, &pb, 61, false)
 	}
 	run()
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {

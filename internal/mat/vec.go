@@ -1,6 +1,9 @@
 package mat
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Vector helpers operate on plain []float64 slices; they are the BLAS-1
 // layer under the CG solver and the mirror-descent updates.
@@ -98,4 +101,31 @@ func MaxIdx(x []float64) (int, float64) {
 		}
 	}
 	return best, bv
+}
+
+// WidenFloat32 sets dst[i] to the little-endian float32 at src[4i:],
+// widened to float64: exactly, with a signalling NaN quieted as Go's
+// float64 conversion quiets it. src must hold 4·len(dst) bytes and may
+// start at any byte. On amd64 hosts with AVX the loop of dot_amd64.s
+// converts sixteen floats per pass with AVX-512F, eight with AVX.
+//
+//firal:hotpath
+func WidenFloat32(dst []float64, src []byte) {
+	if len(src) != 4*len(dst) {
+		panic("mat: WidenFloat32 length mismatch")
+	}
+	if kernel == kernelPortable || len(dst) == 0 {
+		widenGo(dst, src)
+		return
+	}
+	widenAVX(len(dst), &dst[0], &src[0], kernel == kernelAVX512)
+}
+
+// widenGo is the portable WidenFloat32 loop.
+//
+//firal:hotpath
+func widenGo(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,6 +36,55 @@ func appendShard(t *testing.T, dir string, n, d, c int, seed int64) string {
 		t.Fatal(err)
 	}
 	return shard
+}
+
+// TestRefusedCSVAppendLeavesNoShard appends an inline CSV of 3 columns
+// to a 4-dimensional pool. The CSV packs into the session directory
+// before the pool refuses it; after the 400 the directory must list the
+// same files as before the request, and a valid append must still work.
+func TestRefusedCSVAppendLeavesNoShard(t *testing.T) {
+	dir := t.TempDir()
+	shard, labX, labY := testPool(t, dir, 60, 4, 3, 25)
+	srv, a := newTestServer(t, Config{})
+	var sv sessionView
+	a.must(http.StatusCreated, "POST", "/v1/sessions", &createRequest{
+		Shards:  []string{shard},
+		Labeled: labeledUpload{X: labX, Y: labY},
+		Seed:    7,
+		Probes:  4,
+	}, &sv)
+	sess, err := srv.session(sv.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(sess.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := list()
+	if got := a.do("POST", "/v1/sessions/"+sv.ID+"/pool",
+		&appendPoolRequest{PoolCSV: "1,2,3\n4,5,6\n"}, nil); got != http.StatusBadRequest {
+		t.Fatalf("3-column CSV on a 4-dimensional pool: status %d, want 400", got)
+	}
+	if after := list(); !slices.Equal(after, before) {
+		t.Fatalf("session directory after the refused append: %v, before: %v", after, before)
+	}
+	var grow struct {
+		Rows int `json:"rows"`
+	}
+	a.must(http.StatusOK, "POST", "/v1/sessions/"+sv.ID+"/pool",
+		&appendPoolRequest{PoolCSV: "1,2,3,4\n5,6,7,8\n"}, &grow)
+	if grow.Rows != 62 {
+		t.Fatalf("valid CSV append after the refused one: rows=%d, want 62", grow.Rows)
+	}
 }
 
 // TestAppendPoolGrowsSession appends to a live session twice — once by

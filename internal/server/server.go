@@ -303,6 +303,9 @@ func (s *Server) appendPool(sess *Session, shardPaths []string, poolCSV string) 
 	gen, err = sess.src.Append(seg) // takes ownership of seg, dim-checked
 	if err != nil {
 		seg.Close()
+		if poolCSV != "" {
+			os.Remove(shardPaths[0]) // packed above; the pool never held it
+		}
 		return 0, 0, fmt.Errorf("server: append pool: %w", err)
 	}
 	sess.meta.Shards = append(sess.meta.Shards, shardPaths...)
@@ -519,6 +522,7 @@ func checkExamples(x [][]float64, y []int, d, classes int) error {
 // features-only CSV, which it first packs into a shard at packPath (the
 // pool is unlabeled). It returns the shard paths to record with the
 // source; dataset errors name the offending shard and its expected shape.
+// A packed shard that fails to open is removed.
 func openPool(shards []string, csv, packPath string) ([]string, *dataset.ShardSource, error) {
 	switch {
 	case len(shards) > 0 && csv != "":
@@ -533,6 +537,9 @@ func openPool(shards []string, csv, packPath string) ([]string, *dataset.ShardSo
 	}
 	src, err := dataset.OpenShards(shards...)
 	if err != nil {
+		if csv != "" {
+			os.Remove(packPath)
+		}
 		return nil, nil, err
 	}
 	return shards, src, nil
