@@ -15,8 +15,10 @@
 //
 // With -against, results are compared to the baseline file after the
 // run: a baseline row with no fresh result fails the diff, and a
-// benchmark fails it when its ns/op exceeds baseline×tol
-// (machines differ; keep tol generous) or its allocs/op regresses beyond
+// benchmark fails it when its ns/op, or its one-worker time
+// (extra.workers1_ns), exceeds baseline×tol (machines differ; keep tol
+// generous), when the baseline has a one-worker time the fresh row
+// lacks, or when its allocs/op regresses beyond
 // baseline + max(8, baseline/4) — a gross-regression tripwire; the exact
 // zero-alloc pins live in the AllocsPerRun tests. Any failure exits
 // nonzero, which is how CI keeps the recorded trajectory from rotting.
@@ -622,11 +624,13 @@ func relaxStreamBench(setup *streamSetup) (entry, error) {
 }
 
 // diffAgainst compares the fresh results to a recorded baseline. Timing
-// gets a multiplicative tolerance (CI machines differ from the recording
+// — ns/op, and extra.workers1_ns where the baseline has it — gets a
+// multiplicative tolerance (CI machines differ from the recording
 // machine); allocation counts are near-exact, since they are what the
-// zero-alloc work pins. A baseline row with no fresh result fails the
-// diff, so a benchmark that stops running cannot pass silently; a fresh
-// row with no baseline is a new benchmark and is not diffed.
+// zero-alloc work pins. A baseline row with no fresh result, or with
+// workers1_ns that the fresh row lacks, fails the diff, so a benchmark
+// that stops running cannot pass silently; a fresh row with no baseline
+// is a new benchmark and is not diffed.
 func diffAgainst(path string, rep report, tol float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -650,6 +654,18 @@ func diffAgainst(path string, rep report, tol float64) error {
 		if maxNs := b.NsPerOp * tol; e.NsPerOp > maxNs {
 			failures = append(failures, fmt.Sprintf(
 				"%s: %.0f ns/op exceeds baseline %.0f × tol %g", e.Name, e.NsPerOp, b.NsPerOp, tol))
+		}
+		// A sweep's one-worker time is diffed like its ns/op, so a
+		// regression that only the serial path sees still fails.
+		if b1, ok := b.Extra["workers1_ns"]; ok {
+			e1, ok := e.Extra["workers1_ns"]
+			switch {
+			case !ok:
+				failures = append(failures, fmt.Sprintf("%s: the baseline has workers1_ns but the run does not", e.Name))
+			case e1 > b1*tol:
+				failures = append(failures, fmt.Sprintf(
+					"%s: workers1_ns %.0f exceeds baseline %.0f × tol %g", e.Name, e1, b1, tol))
+			}
 		}
 		// Allocation counts catch gross regressions (a reintroduced
 		// per-iteration or O(n) allocation) with a small absolute slack:

@@ -41,18 +41,35 @@ import (
 // summation of one element.
 //
 // Parallel axis. The matvec splits probes across workers when there are
-// at least as many probes as workers; each worker then runs dots, Γ and
-// the accumulation tile by tile for its own probes while the tile is hot
-// in cache. With fewer probes than workers (a single vector included), or
-// when Γᵀ·X takes the packed path, the dots and Γ run row-parallel over
-// the whole block first; the accumulation then splits each probe's d
-// columns across workers (or runs MulTransA, parallel over class rows).
-// The quadratic form splits rows; each row takes its probes in ascending
-// order.
+// at least as many probes as workers: the probes are cut into windows, one
+// per worker, and each worker runs dots, Γ and the accumulation tile by
+// tile for its own window while the tile is hot in cache. A window owns
+// its scratch: the sweep packs its probe rows into the window's own
+// mat.Packed (so every window starts on lane panel 0), and its Γ tile
+// lives in its own region of the scratch, with the window's width as the
+// row stride and no 64-byte line shared with another window, so the
+// workers never write the same cache line tile after tile. A sweep at one
+// worker is a single window of every probe. With fewer probes than
+// workers (a single vector included), or when Γᵀ·X takes the packed path,
+// the dots and Γ run row-parallel over the whole block first; the
+// accumulation then splits each probe's d columns across workers (or runs
+// MulTransA, parallel over class rows). The quadratic form splits rows,
+// each worker in its own scratch region; each row takes its probes in
+// ascending order.
 
 // sweepTile is the row tile of the fused sweeps: 64 rows of a d=64 block
 // are 32 KiB, so the tile stays in L1 while every probe visits it.
 const sweepTile = 64
+
+// lineFloats is a 64-byte cache line of float64s.
+const lineFloats = 8
+
+// lineStride is the stride that keeps regions of n float64s, laid out one
+// after another in a buffer of any alignment, off each other's cache
+// lines: n rounded up to whole lines, plus one line of gap.
+func lineStride(n int) int {
+	return (n+lineFloats-1)/lineFloats*lineFloats + lineFloats
+}
 
 // checkBlockShapes validates a transposed vector block against the pool.
 func checkBlockShapes(p Pool, vs ...*mat.Dense) {
@@ -67,6 +84,16 @@ func checkBlockShapes(p Pool, vs ...*mat.Dense) {
 	}
 }
 
+// probeWindow is one worker's share of a probe-split sweep: probes
+// [j0, j1) and their rows packed for the window alone (when packed is
+// set). Window i's Γ tile, sweepTile rows of (j1−j0)·c, starts at
+// i·region in the scratch.
+type probeWindow struct {
+	j0, j1 int
+	packed bool
+	pk     mat.Packed
+}
+
 // sweepTask carries one fused sweep's operands in pooled storage, with
 // its dispatch funcs bound once at pool-New time, so the hot kernels hand
 // the worker pool a func without allocating a closure per call (the
@@ -74,25 +101,29 @@ func checkBlockShapes(p Pool, vs ...*mat.Dense) {
 type sweepTask struct {
 	xb, u, v, dst *mat.Dense // current row block; probe blocks; matvec result
 	h             *mat.Dense
-	pu, pv        *mat.Packed // u and v packed once per sweep for the blocked dots; nil: not packed
-	upk, vpk      mat.Packed  // their storage
-	ga, pd        mat.Dense   // one probe's Γ and partial, for mat.MulTransA
-	w, g, acc     []float64   // weights; dot/Γ scratch; per-probe block partials (nil: dst)
-	qdst          []float64   // quadratic-form result
+	pu, pv        *mat.Packed   // u and v packed once per sweep for the blocked dots; nil: not packed
+	upk, vpk      mat.Packed    // their storage
+	wins          []probeWindow // a probe-split sweep's windows
+	ga, pd        mat.Dense     // one probe's Γ and partial, for mat.MulTransA
+	w, g, acc     []float64     // weights; dot/Γ scratch; per-probe block partials (nil: dst)
+	qdst          []float64     // quadratic-form result
 	scale         float64
 	base, m       int // global index of the block's first row; block rows
 	s, d, c       int
+	accStride     int  // partial stride in acc
+	region        int  // stride of the probe windows' Γ regions in g
 	blocked       bool // dot order of the block (mat.UseBlocked)
-	gs, gj        int  // Γ scratch row stride; first probe held (probe j at column (j−gj)·c)
+	rj0, rj1      int  // probes the row-parallel Γ holds, probe j at column (j−rj0)·c
 	slices, cols  int  // column slices per probe and their width
 	rows          int  // rows per quadratic-form item
+	qstride       int  // quadratic-form scratch region stride
 
-	probesFn, slicesFn, dotsFn, quadFn func(lo, hi int)
+	windowsFn, slicesFn, dotsFn, quadFn func(lo, hi int)
 }
 
 var sweepTasks = parallel.FreeList[sweepTask]{New: func() *sweepTask {
 	t := &sweepTask{}
-	t.probesFn = t.sweepProbes
+	t.windowsFn = t.sweepWindows
 	t.slicesFn = t.accumSlices
 	t.dotsFn = t.dotsRows
 	t.quadFn = t.quadRows
@@ -103,6 +134,7 @@ func (t *sweepTask) release() {
 	t.xb, t.u, t.v, t.dst, t.h = nil, nil, nil, nil, nil
 	t.pu, t.pv = nil, nil
 	t.w, t.g, t.acc, t.qdst = nil, nil, nil, nil
+	t.wins = t.wins[:0]
 	t.ga.Data, t.pd.Data = nil, nil
 	sweepTasks.Put(t)
 }
@@ -144,42 +176,48 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 	t.s, t.d, t.c = s, d, c
 	if bs < n {
 		dst.Zero()
-		t.acc = ws.Vec(s * d * c)
+		t.accStride = lineStride(d * c)
+		t.acc = ws.Vec(s * t.accStride)
 	}
-	// The scratch holds a row tile of Γ for every probe (fused path), a
+	// The scratch holds a Γ tile region per probe window (s ≥ workers), a
 	// whole block's Γ for every probe (s < workers), or a whole block's Γ
-	// for one probe (packed Γᵀ·X); the largest block sizes it.
+	// for one probe (packed Γᵀ·X); the largest block sizes it. The shared
+	// probe pack serves the last two.
 	workers := parallel.Workers()
 	rows := min(bs, n)
-	gLen := sweepTile * s * c
-	if s < workers {
-		gLen = max(gLen, rows*s*c)
+	var gLen int
+	if s >= workers {
+		t.setWindows(workers, rows)
+		gLen = len(t.wins) * t.region
+	} else {
+		gLen = rows * s * c
 		t.slices = min((workers+s-1)/s, max(1, d/8))
 		t.cols = (d + t.slices - 1) / t.slices
 	}
 	if mat.UseBlocked(c, d, rows) {
 		gLen = max(gLen, rows*c)
 	}
+	if s < workers || mat.UseBlocked(c, d, rows) {
+		t.pv = t.packProbes(&t.vpk, v, rows, 0, s)
+	}
 	t.g = ws.Vec(gLen)
-	t.pv = t.packProbes(&t.vpk, v, rows)
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
 		t.xb, t.base, t.m = p.Block(ws, lo, hi), lo, hi-lo
 		t.blocked = mat.UseBlocked(t.m, c, d)
-		t.gs, t.gj = s*c, 0
 		switch {
 		case mat.UseBlocked(c, d, t.m):
 			// Γᵀ·X takes the packed path: one probe at a time, its Γ
 			// through mat.MulTransA, as the per-probe composition does.
-			t.gs = c
 			for j := 0; j < s; j++ {
-				t.gj = j
+				t.rj0, t.rj1 = j, j+1
 				parallel.ForChunkMin(t.m, sweepTile, t.dotsFn)
 				t.accumPacked(j)
 			}
 		case s >= workers:
-			parallel.ForChunkMin(s, 1, t.probesFn)
+			parallel.ForChunkMin(len(t.wins), 1, t.windowsFn)
 		default:
+			t.rj0, t.rj1 = 0, s
 			parallel.ForChunkMin(t.m, sweepTile, t.dotsFn)
 			parallel.ForChunkMin(s*t.slices, 1, t.slicesFn)
 		}
@@ -190,40 +228,71 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 	t.release()
 }
 
-// sweepProbes is the fused matvec body for probes [j0, j1): tile by tile,
-// the dots and Γ of those probes, then their accumulation.
+// setWindows cuts the s probes into one window per worker, as
+// parallel.ForChunkMin(s, 1, …) would cut them, packs each window's probe
+// rows for blocks of up to rows rows, and sets the stride of the windows'
+// Γ regions in the scratch.
+func (t *sweepTask) setWindows(workers, rows int) {
+	width := (t.s + workers - 1) / workers
+	nw := (t.s + width - 1) / width
+	if cap(t.wins) < nw {
+		t.wins = make([]probeWindow, nw)
+	}
+	t.wins = t.wins[:nw]
+	for i := range t.wins {
+		win := &t.wins[i]
+		win.j0, win.j1 = i*width, min((i+1)*width, t.s)
+		win.packed = t.packProbes(&win.pk, t.v, rows, win.j0, win.j1) != nil
+	}
+	t.region = lineStride(sweepTile * width * t.c)
+}
+
+// sweepWindows is the fused matvec body for probe windows [lo, hi): for
+// each, tile by tile, the dots and Γ of its probes in its own Γ region,
+// then their accumulation.
 //
 //firal:hotpath
-func (t *sweepTask) sweepProbes(j0, j1 int) {
-	t.clearPartials(j0, j1, 0, t.d)
-	for r0 := 0; r0 < t.m; r0 += sweepTile {
-		r1 := min(r0+sweepTile, t.m)
-		t.dots(t.g, t.v, t.pv, r0, r1, j0, j1)
-		t.gamma(t.g, r0, r1, j0, j1)
-		for j := j0; j < j1; j++ {
-			t.accumulate(t.g, j, 0, t.d, r0, r1)
+func (t *sweepTask) sweepWindows(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		win := &t.wins[i]
+		j0, j1 := win.j0, win.j1
+		gs := (j1 - j0) * t.c
+		g := t.g[i*t.region : i*t.region+sweepTile*gs]
+		var pb *mat.Packed
+		if win.packed {
+			pb = &win.pk
 		}
+		t.clearPartials(j0, j1, 0, t.d)
+		for r0 := 0; r0 < t.m; r0 += sweepTile {
+			r1 := min(r0+sweepTile, t.m)
+			t.dots(g, t.v, pb, 0, r0, r1, j0, j1)
+			t.gamma(g, gs, r0, r1)
+			for j := j0; j < j1; j++ {
+				t.accumulate(g[(j-j0)*t.c:], gs, j, 0, t.d, r0, r1)
+			}
+		}
+		t.foldPartials(j0, j1, 0, t.d)
 	}
-	t.foldPartials(j0, j1, 0, t.d)
 }
 
 // dotsRows is the row-parallel dot and Γ phase over block rows
-// [r0, r1) for the probes the scratch holds; the scratch holds Γ for
-// every block row.
+// [r0, r1) for probes [rj0, rj1); the scratch holds their Γ for every
+// block row, row stride (rj1−rj0)·c.
 //
 //firal:hotpath
 func (t *sweepTask) dotsRows(r0, r1 int) {
-	g := t.g[r0*t.gs:]
-	j1 := t.gj + t.gs/t.c
-	t.dots(g, t.v, t.pv, r0, r1, t.gj, j1)
-	t.gamma(g, r0, r1, t.gj, j1)
+	gs := (t.rj1 - t.rj0) * t.c
+	g := t.g[r0*gs:]
+	t.dots(g, t.v, t.pv, t.rj0*t.c, r0, r1, t.rj0, t.rj1)
+	t.gamma(g, gs, r0, r1)
 }
 
 // accumSlices is the unfused matvec's accumulation over items [lo, hi),
-// item = probe·slices + column slice.
+// item = probe·slices + column slice; the scratch holds every probe's Γ.
 //
 //firal:hotpath
 func (t *sweepTask) accumSlices(lo, hi int) {
+	gs := t.s * t.c
 	for it := lo; it < hi; it++ {
 		j := it / t.slices
 		c0 := (it % t.slices) * t.cols
@@ -234,7 +303,7 @@ func (t *sweepTask) accumSlices(lo, hi int) {
 		t.clearPartials(j, j+1, c0, c1)
 		for r0 := 0; r0 < t.m; r0 += sweepTile {
 			r1 := min(r0+sweepTile, t.m)
-			t.accumulate(t.g[r0*t.gs:], j, c0, c1, r0, r1)
+			t.accumulate(t.g[r0*gs+j*t.c:], gs, j, c0, c1, r0, r1)
 		}
 		t.foldPartials(j, j+1, c0, c1)
 	}
@@ -254,18 +323,20 @@ func (t *sweepTask) accumPacked(j int) {
 }
 
 // dots writes the c dot products of block rows [r0, r1) with probes
-// [j0, j1) of vb into g: row r0+i, probe j at g[i·gs + (j−gj)·c:][:c].
-// It multiplies with pb, vb packed for the sweep, when there is one and
-// the block's order has a packed kernel that pays: the blocked order
-// always, the unblocked (dotu) order where mat.UseDotuTile.
+// [j0, j1) of vb into g: row r0+i, probe j at g[i·gs + (j−j0)·c:][:c],
+// gs = (j1−j0)·c. It multiplies with pb, a packing of vb whose column pc0
+// is probe j0's first, when there is one and the block's order has a
+// packed kernel that pays: the blocked order always, the unblocked (dotu)
+// order where mat.UseDotuTile.
 //
 //firal:hotpath
-func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, r0, r1, j0, j1 int) {
+func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, pc0, r0, r1, j0, j1 int) {
+	gs := (j1 - j0) * t.c
 	xs := t.xb.Stride
 	xt := mat.Dense{Rows: r1 - r0, Cols: t.d, Stride: xs, Data: t.xb.Data[r0*xs:]}
-	if pb != nil && (t.blocked || mat.UseDotuTile(j0*t.c, j1*t.c)) {
-		gt := mat.Dense{Rows: r1 - r0, Cols: (j1 - j0) * t.c, Stride: t.gs, Data: g[(j0-t.gj)*t.c:]}
-		mat.MulPackedRightInOrder(&gt, &xt, pb, j0*t.c, t.blocked)
+	if pb != nil && (t.blocked || mat.UseDotuTile(pc0, pc0+gs)) {
+		gt := mat.Dense{Rows: r1 - r0, Cols: gs, Stride: gs, Data: g}
+		mat.MulPackedRightInOrder(&gt, &xt, pb, pc0, t.blocked)
 		return
 	}
 	step := j1 - j0
@@ -273,27 +344,29 @@ func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, r0, r1, j0,
 		step = 1 // probe rows are not contiguous: one product per probe
 	}
 	for j := j0; j < j1; j += step {
-		gt := mat.Dense{Rows: r1 - r0, Cols: step * t.c, Stride: t.gs, Data: g[(j-t.gj)*t.c:]}
+		gt := mat.Dense{Rows: r1 - r0, Cols: step * t.c, Stride: gs, Data: g[(j-j0)*t.c:]}
 		vt := mat.Dense{Rows: step * t.c, Cols: t.d, Stride: t.d, Data: vb.Data[j*vb.Stride:]}
 		mat.MulTransBInOrder(&gt, &xt, &vt, t.blocked)
 	}
 }
 
-// gamma rewrites the dots of block rows [r0, r1) and probes [j0, j1) in
-// g (laid out as in dots) in place: G_ik ← w_i (G_ik − α_i) h_ik with
+// gamma rewrites the dots of block rows [r0, r1) in g (laid out as in
+// dots, row stride gs) in place: G_ik ← w_i (G_ik − α_i) h_ik with
 // α_i = Σ_k G_ik h_ik summed in mat.Dot's order (from +0, ascending k),
-// written out in straight-line code for c = 1 and 2.
+// written out in straight-line code for c = 1 and 2. For c ≥ 3 four
+// probes' α run as four independent chains, so their adds overlap.
 //
 //firal:hotpath
-func (t *sweepTask) gamma(g []float64, r0, r1, j0, j1 int) {
+func (t *sweepTask) gamma(g []float64, gs, r0, r1 int) {
+	c := t.c
 	for i := r0; i < r1; i++ {
 		hr := t.h.Row(t.base + i)
 		wi := 1.0
 		if t.w != nil {
 			wi = t.w[t.base+i]
 		}
-		row := g[(i-r0)*t.gs+(j0-t.gj)*t.c : (i-r0)*t.gs+(j1-t.gj)*t.c]
-		switch t.c {
+		row := g[(i-r0)*gs : (i-r0+1)*gs]
+		switch c {
 		case 1:
 			h0 := hr[0]
 			for j, g0 := range row {
@@ -310,8 +383,28 @@ func (t *sweepTask) gamma(g []float64, r0, r1, j0, j1 int) {
 				gr[1] = wi * (g1 - alpha) * h1
 			}
 		default:
-			for j := 0; j < len(row); j += t.c {
-				gr := row[j : j+t.c]
+			j := 0
+			for ; j+4*c <= len(row); j += 4 * c {
+				g0 := row[j : j+c][:len(hr)]
+				g1 := row[j+c : j+2*c][:len(hr)]
+				g2 := row[j+2*c : j+3*c][:len(hr)]
+				g3 := row[j+3*c : j+4*c][:len(hr)]
+				var a0, a1, a2, a3 float64
+				for k, hk := range hr {
+					a0 += g0[k] * hk
+					a1 += g1[k] * hk
+					a2 += g2[k] * hk
+					a3 += g3[k] * hk
+				}
+				for k, hk := range hr {
+					g0[k] = wi * (g0[k] - a0) * hk
+					g1[k] = wi * (g1[k] - a1) * hk
+					g2[k] = wi * (g2[k] - a2) * hk
+					g3[k] = wi * (g3[k] - a3) * hk
+				}
+			}
+			for ; j < len(row); j += c {
+				gr := row[j : j+c][:len(hr)]
 				var alpha float64
 				for k, hk := range hr {
 					alpha += gr[k] * hk
@@ -324,42 +417,41 @@ func (t *sweepTask) gamma(g []float64, r0, r1, j0, j1 int) {
 	}
 }
 
-// accumulate adds Σ_i Γ_ijk x_i[c0:c1] over block rows [r0, r1) (Γ laid
-// out in g as in dots) to columns [c0, c1) of every class row of probe
-// j's partial.
+// accumulate adds Σ_i Γ_ijk x_i[c0:c1] over block rows [r0, r1) to
+// columns [c0, c1) of every class row of probe j's partial; g holds
+// probe j's Γ of row r0 at g[:c], row stride gs.
 //
 //firal:hotpath
-func (t *sweepTask) accumulate(g []float64, j, c0, c1, r0, r1 int) {
+func (t *sweepTask) accumulate(g []float64, gs, j, c0, c1, r0, r1 int) {
 	xs := t.xb.Stride
 	xt := mat.Dense{Rows: r1 - r0, Cols: c1 - c0, Stride: xs, Data: t.xb.Data[r0*xs+c0:]}
 	out := t.partial(j)
 	for k := 0; k < t.c; k++ {
-		mat.AccumRows(out[k*t.d+c0:k*t.d+c1], g[(j-t.gj)*t.c+k:], t.gs, &xt)
+		mat.AccumRows(out[k*t.d+c0:k*t.d+c1], g[k:], gs, &xt)
 	}
 }
 
-// packProbes packs the probe block vb, read as an (s·c)×d matrix, into pk
-// for the packed dots and returns it. It returns nil, and the dots read
-// vb in place, when vb's probe rows are not contiguous, or when no block
-// of up to rows rows takes the blocked order and the dotu tile does not
-// pay on all s·c columns (mat.UseDotuTile), so on no narrower window
-// either.
-func (t *sweepTask) packProbes(pk *mat.Packed, vb *mat.Dense, rows int) *mat.Packed {
-	if vb.Stride != vb.Cols || !mat.UseBlocked(rows, t.c, t.d) && !mat.UseDotuTile(0, vb.Rows*t.c) {
+// packProbes packs probes [j0, j1) of vb, read as an ((j1−j0)·c)×d
+// matrix, into pk for the packed dots and returns it. It returns nil, and
+// the dots read vb in place, when vb's probe rows are not contiguous, or
+// when no block of up to rows rows takes the blocked order and the dotu
+// tile does not pay on all the probes' columns (mat.UseDotuTile), so on
+// no narrower window either.
+func (t *sweepTask) packProbes(pk *mat.Packed, vb *mat.Dense, rows, j0, j1 int) *mat.Packed {
+	if vb.Stride != vb.Cols || !mat.UseBlocked(rows, t.c, t.d) && !mat.UseDotuTile(0, (j1-j0)*t.c) {
 		return nil
 	}
-	pk.PackRight(&mat.Dense{Rows: vb.Rows * t.c, Cols: t.d, Stride: t.d, Data: vb.Data})
+	pk.PackRight(&mat.Dense{Rows: (j1 - j0) * t.c, Cols: t.d, Stride: t.d, Data: vb.Data[j0*vb.Stride:]})
 	return pk
 }
 
 // partial returns probe j's block partial: dst's row itself when the
-// pool is one block, else its row of the accumulator.
+// pool is one block, else its region of the accumulator.
 func (t *sweepTask) partial(j int) []float64 {
 	if t.acc == nil {
 		return t.dst.Row(j)
 	}
-	ed := t.d * t.c
-	return t.acc[j*ed : (j+1)*ed]
+	return t.acc[j*t.accStride : j*t.accStride+t.d*t.c]
 }
 
 // clearPartials zeroes columns [c0, c1) of every class row of the
@@ -420,10 +512,10 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 	t := sweepTasks.Get()
 	t.u, t.v, t.h, t.qdst, t.scale = u, v, p.Probs(), dst, scale
 	t.s, t.d, t.c = s, d, c
-	t.gs, t.gj = s*c, 0
-	t.g = ws.Vec(items * 2 * sweepTile * s * c)
-	t.pu = t.packProbes(&t.upk, u, min(bs, n))
-	t.pv = t.packProbes(&t.vpk, v, min(bs, n))
+	t.qstride = lineStride(2 * sweepTile * s * c)
+	t.g = ws.Vec(items * t.qstride)
+	t.pu = t.packProbes(&t.upk, u, min(bs, n), 0, s)
+	t.pv = t.packProbes(&t.vpk, v, min(bs, n), 0, s)
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
 		t.xb, t.base, t.m = p.Block(ws, lo, hi), lo, hi-lo
@@ -438,18 +530,19 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 }
 
 // quadRows runs QuadAccum items [lo, hi): item it covers block rows
-// [it·rows, (it+1)·rows) and uses scratch region it.
+// [it·rows, (it+1)·rows) and uses scratch region it, which shares no
+// cache line with another region.
 //
 //firal:hotpath
 func (t *sweepTask) quadRows(lo, hi int) {
 	sc := t.s * t.c
 	for it := lo; it < hi; it++ {
-		gu := t.g[it*2*sweepTile*sc:]
+		gu := t.g[it*t.qstride:]
 		gv := gu[sweepTile*sc:]
 		for r0 := it * t.rows; r0 < min((it+1)*t.rows, t.m); r0 += sweepTile {
 			r1 := min(r0+sweepTile, (it+1)*t.rows, t.m)
-			t.dots(gu, t.u, t.pu, r0, r1, 0, t.s)
-			t.dots(gv, t.v, t.pv, r0, r1, 0, t.s)
+			t.dots(gu, t.u, t.pu, 0, r0, r1, 0, t.s)
+			t.dots(gv, t.v, t.pv, 0, r0, r1, 0, t.s)
 			for i := r0; i < r1; i++ {
 				hr := t.h.Row(t.base + i)
 				q0 := (i - r0) * sc

@@ -197,29 +197,35 @@ var sweepShapes = [][2]int{
 
 // TestMatVecBlockWSMatchesPerColumn pins the fused multi-probe matvec to
 // the per-probe MulTransB/Γ/MulTransA composition bit for bit across the
-// sweepShapes grid, s ∈ {1, 3, 10}, 1/2/4 workers, unit and non-unit
-// weights, and resident and streamed pools with tails on both sides of
-// the blocked threshold.
+// sweepShapes grid, s ∈ {1, 3, 5, 10, 13}, 1 to 4 workers, unit and
+// non-unit weights, and resident and streamed pools with tails on both
+// sides of the blocked threshold. Every multi-worker result must also
+// equal the one-worker result bit for bit, whatever windows the workers
+// split the probes into.
 func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
 	ws := mat.NewWorkspace()
 	for _, sh := range sweepShapes {
 		c, d := sh[0], sh[1]
 		for _, pc := range sweepPools(c, d) {
-			for _, s := range []int{1, 3, 10} {
+			for _, s := range []int{1, 3, 5, 10, 13} {
 				vt, _ := blockVectors(d*c, s, int64(7*s+d))
 				want := mat.NewDense(s, d*c)
 				oracleMatVecBlock(pc.p, want, vt, pc.w)
+				one := mat.NewDense(s, d*c)
 				got := mat.NewDense(s, d*c)
-				for _, nw := range []int{1, 2, 4} {
+				for _, nw := range []int{1, 2, 3, 4} {
 					parallel.SetMaxWorkers(nw)
 					mat.Fill(got.Data, 7) // stale data must be overwritten
 					MatVecBlockWS(ws, pc.p, got, vt, pc.w)
+					if nw == 1 {
+						copy(one.Data, got.Data)
+					}
 					for i, v := range got.Data {
-						if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
-							t.Fatalf("c=%d d=%d %s s=%d workers=%d: element (%d,%d) = %x, oracle %x",
+						if math.Float64bits(v) != math.Float64bits(want.Data[i]) || math.Float64bits(v) != math.Float64bits(one.Data[i]) {
+							t.Fatalf("c=%d d=%d %s s=%d workers=%d: element (%d,%d) = %x, oracle %x, one worker %x",
 								c, d, pc.name, s, nw, i/(d*c), i%(d*c),
-								math.Float64bits(v), math.Float64bits(want.Data[i]))
+								math.Float64bits(v), math.Float64bits(want.Data[i]), math.Float64bits(one.Data[i]))
 						}
 					}
 				}
@@ -228,39 +234,58 @@ func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
 	}
 }
 
-// TestBlockWSMidPanelSplit runs both fused sweeps with s = 13 probes on
-// 3 workers, which split the probes [0, 5), [5, 10), [10, 13): every
-// worker but the first starts inside a lane panel of the packed probe
-// block, and the last ends in a ragged one. At c = 3 all three take the
-// dotu tile; at c = 1 the second and third read the probes in place
-// (mat.UseDotuTile). Both sweeps must match their oracles bit for bit.
+// TestBlockWSMidPanelSplit runs both fused sweeps with s ∈ {5, 10, 13}
+// probes on 2, 3 and 4 workers at every c of sweepShapes (d = 64), against
+// their oracles and against one worker, bit for bit. The probe windows
+// start inside a lane panel of a probe block packed whole — c = 1, s = 10
+// at 2 workers gives [0, 5) and [5, 10); s = 13 at 3 workers gives
+// [0, 5), [5, 10) and [10, 13) — and the last one ends in a ragged panel,
+// so each window's own packing must give the bits of the whole-block
+// product. At c = 1 the windows take the dotu tile where it pays
+// (mat.UseDotuTile) and read the probes in place elsewhere.
 func TestBlockWSMidPanelSplit(t *testing.T) {
-	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(3))
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
 	ws := mat.NewWorkspace()
-	const s = 13
-	for _, c := range []int{1, 3} {
-		const d = 64
+	const d = 64
+	cs := map[int]bool{}
+	for _, sh := range sweepShapes {
+		c := sh[0]
+		if cs[c] {
+			continue
+		}
+		cs[c] = true
 		for _, pc := range sweepPools(c, d) {
-			vt, _ := blockVectors(d*c, s, int64(c))
-			want := mat.NewDense(s, d*c)
-			oracleMatVecBlock(pc.p, want, vt, pc.w)
-			got := mat.NewDense(s, d*c)
-			MatVecBlockWS(ws, pc.p, got, vt, pc.w)
-			for i, v := range got.Data {
-				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("c=%d %s: matvec element (%d,%d) = %x, oracle %x", c, pc.name, i/(d*c), i%(d*c),
-						math.Float64bits(v), math.Float64bits(want.Data[i]))
-				}
-			}
-			ut, _ := blockVectors(d*c, s, int64(10+c))
-			wantQ := make([]float64, pc.p.N())
-			gotQ := make([]float64, pc.p.N())
-			oracleQuadAccumBlock(pc.p, wantQ, ut, vt, 0.5)
-			QuadAccumBlockWS(ws, pc.p, gotQ, ut, vt, 0.5)
-			for i := range gotQ {
-				if math.Float64bits(gotQ[i]) != math.Float64bits(wantQ[i]) {
-					t.Fatalf("c=%d %s: quad g[%d] = %x, oracle %x", c, pc.name, i,
-						math.Float64bits(gotQ[i]), math.Float64bits(wantQ[i]))
+			for _, s := range []int{5, 10, 13} {
+				vt, _ := blockVectors(d*c, s, int64(c+s))
+				ut, _ := blockVectors(d*c, s, int64(10+c+s))
+				want := mat.NewDense(s, d*c)
+				oracleMatVecBlock(pc.p, want, vt, pc.w)
+				wantQ := make([]float64, pc.p.N())
+				oracleQuadAccumBlock(pc.p, wantQ, ut, vt, 0.5)
+				parallel.SetMaxWorkers(1)
+				one := mat.NewDense(s, d*c)
+				MatVecBlockWS(ws, pc.p, one, vt, pc.w)
+				oneQ := make([]float64, pc.p.N())
+				QuadAccumBlockWS(ws, pc.p, oneQ, ut, vt, 0.5)
+				for _, nw := range []int{2, 3, 4} {
+					parallel.SetMaxWorkers(nw)
+					got := mat.NewDense(s, d*c)
+					MatVecBlockWS(ws, pc.p, got, vt, pc.w)
+					for i, v := range got.Data {
+						if math.Float64bits(v) != math.Float64bits(want.Data[i]) || math.Float64bits(v) != math.Float64bits(one.Data[i]) {
+							t.Fatalf("c=%d %s s=%d workers=%d: matvec element (%d,%d) = %x, oracle %x, one worker %x",
+								c, pc.name, s, nw, i/(d*c), i%(d*c),
+								math.Float64bits(v), math.Float64bits(want.Data[i]), math.Float64bits(one.Data[i]))
+						}
+					}
+					gotQ := make([]float64, pc.p.N())
+					QuadAccumBlockWS(ws, pc.p, gotQ, ut, vt, 0.5)
+					for i := range gotQ {
+						if math.Float64bits(gotQ[i]) != math.Float64bits(wantQ[i]) || math.Float64bits(gotQ[i]) != math.Float64bits(oneQ[i]) {
+							t.Fatalf("c=%d %s s=%d workers=%d: quad g[%d] = %x, oracle %x, one worker %x", c, pc.name, s, nw, i,
+								math.Float64bits(gotQ[i]), math.Float64bits(wantQ[i]), math.Float64bits(oneQ[i]))
+						}
+					}
 				}
 			}
 		}
@@ -417,18 +442,20 @@ func TestBlockKernelsZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestBlockKernelsZeroAllocMulticore re-pins the fused kernels with two
-// and four workers engaged, on the probe-parallel path (s ≥ workers), the
-// row-parallel dot path (s < workers, including s=1), at c=10, s=10, and
+// TestBlockKernelsZeroAllocMulticore re-pins the fused kernels with two,
+// three and four workers engaged, on the probe-parallel path (s ≥
+// workers), the row-parallel dot path (s < workers, including s=1), at
+// c ∈ {1, 2, 10} with s=10 (the stream, service and resident shapes,
+// whose probe windows pack their own probes and own their Γ regions), and
 // at c=20, where Γᵀ·X takes the packed MulTransA path: the pooled task
-// records and the per-probe scratch keep the parallel fan-out
-// allocation-free.
+// records, the per-window packs and the workspace scratch keep the
+// parallel fan-out allocation-free.
 func TestBlockKernelsZeroAllocMulticore(t *testing.T) {
 	skipUnderRace(t)
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
-	for _, nw := range []int{2, 4} {
+	for _, nw := range []int{2, 3, 4} {
 		parallel.SetMaxWorkers(nw)
-		for _, sh := range []struct{ c, s int }{{9, 4}, {9, 1}, {10, 10}, {20, 4}} {
+		for _, sh := range []struct{ c, s int }{{9, 4}, {9, 1}, {1, 10}, {2, 10}, {10, 10}, {20, 4}} {
 			set := allocSet(2000, 64, sh.c)
 			vt, _ := blockVectors(set.Ed(), sh.s, 51)
 			ut, _ := blockVectors(set.Ed(), sh.s, 52)

@@ -179,6 +179,110 @@ func testMicroKernel(t *testing.T) {
 	}
 }
 
+// TestMicroKernelWriteBack pins how micro4x8 writes a tile into its
+// destination, at every kernel level the host has, to the Go write-back
+// it replaces: zero the destination, then add each k-panel's tile (from
+// microTile) onto it. The first k-panel stores, a later one adds. It
+// covers full tiles (written by micro4x8avx512 itself at the avx512
+// level) and edge tiles of 1 to 4 rows and ragged or offset columns, at
+// depths 1 to 70 (one k-panel) and 300 (two), into a strided destination
+// whose other elements hold a signalling-NaN sentinel that must survive.
+// The operands carry signed zeros (products that come out as −0), ±Inf
+// and NaNs with payloads, and an add lands on earlier sums that hold
+// them too. A NaN payload is compared exactly unless both operands of
+// the add are NaN, where the Go loop's order is not pinned.
+func TestMicroKernelWriteBack(t *testing.T) {
+	forEachLevel(t, testMicroWriteBack)
+}
+
+func testMicroWriteBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	depths := []int{300}
+	for d := 1; d <= 70; d++ {
+		depths = append(depths, d)
+	}
+	const sentinel = 0x7ff4000000000777 // a signalling NaN no kernel writes
+	const i0, j0, ds = 1, 3, gemmNR + 6 // the tile's place in a strided destination
+	edges := [][2]int{{0, gemmNR}, {0, 5}, {3, gemmNR}, {2, 6}, {7, gemmNR}}
+	for _, d := range depths {
+		for _, special := range []bool{false, true} {
+			ap := make([]float64, gemmMR*d)
+			bp := make([]float64, gemmNR*d)
+			spread(rng, ap)
+			spread(rng, bp)
+			if special {
+				sprinkleNaNs(rng, ap)
+				sprinkleNaNs(rng, bp)
+			}
+			// The k-panels of depth d, as packed: panel pc is a pair of
+			// lane panels of kc steps at pc·4 and pc·8.
+			var accs [][gemmMR * gemmNR]float64
+			for pc := 0; pc < d; pc += gemmKC {
+				kc := min(gemmKC, d-pc)
+				var acc [gemmMR * gemmNR]float64
+				microTile(kc, ap[gemmMR*pc:], bp[gemmNR*pc:], &acc)
+				accs = append(accs, acc)
+			}
+			for mr := 1; mr <= gemmMR; mr++ {
+				for _, e := range edges {
+					t0, t1 := e[0], e[1]
+					// With one k-panel, a second pass adds the tile onto
+					// earlier sums, as a later k-panel would.
+					for _, onto := range []bool{false, true} {
+						if onto && len(accs) > 1 {
+							continue
+						}
+						dst := &Dense{Rows: i0 + gemmMR + 1, Cols: ds, Stride: ds, Data: make([]float64, (i0+gemmMR+1)*ds)}
+						for i := range dst.Data {
+							dst.Data[i] = math.Float64frombits(sentinel)
+						}
+						inTile := func(i, j int) bool { return i >= i0 && i < i0+mr && j >= j0 && j < j0+t1-t0 }
+						want := append([]float64(nil), dst.Data...)
+						bothNaN := make([]bool, len(want))
+						if onto {
+							for i := range dst.Data {
+								if inTile(i/ds, i%ds) {
+									dst.Data[i] = rng.NormFloat64()
+									if special && rng.Intn(4) == 0 {
+										dst.Data[i] = []float64{math.Copysign(0, -1), math.Inf(-1), nanPayloads[0], nanPayloads[2]}[rng.Intn(4)]
+									}
+								}
+							}
+							copy(want, dst.Data)
+						}
+						for p, acc := range accs {
+							first := p == 0 && !onto
+							pc := p * gemmKC
+							micro4x8(min(gemmKC, d-pc), ap[gemmMR*pc:], bp[gemmNR*pc:], dst, i0, j0, mr, t0, t1, first)
+							for r := 0; r < mr; r++ {
+								for tt := t0; tt < t1; tt++ {
+									q := (i0+r)*ds + j0 + tt - t0
+									if first {
+										want[q] = 0
+									}
+									v := acc[r*gemmNR+tt]
+									bothNaN[q] = bothNaN[q] || math.IsNaN(want[q]) && math.IsNaN(v)
+									want[q] += v
+								}
+							}
+						}
+						for q, got := range dst.Data {
+							ok := math.Float64bits(got) == math.Float64bits(want[q])
+							if bothNaN[q] {
+								ok = sameBits(got, want[q])
+							}
+							if !ok {
+								t.Fatalf("%s d=%d special=%v mr=%d cols [%d,%d) onto=%v: dst(%d,%d) = %x, Go write-back %x",
+									kernel, d, special, mr, t0, t1, onto, q/ds, q%ds, math.Float64bits(got), math.Float64bits(want[q]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMulTransBInOrderMatchesMulTransB pins the ordered product to
 // MulTransB bit for bit whenever it is asked for MulTransB's own order,
 // including when the product is split into row tiles and when the

@@ -384,7 +384,7 @@ func gemmRowRange(dst, a *Dense, transA bool, ap, bp []float64, pc, jc, kc, nc, 
 	for ic := lo; ic < hi; ic += gemmMC {
 		mc := min(gemmMC, hi-ic)
 		pack(ap, a, transA, ic, pc, mc, kc, gemmMR)
-		macroTile(dst, ic, jc, ap, bp, kc, mc, 0, nc)
+		macroTile(dst, ic, jc, ap, bp, kc, mc, 0, nc, pc == 0)
 	}
 }
 

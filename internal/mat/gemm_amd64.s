@@ -1,7 +1,8 @@
 // Micro-kernels for the blocked GEMM (see packed.go for the panel layout
 // and gemm_kernel_amd64.go for when each runs). Both compute a 4×8 tile
 // C = Ap·Bp from packed panels — A interleaved 4 values per k, B
-// interleaved 8 values per k — into acc. Per k, row r of the tile adds
+// interleaved 8 values per k — the avx512 one into or onto a strided
+// destination, the avx one into acc. Per k, row r of the tile adds
 // a[r]·b[0:8]: a multiply then an add (never FMA), so each element sums its
 // k-terms in ascending order from zero with the same roundings as the
 // portable kernel, and all levels produce bit-identical results. The
@@ -10,14 +11,19 @@
 
 #include "textflag.h"
 
-// func micro4x8avx512(kc int, ap, bp, acc *float64)
+// func micro4x8avx512(kc int, ap, bp, dst *float64, ds int, add bool)
 //
-// Row r of the tile lives in ZMM register Z<r>.
-TEXT ·micro4x8avx512(SB), NOSPLIT, $0-32
+// Row r of the tile lives in ZMM register Z<r> and goes to dst[r·ds:][:8]:
+// stored as it is when add is false (a tile sum starts from +0, so it is
+// never −0 and is +0 + sum bit for bit), added onto dst when add is true,
+// dst the first operand of the add as in dst += acc.
+TEXT ·micro4x8avx512(SB), NOSPLIT, $0-41
 	MOVQ kc+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), DI
-	MOVQ acc+24(FP), DX
+	MOVQ dst+24(FP), DX
+	MOVQ ds+32(FP), R8
+	SHLQ $3, R8
 
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
@@ -47,10 +53,26 @@ loop512:
 	JNZ          loop512
 
 done512:
+	LEAQ    (DX)(R8*1), R9  // row 1
+	LEAQ    (R9)(R8*1), R10 // row 2
+	LEAQ    (R10)(R8*1), R11 // row 3
+	MOVBLZX add+40(FP), AX
+	TESTQ   AX, AX
+	JZ      store512
+	VMOVUPD (DX), Z4
+	VADDPD  Z0, Z4, Z0
+	VMOVUPD (R9), Z5
+	VADDPD  Z1, Z5, Z1
+	VMOVUPD (R10), Z6
+	VADDPD  Z2, Z6, Z2
+	VMOVUPD (R11), Z7
+	VADDPD  Z3, Z7, Z3
+
+store512:
 	VMOVUPD Z0, (DX)
-	VMOVUPD Z1, 64(DX)
-	VMOVUPD Z2, 128(DX)
-	VMOVUPD Z3, 192(DX)
+	VMOVUPD Z1, (R9)
+	VMOVUPD Z2, (R10)
+	VMOVUPD Z3, (R11)
 	VZEROUPPER
 	RET
 

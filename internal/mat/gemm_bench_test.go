@@ -82,7 +82,7 @@ func BenchmarkMicroKernel(b *testing.B) {
 	dst := NewDense(gemmMR, gemmNR)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		micro4x8(gemmKC, ap, bp, dst, 0, 0, gemmMR, 0, gemmNR)
+		micro4x8(gemmKC, ap, bp, dst, 0, 0, gemmMR, 0, gemmNR, false)
 	}
 }
 

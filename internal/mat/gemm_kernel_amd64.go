@@ -50,12 +50,14 @@ func hasAVX() bool
 func hasAVX512() bool
 
 // micro4x8avx512 computes the 4×8 tile product of packed panels ap and bp
-// over kc steps into acc (row-major [32]float64), overwriting acc.
+// over kc steps and writes tile row r to dst[r·ds:][:8]: it overwrites
+// the row, or adds the tile onto it (dst += acc) when add is set.
 //
 //go:noescape
-func micro4x8avx512(kc int, ap, bp, acc *float64)
+func micro4x8avx512(kc int, ap, bp, dst *float64, ds int, add bool)
 
-// micro4x8avx is micro4x8avx512 on YMM registers.
+// micro4x8avx computes the same tile on YMM registers into acc
+// (row-major [32]float64), overwriting acc.
 //
 //go:noescape
 func micro4x8avx(kc int, ap, bp, acc *float64)

@@ -5,7 +5,7 @@ package mat
 // kernel is kernelPortable off amd64; the portable Go loops run instead.
 const kernel = kernelPortable
 
-func micro4x8avx512(kc int, ap, bp, acc *float64) {
+func micro4x8avx512(kc int, ap, bp, dst *float64, ds int, add bool) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }
 

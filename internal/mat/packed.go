@@ -24,9 +24,10 @@ package mat
 // into a 4×8 tile. Tile element (i, j) sums a_it·b_jt over the k-panel in
 // ascending t from zero, a multiply and then an add per step (never a
 // fused multiply-add, see gemm_kernel_amd64.go). Every blocked product
-// adds the tiles of successive k-panels onto a zeroed destination in
-// ascending order, so the gemm paths, MulPacked and MulPackedRight give
-// the same bits for the same element.
+// stores the tiles of its first k-panel and adds those of the later ones
+// onto them in ascending order — the bits of adding every tile onto a
+// zeroed destination — so the gemm paths, MulPacked and MulPackedRight
+// give the same bits for the same element.
 
 // Packed is one operand of the blocked product a·bᵀ, copied into the panel
 // layout above. Its owner packs it with PackLeft or PackRight, repacks it
@@ -73,11 +74,14 @@ func MulPacked(dst *Dense, a, b *Packed, c0 int) {
 	if a.w != gemmMR || a.rows != dst.Rows {
 		panic("mat: MulPacked needs a left operand with the destination's rows")
 	}
-	dst.Zero()
+	if a.k == 0 {
+		dst.Zero() // an empty sum is +0
+		return
+	}
 	arp, brp := a.padded(), b.padded()
 	for pc := 0; pc < a.k; pc += gemmKC {
 		kc := min(gemmKC, a.k-pc)
-		macroTile(dst, 0, 0, a.data[pc*arp:], b.data[pc*brp:], kc, a.rows, c0, c0+dst.Cols)
+		macroTile(dst, 0, 0, a.data[pc*arp:], b.data[pc*brp:], kc, a.rows, c0, c0+dst.Cols, pc == 0)
 	}
 }
 
@@ -90,7 +94,10 @@ func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
 	if a.Rows != dst.Rows {
 		panic("mat: destination has wrong shape")
 	}
-	dst.Zero()
+	if b.k == 0 {
+		dst.Zero() // an empty sum is +0
+		return
+	}
 	sc := gemmPool.Get()
 	ap := growBuf(&sc.a, panelLen(a.Rows, gemmMC, gemmMR, b.k))
 	brp := b.padded()
@@ -99,7 +106,7 @@ func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
 		for pc := 0; pc < b.k; pc += gemmKC {
 			kc := min(gemmKC, b.k-pc)
 			pack(ap, a, false, ic, pc, mc, kc, gemmMR)
-			macroTile(dst, ic, 0, ap, b.data[pc*brp:], kc, mc, c0, c0+dst.Cols)
+			macroTile(dst, ic, 0, ap, b.data[pc*brp:], kc, mc, c0, c0+dst.Cols, pc == 0)
 		}
 	}
 	gemmPool.Put(sc)
@@ -362,49 +369,50 @@ func pack(dst []float64, src *Dense, trans bool, r0, k0, n, kc, w int) {
 
 // macroTile runs the micro-kernel over one k-panel of depth kc: the mc rows
 // of the packed left block ap against columns [j0, j1) of the packed right
-// block bp, adding into dst with left row 0 at row i and right column j0
-// at column j.
+// block bp, into dst with left row 0 at row i and right column j0 at
+// column j. The first k-panel (first set) stores its tiles, so dst need
+// not be zeroed; every later one adds onto dst.
 //
 //firal:hotpath
-func macroTile(dst *Dense, i, j int, ap, bp []float64, kc, mc, j0, j1 int) {
+func macroTile(dst *Dense, i, j int, ap, bp []float64, kc, mc, j0, j1 int, first bool) {
 	for pj := j0 - j0%gemmNR; pj < j1; pj += gemmNR {
 		t0, t1 := max(j0-pj, 0), min(j1-pj, gemmNR)
 		bpanel := bp[pj*kc:]
 		for pi := 0; pi < mc; pi += gemmMR {
-			micro4x8(kc, ap[pi*kc:], bpanel, dst, i+pi, j+pj+t0-j0, min(gemmMR, mc-pi), t0, t1)
+			micro4x8(kc, ap[pi*kc:], bpanel, dst, i+pi, j+pj+t0-j0, min(gemmMR, mc-pi), t0, t1, first)
 		}
 	}
 }
 
 // micro4x8 computes the 4×8 tile product of the left lane panel ap and the
-// right lane panel bp over kc inner steps and adds its rows [0, mr) and
-// columns [t0, t1) into dst, tile element (r, t) at (i+r, j+t−t0). The
-// tile comes from the widest kernel the host runs; every level sums in the
-// same order, so the bits do not depend on the level.
+// right lane panel bp over kc inner steps and writes its rows [0, mr) and
+// columns [t0, t1) into dst, tile element (r, t) at (i+r, j+t−t0): stored
+// when first is set, added onto dst otherwise. A stored tile is bit for
+// bit the zeroed destination plus the tile, because a tile sum starts from
+// +0 and so is never −0. At the avx512 level a full tile is written by
+// the kernel itself; edge tiles and the other levels go through acc.
+// Every level sums in the same order, so the bits do not depend on the
+// level.
 //
 //firal:hotpath
-func micro4x8(kc int, ap, bp []float64, dst *Dense, i, j, mr, t0, t1 int) {
-	var acc [gemmMR * gemmNR]float64
-	microTile(kc, ap, bp, &acc)
-	if mr == gemmMR && t0 == 0 && t1 == gemmNR {
-		for r := 0; r < gemmMR; r++ {
-			d := dst.Row(i + r)[j : j+gemmNR : j+gemmNR]
-			s := acc[r*gemmNR : r*gemmNR+gemmNR : r*gemmNR+gemmNR]
-			d[0] += s[0]
-			d[1] += s[1]
-			d[2] += s[2]
-			d[3] += s[3]
-			d[4] += s[4]
-			d[5] += s[5]
-			d[6] += s[6]
-			d[7] += s[7]
-		}
+func micro4x8(kc int, ap, bp []float64, dst *Dense, i, j, mr, t0, t1 int, first bool) {
+	if kernel == kernelAVX512 && mr == gemmMR && t0 == 0 && t1 == gemmNR {
+		d := dst.Data[i*dst.Stride+j:]
+		_ = d[(gemmMR-1)*dst.Stride+gemmNR-1]
+		micro4x8avx512(kc, &ap[0], &bp[0], &d[0], dst.Stride, !first)
 		return
 	}
+	var acc [gemmMR * gemmNR]float64
+	microTile(kc, ap, bp, &acc)
 	for r := 0; r < mr; r++ {
 		d := dst.Row(i + r)[j : j+t1-t0]
+		s := acc[r*gemmNR+t0 : r*gemmNR+t1]
+		if first {
+			copy(d, s)
+			continue
+		}
 		for t := range d {
-			d[t] += acc[r*gemmNR+t0+t]
+			d[t] += s[t]
 		}
 	}
 }
@@ -417,7 +425,7 @@ func micro4x8(kc int, ap, bp []float64, dst *Dense, i, j, mr, t0, t1 int) {
 func microTile(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
 	switch kernel {
 	case kernelAVX512:
-		micro4x8avx512(kc, &ap[0], &bp[0], &acc[0])
+		micro4x8avx512(kc, &ap[0], &bp[0], &acc[0], gemmNR, false)
 	case kernelAVX:
 		micro4x8avx(kc, &ap[0], &bp[0], &acc[0])
 	default:
