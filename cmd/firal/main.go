@@ -91,7 +91,6 @@ func main() {
 		peers     = flag.String("peers", "", "rendezvous host:port with -transport tcp (rank 0 listens there, everyone else dials)")
 		opTimeout = flag.Duration("op-timeout", 0, "per-operation timeout enabling rank-failure recovery (0 = wait forever)")
 		killAfter = flag.Int("kill-after", 0, "test hook: crash this process after N collective steps (0 = off)")
-		blockRows = flag.Int("block", 0, "streaming row-block size (0 = default)")
 		pack      = flag.String("pack", "", "write the -pool CSV (features only) to this shard file and exit")
 	)
 	flag.Parse()
@@ -110,7 +109,7 @@ func main() {
 	if *shards != "" {
 		if err := streamSelect(streamConfig{
 			shards: strings.Split(*shards, ","), labeled: *labPath, labelCol: *labelCol,
-			selector: *selName, ranks: *ranks, budget: *budget, block: *blockRows,
+			selector: *selName, ranks: *ranks, budget: *budget,
 			seed: *seed, probes: *probes, cgtol: *cgtol, relaxIters: *relaxIt,
 			transport: *transport, rank: *rank, peers: *peers,
 			opTimeout: *opTimeout, killAfter: *killAfter,

@@ -49,7 +49,6 @@ type streamConfig struct {
 	selector   string
 	ranks      int
 	budget     int
-	block      int
 	seed       int64
 	probes     int
 	cgtol      float64
@@ -130,7 +129,7 @@ func streamSelect(cfg streamConfig) error {
 	// the n×(c−1) reduced matrix stays resident.
 	t0 := time.Now()
 	reduced := mat.NewDense(n, classes-1)
-	if err := hessian.PoolProbs(reduced, src, model.Theta, 0, n, dataset.DefaultBlockRows); err != nil {
+	if err := hessian.PoolProbs(reduced, src, model.Theta); err != nil {
 		return err
 	}
 	log.Printf("probabilities attached in %.2fs", time.Since(t0).Seconds())
@@ -153,7 +152,7 @@ func streamSelect(cfg streamConfig) error {
 			ranks = cfg.ranks
 		}
 		var res *firal.Result
-		if res, err = distfiral.SelectInProcess(ctx, ranks, labeled, src, reduced, cfg.block, cfg.budget, firal.Options{Relax: relax}); err == nil {
+		if res, err = distfiral.SelectInProcess(ctx, ranks, labeled, src, reduced, cfg.budget, firal.Options{Relax: relax}); err == nil {
 			picked = res.Selected
 		}
 	}
@@ -197,7 +196,7 @@ func tcpSelect(ctx context.Context, cfg streamConfig, labeled *hessian.Set, src 
 	if cfg.opTimeout > 0 {
 		c.SetOpTimeout(cfg.opTimeout)
 		mk := func(size, rank int) (*distfiral.Shard, error) {
-			return distfiral.MakeStreamShard(labeled, src, reduced, cfg.block, size, rank), nil
+			return distfiral.MakeStreamShard(labeled, src, reduced, 0, size, rank), nil
 		}
 		res, err := distfiral.SelectResilient(ctx, c, mk, cfg.budget, 0, relax)
 		if err != nil {
@@ -209,7 +208,7 @@ func tcpSelect(ctx context.Context, cfg streamConfig, labeled *hessian.Set, src 
 		}
 		return res.Selected, nil
 	}
-	sh := distfiral.MakeStreamShard(labeled, src, reduced, cfg.block, cfg.ranks, cfg.rank)
+	sh := distfiral.MakeStreamShard(labeled, src, reduced, 0, cfg.ranks, cfg.rank)
 	sel, _, _, err := distfiral.Select(ctx, c, sh, cfg.budget, 0, relax)
 	return sel, err
 }

@@ -9,7 +9,10 @@
 //	firald -data /var/lib/firal [-addr :8080] [-concurrency 2] [-queue 8]
 //
 // GOMAXPROCS sets the worker count every round runs with; sessions share
-// it and have no worker setting of their own.
+// it and have no worker setting of their own. Every round streams its
+// pool in row blocks of one fixed size: the block size fixes the solver's
+// bits, so it is no setting, and a round resumed after a restart
+// continues the interrupted trajectory.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight HTTP requests get
 // -drain-timeout to finish, running rounds are interrupted at their last
@@ -44,14 +47,14 @@ func run() error {
 	data := flag.String("data", "", "data directory for session state and checkpoints (required)")
 	concurrency := flag.Int("concurrency", 2, "rounds allowed to run at once")
 	queue := flag.Int("queue", 8, "rounds allowed to wait beyond the running ones before 429")
-	block := flag.Int("block", 0, "streaming row-block size (0 = library default)")
 	maxResident := flag.Int64("max-resident", 1<<30, "byte cap on resident-pool materialization (Exact-FIRAL, K-Means)")
 	ranks := flag.Int("ranks", 0, "in-process ranks per Dist-FIRAL round (0 = Dist-FIRAL not servable)")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight HTTP requests on shutdown")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: firald -data DIR [flags]\n\n"+
 			"GOMAXPROCS sets the worker count every round runs with (now %d);\n"+
-			"sessions share it and have no worker setting of their own.\n\n", parallel.Workers())
+			"sessions share it and have no worker setting of their own.\n"+
+			"Rounds stream their pool in row blocks of one fixed size.\n\n", parallel.Workers())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,7 +66,6 @@ func run() error {
 		DataDir:          *data,
 		Concurrency:      *concurrency,
 		QueueDepth:       *queue,
-		BlockRows:        *block,
 		MaxResidentBytes: *maxResident,
 		Ranks:            *ranks,
 		Logf:             log.Printf,

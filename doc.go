@@ -119,9 +119,8 @@
 // visibly to open readers (atomic snapshots, generation-counted), and
 // RelaxOptions.WarmStart seeds mirror descent from the previous round's
 // weights, reprojected onto the grown simplex by firal.ReprojectSimplex.
-// The service layer exposes pool appends (POST /v1/sessions/{id}/pool),
-// warm-starts each round from the last one's converged weights, and
-// re-scores only appended rows when the model is unchanged. See
+// The service layer exposes pool appends (POST /v1/sessions/{id}/pool)
+// and warm-starts each round from the last one's converged weights. See
 // ARCHITECTURE.md § Growing pools.
 //
 // Parallel loops run on a persistent worker pool (internal/parallel):

@@ -173,9 +173,8 @@ func main() {
 
 	// 7. A second round excludes everything selected or index-labeled so
 	// far and covers the appended rows. Server-side, mirror descent
-	// warm-starts from round 1's converged weights (reprojected onto the
-	// grown simplex) and, with the labeled set unchanged, only the
-	// appended rows go through the model for probabilities.
+	// warm-starts from round 1's converged weights, reprojected onto the
+	// grown simplex.
 	post(hs.URL+fmt.Sprintf("/v1/sessions/%s/rounds", sess.ID), map[string]int{"budget": budget}, &kicked)
 	for {
 		get(hs.URL+fmt.Sprintf("/v1/sessions/%s/rounds/%d", sess.ID, kicked.Round), &rv)

@@ -32,7 +32,6 @@ func main() {
 	const (
 		n, d, classes = 20_000, 32, 4
 		budget        = 10
-		blockRows     = 2048
 	)
 	dir, err := os.MkdirTemp("", "firal-streaming")
 	if err != nil {
@@ -46,15 +45,15 @@ func main() {
 	// block is ever in memory here.
 	rng := rnd.New(7)
 	paths := []string{filepath.Join(dir, "pool-0.shard"), filepath.Join(dir, "pool-1.shard")}
-	block := mat.NewDense(blockRows, d)
+	block := mat.NewDense(dataset.DefaultBlockRows, d)
 	row := 0
 	for s, span := range [][2]int{{0, n / 3}, {n / 3, n}} {
 		w, err := dataset.CreateShard(paths[s], d)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for lo := span[0]; lo < span[1]; lo += blockRows {
-			hi := min(lo+blockRows, span[1])
+		for lo := span[0]; lo < span[1]; lo += block.Rows {
+			hi := min(lo+block.Rows, span[1])
 			b := block.RowSlice(0, hi-lo)
 			for i := 0; i < b.Rows; i++ {
 				rng.Normal(b.Row(i), float64((row+i)%classes), 1) // crude class structure
@@ -92,7 +91,7 @@ func main() {
 		log.Fatal(err)
 	}
 	reduced := mat.NewDense(n, classes-1)
-	if err := hessian.PoolProbs(reduced, src, model.Theta, 0, n, blockRows); err != nil {
+	if err := hessian.PoolProbs(reduced, src, model.Theta); err != nil {
 		log.Fatal(err)
 	}
 
@@ -106,7 +105,7 @@ func main() {
 	// kernels chew block k; selections are bit-identical with or without
 	// it. src stays ours to close.
 	labeled := hessian.NewSet(labX, hessian.ReduceProbs(softmax.Probabilities(nil, labX, model.Theta)))
-	res, err := distfiral.SelectInProcess(context.Background(), 1, labeled, src, reduced, blockRows, budget, firal.Options{
+	res, err := distfiral.SelectInProcess(context.Background(), 1, labeled, src, reduced, budget, firal.Options{
 		Relax: firal.RelaxOptions{Seed: 1, MaxIter: 20}, // capped so the demo stays snappy
 	})
 	if err != nil {

@@ -8,7 +8,7 @@
 //
 //   - hotpath: functions annotated //firal:hotpath must not contain
 //     make/new, growing appends, map literals, closure literals
-//     (including one handed to parallel.For/ForChunk/ForChunkMin,
+//     (including one handed to parallel.ForChunk/ForChunkMin,
 //     where a pooled task record belongs), explicit interface-boxing
 //     conversions, or fmt calls outside return statements
 //     (Workspace-arena and worker-pool contracts).

@@ -8,8 +8,6 @@ func SetMaxWorkers(n int) int { return n }
 
 func Workers() int { return 1 }
 
-func For(n int, fn func(i int)) {}
-
 func ForChunk(n int, fn func(lo, hi int)) {}
 
 func ForChunkMin(n, minPer int, fn func(lo, hi int)) {}

@@ -235,11 +235,12 @@ func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, rela
 
 // SelectInProcess is the one in-process Approx-FIRAL runner: it selects
 // b points of the pool src (with reduced probabilities probs) on `ranks`
-// in-process ranks, each holding its MakeStreamShard partition, so
-// Approx-FIRAL and Dist-FIRAL differ only by the rank count. src stays
-// the caller's; SelectInProcess never closes it, and no read of it is in
-// flight when SelectInProcess returns (a sweep schedules no read-ahead
-// past its last block, and the solvers leave only between sweeps).
+// in-process ranks, each holding its MakeStreamShard partition in
+// dataset.DefaultBlockRows-row blocks, so Approx-FIRAL and Dist-FIRAL
+// differ only by the rank count. src stays the caller's; SelectInProcess
+// never closes it, and no read of it is in flight when SelectInProcess
+// returns (a sweep schedules no read-ahead past its last block, and the
+// solvers leave only between sweeps).
 //
 // At ranks ≤ 1 it runs firal.SelectApprox on the single shard, under the
 // serial Collective, which polls ctx inside CG as well. At ranks ≥ 2 every
@@ -250,9 +251,9 @@ func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, rela
 // returns its root cause: a rank's panic first, then a failed rank's own
 // error before the ErrRankLost or peer read error its peers report. A
 // failed pool read matches hessian.ErrPoolRead at every rank count.
-func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, blockRows, b int, o firal.Options) (*firal.Result, error) {
+func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, b int, o firal.Options) (*firal.Result, error) {
 	if ranks <= 1 {
-		sh := MakeStreamShard(labeled, src, probs, blockRows, 1, 0)
+		sh := MakeStreamShard(labeled, src, probs, dataset.DefaultBlockRows, 1, 0)
 		return firal.SelectApprox(ctx, firal.NewProblem(sh.Labeled, sh.PoolLocal), b, o)
 	}
 	if len(o.EtaGrid) > 0 {
@@ -265,7 +266,7 @@ func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src d
 		if c.Rank() != 0 && ro.OnIteration != nil {
 			ro.OnIteration = func(*firal.RelaxCheckpoint) {}
 		}
-		sh := MakeStreamShard(labeled, src, probs, blockRows, ranks, c.Rank())
+		sh := MakeStreamShard(labeled, src, probs, dataset.DefaultBlockRows, ranks, c.Rank())
 		sel, relax, round, err := Select(ctx, c, sh, b, o.Eta, ro, o.Exclude...)
 		errs[c.Rank()] = err
 		if err == nil && c.Rank() == 0 {

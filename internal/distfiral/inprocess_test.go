@@ -53,6 +53,12 @@ func (s *inflightSource) checkIdle(t *testing.T, when string) {
 	}
 }
 
+// multiBlockRows is a pool size whose every rank slice at p ≤ 3 spans two
+// dataset.DefaultBlockRows blocks, the second one ragged, so each rank of
+// SelectInProcess sweeps a multi-block pool with read-ahead over a
+// streaming source.
+const multiBlockRows = 3*dataset.DefaultBlockRows + 212
+
 // twoFileShard packs x into two shard files split at row `split`.
 func twoFileShard(t *testing.T, x *mat.Dense, split int) *dataset.ShardSource {
 	t.Helper()
@@ -114,14 +120,14 @@ func oldHarness(t *testing.T, ranks int, labeled *hessian.Set, src dataset.PoolS
 
 // TestSelectInProcess pins the one in-process runner against the
 // hand-built harnesses it replaced, over a resident MatrixSource and a
-// two-file ShardSource whose block size is below one rank's slice, so
+// two-file ShardSource whose every rank slice spans two blocks, so
 // read-ahead engages: the selections are bit-identical with and without
 // an exclude set, OnIteration fires on rank 0 only, an η grid is refused
 // at p ≥ 2, and no read of the caller's source is in flight on return —
 // after a full run and after a cancellation mid-RELAX.
 func TestSelectInProcess(t *testing.T) {
-	labeled, pool := testSets(41, 20, 150, 6, 3)
-	const b, blockRows = 5, 16
+	labeled, pool := testSets(41, 20, multiBlockRows, 6, 3)
+	const b, blockRows = 5, dataset.DefaultBlockRows
 	base := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 3, Seed: 9, Probes: 4}}
 	shard := twoFileShard(t, pool.X, 61)
 	wantEta := 8 * math.Sqrt(float64(pool.Ed()))
@@ -146,7 +152,7 @@ func TestSelectInProcess(t *testing.T) {
 
 				var calls atomic.Int64
 				o.Relax.OnIteration = func(*firal.RelaxCheckpoint) { calls.Add(1) }
-				res, err := SelectInProcess(ctx, ranks, labeled, tc.src, pool.H, blockRows, b, o)
+				res, err := SelectInProcess(ctx, ranks, labeled, tc.src, pool.H, b, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +175,7 @@ func TestSelectInProcess(t *testing.T) {
 				if ranks >= 2 {
 					g := base
 					g.EtaGrid = []float64{1, 10}
-					if _, err := SelectInProcess(ctx, ranks, labeled, tc.src, pool.H, blockRows, b, g); err == nil {
+					if _, err := SelectInProcess(ctx, ranks, labeled, tc.src, pool.H, b, g); err == nil {
 						t.Fatal("accepted an η grid at p ≥ 2")
 					}
 				}
@@ -183,7 +189,7 @@ func TestSelectInProcess(t *testing.T) {
 						cancel()
 					}
 				}
-				if _, err := SelectInProcess(cctx, ranks, labeled, tc.src, pool.H, blockRows, b, c); !errors.Is(err, context.Canceled) {
+				if _, err := SelectInProcess(cctx, ranks, labeled, tc.src, pool.H, b, c); !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancelled mid-RELAX: err = %v, want context.Canceled", err)
 				}
 				tc.inflight.checkIdle(t, "after a cancelled run")
@@ -217,20 +223,20 @@ func (s *failingSource) ReadRows(lo, hi int, dst *mat.Dense) error {
 // with the source error below it, instead of hanging, panicking or
 // selecting.
 func TestSelectInProcessReadFailure(t *testing.T) {
-	labeled, pool := testSets(43, 20, 150, 6, 3)
+	labeled, pool := testSets(43, 20, multiBlockRows, 6, 3)
 	shard := twoFileShard(t, pool.X, 61)
 	o := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 3, Seed: 9, Probes: 4}}
 	for _, ranks := range []int{1, 2, 3} {
 		lo, hi := mpi.Partition(pool.X.Rows, max(ranks, 2), 1)
 		clean := &failingSource{PoolSource: shard, lo: lo, hi: hi, after: math.MaxInt64}
-		if _, err := SelectInProcess(context.Background(), ranks, labeled, clean, pool.H, 16, 5, o); err != nil {
+		if _, err := SelectInProcess(context.Background(), ranks, labeled, clean, pool.H, 5, o); err != nil {
 			t.Fatal(err)
 		}
 		reads := clean.n.Load()
 		for _, after := range []int64{0, reads / 2, reads - 1} {
 			t.Run(fmt.Sprintf("p=%d/after=%d", ranks, after), func(t *testing.T) {
 				src := &failingSource{PoolSource: shard, lo: lo, hi: hi, after: after}
-				res, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 16, 5, o)
+				res, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 5, o)
 				if !errors.Is(err, hessian.ErrPoolRead) || !errors.Is(err, errInjected) {
 					t.Fatalf("got %v (result %v), want a pool read error over the injected one", err, res)
 				}
@@ -242,12 +248,12 @@ func TestSelectInProcessReadFailure(t *testing.T) {
 // TestSelectInProcessShardTruncated shrinks the pool's shard file to its
 // 20-byte header after it was opened (and mapped): the selection must
 // fail with ErrPoolRead at every rank count instead of killing the
-// process or selecting from zeros. The 2000-row pool spans many pages,
+// process or selecting from zeros. The multi-block pool spans many pages,
 // where a mapping faults; the 150-row one fits in the page that holds the
 // new end of file, where a mapping reads zeros.
 func TestSelectInProcessShardTruncated(t *testing.T) {
 	o := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 2, Seed: 9, Probes: 4}}
-	for _, n := range []int{2000, 150} {
+	for _, n := range []int{multiBlockRows, 150} {
 		labeled, pool := testSets(44, 20, n, 6, 3)
 		for _, ranks := range []int{1, 2} {
 			path := filepath.Join(t.TempDir(), "pool.shard")
@@ -262,7 +268,7 @@ func TestSelectInProcessShardTruncated(t *testing.T) {
 			if err := os.Truncate(path, 20); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 256, 5, o); !errors.Is(err, hessian.ErrPoolRead) {
+			if _, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 5, o); !errors.Is(err, hessian.ErrPoolRead) {
 				t.Fatalf("n=%d p=%d: got %v, want ErrPoolRead", n, ranks, err)
 			}
 		}
@@ -276,7 +282,7 @@ func TestSelectInProcessShardTruncated(t *testing.T) {
 // published: the poll before the iteration's checkpoint must fail the
 // round with ErrPoolRead first.
 func TestReadFailureInLastRelaxIterationPublishesNothing(t *testing.T) {
-	labeled, pool := testSets(45, 20, 150, 6, 3)
+	labeled, pool := testSets(45, 20, multiBlockRows, 6, 3)
 	shard := twoFileShard(t, pool.X, 61)
 	const iters = 3
 	for _, ranks := range []int{1, 2} {
@@ -289,7 +295,7 @@ func TestReadFailureInLastRelaxIterationPublishesNothing(t *testing.T) {
 					at = append(at, clean.n.Load())
 				}
 			}}}
-		if _, err := SelectInProcess(context.Background(), ranks, labeled, clean, pool.H, 16, 5, o); err != nil {
+		if _, err := SelectInProcess(context.Background(), ranks, labeled, clean, pool.H, 5, o); err != nil {
 			t.Fatal(err)
 		}
 		if len(at) != iters || at[iters-1]-at[iters-2] < 2 {
@@ -298,7 +304,7 @@ func TestReadFailureInLastRelaxIterationPublishesNothing(t *testing.T) {
 		src := &failingSource{PoolSource: shard, lo: lo, hi: hi, after: (at[iters-2] + at[iters-1]) / 2}
 		var published []firal.RelaxCheckpoint
 		o.Relax.OnIteration = func(ck *firal.RelaxCheckpoint) { published = append(published, *ck) }
-		_, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 16, 5, o)
+		_, err := SelectInProcess(context.Background(), ranks, labeled, src, pool.H, 5, o)
 		if !errors.Is(err, hessian.ErrPoolRead) || !errors.Is(err, errInjected) {
 			t.Fatalf("p=%d: got %v, want a pool read error over the injected one", ranks, err)
 		}

@@ -52,36 +52,35 @@ func ReduceProbs(h *mat.Dense) *mat.Dense {
 	return out
 }
 
-// PoolProbs attaches classifier probabilities to pool rows [lo, hi) of
-// src: row i of dst becomes softmax(θᵀ x_i) for the d×c classifier theta,
-// all c columns when dst has c, the reduced parametrization of Eq. 1
-// (last class dropped) when it has c−1. Rows of dst outside [lo, hi) are
-// untouched. The rows are read and scored in windows of blockRows rows
-// counted from lo (≤ 0 selects dataset.DefaultBlockRows); the GEMM
+// PoolProbs attaches classifier probabilities to every row of src: row i
+// of dst becomes softmax(θᵀ x_i) for the d×c classifier theta, all c
+// columns when dst has c, the reduced parametrization of Eq. 1 (last
+// class dropped) when it has c−1. The rows are read and scored in
+// windows of dataset.DefaultBlockRows rows from row 0; the GEMM
 // summation order depends on a window's row count, so the windows fix
 // the bits.
-func PoolProbs(dst *mat.Dense, src dataset.PoolSource, theta *mat.Dense, lo, hi, blockRows int) error {
-	c := theta.Cols
+func PoolProbs(dst *mat.Dense, src dataset.PoolSource, theta *mat.Dense) error {
+	c, n := theta.Cols, src.NumRows()
 	if dst.Cols != c && dst.Cols != c-1 {
 		return fmt.Errorf("hessian: probability matrix has %d columns, want %d or %d", dst.Cols, c, c-1)
 	}
-	if lo >= hi {
+	if dst.Rows != n {
+		return fmt.Errorf("hessian: probability matrix has %d rows, pool has %d", dst.Rows, n)
+	}
+	if n == 0 {
 		return nil
 	}
-	if blockRows <= 0 {
-		blockRows = dataset.DefaultBlockRows
-	}
-	block := mat.NewDense(min(blockRows, hi-lo), src.Dim())
+	block := mat.NewDense(min(dataset.DefaultBlockRows, n), src.Dim())
 	probs := mat.NewDense(block.Rows, c)
-	for blo := lo; blo < hi; blo += block.Rows {
-		bhi := min(blo+block.Rows, hi)
-		xb := block.RowSlice(0, bhi-blo)
-		if err := src.ReadRows(blo, bhi, xb); err != nil {
+	for lo := 0; lo < n; lo += block.Rows {
+		hi := min(lo+block.Rows, n)
+		xb := block.RowSlice(0, hi-lo)
+		if err := src.ReadRows(lo, hi, xb); err != nil {
 			return err
 		}
-		pb := softmax.Probabilities(probs.RowSlice(0, bhi-blo), xb, theta)
-		for i := blo; i < bhi; i++ {
-			copy(dst.Row(i), pb.Row(i - blo)[:dst.Cols])
+		pb := softmax.Probabilities(probs.RowSlice(0, hi-lo), xb, theta)
+		for i := lo; i < hi; i++ {
+			copy(dst.Row(i), pb.Row(i - lo)[:dst.Cols])
 		}
 	}
 	return nil

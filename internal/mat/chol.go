@@ -11,21 +11,12 @@ var ErrNotSPD = errors.New("mat: matrix is not positive definite")
 
 // Cholesky holds the lower-triangular factor L with A = L Lᵀ.
 //
-// The zero value is ready for use with FactorInto/FactorRidge, which
-// reuse the factor storage across refactorizations — the in-place path
-// behind the RELAX preconditioner and the ROUND block-inverse rebuild,
-// which refactor the same-sized blocks every iteration and must not
-// allocate per call.
+// The zero value is ready for use with FactorRidge, which reuses the
+// factor storage across refactorizations — the in-place path behind the
+// RELAX preconditioner, which refactors the same-sized blocks every
+// iteration and must not allocate per call.
 type Cholesky struct {
 	L *Dense
-}
-
-// FactorInto factors a into c, reusing c.L's storage when it has the
-// right shape and allocating it otherwise. Only the lower triangle of a
-// is read; a is not modified. On error the factor contents are
-// unspecified but the storage remains reusable.
-func (c *Cholesky) FactorInto(a *Dense) error {
-	return c.factor(a, 0)
 }
 
 // FactorRidge factors a + r·I into c, starting from r = 0 and retrying
@@ -58,9 +49,11 @@ func (c *Cholesky) FactorRidge(a *Dense, ridge0 float64) (float64, error) {
 }
 
 // factor runs the left-looking factorization of a + ridge·I, reading
-// only the lower triangle of a and writing c.L (which never aliases a's
-// storage in supported use; factoring a matrix into itself is not
-// supported).
+// only the lower triangle of a and writing c.L, whose storage it reuses
+// when it has the right shape (c.L never aliases a's storage in
+// supported use; factoring a matrix into itself is not supported). On
+// error the factor contents are unspecified but the storage remains
+// reusable.
 //
 //firal:hotpath
 func (c *Cholesky) factor(a *Dense, ridge float64) error {
@@ -149,13 +142,9 @@ func (c *Cholesky) SolveVec(dst, b []float64) []float64 {
 	return dst
 }
 
-// Solve solves A X = B column-by-column; dst may be nil or B itself.
-func (c *Cholesky) Solve(dst, b *Dense) *Dense {
-	return c.SolveInto(nil, dst, b)
-}
-
-// SolveInto is Solve with the column buffer drawn from ws, so repeated
-// solves against a warm workspace are allocation-free.
+// SolveInto solves A X = B column-by-column with the column buffer drawn
+// from ws, so repeated solves against a warm workspace are
+// allocation-free; dst may be nil or B itself.
 //
 //firal:hotpath
 func (c *Cholesky) SolveInto(ws *Workspace, dst, b *Dense) *Dense {

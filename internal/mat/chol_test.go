@@ -30,10 +30,10 @@ func TestFactorIntoMatchesNewCholesky(t *testing.T) {
 		// Factor twice into the same storage, with a different matrix in
 		// between, to prove reuse leaves no residue.
 		other := spdFromFactor(n, uint64(n)+99)
-		if err := c.FactorInto(other); err != nil {
+		if err := c.factor(other, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.FactorInto(a); err != nil {
+		if err := c.factor(a, 0); err != nil {
 			t.Fatal(err)
 		}
 		if d := MaxAbsDiff(want.L, c.L); d != 0 {
@@ -42,7 +42,7 @@ func TestFactorIntoMatchesNewCholesky(t *testing.T) {
 		// a must be untouched.
 		check := spdFromFactor(n, uint64(n)+7)
 		if d := MaxAbsDiff(a, check); d != 0 {
-			t.Fatalf("n=%d: FactorInto modified its input (diff %g)", n, d)
+			t.Fatalf("n=%d: factor modified its input (diff %g)", n, d)
 		}
 	}
 }
@@ -101,24 +101,25 @@ func TestSolveIntoAndInverseInto(t *testing.T) {
 		t.Fatalf("A·A⁻¹ off identity by %g", d)
 	}
 
-	// SolveInto with a warm workspace matches Solve and is allocation-free.
+	// SolveInto with a warm workspace matches a workspace-free solve and
+	// is allocation-free.
 	b := spdFromFactor(n, 11)
-	wantX := ch.Solve(nil, b)
+	wantX := ch.SolveInto(nil, nil, b)
 	x := NewDense(n, n)
 	ch.SolveInto(ws, x, b)
 	if d := MaxAbsDiff(wantX, x); d != 0 {
-		t.Fatalf("SolveInto differs from Solve by %g", d)
+		t.Fatalf("SolveInto with a workspace differs from one without by %g", d)
 	}
 	if !RaceEnabled {
 		var rc Cholesky
 		if allocs := testing.AllocsPerRun(20, func() {
-			if err := rc.FactorInto(a); err != nil {
+			if err := rc.factor(a, 0); err != nil {
 				t.Fatal(err)
 			}
 			ch.SolveInto(ws, x, b)
 			ch.InverseInto(ws, dst)
 		}); allocs > 1 { // rc.L allocated once on the warm-up run only
-			t.Fatalf("warm FactorInto+SolveInto+InverseInto allocates %.1f objects per call", allocs)
+			t.Fatalf("warm factor+SolveInto+InverseInto allocates %.1f objects per call", allocs)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func RefWeightedGram(dst *Dense, x *Dense, w []float64) *Dense {
 // when a pivot is not positive.
 func NewCholesky(a *Dense) (*Cholesky, error) {
 	var c Cholesky
-	if err := c.FactorInto(a); err != nil {
+	if err := c.factor(a, 0); err != nil {
 		return nil, err
 	}
 	return &c, nil

@@ -40,8 +40,8 @@ const minWork = 256
 // maxWorkers overrides the worker count; 0 means GOMAXPROCS.
 var maxWorkers atomic.Int64
 
-// SetMaxWorkers overrides the process-wide worker count used by For and
-// ForChunk, and resizes the persistent pool to match. n <= 0
+// SetMaxWorkers overrides the process-wide worker count used by ForChunk
+// and ForChunkMin, and resizes the persistent pool to match. n <= 0
 // restores the default (GOMAXPROCS). It returns the previous value.
 //
 // The setting is process-wide and belongs to process entry points
@@ -65,17 +65,6 @@ func Workers() int {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// For runs fn(i) for every i in [0, n), distributing iterations across
-// workers in contiguous blocks. fn must be safe to call concurrently for
-// distinct i.
-func For(n int, fn func(i int)) {
-	ForChunk(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
 }
 
 // chunkWorkers returns the number of workers a chunked loop will engage

@@ -6,11 +6,20 @@ import (
 	"testing"
 )
 
+// forEach runs fn(i) for every i in [0, n) over ForChunk's chunks.
+func forEach(n int, fn func(i int)) {
+	ForChunk(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
+}
+
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 255, 256, 10000} {
 		var count int64
 		seen := make([]int32, n)
-		For(n, func(i int) {
+		forEach(n, func(i int) {
 			atomic.AddInt64(&count, 1)
 			atomic.AddInt32(&seen[i], 1)
 		})
@@ -51,7 +60,7 @@ func TestSetMaxWorkers(t *testing.T) {
 	}
 	// Serial path must still cover everything.
 	var count int
-	For(1000, func(i int) { count++ }) // safe: single worker
+	forEach(1000, func(i int) { count++ }) // safe: single worker
 	if count != 1000 {
 		t.Fatalf("serial run covered %d", count)
 	}

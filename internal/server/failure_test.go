@@ -60,11 +60,14 @@ func selectedOf(a *api, id string, round int) []int {
 // selection, serially (Ranks 0) and on two in-process ranks. The round
 // must end failed with the pool-read error, the admission slot must come
 // back, the daemon must keep answering, and a session selecting
-// concurrently must get the selection it gets alone.
+// concurrently must get the selection it gets alone. The pools span two
+// dataset.DefaultBlockRows blocks per rank, so the selection's sweeps
+// read ahead.
 func TestRoundReadFailure(t *testing.T) {
+	const n = 2*dataset.DefaultBlockRows + 300
 	dir := t.TempDir()
-	shard, labX, labY := testPool(t, dir, 200, 5, 3, 61)
-	healthy, hX, hY := testPool(t, dir, 200, 5, 3, 62)
+	shard, labX, labY := testPool(t, dir, n, 5, 3, 61)
+	healthy, hX, hY := testPool(t, dir, n, 5, 3, 62)
 	for _, ranks := range []int{0, 2} {
 		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
 			selector := "Approx-FIRAL"
@@ -75,7 +78,7 @@ func TestRoundReadFailure(t *testing.T) {
 				var sv sessionView
 				a.must(http.StatusCreated, "POST", "/v1/sessions", &createRequest{
 					Shards: []string{shard}, Labeled: labeledUpload{X: x, Y: y},
-					Selector: selector, Probes: 3, FixedRelaxIters: 4, BlockRows: 32, Seed: 5,
+					Selector: selector, Probes: 3, FixedRelaxIters: 4, Seed: 5,
 				}, &sv)
 				return sv.ID
 			}
@@ -91,9 +94,9 @@ func TestRoundReadFailure(t *testing.T) {
 			srv, a := newTestServer(t, Config{Ranks: ranks, Concurrency: 2})
 			bad := create(a, shard, labX, labY)
 			good := create(a, healthy, hX, hY)
-			// The probability pass reads the 200-row pool in 7 blocks of
-			// 32; the selection's sweeps fail from the 12th read on.
-			swapSource(t, srv, bad, &faultySource{failFrom: 12})
+			// The probability pass reads the pool in 3 blocks, the last
+			// one ragged; the selection's sweeps fail from the 8th read on.
+			swapSource(t, srv, bad, &faultySource{failFrom: 8})
 			a.must(http.StatusAccepted, "POST", "/v1/sessions/"+bad+"/rounds", &roundRequest{Budget: 4}, nil)
 			a.must(http.StatusAccepted, "POST", "/v1/sessions/"+good+"/rounds", &roundRequest{Budget: 4}, nil)
 

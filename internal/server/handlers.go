@@ -50,7 +50,6 @@ type createRequest struct {
 	CGTol           float64 `json:"cgtol,omitempty"`
 	RelaxIters      int     `json:"relax_iters,omitempty"`
 	FixedRelaxIters int     `json:"fixed_relax_iters,omitempty"`
-	BlockRows       int     `json:"block_rows,omitempty"`
 }
 
 // labeledUpload is a parallel feature/label pair.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net/http"
@@ -11,9 +12,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/hessian"
-	"repro/internal/logreg"
-	"repro/internal/mat"
 )
 
 // appendShard packs n synthetic rows into a fresh shard file and returns
@@ -220,10 +218,13 @@ func TestAppendPoolRefusedMidRound(t *testing.T) {
 
 // TestWarmStartedRounds runs round 1, appends a small delta, and runs
 // round 2 without new labels: the server must leave a warm checkpoint
-// whose weights sum to 1, reuse the cached probabilities for the old rows
-// (sweeping only the delta), and complete the warm-started round over the
+// whose weights sum to 1 and complete the warm-started round over the
 // grown pool — serially and on two in-process ranks, where only rank 0
-// writes the checkpoints.
+// writes the checkpoints. The restarted case closes the server after
+// round 1 and reopens its DataDir before the append: round 2 must select
+// what it selects on the server that kept running and leave the same
+// state file, the raw bits of its RELAX weights, so nothing but the
+// session's files feeds a round.
 func TestWarmStartedRounds(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -231,14 +232,27 @@ func TestWarmStartedRounds(t *testing.T) {
 		selector string
 	}{{"approx", Config{}, ""}, {"dist", Config{Ranks: 2}, "dist"}} {
 		t.Run(tc.name, func(t *testing.T) {
-			testWarmStartedRounds(t, tc.cfg, tc.selector)
+			want, wantState := testWarmStartedRounds(t, tc.cfg, tc.selector, false)
+			t.Run("restarted", func(t *testing.T) {
+				got, gotState := testWarmStartedRounds(t, tc.cfg, tc.selector, true)
+				if !slices.Equal(got, want) {
+					t.Fatalf("round 2 after a restart selected %v, without one %v", got, want)
+				}
+				if !bytes.Equal(gotState, wantState) {
+					t.Fatal("round 2's state file differs after a restart")
+				}
+			})
 		})
 	}
 }
 
-func testWarmStartedRounds(t *testing.T, cfg Config, selector string) {
+// testWarmStartedRounds runs the two rounds and returns round 2's
+// selection and state file; with restart set, a new Server over the same
+// DataDir serves the append and round 2.
+func testWarmStartedRounds(t *testing.T, cfg Config, selector string, restart bool) ([]int, []byte) {
 	dir := t.TempDir()
 	shard, labX, labY := testPool(t, dir, 200, 5, 3, 41)
+	cfg.DataDir = filepath.Join(dir, "data")
 	srv, a := newTestServer(t, cfg)
 
 	var sv sessionView
@@ -279,12 +293,12 @@ func testWarmStartedRounds(t *testing.T, cfg Config, selector string) {
 		t.Fatalf("warm weights sum to %g, want 1 (pre-budget-scaling simplex point)", sum)
 	}
 
-	// The probability cache from round 1 covers the original rows.
-	sess.mu.Lock()
-	cached := sess.probs
-	sess.mu.Unlock()
-	if cached == nil || cached.Rows != 200 {
-		t.Fatalf("probability cache missing after round 1")
+	if restart {
+		srv.Close()
+		srv, a = newTestServer(t, cfg)
+		if sess, err = srv.session(sv.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	extra := appendShard(t, dir, 20, 5, 3, 42)
@@ -302,71 +316,13 @@ func testWarmStartedRounds(t *testing.T, cfg Config, selector string) {
 			t.Fatalf("round 2 selected %d outside grown pool [0, 220)", i)
 		}
 	}
-
-	// Delta pass: the cache row that existed before round 2 must be the
-	// same backing matrix rows, extended — not recomputed — and now cover
-	// the grown pool; the warm checkpoint advanced to round 2.
-	sess.mu.Lock()
-	probs2 := sess.probs
-	sess.mu.Unlock()
-	if probs2.Rows != 220 {
-		t.Fatalf("probability cache has %d rows after round 2, want 220", probs2.Rows)
-	}
-	for i := 0; i < cached.Rows; i++ {
-		for j := 0; j < cached.Cols; j++ {
-			if probs2.Row(i)[j] != cached.Row(i)[j] {
-				t.Fatalf("cached probability row %d changed during the delta pass", i)
-			}
-		}
-	}
+	// The warm checkpoint advanced to round 2.
 	if wr, wck, err := readCheckpoint(statePath(sess.dir)); err != nil || wr != 2 || !wck.Done {
 		t.Fatalf("state file after round 2: round %d, err %v; want round 2's done solve", wr, err)
 	}
-}
-
-// TestStreamProbsRangeMatchesFull pins the delta sweep of roundProbs
-// against the full sweep: filling a matrix with two arbitrary-split
-// hessian.PoolProbs range calls must reproduce the single full pass bit
-// for bit, reduced and unreduced.
-func TestStreamProbsRangeMatchesFull(t *testing.T) {
-	const n, d, c = 157, 4, 3
-	dir := t.TempDir()
-	shard, labX, labY := testPool(t, dir, n, d, c, 51)
-	src, err := dataset.OpenShards(shard)
+	state, err := os.ReadFile(statePath(sess.dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
-
-	labM := mat.NewDense(len(labX), d)
-	for i, row := range labX {
-		copy(labM.Row(i), row)
-	}
-	model, err := logreg.Train(labM, labY, c, nil, logreg.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, cols := range []int{c - 1, c} {
-		full := mat.NewDense(n, cols)
-		if err := hessian.PoolProbs(full, src, model.Theta, 0, n, 13); err != nil {
-			t.Fatal(err)
-		}
-		for _, split := range []int{0, 1, 13, 64, n - 1, n} {
-			got := mat.NewDense(n, cols)
-			if err := hessian.PoolProbs(got, src, model.Theta, 0, split, 13); err != nil {
-				t.Fatal(err)
-			}
-			if err := hessian.PoolProbs(got, src, model.Theta, split, n, 13); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < cols; j++ {
-					if got.Row(i)[j] != full.Row(i)[j] {
-						t.Fatalf("cols=%d split=%d: row %d col %d differs", cols, split, i, j)
-					}
-				}
-			}
-		}
-	}
+	return rv.Selected, state
 }

@@ -39,6 +39,9 @@ func (s *Server) runRound(ctx context.Context, cancel context.CancelFunc, sess *
 	defer ticket.Release()
 
 	finish := func(status, errMsg string) {
+		// Free the slot before the status is visible: a client that sees
+		// the round end finds its admission slot already back.
+		ticket.Release()
 		sess.mu.Lock()
 		rm.Status = status
 		rm.Error = errMsg
@@ -116,7 +119,6 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 	sess.mu.Lock()
 	meta := sess.meta // shallow copy; slices are not mutated while a round runs
 	exclude := sess.excludeLocked()
-	cachedProbs, cachedLabeled := sess.probs, sess.probsLabeled
 	sess.mu.Unlock()
 	src := sess.src
 
@@ -152,15 +154,13 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 	}
 
 	seed := meta.Seed + int64(rm.Round)*roundSeedStride
-	blockRows := meta.BlockRows
-	if blockRows <= 0 {
-		blockRows = s.cfg.BlockRows
-	}
+	// The Subrange pins the round's row count of the session's live pool.
+	pool := dataset.Subrange(src, 0, meta.Rows)
 
 	switch meta.Selector {
 	case "Approx-FIRAL", "Dist-FIRAL":
-		reduced, err := s.roundProbs(sess, meta, rm.Round, src, model, nLab, blockRows, cachedProbs, cachedLabeled)
-		if err != nil {
+		reduced := mat.NewDense(meta.Rows, meta.Classes-1)
+		if err := hessian.PoolProbs(reduced, pool, model.Theta); err != nil {
 			return nil, err
 		}
 
@@ -207,13 +207,12 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		// RELAX checkpoints are global (rank-count independent) and share
 		// the serial format, so an interrupted dist round resumes, and the
 		// next one warm-starts, like an Approx one — even if the server
-		// restarts with a different -ranks. The Subrange pins the round's
-		// row count of the session's live pool.
+		// restarts with a different -ranks.
 		ranks := 1
 		if meta.Selector == "Dist-FIRAL" {
 			ranks = s.cfg.Ranks
 		}
-		res, err := distfiral.SelectInProcess(ctx, ranks, labeled, dataset.Subrange(src, 0, meta.Rows), reduced, blockRows, rm.Budget,
+		res, err := distfiral.SelectInProcess(ctx, ranks, labeled, pool, reduced, rm.Budget,
 			firal.Options{Relax: relax, Exclude: exclude})
 		if err != nil {
 			return nil, err
@@ -264,8 +263,8 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		return out, nil
 
 	case "Entropy", "Margin", "Least-Confidence":
-		probs := mat.NewDense(src.NumRows(), meta.Classes)
-		if err := hessian.PoolProbs(probs, src, model.Theta, 0, probs.Rows, blockRows); err != nil {
+		probs := mat.NewDense(meta.Rows, meta.Classes)
+		if err := hessian.PoolProbs(probs, pool, model.Theta); err != nil {
 			return nil, err
 		}
 		allowed := allowedIndices(meta.Rows, exclude)
@@ -286,38 +285,6 @@ func (s *Server) selectOnce(ctx context.Context, sess *Session, rm *RoundMeta) (
 		return out, nil
 	}
 	return nil, fmt.Errorf("selector %s is not servable", meta.Selector)
-}
-
-// roundProbs computes the round's reduced probability matrix and caches
-// it on the session. The labeled set only grows, so an unchanged labeled
-// count means the identical training matrix and (training being
-// deterministic) the identical model — the previous round's probabilities
-// are still exact, and only rows appended to the pool since then need the
-// model applied. This is what makes a round after a small pool append
-// cost O(Δn·d) here instead of O(n·d).
-func (s *Server) roundProbs(sess *Session, meta sessionMeta, round int, src dataset.PoolSource, model *logreg.Model, nLab, blockRows int, cachedProbs *mat.Dense, cachedLabeled int) (*mat.Dense, error) {
-	var reduced *mat.Dense
-	switch {
-	case cachedProbs != nil && cachedLabeled == nLab && cachedProbs.Rows == meta.Rows:
-		reduced = cachedProbs
-	case cachedProbs != nil && cachedLabeled == nLab && cachedProbs.Rows < meta.Rows:
-		reduced = mat.NewDense(meta.Rows, meta.Classes-1)
-		copy(reduced.Data[:cachedProbs.Rows*reduced.Cols], cachedProbs.Data)
-		if err := hessian.PoolProbs(reduced, src, model.Theta, cachedProbs.Rows, meta.Rows, blockRows); err != nil {
-			return nil, err
-		}
-		s.cfg.Logf("session %s: round %d probability pass over %d appended rows (of %d)",
-			meta.ID, round, meta.Rows-cachedProbs.Rows, meta.Rows)
-	default:
-		reduced = mat.NewDense(src.NumRows(), meta.Classes-1)
-		if err := hessian.PoolProbs(reduced, src, model.Theta, 0, reduced.Rows, blockRows); err != nil {
-			return nil, err
-		}
-	}
-	sess.mu.Lock()
-	sess.probs, sess.probsLabeled = reduced, nLab
-	sess.mu.Unlock()
-	return reduced, nil
 }
 
 // allowedIndices returns [0, n) minus the excluded set, ascending.

@@ -29,8 +29,6 @@ type Config struct {
 	// running ones (admission depth Q; default 8). Requests past C+Q are
 	// refused with 429.
 	QueueDepth int
-	// BlockRows is the streaming row-block size (0 = dataset default).
-	BlockRows int
 	// MaxResidentBytes caps pool materialization for selectors that need
 	// a resident pool (Exact-FIRAL, K-Means). Default 1 GiB.
 	MaxResidentBytes int64
@@ -257,7 +255,6 @@ func (s *Server) createSession(req *createRequest) (*Session, error) {
 			CGTol:           req.CGTol,
 			RelaxIters:      req.RelaxIters,
 			FixedRelaxIters: req.FixedRelaxIters,
-			BlockRows:       req.BlockRows,
 			LabeledX:        req.Labeled.X,
 			LabeledY:        req.Labeled.Y,
 		},

@@ -216,7 +216,8 @@ func TestSessionLifecycle(t *testing.T) {
 
 // TestCreateValidation pins the 400-class errors: unknown selector (must
 // list the registry), the unservable distributed selector, conflicting or
-// absent pool registration, and shape mismatches.
+// absent pool registration, shape mismatches, and the removed block_rows
+// field (the row-block size is not a session setting).
 func TestCreateValidation(t *testing.T) {
 	shard, labX, labY := testPool(t, t.TempDir(), 50, 4, 2, 3)
 	_, a := newTestServer(t, Config{})
@@ -224,7 +225,7 @@ func TestCreateValidation(t *testing.T) {
 
 	cases := []struct {
 		name string
-		req  createRequest
+		req  any
 		want string
 	}{
 		{"unknown selector", createRequest{Shards: []string{shard}, Labeled: lab, Selector: "gradient-boost"}, "Approx-FIRAL"},
@@ -235,13 +236,14 @@ func TestCreateValidation(t *testing.T) {
 		{"missing shard", createRequest{Shards: []string{shard + ".nope"}, Labeled: lab}, shard + ".nope"},
 		{"dim mismatch", createRequest{Shards: []string{shard}, Labeled: labeledUpload{X: [][]float64{{1, 2}, {3, 4}}, Y: []int{0, 1}}}, "dimension"},
 		{"label out of range", createRequest{Shards: []string{shard}, Labeled: labeledUpload{X: labX, Y: make([]int, len(labY))}}, "2 classes"},
+		{"block_rows field", map[string]any{"shards": []string{shard}, "labeled": lab, "block_rows": 32}, `"block_rows"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var e struct {
 				Error string `json:"error"`
 			}
-			if code := a.do("POST", "/v1/sessions", &tc.req, &e); code != http.StatusBadRequest {
+			if code := a.do("POST", "/v1/sessions", tc.req, &e); code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400 (%s)", code, e.Error)
 			}
 			if !strings.Contains(e.Error, tc.want) {
@@ -675,14 +677,15 @@ func TestNoGoroutineLeak(t *testing.T) {
 }
 
 // TestNoGoroutineLeakPrefetchedRound extends the leak pin to the
-// prefetched Approx-FIRAL sweep: with a block size far below the pool
-// the round's selection runs through dataset.WithPrefetch, so every
-// solver sweep keeps an asynchronous shard read in flight. Both a round
+// prefetched Approx-FIRAL sweep: over a pool of two
+// dataset.DefaultBlockRows blocks the round's selection runs through
+// dataset.WithPrefetch, so every solver sweep keeps an asynchronous
+// shard read in flight. Both a round
 // allowed to finish and a round cancelled mid-sweep by session delete
 // must drain those reads and return the process to its original
 // goroutine count.
 func TestNoGoroutineLeakPrefetchedRound(t *testing.T) {
-	shard, labX, labY := testPool(t, t.TempDir(), 400, 6, 3, 52)
+	shard, labX, labY := testPool(t, t.TempDir(), dataset.DefaultBlockRows+404, 6, 3, 52)
 	before := runtime.NumGoroutine()
 
 	srv, err := New(Config{DataDir: t.TempDir()})
@@ -696,7 +699,7 @@ func TestNoGoroutineLeakPrefetchedRound(t *testing.T) {
 	var sv sessionView
 	a.must(http.StatusCreated, "POST", "/v1/sessions", &createRequest{
 		Shards: []string{shard}, Labeled: labeledUpload{X: labX, Y: labY},
-		Selector: "Approx-FIRAL", Probes: 3, FixedRelaxIters: 2, BlockRows: 32, Seed: 3,
+		Selector: "Approx-FIRAL", Probes: 3, FixedRelaxIters: 2, Seed: 3,
 	}, &sv)
 	a.must(http.StatusAccepted, "POST", "/v1/sessions/"+sv.ID+"/rounds", &roundRequest{Budget: 3}, nil)
 	if rv := a.waitRound(sv.ID, 1, 30*time.Second); rv.Status != RoundDone {
@@ -709,7 +712,7 @@ func TestNoGoroutineLeakPrefetchedRound(t *testing.T) {
 	// prefetcher must answer by draining its in-flight read.
 	a.must(http.StatusCreated, "POST", "/v1/sessions", &createRequest{
 		Shards: []string{shard}, Labeled: labeledUpload{X: labX, Y: labY},
-		Selector: "Approx-FIRAL", Probes: 4, FixedRelaxIters: 50, BlockRows: 32, Seed: 4,
+		Selector: "Approx-FIRAL", Probes: 4, FixedRelaxIters: 50, Seed: 4,
 	}, &sv)
 	a.must(http.StatusAccepted, "POST", "/v1/sessions/"+sv.ID+"/rounds", &roundRequest{Budget: 3}, nil)
 	time.Sleep(20 * time.Millisecond) // let the sweep get going

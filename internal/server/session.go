@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/mat"
 )
 
 // Round statuses. A round is created queued, becomes running when the
@@ -79,7 +78,6 @@ type sessionMeta struct {
 	CGTol           float64 `json:"cgtol,omitempty"`
 	RelaxIters      int     `json:"relax_iters,omitempty"`
 	FixedRelaxIters int     `json:"fixed_relax_iters,omitempty"`
-	BlockRows       int     `json:"block_rows,omitempty"`
 
 	// LabeledX/LabeledY are directly uploaded labeled examples (the
 	// initial seed set and any later example uploads); IndexLabels are
@@ -107,14 +105,6 @@ type Session struct {
 	meta sessionMeta
 	dir  string
 	src  *dataset.LiveSource
-
-	// Probability-pass cache for delta-aware rounds: probs holds the
-	// reduced pool probabilities computed by the previous Approx-FIRAL
-	// round, valid while the labeled set (and therefore the trained
-	// model) is unchanged. A round over a grown pool then sweeps only
-	// the appended rows. Guarded by mu; the round goroutine snapshots it.
-	probs        *mat.Dense
-	probsLabeled int // labeled-set size the cache was computed under
 
 	// deleted flips when deleteSession claims the session; a round
 	// enqueue that raced the delete observes it and aborts instead of

@@ -66,7 +66,9 @@ func TestRoundIndependentOfConcurrentLimit(t *testing.T) {
 // TestSessionWorkersField pins the removal of the per-session worker
 // count: a create request that still names it is refused with the field
 // in the error, and a session.json written while the field existed still
-// recovers and runs its queued round.
+// recovers and runs its queued round. That file also names the removed
+// block_rows, which loads the same way: the round runs at the default
+// row-block size.
 func TestSessionWorkersField(t *testing.T) {
 	shard, labX, labY := testPool(t, t.TempDir(), 300, 6, 3, 71)
 	create := map[string]any{
@@ -118,7 +120,8 @@ func TestSessionWorkersField(t *testing.T) {
 		srv.Close()
 
 		// Rewrite session.json as the daemon wrote it while sessions
-		// carried a worker count, with round 1 queued at the crash.
+		// carried a worker count and a block size, with round 1 queued at
+		// the crash.
 		path := filepath.Join(dataDir, sv.ID, "session.json")
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -129,6 +132,7 @@ func TestSessionWorkersField(t *testing.T) {
 			t.Fatal(err)
 		}
 		meta["workers"] = 2
+		meta["block_rows"] = 32
 		meta["rounds"] = []map[string]any{{"round": 1, "budget": 4, "status": RoundQueued}}
 		if raw, err = json.Marshal(meta); err != nil {
 			t.Fatal(err)

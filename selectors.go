@@ -199,7 +199,7 @@ func DistributedFIRAL(ranks int, o FIRALOptions) Selector {
 // distfiral.SelectInProcess over the state's pool on `ranks` ranks.
 func approxSelector(name string, ranks int, o FIRALOptions) Selector {
 	return SelectorFunc(name, func(ctx context.Context, s *State, b int) ([]int, error) {
-		res, err := distfiral.SelectInProcess(ctx, ranks, s.labeled, dataset.NewMatrixSource(s.pool.X), s.pool.H, 0, b, o.options(s.seed))
+		res, err := distfiral.SelectInProcess(ctx, ranks, s.labeled, dataset.NewMatrixSource(s.pool.X), s.pool.H, b, o.options(s.seed))
 		if err != nil {
 			return nil, err
 		}
