@@ -37,15 +37,15 @@
 //	firal -shards pool.shard -labeled seed.csv -budget 10
 //	firal -shards a.shard,b.shard -labeled seed.csv -select dist-firal -ranks 4
 //
-// Multi-process selection: with -transport tcp each OS process is one
-// rank of the distributed solver. Rank 0 listens on the -peers address
-// and every process announces its -rank; selections are bit-identical to
+// Multi-process selection: with -peers each OS process is one rank of
+// the distributed solver. Rank 0 listens on the -peers address and every
+// process announces its -rank; selections are bit-identical to
 // the in-process -ranks run over the same shards. With -op-timeout the
 // run also survives rank failures (survivors agree on the dead set,
 // re-shard, and resume from the last checkpoint). See examples/distributed.
 //
 //	firal -shards pool.shard -labeled seed.csv -select dist-firal \
-//	      -transport tcp -peers host:9907 -ranks 3 -rank $R -op-timeout 5s
+//	      -peers host:9907 -ranks 3 -rank $R -op-timeout 5s
 package main
 
 import (
@@ -86,11 +86,10 @@ func main() {
 		asCSV     = flag.Bool("csv", false, "emit per-round results as CSV")
 		demo      = flag.Bool("demo", false, "ignore -pool/-labeled and run a built-in synthetic demo")
 		shards    = flag.String("shards", "", "comma-separated float32 shard files: stream-select one batch from an out-of-core pool")
-		transport = flag.String("transport", "inproc", "dist-firal transport: inproc (goroutine ranks) or tcp (one OS process per rank)")
-		rank      = flag.Int("rank", 0, "this process's rank with -transport tcp (-ranks is the world size)")
-		peers     = flag.String("peers", "", "rendezvous host:port with -transport tcp (rank 0 listens there, everyone else dials)")
-		opTimeout = flag.Duration("op-timeout", 0, "per-operation timeout enabling rank-failure recovery (0 = wait forever)")
-		killAfter = flag.Int("kill-after", 0, "test hook: crash this process after N collective steps (0 = off)")
+		rank      = flag.Int("rank", 0, "this process's rank with -peers (-ranks is the world size)")
+		peers     = flag.String("peers", "", "dist-firal over TCP, one OS process per rank: rendezvous host:port (rank 0 listens there, everyone else dials); unset runs the ranks in this process")
+		opTimeout = flag.Duration("op-timeout", 0, "per-operation timeout enabling rank-failure recovery with -peers (0 = wait forever)")
+		killAfter = flag.Int("kill-after", 0, "test hook: crash this -peers rank after N collective steps (0 = off)")
 		pack      = flag.String("pack", "", "write the -pool CSV (features only) to this shard file and exit")
 	)
 	flag.Parse()
@@ -111,7 +110,7 @@ func main() {
 			shards: strings.Split(*shards, ","), labeled: *labPath, labelCol: *labelCol,
 			selector: *selName, ranks: *ranks, budget: *budget,
 			seed: *seed, probes: *probes, cgtol: *cgtol, relaxIters: *relaxIt,
-			transport: *transport, rank: *rank, peers: *peers,
+			rank: *rank, peers: *peers,
 			opTimeout: *opTimeout, killAfter: *killAfter,
 		}); err != nil {
 			log.Fatal(err)

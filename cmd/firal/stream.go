@@ -54,9 +54,8 @@ type streamConfig struct {
 	cgtol      float64
 	relaxIters int
 
-	// Real-network mode (-transport tcp): this process is rank `rank` of
-	// a `ranks`-wide world bootstrapped through the `peers` rendezvous.
-	transport string
+	// Real-network mode (a non-empty peers): this process is rank `rank`
+	// of a `ranks`-wide world bootstrapped through the `peers` rendezvous.
 	rank      int
 	peers     string
 	opTimeout time.Duration
@@ -74,8 +73,8 @@ type streamConfig struct {
 // iteration plus a handful per mirror-descent iteration, independent of
 // -probes. Approx- and Dist-FIRAL in one process are the same
 // distfiral.SelectInProcess call, at one rank or at -ranks; with -select
-// dist-firal each rank decodes only its own slice. -transport tcp runs
-// this process as one rank of a multi-process world instead.
+// dist-firal each rank decodes only its own slice. -peers runs this
+// process as one rank of a multi-process dist-firal world instead.
 func streamSelect(cfg streamConfig) error {
 	// Resolve through the selector registry so aliases ("firal", "dist",
 	// …) work here exactly as in the resident path, and unknown names get
@@ -91,9 +90,16 @@ func streamSelect(cfg streamConfig) error {
 		// dense pool Hessians, which requires a resident pool, and a
 		// shard-backed pool is exactly the one that doesn't fit.
 		return fmt.Errorf("-select %s over -shards: %w", cfg.selector, firal.ErrResidentPool)
-	case "Approx-FIRAL", "Dist-FIRAL":
+	case "Dist-FIRAL":
+	case "Approx-FIRAL":
+		if cfg.peers != "" {
+			return fmt.Errorf("-peers runs one rank of -select dist-firal; -select %s runs in one process", cfg.selector)
+		}
 	default:
 		return fmt.Errorf("streaming selection supports -select approx-firal or dist-firal, not %s", name)
+	}
+	if cfg.peers == "" && (cfg.rank != 0 || cfg.opTimeout != 0 || cfg.killAfter != 0) {
+		return fmt.Errorf("-rank, -op-timeout and -kill-after configure one TCP rank and need -peers")
 	}
 	if cfg.labeled == "" {
 		return fmt.Errorf("streaming selection needs -labeled (the classifier trains on it)")
@@ -144,7 +150,7 @@ func streamSelect(cfg streamConfig) error {
 	defer cancel()
 	t0 = time.Now()
 	var picked []int
-	if name == "Dist-FIRAL" && cfg.transport == "tcp" {
+	if cfg.peers != "" {
 		picked, err = tcpSelect(ctx, cfg, labeled, src, reduced, relax)
 	} else {
 		ranks := 1
@@ -174,9 +180,6 @@ func streamSelect(cfg streamConfig) error {
 // deadline, the survivors agree on the dead set, re-shard the pool, and
 // resume from the last global checkpoint.
 func tcpSelect(ctx context.Context, cfg streamConfig, labeled *hessian.Set, src dataset.PoolSource, reduced *mat.Dense, relax firal.RelaxOptions) ([]int, error) {
-	if cfg.peers == "" {
-		return nil, fmt.Errorf("-transport tcp needs -peers host:port (the rendezvous address)")
-	}
 	if cfg.rank < 0 || cfg.rank >= cfg.ranks {
 		return nil, fmt.Errorf("-rank %d outside the %d-rank world", cfg.rank, cfg.ranks)
 	}

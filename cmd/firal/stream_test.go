@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	pub "repro"
 	"repro/internal/firal"
@@ -50,6 +51,26 @@ func TestStreamSelectorResolution(t *testing.T) {
 	for _, name := range pub.Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-selector error %q does not list %s", err, name)
+		}
+	}
+}
+
+// TestStreamSelectRankFlagsNeedPeers pins that the multi-process flags
+// are refused, not ignored, where they would do nothing: -peers outside
+// dist-firal, and the per-rank flags without -peers.
+func TestStreamSelectRankFlagsNeedPeers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  streamConfig
+		want string
+	}{
+		{"approx with peers", streamConfig{selector: "approx-firal", peers: "127.0.0.1:9907"}, "-peers"},
+		{"rank without peers", streamConfig{selector: "dist-firal", rank: 1}, "need -peers"},
+		{"op-timeout without peers", streamConfig{selector: "dist-firal", opTimeout: time.Second}, "need -peers"},
+		{"kill-after without peers", streamConfig{selector: "dist-firal", killAfter: 3}, "need -peers"},
+	} {
+		if err := streamSelect(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -36,6 +36,16 @@ import (
 	"repro/internal/server"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request line and headers, and an idle keep-alive connection is closed
+// after idleTimeout, so a slow or silent client cannot hold a connection
+// forever. There is no timeout on reading a body: a large pool upload
+// over a slow link is honest traffic.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -85,7 +95,7 @@ func run() error {
 		ln.Addr(), *data, *concurrency, *queue, parallel.Workers())
 	fmt.Printf("listening %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

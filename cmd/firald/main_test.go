@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -224,5 +227,42 @@ func TestKillMidRoundResume(t *testing.T) {
 	if fmt.Sprint(resumed.Selected) != fmt.Sprint(ref.Selected) {
 		t.Fatalf("kill-resume selection diverged:\nresumed   %v\nreference %v",
 			resumed.Selected, ref.Selected)
+	}
+}
+
+// TestSlowHeaderClientDisconnected pins the header timeout: a client
+// that sends half a request line and then nothing is disconnected once
+// readHeaderTimeout has passed, while a normal request on another
+// connection is served meanwhile.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	cmd, base := startFirald(t, buildFirald(t), t.TempDir())
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	start := time.Now() // before the dial, so before the daemon's header clock starts
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/hea"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 5 * time.Second
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + slack))
+
+	if code := getJSON(t, base+"/v1/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz beside a stalled client: status %d", code)
+	}
+	var ne net.Error
+	if _, err := io.ReadAll(conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	if took := time.Since(start); took < readHeaderTimeout {
+		t.Fatalf("stalled client disconnected after %v, before the %v header timeout", took, readHeaderTimeout)
 	}
 }

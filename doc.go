@@ -65,15 +65,16 @@
 // pool in contiguous row windows (NumRows, Dim, ReadRows, Close) with
 // three implementations — an in-memory matrix (zero-copy), memory-mapped
 // little-endian float32 shard files, and numeric CSV — and the solver
-// kernels visit it block by block through the hessian.Pool interface
-// (resident hessian.Set or streaming hessian.Stream). The contract:
-// sources surface data errors at open/validation time and tolerate
-// concurrent in-range ReadRows; class probabilities stay resident (n×c,
-// a factor d/c smaller than the features); scratch is bounded by one
-// block (dataset.DefaultBlockRows rows) regardless of pool size; and a
-// pool that fits one block takes a path identical to the historical
-// resident kernels, so the zero-alloc steady-state pins hold for
-// resident and streamed pools alike. Selection from a million-point pool
+// kernels visit it block by block through the hessian.Pool interface,
+// which hessian.Stream implements once: a resident hessian.Set is a
+// Stream over its matrix, served zero-copy. The contract: sources
+// surface data errors at open/validation time and tolerate concurrent
+// in-range ReadRows; class probabilities stay resident (n×c, a factor
+// d/c smaller than the features); scratch is bounded by one block
+// (dataset.DefaultBlockRows rows) regardless of pool size; and every
+// sweep folds per-block partials into a zeroed result at every block
+// count, so the zero-alloc steady-state pins hold for resident and
+// streamed pools alike. Selection from a million-point pool
 // therefore runs without materializing an n×d float64 matrix (see the
 // pool_stream_n1e6_d64 entry in BENCH_round.json, cmd/firal's -shards
 // mode, and examples/streaming); only the exact Algorithm-1 solvers,
@@ -98,9 +99,9 @@
 // a pluggable Transport (tagged point-to-point send/recv with
 // deadlines): the in-process mailbox world behind mpi.Run, and a
 // length-prefixed TCP transport with rendezvous bootstrap for real
-// multi-process runs (cmd/firal -transport tcp -peers host:port
-// -ranks p -rank r). Failures are sticky error values, not panics: a
-// Comm keeps its first transport error (Comm.Err), a streamed pool its
+// multi-process runs (cmd/firal -peers host:port -ranks p -rank r).
+// Failures are sticky error values, not panics: a Comm keeps its first
+// transport error (Comm.Err), a streamed pool its
 // first read error, and the solvers' per-iteration poll agrees on them
 // so every rank stops at the same iteration. With an operation timeout
 // set, a dead rank surfaces as mpi.ErrRankLost; in-process, mpi.Run

@@ -182,12 +182,12 @@ multi-process walkthrough (three shells; between machines replace
 
   # rank 0 listens on the rendezvous port; ranks 1 and 2 dial it
   firal -shards pool.shard -labeled seed.csv -select dist-firal \
-        -transport tcp -peers 127.0.0.1:9907 -ranks 3 -rank 0 -budget 10 -op-timeout 5s
+        -peers 127.0.0.1:9907 -ranks 3 -rank 0 -budget 10 -op-timeout 5s
   firal ... -rank 1 ...   # identical flags except -rank
   firal ... -rank 2 ...
 
 All three print the same selection — bit-identical to a single-process
-run over the same shards (-select dist-firal without -transport).
+run over the same shards (-select dist-firal without -peers).
 
 Fault recovery: give one rank -kill-after N (it exits mid-RELAX after N
 collectives; a stand-in for a real crash). With -op-timeout set, the

@@ -111,9 +111,6 @@ func (sw *ShardWriter) AppendBlock(x *mat.Dense) error {
 	return nil
 }
 
-// Rows returns the number of rows appended so far.
-func (sw *ShardWriter) Rows() int { return sw.rows }
-
 // Close flushes the payload, patches the row count into the header,
 // fsyncs the file and closes it, so a closed shard is on stable storage.
 func (sw *ShardWriter) Close() error {

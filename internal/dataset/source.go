@@ -60,9 +60,10 @@ type Resident interface {
 
 // DefaultBlockRows is the row-block size blocked consumers use when the
 // caller does not choose one. It balances scratch footprint (a block of
-// d=64 features is 2 MiB) against per-block kernel dispatch overhead, and
-// is deliberately larger than every test-sized pool so the resident fast
-// paths keep their historical single-block behaviour.
+// d=64 features is 2 MiB) against per-block kernel dispatch overhead. It
+// fixes bits: each block's GEMM picks its summation order from the
+// block's row count, and each block's partial folds into the result in
+// turn. A pool of one block runs the same fold as a pool of many.
 const DefaultBlockRows = 4096
 
 // checkWindow validates a [lo, hi) row window against a source's shape.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/hessian"
 	"repro/internal/mat"
+	"repro/internal/rnd"
 	"repro/internal/softmax"
 	"repro/internal/timing"
 )
@@ -449,4 +450,33 @@ func testRoundState(p *Problem, z []float64, b int, eta float64, ph *timing.Phas
 		return nil, err
 	}
 	return NewRoundState(sig, p.labeledBlocks(), b, eta, ph)
+}
+
+// TestTraceFromProbes checks the Hutchinson estimate RELAX takes from its
+// transposed probe block: exact for a multiple of the identity, and summed
+// in the order of the column form, probe by probe.
+func TestTraceFromProbes(t *testing.T) {
+	rng := rnd.New(5)
+	n, s := 12, 64
+	a := mat.Eye(n)
+	a.Scale(3)
+	v := mat.NewDense(n, s)
+	rng.Rademacher(v.Data)
+	av := mat.Mul(nil, a, v)
+	// The column form: probe j is column j of v, its image column j of av.
+	var acc float64
+	col1 := make([]float64, n)
+	col2 := make([]float64, n)
+	for j := 0; j < s; j++ {
+		v.Col(col1, j)
+		av.Col(col2, j)
+		acc += mat.Dot(col1, col2)
+	}
+	want := acc / float64(s)
+	if math.Abs(want-3*float64(n)) > 1e-9 {
+		t.Fatalf("column-form estimate %g want %g", want, 3*float64(n))
+	}
+	if got := traceFromProbesT(v.T(), av.T()); got != want {
+		t.Fatalf("traceFromProbesT %g, column form %g", got, want)
+	}
 }

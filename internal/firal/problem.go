@@ -31,8 +31,9 @@ import (
 // and ẽd = d·(c−1). The full-softmax parametrization would make every Σz
 // singular along the gauge directions 1 ⊗ u and stall the CG solves.
 //
-// The pool is a hessian.Pool: a resident Set or a block-streaming Stream
-// over a dataset.PoolSource. The fast RELAX/ROUND path only touches the
+// The pool is a hessian.Pool: a resident Set, or a block-streaming
+// Stream over a dataset.PoolSource (a Set serves Pool through a Stream
+// over its matrix). The fast RELAX/ROUND path only touches the
 // pool through the blocked Pool kernels, so Approx-FIRAL selects from
 // pools that never materialize as one matrix; the exact Algorithm-1
 // solvers assemble dense pool Hessians and require residency (see
@@ -66,12 +67,13 @@ func NewProblem(labeled *hessian.Set, pool hessian.Pool) *Problem {
 var ErrNonFinite = errors.New("firal: non-finite Σz block, ROUND score or ν eigenvalue")
 
 // ErrResidentPool is returned by the exact Algorithm-1 solvers when the
-// pool streams from a PoolSource: they assemble dense pool Hessians and
-// per-point outer products, which requires the resident representation.
-var ErrResidentPool = errors.New("firal: exact FIRAL requires a resident pool (hessian.Set)")
+// pool is a bare hessian.Stream over a PoolSource: they assemble dense
+// pool Hessians and per-point outer products from the X and H matrices
+// that only a hessian.Set holds.
+var ErrResidentPool = errors.New("firal: exact FIRAL needs the pool as a hessian.Set (resident X and H), not a bare stream")
 
 // ResidentPool returns the pool as a resident Set, or nil when the pool
-// is block-streaming.
+// is a bare Stream over a PoolSource.
 func (p *Problem) ResidentPool() *hessian.Set {
 	s, _ := p.Pool.(*hessian.Set)
 	return s

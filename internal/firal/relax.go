@@ -12,7 +12,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/parallel"
 	"repro/internal/rnd"
-	"repro/internal/sketch"
 	"repro/internal/timing"
 )
 
@@ -230,6 +229,22 @@ func mirrorStep(cm Collective, z, g []float64, t int) error {
 	return nil
 }
 
+// traceFromProbesT is Hutchinson's estimator with Rademacher probes
+// (§ III-A): Trace(A) ≈ (1/s) Σ_j v_jᵀ (A v_j), from a probe block and
+// its image, both transposed (s×n, row j = probe j — the layout of the
+// block-CG path). This is how Algorithm 2 reuses the CG solutions: the
+// same probe block serves the trace estimates of all n gradient entries.
+func traceFromProbesT(vt, avt *mat.Dense) float64 {
+	if vt.Rows != avt.Rows || vt.Cols != avt.Cols {
+		panic("firal: probe shape mismatch")
+	}
+	var acc float64
+	for j := 0; j < vt.Rows; j++ {
+		acc += mat.Dot(vt.Row(j), avt.Row(j))
+	}
+	return acc / float64(vt.Rows)
+}
+
 // relConv reports whether the objective change between prev and cur is
 // below tol, relative to |prev|. Used by the exact solver, whose
 // objective is deterministic.
@@ -439,7 +454,7 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 		// (1/s) Σ_j v_jᵀ (Hp w_j) by symmetry of Σz and Hp.
 		stop = ph.Start("gradient")
 		poolMV(hpw, w)
-		f := sketch.TraceFromProbesT(vt, hpw)
+		f := traceFromProbesT(vt, hpw)
 		stop()
 
 		// Line 8: W ← Σz⁻¹ W by the second lockstep block CG.

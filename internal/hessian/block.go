@@ -33,8 +33,10 @@ import (
 //     ascending order, skipping zero Γ (mat.AccumRows), unless
 //     mat.UseBlocked(c, d, m) sends the block's Γᵀ·X to the packed path
 //     (c ≥ 16): then each probe's Γ goes through mat.MulTransA itself;
-//   - a multi-block pool folds each block's partial into dst with
-//     dst += partial.
+//   - each block's partial starts from +0 and folds into the zeroed dst
+//     with dst += partial, at every block count: a partial is never −0,
+//     and +0 + x is x bit for bit, so one block gives the bits of
+//     writing its sums to dst directly.
 //
 // So every column is bit-identical to the per-probe kernels, for any
 // worker count: workers split probes, columns or rows, never the
@@ -84,6 +86,16 @@ func checkBlockShapes(p Pool, vs ...*mat.Dense) {
 	}
 }
 
+// checkCompact panics unless every probe block is compact: the dots read
+// a window of probes as one (probes·c)×d matrix.
+func checkCompact(vs ...*mat.Dense) {
+	for _, v := range vs {
+		if v.Stride != v.Cols {
+			panic("hessian: probe block needs compact storage")
+		}
+	}
+}
+
 // probeWindow is one worker's share of a probe-split sweep: probes
 // [j0, j1) and their rows packed for the window alone (when packed is
 // set). Window i's Γ tile, sweepTile rows of (j1−j0)·c, starts at
@@ -105,7 +117,7 @@ type sweepTask struct {
 	upk, vpk      mat.Packed    // their storage
 	wins          []probeWindow // a probe-split sweep's windows
 	ga, pd        mat.Dense     // one probe's Γ and partial, for mat.MulTransA
-	w, g, acc     []float64     // weights; dot/Γ scratch; per-probe block partials (nil: dst)
+	w, g, acc     []float64     // weights; dot/Γ scratch; per-probe block partials
 	qdst          []float64     // quadratic-form result
 	scale         float64
 	base, m       int // global index of the block's first row; block rows
@@ -153,32 +165,24 @@ func (t *sweepTask) release() {
 // for the dense operator (Table III). The whole block takes ONE sweep
 // over the pool: every row block obtained from Pool.Block — for a
 // streamed source, every decode — updates all s outputs before the next
-// block is read. A nil w means unit weights; dst must not alias v.
-// Scratch comes from ws; a warm workspace makes the call
+// block is read. A nil w means unit weights; v must be compact and dst
+// must not alias it. Scratch comes from ws; a warm workspace makes the call
 // allocation-free. Column results are bit-for-bit equal to the per-probe
 // MulTransB/Γ/MulTransA composition (see the file comment).
 //
 //firal:hotpath
 func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 	checkBlockShapes(p, dst, v)
+	checkCompact(v)
 	s := v.Rows
 	n, d, c := p.N(), p.D(), p.C()
-	if n == 0 {
-		// An empty pool (e.g. a rank whose partition is empty when ranks
-		// exceed pool rows) contributes a zero sum; without this the
-		// single-block path would leave stale data in dst.
-		dst.Zero()
-		return
-	}
 	bs := p.BlockRows()
 	t := sweepTasks.Get()
 	t.v, t.dst, t.h, t.w = v, dst, p.Probs(), w
 	t.s, t.d, t.c = s, d, c
-	if bs < n {
-		dst.Zero()
-		t.accStride = lineStride(d * c)
-		t.acc = ws.Vec(s * t.accStride)
-	}
+	dst.Zero()
+	t.accStride = lineStride(d * c)
+	t.acc = ws.Vec(s * t.accStride)
 	// The scratch holds a Γ tile region per probe window (s ≥ workers), a
 	// whole block's Γ for every probe (s < workers), or a whole block's Γ
 	// for one probe (packed Γᵀ·X); the largest block sizes it. The shared
@@ -323,31 +327,26 @@ func (t *sweepTask) accumPacked(j int) {
 }
 
 // dots writes the c dot products of block rows [r0, r1) with probes
-// [j0, j1) of vb into g: row r0+i, probe j at g[i·gs + (j−j0)·c:][:c],
-// gs = (j1−j0)·c. It multiplies with pb, a packing of vb whose column pc0
-// is probe j0's first, when there is one and the block's order has a
-// packed kernel that pays: the blocked order always, the unblocked (dotu)
-// order where mat.UseDotuTile.
+// [j0, j1) of the compact probe block vb into g: row r0+i, probe j at
+// g[i·gs + (j−j0)·c:][:c], gs = (j1−j0)·c. It multiplies with pb, a
+// packing of vb whose column pc0 is probe j0's first, when there is one
+// and the block's order has a packed kernel that pays: the blocked order
+// always, the unblocked (dotu) order where mat.UseDotuTile. A block in
+// the blocked order always has a packing (packProbes), so vb itself is
+// only read in the unblocked order.
 //
 //firal:hotpath
 func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, pc0, r0, r1, j0, j1 int) {
 	gs := (j1 - j0) * t.c
 	xs := t.xb.Stride
 	xt := mat.Dense{Rows: r1 - r0, Cols: t.d, Stride: xs, Data: t.xb.Data[r0*xs:]}
+	gt := mat.Dense{Rows: r1 - r0, Cols: gs, Stride: gs, Data: g}
 	if pb != nil && (t.blocked || mat.UseDotuTile(pc0, pc0+gs)) {
-		gt := mat.Dense{Rows: r1 - r0, Cols: gs, Stride: gs, Data: g}
 		mat.MulPackedRightInOrder(&gt, &xt, pb, pc0, t.blocked)
 		return
 	}
-	step := j1 - j0
-	if vb.Stride != vb.Cols {
-		step = 1 // probe rows are not contiguous: one product per probe
-	}
-	for j := j0; j < j1; j += step {
-		gt := mat.Dense{Rows: r1 - r0, Cols: step * t.c, Stride: gs, Data: g[(j-j0)*t.c:]}
-		vt := mat.Dense{Rows: step * t.c, Cols: t.d, Stride: t.d, Data: vb.Data[j*vb.Stride:]}
-		mat.MulTransBInOrder(&gt, &xt, &vt, t.blocked)
-	}
+	vt := mat.Dense{Rows: gs, Cols: t.d, Stride: t.d, Data: vb.Data[j0*vb.Cols:]}
+	mat.MulTransBInOrder(&gt, &xt, &vt, false)
 }
 
 // gamma rewrites the dots of block rows [r0, r1) in g (laid out as in
@@ -431,26 +430,22 @@ func (t *sweepTask) accumulate(g []float64, gs, j, c0, c1, r0, r1 int) {
 	}
 }
 
-// packProbes packs probes [j0, j1) of vb, read as an ((j1−j0)·c)×d
-// matrix, into pk for the packed dots and returns it. It returns nil, and
-// the dots read vb in place, when vb's probe rows are not contiguous, or
-// when no block of up to rows rows takes the blocked order and the dotu
-// tile does not pay on all the probes' columns (mat.UseDotuTile), so on
-// no narrower window either.
+// packProbes packs probes [j0, j1) of the compact probe block vb, read
+// as an ((j1−j0)·c)×d matrix, into pk for the packed dots and returns it.
+// It returns nil, and the dots read vb in place, when no block of up to
+// rows rows takes the blocked order (mat.UseBlocked grows with the row
+// count) and the dotu tile does not pay on all the probes' columns
+// (mat.UseDotuTile), so on no narrower window either.
 func (t *sweepTask) packProbes(pk *mat.Packed, vb *mat.Dense, rows, j0, j1 int) *mat.Packed {
-	if vb.Stride != vb.Cols || !mat.UseBlocked(rows, t.c, t.d) && !mat.UseDotuTile(0, (j1-j0)*t.c) {
+	if !mat.UseBlocked(rows, t.c, t.d) && !mat.UseDotuTile(0, (j1-j0)*t.c) {
 		return nil
 	}
-	pk.PackRight(&mat.Dense{Rows: (j1 - j0) * t.c, Cols: t.d, Stride: t.d, Data: vb.Data[j0*vb.Stride:]})
+	pk.PackRight(&mat.Dense{Rows: (j1 - j0) * t.c, Cols: t.d, Stride: t.d, Data: vb.Data[j0*vb.Cols:]})
 	return pk
 }
 
-// partial returns probe j's block partial: dst's row itself when the
-// pool is one block, else its region of the accumulator.
+// partial returns probe j's block partial, its region of the accumulator.
 func (t *sweepTask) partial(j int) []float64 {
-	if t.acc == nil {
-		return t.dst.Row(j)
-	}
 	return t.acc[j*t.accStride : j*t.accStride+t.d*t.c]
 }
 
@@ -468,14 +463,10 @@ func (t *sweepTask) clearPartials(j0, j1, c0, c1 int) {
 }
 
 // foldPartials adds the block partials of probes [j0, j1), columns
-// [c0, c1) of each class row, into dst (a no-op for one-block pools,
-// whose partial is dst).
+// [c0, c1) of each class row, into dst.
 //
 //firal:hotpath
 func (t *sweepTask) foldPartials(j0, j1, c0, c1 int) {
-	if t.acc == nil {
-		return
-	}
 	for j := j0; j < j1; j++ {
 		src, dr := t.partial(j), t.dst.Row(j)
 		for k := 0; k < t.c; k++ {
@@ -492,18 +483,16 @@ func (t *sweepTask) foldPartials(j0, j1, c0, c1 int) {
 // pool sweep, each row tile read once for all probes. For each point the
 // per-probe contributions land in ascending j order, exactly as s
 // sequential per-probe sweeps would order them, so the result is
-// bit-for-bit identical to them.
+// bit-for-bit identical to them. u and v must be compact.
 //
 //firal:hotpath
 func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense, scale float64) {
 	checkBlockShapes(p, u, v)
+	checkCompact(u, v)
 	s := u.Rows
 	n, d, c := p.N(), p.D(), p.C()
 	if len(dst) != n {
 		panic("hessian: QuadAccum dst length mismatch")
-	}
-	if n == 0 {
-		return
 	}
 	bs := p.BlockRows()
 	// One item per worker, each with private tile scratch for both dot
@@ -570,7 +559,9 @@ func (t *sweepTask) quadRows(lo, hi int) {
 // from ws, so callers that rebuild the blocks every iteration (the RELAX
 // preconditioner, the distributed allreduce) reuse one set of buffers
 // round to round. Row blocks are visited outermost, so a streamed source
-// is read once per call, with all c class Grams accumulated per visit.
+// is read once per call, with all c class Grams accumulated per visit;
+// each row block's Gram folds into the zeroed blocks, at every block
+// count, as MatVecBlockWS folds its partials.
 //
 //firal:hotpath
 func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float64) []*mat.Dense {
@@ -583,24 +574,12 @@ func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float6
 	} else if len(blocks) != c {
 		panic("hessian: BlockDiagSumInto block count mismatch")
 	}
-	if n == 0 {
-		// Empty pool partition: the sum is zero, and reused blocks (the
-		// RELAX sigCache) must not keep a previous iteration's values.
-		for k := range blocks {
-			blocks[k].Zero()
-		}
-		return blocks
+	for k := range blocks {
+		blocks[k].Zero()
 	}
 	h := p.Probs()
 	bs := p.BlockRows()
-	single := bs >= n
-	var acc *mat.Dense
-	if !single {
-		for k := range blocks {
-			blocks[k].Zero()
-		}
-		acc = ws.Matrix(d, d)
-	}
+	acc := ws.Matrix(d, d)
 	u := ws.Vec(min(bs, n))
 	for lo := 0; lo < n; lo += bs {
 		hi := min(lo+bs, n)
@@ -615,18 +594,12 @@ func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float6
 				hv := h.At(lo+i, k)
 				u[i] = wi * hv * (1 - hv)
 			}
-			if single {
-				mat.WeightedGram(blocks[k], xb, u)
-			} else {
-				mat.WeightedGram(acc, xb, u[:m])
-				blocks[k].AddScaled(1, acc)
-			}
+			mat.WeightedGram(acc, xb, u[:m])
+			blocks[k].AddScaled(1, acc)
 		}
 		p.PutBlock(ws, xb)
 	}
 	ws.PutVec(u)
-	if acc != nil {
-		ws.PutMatrix(acc)
-	}
+	ws.PutMatrix(acc)
 	return blocks
 }

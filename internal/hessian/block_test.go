@@ -292,33 +292,35 @@ func TestBlockWSMidPanelSplit(t *testing.T) {
 	}
 }
 
-// TestMatVecBlockWSStridedVectors covers probe blocks whose rows are not
-// contiguous (a wider stride): the fused kernel takes one product per
-// probe there and must still match the oracle.
-func TestMatVecBlockWSStridedVectors(t *testing.T) {
+// TestBlockKernelsRejectStridedProbes pins the probe-block layout: the
+// fused kernels read a window of probes as one matrix, so a probe block
+// whose rows are not contiguous (a wider stride) panics in both.
+func TestBlockKernelsRejectStridedProbes(t *testing.T) {
 	set := sweepSet(252, 64, 10, 5)
-	p := streamPool(set, 100)
 	const s = 3
 	ed := set.Ed()
-	vt := &mat.Dense{Rows: s, Cols: ed, Stride: ed + 5, Data: make([]float64, s*(ed+5))}
-	rnd.New(6).Normal(vt.Data, 0, 1)
-	want := mat.NewDense(s, ed)
-	oracleMatVecBlock(p, want, vt, nil)
-	got := mat.NewDense(s, ed)
-	MatVecBlockWS(mat.NewWorkspace(), p, got, vt, nil)
-	for i, v := range got.Data {
-		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("element %d = %g, oracle %g", i, v, want.Data[i])
-		}
-	}
-	g := make([]float64, set.N())
-	wantG := make([]float64, set.N())
-	QuadAccumBlockWS(mat.NewWorkspace(), p, g, vt, vt, 0.5)
-	oracleQuadAccumBlock(p, wantG, vt, vt, 0.5)
-	for i := range g {
-		if math.Float64bits(g[i]) != math.Float64bits(wantG[i]) {
-			t.Fatalf("quad g[%d] = %g, oracle %g", i, g[i], wantG[i])
-		}
+	strided := &mat.Dense{Rows: s, Cols: ed, Stride: ed + 5, Data: make([]float64, s*(ed+5))}
+	compactBlock := mat.NewDense(s, ed)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"MatVecBlockWS", func() { MatVecBlockWS(mat.NewWorkspace(), set, mat.NewDense(s, ed), strided, nil) }},
+		{"QuadAccumBlockWS u", func() {
+			QuadAccumBlockWS(mat.NewWorkspace(), set, make([]float64, set.N()), strided, compactBlock, 0.5)
+		}},
+		{"QuadAccumBlockWS v", func() {
+			QuadAccumBlockWS(mat.NewWorkspace(), set, make([]float64, set.N()), compactBlock, strided, 0.5)
+		}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a strided probe block", tc.name)
+				}
+			}()
+			tc.run()
+		}()
 	}
 }
 

@@ -25,10 +25,15 @@ import (
 	"repro/internal/softmax"
 )
 
-// Set is a collection of points with attached class probabilities — the
-// (x_i, h_i) pairs over which Hessian sums such as Ho, Hp, Hz (Eq. 3)
-// range. X is n×d and H is n×c; row i of H is h(x_i) under the current
-// classifier.
+// Set is a resident collection of points with attached class
+// probabilities — the (x_i, h_i) pairs over which Hessian sums such as
+// Ho, Hp, Hz (Eq. 3) range. X is n×d and H is n×c; row i of H is h(x_i)
+// under the current classifier.
+//
+// A Set serves Pool through its embedded Stream over
+// dataset.NewMatrixSource(X), the code path of every streamed pool. Its
+// blocks and rows alias X's storage, so an in-place change to X or H
+// shows through them; NewSet serves a non-compact X from a compact copy.
 //
 // FIRAL uses the reduced (c−1)-class parametrization of Eq. 1 (θ ∈
 // R^{d×(c−1)}, h ∈ R^{c−1} with class c as reference): pass probability
@@ -39,6 +44,7 @@ import (
 type Set struct {
 	X *mat.Dense
 	H *mat.Dense
+	*Stream
 }
 
 // ReduceProbs drops the last class column of a full softmax probability
@@ -91,20 +97,8 @@ func NewSet(x, h *mat.Dense) *Set {
 	if x.Rows != h.Rows {
 		panic("hessian: X and H row mismatch")
 	}
-	return &Set{X: x, H: h}
+	return &Set{X: x, H: h, Stream: NewStream(dataset.NewMatrixSource(x), h, 0)}
 }
-
-// N returns the number of points.
-func (s *Set) N() int { return s.X.Rows }
-
-// D returns the point dimension.
-func (s *Set) D() int { return s.X.Cols }
-
-// C returns the number of classes.
-func (s *Set) C() int { return s.H.Cols }
-
-// Ed returns the Fisher dimension ẽd = d·c.
-func (s *Set) Ed() int { return s.X.Cols * s.H.Cols }
 
 // DensePoint assembles the dense dc×dc Hessian of Eq. 2 for a single
 // (x, h) pair. Used by Exact-FIRAL and as the reference implementation in

@@ -9,15 +9,15 @@ import (
 	"repro/internal/mat"
 )
 
-// Pool is the solver-facing view of a weighted point set: either the
-// resident Set or the block-streaming Stream. It only gives access to the
-// data; the kernels over it — the Lemma-2 matvec (MatVecBlockWS), the
-// Hutchinson gradient accumulation (QuadAccumBlockWS), the Eq. 14 Gram
-// blocks (BlockDiagSumInto), and the ROUND rescoring pass in
-// internal/firal — visit the pool in contiguous row blocks obtained from
-// Block/PutBlock, so an out-of-core pool (mmap'd float32 shards, CSV)
-// flows through the same Workspace/worker-pool machinery as a resident
-// one.
+// Pool is the solver-facing view of a weighted point set. Stream is its
+// one implementation; a resident Set serves it through an embedded Stream
+// over its matrix. It only gives access to the data; the kernels over it
+// — the Lemma-2 matvec (MatVecBlockWS), the Hutchinson gradient
+// accumulation (QuadAccumBlockWS), the Eq. 14 Gram blocks
+// (BlockDiagSumInto), and the ROUND rescoring pass in internal/firal —
+// visit the pool in contiguous row blocks obtained from Block/PutBlock,
+// so an out-of-core pool (mmap'd float32 shards, CSV) flows through the
+// same Workspace/worker-pool machinery as a resident one.
 //
 // Probabilities stay resident: the n×c probability matrix is a factor d/c
 // smaller than the features and the solvers index it per row (the mirror
@@ -52,52 +52,14 @@ type Pool interface {
 // ErrPoolRead marks a failed read of a streamed pool's rows.
 var ErrPoolRead = errors.New("hessian: pool read failed")
 
-// Set implements Pool with resident storage.
-
-// Probs returns the resident probability matrix H.
-func (s *Set) Probs() *mat.Dense { return s.H }
-
-// Row returns feature row i (a view; buf is ignored).
-func (s *Set) Row(i int, buf []float64) []float64 { return s.X.Row(i) }
-
-// BlockRows returns the default block granularity; every pool smaller
-// than it (all the paper-table configs that fit in RAM) is served as one
-// block, which keeps the resident fast paths on their historical
-// single-sweep behaviour.
-func (s *Set) BlockRows() int { return dataset.DefaultBlockRows }
-
-// Block returns rows [lo, hi) of X as a zero-copy view when X is compact
-// (the overwhelmingly common case), or copied into workspace scratch.
-func (s *Set) Block(ws *mat.Workspace, lo, hi int) *mat.Dense {
-	if s.X.Stride == s.X.Cols {
-		return ws.View(s.X.Data[lo*s.X.Cols:hi*s.X.Cols], hi-lo, s.X.Cols)
-	}
-	b := ws.Matrix(hi-lo, s.X.Cols)
-	for i := lo; i < hi; i++ {
-		copy(b.Row(i-lo), s.X.Row(i))
-	}
-	return b
-}
-
-// PutBlock releases a block obtained from Block.
-func (s *Set) PutBlock(ws *mat.Workspace, b *mat.Dense) {
-	if s.X.Stride == s.X.Cols {
-		ws.PutView(b)
-	} else {
-		ws.PutMatrix(b)
-	}
-}
-
-// Err returns nil: a resident set cannot fail a read.
-func (s *Set) Err() error { return nil }
-
 // Stream is the block-streaming Pool: features come from a
 // dataset.PoolSource block by block while the probability rows stay
 // resident. It is how selection scales past resident pools — an mmap'd
 // float32 shard set or a CSV file feeds the same solver kernels as an
-// in-memory matrix, with scratch bounded by one row block.
+// in-memory matrix, with scratch bounded by one row block — and, over a
+// dataset.MatrixSource, how a resident Set serves its rows zero-copy.
 //
-// Like Set, a Stream is read-only after construction and may be shared by
+// A Stream is read-only after construction and may be shared by
 // goroutines that each bring their own Workspace, provided the source's
 // ReadRows is concurrency-safe (all dataset sources are); its read error
 // is set at most once.

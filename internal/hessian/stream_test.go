@@ -122,6 +122,26 @@ func TestResidentSetCrossesBlockBoundary(t *testing.T) {
 	}
 }
 
+// TestSetServesZeroCopy pins the resident path: the blocks and rows a
+// Set serves alias X's storage, so a resident pool reaches the kernels
+// without a copy.
+func TestSetServesZeroCopy(t *testing.T) {
+	const n, d = 50, 6
+	set, _ := streamTestData(10, n, d, 3)
+	ws := mat.NewWorkspace()
+	b := set.Block(ws, 7, 19)
+	if b.Rows != 12 || b.Cols != d || &b.Data[0] != &set.X.Row(7)[0] || &b.Data[len(b.Data)-1] != &set.X.Row(18)[d-1] {
+		t.Fatalf("Block(7, 19) is %d×%d and does not alias rows 7–18 of X", b.Rows, b.Cols)
+	}
+	set.PutBlock(ws, b)
+	buf := make([]float64, d)
+	for _, i := range []int{0, 23, n - 1} {
+		if row := set.Row(i, buf); len(row) != d || &row[0] != &set.X.Row(i)[0] {
+			t.Fatalf("Row(%d) does not alias row %d of X", i, i)
+		}
+	}
+}
+
 // TestStreamShardMatchesRoundedResident checks the full out-of-core path:
 // a Stream over mmap'd float32 shards must match a resident Set built
 // from the float32-rounded values bit-for-bit.

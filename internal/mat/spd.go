@@ -49,17 +49,6 @@ func (s *SPDFuncs) clamped(v float64) float64 {
 	return v
 }
 
-// Sqrt returns A^{1/2} (negative eigenvalues from roundoff are clamped to
-// zero).
-func (s *SPDFuncs) Sqrt() *Dense {
-	return s.apply(nil, nil, func(l float64) float64 {
-		if l < 0 {
-			return 0
-		}
-		return math.Sqrt(l)
-	})
-}
-
 // InvSqrt returns A^{-1/2} with eigenvalue flooring.
 func (s *SPDFuncs) InvSqrt() *Dense { return s.apply(nil, nil, s.invSqrt) }
 

@@ -19,7 +19,7 @@ func localFactory(t testing.TB, p int) []mpi.Transport {
 // tcpFactory bootstraps a loopback TCP group through the real
 // rendezvous protocol (rank 0 listens on an ephemeral port, the other
 // ranks dial it), so the suite exercises exactly the code path of
-// `firal -transport tcp`.
+// `firal -peers`.
 func tcpFactory(t testing.TB, p int) []mpi.Transport {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -522,7 +522,7 @@ func DialTCP(ctx context.Context, rendezvous string, rank, size int) (Transport,
 
 // ConnectTCP joins a TCP transport group: rank 0 listens on the
 // rendezvous address and every other rank dials it. This is the one-call
-// entry point the CLI flags (-transport tcp -rank R -peers ADDR) map to.
+// entry point the CLI flags (-peers ADDR -rank R) map to.
 func ConnectTCP(ctx context.Context, rendezvous string, rank, size int) (Transport, error) {
 	if rank == 0 {
 		rz, err := ListenTCP(rendezvous, size)

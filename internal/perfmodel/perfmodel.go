@@ -47,16 +47,6 @@ func (m Machine) Allreduce(words float64, p int) float64 {
 	return logp(p) * (m.Ts + bytes*(m.Tw+m.Tc))
 }
 
-// Allgather models a recursive-doubling allgather of a total of words
-// elements: log p · ts + (p−1)/p · m·tw.
-func (m Machine) Allgather(words float64, p int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	bytes := words * m.BytesPerWord
-	return logp(p)*m.Ts + float64(p-1)/float64(p)*bytes*m.Tw
-}
-
 // Bcast models a binomial-tree broadcast: log p · (ts + m·tw).
 func (m Machine) Bcast(words float64, p int) float64 {
 	if p <= 1 {

@@ -147,7 +147,7 @@ func New(cfg Config) (*Server, error) {
 		sess.mu.Unlock()
 		if resume != nil {
 			s.cfg.Logf("recover: session %s round %d (%s) re-enqueued", id, resume.Round, resume.Status)
-			if err := s.enqueueRound(sess, resume, true); err != nil {
+			if _, err := s.enqueueRoundPos(sess, resume, true); err != nil {
 				s.cfg.Logf("recover: session %s round %d: %v", id, resume.Round, err)
 			}
 		}
@@ -406,12 +406,8 @@ func (s *Server) startRound(sess *Session, budget int) (round, pos int, err erro
 	return rm.Round, pos, nil
 }
 
-// enqueueRound admits rm (forced for recovery) and launches its goroutine.
-func (s *Server) enqueueRound(sess *Session, rm *RoundMeta, force bool) error {
-	_, err := s.enqueueRoundPos(sess, rm, force)
-	return err
-}
-
+// enqueueRoundPos admits rm (forced for recovery), launches its
+// goroutine and returns its queue position.
 func (s *Server) enqueueRoundPos(sess *Session, rm *RoundMeta, force bool) (int, error) {
 	s.mu.Lock()
 	if s.closed {

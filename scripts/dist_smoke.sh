@@ -41,7 +41,7 @@ port=$((21000 + $$ % 20000))
 echo "== part 1: 3-process TCP run vs in-process golden (port $port)"
 pids=()
 for r in 0 1 2; do
-    "$bin" "${common[@]}" -transport tcp -peers "127.0.0.1:$port" -rank "$r" \
+    "$bin" "${common[@]}" -peers "127.0.0.1:$port" -rank "$r" \
         >"$work/tcp$r.txt" 2>"$work/tcp$r.log" &
     pids+=($!)
 done
@@ -64,12 +64,12 @@ port=$((port + 1))
 echo "== part 2: kill rank 2 mid-solve, survivors recover (port $port)"
 pids=()
 for r in 0 1; do
-    "$bin" "${common[@]}" -transport tcp -peers "127.0.0.1:$port" -rank "$r" \
+    "$bin" "${common[@]}" -peers "127.0.0.1:$port" -rank "$r" \
         -op-timeout 1s >"$work/kill$r.txt" 2>"$work/kill$r.log" &
     pids+=($!)
 done
 set +e
-"$bin" "${common[@]}" -transport tcp -peers "127.0.0.1:$port" -rank 2 \
+"$bin" "${common[@]}" -peers "127.0.0.1:$port" -rank 2 \
     -op-timeout 1s -kill-after 25 >"$work/kill2.txt" 2>"$work/kill2.log"
 victim=$?
 set -e
