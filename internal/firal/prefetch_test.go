@@ -118,6 +118,43 @@ func TestRelaxPrefetchDecodeSweepsUnchanged(t *testing.T) {
 	t.Logf("both paths: %.0f sweeps in %d reads", preCount.Sweeps(), preCount.Reads())
 }
 
+// TestRelaxIterationDecodeSweeps pins the decode traffic of one RELAX
+// mirror-descent iteration over a multi-block stream: exactly 3 + k₁ + k₂
+// whole sweeps — the Σz blocks, Hp·W and the gradient, plus one per
+// lockstep iteration of the two block-CG solves. Each solve starts from
+// zero, so no sweep computes an initial residual. At one probe the
+// reported CG iterations are k₁ + k₂; with an unreachable tolerance each
+// solve runs its full cap.
+func TestRelaxIterationDecodeSweeps(t *testing.T) {
+	p := testProblem(53, 12, 500, 8, 4)
+	pool := p.ResidentPool()
+	const bs = 64
+	for _, tc := range []struct {
+		name string
+		opts RelaxOptions
+		cg   func(r *RelaxResult) int // k₁ + k₂
+	}{
+		{"one probe", RelaxOptions{FixedIterations: 1, Probes: 1, CGTol: 0.1, Seed: 5},
+			func(r *RelaxResult) int { return r.CGIterations }},
+		{"capped block", RelaxOptions{FixedIterations: 1, Probes: 6, CGTol: 1e-300, CGMaxIter: 3, Seed: 5},
+			func(*RelaxResult) int { return 2 * 3 }},
+	} {
+		counting := dataset.NewCountingSource(dataset.NewMatrixSource(pool.X))
+		r, err := RelaxFast(context.Background(), NewProblem(p.Labeled, hessian.NewStream(counting, pool.H, bs)), 6, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Iterations != 1 || r.CGIterations == 0 {
+			t.Fatalf("%s: %d iterations, %d CG iterations", tc.name, r.Iterations, r.CGIterations)
+		}
+		want := int64(3+tc.cg(r)) * int64(p.N())
+		if counting.RowsRead() != want {
+			t.Fatalf("%s: one RELAX iteration read %d rows (%.2f sweeps), want %d (3 + %d CG sweeps)",
+				tc.name, counting.RowsRead(), counting.Sweeps(), want, tc.cg(r))
+		}
+	}
+}
+
 // TestScoresPrefetchBitIdentical pins the ROUND rescoring pass: scores
 // through a prefetched stream match the synchronous stream bit for bit
 // (same block partition, same arithmetic, only decode timing differs).

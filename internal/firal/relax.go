@@ -435,13 +435,14 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 			return nil, err
 		}
 
-		// Line 6: W ← Σz⁻¹ V by lockstep block CG (zero initial guess, as
-		// the buffer reuse must not introduce warm starts): one Σz·block
-		// application — one pool sweep — per CG iteration. Every rank runs
-		// the same recurrences on replicated vectors, so the convergence
-		// masks, and with them the collectives entered, agree.
+		// Line 6: W ← Σz⁻¹ V by lockstep block CG. The solve starts from
+		// W = 0 whatever the buffer held, so reuse brings no warm start,
+		// and its initial residual is V itself: one Σz·block application —
+		// one pool sweep — per CG iteration and none before the first.
+		// Every rank runs the same recurrences on replicated vectors, so
+		// the convergence masks, and with them the collectives entered,
+		// agree.
 		stop = ph.Start("cg")
-		w.Zero()
 		sc.cg = krylov.SolveBlockInto(cgCtx, sigmaMV, precond, vt, w, sc.cg, cgOpt)
 		res.CGIterations += krylov.TotalIterations(sc.cg)
 		stop()
@@ -459,7 +460,6 @@ func RelaxGroup(ctx context.Context, g Group, p *Problem, b int, o RelaxOptions)
 
 		// Line 8: W ← Σz⁻¹ W by the second lockstep block CG.
 		stop = ph.Start("cg")
-		w2.Zero()
 		sc.cg = krylov.SolveBlockInto(cgCtx, sigmaMV, precond, hpw, w2, sc.cg, cgOpt)
 		res.CGIterations += krylov.TotalIterations(sc.cg)
 		stop()

@@ -42,7 +42,6 @@ func TestPCGZeroAllocWithWorkspace(t *testing.T) {
 	opt := Options{Tol: 1e-10, MaxIter: 200, Workspace: mat.NewWorkspace()}
 	var results []Result
 	solve := func() {
-		x.Zero()
 		results = SolveBlockInto(context.Background(), a, diag, b, x, results, opt)
 		if !results[0].Converged {
 			t.Fatal("PCG did not converge on SPD test matrix")

@@ -24,14 +24,24 @@ type BlockOp func(dst, v *mat.Dense)
 // SolveBlockInto solves A X = B with batched conjugate gradients: all s
 // columns advance in lockstep, one BlockOp application per iteration,
 // with per-column convergence masking. b and x are transposed blocks (s×n
-// row-major, row j = column j; x is both the initial guess and the
-// output, updated in place). Per-column Results are written into the
-// caller's slice (grown when capacity is short, reset otherwise), scratch
-// is drawn from opt.Workspace so warm sweeps are allocation-free, and the
-// context is polled once per iteration.
+// row-major, row j = column j). x is output only: the solve zeroes it on
+// entry and starts from X = 0, so the initial residual is R = B and costs
+// no operator application — a solve applies A exactly max_j Iterations_j
+// times, and not at all when every column of B is zero. Per-column
+// Results are written into the caller's slice (grown when capacity is
+// short, reset otherwise), scratch is drawn from opt.Workspace so warm
+// sweeps are allocation-free, and the context is polled once per
+// iteration.
+//
+// Starting from zero gives the bits an explicit R = B − A·0 would: for a
+// finite operator A·0 is ±0 element-wise, and B − (±0) = B, except that a
+// −0 entry of B meeting a −0 would have become +0. For an operator that
+// meets an Inf or NaN (a pool row holding one), the column freezes at
+// X = 0 on its first curvature check either way; only its RelResidual
+// reads 1 where the explicit residual read NaN.
 //
 // Lockstep semantics: every column runs the scalar PCG recurrence on its
-// own (b_j, x_j) with its own α, β, and residual bookkeeping — the block
+// own b_j with its own α, β, and residual bookkeeping — the block
 // solve performs exactly the arithmetic of s independent PCG solves, so
 // solutions, iteration counts, and convergence flags match the
 // per-column SolveColumns oracle of the tests bit for bit. A column that
@@ -98,25 +108,18 @@ func SolveBlockInto(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.D
 		}
 	}
 
-	// Initial residuals R = B − A·X from one block application.
-	a(ap, x)
+	// X = 0, so the initial residuals are R = B.
+	x.Zero()
+	r.CopyFrom(b)
 	nActive := 0
 	for j := 0; j < s; j++ {
-		bj, rj, apj := b.Row(j), r.Row(j), ap.Row(j)
-		for i := range rj {
-			rj[i] = bj[i] - apj[i]
-		}
 		act[j] = 0
-		bnorm[j] = mat.Nrm2(bj)
+		bnorm[j] = mat.Nrm2(b.Row(j))
 		if bnorm[j] == 0 {
-			xj := x.Row(j)
-			for i := range xj {
-				xj[i] = 0
-			}
 			results[j].Converged = true
 			continue
 		}
-		rel[j] = mat.Nrm2(rj) / bnorm[j]
+		rel[j] = mat.Nrm2(r.Row(j)) / bnorm[j]
 		if opt.RecordResiduals {
 			results[j].Residuals = append(results[j].Residuals, rel[j]) //firal:allow(alloc) diagnostics mode
 		}

@@ -2,6 +2,7 @@ package krylov
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestSolveBlockIntoZeroRHSColumn(t *testing.T) {
 	}
 	bT := transpose(b)
 	xT := mat.NewDense(s, n)
-	mat.Fill(xT.Row(1), 3) // garbage initial guess must be zeroed
+	mat.Fill(xT.Row(1), 3) // garbage in x must be zeroed
 	op := perColumnBlockOp(func(dst, v []float64) { mat.MatVec(dst, spd, v) })
 	res := SolveBlockInto(context.Background(), op, nil, bT, xT, nil, Options{Tol: 1e-10, MaxIter: 200})
 	if !res[1].Converged || res[1].Iterations != 0 {
@@ -159,6 +160,92 @@ func TestSolveBlockIntoZeroRHSColumn(t *testing.T) {
 	}
 	if !res[0].Converged || !res[2].Converged {
 		t.Fatalf("non-zero columns failed to converge: %+v", res)
+	}
+}
+
+// TestSolveBlockIntoApplicationCount pins the operator traffic of a
+// solve: starting from X = 0 costs no application, so a solve applies A
+// exactly max_j Iterations_j times — one pool sweep per lockstep
+// iteration and none more — and not at all when every column of B is
+// zero.
+func TestSolveBlockIntoApplicationCount(t *testing.T) {
+	const n = 48
+	for _, s := range []int{1, 3, 5} {
+		spd, b := blockTestSystem(n, s, int64(200+s))
+		matvec := func(dst, v []float64) { mat.MatVec(dst, spd, v) }
+		diag := perColumnBlockOp(func(dst, v []float64) {
+			for i := range dst {
+				dst[i] = v[i] / spd.At(i, i)
+			}
+		})
+		applications := 0
+		counting := BlockOp(func(dst, v *mat.Dense) {
+			applications++
+			perColumnBlockOp(matvec)(dst, v)
+		})
+		for _, prec := range []BlockOp{nil, diag} {
+			for _, tol := range []float64{1e-3, 1e-9} {
+				opt := Options{Tol: tol, MaxIter: 300, Workspace: mat.NewWorkspace()}
+				applications = 0
+				res := SolveBlockInto(context.Background(), counting, prec, transpose(b), mat.NewDense(s, n), nil, opt)
+				want := 0
+				for _, r := range res {
+					want = max(want, r.Iterations)
+				}
+				if want == 0 || applications != want {
+					t.Fatalf("s=%d prec=%v tol=%g: %d applications, max iterations %d", s, prec != nil, tol, applications, want)
+				}
+
+				applications = 0
+				res = SolveBlockInto(context.Background(), counting, prec, mat.NewDense(s, n), mat.NewDense(s, n), nil, opt)
+				if applications != 0 {
+					t.Fatalf("s=%d prec=%v tol=%g: zero B applied A %d times", s, prec != nil, tol, applications)
+				}
+				for j, r := range res {
+					if !r.Converged || r.Iterations != 0 {
+						t.Fatalf("s=%d zero column %d: %+v, want immediate convergence", s, j, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveBlockIntoOverwritesX pins that x is output only: a solve into
+// a block of garbage — NaN, ±Inf, −0 and arbitrary values — returns the
+// bits and results of the same solve into a zeroed block.
+func TestSolveBlockIntoOverwritesX(t *testing.T) {
+	const n, s = 48, 4
+	spd, b := blockTestSystem(n, s, 11)
+	op := perColumnBlockOp(func(dst, v []float64) { mat.MatVec(dst, spd, v) })
+	bT := transpose(b)
+	opt := Options{Tol: 1e-6, MaxIter: 300, RecordResiduals: true, Workspace: mat.NewWorkspace()}
+
+	clean := mat.NewDense(s, n)
+	want := SolveBlockInto(context.Background(), op, nil, bT, clean, nil, opt)
+
+	garbage := mat.NewDense(s, n)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e300, -7}
+	for i := range garbage.Data {
+		garbage.Data[i] = specials[i%len(specials)]
+	}
+	got := SolveBlockInto(context.Background(), op, nil, bT, garbage, nil, opt)
+	for j := range want {
+		if got[j].Iterations != want[j].Iterations || got[j].Converged != want[j].Converged ||
+			got[j].RelResidual != want[j].RelResidual || len(got[j].Residuals) != len(want[j].Residuals) {
+			t.Fatalf("column %d: garbage x %+v, zeroed x %+v", j, got[j], want[j])
+		}
+		for k := range want[j].Residuals {
+			if got[j].Residuals[k] != want[j].Residuals[k] {
+				t.Fatalf("column %d residual %d: %g vs %g", j, k, got[j].Residuals[k], want[j].Residuals[k])
+			}
+		}
+	}
+	for i := range clean.Data {
+		if math.Float64bits(garbage.Data[i]) != math.Float64bits(clean.Data[i]) {
+			t.Fatalf("x[%d] = %x from garbage, %x from zero", i,
+				math.Float64bits(garbage.Data[i]), math.Float64bits(clean.Data[i]))
+		}
 	}
 }
 
@@ -188,9 +275,11 @@ func TestSolveBlockIntoCancellation(t *testing.T) {
 	}
 
 	// Cancel after enough block applications that the fastest column has
-	// converged but the others are still running: application 1 is the
-	// initial residual, application 1+k completes lockstep iteration k.
-	cancelAfter := fastest + 2
+	// converged but the others are still running: the solve starts from
+	// X = 0 without an application, so application k runs lockstep
+	// iteration k, and the cancel lands at the poll before iteration
+	// fastest + 2.
+	cancelAfter := fastest + 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	applications := 0
@@ -296,7 +385,6 @@ func TestSolveBlockIntoZeroAllocWarm(t *testing.T) {
 	opt := Options{Tol: 1e-10, MaxIter: 200, Workspace: mat.NewWorkspace()}
 	var results []Result
 	sweep := func() {
-		xT.Zero()
 		results = SolveBlockInto(context.Background(), op, prec, bT, xT, results, opt)
 	}
 	sweep() // warm

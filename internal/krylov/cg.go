@@ -15,6 +15,14 @@
 // the s=1 case. Blocks are passed transposed (s×n, row j = column j) so
 // every vector is contiguous.
 //
+// The solution block is output only. Every solve starts from X = 0, so
+// its initial residual is B itself and costs no operator application: a
+// solve applies A once per lockstep iteration and no more. That gives the
+// bits an explicit R = B − A·0 would, except for signed zeros (a −0 of B
+// that met a −0 of A·0 would have become +0) and for an operator that
+// meets an Inf or NaN, whose column freezes at X = 0 either way but
+// reports RelResidual 1 instead of NaN.
+//
 // Solves are cancellable: SolveBlockInto takes a context.Context and
 // checks it once per iteration, so a deadline or cancellation aborts a
 // long solve between operator applications (the columns still active

@@ -14,9 +14,10 @@ type Op func(dst, v []float64)
 // PCG solves A x = b with preconditioned conjugate gradients, one
 // right-hand side: the scalar recurrence that SolveBlockInto runs per
 // column, kept as its per-column oracle. precond applies M⁻¹ (pass nil
-// for unpreconditioned CG). x is both the initial guess and the output.
-// The context is polled once per iteration; on cancellation the result
-// carries ctx.Err() and the current iterate.
+// for unpreconditioned CG). x is output only: the solve starts from
+// x = 0, so r = b without an operator application. The context is polled
+// once per iteration; on cancellation the result carries ctx.Err() and
+// the current iterate.
 func PCG(ctx context.Context, a Op, precond Op, b, x []float64, opt Options) Result {
 	n := len(b)
 	if len(x) != n {
@@ -37,15 +38,12 @@ func PCG(ctx context.Context, a Op, precond Op, b, x []float64, opt Options) Res
 		ws.PutVec(r)
 		ws.PutVec(av)
 	}()
-	a(av, x)
-	for i := range r {
-		r[i] = b[i] - av[i]
+	for i := range x {
+		x[i] = 0
 	}
+	copy(r, b)
 	bnorm := mat.Nrm2(b)
 	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
 		return Result{Converged: true, RelResidual: 0}
 	}
 
@@ -118,7 +116,7 @@ func PCG(ctx context.Context, a Op, precond Op, b, x []float64, opt Options) Res
 }
 
 // SolveColumns solves A X = B column-by-column with (preconditioned) CG,
-// writing solutions into x (same shape as b, used as initial guesses).
+// writing solutions into x (same shape as b, output only).
 // It returns per-column results. It is the per-column oracle the block
 // solver is pinned against: SolveBlockInto must match it bit for bit. A
 // cancelled context stops the sweep at the current column; the remaining
@@ -158,7 +156,6 @@ func SolveColumnsInto(ctx context.Context, a Op, precond Op, b, x *mat.Dense, re
 			return results
 		}
 		b.Col(bc, j)
-		x.Col(xc, j)
 		results[j] = PCG(ctx, a, precond, bc, xc, opt)
 		x.SetCol(j, xc)
 	}
@@ -238,7 +235,6 @@ func TestSolveColumnsIntoZeroAllocWarm(t *testing.T) {
 	opt := Options{Tol: 1e-10, MaxIter: 100, Workspace: mat.NewWorkspace()}
 	var results []Result
 	sweep := func() {
-		x.Zero()
 		results = SolveColumnsInto(context.Background(), a, nil, b, x, results, opt)
 	}
 	sweep() // warm

@@ -115,12 +115,16 @@ type dispatchCase struct {
 
 // TestGramRank4KernelMatchesPortable pins weightedGramRange's rank-4
 // update at every kernel level the host has to its Go loop bit for bit:
-// every dimension from 1 to 70 (all four-column tails), point counts 0…9
-// (every count mod 4, so the single-point tail runs too), a dst stride
-// wider than d, weights that are nil (unit), negative, or zero across a
-// whole four-point group, and triangle row ranges that are whole, start
-// past row 0, end before row d, hold a single row or are empty. Rows
-// outside the range must keep their bits.
+// every dimension from 1 to 70, so triangle rows end in every partial
+// chunk (1–3 columns past a YMM multiple, 1–7 past a ZMM one), point
+// counts 0…9 (every count mod 4, so the single-point tail runs too), a
+// dst stride wider than d, weights that are nil (unit), negative, or zero
+// across a whole four-point group, and triangle row ranges that are
+// whole, start past row 0, end before row d, hold a single row or are
+// empty. Rows outside the range must keep their bits. In the fourth
+// weight set the zero-weight group (one weight −0) holds ±Inf and NaN,
+// and the other points and dst hold ±0: the group must stay skipped, so
+// no NaN or Inf reaches dst, and signed zeros keep their bits.
 func TestGramRank4KernelMatchesPortable(t *testing.T) {
 	forEachLevel(t, testGramRank4)
 }
@@ -133,24 +137,44 @@ func testGramRank4(t *testing.T) {
 		spread(rng, before)
 		got := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: make([]float64, len(before))}
 		want := &Dense{Rows: d, Cols: d, Stride: d + 1, Data: make([]float64, len(before))}
+		signed := make([]float64, len(before))
+		copy(signed, before)
+		zeros(rng, signed)
 		for rows := 0; rows <= 9; rows++ {
 			x := &Dense{Rows: rows, Cols: d, Stride: d + 2, Data: make([]float64, max(1, rows*(d+2)))}
-			spread(rng, x.Data)
-			for wk := 0; wk < 3; wk++ {
+			for wk := 0; wk < 4; wk++ {
+				spread(rng, x.Data)
 				var w []float64
 				if wk > 0 {
 					w = make([]float64, rows)
 					spread(rng, w)
 					for i := range w {
 						w[i] = -math.Abs(w[i])
-						if wk == 1 && i < 4 {
+						if wk%2 == 1 && i < 4 {
 							w[i] = 0 // the first group is skipped
 						}
 					}
 				}
+				start := before
+				if wk == 3 {
+					start = signed
+					if rows > 0 {
+						w[0] = math.Copysign(0, -1)
+					}
+					for i := 0; i < rows; i++ {
+						xi := x.Row(i)
+						if i >= 4 {
+							zeros(rng, xi)
+							continue
+						}
+						for c := range xi {
+							xi[c] = specials[2+(i+c)%3] // ±Inf, NaN
+						}
+					}
+				}
 				for _, rg := range ranges {
-					copy(got.Data, before)
-					copy(want.Data, before)
+					copy(got.Data, start)
+					copy(want.Data, start)
 					weightedGramRange(got, x, w, rg[0], rg[1])
 					atLevel(kernelPortable, func() *Dense { weightedGramRange(want, x, w, rg[0], rg[1]); return want })
 					for k := range got.Data {
@@ -161,16 +185,32 @@ func testGramRank4(t *testing.T) {
 					}
 					for r := 0; r < d; r++ {
 						if r >= rg[0] && r < rg[1] {
+							if wk == 3 {
+								for c, v := range got.Row(r)[:r+1] {
+									if math.IsNaN(v) || math.IsInf(v, 0) {
+										t.Fatalf("%s d=%d rows=%d range=%v: dst[%d,%d] = %g, the zero-weight group was not skipped", kernel, d, rows, rg, r, c, v)
+									}
+								}
+							}
 							continue
 						}
 						for c, v := range got.Row(r) {
-							if !sameBits(v, before[r*got.Stride+c]) {
+							if !sameBits(v, start[r*got.Stride+c]) {
 								t.Fatalf("%s d=%d rows=%d weights=%d range=%v: row %d outside the range changed", kernel, d, rows, wk, rg, r)
 							}
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// zeros overwrites about one element in four of x with +0 or −0.
+func zeros(rng *rand.Rand, x []float64) {
+	for i := range x {
+		if rng.Intn(4) == 0 {
+			x[i] = specials[rng.Intn(2)]
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // AVX inner loops for the row kernels: the four-lane dot product of dotu,
 // the row-ordered multi-row axpy of the aᵀ·b reference kernel (with an
 // AVX-512F pass over runs of thirty-two columns), the rank-4 row update
-// of the weighted Gram and the float32 widen of WidenFloat32. They run
+// of the weighted Gram (on YMM, and on ZMM at AVX-512F) and the float32
+// widen of WidenFloat32. They run
 // only at the kernel level that supports their registers
 // (gemm_kernel_amd64.go). Every multiply and add is a separate
 // VMULPD/VADDPD (never FMA) in the portable loop's order, so each kernel
@@ -431,6 +432,90 @@ nextrow:
 	JMP  row
 
 gramdone:
+	VZEROUPPER
+	RET
+
+// func gramRank4AVX512(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
+//
+// gramRank4AVX on ZMM registers: eight columns per instruction, and the
+// last c ≤ r of a row that do not fill eight run under the k-mask
+// (1 << rem) − 1, whose masked loads and stores leave the columns past
+// the row untouched and cannot fault. The per-element operations and
+// their order are gramRank4AVX's.
+TEXT ·gramRank4AVX512(SB), NOSPLIT, $0-80
+	MOVQ         r0+0(FP), R13   // r
+	MOVQ         dst+16(FP), DI
+	MOVQ         ds+24(FP), R8
+	SHLQ         $3, R8
+	MOVQ         R13, AX
+	IMULQ        R8, AX
+	ADDQ         AX, DI          // row r0
+	MOVQ         x+32(FP), SI
+	MOVQ         xs+40(FP), R9
+	SHLQ         $3, R9
+	LEAQ         (SI)(R9*1), R10 // x1
+	LEAQ         (R10)(R9*1), R11 // x2
+	LEAQ         (R11)(R9*1), R12 // x3
+	MOVQ         r1+8(FP), R9
+	VBROADCASTSD w0+48(FP), Z8
+	VBROADCASTSD w1+56(FP), Z9
+	VBROADCASTSD w2+64(FP), Z10
+	VBROADCASTSD w3+72(FP), Z11
+
+zrow:
+	CMPQ         R13, R9
+	JGE          zgramdone
+	VBROADCASTSD (SI)(R13*8), Z4
+	VMULPD       Z4, Z8, Z4      // v0
+	VBROADCASTSD (R10)(R13*8), Z5
+	VMULPD       Z5, Z9, Z5      // v1
+	VBROADCASTSD (R11)(R13*8), Z6
+	VMULPD       Z6, Z10, Z6     // v2
+	VBROADCASTSD (R12)(R13*8), Z7
+	VMULPD       Z7, Z11, Z7     // v3
+	LEAQ         1(R13), DX      // columns in this row
+	XORQ         AX, AX          // c
+
+zcols:
+	LEAQ    8(AX), BX
+	CMPQ    BX, DX
+	JGT     ztail
+	VMULPD  (SI)(AX*8), Z4, Z12
+	VMULPD  (R10)(AX*8), Z5, Z13
+	VADDPD  Z13, Z12, Z12
+	VMULPD  (R11)(AX*8), Z6, Z14
+	VADDPD  Z14, Z12, Z12
+	VMULPD  (R12)(AX*8), Z7, Z15
+	VADDPD  Z15, Z12, Z12
+	VADDPD  (DI)(AX*8), Z12, Z12
+	VMOVUPD Z12, (DI)(AX*8)
+	MOVQ    BX, AX
+	JMP     zcols
+
+ztail:
+	MOVQ     DX, CX
+	SUBQ     AX, CX          // rem = columns left, 0…7
+	JZ       znextrow
+	MOVL     $1, BX
+	SHLL     CX, BX
+	DECL     BX
+	KMOVW    BX, K1
+	VMULPD.Z (SI)(AX*8), Z4, K1, Z12
+	VMULPD.Z (R10)(AX*8), Z5, K1, Z13
+	VADDPD   Z13, Z12, Z12
+	VMULPD.Z (R11)(AX*8), Z6, K1, Z14
+	VADDPD   Z14, Z12, Z12
+	VMULPD.Z (R12)(AX*8), Z7, K1, Z15
+	VADDPD   Z15, Z12, Z12
+	VADDPD.Z (DI)(AX*8), Z12, K1, Z12
+	VMOVUPD  Z12, K1, (DI)(AX*8)
+
+znextrow:
+	ADDQ R8, DI
+	INCQ R13
+	JMP  zrow
+
+zgramdone:
 	VZEROUPPER
 	RET
 

@@ -15,11 +15,12 @@ import "repro/internal/parallel"
 //
 // The inner loops run at one kernel level, picked once at start-up from
 // CPUID (gemm_kernel_amd64.go): AVX-512F on amd64 hosts whose OS saves
-// the ZMM state (the GEMM micro-kernel and AccumRows' widest pass, with
-// AVX for the rest), AVX on amd64 hosts with only the YMM state (the
-// micro-kernel, the row kernels and the Gram update of dot_amd64.s), and
-// the portable Go loops everywhere else. Every level multiplies and adds
-// separately, in the same order, so all three give the same bits.
+// the ZMM state (the GEMM micro-kernel, AccumRows' widest pass and the
+// Gram's rank-4 update, with AVX for the rest), AVX on amd64 hosts with
+// only the YMM state (the micro-kernel, the row kernels and the Gram
+// update of dot_amd64.s), and the portable Go loops everywhere else.
+// Every level multiplies and adds separately, in the same order, so all
+// three give the same bits.
 //
 // No kernel's bits depend on the worker count: workers split output
 // elements (rows of a product, rows of the Gram triangle), never the
@@ -574,9 +575,9 @@ var gramTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
 
 // weightedGramRange accumulates rows [r0, r1) of the lower triangle of
 // Σ_i w_i x_i x_iᵀ over every point in order, four points at a time so
-// each loaded dst element absorbs four multiply-adds. On amd64 hosts with
-// AVX the rank-4 update runs the loop of dot_amd64.s, four columns per
-// instruction in the same order.
+// each loaded dst element absorbs four multiply-adds. On amd64 hosts the
+// rank-4 update runs a loop of dot_amd64.s in the same order: eight
+// columns per instruction at the avx512 level, four at avx.
 //
 //firal:hotpath
 func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
@@ -600,7 +601,11 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
 		if kernel != kernelPortable {
 			_ = dst.Row(r1 - 1)[r1-1] // bounds: the triangle rows lie inside dst
 			_ = x3[r1-1]
-			gramRank4AVX(r0, r1, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
+			if kernel == kernelAVX512 {
+				gramRank4AVX512(r0, r1, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
+			} else {
+				gramRank4AVX(r0, r1, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
+			}
 			continue
 		}
 		for r := r0; r < r1; r++ {

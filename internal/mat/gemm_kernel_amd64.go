@@ -10,8 +10,9 @@ package mat
 //     switches). The GEMM micro-kernel keeps one 4×8 tile row per ZMM
 //     register, the dotu-order tile of MulPackedRightInOrder keeps the
 //     four dotu lanes of four rows in sixteen, AccumRows runs thirty-two
-//     columns per pass before its AVX passes and WidenFloat32 sixteen
-//     floats; the other loops run their AVX code.
+//     columns per pass before its AVX passes, WidenFloat32 sixteen
+//     floats and the Gram's rank-4 update eight columns; the other loops
+//     run their AVX code.
 //   - kernelAVX: the CPU has AVX and the OS saves the YMM state (XCR0 bits
 //     1 and 2). The micro-kernel keeps a tile row in two YMM registers.
 //   - kernelPortable: every other host runs the Go loops.
@@ -97,6 +98,12 @@ func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
 //
 //go:noescape
 func gramRank4AVX(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
+
+// gramRank4AVX512 is gramRank4AVX eight columns per ZMM register, with
+// each row's last partial chunk under a k-mask.
+//
+//go:noescape
+func gramRank4AVX512(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
 
 // rotAVX runs rotGo over n elements of x and y; wide adds the ZMM pass.
 //

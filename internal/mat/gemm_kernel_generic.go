@@ -37,6 +37,10 @@ func gramRank4AVX(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, 
 	panic("mat: asm Gram kernel unavailable on this architecture")
 }
 
+func gramRank4AVX512(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64) {
+	panic("mat: asm Gram kernel unavailable on this architecture")
+}
+
 func rotAVX(n int, x, y *float64, c, s float64, wide bool) {
 	panic("mat: asm rotation kernel unavailable on this architecture")
 }
