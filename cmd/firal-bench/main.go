@@ -556,9 +556,11 @@ func streamBench(run func(string, func(b *testing.B)) entry, setup *streamSetup)
 // kernels chew block k, so the headline entry runs with prefetch ON —
 // the production default — with the synchronous path timed in an
 // interleaved A/B (best of three each) into Extra["prefetch_off_ns"]
-// for the overlap ratio. Overlap needs a spare core: at GOMAXPROCS = 1
-// the background read only runs when the consumer blocks, so
-// prefetch_speedup ≈ 1 there (read it next to the report's num_cpu).
+// for the overlap ratio, and the prefetched path at one worker into
+// Extra["workers1_ns"] for how the streamed sweeps scale with workers.
+// Overlap needs a spare core: at GOMAXPROCS = 1 the background read only
+// runs when the consumer blocks, so prefetch_speedup ≈ 1 there (read it
+// next to the report's num_cpu).
 //
 // The run hard-fails unless the two paths are equivalent in every way
 // that matters: bit-identical RELAX weights (selection_match — read-
@@ -591,15 +593,15 @@ func relaxStreamBench(setup *streamSetup) (entry, error) {
 		return r, float64(time.Since(t0).Nanoseconds()), counting.Sweeps(), err
 	}
 
-	// The paths alternate (A/B) and each keeps its best of three, so a
-	// machine-load swing hits both paths instead of whichever ran second
-	// and the cold first pass (page mapping, scratch-pool fill) never
-	// decides either figure. The first prefetched sample is checked
-	// against the synchronous result — weights bit for bit, sweeps
-	// exactly equal (later samples are identical by determinism: same
-	// seed, same arithmetic).
+	// The paths alternate (synchronous, prefetched, prefetched at one
+	// worker) and each keeps its best of three, so a machine-load swing
+	// hits every path instead of whichever ran last and the cold first
+	// pass (page mapping, scratch-pool fill) never decides a figure. The
+	// first samples are checked against the synchronous result — weights
+	// bit for bit, sweeps exactly equal (later samples are identical by
+	// determinism: same seed, same arithmetic).
 	var off, on *firal.RelaxResult
-	offNs, onNs, offSweeps := math.Inf(1), math.Inf(1), 0.0
+	offNs, onNs, oneNs, offSweeps := math.Inf(1), math.Inf(1), math.Inf(1), 0.0
 	for round := 0; round < 3; round++ {
 		r, ns, sweeps, err := sample(pOff)
 		if err != nil {
@@ -618,6 +620,14 @@ func relaxStreamBench(setup *streamSetup) (entry, error) {
 			on = r
 		}
 		onNs = math.Min(onNs, ns)
+
+		prevW := parallel.SetMaxWorkers(1)
+		r1, ns, sweeps1, err := sample(pOn)
+		parallel.SetMaxWorkers(prevW)
+		if err != nil {
+			return entry{}, err
+		}
+		oneNs = math.Min(oneNs, ns)
 		if round > 0 {
 			continue
 		}
@@ -626,10 +636,14 @@ func relaxStreamBench(setup *streamSetup) (entry, error) {
 				return entry{}, fmt.Errorf("prefetched RELAX diverges from the synchronous path: z[%d] = %x vs %x",
 					i, math.Float64bits(on.Z[i]), math.Float64bits(off.Z[i]))
 			}
+			if math.Float64bits(r1.Z[i]) != math.Float64bits(on.Z[i]) {
+				return entry{}, fmt.Errorf("one-worker RELAX diverges from the multi-worker path: z[%d] = %x vs %x",
+					i, math.Float64bits(r1.Z[i]), math.Float64bits(on.Z[i]))
+			}
 		}
-		if sweeps != offSweeps {
-			return entry{}, fmt.Errorf("prefetch changed the decode traffic: %.2f sweeps vs %.2f synchronous",
-				sweeps, offSweeps)
+		if sweeps != offSweeps || sweeps1 != offSweeps {
+			return entry{}, fmt.Errorf("the decode traffic differs: %.2f sweeps prefetched, %.2f at one worker, %.2f synchronous",
+				sweeps, sweeps1, offSweeps)
 		}
 	}
 
@@ -646,9 +660,11 @@ func relaxStreamBench(setup *streamSetup) (entry, error) {
 		"prefetch_off_ns":          offNs,
 		"prefetch_speedup":         offNs / onNs,
 		"selection_match":          1,
+		"workers1_ns":              oneNs,
 	}
 	fmt.Printf("%-28s prefetch off %12.0f ns/op (%.2fx overlap gain, %.0f sweeps both paths)\n",
 		"", offNs, offNs/onNs, offSweeps)
+	fmt.Printf("%-28s one worker   %12.0f ns/op (%.2fx worker scaling)\n", "", oneNs, oneNs/onNs)
 	return e, nil
 }
 

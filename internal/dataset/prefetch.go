@@ -8,11 +8,11 @@ import (
 	"repro/internal/mat"
 )
 
-// This file adds the asynchronous double-buffered prefetch layer to the
-// streaming path. The blocked solver kernels consume a pool strictly
-// forward, block by block (ARCHITECTURE.md, Contract 3), which makes the
-// next read perfectly predictable: while the caller chews block k, block
-// k+1 can already be decoding on another goroutine. PrefetchSource
+// This file adds the asynchronous read-ahead prefetch layer to the
+// streaming path. The blocked solver kernels request a pool's blocks
+// strictly forward (ARCHITECTURE.md, Contract 3), which makes the next
+// read perfectly predictable: while the caller chews block k, block k+1
+// can already be decoding on another goroutine. PrefetchSource
 // exploits exactly that — it overlaps the mmap decode latency of a
 // ShardSource (or the segment routing of a LiveSource) with the
 // Fisher/Gram kernels, without changing a single byte of what the
@@ -37,10 +37,13 @@ import (
 //   - A lent block is read-only and owned by the caller until returned;
 //     returning it and continuing to read it is a bug (the buffer is
 //     immediately reused for the next asynchronous read).
-//   - Lend/Return pairs must nest block-wise: the blocked engines lend
-//     one block, run their kernels, return it, then lend the next —
-//     which is what frees a buffer for the read-ahead of block k+2
-//     while block k+1 is being chewed.
+//   - Lends come in ascending order and a bounded number are out at
+//     once: a sweep on W lanes (parallel.ForBlocks) lends block k+1
+//     only after block k, and holds at most W blocks, each returned
+//     when its lane's kernels are done with it. The lender then keeps
+//     W+1 buffers: the W lent ones and the read-ahead of the block after
+//     the last lent one. A one-lane sweep lends, computes and returns
+//     block k before it lends block k+1.
 //
 // hessian.Stream detects the interface and routes Block/PutBlock
 // through it, so every blocked consumer — the Lemma-2 matvec, the
@@ -83,10 +86,10 @@ func (b *pfBlock) prep(lo, hi, d int) {
 	b.m = mat.Dense{Rows: hi - lo, Cols: d, Stride: d, Data: b.buf[:want]}
 }
 
-// PrefetchSource wraps a PoolSource with asynchronous double-buffered
-// block read-ahead. After serving a block read of [lo, hi) it starts
-// decoding the next same-sized window [hi, hi+(hi−lo)) into its second
-// buffer on a dedicated reader goroutine; when the consumer asks for
+// PrefetchSource wraps a PoolSource with asynchronous block read-ahead.
+// After serving a block read of [lo, hi) it starts decoding the next
+// same-sized window [hi, hi+(hi−lo)) into an idle buffer on a dedicated
+// reader goroutine; when the consumer asks for
 // exactly that window — the blocked sweep pattern — the decode has
 // already happened under the previous block's compute and the request is
 // a channel receive. Any other request degrades gracefully: single-row
@@ -97,9 +100,13 @@ func (b *pfBlock) prep(lo, hi, d int) {
 // Concurrency: ReadRows keeps the PoolSource contract (concurrent
 // callers are safe — the prefetch machinery is serialized under a
 // mutex, so interleaved sweeps lose overlap but never correctness).
-// LendBlock/ReturnBlock follow the BlockLender nesting discipline; a
-// third concurrent borrower falls back to freshly allocated buffers
-// rather than deadlocking.
+// LendBlock/ReturnBlock follow the BlockLender ordered-lend contract.
+// The source starts with two buffers and grows one whenever a lend or a
+// read-ahead finds none idle; a buffer, once made, stays in free after
+// it comes back. So a sweep that keeps W blocks out at once grows the
+// pool once, to W+1 buffers, and then allocates nothing. Lends outside
+// the contract stay correct: they grow the pool further, or miss the
+// read-ahead and read synchronously.
 //
 // Lifecycle: the in-flight read is a single short-lived goroutine per
 // block whose only obligation is a buffered-channel send, so an
@@ -125,7 +132,7 @@ type PrefetchSource struct {
 	pendLo   int  // window of the in-flight read, valid while inflight
 	pendHi   int
 	res      chan *pfBlock // 1-slot handoff from the reader goroutine
-	free     []*pfBlock    // idle buffers (at most the two pooled ones)
+	free     []*pfBlock    // idle buffers
 	lent     []*pfBlock    // blocks currently borrowed via LendBlock
 	hits     int64         // block requests served from a completed prefetch
 	misses   int64         // block requests read synchronously
@@ -225,9 +232,9 @@ func (p *PrefetchSource) fill(b *pfBlock) {
 	p.res <- b
 }
 
-// takeFree pops an idle buffer, or allocates a fresh one when a
-// concurrent borrower exhausted the pooled pair (degraded but
-// deadlock-free; never taken by the single-sweeper pattern).
+// takeFree pops an idle buffer, or makes one when every buffer is lent
+// or in flight: once per extra lane of the first multi-lane sweep, after
+// which the pool holds a buffer for every lent block and the read-ahead.
 func (p *PrefetchSource) takeFree() *pfBlock {
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
@@ -251,11 +258,11 @@ func (p *PrefetchSource) drainLocked() {
 }
 
 // scheduleLocked starts the read-ahead of the window following [lo, hi)
-// — same size, clamped to the pool — if there is anything left to read
-// and an idle buffer to read it into. Called with p.mu held.
+// — same size, clamped to the pool — if there is anything left to read.
+// Called with p.mu held.
 func (p *PrefetchSource) scheduleLocked(lo, hi int) {
 	n := p.src.NumRows()
-	if hi >= n || p.closed || p.ctx.Err() != nil || len(p.free) == 0 {
+	if hi >= n || p.closed || p.ctx.Err() != nil {
 		return
 	}
 	next := min(hi+(hi-lo), n)

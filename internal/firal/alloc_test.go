@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/hessian"
 	"repro/internal/krylov"
 	"repro/internal/mat"
 	"repro/internal/mpi"
@@ -35,11 +36,15 @@ func BenchmarkScores(b *testing.B) {
 
 // TestScoresZeroAllocWarm pins the ROUND scoring pass: with the
 // RoundState's per-worker tile scratch warmed by one call, rescoring the
-// pool allocates nothing.
+// pool allocates nothing — the resident pool of one block, and the same
+// pool streamed in nine blocks of 48 rows, which at 2 and 4 workers
+// hands whole blocks to the workers (parallel.ForBlocks).
 func TestScoresZeroAllocWarm(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
 	p := testProblem(31, 10, 400, 12, 4)
 	z := make([]float64, p.N())
 	mat.Fill(z, 3/float64(p.N()))
@@ -48,11 +53,17 @@ func TestScoresZeroAllocWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	scores := make([]float64, p.N())
-	st.Scores(p.Pool, scores) // warm the lazily-sized pool scratch
-	if allocs := testing.AllocsPerRun(30, func() {
-		st.Scores(p.Pool, scores)
-	}); allocs != 0 {
-		t.Fatalf("Scores allocates %.1f objects per call with warm state", allocs)
+	for _, nw := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(max(nw, 2))
+		parallel.SetMaxWorkers(nw)
+		for name, pool := range map[string]hessian.Pool{"resident": p.Pool, "streamed": streamProblem(p, 48).Pool} {
+			st.Scores(pool, scores) // warm the lazily-sized pool scratch
+			if allocs := testing.AllocsPerRun(30, func() {
+				st.Scores(pool, scores)
+			}); allocs != 0 {
+				t.Fatalf("%s at %d workers: Scores allocates %.1f objects per call with warm state", name, nw, allocs)
+			}
+		}
 	}
 }
 

@@ -62,16 +62,38 @@ type RoundState struct {
 	errs    []error
 	classFn func(lo, hi int)
 
-	// The Scores sweep: per-worker packed row tiles and norm sums and
-	// the current row block, read by scoreItems (bound once as scoreFn so
-	// the dispatch does not allocate a closure).
+	// The Scores sweep and its lanes' scratch.
+	scores scoreSweep
+}
+
+// scoreSweep is one Scores pass as a parallel.BlockSweep. Every point is
+// scored within its own block, so the blocks write disjoint parts of dst
+// and fold nothing.
+type scoreSweep struct {
+	st    *RoundState
+	pool  hessian.Pool
+	h     *mat.Dense
+	dst   []float64
+	n, bs int
+	nl    int // lanes (parallel.BlockLanes)
+	items int // workers that split one block: W at one lane, else 1
+	lanes []*scoreLane
+}
+
+// scoreLane is one lane of the Scores sweep: its row block, the
+// workspace the block comes from (the state's for lane 0, its own for
+// the others), and per-item packed row tiles and norm sums. scoreItems
+// is bound once as fn, so a one-lane sweep hands it to the worker pool
+// without allocating a closure.
+type scoreLane struct {
+	*scoreSweep
+	ws, own *mat.Workspace
+	xb      *mat.Dense
+	base, m int
+	rows    int // block rows per item
 	xp      []mat.Packed
 	qbuf    []float64
-	xb, h   *mat.Dense
-	dst     []float64
-	base, m int
-	rows    int
-	scoreFn func(lo, hi int)
+	fn      func(lo, hi int)
 }
 
 // classScratch is one worker's scratch for the per-class eigensolves.
@@ -133,7 +155,7 @@ func newRoundStateInto(prev *RoundState, sig, ho []*mat.Dense, b int, eta float6
 			nuBuf:  make([]float64, c*d),
 			errs:   make([]error, c),
 		}
-		st.scoreFn = st.scoreItems
+		st.scores.st = st
 		st.classFn = st.classItems
 	}
 	st.eta, st.b, st.edF = eta, b, float64(d*c)
@@ -267,7 +289,9 @@ func (st *RoundState) weigh(nu float64) {
 //
 // with γ_ik = h_ik(1 − h_ik). The pool is visited in row blocks
 // (outermost), so a streamed pool is read exactly once per rescoring
-// pass. Workers split each block into runs of 64-row tiles; per tile and
+// pass. A pool of at least 2·W blocks (parallel.BlockLanes) runs on
+// parallel.ForBlocks, each worker scoring whole blocks alone; otherwise
+// workers split each block into runs of 64-row tiles. Per tile and
 // class the fused kernel mat.WeightedSqNorms forms y = x·W_k tile by
 // register tile and folds it into both quadratic forms as weighted row
 // norms (see RoundState), so no product is stored and the cost is one
@@ -284,38 +308,81 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 	if n == 0 {
 		return
 	}
-	bs := min(pool.BlockRows(), n)
-	items := min(parallel.Workers(), (bs+scoreTile-1)/scoreTile)
-	//firal:allow(alloc) — amortized: regrows only when the worker count grows
-	if len(st.qbuf) < items*2*scoreTile {
-		st.qbuf = make([]float64, items*2*scoreTile)
+	sw := &st.scores
+	sw.pool, sw.h, sw.dst = pool, pool.Probs(), dst
+	sw.n, sw.bs = n, min(pool.BlockRows(), n)
+	nb := (n + sw.bs - 1) / sw.bs
+	sw.nl = parallel.BlockLanes(nb)
+	workers := 1
+	if sw.nl == 1 {
+		workers = parallel.Workers()
 	}
-	//firal:allow(alloc) — amortized: regrows only when the worker count grows
-	if len(st.xp) < items {
-		st.xp = make([]mat.Packed, items)
+	sw.items = min(workers, (sw.bs+scoreTile-1)/scoreTile)
+	for len(sw.lanes) < sw.nl {
+		//firal:allow(alloc) — amortized: one lane per worker, grown only when the worker count grows
+		l := &scoreLane{scoreSweep: sw, own: mat.NewWorkspace()}
+		l.fn = l.scoreItems
+		//firal:allow(alloc) — amortized, as above
+		sw.lanes = append(sw.lanes, l)
 	}
-	st.h, st.dst = pool.Probs(), dst
-	for lo := 0; lo < n; lo += bs {
-		hi := min(lo+bs, n)
-		st.xb, st.base, st.m = pool.Block(st.ws, lo, hi), lo, hi-lo
-		tiles := (st.m + scoreTile - 1) / scoreTile
-		per := (tiles + items - 1) / items
-		st.rows = per * scoreTile
-		parallel.ForChunkMin((tiles+per-1)/per, 1, st.scoreFn)
-		pool.PutBlock(st.ws, st.xb)
+	for i, l := range sw.lanes[:sw.nl] {
+		l.ws = l.own
+		if i == 0 {
+			l.ws = st.ws
+		}
+		//firal:allow(alloc) — amortized: regrows only when the worker count grows
+		if len(l.qbuf) < sw.items*2*scoreTile {
+			l.qbuf = make([]float64, sw.items*2*scoreTile)
+		}
+		//firal:allow(alloc) — amortized: regrows only when the worker count grows
+		if len(l.xp) < sw.items {
+			l.xp = make([]mat.Packed, sw.items)
+		}
 	}
-	st.xb, st.h, st.dst = nil, nil, nil
+	parallel.ForBlocks(nb, sw.nl, sw)
+	sw.pool, sw.h, sw.dst = nil, nil, nil
+	for _, l := range sw.lanes {
+		l.ws = nil
+	}
 }
 
-// scoreItems scores Scores items [lo, hi) of the current block: item it
-// covers block rows [it·rows, (it+1)·rows) and uses tile scratch it.
+// Fetch takes block k into lane's scratch.
 //
 //firal:hotpath
-func (st *RoundState) scoreItems(lo, hi int) {
+func (sw *scoreSweep) Fetch(lane, k int) {
+	l := sw.lanes[lane]
+	lo := k * sw.bs
+	hi := min(lo+sw.bs, sw.n)
+	l.xb, l.base, l.m = sw.pool.Block(l.ws, lo, hi), lo, hi-lo
+}
+
+// Compute scores lane's block and gives it back: split into one run of
+// tiles per item, the items across workers at one lane.
+//
+//firal:hotpath
+func (sw *scoreSweep) Compute(lane, k int) {
+	l := sw.lanes[lane]
+	tiles := (l.m + scoreTile - 1) / scoreTile
+	per := (tiles + sw.items - 1) / sw.items
+	l.rows = per * scoreTile
+	if runs := (tiles + per - 1) / per; sw.nl > 1 {
+		l.scoreItems(0, runs)
+	} else {
+		parallel.ForChunkMin(runs, 1, l.fn)
+	}
+	sw.pool.PutBlock(l.ws, l.xb)
+	l.xb = nil
+}
+
+// scoreItems scores items [lo, hi) of the lane's block: item it covers
+// block rows [it·rows, (it+1)·rows) and uses tile scratch it.
+//
+//firal:hotpath
+func (l *scoreLane) scoreItems(lo, hi int) {
 	for it := lo; it < hi; it++ {
-		q := st.qbuf[it*2*scoreTile : (it+1)*2*scoreTile]
-		for r0 := it * st.rows; r0 < min((it+1)*st.rows, st.m); r0 += scoreTile {
-			st.scoreTile(&st.xp[it], q, r0, min(r0+scoreTile, st.m))
+		q := l.qbuf[it*2*scoreTile : (it+1)*2*scoreTile]
+		for r0 := it * l.rows; r0 < min((it+1)*l.rows, l.m); r0 += scoreTile {
+			l.scoreTile(&l.xp[it], q, r0, min(r0+scoreTile, l.m))
 		}
 	}
 }
@@ -326,17 +393,18 @@ func (st *RoundState) scoreItems(lo, hi int) {
 // the order of y = x·W_k's elements and of the row norms over them.
 //
 //firal:hotpath
-func (st *RoundState) scoreTile(xp *mat.Packed, q []float64, r0, r1 int) {
-	d, xs, m := st.d, st.xb.Stride, r1-r0
-	xt := mat.Dense{Rows: m, Cols: d, Stride: xs, Data: st.xb.Data[r0*xs:]}
+func (l *scoreLane) scoreTile(xp *mat.Packed, q []float64, r0, r1 int) {
+	st := l.st
+	d, xs, m := st.d, l.xb.Stride, r1-r0
+	xt := mat.Dense{Rows: m, Cols: d, Stride: xs, Data: l.xb.Data[r0*xs:]}
 	qb, qp := q[:m], q[scoreTile:scoreTile+m]
-	out := st.dst[st.base+r0 : st.base+r1]
+	out := l.dst[l.base+r0 : l.base+r1]
 	clear(out)
 	xp.PackRight(&xt)
 	for k := 0; k < st.c; k++ {
 		mat.WeightedSqNorms(qb, qp, &st.wl[k], xp, st.a[k*d:(k+1)*d], st.a2[k*d:(k+1)*d])
 		for i := range out {
-			hv := st.h.At(st.base+r0+i, k)
+			hv := l.h.At(l.base+r0+i, k)
 			gamma := hv * (1 - hv)
 			if gamma == 0 {
 				continue

@@ -12,7 +12,7 @@ import (
 // TestSelectApproxBitsIndependentOfWorkers runs the same Approx-FIRAL
 // selection at one to four workers and requires the bits of the 1-worker
 // run: the RELAX weights z, and ROUND's selections, ν, objectives and
-// MinEigH. No kernel may split the summation of one element, or a
+// MinEigH, on pools of one, a few and many row blocks. No kernel may split the summation of one element, or a
 // session's selection would depend on how many workers its host (or a
 // stricter concurrent session's limit) gave it.
 func TestSelectApproxBitsIndependentOfWorkers(t *testing.T) {
@@ -23,6 +23,9 @@ func TestSelectApproxBitsIndependentOfWorkers(t *testing.T) {
 	}{
 		{testProblem(632, 20, 600, 32, 8), 5},
 		{testProblem(633, 30, 1200, 64, 4), 6},
+		// Ten blocks of 64 rows, the last ragged: from two workers on,
+		// every sweep hands whole blocks to the workers.
+		{streamProblem(testProblem(634, 20, 9*64+23, 16, 3), 64), 4},
 	} {
 		o := Options{Relax: RelaxOptions{FixedIterations: 4, Seed: 11, Probes: 8}}
 		var want *Result

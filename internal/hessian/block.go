@@ -42,22 +42,30 @@ import (
 // worker count: workers split probes, columns or rows, never the
 // summation of one element.
 //
-// Parallel axis. The matvec splits probes across workers when there are
-// at least as many probes as workers: the probes are cut into windows, one
-// per worker, and each worker runs dots, Γ and the accumulation tile by
-// tile for its own window while the tile is hot in cache. A window owns
-// its scratch: the sweep packs its probe rows into the window's own
+// Parallel axis. A sweep of at least 2·W row blocks, W =
+// parallel.Workers(), runs on parallel.ForBlocks: each worker is a lane
+// that takes whole blocks in ascending order, computes a block's partial
+// alone in the lane's own scratch and workspace with the one-worker form
+// of the kernel (one probe window of all s probes, the whole Gram
+// triangle), gives the block back, and folds the partial into dst in
+// block order. A sweep of fewer blocks has one lane and splits each block
+// instead. The matvec then splits probes across workers when there are
+// at least as many probes as workers: the probes are cut into windows,
+// one per worker, and each worker runs dots, Γ and the accumulation tile
+// by tile for its own window while the tile is hot in cache. A window
+// owns its scratch: the sweep packs its probe rows into the window's own
 // mat.Packed (so every window starts on lane panel 0), and its Γ tile
 // lives in its own region of the scratch, with the window's width as the
 // row stride and no 64-byte line shared with another window, so the
-// workers never write the same cache line tile after tile. A sweep at one
-// worker is a single window of every probe. With fewer probes than
-// workers (a single vector included), or when Γᵀ·X takes the packed path,
-// the dots and Γ run row-parallel over the whole block first; the
-// accumulation then splits each probe's d columns across workers (or runs
-// MulTransA, parallel over class rows). The quadratic form splits rows,
-// each worker in its own scratch region; each row takes its probes in
-// ascending order.
+// workers never write the same cache line tile after tile. With fewer
+// probes than workers (a single vector included), or when Γᵀ·X takes
+// the packed path, the dots and Γ run row-parallel over the whole block
+// first; the accumulation then splits each probe's d columns across
+// workers (or runs MulTransA, parallel over class rows). The quadratic
+// form splits rows, each worker in its own scratch region; each row takes
+// its probes in ascending order. The Gram splits its triangle
+// (mat.WeightedGram). Either way the partials fold in block order, so the
+// bits do not depend on the worker count.
 
 // sweepTile is the row tile of the fused sweeps: 64 rows of a d=64 block
 // are 32 KiB, so the tile stays in L1 while every probe visits it.
@@ -106,49 +114,182 @@ type probeWindow struct {
 	pk     mat.Packed
 }
 
-// sweepTask carries one fused sweep's operands in pooled storage, with
-// its dispatch funcs bound once at pool-New time, so the hot kernels hand
-// the worker pool a func without allocating a closure per call (the
-// kernel task pattern of internal/mat).
+// sweep kinds: the kernel a sweepTask's Compute runs on each block.
+const (
+	sweepMatVec = iota
+	sweepQuad
+	sweepGram
+)
+
+// sweepTask carries one fused sweep's operands in pooled storage. It is
+// the parallel.BlockSweep of the sweep; its folding field is the same
+// sweep as a parallel.BlockFolder, for the kernels whose blocks fold
+// partials. Everything a block's computation writes lives in a lane.
 type sweepTask struct {
-	xb, u, v, dst *mat.Dense // current row block; probe blocks; matvec result
-	h             *mat.Dense
-	pu, pv        *mat.Packed   // u and v packed once per sweep for the blocked dots; nil: not packed
-	upk, vpk      mat.Packed    // their storage
-	wins          []probeWindow // a probe-split sweep's windows
-	ga, pd        mat.Dense     // one probe's Γ and partial, for mat.MulTransA
-	w, g, acc     []float64     // weights; dot/Γ scratch; per-probe block partials
-	qdst          []float64     // quadratic-form result
-	scale         float64
-	base, m       int // global index of the block's first row; block rows
-	s, d, c       int
-	accStride     int  // partial stride in acc
-	region        int  // stride of the probe windows' Γ regions in g
-	blocked       bool // dot order of the block (mat.UseBlocked)
-	rj0, rj1      int  // probes the row-parallel Γ holds, probe j at column (j−rj0)·c
-	slices, cols  int  // column slices per probe and their width
-	rows          int  // rows per quadratic-form item
-	qstride       int  // quadratic-form scratch region stride
+	p         Pool
+	kind      int
+	n, bs     int           // pool rows; block rows
+	nl        int           // lanes of the sweep (parallel.BlockLanes)
+	inner     int           // workers that split one block: W at one lane, else 1
+	lanes     []*sweepLane  // lane scratch, grown when the worker count grows
+	folding   foldingSweep  // the sweep, folding its partials in block order
+	u, v, dst *mat.Dense    // probe blocks; matvec result
+	h         *mat.Dense    // probabilities
+	pu, pv    *mat.Packed   // u and v packed once per sweep for the blocked dots; nil: not packed
+	upk, vpk  mat.Packed    // their storage
+	wins      []probeWindow // a probe-split sweep's windows
+	windowed  bool          // the matvec splits probes into wins
+	w         []float64     // weights
+	qdst      []float64     // quadratic-form result
+	blocks    []*mat.Dense  // Gram result, one d×d block per class
+	scale     float64       // quadratic-form scale
+	s, d, c   int           // probes, features, classes
+	accStride int           // partial stride in a lane's acc
+	region    int           // stride of the probe windows' Γ regions in a lane's g
+	slices    int           // column slices per probe in the unfused accumulation
+	cols      int           // their width
+	items     int           // quadratic-form items per block
+	qstride   int           // quadratic-form scratch region stride
+}
+
+// sweepLane is one lane's share of a sweep: the block it holds, the
+// workspace the block comes from, and the scratch its computation
+// writes. Lane 0 draws from the caller's workspace, the others from
+// their own. A one-lane sweep splits each block across workers through
+// the lane's bound funcs, so handing them to the worker pool does not
+// allocate a closure per call (the kernel task pattern of internal/mat).
+type sweepLane struct {
+	*sweepTask
+	ws, own  *mat.Workspace
+	xb       *mat.Dense   // the lane's current row block
+	base, m  int          // global index of the block's first row; block rows
+	blocked  bool         // dot order of the block (mat.UseBlocked)
+	g, acc   []float64    // dot/Γ scratch; per-probe block partials
+	gw       []float64    // Gram weights of one class
+	grams    []*mat.Dense // Gram partials: one per class, or one at one lane
+	ga, pd   mat.Dense    // one probe's Γ and partial, for mat.MulTransA
+	rj0, rj1 int          // probes the row-parallel Γ holds, probe j at column (j−rj0)·c
+	rows     int          // rows per quadratic-form item
 
 	windowsFn, slicesFn, dotsFn, quadFn func(lo, hi int)
 }
 
+// foldingSweep is a sweepTask whose blocks fold into the result.
+type foldingSweep struct{ *sweepTask }
+
 var sweepTasks = parallel.FreeList[sweepTask]{New: func() *sweepTask {
 	t := &sweepTask{}
-	t.windowsFn = t.sweepWindows
-	t.slicesFn = t.accumSlices
-	t.dotsFn = t.dotsRows
-	t.quadFn = t.quadRows
+	t.folding.sweepTask = t
 	return t
 }}
 
+// getSweep returns a pooled task for a sweep of kind over pool p, with
+// its lanes: parallel.BlockLanes of the pool's blocks, lane 0 drawing
+// from ws.
+func getSweep(kind int, ws *mat.Workspace, p Pool) *sweepTask {
+	t := sweepTasks.Get()
+	t.p, t.kind = p, kind
+	t.n, t.bs, t.d, t.c = p.N(), p.BlockRows(), p.D(), p.C()
+	t.h = p.Probs()
+	t.nl = parallel.BlockLanes((t.n + t.bs - 1) / t.bs)
+	t.inner = 1
+	if t.nl == 1 {
+		t.inner = parallel.Workers()
+	}
+	for len(t.lanes) < t.nl {
+		l := &sweepLane{sweepTask: t, own: mat.NewWorkspace()}
+		l.windowsFn = l.sweepWindows
+		l.slicesFn = l.accumSlices
+		l.dotsFn = l.dotsRows
+		l.quadFn = l.quadRows
+		t.lanes = append(t.lanes, l)
+	}
+	t.lanes[0].ws = ws
+	for _, l := range t.lanes[1:t.nl] {
+		l.ws = l.own
+	}
+	return t
+}
+
+// sweep runs the kernel over the pool's blocks.
+func (t *sweepTask) sweep() {
+	var s parallel.BlockSweep = t
+	if t.kind != sweepQuad {
+		s = &t.folding
+	}
+	parallel.ForBlocks((t.n+t.bs-1)/t.bs, t.nl, s)
+}
+
+// release drops the sweep's operands and returns the task to its pool.
 func (t *sweepTask) release() {
-	t.xb, t.u, t.v, t.dst, t.h = nil, nil, nil, nil, nil
+	t.p, t.u, t.v, t.dst, t.h = nil, nil, nil, nil, nil
 	t.pu, t.pv = nil, nil
-	t.w, t.g, t.acc, t.qdst = nil, nil, nil, nil
+	t.w, t.qdst, t.blocks = nil, nil, nil
 	t.wins = t.wins[:0]
-	t.ga.Data, t.pd.Data = nil, nil
+	t.windowed = false
+	for _, l := range t.lanes {
+		l.ws, l.xb = nil, nil
+		l.ga.Data, l.pd.Data = nil, nil
+	}
 	sweepTasks.Put(t)
+}
+
+// Fetch takes block k into lane's scratch.
+//
+//firal:hotpath
+func (t *sweepTask) Fetch(lane, k int) {
+	l := t.lanes[lane]
+	lo := k * t.bs
+	hi := min(lo+t.bs, t.n)
+	l.xb, l.base, l.m = t.p.Block(l.ws, lo, hi), lo, hi-lo
+	l.blocked = mat.UseBlocked(l.m, t.c, t.d)
+}
+
+// Compute runs the sweep's kernel on lane's block and gives the block
+// back.
+//
+//firal:hotpath
+func (t *sweepTask) Compute(lane, k int) {
+	l := t.lanes[lane]
+	switch t.kind {
+	case sweepMatVec:
+		l.matVec()
+	case sweepQuad:
+		nit := min(t.items, (l.m+sweepTile-1)/sweepTile)
+		l.rows = (l.m + nit - 1) / nit
+		l.forChunk(nit, 1, l.quadFn)
+	case sweepGram:
+		l.gram()
+	}
+	t.p.PutBlock(l.ws, l.xb)
+	l.xb = nil
+}
+
+// Fold adds lane's block partials to the result.
+//
+//firal:hotpath
+func (f *foldingSweep) Fold(lane, k int) {
+	l := f.lanes[lane]
+	if f.kind == sweepMatVec {
+		l.foldPartials()
+		return
+	}
+	if f.nl == 1 {
+		return // gram folded each class's Gram as it went
+	}
+	for cls, b := range f.blocks {
+		b.AddScaled(1, l.grams[cls])
+	}
+}
+
+// forChunk runs fn over [0, n): split across workers at one lane, on the
+// lane's own goroutine when the sweep runs several lanes.
+func (l *sweepLane) forChunk(n, minPer int, fn func(lo, hi int)) {
+	if l.nl > 1 {
+		fn(0, n)
+		return
+	}
+	parallel.ForChunkMin(n, minPer, fn)
 }
 
 // MatVecBlockWS computes dst_j = Σ_i w_i H_i v_j for all s vectors of the
@@ -164,72 +305,75 @@ func (t *sweepTask) release() {
 // The cost is two n×d×c products per vector — O(ndc) — versus O(n d²c²)
 // for the dense operator (Table III). The whole block takes ONE sweep
 // over the pool: every row block obtained from Pool.Block — for a
-// streamed source, every decode — updates all s outputs before the next
-// block is read. A nil w means unit weights; v must be compact and dst
-// must not alias it. Scratch comes from ws; a warm workspace makes the call
-// allocation-free. Column results are bit-for-bit equal to the per-probe
-// MulTransB/Γ/MulTransA composition (see the file comment).
+// streamed source, every decode — updates all s outputs, and is read
+// once. A nil w means unit weights; v must be compact and dst must not
+// alias it. Scratch comes from ws and, on a multi-lane sweep, from the
+// lanes' own workspaces; warm ones make the call allocation-free. Column
+// results are bit-for-bit equal to the per-probe MulTransB/Γ/MulTransA
+// composition (see the file comment).
 //
 //firal:hotpath
 func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 	checkBlockShapes(p, dst, v)
 	checkCompact(v)
-	s := v.Rows
-	n, d, c := p.N(), p.D(), p.C()
-	bs := p.BlockRows()
-	t := sweepTasks.Get()
-	t.v, t.dst, t.h, t.w = v, dst, p.Probs(), w
-	t.s, t.d, t.c = s, d, c
+	t := getSweep(sweepMatVec, ws, p)
+	t.v, t.dst, t.w, t.s = v, dst, w, v.Rows
+	s, d, c := t.s, t.d, t.c
 	dst.Zero()
 	t.accStride = lineStride(d * c)
-	t.acc = ws.Vec(s * t.accStride)
 	// The scratch holds a Γ tile region per probe window (s ≥ workers), a
 	// whole block's Γ for every probe (s < workers), or a whole block's Γ
 	// for one probe (packed Γᵀ·X); the largest block sizes it. The shared
 	// probe pack serves the last two.
-	workers := parallel.Workers()
-	rows := min(bs, n)
+	rows := min(t.bs, t.n)
 	var gLen int
-	if s >= workers {
-		t.setWindows(workers, rows)
+	if t.windowed = s >= t.inner; t.windowed {
+		t.setWindows(t.inner, rows)
 		gLen = len(t.wins) * t.region
 	} else {
 		gLen = rows * s * c
-		t.slices = min((workers+s-1)/s, max(1, d/8))
+		t.slices = min((t.inner+s-1)/s, max(1, d/8))
 		t.cols = (d + t.slices - 1) / t.slices
 	}
 	if mat.UseBlocked(c, d, rows) {
 		gLen = max(gLen, rows*c)
 	}
-	if s < workers || mat.UseBlocked(c, d, rows) {
+	if !t.windowed || mat.UseBlocked(c, d, rows) {
 		t.pv = t.packProbes(&t.vpk, v, rows, 0, s)
 	}
-	t.g = ws.Vec(gLen)
-	for lo := 0; lo < n; lo += bs {
-		hi := min(lo+bs, n)
-		t.xb, t.base, t.m = p.Block(ws, lo, hi), lo, hi-lo
-		t.blocked = mat.UseBlocked(t.m, c, d)
-		switch {
-		case mat.UseBlocked(c, d, t.m):
-			// Γᵀ·X takes the packed path: one probe at a time, its Γ
-			// through mat.MulTransA, as the per-probe composition does.
-			for j := 0; j < s; j++ {
-				t.rj0, t.rj1 = j, j+1
-				parallel.ForChunkMin(t.m, sweepTile, t.dotsFn)
-				t.accumPacked(j)
-			}
-		case s >= workers:
-			parallel.ForChunkMin(len(t.wins), 1, t.windowsFn)
-		default:
-			t.rj0, t.rj1 = 0, s
-			parallel.ForChunkMin(t.m, sweepTile, t.dotsFn)
-			parallel.ForChunkMin(s*t.slices, 1, t.slicesFn)
-		}
-		p.PutBlock(ws, t.xb)
+	for _, l := range t.lanes[:t.nl] {
+		l.acc = l.ws.Vec(s * t.accStride)
+		l.g = l.ws.Vec(gLen)
 	}
-	ws.PutVec(t.g)
-	ws.PutVec(t.acc)
+	t.sweep()
+	for _, l := range t.lanes[:t.nl] {
+		l.ws.PutVec(l.g)
+		l.ws.PutVec(l.acc)
+		l.g, l.acc = nil, nil
+	}
 	t.release()
+}
+
+// matVec computes the lane's block partials of every probe.
+//
+//firal:hotpath
+func (l *sweepLane) matVec() {
+	switch {
+	case mat.UseBlocked(l.c, l.d, l.m):
+		// Γᵀ·X takes the packed path: one probe at a time, its Γ
+		// through mat.MulTransA, as the per-probe composition does.
+		for j := 0; j < l.s; j++ {
+			l.rj0, l.rj1 = j, j+1
+			l.forChunk(l.m, sweepTile, l.dotsFn)
+			l.accumPacked(j)
+		}
+	case l.windowed:
+		l.forChunk(len(l.wins), 1, l.windowsFn)
+	default:
+		l.rj0, l.rj1 = 0, l.s
+		l.forChunk(l.m, sweepTile, l.dotsFn)
+		l.forChunk(l.s*l.slices, 1, l.slicesFn)
+	}
 }
 
 // setWindows cuts the s probes into one window per worker, as
@@ -253,29 +397,28 @@ func (t *sweepTask) setWindows(workers, rows int) {
 
 // sweepWindows is the fused matvec body for probe windows [lo, hi): for
 // each, tile by tile, the dots and Γ of its probes in its own Γ region,
-// then their accumulation.
+// then their accumulation into the probes' partials.
 //
 //firal:hotpath
-func (t *sweepTask) sweepWindows(lo, hi int) {
+func (l *sweepLane) sweepWindows(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		win := &t.wins[i]
+		win := &l.wins[i]
 		j0, j1 := win.j0, win.j1
-		gs := (j1 - j0) * t.c
-		g := t.g[i*t.region : i*t.region+sweepTile*gs]
+		gs := (j1 - j0) * l.c
+		g := l.g[i*l.region : i*l.region+sweepTile*gs]
 		var pb *mat.Packed
 		if win.packed {
 			pb = &win.pk
 		}
-		t.clearPartials(j0, j1, 0, t.d)
-		for r0 := 0; r0 < t.m; r0 += sweepTile {
-			r1 := min(r0+sweepTile, t.m)
-			t.dots(g, t.v, pb, 0, r0, r1, j0, j1)
-			t.gamma(g, gs, r0, r1)
+		l.clearPartials(j0, j1, 0, l.d)
+		for r0 := 0; r0 < l.m; r0 += sweepTile {
+			r1 := min(r0+sweepTile, l.m)
+			l.dots(g, l.v, pb, 0, r0, r1, j0, j1)
+			l.gamma(g, gs, r0, r1)
 			for j := j0; j < j1; j++ {
-				t.accumulate(g[(j-j0)*t.c:], gs, j, 0, t.d, r0, r1)
+				l.accumulate(g[(j-j0)*l.c:], gs, j, 0, l.d, r0, r1)
 			}
 		}
-		t.foldPartials(j0, j1, 0, t.d)
 	}
 }
 
@@ -284,46 +427,44 @@ func (t *sweepTask) sweepWindows(lo, hi int) {
 // block row, row stride (rj1−rj0)·c.
 //
 //firal:hotpath
-func (t *sweepTask) dotsRows(r0, r1 int) {
-	gs := (t.rj1 - t.rj0) * t.c
-	g := t.g[r0*gs:]
-	t.dots(g, t.v, t.pv, t.rj0*t.c, r0, r1, t.rj0, t.rj1)
-	t.gamma(g, gs, r0, r1)
+func (l *sweepLane) dotsRows(r0, r1 int) {
+	gs := (l.rj1 - l.rj0) * l.c
+	g := l.g[r0*gs:]
+	l.dots(g, l.v, l.pv, l.rj0*l.c, r0, r1, l.rj0, l.rj1)
+	l.gamma(g, gs, r0, r1)
 }
 
 // accumSlices is the unfused matvec's accumulation over items [lo, hi),
 // item = probe·slices + column slice; the scratch holds every probe's Γ.
 //
 //firal:hotpath
-func (t *sweepTask) accumSlices(lo, hi int) {
-	gs := t.s * t.c
+func (l *sweepLane) accumSlices(lo, hi int) {
+	gs := l.s * l.c
 	for it := lo; it < hi; it++ {
-		j := it / t.slices
-		c0 := (it % t.slices) * t.cols
-		c1 := min(c0+t.cols, t.d)
+		j := it / l.slices
+		c0 := (it % l.slices) * l.cols
+		c1 := min(c0+l.cols, l.d)
 		if c0 >= c1 {
 			continue
 		}
-		t.clearPartials(j, j+1, c0, c1)
-		for r0 := 0; r0 < t.m; r0 += sweepTile {
-			r1 := min(r0+sweepTile, t.m)
-			t.accumulate(t.g[r0*gs+j*t.c:], gs, j, c0, c1, r0, r1)
+		l.clearPartials(j, j+1, c0, c1)
+		for r0 := 0; r0 < l.m; r0 += sweepTile {
+			r1 := min(r0+sweepTile, l.m)
+			l.accumulate(l.g[r0*gs+j*l.c:], gs, j, c0, c1, r0, r1)
 		}
-		t.foldPartials(j, j+1, c0, c1)
 	}
 }
 
-// accumPacked accumulates probe j of a block whose Γᵀ·X takes the packed
-// path: its Γ (all block rows, from dotsRows) goes through mat.MulTransA,
-// so the panel order is kept exactly. The operand headers live in the
-// pooled record, so handing them to the worker pool does not allocate.
+// accumPacked computes probe j's partial for a block whose Γᵀ·X takes
+// the packed path: its Γ (all block rows, from dotsRows) goes through
+// mat.MulTransA, so the panel order is kept exactly. The operand headers
+// live in the lane, so handing them to the worker pool does not allocate.
 //
 //firal:hotpath
-func (t *sweepTask) accumPacked(j int) {
-	t.ga = mat.Dense{Rows: t.m, Cols: t.c, Stride: t.c, Data: t.g}
-	t.pd = mat.Dense{Rows: t.c, Cols: t.d, Stride: t.d, Data: t.partial(j)}
-	mat.MulTransA(&t.pd, &t.ga, t.xb)
-	t.foldPartials(j, j+1, 0, t.d)
+func (l *sweepLane) accumPacked(j int) {
+	l.ga = mat.Dense{Rows: l.m, Cols: l.c, Stride: l.c, Data: l.g}
+	l.pd = mat.Dense{Rows: l.c, Cols: l.d, Stride: l.d, Data: l.partial(j)}
+	mat.MulTransA(&l.pd, &l.ga, l.xb)
 }
 
 // dots writes the c dot products of block rows [r0, r1) with probes
@@ -336,16 +477,16 @@ func (t *sweepTask) accumPacked(j int) {
 // only read in the unblocked order.
 //
 //firal:hotpath
-func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, pc0, r0, r1, j0, j1 int) {
-	gs := (j1 - j0) * t.c
-	xs := t.xb.Stride
-	xt := mat.Dense{Rows: r1 - r0, Cols: t.d, Stride: xs, Data: t.xb.Data[r0*xs:]}
+func (l *sweepLane) dots(g []float64, vb *mat.Dense, pb *mat.Packed, pc0, r0, r1, j0, j1 int) {
+	gs := (j1 - j0) * l.c
+	xs := l.xb.Stride
+	xt := mat.Dense{Rows: r1 - r0, Cols: l.d, Stride: xs, Data: l.xb.Data[r0*xs:]}
 	gt := mat.Dense{Rows: r1 - r0, Cols: gs, Stride: gs, Data: g}
-	if pb != nil && (t.blocked || mat.UseDotuTile(pc0, pc0+gs)) {
-		mat.MulPackedRightInOrder(&gt, &xt, pb, pc0, t.blocked)
+	if pb != nil && (l.blocked || mat.UseDotuTile(pc0, pc0+gs)) {
+		mat.MulPackedRightInOrder(&gt, &xt, pb, pc0, l.blocked)
 		return
 	}
-	vt := mat.Dense{Rows: gs, Cols: t.d, Stride: t.d, Data: vb.Data[j0*vb.Cols:]}
+	vt := mat.Dense{Rows: gs, Cols: l.d, Stride: l.d, Data: vb.Data[j0*vb.Cols:]}
 	mat.MulTransBInOrder(&gt, &xt, &vt, false)
 }
 
@@ -356,13 +497,13 @@ func (t *sweepTask) dots(g []float64, vb *mat.Dense, pb *mat.Packed, pc0, r0, r1
 // probes' α run as four independent chains, so their adds overlap.
 //
 //firal:hotpath
-func (t *sweepTask) gamma(g []float64, gs, r0, r1 int) {
-	c := t.c
+func (l *sweepLane) gamma(g []float64, gs, r0, r1 int) {
+	c := l.c
 	for i := r0; i < r1; i++ {
-		hr := t.h.Row(t.base + i)
+		hr := l.h.Row(l.base + i)
 		wi := 1.0
-		if t.w != nil {
-			wi = t.w[t.base+i]
+		if l.w != nil {
+			wi = l.w[l.base+i]
 		}
 		row := g[(i-r0)*gs : (i-r0+1)*gs]
 		switch c {
@@ -421,12 +562,12 @@ func (t *sweepTask) gamma(g []float64, gs, r0, r1 int) {
 // probe j's Γ of row r0 at g[:c], row stride gs.
 //
 //firal:hotpath
-func (t *sweepTask) accumulate(g []float64, gs, j, c0, c1, r0, r1 int) {
-	xs := t.xb.Stride
-	xt := mat.Dense{Rows: r1 - r0, Cols: c1 - c0, Stride: xs, Data: t.xb.Data[r0*xs+c0:]}
-	out := t.partial(j)
-	for k := 0; k < t.c; k++ {
-		mat.AccumRows(out[k*t.d+c0:k*t.d+c1], g[k:], gs, &xt)
+func (l *sweepLane) accumulate(g []float64, gs, j, c0, c1, r0, r1 int) {
+	xs := l.xb.Stride
+	xt := mat.Dense{Rows: r1 - r0, Cols: c1 - c0, Stride: xs, Data: l.xb.Data[r0*xs+c0:]}
+	out := l.partial(j)
+	for k := 0; k < l.c; k++ {
+		mat.AccumRows(out[k*l.d+c0:k*l.d+c1], g[k:], gs, &xt)
 	}
 }
 
@@ -444,35 +585,33 @@ func (t *sweepTask) packProbes(pk *mat.Packed, vb *mat.Dense, rows, j0, j1 int) 
 	return pk
 }
 
-// partial returns probe j's block partial, its region of the accumulator.
-func (t *sweepTask) partial(j int) []float64 {
-	return t.acc[j*t.accStride : j*t.accStride+t.d*t.c]
+// partial returns probe j's block partial, its region of the lane's
+// accumulator.
+func (l *sweepLane) partial(j int) []float64 {
+	return l.acc[j*l.accStride : j*l.accStride+l.d*l.c]
 }
 
 // clearPartials zeroes columns [c0, c1) of every class row of the
 // partials of probes [j0, j1).
 //
 //firal:hotpath
-func (t *sweepTask) clearPartials(j0, j1, c0, c1 int) {
+func (l *sweepLane) clearPartials(j0, j1, c0, c1 int) {
 	for j := j0; j < j1; j++ {
-		out := t.partial(j)
-		for k := 0; k < t.c; k++ {
-			clear(out[k*t.d+c0 : k*t.d+c1])
+		out := l.partial(j)
+		for k := 0; k < l.c; k++ {
+			clear(out[k*l.d+c0 : k*l.d+c1])
 		}
 	}
 }
 
-// foldPartials adds the block partials of probes [j0, j1), columns
-// [c0, c1) of each class row, into dst.
+// foldPartials adds every probe's block partial into dst.
 //
 //firal:hotpath
-func (t *sweepTask) foldPartials(j0, j1, c0, c1 int) {
-	for j := j0; j < j1; j++ {
-		src, dr := t.partial(j), t.dst.Row(j)
-		for k := 0; k < t.c; k++ {
-			for q := k*t.d + c0; q < k*t.d+c1; q++ {
-				dr[q] += src[q]
-			}
+func (l *sweepLane) foldPartials() {
+	for j := 0; j < l.s; j++ {
+		src, dr := l.partial(j), l.dst.Row(j)
+		for q, x := range src {
+			dr[q] += x
 		}
 	}
 }
@@ -489,55 +628,51 @@ func (t *sweepTask) foldPartials(j0, j1, c0, c1 int) {
 func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense, scale float64) {
 	checkBlockShapes(p, u, v)
 	checkCompact(u, v)
-	s := u.Rows
-	n, d, c := p.N(), p.D(), p.C()
-	if len(dst) != n {
+	if len(dst) != p.N() {
 		panic("hessian: QuadAccum dst length mismatch")
 	}
-	bs := p.BlockRows()
-	// One item per worker, each with private tile scratch for both dot
-	// sets; an item is a contiguous run of block rows.
-	items := min(parallel.Workers(), (min(bs, n)+sweepTile-1)/sweepTile)
-	t := sweepTasks.Get()
-	t.u, t.v, t.h, t.qdst, t.scale = u, v, p.Probs(), dst, scale
-	t.s, t.d, t.c = s, d, c
-	t.qstride = lineStride(2 * sweepTile * s * c)
-	t.g = ws.Vec(items * t.qstride)
-	t.pu = t.packProbes(&t.upk, u, min(bs, n), 0, s)
-	t.pv = t.packProbes(&t.vpk, v, min(bs, n), 0, s)
-	for lo := 0; lo < n; lo += bs {
-		hi := min(lo+bs, n)
-		t.xb, t.base, t.m = p.Block(ws, lo, hi), lo, hi-lo
-		t.blocked = mat.UseBlocked(t.m, c, d)
-		nit := min(items, (t.m+sweepTile-1)/sweepTile)
-		t.rows = (t.m + nit - 1) / nit
-		parallel.ForChunkMin(nit, 1, t.quadFn)
-		p.PutBlock(ws, t.xb)
+	t := getSweep(sweepQuad, ws, p)
+	t.u, t.v, t.qdst, t.scale, t.s = u, v, dst, scale, u.Rows
+	rows := min(t.bs, t.n)
+	// One item per worker that splits a block, each with private tile
+	// scratch for both dot sets; an item is a contiguous run of block
+	// rows. Every point's row lies in one block, so the blocks write
+	// disjoint parts of dst and fold nothing.
+	t.items = min(t.inner, (rows+sweepTile-1)/sweepTile)
+	t.qstride = lineStride(2 * sweepTile * t.s * t.c)
+	t.pu = t.packProbes(&t.upk, u, rows, 0, t.s)
+	t.pv = t.packProbes(&t.vpk, v, rows, 0, t.s)
+	for _, l := range t.lanes[:t.nl] {
+		l.g = l.ws.Vec(t.items * t.qstride)
 	}
-	ws.PutVec(t.g)
+	t.sweep()
+	for _, l := range t.lanes[:t.nl] {
+		l.ws.PutVec(l.g)
+		l.g = nil
+	}
 	t.release()
 }
 
-// quadRows runs QuadAccum items [lo, hi): item it covers block rows
-// [it·rows, (it+1)·rows) and uses scratch region it, which shares no
-// cache line with another region.
+// quadRows runs QuadAccum items [lo, hi) of the lane's block: item it
+// covers block rows [it·rows, (it+1)·rows) and uses scratch region it,
+// which shares no cache line with another region.
 //
 //firal:hotpath
-func (t *sweepTask) quadRows(lo, hi int) {
-	sc := t.s * t.c
+func (l *sweepLane) quadRows(lo, hi int) {
+	sc := l.s * l.c
 	for it := lo; it < hi; it++ {
-		gu := t.g[it*t.qstride:]
+		gu := l.g[it*l.qstride:]
 		gv := gu[sweepTile*sc:]
-		for r0 := it * t.rows; r0 < min((it+1)*t.rows, t.m); r0 += sweepTile {
-			r1 := min(r0+sweepTile, (it+1)*t.rows, t.m)
-			t.dots(gu, t.u, t.pu, 0, r0, r1, 0, t.s)
-			t.dots(gv, t.v, t.pv, 0, r0, r1, 0, t.s)
+		for r0 := it * l.rows; r0 < min((it+1)*l.rows, l.m); r0 += sweepTile {
+			r1 := min(r0+sweepTile, (it+1)*l.rows, l.m)
+			l.dots(gu, l.u, l.pu, 0, r0, r1, 0, l.s)
+			l.dots(gv, l.v, l.pv, 0, r0, r1, 0, l.s)
 			for i := r0; i < r1; i++ {
-				hr := t.h.Row(t.base + i)
+				hr := l.h.Row(l.base + i)
 				q0 := (i - r0) * sc
 				hu, hv := gu[q0:q0+sc], gv[q0:q0+sc]
-				qi := t.qdst[t.base+i]
-				for j := 0; j < sc; j += t.c {
+				qi := l.qdst[l.base+i]
+				for j := 0; j < sc; j += l.c {
 					var alpha, q float64 // alpha in mat.Dot's order
 					for k, hk := range hr {
 						alpha += hv[j+k] * hk
@@ -545,9 +680,9 @@ func (t *sweepTask) quadRows(lo, hi int) {
 					for k, hk := range hr {
 						q += (hv[j+k] - alpha) * hk * hu[j+k]
 					}
-					qi += t.scale * q
+					qi += l.scale * q
 				}
-				t.qdst[t.base+i] = qi
+				l.qdst[l.base+i] = qi
 			}
 		}
 	}
@@ -556,16 +691,17 @@ func (t *sweepTask) quadRows(lo, hi int) {
 // BlockDiagSumInto computes the c diagonal d×d blocks of Σ_i w_i H_i
 // (Eq. 14): block k = Σ_i w_i h_ik(1−h_ik) x_i x_iᵀ. A nil w means unit
 // weights. It writes into blocks (allocated when nil) with scratch drawn
-// from ws, so callers that rebuild the blocks every iteration (the RELAX
-// preconditioner, the distributed allreduce) reuse one set of buffers
-// round to round. Row blocks are visited outermost, so a streamed source
-// is read once per call, with all c class Grams accumulated per visit;
-// each row block's Gram folds into the zeroed blocks, at every block
-// count, as MatVecBlockWS folds its partials.
+// from ws (and the lanes' own workspaces), so callers that rebuild the
+// blocks every iteration (the RELAX preconditioner, the distributed
+// allreduce) reuse one set of buffers round to round. Row blocks are
+// visited outermost, so a streamed source is read once per call, with
+// all c class Grams computed per visit; each row block's Grams fold into
+// the zeroed blocks in block order, at every block count, as
+// MatVecBlockWS folds its partials.
 //
 //firal:hotpath
 func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float64) []*mat.Dense {
-	n, d, c := p.N(), p.D(), p.C()
+	d, c := p.D(), p.C()
 	if blocks == nil {
 		blocks = make([]*mat.Dense, c)
 		for k := range blocks {
@@ -577,29 +713,58 @@ func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float6
 	for k := range blocks {
 		blocks[k].Zero()
 	}
-	h := p.Probs()
-	bs := p.BlockRows()
-	acc := ws.Matrix(d, d)
-	u := ws.Vec(min(bs, n))
-	for lo := 0; lo < n; lo += bs {
-		hi := min(lo+bs, n)
-		m := hi - lo
-		xb := p.Block(ws, lo, hi)
-		for k := 0; k < c; k++ {
-			for i := 0; i < m; i++ {
-				wi := 1.0
-				if w != nil {
-					wi = w[lo+i]
-				}
-				hv := h.At(lo+i, k)
-				u[i] = wi * hv * (1 - hv)
-			}
-			mat.WeightedGram(acc, xb, u[:m])
-			blocks[k].AddScaled(1, acc)
-		}
-		p.PutBlock(ws, xb)
+	t := getSweep(sweepGram, ws, p)
+	t.blocks, t.w = blocks, w
+	parts := 1 // a one-lane sweep folds each class's Gram at once
+	if t.nl > 1 {
+		parts = c
 	}
-	ws.PutVec(u)
-	ws.PutMatrix(acc)
+	for _, l := range t.lanes[:t.nl] {
+		l.gw = l.ws.Vec(min(t.bs, t.n))
+		for len(l.grams) < parts {
+			//firal:allow(alloc) — amortized: a lane's partial headers grow only with the class count
+			l.grams = append(l.grams, nil)
+		}
+		for k := range parts {
+			l.grams[k] = l.ws.Matrix(d, d)
+		}
+	}
+	t.sweep()
+	for _, l := range t.lanes[:t.nl] {
+		for k := range parts {
+			l.ws.PutMatrix(l.grams[k])
+			l.grams[k] = nil
+		}
+		l.ws.PutVec(l.gw)
+		l.gw = nil
+	}
+	t.release()
 	return blocks
+}
+
+// gram computes the lane block's Gram of every class. When the sweep
+// runs several lanes, each class's Gram is the whole triangle on the
+// lane's goroutine, kept in the lane's partial for Fold. At one lane the
+// workers split each triangle (mat.WeightedGram), and each class's Gram
+// folds into its block at once, so one partial serves every class.
+//
+//firal:hotpath
+func (l *sweepLane) gram() {
+	u := l.gw[:l.m]
+	for k := 0; k < l.c; k++ {
+		for i := range u {
+			wi := 1.0
+			if l.w != nil {
+				wi = l.w[l.base+i]
+			}
+			hv := l.h.At(l.base+i, k)
+			u[i] = wi * hv * (1 - hv)
+		}
+		if l.nl > 1 {
+			mat.WeightedGramSerial(l.grams[k], l.xb, u)
+		} else {
+			mat.WeightedGram(l.grams[0], l.xb, u)
+			l.blocks[k].AddScaled(1, l.grams[0])
+		}
+	}
 }

@@ -3,6 +3,7 @@ package hessian
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -75,18 +76,20 @@ func TestPrefetchedKernelsBitIdentical(t *testing.T) {
 }
 
 // TestPrefetchedStreamZeroAllocMulticore pins the standing 0-alloc
-// contract on the new path: with four workers engaged and warm state, a
-// full prefetched sweep through each blocked kernel — including the
-// asynchronous read-ahead spawned per block — allocates nothing. Named
-// *Alloc* for the CI alloc-multicore job.
+// contract on the prefetched path at GOMAXPROCS 2 and 4, with as many
+// workers: the pool has eight blocks, at least 2·W, so every sweep hands
+// whole blocks to the workers (parallel.ForBlocks) and keeps up to W
+// lent blocks out at once. With warm state, a full prefetched sweep
+// through each blocked kernel — including the asynchronous read-ahead
+// spawned per block — allocates nothing, and only the first window of
+// each sweep misses the read-ahead. Named *Alloc* for the CI
+// alloc-multicore job.
 func TestPrefetchedStreamZeroAllocMulticore(t *testing.T) {
 	skipUnderRace(t)
-	prev := parallel.SetMaxWorkers(4)
-	defer parallel.SetMaxWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
 	set := allocSet(2000, 24, 5)
 	const bs = 256
-	pre, _ := prefetchedStream(set, bs)
-	ws := mat.NewWorkspace()
 	const s = 3
 	vt, _ := blockVectors(set.Ed(), s, 41)
 	ut, _ := blockVectors(set.Ed(), s, 42)
@@ -94,16 +97,33 @@ func TestPrefetchedStreamZeroAllocMulticore(t *testing.T) {
 	dstQ := make([]float64, set.N())
 	w := make([]float64, set.N())
 	mat.Fill(w, 0.5)
-	var grams []*mat.Dense
-	sweep := func() {
-		MatVecBlockWS(ws, pre, dstMV, vt, w)
-		QuadAccumBlockWS(ws, pre, dstQ, ut, vt, -0.1)
-		grams = BlockDiagSumInto(ws, pre, grams, w)
-	}
-	sweep() // size the double buffer, workspace scratch, and Gram storage
-	sweep()
-	if allocs := testing.AllocsPerRun(30, sweep); allocs != 0 {
-		t.Fatalf("warm prefetched kernel sweep allocates %.1f objects per pass at 4 workers", allocs)
+	for _, nw := range []int{2, 4} {
+		runtime.GOMAXPROCS(nw)
+		parallel.SetMaxWorkers(nw)
+		if nb := (set.N() + bs - 1) / bs; parallel.BlockLanes(nb) != nw {
+			t.Fatalf("%d blocks at %d workers run on %d lanes", nb, nw, parallel.BlockLanes(nb))
+		}
+		pre, _ := prefetchedStream(set, bs)
+		ws := mat.NewWorkspace()
+		var grams []*mat.Dense
+		sweep := func() {
+			MatVecBlockWS(ws, pre, dstMV, vt, w)
+			QuadAccumBlockWS(ws, pre, dstQ, ut, vt, -0.1)
+			grams = BlockDiagSumInto(ws, pre, grams, w)
+		}
+		sweep() // size the lent buffers, workspace scratch, and Gram storage
+		sweep()
+		lender := pre.Source().(*dataset.PrefetchSource)
+		_, missed := lender.Stats()
+		const runs = 30
+		if allocs := testing.AllocsPerRun(runs, sweep); allocs != 0 {
+			t.Fatalf("warm prefetched kernel sweep allocates %.1f objects per pass at %d workers", allocs, nw)
+		}
+		// AllocsPerRun makes one warm-up call besides the runs; each
+		// call is three sweeps.
+		if _, misses := lender.Stats(); misses-missed != 3*(runs+1) {
+			t.Fatalf("%d workers: %d read-ahead misses in %d sweeps, want one per sweep", nw, misses-missed, 3*(runs+1))
+		}
 	}
 }
 

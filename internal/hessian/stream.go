@@ -56,8 +56,9 @@ var ErrPoolRead = errors.New("hessian: pool read failed")
 // dataset.PoolSource block by block while the probability rows stay
 // resident. It is how selection scales past resident pools — an mmap'd
 // float32 shard set or a CSV file feeds the same solver kernels as an
-// in-memory matrix, with scratch bounded by one row block — and, over a
-// dataset.MatrixSource, how a resident Set serves its rows zero-copy.
+// in-memory matrix, with scratch bounded by one row block per worker —
+// and, over a dataset.MatrixSource, how a resident Set serves its rows
+// zero-copy.
 //
 // A Stream is read-only after construction and may be shared by
 // goroutines that each bring their own Workspace, provided the source's
@@ -169,8 +170,12 @@ func (st *Stream) Block(ws *mat.Workspace, lo, hi int) *mat.Dense {
 
 // PutBlock releases a block obtained from Block. For a lending source
 // this is what frees a prefetch buffer for the next read-ahead, so the
-// blocked engines' lend-compute-return rhythm must hold (it does: every
-// consumer releases block k before requesting block k+1).
+// blocked engines keep the lender's ordered-lend contract
+// (dataset.BlockLender): they request blocks in ascending order and hold
+// at most one per worker — a one-lane sweep releases block k before it
+// requests block k+1, and each lane of a block-parallel sweep
+// (parallel.ForBlocks) releases its block before it folds the block's
+// partial.
 func (st *Stream) PutBlock(ws *mat.Workspace, b *mat.Dense) {
 	if st.res != nil {
 		ws.PutView(b)

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/rnd"
 )
 
@@ -188,12 +190,17 @@ func TestStreamShardMatchesRoundedResident(t *testing.T) {
 // TestStreamZeroAllocWarm pins the streaming paths' steady-state
 // allocation behaviour: with a warm workspace, both the zero-copy
 // in-memory source and the decode-into-scratch shard source run the
-// blocked kernels at 0 allocs/op.
+// blocked kernels at 0 allocs/op. The pool has nine blocks, the last one
+// ragged, so at GOMAXPROCS 2 and 4 (with as many workers) every sweep
+// hands whole blocks to the workers, each lane decoding into its own
+// workspace; at one worker it is the serial loop.
 func TestStreamZeroAllocWarm(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	const n, d, c = 530, 8, 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
+	const n, d, c, bs = 530, 8, 3, 64
 	set, w := streamTestData(11, n, d, c)
 
 	shardPath := filepath.Join(t.TempDir(), "pool.shard")
@@ -217,24 +224,32 @@ func TestStreamZeroAllocWarm(t *testing.T) {
 	rnd.New(12).Normal(v, 0, 1)
 	dst := make([]float64, d*c)
 	quad := make([]float64, n)
-	for _, tc := range []struct {
-		name string
-		src  dataset.PoolSource
-	}{
-		{"in-memory", dataset.NewMatrixSource(set.X)},
-		{"mmap-shard", shards},
-	} {
-		stream := NewStream(tc.src, set.H, 128) // multi-block with ragged tail
-		ws := mat.NewWorkspace()
-		var blocks []*mat.Dense
-		iter := func() {
-			matVec(ws, stream, dst, v, w)
-			quadAccum(ws, stream, quad, v, v, 0.5)
-			blocks = BlockDiagSumInto(ws, stream, blocks, w)
+	for _, nw := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(max(nw, 2))
+		parallel.SetMaxWorkers(nw)
+		if nb := (n + bs - 1) / bs; nw > 1 && parallel.BlockLanes(nb) != nw {
+			t.Fatalf("%d blocks at %d workers run on %d lanes", nb, nw, parallel.BlockLanes(nb))
 		}
-		iter() // warm the workspace and block scratch
-		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
-			t.Errorf("%s: blocked kernels allocate %.1f objects per sweep with a warm workspace", tc.name, allocs)
+		for _, tc := range []struct {
+			name string
+			src  dataset.PoolSource
+		}{
+			{"in-memory", dataset.NewMatrixSource(set.X)},
+			{"mmap-shard", shards},
+		} {
+			stream := NewStream(tc.src, set.H, bs)
+			ws := mat.NewWorkspace()
+			var blocks []*mat.Dense
+			iter := func() {
+				matVec(ws, stream, dst, v, w)
+				quadAccum(ws, stream, quad, v, v, 0.5)
+				blocks = BlockDiagSumInto(ws, stream, blocks, w)
+			}
+			iter() // warm the workspaces and block scratch
+			if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
+				t.Errorf("%s at %d workers: blocked kernels allocate %.1f objects per sweep with a warm workspace",
+					tc.name, nw, allocs)
+			}
 		}
 	}
 }

@@ -565,6 +565,19 @@ func WeightedGram(dst *Dense, x *Dense, w []float64) *Dense {
 	return dst
 }
 
+// WeightedGramSerial is WeightedGram on the calling goroutine alone, for
+// a caller that already runs one of several workers: the whole triangle,
+// with WeightedGram's bits.
+//
+//firal:hotpath
+func WeightedGramSerial(dst *Dense, x *Dense, w []float64) *Dense {
+	d := x.Cols
+	dst = prepDst(dst, d, d)
+	weightedGramRange(dst, x, w, 0, d)
+	mirrorLower(dst)
+	return dst
+}
+
 // gramTasks runs the pairs [lo, hi): triangle rows [lo, hi) and their
 // mirrors [d−hi, d−lo), less the middle row of an odd d already done.
 var gramTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
