@@ -2,6 +2,9 @@ package distfiral
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -357,5 +360,38 @@ func TestReadFailureInLastRelaxIterationPublishesNothing(t *testing.T) {
 		if len(published) != iters-1 {
 			t.Fatalf("p=%d: published %d checkpoints, want the %d before the failure", ranks, len(published), iters-1)
 		}
+	}
+}
+
+// TestMultiBlockBitsPinned pins the bits of a selection over a pool of
+// multiBlockRows rows, four dataset.DefaultBlockRows blocks at one rank
+// (the last one ragged), so every sweep folds block partials: the
+// sha256 of the RELAX weights z, the CG iteration count and the
+// selection. At d = 16 and c = 3 the sweeps run the dotu-order dots, the
+// Gram's rank-4 update and AccumRows, and ROUND the fused norms. Any
+// change to the bits of those kernels shows here; re-record the pin only
+// together with a declared change of the kernels' roundings.
+func TestMultiBlockBitsPinned(t *testing.T) {
+	const (
+		wantZ  = "d9c1134fd06f6fa72f1ff3923dc0a133c033310883969977f0fcca1c35987026"
+		wantCG = 55
+	)
+	wantSel := []int{5340, 8384, 2481, 2360, 7632, 11558}
+	labeled, pool := testSets(43, 20, multiBlockRows, 16, 3)
+	o := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 3, Seed: 5, Probes: 4}}
+	res, err := SelectInProcess(context.Background(), 1, labeled, dataset.NewMatrixSource(pool.X), pool.H, 6, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range res.Relax.Z {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	gotZ := hex.EncodeToString(h.Sum(nil))
+	if gotZ != wantZ || res.Relax.CGIterations != wantCG || !slices.Equal(res.Selected, wantSel) {
+		t.Fatalf("z sha256 %s, %d CG iterations, selected %v; want %s, %d, %v",
+			gotZ, res.Relax.CGIterations, res.Selected, wantZ, wantCG, wantSel)
 	}
 }
