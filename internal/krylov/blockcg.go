@@ -168,8 +168,9 @@ func SolveBlockInto(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.D
 			pj, apj := p.Row(j), ap.Row(j)
 			pap := mat.Dot(pj, apj)
 			if pap <= 0 || pap != pap {
-				// Column j lost positive definiteness numerically; freeze
-				// its best iterate.
+				// Column j lost positive definiteness numerically; stop
+				// it at its last iterate (not its best: a residual that
+				// grew on the way is not rolled back).
 				results[j].RelResidual = rel[j]
 				act[j] = 0
 				nActive--
