@@ -373,7 +373,7 @@ func TestReadFailureInLastRelaxIterationPublishesNothing(t *testing.T) {
 // together with a declared change of the kernels' roundings.
 func TestMultiBlockBitsPinned(t *testing.T) {
 	const (
-		wantZ  = "d9c1134fd06f6fa72f1ff3923dc0a133c033310883969977f0fcca1c35987026"
+		wantZ  = "3b073bbaaef2e644e54f52519719d2dd69b4c0a189df63503b9ff72f288c579b"
 		wantCG = 55
 	)
 	wantSel := []int{5340, 8384, 2481, 2360, 7632, 11558}

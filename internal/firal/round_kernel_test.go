@@ -11,8 +11,9 @@ import (
 
 // unfusedScores is the unfused ROUND score pass: one y = x·W_k product
 // per 64-row tile and class, from the W_kᵀ stack packed as the right
-// operand, then the two weighted row norms read back from y. It is the
-// oracle the fused pass must match bit for bit.
+// operand, then the two weighted row norms read back from y, each term
+// one fused multiply-add as in mat.WeightedSqNorms. It is the oracle the
+// fused pass must match bit for bit.
 func unfusedScores(st *RoundState, x, h *mat.Dense) []float64 {
 	d := st.d
 	wts := mat.NewDense(st.c*d, d)
@@ -40,8 +41,8 @@ func unfusedScores(st *RoundState, x, h *mat.Dense) []float64 {
 				var qb, qp float64
 				for j, v := range y[(i-r0)*d : (i-r0+1)*d] {
 					v2 := v * v
-					qb += v2 * a[j]
-					qp += v2 * a2[j]
+					qb = math.FMA(v2, a[j], qb)
+					qp = math.FMA(v2, a2[j], qp)
 				}
 				out[i] += gamma * qp / (1 + st.eta*gamma*qb)
 			}
@@ -99,8 +100,8 @@ func TestRoundFastBitsPinned(t *testing.T) {
 	wantNu := []uint64{0x4025206afa62a558, 0x4022a6b831e77916, 0x40212700d8336e48, 0x401fd033d07064d8, 0x401d7d28a48bb4d7}
 	// One pin serves every worker count: no kernel splits the summation
 	// of one element, the Σ⋄ blocks' included.
-	wantObj := []uint64{0x3f6e61fde8a0a660, 0x3f756667262d2feb, 0x3f7826c12a6b744f, 0x3f7a6eeda1e8a0f4, 0x3f7c1b5cf59c9460}
-	const wantMin = 0xbcc3142ac8e64b12
+	wantObj := []uint64{0x3f6e61fde8a0a65d, 0x3f756667262d2ff3, 0x3f7826c12a6b7455, 0x3f7a6eeda1e8a105, 0x3f7c1b5cf59c948d}
+	const wantMin = 0xbcb01ed6b43e8517
 	p := testProblem(632, 20, 600, 32, 8)
 	z := make([]float64, p.N())
 	mat.Fill(z, 5/float64(p.N()))

@@ -216,33 +216,37 @@ func zeros(rng *rand.Rand, x []float64) {
 }
 
 // TestHasAVXMatchesCPUInfo checks the CPUID/XGETBV probe against the
-// kernel's view of the CPU: on linux the "avx" flag of /proc/cpuinfo is
-// listed exactly when the CPU has AVX and the kernel enabled the YMM
-// state.
+// kernel's view of the CPU: on linux the "avx" and "fma" flags of
+// /proc/cpuinfo are both listed exactly when the CPU has AVX and FMA and
+// the kernel enabled the YMM state. A host with AVX but no FMA must run
+// the portable level, because every asm level fuses its multiply-adds.
 func TestHasAVXMatchesCPUInfo(t *testing.T) {
 	flags, err := cpuinfoFlags()
 	if err != nil {
 		t.Skipf("cannot read the CPU flags: %v", err)
 	}
-	if got, want := hasAVX(), flags["avx"]; got != want {
-		t.Fatalf("hasAVX() = %v, /proc/cpuinfo avx flag = %v", got, want)
+	if got, want := hasAVX(), flags["avx"] && flags["fma"]; got != want {
+		t.Fatalf("hasAVX() = %v, /proc/cpuinfo avx flag = %v, fma flag = %v", got, flags["avx"], flags["fma"])
 	}
 	if kernel != detectKernel() {
 		t.Fatalf("kernel = %s, detected %s", kernel, detectKernel())
 	}
-	t.Logf("kernel level: %s", KernelLevel())
+	if !flags["fma"] && kernel != kernelPortable {
+		t.Fatalf("kernel level %s on a host without FMA", kernel)
+	}
+	t.Logf("kernel level: %s, fma: %v", KernelLevel(), flags["fma"])
 }
 
 // TestHasAVX512MatchesCPUInfo checks the AVX-512 probe the same way: on
-// linux the "avx512f" flag is listed exactly when the CPU has AVX-512F and
-// the kernel enabled the opmask and ZMM state, and the host then runs the
-// avx512 level.
+// linux the "avx512f" flag is listed, with "avx" and "fma", exactly when
+// the CPU has AVX-512F, AVX and FMA and the kernel enabled the opmask and
+// ZMM state, and the host then runs the avx512 level.
 func TestHasAVX512MatchesCPUInfo(t *testing.T) {
 	flags, err := cpuinfoFlags()
 	if err != nil {
 		t.Skipf("cannot read the CPU flags: %v", err)
 	}
-	if got, want := hasAVX512(), flags["avx512f"] && flags["avx"]; got != want {
+	if got, want := hasAVX512(), flags["avx512f"] && flags["avx"] && flags["fma"]; got != want {
 		t.Fatalf("hasAVX512() = %v, /proc/cpuinfo avx512f flag = %v", got, want)
 	}
 	if want := hasAVX512(); (KernelLevel() == "avx512") != want {

@@ -2,12 +2,12 @@
 // the row-ordered multi-row axpy of the aᵀ·b reference kernel (with an
 // AVX-512F pass over runs of thirty-two columns), the rank-4 row update
 // of the weighted Gram (on YMM, and on ZMM at AVX-512F) and the float32
-// widen of WidenFloat32. They run
-// only at the kernel level that supports their registers
-// (gemm_kernel_amd64.go). Every multiply and add is a separate
-// VMULPD/VADDPD (never FMA) in the portable loop's order, so each kernel
-// is bit-identical to its fallback (dotuGo, accumRowsGo, the rank-4 loop
-// of weightedGramRange, widenGo).
+// widen of WidenFloat32. They run only at the kernel level that supports
+// their registers (gemm_kernel_amd64.go). Each multiply-then-add of a
+// term is one fused multiply-add (VFMADD231PD/SD), in the portable loop's
+// order and with its operands in math.FMA's places, so each kernel is
+// bit-identical to its fallback (dotuGo, accumRowsGo, the rank-4 loop of
+// weightedGramRange, widenGo).
 
 #include "textflag.h"
 
@@ -46,14 +46,10 @@ quad:
 
 quadloop:
 	VMOVUPD (AX), Y8
-	VMULPD  (BX), Y8, Y9
-	VADDPD  Y9, Y0, Y0
-	VMULPD  (BX)(R8*1), Y8, Y10
-	VADDPD  Y10, Y1, Y1
-	VMULPD  (BX)(R8*2), Y8, Y11
-	VADDPD  Y11, Y2, Y2
-	VMULPD  (BX)(R13*1), Y8, Y12
-	VADDPD  Y12, Y3, Y3
+	VFMADD231PD (BX), Y8, Y0
+	VFMADD231PD (BX)(R8*1), Y8, Y1
+	VFMADD231PD (BX)(R8*2), Y8, Y2
+	VFMADD231PD (BX)(R13*1), Y8, Y3
 	ADDQ    $32, AX
 	ADDQ    $32, BX
 	DECQ    R11
@@ -70,14 +66,10 @@ quadtail:
 
 quadtailloop:
 	VMOVSD (AX), X8
-	VMULSD (BX), X8, X9
-	VADDSD X9, X0, X0
-	VMULSD (BX)(R8*1), X8, X10
-	VADDSD X10, X1, X1
-	VMULSD (BX)(R8*2), X8, X11
-	VADDSD X11, X2, X2
-	VMULSD (BX)(R13*1), X8, X12
-	VADDSD X12, X3, X3
+	VFMADD231SD (BX), X8, X0
+	VFMADD231SD (BX)(R8*1), X8, X1
+	VFMADD231SD (BX)(R8*2), X8, X2
+	VFMADD231SD (BX)(R13*1), X8, X3
 	ADDQ   $8, AX
 	ADDQ   $8, BX
 	DECQ   R11
@@ -113,8 +105,7 @@ one:
 
 oneloop:
 	VMOVUPD (AX), Y8
-	VMULPD  (BX), Y8, Y9
-	VADDPD  Y9, Y0, Y0
+	VFMADD231PD (BX), Y8, Y0
 	ADDQ    $32, AX
 	ADDQ    $32, BX
 	DECQ    R11
@@ -128,8 +119,7 @@ onetail:
 
 onetailloop:
 	VMOVSD (AX), X8
-	VMULSD (BX), X8, X9
-	VADDSD X9, X0, X0
+	VFMADD231SD (BX), X8, X0
 	ADDQ   $8, AX
 	ADDQ   $8, BX
 	DECQ   R11
@@ -188,14 +178,10 @@ wideloop:
 
 widedo:
 	VBROADCASTSD (AX), Y12
-	VMULPD       (BX), Y12, Y8
-	VADDPD       Y8, Y0, Y0
-	VMULPD       32(BX), Y12, Y9
-	VADDPD       Y9, Y1, Y1
-	VMULPD       64(BX), Y12, Y10
-	VADDPD       Y10, Y2, Y2
-	VMULPD       96(BX), Y12, Y11
-	VADDPD       Y11, Y3, Y3
+	VFMADD231PD  (BX), Y12, Y0
+	VFMADD231PD  32(BX), Y12, Y1
+	VFMADD231PD  64(BX), Y12, Y2
+	VFMADD231PD  96(BX), Y12, Y3
 
 widenext:
 	ADDQ R8, AX
@@ -232,8 +218,7 @@ quadloop:
 
 quaddo:
 	VBROADCASTSD (AX), Y12
-	VMULPD       (BX), Y12, Y8
-	VADDPD       Y8, Y0, Y0
+	VFMADD231PD  (BX), Y12, Y0
 
 quadnext:
 	ADDQ R8, AX
@@ -266,8 +251,7 @@ singleloop:
 	JMP      singlenext
 
 singledo:
-	VMULSD (BX), X12, X8
-	VADDSD X8, X0, X0
+	VFMADD231SD (BX), X12, X0
 
 singlenext:
 	ADDQ R8, AX
@@ -288,9 +272,11 @@ accdone:
 
 // func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
 //
-// accumRowsAVX for n a multiple of 32: thirty-two columns at a time stay
-// in four ZMM registers across the whole row loop, with the same
-// zero-coefficient test and the same multiply-then-add per element.
+// accumRowsAVX for n a multiple of 32: sixty-four columns at a time stay
+// in eight ZMM registers across the whole row loop (eight independent
+// FMA chains, where four would wait on the FMA latency), then thirty-two
+// in four, with the same zero-coefficient test and the same fused
+// multiply-add per element.
 TEXT ·accumRowsAVX512(SB), NOSPLIT, $0-56
 	MOVQ   n+0(FP), CX
 	MOVQ   y+8(FP), DI
@@ -302,6 +288,61 @@ TEXT ·accumRowsAVX512(SB), NOSPLIT, $0-56
 	SHLQ   $3, R9
 	MOVQ   rows+48(FP), R10
 	VXORPD X13, X13, X13
+
+zwide64:
+	CMPQ    CX, $64
+	JLT     zwide
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R10, R11
+	TESTQ   R11, R11
+	JZ      z64store
+
+z64loop:
+	VMOVSD   (AX), X12
+	VUCOMISD X13, X12
+	JNE      z64do
+	JPS      z64do
+	JMP      z64next
+
+z64do:
+	VBROADCASTSD (AX), Z12
+	VFMADD231PD  (BX), Z12, Z0
+	VFMADD231PD  64(BX), Z12, Z1
+	VFMADD231PD  128(BX), Z12, Z2
+	VFMADD231PD  192(BX), Z12, Z3
+	VFMADD231PD  256(BX), Z12, Z4
+	VFMADD231PD  320(BX), Z12, Z5
+	VFMADD231PD  384(BX), Z12, Z6
+	VFMADD231PD  448(BX), Z12, Z7
+
+z64next:
+	ADDQ R8, AX
+	ADDQ R9, BX
+	DECQ R11
+	JNZ  z64loop
+
+z64store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ    $512, DI
+	ADDQ    $512, DX
+	SUBQ    $64, CX
+	JMP     zwide64
 
 zwide:
 	CMPQ    CX, $32
@@ -325,14 +366,10 @@ zloop:
 
 zdo:
 	VBROADCASTSD (AX), Z12
-	VMULPD       (BX), Z12, Z8
-	VADDPD       Z8, Z0, Z0
-	VMULPD       64(BX), Z12, Z9
-	VADDPD       Z9, Z1, Z1
-	VMULPD       128(BX), Z12, Z10
-	VADDPD       Z10, Z2, Z2
-	VMULPD       192(BX), Z12, Z11
-	VADDPD       Z11, Z3, Z3
+	VFMADD231PD  (BX), Z12, Z0
+	VFMADD231PD  64(BX), Z12, Z1
+	VFMADD231PD  128(BX), Z12, Z2
+	VFMADD231PD  192(BX), Z12, Z3
 
 znext:
 	ADDQ R8, AX
@@ -357,10 +394,10 @@ zdone:
 // func gramRank4AVX(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
 //
 // For the four rows x_k = x[k·xs:][:r1] and r0 ≤ r < r1, with
-// v_k = w_k·x_k[r]: dst[r·ds + c] += ((v0·x0[c] + v1·x1[c]) + v2·x2[c]) +
-// v3·x3[c] for c ≤ r — rows [r0, r1) of the lower triangle of
-// Σ_k w_k x_k x_kᵀ in weightedGramRange's order. Four columns per YMM
-// register, single columns for the rest.
+// v_k = w_k·x_k[r]: dst[r·ds + c] += fma(v3, x3[c], fma(v2, x2[c],
+// fma(v1, x1[c], v0·x0[c]))) for c ≤ r — rows [r0, r1) of the lower
+// triangle of Σ_k w_k x_k x_kᵀ in weightedGramRange's order, one rounding
+// per term. Four columns per YMM register, single columns for the rest.
 TEXT ·gramRank4AVX(SB), NOSPLIT, $0-80
 	MOVQ         r0+0(FP), R13   // r
 	MOVQ         r1+8(FP), CX
@@ -396,35 +433,29 @@ row:
 	XORQ         AX, AX          // c
 
 cols:
-	LEAQ    4(AX), BX
-	CMPQ    BX, DX
-	JGT     tail
-	VMULPD  (SI)(AX*8), Y4, Y12
-	VMULPD  (R10)(AX*8), Y5, Y13
-	VADDPD  Y13, Y12, Y12
-	VMULPD  (R11)(AX*8), Y6, Y14
-	VADDPD  Y14, Y12, Y12
-	VMULPD  (R12)(AX*8), Y7, Y15
-	VADDPD  Y15, Y12, Y12
-	VADDPD  (DI)(AX*8), Y12, Y12
-	VMOVUPD Y12, (DI)(AX*8)
-	MOVQ    BX, AX
-	JMP     cols
+	LEAQ        4(AX), BX
+	CMPQ        BX, DX
+	JGT         tail
+	VMULPD      (SI)(AX*8), Y4, Y12
+	VFMADD231PD (R10)(AX*8), Y5, Y12
+	VFMADD231PD (R11)(AX*8), Y6, Y12
+	VFMADD231PD (R12)(AX*8), Y7, Y12
+	VADDPD      (DI)(AX*8), Y12, Y12
+	VMOVUPD     Y12, (DI)(AX*8)
+	MOVQ        BX, AX
+	JMP         cols
 
 tail:
-	CMPQ    AX, DX
-	JGE     nextrow
-	VMULSD  (SI)(AX*8), X4, X12
-	VMULSD  (R10)(AX*8), X5, X13
-	VADDSD  X13, X12, X12
-	VMULSD  (R11)(AX*8), X6, X14
-	VADDSD  X14, X12, X12
-	VMULSD  (R12)(AX*8), X7, X15
-	VADDSD  X15, X12, X12
-	VADDSD  (DI)(AX*8), X12, X12
-	VMOVSD  X12, (DI)(AX*8)
-	INCQ    AX
-	JMP     tail
+	CMPQ        AX, DX
+	JGE         nextrow
+	VMULSD      (SI)(AX*8), X4, X12
+	VFMADD231SD (R10)(AX*8), X5, X12
+	VFMADD231SD (R11)(AX*8), X6, X12
+	VFMADD231SD (R12)(AX*8), X7, X12
+	VADDSD      (DI)(AX*8), X12, X12
+	VMOVSD      X12, (DI)(AX*8)
+	INCQ        AX
+	JMP         tail
 
 nextrow:
 	ADDQ R8, DI
@@ -477,38 +508,32 @@ zrow:
 	XORQ         AX, AX          // c
 
 zcols:
-	LEAQ    8(AX), BX
-	CMPQ    BX, DX
-	JGT     ztail
-	VMULPD  (SI)(AX*8), Z4, Z12
-	VMULPD  (R10)(AX*8), Z5, Z13
-	VADDPD  Z13, Z12, Z12
-	VMULPD  (R11)(AX*8), Z6, Z14
-	VADDPD  Z14, Z12, Z12
-	VMULPD  (R12)(AX*8), Z7, Z15
-	VADDPD  Z15, Z12, Z12
-	VADDPD  (DI)(AX*8), Z12, Z12
-	VMOVUPD Z12, (DI)(AX*8)
-	MOVQ    BX, AX
-	JMP     zcols
+	LEAQ        8(AX), BX
+	CMPQ        BX, DX
+	JGT         ztail
+	VMULPD      (SI)(AX*8), Z4, Z12
+	VFMADD231PD (R10)(AX*8), Z5, Z12
+	VFMADD231PD (R11)(AX*8), Z6, Z12
+	VFMADD231PD (R12)(AX*8), Z7, Z12
+	VADDPD      (DI)(AX*8), Z12, Z12
+	VMOVUPD     Z12, (DI)(AX*8)
+	MOVQ        BX, AX
+	JMP         zcols
 
 ztail:
-	MOVQ     DX, CX
-	SUBQ     AX, CX          // rem = columns left, 0…7
-	JZ       znextrow
-	MOVL     $1, BX
-	SHLL     CX, BX
-	DECL     BX
-	KMOVW    BX, K1
-	VMULPD.Z (SI)(AX*8), Z4, K1, Z12
-	VMULPD.Z (R10)(AX*8), Z5, K1, Z13
-	VADDPD   Z13, Z12, Z12
-	VMULPD.Z (R11)(AX*8), Z6, K1, Z14
-	VADDPD   Z14, Z12, Z12
-	VMULPD.Z (R12)(AX*8), Z7, K1, Z15
-	VADDPD   Z15, Z12, Z12
-	VADDPD.Z (DI)(AX*8), Z12, K1, Z12
-	VMOVUPD  Z12, K1, (DI)(AX*8)
+	MOVQ          DX, CX
+	SUBQ          AX, CX          // rem = columns left, 0…7
+	JZ            znextrow
+	MOVL          $1, BX
+	SHLL          CX, BX
+	DECL          BX
+	KMOVW         BX, K1
+	VMULPD.Z      (SI)(AX*8), Z4, K1, Z12
+	VFMADD231PD.Z (R10)(AX*8), Z5, K1, Z12
+	VFMADD231PD.Z (R11)(AX*8), Z6, K1, Z12
+	VFMADD231PD.Z (R12)(AX*8), Z7, K1, Z12
+	VADDPD.Z      (DI)(AX*8), Z12, K1, Z12
+	VMOVUPD       Z12, K1, (DI)(AX*8)
 
 znextrow:
 	ADDQ R8, DI

@@ -78,10 +78,11 @@ func testDotLanes(t *testing.T) {
 
 // TestAccumRowsKernelMatchesPortable pins the multi-row axpy at every
 // kernel level the host has to accumRowsGo bit for bit at every column
-// count from 1 to 70 and at 300, so each thirty-two-wide, sixteen-wide,
-// four-wide and single-column pass and every tail runs, with zero,
-// negative-zero and NaN coefficients (zeros are skipped, NaN is not) and
-// rows holding signed zeros, infinities and NaN.
+// count from 1 to 70 and at 300, so each sixty-four-wide,
+// thirty-two-wide, sixteen-wide, four-wide and single-column pass and
+// every tail runs, with zero, negative-zero and NaN coefficients (zeros
+// are skipped, NaN is not) and rows holding signed zeros, infinities and
+// NaN.
 func TestAccumRowsKernelMatchesPortable(t *testing.T) {
 	// A NaN coefficient is not a zero: it must reach y, on either path.
 	nx := &Dense{Rows: 1, Cols: 17, Stride: 17, Data: make([]float64, 17)}
@@ -139,9 +140,9 @@ func testAccumRows(t *testing.T) {
 
 // TestMicroKernelMatchesScalar pins the 4×8 GEMM micro-kernel at every
 // kernel level the host has to a plain per-element loop (each element
-// summed over k in ascending order from zero) bit for bit, at every panel
-// depth from 0 to 300 (beyond gemmKC), with and without signed zeros,
-// infinities and NaN in the packed panels.
+// summed over k in ascending order from zero, one math.FMA per term) bit
+// for bit, at every panel depth from 0 to 300 (beyond gemmKC), with and
+// without signed zeros, infinities and NaN in the packed panels.
 func TestMicroKernelMatchesScalar(t *testing.T) {
 	forEachLevel(t, testMicroKernel)
 }
@@ -167,7 +168,7 @@ func testMicroKernel(t *testing.T) {
 				for c := 0; c < gemmNR; c++ {
 					var want float64
 					for k := 0; k < kc; k++ {
-						want += ap[gemmMR*k+r] * bp[gemmNR*k+c]
+						want = math.FMA(ap[gemmMR*k+r], bp[gemmNR*k+c], want)
 					}
 					if g := got[gemmNR*r+c]; !sameBits(g, want) {
 						t.Fatalf("%s kc=%d special=%v: acc(%d,%d) = %x, scalar %x", kernel, kc, special, r, c,
@@ -275,6 +276,88 @@ func testMicroWriteBack(t *testing.T) {
 								t.Fatalf("%s d=%d special=%v mr=%d cols [%d,%d) onto=%v: dst(%d,%d) = %x, Go write-back %x",
 									kernel, d, special, mr, t0, t1, onto, q/ds, q%ds, math.Float64bits(got), math.Float64bits(want[q]))
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMicroKernel4x16WriteBack pins micro4x16, the tile over two adjacent
+// right lane panels (one micro4x16avx512 call at the avx512 level), at
+// every kernel level the host has to the two 4×8 tiles it covers:
+// microTile on each panel, written back by the Go loop, stored on the
+// first k-panel and added onto dst after. It covers 1 to 4 rows, depths
+// 1 to 70 (one k-panel) and 300 (two), a strided destination whose other
+// elements hold a signalling-NaN sentinel that must survive, and NaNs
+// with payloads in the operands and in the sums an add lands on. A NaN
+// payload is compared exactly unless both operands of the add are NaN.
+func TestMicroKernel4x16WriteBack(t *testing.T) {
+	forEachLevel(t, testMicro16WriteBack)
+}
+
+func testMicro16WriteBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	depths := []int{300}
+	for d := 1; d <= 70; d++ {
+		depths = append(depths, d)
+	}
+	const sentinel = 0x7ff4000000000777
+	const i0, j0, ds = 1, 3, 2*gemmNR + 5
+	for _, d := range depths {
+		for _, special := range []bool{false, true} {
+			ap := make([]float64, gemmMR*d)
+			bp := make([]float64, 2*gemmNR*d) // two lane panels per k-panel, 8·kc apart
+			spread(rng, ap)
+			spread(rng, bp)
+			if special {
+				sprinkleNaNs(rng, ap)
+				sprinkleNaNs(rng, bp)
+			}
+			for mr := 1; mr <= gemmMR; mr++ {
+				for _, onto := range []bool{false, true} {
+					dst := &Dense{Rows: i0 + gemmMR + 1, Cols: ds, Stride: ds, Data: make([]float64, (i0+gemmMR+1)*ds)}
+					for i := range dst.Data {
+						dst.Data[i] = math.Float64frombits(sentinel)
+						if onto && i/ds >= i0 && i/ds < i0+mr && i%ds >= j0 && i%ds < j0+2*gemmNR {
+							dst.Data[i] = rng.NormFloat64()
+							if special && rng.Intn(4) == 0 {
+								dst.Data[i] = nanPayloads[rng.Intn(len(nanPayloads))]
+							}
+						}
+					}
+					want := append([]float64(nil), dst.Data...)
+					bothNaN := make([]bool, len(want))
+					for pc := 0; pc < d; pc += gemmKC {
+						kc := min(gemmKC, d-pc)
+						first := pc == 0 && !onto
+						bk := bp[2*gemmNR*pc:]
+						for h := 0; h < 2; h++ {
+							var acc [gemmMR * gemmNR]float64
+							microTile(kc, ap[gemmMR*pc:], bk[h*gemmNR*kc:], &acc)
+							for r := 0; r < mr; r++ {
+								for c := 0; c < gemmNR; c++ {
+									q := (i0+r)*ds + j0 + h*gemmNR + c
+									if first {
+										want[q] = 0
+									}
+									v := acc[r*gemmNR+c]
+									bothNaN[q] = bothNaN[q] || math.IsNaN(want[q]) && math.IsNaN(v)
+									want[q] += v
+								}
+							}
+						}
+						micro4x16(kc, ap[gemmMR*pc:], bk, dst, i0, j0, mr, first)
+					}
+					for q, got := range dst.Data {
+						ok := math.Float64bits(got) == math.Float64bits(want[q])
+						if bothNaN[q] {
+							ok = sameBits(got, want[q])
+						}
+						if !ok {
+							t.Fatalf("%s d=%d special=%v mr=%d onto=%v: dst(%d,%d) = %x, two 4×8 tiles %x",
+								kernel, d, special, mr, onto, q/ds, q%ds, math.Float64bits(got), math.Float64bits(want[q]))
 						}
 					}
 				}

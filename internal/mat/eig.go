@@ -303,8 +303,12 @@ func (m *Dense) transposeSquare() {
 // (rotGo, symRank2Go, rank1SubGo) on the host's widest vector level:
 // eight columns per ZMM register at the avx512 level, then four per YMM
 // register, then one, with the Go loop's multiplies and adds in its
-// per-element order and never a fused multiply-add, so every level gives
-// the same bits (eig_amd64.s).
+// per-element order, so every level gives the same bits (eig_amd64.s).
+// Unlike the product kernels they keep a separate multiply and add: a
+// rotation or rank-2 update combines two products of old values, not a
+// running sum, so a fused form would have to pick which product goes
+// unrounded, and the eigensolves (O(c·d³) per round) are too small a
+// share of a round for the fused form to pay for moving their bits.
 
 // rot applies tql's plane rotation to rows x and y: y ← s·x + c·y and
 // x ← c·x − s·y, element by element from the old values.

@@ -170,8 +170,9 @@ func TestSymEigLevelsMatchPortable(t *testing.T) {
 // TestWeightedSqNormsMatchesMulPacked pins the fused ROUND norm kernel at
 // every kernel level the host has to its unfused definition bit for bit:
 // y = x·wᵀ from MulPacked with the operands packed the other way round,
-// then per row of y the two weighted sums over ascending j. It covers
-// 1 to 70 points (every eight-point tail), w row counts that leave a
+// then per row of y the two weighted sums over ascending j, one math.FMA
+// per term. It covers 1 to 70 points (every eight-point tail, so both
+// the 4×16 tiles and a lone last 4×8 tile), w row counts that leave a
 // ragged last lane panel, inner dimensions from 1 to past one k-panel, and
 // signed zeros, infinities and NaN in the operands.
 func TestWeightedSqNormsMatchesMulPacked(t *testing.T) {
@@ -205,8 +206,8 @@ func TestWeightedSqNormsMatchesMulPacked(t *testing.T) {
 							var sb, sp float64
 							for j, v := range y.Row(p) {
 								v2 := v * v
-								sb += v2 * a[j]
-								sp += v2 * a2[j]
+								sb = math.FMA(v2, a[j], sb)
+								sp = math.FMA(v2, a2[j], sp)
 							}
 							if !sameBits(qb[p], sb) || !sameBits(qp[p], sp) {
 								t.Fatalf("%s k=%d w rows=%d x rows=%d special=%v: point %d = (%x, %x), unfused (%x, %x)",

@@ -6,21 +6,23 @@ import "repro/internal/parallel"
 // panel-packed GEMM (the standard GotoBLAS/BLIS decomposition): A and B
 // tiles are copied into contiguous panels so the inner kernel streams
 // packed memory regardless of the operand layout — in particular aᵀ·b no
-// longer strides down columns — and a 4×8 register micro-kernel turns
-// each loaded element into several multiply-adds. The panel layout, the
+// longer strides down columns — and a 4×8 register micro-kernel (4×16
+// over two lane panels at the avx512 level) turns each loaded element
+// into several fused multiply-adds. The panel layout, the
 // packing routine, the micro-kernel and the Packed operand type, which
 // lets a caller pack a constant operand once for many products, live in
 // packed.go. Small products keep the register-friendly row-sweep
 // reference kernels, where packing overhead would dominate.
 //
 // The inner loops run at one kernel level, picked once at start-up from
-// CPUID (gemm_kernel_amd64.go): AVX-512F on amd64 hosts whose OS saves
-// the ZMM state (the GEMM micro-kernel, AccumRows' widest pass and the
+// CPUID (gemm_kernel_amd64.go): AVX-512F and FMA on amd64 hosts whose OS
+// saves the ZMM state (the GEMM micro-kernel, AccumRows' widest pass and the
 // Gram's rank-4 update, with AVX for the rest), AVX on amd64 hosts with
-// only the YMM state (the micro-kernel, the row kernels and the Gram
-// update of dot_amd64.s), and the portable Go loops everywhere else.
-// Every level multiplies and adds separately, in the same order, so all
-// three give the same bits.
+// FMA and only the YMM state (the micro-kernel, the row kernels and the
+// Gram update of dot_amd64.s), and the portable Go loops everywhere else.
+// Every level adds each product term with one fused multiply-add
+// (math.FMA in the Go loops, see fma), in the same order, so all three
+// give the same bits.
 //
 // No kernel's bits depend on the worker count: workers split output
 // elements (rows of a product, rows of the Gram triangle), never the
@@ -208,7 +210,7 @@ func mulTransASmallRange(dst, a, b *Dense, lo, hi int) {
 			}
 			dr := dst.Row(lo + i)
 			for j, bv := range br {
-				dr[j] += av * bv
+				dr[j] = fma(av, bv, dr[j])
 			}
 		}
 	}
@@ -427,9 +429,9 @@ func dotsLanes(out, x []float64, b *Dense) {
 	dotsLanesAVX(len(x), &x[0], &b.Data[0], b.Stride, b.Rows, &out[0])
 }
 
-// dotuGo is the portable four-lane dot product: lane l sums x[i]·y[i]
-// over i ≡ l (mod 4), the tail joins lane 0, and the lanes combine as
-// (l0 + l1) + (l2 + l3).
+// dotuGo is the portable four-lane dot product: lane l adds x[i]·y[i]
+// over i ≡ l (mod 4) with one fused multiply-add per term, the tail joins
+// lane 0, and the lanes combine as (l0 + l1) + (l2 + l3).
 //
 //firal:hotpath
 func dotuGo(x, y []float64) float64 {
@@ -439,24 +441,24 @@ func dotuGo(x, y []float64) float64 {
 	for ; i+4 <= n; i += 4 {
 		xv := x[i : i+4 : i+4]
 		yv := y[i : i+4 : i+4]
-		s0 += xv[0] * yv[0]
-		s1 += xv[1] * yv[1]
-		s2 += xv[2] * yv[2]
-		s3 += xv[3] * yv[3]
+		s0 = fma(xv[0], yv[0], s0)
+		s1 = fma(xv[1], yv[1], s1)
+		s2 = fma(xv[2], yv[2], s2)
+		s3 = fma(xv[3], yv[3], s3)
 	}
 	for ; i < n; i++ {
-		s0 += x[i] * y[i]
+		s0 = fma(x[i], y[i], s0)
 	}
 	return (s0 + s1) + (s2 + s3)
 }
 
 // AccumRows adds Σ_i g[i·gs]·x_i to y over the rows x_i of x in ascending
-// order, skipping zero coefficients: per element, exactly the order in
-// which the reference aᵀ·b kernel accumulates one output row (a's column
-// read with stride gs). y must have x.Cols elements. On amd64 hosts with
+// order, skipping zero coefficients, one fused multiply-add per term: per
+// element, exactly the operations with which the reference aᵀ·b kernel
+// accumulates one output row (a's column read with stride gs). y must have x.Cols elements. On amd64 hosts with
 // AVX the loops of dot_amd64.s keep a run of columns of y in registers
-// across the row loop: thirty-two at a time with AVX-512F, then sixteen,
-// four and one.
+// across the row loop: sixty-four, then thirty-two at a time with
+// AVX-512F, then sixteen, four and one.
 //
 //firal:hotpath
 func AccumRows(y, g []float64, gs int, x *Dense) {
@@ -493,7 +495,7 @@ func accumRowsGo(y, g []float64, gs int, x *Dense) {
 			continue
 		}
 		for t, xv := range x.Row(i) {
-			y[t] += gi * xv
+			y[t] = fma(gi, xv, y[t])
 		}
 	}
 }
@@ -588,7 +590,9 @@ var gramTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
 
 // weightedGramRange accumulates rows [r0, r1) of the lower triangle of
 // Σ_i w_i x_i x_iᵀ over every point in order, four points at a time so
-// each loaded dst element absorbs four multiply-adds. On amd64 hosts the
+// each loaded dst element absorbs four terms: the first a multiply, the
+// other three fused multiply-adds onto it, and then one add onto dst. A
+// lone point is one fused multiply-add onto dst. On amd64 hosts the
 // rank-4 update runs a loop of dot_amd64.s in the same order: eight
 // columns per instruction at the avx512 level, four at avx.
 //
@@ -628,7 +632,10 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
 			v3 := w3 * x3[r]
 			row := dst.Row(r)[: r+1 : r+1]
 			for c := range row {
-				row[c] += v0*x0[c] + v1*x1[c] + v2*x2[c] + v3*x3[c]
+				t := v0 * x0[c]
+				t = fma(v1, x1[c], t)
+				t = fma(v2, x2[c], t)
+				row[c] += fma(v3, x3[c], t)
 			}
 		}
 	}
@@ -648,7 +655,7 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
 			}
 			row := dst.Row(r)[: r+1 : r+1]
 			for c := range row {
-				row[c] += v * xi[c]
+				row[c] = fma(v, xi[c], row[c])
 			}
 		}
 	}

@@ -86,6 +86,39 @@ func BenchmarkMicroKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroKernel16 is BenchmarkMicroKernel for the 4×16 tile over
+// two adjacent right lane panels: twice the flops per call.
+func BenchmarkMicroKernel16(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	ap := make([]float64, gemmMR*gemmKC)
+	bp := make([]float64, 2*gemmNR*gemmKC)
+	spread(rng, ap)
+	spread(rng, bp)
+	dst := NewDense(gemmMR, 2*gemmNR)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		micro4x16(gemmKC, ap, bp, dst, 0, 0, gemmMR, false)
+	}
+}
+
+// BenchmarkWeightedSqNorms times ROUND's fused norms of one 64-point tile
+// against one class's 64×64 W at d = 64.
+func BenchmarkWeightedSqNorms(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	w, x := randDense(rng, 64, 64), randDense(rng, 64, 64)
+	a, a2 := make([]float64, 64), make([]float64, 64)
+	spread(rng, a)
+	spread(rng, a2)
+	qb, qp := make([]float64, 64), make([]float64, 64)
+	var wl, xp Packed
+	wl.PackLeft(w)
+	xp.PackRight(x)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		WeightedSqNorms(qb, qp, &wl, &xp, a, a2)
+	}
+}
+
 func BenchmarkDotsLanes(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	x := make([]float64, 64)

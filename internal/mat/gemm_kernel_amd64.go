@@ -3,31 +3,38 @@ package mat
 // Kernel selection on amd64. The inner loops run at one of three levels,
 // picked once at start-up and never changed:
 //
-//   - kernelAVX512: the CPU has AVX-512F (CPUID.7:EBX bit 16) and the OS
-//     saves the opmask and ZMM state, i.e. XCR0 has bits 1, 2, 5, 6 and 7
-//     (mask 0xE6; a CPU flag alone is not enough, because an OS that does
-//     not save the upper ZMM halves would corrupt them across context
-//     switches). The GEMM micro-kernel keeps one 4×8 tile row per ZMM
-//     register, the dotu-order tile of MulPackedRightInOrder keeps the
-//     four dotu lanes of four rows in sixteen, AccumRows runs thirty-two
-//     columns per pass before its AVX passes, WidenFloat32 sixteen
-//     floats and the Gram's rank-4 update eight columns; the other loops
-//     run their AVX code.
-//   - kernelAVX: the CPU has AVX and the OS saves the YMM state (XCR0 bits
-//     1 and 2). The micro-kernel keeps a tile row in two YMM registers.
-//   - kernelPortable: every other host runs the Go loops.
+//   - kernelAVX512: the CPU has AVX, FMA and AVX-512F (CPUID.7:EBX bit
+//     16) and the OS saves the opmask and ZMM state, i.e. XCR0 has bits
+//     1, 2, 5, 6 and 7 (mask 0xE6; a CPU flag alone is not enough,
+//     because an OS that does not save the upper ZMM halves would corrupt
+//     them across context switches). The GEMM micro-kernel keeps a 4×16
+//     tile over two adjacent lane panels in eight ZMM registers (a lone
+//     or partial panel a 4×8 tile in four), the fused ROUND norms the
+//     same 4×16 or 4×8 tile, the dotu-order tile of MulPackedRightInOrder
+//     the four dotu lanes of four rows in sixteen, AccumRows runs
+//     sixty-four and thirty-two columns per pass before its AVX passes, WidenFloat32
+//     sixteen floats and the Gram's rank-4 update eight columns; the
+//     other loops run their AVX code.
+//   - kernelAVX: the CPU has AVX and FMA (CPUID.1:ECX bits 28 and 12) and
+//     the OS saves the YMM state (XCR0 bits 1 and 2). The micro-kernel
+//     keeps a tile row in two YMM registers.
+//   - kernelPortable: every other host runs the Go loops, an AVX host
+//     without FMA included.
 //
 // The micro-kernels read the panel layout that packed.go owns: four left
 // rows and eight right columns (gemmNR) interleaved by k, so one 64-byte
 // load fetches the eight right values of a k step and a ZMM row, or two
 // YMM halves, covers the whole tile row.
 //
-// No kernel uses a fused multiply-add. FMA rounds a·b + c once where
-// VMULPD then VADDPD round twice, so it would give different bits from
-// the portable loops and would make every product, ROUND score and
-// selection depend on the host. Every kernel instead issues VMULPD then
-// VADDPD in the portable loop's per-element order; the tests compare each
-// level with the portable one bit for bit.
+// Every multiply-then-add of a term in the product, dot, axpy, Gram and
+// norm kernels is one fused multiply-add (VFMADD231PD), and the portable
+// loops call math.FMA in the same places: a·b + c is rounded once, on
+// every level, so the levels give the same bits and no product, ROUND
+// score or selection depends on the host. A host without FMA hardware
+// runs the portable level, where math.FMA is exact in software. The
+// eigensolver kernels (rot, symRank2, rank1Sub) keep a separate multiply
+// and add, see eig.go. The tests compare each level with the portable one
+// bit for bit.
 
 // kernel is the level this process runs.
 var kernel = detectKernel()
@@ -42,12 +49,12 @@ func detectKernel() kernelLevel {
 	return kernelPortable
 }
 
-// hasAVX reports whether the CPU supports AVX and the OS has enabled the
-// YMM state (cpu_amd64.s).
+// hasAVX reports whether the CPU supports AVX and FMA and the OS has
+// enabled the YMM state (cpu_amd64.s).
 func hasAVX() bool
 
-// hasAVX512 reports whether the CPU supports AVX and AVX-512F and the OS
-// has enabled the opmask and ZMM state (cpu_amd64.s).
+// hasAVX512 reports whether the CPU supports AVX, FMA and AVX-512F and the
+// OS has enabled the opmask and ZMM state (cpu_amd64.s).
 func hasAVX512() bool
 
 // micro4x8avx512 computes the 4×8 tile product of packed panels ap and bp
@@ -57,17 +64,25 @@ func hasAVX512() bool
 //go:noescape
 func micro4x8avx512(kc int, ap, bp, dst *float64, ds int, add bool)
 
+// micro4x16avx512 is micro4x8avx512 over the two adjacent right lane
+// panels at bp: the 4×16 tile of tile columns [0, 16), row r to
+// dst[r·ds:][:16].
+//
+//go:noescape
+func micro4x16avx512(kc int, ap, bp, dst *float64, ds int, add bool)
+
 // micro4x8avx computes the same tile on YMM registers into acc
 // (row-major [32]float64), overwriting acc.
 //
 //go:noescape
 func micro4x8avx(kc int, ap, bp, acc *float64)
 
-// dotuTileAVX512 runs the dotu lanes of the four rows x0…x3 against the
-// right lane panel bp over kc inner steps (see dotuTile).
+// dotuTileAVX512 runs the dotu lanes of the rows x + r·xs, r < rows
+// (four of them, the last repeated), against the right lane panel bp over
+// kc inner steps (see dotuTile).
 //
 //go:noescape
-func dotuTileAVX512(kc int, x0, x1, x2, x3, bp, lanes, out *float64, os, t0, mask, rows int, first, last bool)
+func dotuTileAVX512(kc int, x *float64, xs int, bp, lanes, out *float64, os, t0, mask, rows int, first, last bool)
 
 // widenAVX sets dst[i] to the float32 at src[4i:] for i < n; wide adds
 // the ZMM pass.
@@ -86,8 +101,8 @@ func dotsLanesAVX(n int, x, y *float64, ys, ny int, out *float64)
 //go:noescape
 func accumRowsAVX(n int, y, c *float64, cs int, x *float64, xs, rows int)
 
-// accumRowsAVX512 is accumRowsAVX for n a multiple of 32, thirty-two
-// columns per pass.
+// accumRowsAVX512 is accumRowsAVX for n a multiple of 32, sixty-four
+// columns per pass, then thirty-two.
 //
 //go:noescape
 func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
@@ -128,3 +143,9 @@ func rank1SubAVX(n int, a *float64, as, rows int, c *float64, cs int, x *float64
 //
 //go:noescape
 func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64)
+
+// sqNorms16AVX512 is sqNormsAVX512 for the sixteen rows of x in two
+// adjacent lane panels, writing sixteen sums to qb and qp.
+//
+//go:noescape
+func sqNorms16AVX512(kc, jt int, w, x, a, a2, qb, qp *float64)

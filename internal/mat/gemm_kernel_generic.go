@@ -9,11 +9,15 @@ func micro4x8avx512(kc int, ap, bp, dst *float64, ds int, add bool) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }
 
+func micro4x16avx512(kc int, ap, bp, dst *float64, ds int, add bool) {
+	panic("mat: asm micro-kernel unavailable on this architecture")
+}
+
 func micro4x8avx(kc int, ap, bp, acc *float64) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }
 
-func dotuTileAVX512(kc int, x0, x1, x2, x3, bp, lanes, out *float64, os, t0, mask, rows int, first, last bool) {
+func dotuTileAVX512(kc int, x *float64, xs int, bp, lanes, out *float64, os, t0, mask, rows int, first, last bool) {
 	panic("mat: asm dot tile unavailable on this architecture")
 }
 
@@ -54,5 +58,9 @@ func rank1SubAVX(n int, a *float64, as, rows int, c *float64, cs int, x *float64
 }
 
 func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64) {
+	panic("mat: asm norm kernel unavailable on this architecture")
+}
+
+func sqNorms16AVX512(kc, jt int, w, x, a, a2, qb, qp *float64) {
 	panic("mat: asm norm kernel unavailable on this architecture")
 }

@@ -21,9 +21,11 @@ package mat
 // lane panel q starts q·w·kc into it.
 //
 // The micro-kernel multiplies one left lane panel by one right lane panel
-// into a 4×8 tile. Tile element (i, j) sums a_it·b_jt over the k-panel in
-// ascending t from zero, a multiply and then an add per step (never a
-// fused multiply-add, see gemm_kernel_amd64.go). Every blocked product
+// into a 4×8 tile, or by two adjacent right lane panels (8·kc apart, so
+// one pointer and kc find both) into a 4×16 tile at the avx512 level.
+// Tile element (i, j) sums a_it·b_jt over the k-panel in ascending t from
+// zero, one fused multiply-add per step (see gemm_kernel_amd64.go), so a
+// 4×16 tile is bit for bit the two 4×8 tiles it covers. Every blocked product
 // stores the tiles of its first k-panel and adds those of the later ones
 // onto them in ascending order — the bits of adding every tile onto a
 // zeroed destination — so the gemm paths, MulPacked and MulPackedRight
@@ -140,12 +142,13 @@ func MulPackedRightInOrder(dst, a *Dense, b *Packed, c0 int, blocked bool) {
 	c1 := c0 + dst.Cols
 	for i := 0; i < a.Rows; i += gemmMR {
 		mr := min(gemmMR, a.Rows-i)
+		xr := a.Data[i*a.Stride : (i+mr-1)*a.Stride+a.Cols] // the tile's rows
 		for pj := c0 - c0%gemmNR; pj < c1; pj += gemmNR {
 			t0, t1 := max(c0-pj, 0), min(c1-pj, gemmNR)
 			out := dst.Data[i*dst.Stride+pj+t0-c0:]
 			for pc := 0; pc < b.k; pc += gemmKC {
 				kc := min(gemmKC, b.k-pc)
-				dotuTile(kc, a, i, mr, pc, b.data[pc*brp+pj*kc:], &lanes, out, dst.Stride, t0, t1, pc == 0, pc+kc == b.k)
+				dotuTile(kc, xr[pc:], a.Stride, mr, b.data[pc*brp+pj*kc:], &lanes, out, dst.Stride, t0, t1, pc == 0, pc+kc == b.k)
 			}
 		}
 	}
@@ -168,29 +171,30 @@ func UseDotuTile(c0, c1 int) bool {
 // k-panels: row r's lane l for the eight panel rows at [(4r+l)·8:].
 type dotuLanes [gemmMR * 4 * gemmNR]float64
 
-// dotuTile runs the dotu lanes of rows [i, i+mr) of a, columns
-// [pc, pc+kc), against the right lane panel bp over its kc steps. Lane l
-// of a row and a panel row adds a_t·b_t over t ≡ l (mod 4) in ascending
-// t, the kc%4 tail joins lane 0: a multiply with a's value first, then
-// an add onto the lane, as dotuGo sums. With first set the lanes start from +0, else
-// from lanes. With last set the sums (l0 + l1) + (l2 + l3) of row r < mr
-// and panel rows [t0, t1) go to out[r·os:][:t1−t0]; otherwise the lanes
-// go back to lanes for the next k-panel. Tile rows past mr repeat row
-// i+mr−1 and are not written.
+// dotuTile runs the dotu lanes of the mr rows x[r·xs:][:kc] against the
+// right lane panel bp over its kc steps. Lane l of a row and a panel row
+// adds x_t·b_t over t ≡ l (mod 4) in ascending t, the kc%4 tail joins
+// lane 0: one fused multiply-add onto the lane with x's value first, as
+// dotuGo sums. With first set the lanes start from +0, else from lanes.
+// With last set the sums (l0 + l1) + (l2 + l3) of row r < mr and panel
+// rows [t0, t1) go to out[r·os:][:t1−t0]; otherwise the lanes go back to
+// lanes for the next k-panel. Tile rows past mr repeat row mr−1 and are
+// not written.
 //
 //firal:hotpath
-func dotuTile(kc int, a *Dense, i, mr, pc int, bp []float64, lanes *dotuLanes, out []float64, os, t0, t1 int, first, last bool) {
-	x0 := a.Data[i*a.Stride+pc:][:kc]
-	x1 := a.Data[(i+min(1, mr-1))*a.Stride+pc:][:kc]
-	x2 := a.Data[(i+min(2, mr-1))*a.Stride+pc:][:kc]
-	x3 := a.Data[(i+min(3, mr-1))*a.Stride+pc:][:kc]
+func dotuTile(kc int, x []float64, xs, mr int, bp []float64, lanes *dotuLanes, out []float64, os, t0, t1 int, first, last bool) {
+	_ = x[(mr-1)*xs+kc-1]
 	bp = bp[:gemmNR*kc]
 	_ = out[(mr-1)*os+t1-t0-1]
 	if kernel == kernelAVX512 {
 		mask := 1<<t1 - 1<<t0
-		dotuTileAVX512(kc, &x0[0], &x1[0], &x2[0], &x3[0], &bp[0], &lanes[0], &out[0], os, t0, mask, mr, first, last)
+		dotuTileAVX512(kc, &x[0], xs, &bp[0], &lanes[0], &out[0], os, t0, mask, mr, first, last)
 		return
 	}
+	x0 := x[:kc]
+	x1 := x[min(1, mr-1)*xs:][:kc]
+	x2 := x[min(2, mr-1)*xs:][:kc]
+	x3 := x[min(3, mr-1)*xs:][:kc]
 	if first {
 		clear(lanes[:])
 	}
@@ -201,13 +205,13 @@ func dotuTile(kc int, a *Dense, i, mr, pc int, bp []float64, lanes *dotuLanes, o
 			s0, s1, s2, s3 := ln[j], ln[gemmNR+j], ln[2*gemmNR+j], ln[3*gemmNR+j]
 			t := 0
 			for ; t+4 <= kc; t += 4 {
-				s0 += xr[t] * bp[gemmNR*t+j]
-				s1 += xr[t+1] * bp[gemmNR*(t+1)+j]
-				s2 += xr[t+2] * bp[gemmNR*(t+2)+j]
-				s3 += xr[t+3] * bp[gemmNR*(t+3)+j]
+				s0 = fma(xr[t], bp[gemmNR*t+j], s0)
+				s1 = fma(xr[t+1], bp[gemmNR*(t+1)+j], s1)
+				s2 = fma(xr[t+2], bp[gemmNR*(t+2)+j], s2)
+				s3 = fma(xr[t+3], bp[gemmNR*(t+3)+j], s3)
 			}
 			for ; t < kc; t++ {
-				s0 += xr[t] * bp[gemmNR*t+j]
+				s0 = fma(xr[t], bp[gemmNR*t+j], s0)
 			}
 			ln[j], ln[gemmNR+j], ln[2*gemmNR+j], ln[3*gemmNR+j] = s0, s1, s2, s3
 			sums[r*gemmNR+j] = (s0 + s1) + (s2 + s3)
@@ -225,18 +229,19 @@ func dotuTile(kc int, a *Dense, i, mr, pc int, bp []float64, lanes *dotuLanes, o
 //
 //	qb[p] = Σ_j y_pj²·a[j],   qp[p] = Σ_j y_pj²·a2[j],
 //
-// each sum over ascending j from zero, a multiply and then an add per
-// term: ROUND's two weighted row norms, without forming y. Each y_pj is
-// the element MulPacked computes for the operands packed the other way
-// round (the same products, each commuted, summed in the same order),
-// up to the sign of a zero, which its square drops. It runs on the
-// calling goroutine.
+// each sum over ascending j from zero, the square a multiply and each
+// term one fused multiply-add onto its sum: ROUND's two weighted row
+// norms, without forming y. Each y_pj is the element MulPacked computes
+// for the operands packed the other way round (the same products, each
+// commuted, summed in the same order), up to the sign of a zero, which
+// its square drops. It runs on the calling goroutine.
 //
-// y is formed in 4×8 tiles — four rows j of w by eight rows p of x —
-// which are folded into the eight points' sums as soon as they are
+// y is formed in tiles of four rows j of w by the eight rows p of a lane
+// panel of x, which are folded into the points' sums as soon as they are
 // complete, in ascending j, so no tile is zeroed, stored or read back. At
-// the avx512 level one kernel call keeps the tile and both sums of eight
-// points in ZMM registers across every whole lane panel of w; a ragged
+// the avx512 level one kernel call keeps the tile and both sums in ZMM
+// registers across every whole lane panel of w: a 4×16 tile for two
+// adjacent lane panels of x, a 4×8 one for a lone last panel. A ragged
 // last panel of w, an inner dimension past one k-panel, and the avx and
 // portable levels run the tile from microTile and the fold in Go.
 //
@@ -250,19 +255,30 @@ func WeightedSqNorms(qb, qp []float64, w, x *Packed, a, a2 []float64) {
 	}
 	full := w.rows &^ (gemmMR - 1) // rows j in whole lane panels
 	asm := kernel == kernelAVX512 && w.k > 0 && w.k <= gemmKC && full > 0
-	for p0 := 0; p0 < x.rows; p0 += gemmNR {
-		var sb, sp [gemmNR]float64
+	for p0 := 0; p0 < x.rows; {
+		np := gemmNR // points in this tile: one lane panel of x, or two
+		if asm && p0+gemmNR < x.rows {
+			np = 2 * gemmNR
+		}
+		var sb, sp [2 * gemmNR]float64
 		j0 := 0
 		if asm {
-			sqNormsAVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
+			if np == 2*gemmNR {
+				sqNorms16AVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
+			} else {
+				sqNormsAVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
+			}
 			j0 = full
 		}
 		for ; j0 < w.rows; j0 += gemmMR {
-			sqNormsTile(&sb, &sp, w, x, j0, p0, a, a2)
+			for h := 0; h < np; h += gemmNR {
+				sqNormsTile((*[gemmNR]float64)(sb[h:]), (*[gemmNR]float64)(sp[h:]), w, x, j0, p0+h, a, a2)
+			}
 		}
-		n := min(gemmNR, x.rows-p0)
+		n := min(np, x.rows-p0)
 		copy(qb[p0:p0+n], sb[:n])
 		copy(qp[p0:p0+n], sp[:n])
+		p0 += np
 	}
 }
 
@@ -284,8 +300,8 @@ func sqNormsTile(sb, sp *[gemmNR]float64, w, x *Packed, j0, p0 int, a, a2 []floa
 		aj, a2j := a[j0+r], a2[j0+r]
 		for p, v := range y[r*gemmNR : (r+1)*gemmNR] {
 			v2 := v * v
-			sb[p] += v2 * aj
-			sp[p] += v2 * a2j
+			sb[p] = fma(v2, aj, sb[p])
+			sp[p] = fma(v2, a2j, sp[p])
 		}
 	}
 }
@@ -371,17 +387,44 @@ func pack(dst []float64, src *Dense, trans bool, r0, k0, n, kc, w int) {
 // of the packed left block ap against columns [j0, j1) of the packed right
 // block bp, into dst with left row 0 at row i and right column j0 at
 // column j. The first k-panel (first set) stores its tiles, so dst need
-// not be zeroed; every later one adds onto dst.
+// not be zeroed; every later one adds onto dst. Two adjacent lane panels
+// inside the window go through micro4x16 together, the rest one by one
+// through micro4x8.
 //
 //firal:hotpath
 func macroTile(dst *Dense, i, j int, ap, bp []float64, kc, mc, j0, j1 int, first bool) {
 	for pj := j0 - j0%gemmNR; pj < j1; pj += gemmNR {
 		t0, t1 := max(j0-pj, 0), min(j1-pj, gemmNR)
 		bpanel := bp[pj*kc:]
+		if t0 == 0 && pj+2*gemmNR <= j1 {
+			for pi := 0; pi < mc; pi += gemmMR {
+				micro4x16(kc, ap[pi*kc:], bpanel, dst, i+pi, j+pj-j0, min(gemmMR, mc-pi), first)
+			}
+			pj += gemmNR
+			continue
+		}
 		for pi := 0; pi < mc; pi += gemmMR {
 			micro4x8(kc, ap[pi*kc:], bpanel, dst, i+pi, j+pj+t0-j0, min(gemmMR, mc-pi), t0, t1, first)
 		}
 	}
+}
+
+// micro4x16 is micro4x8 over the two whole adjacent right lane panels at
+// bp: tile columns [0, 16) into dst from (i, j). At the avx512 level a
+// tile of four rows is one micro4x16avx512 call; otherwise each panel
+// runs micro4x8, with the same bits.
+//
+//firal:hotpath
+func micro4x16(kc int, ap, bp []float64, dst *Dense, i, j, mr int, first bool) {
+	if kernel == kernelAVX512 && mr == gemmMR {
+		d := dst.Data[i*dst.Stride+j:]
+		_ = d[(gemmMR-1)*dst.Stride+2*gemmNR-1]
+		_ = bp[2*gemmNR*kc-1]
+		micro4x16avx512(kc, &ap[0], &bp[0], &d[0], dst.Stride, !first)
+		return
+	}
+	micro4x8(kc, ap, bp, dst, i, j, mr, 0, gemmNR, first)
+	micro4x8(kc, ap, bp[gemmNR*kc:], dst, i, j+gemmNR, mr, 0, gemmNR, first)
 }
 
 // micro4x8 computes the 4×8 tile product of the left lane panel ap and the
@@ -442,7 +485,8 @@ func micro4x8Go(kc int, ap, bp []float64, acc *[gemmMR * gemmNR]float64) {
 	micro4x4Go(kc, ap, bp, 4, acc)
 }
 
-// micro4x4Go writes tile columns [h, h+4) of micro4x8Go.
+// micro4x4Go writes tile columns [h, h+4) of micro4x8Go, each element one
+// fused multiply-add per k.
 //
 //firal:hotpath
 func micro4x4Go(kc int, ap, bp []float64, h int, acc *[gemmMR * gemmNR]float64) {
@@ -463,22 +507,22 @@ func micro4x4Go(kc int, ap, bp []float64, h int, acc *[gemmMR * gemmNR]float64) 
 		b1 := bv[1]
 		b2 := bv[2]
 		b3 := bv[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
+		c00 = fma(a0, b0, c00)
+		c01 = fma(a0, b1, c01)
+		c02 = fma(a0, b2, c02)
+		c03 = fma(a0, b3, c03)
+		c10 = fma(a1, b0, c10)
+		c11 = fma(a1, b1, c11)
+		c12 = fma(a1, b2, c12)
+		c13 = fma(a1, b3, c13)
+		c20 = fma(a2, b0, c20)
+		c21 = fma(a2, b1, c21)
+		c22 = fma(a2, b2, c22)
+		c23 = fma(a2, b3, c23)
+		c30 = fma(a3, b0, c30)
+		c31 = fma(a3, b1, c31)
+		c32 = fma(a3, b2, c32)
+		c33 = fma(a3, b3, c33)
 	}
 	r := acc[h : h+4 : h+4]
 	r[0], r[1], r[2], r[3] = c00, c01, c02, c03
