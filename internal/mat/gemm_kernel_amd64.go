@@ -12,9 +12,9 @@ package mat
 //     or partial panel a 4×8 tile in four), the fused ROUND norms the
 //     same 4×16 or 4×8 tile, the dotu-order tile of MulPackedRightInOrder
 //     the four dotu lanes of four rows in sixteen, AccumRows runs
-//     sixty-four and thirty-two columns per pass before its AVX passes, WidenFloat32
-//     sixteen floats and the Gram's rank-4 update eight columns; the
-//     other loops run their AVX code.
+//     sixty-four and thirty-two columns per pass before its AVX passes,
+//     WidenFloat32 sixteen floats and the Gram's rank-4 update eight
+//     columns; the other loops run their AVX code.
 //   - kernelAVX: the CPU has AVX and FMA (CPUID.1:ECX bits 28 and 12) and
 //     the OS saves the YMM state (XCR0 bits 1 and 2). The micro-kernel
 //     keeps a tile row in two YMM registers.

@@ -257,7 +257,7 @@ func WeightedSqNorms(qb, qp []float64, w, x *Packed, a, a2 []float64) {
 	asm := kernel == kernelAVX512 && w.k > 0 && w.k <= gemmKC && full > 0
 	for p0 := 0; p0 < x.rows; {
 		np := gemmNR // points in this tile: one lane panel of x, or two
-		if asm && p0+gemmNR < x.rows {
+		if p0+gemmNR < x.rows {
 			np = 2 * gemmNR
 		}
 		var sb, sp [2 * gemmNR]float64
