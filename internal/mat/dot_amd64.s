@@ -272,11 +272,9 @@ accdone:
 
 // func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
 //
-// accumRowsAVX for n a multiple of 32: sixty-four columns at a time stay
-// in eight ZMM registers across the whole row loop (eight independent
-// FMA chains, where four would wait on the FMA latency), then thirty-two
-// in four, with the same zero-coefficient test and the same fused
-// multiply-add per element.
+// accumRowsAVX for n a multiple of 32: thirty-two columns at a time stay
+// in four ZMM registers across the whole row loop, with the same
+// zero-coefficient test and the same fused multiply-add per element.
 TEXT ·accumRowsAVX512(SB), NOSPLIT, $0-56
 	MOVQ   n+0(FP), CX
 	MOVQ   y+8(FP), DI
@@ -288,61 +286,6 @@ TEXT ·accumRowsAVX512(SB), NOSPLIT, $0-56
 	SHLQ   $3, R9
 	MOVQ   rows+48(FP), R10
 	VXORPD X13, X13, X13
-
-zwide64:
-	CMPQ    CX, $64
-	JLT     zwide
-	VMOVUPD (DI), Z0
-	VMOVUPD 64(DI), Z1
-	VMOVUPD 128(DI), Z2
-	VMOVUPD 192(DI), Z3
-	VMOVUPD 256(DI), Z4
-	VMOVUPD 320(DI), Z5
-	VMOVUPD 384(DI), Z6
-	VMOVUPD 448(DI), Z7
-	MOVQ    SI, AX
-	MOVQ    DX, BX
-	MOVQ    R10, R11
-	TESTQ   R11, R11
-	JZ      z64store
-
-z64loop:
-	VMOVSD   (AX), X12
-	VUCOMISD X13, X12
-	JNE      z64do
-	JPS      z64do
-	JMP      z64next
-
-z64do:
-	VBROADCASTSD (AX), Z12
-	VFMADD231PD  (BX), Z12, Z0
-	VFMADD231PD  64(BX), Z12, Z1
-	VFMADD231PD  128(BX), Z12, Z2
-	VFMADD231PD  192(BX), Z12, Z3
-	VFMADD231PD  256(BX), Z12, Z4
-	VFMADD231PD  320(BX), Z12, Z5
-	VFMADD231PD  384(BX), Z12, Z6
-	VFMADD231PD  448(BX), Z12, Z7
-
-z64next:
-	ADDQ R8, AX
-	ADDQ R9, BX
-	DECQ R11
-	JNZ  z64loop
-
-z64store:
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	VMOVUPD Z2, 128(DI)
-	VMOVUPD Z3, 192(DI)
-	VMOVUPD Z4, 256(DI)
-	VMOVUPD Z5, 320(DI)
-	VMOVUPD Z6, 384(DI)
-	VMOVUPD Z7, 448(DI)
-	ADDQ    $512, DI
-	ADDQ    $512, DX
-	SUBQ    $64, CX
-	JMP     zwide64
 
 zwide:
 	CMPQ    CX, $32

@@ -78,11 +78,10 @@ func testDotLanes(t *testing.T) {
 
 // TestAccumRowsKernelMatchesPortable pins the multi-row axpy at every
 // kernel level the host has to accumRowsGo bit for bit at every column
-// count from 1 to 70 and at 300, so each sixty-four-wide,
-// thirty-two-wide, sixteen-wide, four-wide and single-column pass and
-// every tail runs, with zero, negative-zero and NaN coefficients (zeros
-// are skipped, NaN is not) and rows holding signed zeros, infinities and
-// NaN.
+// count from 1 to 70 and at 300, so each thirty-two-wide, sixteen-wide,
+// four-wide and single-column pass and every tail runs, with zero,
+// negative-zero and NaN coefficients (zeros are skipped, NaN is not) and
+// rows holding signed zeros, infinities and NaN.
 func TestAccumRowsKernelMatchesPortable(t *testing.T) {
 	// A NaN coefficient is not a zero: it must reach y, on either path.
 	nx := &Dense{Rows: 1, Cols: 17, Stride: 17, Data: make([]float64, 17)}

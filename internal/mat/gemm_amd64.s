@@ -213,94 +213,17 @@ done:
 	VZEROUPPER
 	RET
 
-// func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64)
-//
-// The fused ROUND norms of WeightedSqNorms (packed.go) for one right lane
-// panel x of eight points: for each of jt left lane panels of w, the 4×8
-// tile Z0–Z3 (row r = one j, eight points) is formed as micro4x8avx512
-// forms it, with the left value broadcast, and folded at once, rows in
-// ascending j: v2 = y·y, then qb += v2·a_j and qp += v2·a2_j, each one
-// fused multiply-add. The sums of the eight points live in Z10 (qb) and
-// Z11 (qp) across all panels.
-TEXT ·sqNormsAVX512(SB), NOSPLIT, $0-64
-	MOVQ kc+0(FP), CX
-	MOVQ jt+8(FP), R8
-	MOVQ w+16(FP), SI
-	MOVQ x+24(FP), DI
-	MOVQ a+32(FP), R9
-	MOVQ a2+40(FP), R10
-	MOVQ qb+48(FP), DX
-	MOVQ qp+56(FP), R11
-
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-
-sqtile:
-	TESTQ  R8, R8
-	JZ     sqdone
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	VPXORQ Z2, Z2, Z2
-	VPXORQ Z3, Z3, Z3
-	MOVQ   DI, BX
-	MOVQ   CX, R12
-	TESTQ  R12, R12
-	JZ     sqfold
-
-sqk:
-	VMOVUPD      (BX), Z4   // x: eight points at this k
-	VBROADCASTSD (SI), Z5   // w_j0 ×8
-	VFMADD231PD  Z4, Z5, Z0
-	VBROADCASTSD 8(SI), Z6  // w_j1 ×8
-	VFMADD231PD  Z4, Z6, Z1
-	VBROADCASTSD 16(SI), Z7 // w_j2 ×8
-	VFMADD231PD  Z4, Z7, Z2
-	VBROADCASTSD 24(SI), Z8 // w_j3 ×8
-	VFMADD231PD  Z4, Z8, Z3
-	ADDQ         $32, SI
-	ADDQ         $64, BX
-	DECQ         R12
-	JNZ          sqk
-
-sqfold:
-	VMULPD       Z0, Z0, Z0
-	VBROADCASTSD (R9), Z5
-	VFMADD231PD  Z5, Z0, Z10
-	VBROADCASTSD (R10), Z6
-	VFMADD231PD  Z6, Z0, Z11
-	VMULPD       Z1, Z1, Z1
-	VBROADCASTSD 8(R9), Z5
-	VFMADD231PD  Z5, Z1, Z10
-	VBROADCASTSD 8(R10), Z6
-	VFMADD231PD  Z6, Z1, Z11
-	VMULPD       Z2, Z2, Z2
-	VBROADCASTSD 16(R9), Z5
-	VFMADD231PD  Z5, Z2, Z10
-	VBROADCASTSD 16(R10), Z6
-	VFMADD231PD  Z6, Z2, Z11
-	VMULPD       Z3, Z3, Z3
-	VBROADCASTSD 24(R9), Z5
-	VFMADD231PD  Z5, Z3, Z10
-	VBROADCASTSD 24(R10), Z6
-	VFMADD231PD  Z6, Z3, Z11
-	ADDQ         $32, R9
-	ADDQ         $32, R10
-	DECQ         R8
-	JMP          sqtile
-
-sqdone:
-	VMOVUPD Z10, (DX)
-	VMOVUPD Z11, (R11)
-	VZEROUPPER
-	RET
-
 // func sqNorms16AVX512(kc, jt int, w, x, a, a2, qb, qp *float64)
 //
-// sqNormsAVX512 for the sixteen points of two adjacent right lane panels
-// at x (the second 8·kc values past the first), writing sixteen sums to
-// each of qb and qp: the 4×16 tile is Z0–Z3 (points 0–7) and Z4–Z7
-// (points 8–15), the sums live in Z16/Z17 (qb) and Z18/Z19 (qp). Every
-// point takes the same operations in the same order as in sqNormsAVX512.
+// The fused ROUND norms of WeightedSqNorms (packed.go) for the sixteen
+// points of two adjacent right lane panels at x (the second 8·kc values
+// past the first), writing sixteen sums to each of qb and qp. For each of
+// jt left lane panels of w, the 4×16 tile Z0–Z3 (points 0–7) and Z4–Z7
+// (points 8–15), row r = one j, is formed as micro4x8avx512 forms it,
+// with the left value broadcast, and folded at once, rows in ascending j:
+// v2 = y·y, then qb += v2·a_j and qp += v2·a2_j, each one fused
+// multiply-add. The sums live in Z16/Z17 (qb) and Z18/Z19 (qp) across all
+// panels. Every point takes the operations sqNormsTile gives it.
 TEXT ·sqNorms16AVX512(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
 	MOVQ jt+8(FP), R8

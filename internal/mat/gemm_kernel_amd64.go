@@ -10,9 +10,9 @@ package mat
 //     them across context switches). The GEMM micro-kernel keeps a 4×16
 //     tile over two adjacent lane panels in eight ZMM registers (a lone
 //     or partial panel a 4×8 tile in four), the fused ROUND norms the
-//     same 4×16 or 4×8 tile, the dotu-order tile of MulPackedRightInOrder
-//     the four dotu lanes of four rows in sixteen, AccumRows runs
-//     sixty-four and thirty-two columns per pass before its AVX passes,
+//     same 4×16 tile for two panels of points, the dotu-order tile of
+//     MulPackedRightInOrder the four dotu lanes of four rows in sixteen,
+//     AccumRows runs thirty-two columns per pass before its AVX passes,
 //     WidenFloat32 sixteen floats and the Gram's rank-4 update eight
 //     columns; the other loops run their AVX code.
 //   - kernelAVX: the CPU has AVX and FMA (CPUID.1:ECX bits 28 and 12) and
@@ -101,8 +101,8 @@ func dotsLanesAVX(n int, x, y *float64, ys, ny int, out *float64)
 //go:noescape
 func accumRowsAVX(n int, y, c *float64, cs int, x *float64, xs, rows int)
 
-// accumRowsAVX512 is accumRowsAVX for n a multiple of 32, sixty-four
-// columns per pass, then thirty-two.
+// accumRowsAVX512 is accumRowsAVX for n a multiple of 32, thirty-two
+// columns per pass.
 //
 //go:noescape
 func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
@@ -137,15 +137,9 @@ func symRank2AVX(n int, a *float64, as int, u, p *float64, wide bool)
 //go:noescape
 func rank1SubAVX(n int, a *float64, as, rows int, c *float64, cs int, x *float64, wide bool)
 
-// sqNormsAVX512 is WeightedSqNorms for eight rows of x over jt whole
-// lane panels of w at inner dimension kc ≤ gemmKC, writing the eight
-// sums to qb and qp.
-//
-//go:noescape
-func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64)
-
-// sqNorms16AVX512 is sqNormsAVX512 for the sixteen rows of x in two
-// adjacent lane panels, writing sixteen sums to qb and qp.
+// sqNorms16AVX512 is WeightedSqNorms for the sixteen rows of x in two
+// adjacent lane panels over jt whole lane panels of w at inner dimension
+// kc ≤ gemmKC, writing the sixteen sums to qb and qp.
 //
 //go:noescape
 func sqNorms16AVX512(kc, jt int, w, x, a, a2, qb, qp *float64)

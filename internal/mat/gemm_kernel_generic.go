@@ -57,10 +57,6 @@ func rank1SubAVX(n int, a *float64, as, rows int, c *float64, cs int, x *float64
 	panic("mat: asm rank-1 kernel unavailable on this architecture")
 }
 
-func sqNormsAVX512(kc, jt int, w, x, a, a2, qb, qp *float64) {
-	panic("mat: asm norm kernel unavailable on this architecture")
-}
-
 func sqNorms16AVX512(kc, jt int, w, x, a, a2, qb, qp *float64) {
 	panic("mat: asm norm kernel unavailable on this architecture")
 }

@@ -239,11 +239,11 @@ func dotuTile(kc int, x []float64, xs, mr int, bp []float64, lanes *dotuLanes, o
 // y is formed in tiles of four rows j of w by the eight rows p of a lane
 // panel of x, which are folded into the points' sums as soon as they are
 // complete, in ascending j, so no tile is zeroed, stored or read back. At
-// the avx512 level one kernel call keeps the tile and both sums in ZMM
-// registers across every whole lane panel of w: a 4×16 tile for two
-// adjacent lane panels of x, a 4×8 one for a lone last panel. A ragged
-// last panel of w, an inner dimension past one k-panel, and the avx and
-// portable levels run the tile from microTile and the fold in Go.
+// the avx512 level one kernel call keeps a 4×16 tile for two adjacent
+// lane panels of x and both sums in ZMM registers across every whole lane
+// panel of w. A lone last panel of x, a ragged last panel of w, an inner
+// dimension past one k-panel, and the avx and portable levels run the
+// tile from microTile and the fold in Go.
 //
 //firal:hotpath
 func WeightedSqNorms(qb, qp []float64, w, x *Packed, a, a2 []float64) {
@@ -262,12 +262,8 @@ func WeightedSqNorms(qb, qp []float64, w, x *Packed, a, a2 []float64) {
 		}
 		var sb, sp [2 * gemmNR]float64
 		j0 := 0
-		if asm {
-			if np == 2*gemmNR {
-				sqNorms16AVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
-			} else {
-				sqNormsAVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
-			}
+		if asm && np == 2*gemmNR {
+			sqNorms16AVX512(w.k, full/gemmMR, &w.data[0], &x.data[p0*w.k], &a[0], &a2[0], &sb[0], &sp[0])
 			j0 = full
 		}
 		for ; j0 < w.rows; j0 += gemmMR {
