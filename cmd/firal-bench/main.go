@@ -200,9 +200,11 @@ func main() {
 		return e
 	}
 
-	// --- The weighted Gram of one pool block (DefaultBlockRows × 64): the
-	// kernel behind every Σz block, the RELAX preconditioner and ROUND's
-	// Σ⋄, once per class per block. ---
+	// --- The weighted Gram of one DefaultBlockRows × 64 block through
+	// mat.WeightedGram, whose workers split the triangle (Set.DenseSum's
+	// kernel). The pool sweeps behind every Σz block, the RELAX
+	// preconditioner and ROUND's Σ⋄ run it once per class per block on one
+	// lane, mat.WeightedGramSerial, which the row's workers1_ns measures. ---
 	gx := mat.NewDense(dataset.DefaultBlockRows, 64)
 	gw := make([]float64, gx.Rows)
 	grng := rnd.New(9)

@@ -10,9 +10,10 @@
 //
 // GOMAXPROCS sets the worker count every round runs with; sessions share
 // it and have no worker setting of their own. Every round streams its
-// pool in row blocks of one fixed size: the block size fixes the solver's
-// bits, so it is no setting, and a round resumed after a restart
-// continues the interrupted trajectory.
+// pool in row blocks whose size follows from the pool's row count alone
+// (dataset.BlockRowsFor): the block size fixes the solver's bits, so it is
+// no setting, and a round resumed after a restart continues the
+// interrupted trajectory.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight HTTP requests get
 // -drain-timeout to finish, running rounds are interrupted at their last
@@ -64,7 +65,7 @@ func run() error {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: firald -data DIR [flags]\n\n"+
 			"GOMAXPROCS sets the worker count every round runs with (now %d);\n"+
 			"sessions share it and have no worker setting of their own.\n"+
-			"Rounds stream their pool in row blocks of one fixed size.\n\n", parallel.Workers())
+			"Rounds stream their pool in row blocks sized by its row count alone.\n\n", parallel.Workers())
 		flag.PrintDefaults()
 	}
 	flag.Parse()

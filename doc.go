@@ -70,10 +70,10 @@
 // Stream over its matrix, served zero-copy. The contract: sources
 // surface data errors at open/validation time and tolerate concurrent
 // in-range ReadRows; class probabilities stay resident (n×c, a factor
-// d/c smaller than the features); scratch is bounded by one block
-// (dataset.DefaultBlockRows rows) regardless of pool size; and every
-// sweep folds per-block partials into a zeroed result at every block
-// count, so the zero-alloc steady-state pins hold for resident and
+// d/c smaller than the features); scratch is bounded by one block per
+// lane, of dataset.BlockRowsFor the pool's rows (at most
+// dataset.DefaultBlockRows); and every sweep folds per-block partials
+// into a zeroed result at every block count, so the zero-alloc steady-state pins hold for resident and
 // streamed pools alike. Selection from a million-point pool
 // therefore runs without materializing an n×d float64 matrix (see the
 // pool_stream_n1e6_d64 entry in BENCH_round.json, cmd/firal's -shards

@@ -146,7 +146,7 @@ var (
 )
 
 // NewPrefetchSource wraps src with read-ahead sized for blockRows-row
-// sweeps (≤ 0 selects DefaultBlockRows). ctx gates only the
+// sweeps (≤ 0 selects BlockRowsFor(src.NumRows())). ctx gates only the
 // speculation: once ctx is cancelled no further read-ahead is
 // scheduled, while demand reads continue synchronously (nil means no
 // cancellation). The PrefetchSource owns src: Close closes it.
@@ -155,7 +155,7 @@ var (
 // cannot help.
 func NewPrefetchSource(ctx context.Context, src PoolSource, blockRows int) *PrefetchSource {
 	if blockRows <= 0 {
-		blockRows = DefaultBlockRows
+		blockRows = BlockRowsFor(src.NumRows())
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -193,10 +193,10 @@ func (p *PrefetchSource) newBlock() *pfBlock {
 //	pool := hessian.NewStream(src, probs, blockRows)
 //
 // Pass the same blockRows to both so the read-ahead window matches the
-// sweep granularity.
+// sweep granularity; ≤ 0 selects BlockRowsFor(src.NumRows()) in both.
 func WithPrefetch(ctx context.Context, src PoolSource, blockRows int) PoolSource {
 	if blockRows <= 0 {
-		blockRows = DefaultBlockRows
+		blockRows = BlockRowsFor(src.NumRows())
 	}
 	if _, resident := src.(Resident); resident {
 		return src

@@ -58,13 +58,32 @@ type Resident interface {
 	ResidentRows(lo, hi int) []float64
 }
 
-// DefaultBlockRows is the row-block size blocked consumers use when the
-// caller does not choose one. It balances scratch footprint (a block of
-// d=64 features is 2 MiB) against per-block kernel dispatch overhead. It
-// fixes bits: each block's GEMM picks its summation order from the
-// block's row count, and each block's partial folds into the result in
-// turn. A pool of one block runs the same fold as a pool of many.
+// DefaultBlockRows is the row-block size of large pools (BlockRowsFor)
+// and the window of the passes that do not sweep a pool in parallel
+// (hessian.PoolProbs, PackShard). It balances scratch footprint (a block
+// of d=64 features is 2 MiB) against per-block kernel dispatch overhead.
 const DefaultBlockRows = 4096
+
+// BlockRowsFor returns the row-block size of a sweep over a pool of n
+// rows, the one rule every blocked consumer applies: DefaultBlockRows for
+// n ≥ 65,536, otherwise the largest power of two ≤ n/16, but at least 256.
+// So a pool of 4,096 rows or more has at least 16 blocks for the sweep's
+// lanes (parallel.ForBlocks), a pool of up to 256 rows is one block, and
+// the size changes only where n crosses 16·2ᵏ. It depends on n alone,
+// never on the worker count. It fixes bits: each block's GEMM picks its
+// summation order from the block's row count, and each block's partial
+// folds into the result in turn. A sharded pool applies it to each rank's
+// slice.
+func BlockRowsFor(n int) int {
+	if n >= 1<<16 {
+		return DefaultBlockRows
+	}
+	rows := 256
+	for rows*2 <= n/16 {
+		rows *= 2
+	}
+	return rows
+}
 
 // checkWindow validates a [lo, hi) row window against a source's shape.
 func checkWindow(src PoolSource, lo, hi int, dst *mat.Dense) error {

@@ -512,3 +512,31 @@ func TestShardWriterFloat32Rounding(t *testing.T) {
 		t.Fatal("shard kept float64 precision; expected float32 storage")
 	}
 }
+
+// TestBlockRowsFor pins the one block-size rule: a pool of up to 256 rows
+// is one block, smaller pools take the largest power of two ≤ n/16 (at
+// least 256), and pools of 65,536 rows or more take DefaultBlockRows.
+func TestBlockRowsFor(t *testing.T) {
+	for _, n := range []int{1, 100, 255, 256} {
+		if bs := BlockRowsFor(n); (n+bs-1)/bs != 1 {
+			t.Errorf("BlockRowsFor(%d) = %d: %d blocks, want 1", n, bs, (n+bs-1)/bs)
+		}
+	}
+	for _, tc := range []struct{ n, want int }{
+		{600, 256},
+		{4096, 256},
+		{5000, 256},
+		{8191, 256},
+		{8192, 512},
+		{10000, 512},
+		{12500, 512},
+		{20000, 1024},
+		{65535, 2048},
+		{65536, DefaultBlockRows},
+		{1_000_000, DefaultBlockRows},
+	} {
+		if got := BlockRowsFor(tc.n); got != tc.want {
+			t.Errorf("BlockRowsFor(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+	}
+}

@@ -62,8 +62,8 @@ type Shard struct {
 // concurrent ReadRows) and indexes its slice of the replicated
 // probability matrix, with each rank's next block decoding under the
 // current block's kernels (dataset.WithPrefetch; resident sources skip
-// the wrapper and serve zero-copy views). blockRows ≤ 0 selects the
-// default block granularity.
+// the wrapper and serve zero-copy views). blockRows ≤ 0 selects
+// dataset.BlockRowsFor of the rank's slice.
 func MakeStreamShard(labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, blockRows, size, rank int) *Shard {
 	n := src.NumRows()
 	lo, hi := mpi.Partition(n, size, rank)
@@ -235,9 +235,9 @@ func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, rela
 
 // SelectInProcess is the one in-process Approx-FIRAL runner: it selects
 // b points of the pool src (with reduced probabilities probs) on `ranks`
-// in-process ranks, each holding its MakeStreamShard partition in
-// dataset.DefaultBlockRows-row blocks, so Approx-FIRAL and Dist-FIRAL
-// differ only by the rank count. src stays the caller's; SelectInProcess
+// in-process ranks, each holding its MakeStreamShard partition in blocks
+// of dataset.BlockRowsFor its slice, as a TCP rank does, so Approx-FIRAL
+// and Dist-FIRAL differ only by the rank count. src stays the caller's; SelectInProcess
 // never closes it, and no read of it is in flight when SelectInProcess
 // returns (a sweep schedules no read-ahead past its last block, and the
 // solvers leave only between sweeps).
@@ -253,7 +253,7 @@ func Select(ctx context.Context, c *mpi.Comm, s *Shard, b int, eta float64, rela
 // failed pool read matches hessian.ErrPoolRead at every rank count.
 func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, b int, o firal.Options) (*firal.Result, error) {
 	if ranks <= 1 {
-		sh := MakeStreamShard(labeled, src, probs, dataset.DefaultBlockRows, 1, 0)
+		sh := MakeStreamShard(labeled, src, probs, 0, 1, 0)
 		return firal.SelectApprox(ctx, firal.NewProblem(sh.Labeled, sh.PoolLocal), b, o)
 	}
 	if len(o.EtaGrid) > 0 {
@@ -266,7 +266,7 @@ func SelectInProcess(ctx context.Context, ranks int, labeled *hessian.Set, src d
 		if c.Rank() != 0 && ro.OnIteration != nil {
 			ro.OnIteration = func(*firal.RelaxCheckpoint) {}
 		}
-		sh := MakeStreamShard(labeled, src, probs, dataset.DefaultBlockRows, ranks, c.Rank())
+		sh := MakeStreamShard(labeled, src, probs, 0, ranks, c.Rank())
 		sel, relax, round, err := Select(ctx, c, sh, b, o.Eta, ro, o.Exclude...)
 		errs[c.Rank()] = err
 		if err == nil && c.Rank() == 0 {

@@ -56,10 +56,11 @@ func (s *inflightSource) checkIdle(t *testing.T, when string) {
 	}
 }
 
-// multiBlockRows is a pool size whose every rank slice at p ≤ 3 spans two
-// dataset.DefaultBlockRows blocks, the second one ragged, so each rank of
-// SelectInProcess sweeps a multi-block pool with read-ahead over a
-// streaming source.
+// multiBlockRows is a pool size whose every rank slice at p ≤ 3 spans
+// many blocks of dataset.BlockRowsFor the slice, the last one ragged: 25
+// blocks of 512 rows at p = 1, 25 of 256 at p = 2, 17 of 256 at p = 3.
+// So each rank of SelectInProcess sweeps a multi-block pool on block lanes
+// with read-ahead over a streaming source.
 const multiBlockRows = 3*dataset.DefaultBlockRows + 212
 
 // twoFileShard packs x into two shard files split at row `split`.
@@ -83,24 +84,28 @@ func twoFileShard(t *testing.T, x *mat.Dense, split int) *dataset.ShardSource {
 // oldHarness is the selection every front end assembled by hand before
 // SelectInProcess: at p = 1 SelectApprox over a prefetched NewStream, at
 // p ≥ 2 mpi.Run over MakeStreamShard partitions with RELAX and ROUND
-// composed per rank. It is the bit-identity oracle.
-func oldHarness(t *testing.T, ranks int, labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, blockRows, b int, o firal.Options) []int {
+// composed per rank, each pool in blocks of the size a TCP rank takes
+// (blockRows 0: dataset.BlockRowsFor its slice). It is the bit-identity
+// oracle: it returns the selection and rank 0's RELAX weights z, whose
+// bits move with the block size.
+func oldHarness(t *testing.T, ranks int, labeled *hessian.Set, src dataset.PoolSource, probs *mat.Dense, b int, o firal.Options) ([]int, []float64) {
 	t.Helper()
 	ctx := context.Background()
 	if ranks <= 1 {
 		// The prefetcher is not closed: its Close would close src, which
 		// the caller still uses.
-		pool := hessian.NewStream(dataset.WithPrefetch(ctx, src, blockRows), probs, blockRows)
+		pool := hessian.NewStream(dataset.WithPrefetch(ctx, src, 0), probs, 0)
 		res, err := firal.SelectApprox(ctx, firal.NewProblem(labeled, pool), b, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Selected
+		return res.Selected, res.Relax.Z
 	}
 	selected := make([][]int, ranks)
+	var z []float64
 	errs := make([]error, ranks)
 	runRanks(t, ranks, func(c *mpi.Comm) {
-		sh := MakeStreamShard(labeled, src, probs, blockRows, ranks, c.Rank())
+		sh := MakeStreamShard(labeled, src, probs, 0, ranks, c.Rank())
 		relax, err := Relax(ctx, c, sh, b, o.Relax)
 		if err != nil {
 			errs[c.Rank()] = err
@@ -112,25 +117,33 @@ func oldHarness(t *testing.T, ranks int, labeled *hessian.Set, src dataset.PoolS
 			return
 		}
 		selected[c.Rank()] = round.Selected
+		if c.Rank() == 0 {
+			z = relax.Z
+		}
 	})
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("oracle rank %d: %v", r, err)
 		}
 	}
-	return selected[0]
+	return selected[0], z
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestSelectInProcess pins the one in-process runner against the
 // hand-built harnesses it replaced, over a resident MatrixSource and a
 // two-file ShardSource whose every rank slice spans two blocks, so
-// read-ahead engages: the selections are bit-identical with and without
-// an exclude set, OnIteration fires on rank 0 only, an η grid is refused
+// read-ahead engages: the selections and RELAX weights are bit-identical
+// with and without an exclude set, OnIteration fires on rank 0 only, an η grid is refused
 // at p ≥ 2, and no read of the caller's source is in flight on return —
 // after a full run and after a cancellation mid-RELAX.
 func TestSelectInProcess(t *testing.T) {
 	labeled, pool := testSets(41, 20, multiBlockRows, 6, 3)
-	const b, blockRows = 5, dataset.DefaultBlockRows
+	const b = 5
 	base := firal.Options{Relax: firal.RelaxOptions{FixedIterations: 3, Seed: 9, Probes: 4}}
 	shard := twoFileShard(t, pool.X, 61)
 	wantEta := 8 * math.Sqrt(float64(pool.Ed()))
@@ -148,10 +161,10 @@ func TestSelectInProcess(t *testing.T) {
 		for _, ranks := range []int{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/p=%d", tc.name, ranks), func(t *testing.T) {
 				ctx := context.Background()
-				free := oldHarness(t, ranks, labeled, tc.src, pool.H, blockRows, b, base)
+				free, _ := oldHarness(t, ranks, labeled, tc.src, pool.H, b, base)
 				o := base
 				o.Exclude = free[:2]
-				want := oldHarness(t, ranks, labeled, tc.src, pool.H, blockRows, b, o)
+				want, wantZ := oldHarness(t, ranks, labeled, tc.src, pool.H, b, o)
 
 				var calls atomic.Int64
 				o.Relax.OnIteration = func(*firal.RelaxCheckpoint) { calls.Add(1) }
@@ -162,6 +175,9 @@ func TestSelectInProcess(t *testing.T) {
 				tc.inflight.checkIdle(t, "after a full run")
 				if !slices.Equal(res.Selected, want) {
 					t.Fatalf("selected %v, old harness %v", res.Selected, want)
+				}
+				if !sameBits(res.Relax.Z, wantZ) {
+					t.Fatal("RELAX weights z differ from the old harness's bits")
 				}
 				for _, i := range res.Selected {
 					if slices.Contains(o.Exclude, i) {
@@ -364,16 +380,18 @@ func TestReadFailureInLastRelaxIterationPublishesNothing(t *testing.T) {
 }
 
 // TestMultiBlockBitsPinned pins the bits of a selection over a pool of
-// multiBlockRows rows, four dataset.DefaultBlockRows blocks at one rank
-// (the last one ragged), so every sweep folds block partials: the
+// multiBlockRows rows, 25 blocks of dataset.BlockRowsFor(multiBlockRows)
+// = 512 rows at one rank (the last one ragged), so every sweep folds
+// block partials on block lanes: the
 // sha256 of the RELAX weights z, the CG iteration count and the
 // selection. At d = 16 and c = 3 the sweeps run the dotu-order dots, the
 // Gram's rank-4 update and AccumRows, and ROUND the fused norms. Any
-// change to the bits of those kernels shows here; re-record the pin only
-// together with a declared change of the kernels' roundings.
+// change to the bits of those kernels or to the block size shows here;
+// re-record the pin only together with a declared change of the kernels'
+// roundings or of the block-size rule.
 func TestMultiBlockBitsPinned(t *testing.T) {
 	const (
-		wantZ  = "3b073bbaaef2e644e54f52519719d2dd69b4c0a189df63503b9ff72f288c579b"
+		wantZ  = "33dd0143cc545e662b24efe44f26e8efdd7aff363ebcb47573809df0ecb406a8"
 		wantCG = 55
 	)
 	wantSel := []int{5340, 8384, 2481, 2360, 7632, 11558}
@@ -393,5 +411,40 @@ func TestMultiBlockBitsPinned(t *testing.T) {
 	if gotZ != wantZ || res.Relax.CGIterations != wantCG || !slices.Equal(res.Selected, wantSel) {
 		t.Fatalf("z sha256 %s, %d CG iterations, selected %v; want %s, %d, %v",
 			gotZ, res.Relax.CGIterations, res.Selected, wantZ, wantCG, wantSel)
+	}
+}
+
+// TestShardBlockRows pins the one block-size rule at every rank count: a
+// MakeStreamShard partition (blockRows 0, as SelectInProcess and the TCP
+// ranks pass) sweeps blocks of dataset.BlockRowsFor its slice, and a
+// CountingSource under its read-ahead sees exactly ⌈slice/rule⌉ reads of
+// the slice's rows per sweep, so the prefetcher's window is the sweep's
+// block.
+func TestShardBlockRows(t *testing.T) {
+	labeled, pool := testSets(48, 20, multiBlockRows, 6, 3)
+	ws := mat.NewWorkspace()
+	for _, ranks := range []int{1, 2, 3} {
+		for r := range ranks {
+			lo, hi := mpi.Partition(multiBlockRows, ranks, r)
+			rule := dataset.BlockRowsFor(hi - lo)
+			counting := dataset.NewCountingSource(dataset.NewMatrixSource(pool.X))
+			sh := MakeStreamShard(labeled, counting, pool.H, 0, ranks, r)
+			if got := sh.PoolLocal.BlockRows(); got != rule {
+				t.Fatalf("p=%d rank %d: %d-row slice sweeps %d-row blocks, want %d", ranks, r, hi-lo, got, rule)
+			}
+			if _, ok := sh.PoolLocal.(*hessian.Stream).Source().(*dataset.PrefetchSource); !ok {
+				t.Fatalf("p=%d rank %d: the shard has no read-ahead", ranks, r)
+			}
+			for sweep := int64(1); sweep <= 2; sweep++ {
+				hessian.BlockDiagSumInto(ws, sh.PoolLocal, nil, nil)
+				wantReads := sweep * int64((hi-lo+rule-1)/rule)
+				if got := counting.Reads(); got != wantReads {
+					t.Fatalf("p=%d rank %d: %d reads after %d sweeps, want %d", ranks, r, got, sweep, wantReads)
+				}
+				if got := counting.RowsRead(); got != sweep*int64(hi-lo) {
+					t.Fatalf("p=%d rank %d: %d rows read after %d sweeps, want %d", ranks, r, got, sweep, sweep*int64(hi-lo))
+				}
+			}
+		}
 	}
 }

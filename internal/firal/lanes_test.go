@@ -16,8 +16,8 @@ import (
 
 // Many-block pools: ten blocks of 64 rows, the last one ragged, written
 // as two mmap'd float32 shards whose seam falls inside block 4. Ten
-// blocks are at least 2·W for W ≤ 4, so from two workers on every sweep
-// runs on parallel.ForBlocks.
+// blocks give W lanes for W ≤ 4, so from two workers on every sweep runs
+// on parallel.ForBlocks.
 const (
 	laneBlock = 64
 	laneRows  = 9*laneBlock + 23

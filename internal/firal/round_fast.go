@@ -76,24 +76,19 @@ type scoreSweep struct {
 	dst   []float64
 	n, bs int
 	nl    int // lanes (parallel.BlockLanes)
-	items int // workers that split one block: W at one lane, else 1
 	lanes []*scoreLane
 }
 
 // scoreLane is one lane of the Scores sweep: its row block, the
 // workspace the block comes from (the state's for lane 0, its own for
-// the others), and per-item packed row tiles and norm sums. scoreItems
-// is bound once as fn, so a one-lane sweep hands it to the worker pool
-// without allocating a closure.
+// the others), its packed row tile and its norm sums.
 type scoreLane struct {
 	*scoreSweep
 	ws, own *mat.Workspace
 	xb      *mat.Dense
 	base, m int
-	rows    int // block rows per item
-	xp      []mat.Packed
-	qbuf    []float64
-	fn      func(lo, hi int)
+	xp      mat.Packed
+	q       [2 * scoreTile]float64
 }
 
 // classScratch is one worker's scratch for the per-class eigensolves.
@@ -289,15 +284,13 @@ func (st *RoundState) weigh(nu float64) {
 //
 // with γ_ik = h_ik(1 − h_ik). The pool is visited in row blocks
 // (outermost), so a streamed pool is read exactly once per rescoring
-// pass. A pool of at least 2·W blocks (parallel.BlockLanes) runs on
-// parallel.ForBlocks, each worker scoring whole blocks alone; otherwise
-// workers split each block into runs of 64-row tiles. Per tile and
+// pass. The blocks run on parallel.ForBlocks lanes (parallel.BlockLanes),
+// each lane scoring whole blocks alone, 64-row tile by tile. Per tile and
 // class the fused kernel mat.WeightedSqNorms forms y = x·W_k tile by
 // register tile and folds it into both quadratic forms as weighted row
 // norms (see RoundState), so no product is stored and the cost is one
 // GEMM, O(n c d²), per round (Table II). Each point is scored by one
-// worker in class order, so the scores do not depend on the worker
-// count.
+// lane in class order, so the scores do not depend on the worker count.
 //
 //firal:hotpath
 func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
@@ -313,15 +306,9 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 	sw.n, sw.bs = n, min(pool.BlockRows(), n)
 	nb := (n + sw.bs - 1) / sw.bs
 	sw.nl = parallel.BlockLanes(nb)
-	workers := 1
-	if sw.nl == 1 {
-		workers = parallel.Workers()
-	}
-	sw.items = min(workers, (sw.bs+scoreTile-1)/scoreTile)
 	for len(sw.lanes) < sw.nl {
 		//firal:allow(alloc) — amortized: one lane per worker, grown only when the worker count grows
 		l := &scoreLane{scoreSweep: sw, own: mat.NewWorkspace()}
-		l.fn = l.scoreItems
 		//firal:allow(alloc) — amortized, as above
 		sw.lanes = append(sw.lanes, l)
 	}
@@ -329,14 +316,6 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 		l.ws = l.own
 		if i == 0 {
 			l.ws = st.ws
-		}
-		//firal:allow(alloc) — amortized: regrows only when the worker count grows
-		if len(l.qbuf) < sw.items*2*scoreTile {
-			l.qbuf = make([]float64, sw.items*2*scoreTile)
-		}
-		//firal:allow(alloc) — amortized: regrows only when the worker count grows
-		if len(l.xp) < sw.items {
-			l.xp = make([]mat.Packed, sw.items)
 		}
 	}
 	parallel.ForBlocks(nb, sw.nl, sw)
@@ -356,53 +335,35 @@ func (sw *scoreSweep) Fetch(lane, k int) {
 	l.xb, l.base, l.m = sw.pool.Block(l.ws, lo, hi), lo, hi-lo
 }
 
-// Compute scores lane's block and gives it back: split into one run of
-// tiles per item, the items across workers at one lane.
+// Compute scores lane's block tile by tile and gives it back.
 //
 //firal:hotpath
 func (sw *scoreSweep) Compute(lane, k int) {
 	l := sw.lanes[lane]
-	tiles := (l.m + scoreTile - 1) / scoreTile
-	per := (tiles + sw.items - 1) / sw.items
-	l.rows = per * scoreTile
-	if runs := (tiles + per - 1) / per; sw.nl > 1 {
-		l.scoreItems(0, runs)
-	} else {
-		parallel.ForChunkMin(runs, 1, l.fn)
+	for r0 := 0; r0 < l.m; r0 += scoreTile {
+		l.scoreTile(r0, min(r0+scoreTile, l.m))
 	}
 	sw.pool.PutBlock(l.ws, l.xb)
 	l.xb = nil
 }
 
-// scoreItems scores items [lo, hi) of the lane's block: item it covers
-// block rows [it·rows, (it+1)·rows) and uses tile scratch it.
-//
-//firal:hotpath
-func (l *scoreLane) scoreItems(lo, hi int) {
-	for it := lo; it < hi; it++ {
-		q := l.qbuf[it*2*scoreTile : (it+1)*2*scoreTile]
-		for r0 := it * l.rows; r0 < min((it+1)*l.rows, l.m); r0 += scoreTile {
-			l.scoreTile(&l.xp[it], q, r0, min(r0+scoreTile, l.m))
-		}
-	}
-}
-
 // scoreTile writes the scores of block rows [r0, r1). It packs the tile
-// once into xp, as the right operand of every W_kᵀ·xᵀ, and gets each
-// class's two quadratic forms of every point from the fused kernel, in
-// the order of y = x·W_k's elements and of the row norms over them.
+// once into the lane's xp, as the right operand of every W_kᵀ·xᵀ, and
+// gets each class's two quadratic forms of every point from the fused
+// kernel, in the order of y = x·W_k's elements and of the row norms over
+// them.
 //
 //firal:hotpath
-func (l *scoreLane) scoreTile(xp *mat.Packed, q []float64, r0, r1 int) {
+func (l *scoreLane) scoreTile(r0, r1 int) {
 	st := l.st
 	d, xs, m := st.d, l.xb.Stride, r1-r0
 	xt := mat.Dense{Rows: m, Cols: d, Stride: xs, Data: l.xb.Data[r0*xs:]}
-	qb, qp := q[:m], q[scoreTile:scoreTile+m]
+	qb, qp := l.q[:m], l.q[scoreTile:scoreTile+m]
 	out := l.dst[l.base+r0 : l.base+r1]
 	clear(out)
-	xp.PackRight(&xt)
+	l.xp.PackRight(&xt)
 	for k := 0; k < st.c; k++ {
-		mat.WeightedSqNorms(qb, qp, &st.wl[k], xp, st.a[k*d:(k+1)*d], st.a2[k*d:(k+1)*d])
+		mat.WeightedSqNorms(qb, qp, &st.wl[k], &l.xp, st.a[k*d:(k+1)*d], st.a2[k*d:(k+1)*d])
 		for i := range out {
 			hv := l.h.At(l.base+r0+i, k)
 			gamma := hv * (1 - hv)

@@ -38,48 +38,19 @@ import (
 //     and +0 + x is x bit for bit, so one block gives the bits of
 //     writing its sums to dst directly.
 //
-// So every column is bit-identical to the per-probe kernels, for any
-// worker count: workers split probes, columns or rows, never the
-// summation of one element.
-//
-// Parallel axis. A sweep of at least 2·W row blocks, W =
-// parallel.Workers(), runs on parallel.ForBlocks: each worker is a lane
-// that takes whole blocks in ascending order, computes a block's partial
-// alone in the lane's own scratch and workspace with the one-worker form
-// of the kernel (one probe window of all s probes, the whole Gram
-// triangle), gives the block back, and folds the partial into dst in
-// block order. A sweep of fewer blocks has one lane and splits each block
-// instead. The matvec then splits probes across workers when there are
-// at least as many probes as workers: the probes are cut into windows,
-// one per worker, and each worker runs dots, Γ and the accumulation tile
-// by tile for its own window while the tile is hot in cache. A window
-// owns its scratch: the sweep packs its probe rows into the window's own
-// mat.Packed (so every window starts on lane panel 0), and its Γ tile
-// lives in its own region of the scratch, with the window's width as the
-// row stride and no 64-byte line shared with another window, so the
-// workers never write the same cache line tile after tile. With fewer
-// probes than workers (a single vector included), or when Γᵀ·X takes
-// the packed path, the dots and Γ run row-parallel over the whole block
-// first; the accumulation then splits each probe's d columns across
-// workers (or runs MulTransA, parallel over class rows). The quadratic
-// form splits rows, each worker in its own scratch region; each row takes
-// its probes in ascending order. The Gram splits its triangle
-// (mat.WeightedGram). Either way the partials fold in block order, so the
-// bits do not depend on the worker count.
+// Parallel axis. Every sweep runs on parallel.ForBlocks over the pool's
+// row blocks (Pool.BlockRows, dataset.BlockRowsFor the pool's rows) with
+// parallel.BlockLanes lanes: each lane takes whole blocks in ascending
+// order, computes a block's partial alone in the lane's own scratch and
+// workspace with the one-worker kernel (dots, Γ and the accumulation of
+// all s probes tile by tile while the tile is hot in cache; the whole
+// Gram triangle), gives the block back, and folds the partial into dst
+// in block order. A block's partial depends only on the block, so every
+// column is bit-identical to the per-probe kernels at any worker count.
 
 // sweepTile is the row tile of the fused sweeps: 64 rows of a d=64 block
 // are 32 KiB, so the tile stays in L1 while every probe visits it.
 const sweepTile = 64
-
-// lineFloats is a 64-byte cache line of float64s.
-const lineFloats = 8
-
-// lineStride is the stride that keeps regions of n float64s, laid out one
-// after another in a buffer of any alignment, off each other's cache
-// lines: n rounded up to whole lines, plus one line of gap.
-func lineStride(n int) int {
-	return (n+lineFloats-1)/lineFloats*lineFloats + lineFloats
-}
 
 // checkBlockShapes validates a transposed vector block against the pool.
 func checkBlockShapes(p Pool, vs ...*mat.Dense) {
@@ -95,23 +66,13 @@ func checkBlockShapes(p Pool, vs ...*mat.Dense) {
 }
 
 // checkCompact panics unless every probe block is compact: the dots read
-// a window of probes as one (probes·c)×d matrix.
+// the probes as one (s·c)×d matrix.
 func checkCompact(vs ...*mat.Dense) {
 	for _, v := range vs {
 		if v.Stride != v.Cols {
 			panic("hessian: probe block needs compact storage")
 		}
 	}
-}
-
-// probeWindow is one worker's share of a probe-split sweep: probes
-// [j0, j1) and their rows packed for the window alone (when packed is
-// set). Window i's Γ tile, sweepTile rows of (j1−j0)·c, starts at
-// i·region in the scratch.
-type probeWindow struct {
-	j0, j1 int
-	packed bool
-	pk     mat.Packed
 }
 
 // sweep kinds: the kernel a sweepTask's Compute runs on each block.
@@ -128,50 +89,35 @@ const (
 type sweepTask struct {
 	p         Pool
 	kind      int
-	n, bs     int           // pool rows; block rows
-	nl        int           // lanes of the sweep (parallel.BlockLanes)
-	inner     int           // workers that split one block: W at one lane, else 1
-	lanes     []*sweepLane  // lane scratch, grown when the worker count grows
-	folding   foldingSweep  // the sweep, folding its partials in block order
-	u, v, dst *mat.Dense    // probe blocks; matvec result
-	h         *mat.Dense    // probabilities
-	pu, pv    *mat.Packed   // u and v packed once per sweep for the blocked dots; nil: not packed
-	upk, vpk  mat.Packed    // their storage
-	wins      []probeWindow // a probe-split sweep's windows
-	windowed  bool          // the matvec splits probes into wins
-	w         []float64     // weights
-	qdst      []float64     // quadratic-form result
-	blocks    []*mat.Dense  // Gram result, one d×d block per class
-	scale     float64       // quadratic-form scale
-	s, d, c   int           // probes, features, classes
-	accStride int           // partial stride in a lane's acc
-	region    int           // stride of the probe windows' Γ regions in a lane's g
-	slices    int           // column slices per probe in the unfused accumulation
-	cols      int           // their width
-	items     int           // quadratic-form items per block
-	qstride   int           // quadratic-form scratch region stride
+	n, bs     int          // pool rows; block rows
+	nl        int          // lanes of the sweep (parallel.BlockLanes)
+	lanes     []*sweepLane // lane scratch, grown when the worker count grows
+	folding   foldingSweep // the sweep, folding its partials in block order
+	u, v, dst *mat.Dense   // probe blocks; matvec result
+	h         *mat.Dense   // probabilities
+	pu, pv    *mat.Packed  // u and v packed once per sweep for the packed dots; nil: not packed
+	upk, vpk  mat.Packed   // their storage
+	w         []float64    // weights
+	qdst      []float64    // quadratic-form result
+	blocks    []*mat.Dense // Gram result, one d×d block per class
+	scale     float64      // quadratic-form scale
+	s, d, c   int          // probes, features, classes
 }
 
 // sweepLane is one lane's share of a sweep: the block it holds, the
 // workspace the block comes from, and the scratch its computation
 // writes. Lane 0 draws from the caller's workspace, the others from
-// their own. A one-lane sweep splits each block across workers through
-// the lane's bound funcs, so handing them to the worker pool does not
-// allocate a closure per call (the kernel task pattern of internal/mat).
+// their own.
 type sweepLane struct {
 	*sweepTask
-	ws, own  *mat.Workspace
-	xb       *mat.Dense   // the lane's current row block
-	base, m  int          // global index of the block's first row; block rows
-	blocked  bool         // dot order of the block (mat.UseBlocked)
-	g, acc   []float64    // dot/Γ scratch; per-probe block partials
-	gw       []float64    // Gram weights of one class
-	grams    []*mat.Dense // Gram partials: one per class, or one at one lane
-	ga, pd   mat.Dense    // one probe's Γ and partial, for mat.MulTransA
-	rj0, rj1 int          // probes the row-parallel Γ holds, probe j at column (j−rj0)·c
-	rows     int          // rows per quadratic-form item
-
-	windowsFn, slicesFn, dotsFn, quadFn func(lo, hi int)
+	ws, own *mat.Workspace
+	xb      *mat.Dense   // the lane's current row block
+	base, m int          // global index of the block's first row; block rows
+	blocked bool         // dot order of the block (mat.UseBlocked)
+	g, acc  []float64    // dot/Γ scratch; per-probe block partials
+	gw      []float64    // Gram weights of one class
+	grams   []*mat.Dense // Gram partials, one per class
+	ga, pd  mat.Dense    // one probe's Γ and partial, for mat.MulTransA
 }
 
 // foldingSweep is a sweepTask whose blocks fold into the result.
@@ -192,17 +138,8 @@ func getSweep(kind int, ws *mat.Workspace, p Pool) *sweepTask {
 	t.n, t.bs, t.d, t.c = p.N(), p.BlockRows(), p.D(), p.C()
 	t.h = p.Probs()
 	t.nl = parallel.BlockLanes((t.n + t.bs - 1) / t.bs)
-	t.inner = 1
-	if t.nl == 1 {
-		t.inner = parallel.Workers()
-	}
 	for len(t.lanes) < t.nl {
-		l := &sweepLane{sweepTask: t, own: mat.NewWorkspace()}
-		l.windowsFn = l.sweepWindows
-		l.slicesFn = l.accumSlices
-		l.dotsFn = l.dotsRows
-		l.quadFn = l.quadRows
-		t.lanes = append(t.lanes, l)
+		t.lanes = append(t.lanes, &sweepLane{sweepTask: t, own: mat.NewWorkspace()})
 	}
 	t.lanes[0].ws = ws
 	for _, l := range t.lanes[1:t.nl] {
@@ -225,8 +162,6 @@ func (t *sweepTask) release() {
 	t.p, t.u, t.v, t.dst, t.h = nil, nil, nil, nil, nil
 	t.pu, t.pv = nil, nil
 	t.w, t.qdst, t.blocks = nil, nil, nil
-	t.wins = t.wins[:0]
-	t.windowed = false
 	for _, l := range t.lanes {
 		l.ws, l.xb = nil, nil
 		l.ga.Data, l.pd.Data = nil, nil
@@ -255,9 +190,7 @@ func (t *sweepTask) Compute(lane, k int) {
 	case sweepMatVec:
 		l.matVec()
 	case sweepQuad:
-		nit := min(t.items, (l.m+sweepTile-1)/sweepTile)
-		l.rows = (l.m + nit - 1) / nit
-		l.forChunk(nit, 1, l.quadFn)
+		l.quad()
 	case sweepGram:
 		l.gram()
 	}
@@ -274,22 +207,9 @@ func (f *foldingSweep) Fold(lane, k int) {
 		l.foldPartials()
 		return
 	}
-	if f.nl == 1 {
-		return // gram folded each class's Gram as it went
-	}
 	for cls, b := range f.blocks {
 		b.AddScaled(1, l.grams[cls])
 	}
-}
-
-// forChunk runs fn over [0, n): split across workers at one lane, on the
-// lane's own goroutine when the sweep runs several lanes.
-func (l *sweepLane) forChunk(n, minPer int, fn func(lo, hi int)) {
-	if l.nl > 1 {
-		fn(0, n)
-		return
-	}
-	parallel.ForChunkMin(n, minPer, fn)
 }
 
 // MatVecBlockWS computes dst_j = Σ_i w_i H_i v_j for all s vectors of the
@@ -320,29 +240,16 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 	t.v, t.dst, t.w, t.s = v, dst, w, v.Rows
 	s, d, c := t.s, t.d, t.c
 	dst.Zero()
-	t.accStride = lineStride(d * c)
-	// The scratch holds a Γ tile region per probe window (s ≥ workers), a
-	// whole block's Γ for every probe (s < workers), or a whole block's Γ
-	// for one probe (packed Γᵀ·X); the largest block sizes it. The shared
-	// probe pack serves the last two.
+	// The scratch holds a Γ tile of every probe, or a whole block's Γ of
+	// one probe (packed Γᵀ·X); the largest block sizes it.
 	rows := min(t.bs, t.n)
-	var gLen int
-	if t.windowed = s >= t.inner; t.windowed {
-		t.setWindows(t.inner, rows)
-		gLen = len(t.wins) * t.region
-	} else {
-		gLen = rows * s * c
-		t.slices = min((t.inner+s-1)/s, max(1, d/8))
-		t.cols = (d + t.slices - 1) / t.slices
-	}
+	gLen := sweepTile * s * c
 	if mat.UseBlocked(c, d, rows) {
 		gLen = max(gLen, rows*c)
 	}
-	if !t.windowed || mat.UseBlocked(c, d, rows) {
-		t.pv = t.packProbes(&t.vpk, v, rows, 0, s)
-	}
+	t.pv = t.packProbes(&t.vpk, v, rows)
 	for _, l := range t.lanes[:t.nl] {
-		l.acc = l.ws.Vec(s * t.accStride)
+		l.acc = l.ws.Vec(s * d * c)
 		l.g = l.ws.Vec(gLen)
 	}
 	t.sweep()
@@ -354,111 +261,39 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 	t.release()
 }
 
-// matVec computes the lane's block partials of every probe.
+// matVec computes the lane's block partials of every probe: tile by
+// tile, the dots and Γ of all s probes, then each probe's accumulation,
+// or, when Γᵀ·X takes the packed path, one probe at a time over the
+// whole block.
 //
 //firal:hotpath
 func (l *sweepLane) matVec() {
-	switch {
-	case mat.UseBlocked(l.c, l.d, l.m):
-		// Γᵀ·X takes the packed path: one probe at a time, its Γ
-		// through mat.MulTransA, as the per-probe composition does.
+	if mat.UseBlocked(l.c, l.d, l.m) {
+		// As the per-probe composition does: each probe's Γ through
+		// mat.MulTransA.
 		for j := 0; j < l.s; j++ {
-			l.rj0, l.rj1 = j, j+1
-			l.forChunk(l.m, sweepTile, l.dotsFn)
+			l.dots(l.g, l.v, l.pv, j*l.c, 0, l.m, j, j+1)
+			l.gamma(l.g, l.c, 0, l.m)
 			l.accumPacked(j)
 		}
-	case l.windowed:
-		l.forChunk(len(l.wins), 1, l.windowsFn)
-	default:
-		l.rj0, l.rj1 = 0, l.s
-		l.forChunk(l.m, sweepTile, l.dotsFn)
-		l.forChunk(l.s*l.slices, 1, l.slicesFn)
+		return
 	}
-}
-
-// setWindows cuts the s probes into one window per worker, as
-// parallel.ForChunkMin(s, 1, …) would cut them, packs each window's probe
-// rows for blocks of up to rows rows, and sets the stride of the windows'
-// Γ regions in the scratch.
-func (t *sweepTask) setWindows(workers, rows int) {
-	width := (t.s + workers - 1) / workers
-	nw := (t.s + width - 1) / width
-	if cap(t.wins) < nw {
-		t.wins = make([]probeWindow, nw)
-	}
-	t.wins = t.wins[:nw]
-	for i := range t.wins {
-		win := &t.wins[i]
-		win.j0, win.j1 = i*width, min((i+1)*width, t.s)
-		win.packed = t.packProbes(&win.pk, t.v, rows, win.j0, win.j1) != nil
-	}
-	t.region = lineStride(sweepTile * width * t.c)
-}
-
-// sweepWindows is the fused matvec body for probe windows [lo, hi): for
-// each, tile by tile, the dots and Γ of its probes in its own Γ region,
-// then their accumulation into the probes' partials.
-//
-//firal:hotpath
-func (l *sweepLane) sweepWindows(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		win := &l.wins[i]
-		j0, j1 := win.j0, win.j1
-		gs := (j1 - j0) * l.c
-		g := l.g[i*l.region : i*l.region+sweepTile*gs]
-		var pb *mat.Packed
-		if win.packed {
-			pb = &win.pk
-		}
-		l.clearPartials(j0, j1, 0, l.d)
-		for r0 := 0; r0 < l.m; r0 += sweepTile {
-			r1 := min(r0+sweepTile, l.m)
-			l.dots(g, l.v, pb, 0, r0, r1, j0, j1)
-			l.gamma(g, gs, r0, r1)
-			for j := j0; j < j1; j++ {
-				l.accumulate(g[(j-j0)*l.c:], gs, j, 0, l.d, r0, r1)
-			}
-		}
-	}
-}
-
-// dotsRows is the row-parallel dot and Γ phase over block rows
-// [r0, r1) for probes [rj0, rj1); the scratch holds their Γ for every
-// block row, row stride (rj1−rj0)·c.
-//
-//firal:hotpath
-func (l *sweepLane) dotsRows(r0, r1 int) {
-	gs := (l.rj1 - l.rj0) * l.c
-	g := l.g[r0*gs:]
-	l.dots(g, l.v, l.pv, l.rj0*l.c, r0, r1, l.rj0, l.rj1)
-	l.gamma(g, gs, r0, r1)
-}
-
-// accumSlices is the unfused matvec's accumulation over items [lo, hi),
-// item = probe·slices + column slice; the scratch holds every probe's Γ.
-//
-//firal:hotpath
-func (l *sweepLane) accumSlices(lo, hi int) {
 	gs := l.s * l.c
-	for it := lo; it < hi; it++ {
-		j := it / l.slices
-		c0 := (it % l.slices) * l.cols
-		c1 := min(c0+l.cols, l.d)
-		if c0 >= c1 {
-			continue
-		}
-		l.clearPartials(j, j+1, c0, c1)
-		for r0 := 0; r0 < l.m; r0 += sweepTile {
-			r1 := min(r0+sweepTile, l.m)
-			l.accumulate(l.g[r0*gs+j*l.c:], gs, j, c0, c1, r0, r1)
+	clear(l.acc)
+	for r0 := 0; r0 < l.m; r0 += sweepTile {
+		r1 := min(r0+sweepTile, l.m)
+		l.dots(l.g, l.v, l.pv, 0, r0, r1, 0, l.s)
+		l.gamma(l.g, gs, r0, r1)
+		for j := 0; j < l.s; j++ {
+			l.accumulate(l.g[j*l.c:], gs, j, r0, r1)
 		}
 	}
 }
 
 // accumPacked computes probe j's partial for a block whose Γᵀ·X takes
-// the packed path: its Γ (all block rows, from dotsRows) goes through
-// mat.MulTransA, so the panel order is kept exactly. The operand headers
-// live in the lane, so handing them to the worker pool does not allocate.
+// the packed path: its Γ (all block rows) goes through mat.MulTransA, so
+// the panel order is kept exactly. The operand headers live in the lane,
+// so handing them to the worker pool does not allocate.
 //
 //firal:hotpath
 func (l *sweepLane) accumPacked(j int) {
@@ -557,51 +392,39 @@ func (l *sweepLane) gamma(g []float64, gs, r0, r1 int) {
 	}
 }
 
-// accumulate adds Σ_i Γ_ijk x_i[c0:c1] over block rows [r0, r1) to
-// columns [c0, c1) of every class row of probe j's partial; g holds
-// probe j's Γ of row r0 at g[:c], row stride gs.
+// accumulate adds Σ_i Γ_ijk x_i over block rows [r0, r1) to every class
+// row of probe j's partial; g holds probe j's Γ of row r0 at g[:c], row
+// stride gs.
 //
 //firal:hotpath
-func (l *sweepLane) accumulate(g []float64, gs, j, c0, c1, r0, r1 int) {
+func (l *sweepLane) accumulate(g []float64, gs, j, r0, r1 int) {
 	xs := l.xb.Stride
-	xt := mat.Dense{Rows: r1 - r0, Cols: c1 - c0, Stride: xs, Data: l.xb.Data[r0*xs+c0:]}
+	xt := mat.Dense{Rows: r1 - r0, Cols: l.d, Stride: xs, Data: l.xb.Data[r0*xs:]}
 	out := l.partial(j)
 	for k := 0; k < l.c; k++ {
-		mat.AccumRows(out[k*l.d+c0:k*l.d+c1], g[k:], gs, &xt)
+		mat.AccumRows(out[k*l.d:(k+1)*l.d], g[k:], gs, &xt)
 	}
 }
 
-// packProbes packs probes [j0, j1) of the compact probe block vb, read
-// as an ((j1−j0)·c)×d matrix, into pk for the packed dots and returns it.
-// It returns nil, and the dots read vb in place, when no block of up to
-// rows rows takes the blocked order (mat.UseBlocked grows with the row
-// count) and the dotu tile does not pay on all the probes' columns
-// (mat.UseDotuTile), so on no narrower window either.
-func (t *sweepTask) packProbes(pk *mat.Packed, vb *mat.Dense, rows, j0, j1 int) *mat.Packed {
-	if !mat.UseBlocked(rows, t.c, t.d) && !mat.UseDotuTile(0, (j1-j0)*t.c) {
+// packProbes packs the compact probe block vb, read as an (s·c)×d
+// matrix, into pk for the packed dots and returns it. It returns nil, and
+// the dots read vb in place, when no block of up to rows rows takes the
+// blocked order (mat.UseBlocked grows with the row count) and the dotu
+// tile does not pay on all the probes' columns (mat.UseDotuTile), so on
+// no one probe's columns either.
+func (t *sweepTask) packProbes(pk *mat.Packed, vb *mat.Dense, rows int) *mat.Packed {
+	if !mat.UseBlocked(rows, t.c, t.d) && !mat.UseDotuTile(0, t.s*t.c) {
 		return nil
 	}
-	pk.PackRight(&mat.Dense{Rows: (j1 - j0) * t.c, Cols: t.d, Stride: t.d, Data: vb.Data[j0*vb.Cols:]})
+	pk.PackRight(&mat.Dense{Rows: t.s * t.c, Cols: t.d, Stride: t.d, Data: vb.Data})
 	return pk
 }
 
 // partial returns probe j's block partial, its region of the lane's
 // accumulator.
 func (l *sweepLane) partial(j int) []float64 {
-	return l.acc[j*l.accStride : j*l.accStride+l.d*l.c]
-}
-
-// clearPartials zeroes columns [c0, c1) of every class row of the
-// partials of probes [j0, j1).
-//
-//firal:hotpath
-func (l *sweepLane) clearPartials(j0, j1, c0, c1 int) {
-	for j := j0; j < j1; j++ {
-		out := l.partial(j)
-		for k := 0; k < l.c; k++ {
-			clear(out[k*l.d+c0 : k*l.d+c1])
-		}
-	}
+	ed := l.d * l.c
+	return l.acc[j*ed : (j+1)*ed]
 }
 
 // foldPartials adds every probe's block partial into dst.
@@ -633,17 +456,14 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 	}
 	t := getSweep(sweepQuad, ws, p)
 	t.u, t.v, t.qdst, t.scale, t.s = u, v, dst, scale, u.Rows
+	// Every point's row lies in one block, so the blocks write disjoint
+	// parts of dst and fold nothing. A lane's scratch holds a tile of
+	// both dot sets.
 	rows := min(t.bs, t.n)
-	// One item per worker that splits a block, each with private tile
-	// scratch for both dot sets; an item is a contiguous run of block
-	// rows. Every point's row lies in one block, so the blocks write
-	// disjoint parts of dst and fold nothing.
-	t.items = min(t.inner, (rows+sweepTile-1)/sweepTile)
-	t.qstride = lineStride(2 * sweepTile * t.s * t.c)
-	t.pu = t.packProbes(&t.upk, u, rows, 0, t.s)
-	t.pv = t.packProbes(&t.vpk, v, rows, 0, t.s)
+	t.pu = t.packProbes(&t.upk, u, rows)
+	t.pv = t.packProbes(&t.vpk, v, rows)
 	for _, l := range t.lanes[:t.nl] {
-		l.g = l.ws.Vec(t.items * t.qstride)
+		l.g = l.ws.Vec(2 * sweepTile * t.s * t.c)
 	}
 	t.sweep()
 	for _, l := range t.lanes[:t.nl] {
@@ -653,37 +473,33 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 	t.release()
 }
 
-// quadRows runs QuadAccum items [lo, hi) of the lane's block: item it
-// covers block rows [it·rows, (it+1)·rows) and uses scratch region it,
-// which shares no cache line with another region.
+// quad adds the quadratic forms of the lane's block rows to dst tile by
+// tile; each row takes its probes in ascending order.
 //
 //firal:hotpath
-func (l *sweepLane) quadRows(lo, hi int) {
+func (l *sweepLane) quad() {
 	sc := l.s * l.c
-	for it := lo; it < hi; it++ {
-		gu := l.g[it*l.qstride:]
-		gv := gu[sweepTile*sc:]
-		for r0 := it * l.rows; r0 < min((it+1)*l.rows, l.m); r0 += sweepTile {
-			r1 := min(r0+sweepTile, (it+1)*l.rows, l.m)
-			l.dots(gu, l.u, l.pu, 0, r0, r1, 0, l.s)
-			l.dots(gv, l.v, l.pv, 0, r0, r1, 0, l.s)
-			for i := r0; i < r1; i++ {
-				hr := l.h.Row(l.base + i)
-				q0 := (i - r0) * sc
-				hu, hv := gu[q0:q0+sc], gv[q0:q0+sc]
-				qi := l.qdst[l.base+i]
-				for j := 0; j < sc; j += l.c {
-					var alpha, q float64 // alpha in mat.Dot's order
-					for k, hk := range hr {
-						alpha += hv[j+k] * hk
-					}
-					for k, hk := range hr {
-						q += (hv[j+k] - alpha) * hk * hu[j+k]
-					}
-					qi += l.scale * q
+	gu, gv := l.g[:sweepTile*sc], l.g[sweepTile*sc:]
+	for r0 := 0; r0 < l.m; r0 += sweepTile {
+		r1 := min(r0+sweepTile, l.m)
+		l.dots(gu, l.u, l.pu, 0, r0, r1, 0, l.s)
+		l.dots(gv, l.v, l.pv, 0, r0, r1, 0, l.s)
+		for i := r0; i < r1; i++ {
+			hr := l.h.Row(l.base + i)
+			q0 := (i - r0) * sc
+			hu, hv := gu[q0:q0+sc], gv[q0:q0+sc]
+			qi := l.qdst[l.base+i]
+			for j := 0; j < sc; j += l.c {
+				var alpha, q float64 // alpha in mat.Dot's order
+				for k, hk := range hr {
+					alpha += hv[j+k] * hk
 				}
-				l.qdst[l.base+i] = qi
+				for k, hk := range hr {
+					q += (hv[j+k] - alpha) * hk * hu[j+k]
+				}
+				qi += l.scale * q
 			}
+			l.qdst[l.base+i] = qi
 		}
 	}
 }
@@ -715,23 +531,19 @@ func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float6
 	}
 	t := getSweep(sweepGram, ws, p)
 	t.blocks, t.w = blocks, w
-	parts := 1 // a one-lane sweep folds each class's Gram at once
-	if t.nl > 1 {
-		parts = c
-	}
 	for _, l := range t.lanes[:t.nl] {
 		l.gw = l.ws.Vec(min(t.bs, t.n))
-		for len(l.grams) < parts {
+		for len(l.grams) < c {
 			//firal:allow(alloc) — amortized: a lane's partial headers grow only with the class count
 			l.grams = append(l.grams, nil)
 		}
-		for k := range parts {
+		for k := range c {
 			l.grams[k] = l.ws.Matrix(d, d)
 		}
 	}
 	t.sweep()
 	for _, l := range t.lanes[:t.nl] {
-		for k := range parts {
+		for k := range c {
 			l.ws.PutMatrix(l.grams[k])
 			l.grams[k] = nil
 		}
@@ -742,11 +554,8 @@ func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float6
 	return blocks
 }
 
-// gram computes the lane block's Gram of every class. When the sweep
-// runs several lanes, each class's Gram is the whole triangle on the
-// lane's goroutine, kept in the lane's partial for Fold. At one lane the
-// workers split each triangle (mat.WeightedGram), and each class's Gram
-// folds into its block at once, so one partial serves every class.
+// gram computes the lane block's Gram of every class, the whole triangle
+// on the lane's goroutine, into the lane's partials for Fold.
 //
 //firal:hotpath
 func (l *sweepLane) gram() {
@@ -760,11 +569,6 @@ func (l *sweepLane) gram() {
 			hv := l.h.At(l.base+i, k)
 			u[i] = wi * hv * (1 - hv)
 		}
-		if l.nl > 1 {
-			mat.WeightedGramSerial(l.grams[k], l.xb, u)
-		} else {
-			mat.WeightedGram(l.grams[0], l.xb, u)
-			l.blocks[k].AddScaled(1, l.grams[0])
-		}
+		mat.WeightedGramSerial(l.grams[k], l.xb, u)
 	}
 }

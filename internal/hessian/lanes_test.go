@@ -74,8 +74,8 @@ func shardPool(t *testing.T, x *mat.Dense, seam int) *dataset.ShardSource {
 // TestBlockSweepsManyBlocksBitsAndTraffic runs the three blocked kernels
 // over a pool of ten blocks (the last one ragged, a shard seam inside
 // block 4) served from mmap'd shards, with and without the prefetch
-// layer, at one to four workers. Ten blocks are at least 2·W for every
-// W, so from two workers on every sweep runs on parallel.ForBlocks, one
+// layer, at one to four workers. Ten blocks give W lanes for every
+// W ≤ 4, so from two workers on every sweep runs on parallel.ForBlocks, one
 // block per lane at a time: each result must have the one-worker bits,
 // and each sweep must decode every row exactly once.
 func TestBlockSweepsManyBlocksBitsAndTraffic(t *testing.T) {

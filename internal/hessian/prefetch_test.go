@@ -77,8 +77,8 @@ func TestPrefetchedKernelsBitIdentical(t *testing.T) {
 
 // TestPrefetchedStreamZeroAllocMulticore pins the standing 0-alloc
 // contract on the prefetched path at GOMAXPROCS 2 and 4, with as many
-// workers: the pool has eight blocks, at least 2·W, so every sweep hands
-// whole blocks to the workers (parallel.ForBlocks) and keeps up to W
+// workers: the pool has eight blocks, enough for W lanes, so every sweep
+// hands whole blocks to the workers (parallel.ForBlocks) and keeps up to W
 // lent blocks out at once. With warm state, a full prefetched sweep
 // through each blocked kernel — including the asynchronous read-ahead
 // spawned per block — allocates nothing, and only the first window of

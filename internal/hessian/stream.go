@@ -76,14 +76,14 @@ type Stream struct {
 
 // NewStream builds a streaming pool over src with resident reduced
 // probabilities probs (n×c, one row per source row — see ReduceProbs).
-// blockRows ≤ 0 selects dataset.DefaultBlockRows.
+// blockRows ≤ 0 selects dataset.BlockRowsFor(src.NumRows()).
 func NewStream(src dataset.PoolSource, probs *mat.Dense, blockRows int) *Stream {
 	if probs.Rows != src.NumRows() {
 		panic(fmt.Sprintf("hessian: stream has %d probability rows for %d source rows",
 			probs.Rows, src.NumRows()))
 	}
 	if blockRows <= 0 {
-		blockRows = dataset.DefaultBlockRows
+		blockRows = dataset.BlockRowsFor(src.NumRows())
 	}
 	res, _ := src.(dataset.Resident)
 	lend, _ := src.(dataset.BlockLender)

@@ -17,8 +17,9 @@ import "sync"
 //   - Partials fold in block order, one at a time, so the result has the
 //     serial loop's bits at any worker count.
 //
-// Sweeps with few blocks keep one lane and split the work inside each
-// block instead (see BlockLanes).
+// A sweep of n blocks runs on min(W, n/2) lanes (BlockLanes), so every
+// lane gets a run of blocks; a sweep of one to three blocks runs on one.
+// No sweep splits the work inside a block.
 
 // BlockSweep is the work of one block loop over blocks [0, n). lane
 // identifies the caller's scratch: the calls for one lane never run
@@ -43,14 +44,10 @@ type BlockFolder interface {
 }
 
 // BlockLanes returns how many lanes ForBlocks runs a sweep of n blocks
-// on: Workers() when n is at least twice that, so that every worker gets
-// a run of blocks, and 1 otherwise; a one-lane sweep splits the work
-// inside each block instead. The choice depends only on n and Workers().
+// on: max(1, min(Workers(), n/2)), so that every lane gets at least two
+// blocks. The choice depends only on n and Workers().
 func BlockLanes(n int) int {
-	if w := Workers(); n >= 2*w {
-		return w
-	}
-	return 1
+	return max(1, min(Workers(), n/2))
 }
 
 // ForBlocks runs s over blocks [0, n) on up to lanes lanes. With one

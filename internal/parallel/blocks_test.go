@@ -113,7 +113,7 @@ func TestBlockLanes(t *testing.T) {
 	for _, tc := range []struct{ w, n, want int }{
 		{1, 0, 1}, {1, 1, 1}, {1, 245, 1},
 		{2, 3, 1}, {2, 4, 2}, {2, 245, 2},
-		{4, 7, 1}, {4, 8, 4},
+		{4, 2, 1}, {4, 3, 1}, {4, 5, 2}, {4, 7, 3}, {4, 8, 4}, {4, 20, 4},
 	} {
 		SetMaxWorkers(tc.w)
 		if got := BlockLanes(tc.n); got != tc.want {
