@@ -416,33 +416,35 @@ func TestMultiBlockBitsPinned(t *testing.T) {
 
 // TestShardBlockRows pins the one block-size rule at every rank count: a
 // MakeStreamShard partition (blockRows 0, as SelectInProcess and the TCP
-// ranks pass) sweeps blocks of dataset.BlockRowsFor its slice, and a
-// CountingSource under its read-ahead sees exactly ⌈slice/rule⌉ reads of
-// the slice's rows per sweep, so the prefetcher's window is the sweep's
-// block.
+// ranks pass) sweeps blocks of dataset.BlockRowsFor its slice, gets
+// read-ahead whenever that is more than one block (slices of 333 to 12,500
+// rows here), and a CountingSource under its read-ahead sees exactly
+// ⌈slice/rule⌉ reads of the slice's rows per sweep.
 func TestShardBlockRows(t *testing.T) {
-	labeled, pool := testSets(48, 20, multiBlockRows, 6, 3)
 	ws := mat.NewWorkspace()
-	for _, ranks := range []int{1, 2, 3} {
-		for r := range ranks {
-			lo, hi := mpi.Partition(multiBlockRows, ranks, r)
-			rule := dataset.BlockRowsFor(hi - lo)
-			counting := dataset.NewCountingSource(dataset.NewMatrixSource(pool.X))
-			sh := MakeStreamShard(labeled, counting, pool.H, 0, ranks, r)
-			if got := sh.PoolLocal.BlockRows(); got != rule {
-				t.Fatalf("p=%d rank %d: %d-row slice sweeps %d-row blocks, want %d", ranks, r, hi-lo, got, rule)
-			}
-			if _, ok := sh.PoolLocal.(*hessian.Stream).Source().(*dataset.PrefetchSource); !ok {
-				t.Fatalf("p=%d rank %d: the shard has no read-ahead", ranks, r)
-			}
-			for sweep := int64(1); sweep <= 2; sweep++ {
-				hessian.BlockDiagSumInto(ws, sh.PoolLocal, nil, nil)
-				wantReads := sweep * int64((hi-lo+rule-1)/rule)
-				if got := counting.Reads(); got != wantReads {
-					t.Fatalf("p=%d rank %d: %d reads after %d sweeps, want %d", ranks, r, got, sweep, wantReads)
+	for _, n := range []int{multiBlockRows, 1000} {
+		labeled, pool := testSets(48, 20, n, 6, 3)
+		for _, ranks := range []int{1, 2, 3} {
+			for r := range ranks {
+				lo, hi := mpi.Partition(n, ranks, r)
+				rule := dataset.BlockRowsFor(hi - lo)
+				counting := dataset.NewCountingSource(dataset.NewMatrixSource(pool.X))
+				sh := MakeStreamShard(labeled, counting, pool.H, 0, ranks, r)
+				name := fmt.Sprintf("n=%d p=%d rank %d", n, ranks, r)
+				if got := sh.PoolLocal.BlockRows(); got != rule {
+					t.Fatalf("%s: %d-row slice sweeps %d-row blocks, want %d", name, hi-lo, got, rule)
 				}
-				if got := counting.RowsRead(); got != sweep*int64(hi-lo) {
-					t.Fatalf("p=%d rank %d: %d rows read after %d sweeps, want %d", ranks, r, got, sweep, sweep*int64(hi-lo))
+				if _, ok := sh.PoolLocal.(*hessian.Stream).Source().(*dataset.PrefetchSource); !ok {
+					t.Fatalf("%s: the shard has no read-ahead", name)
+				}
+				for sweep := int64(1); sweep <= 2; sweep++ {
+					hessian.BlockDiagSumInto(ws, sh.PoolLocal, nil, nil)
+					if got, want := counting.Reads(), sweep*int64((hi-lo+rule-1)/rule); got != want {
+						t.Fatalf("%s: %d reads after %d sweeps, want %d", name, got, sweep, want)
+					}
+					if got, want := counting.RowsRead(), sweep*int64(hi-lo); got != want {
+						t.Fatalf("%s: %d rows read after %d sweeps, want %d", name, got, sweep, want)
+					}
 				}
 			}
 		}
