@@ -129,11 +129,6 @@ func oldHarness(t *testing.T, ranks int, labeled *hessian.Set, src dataset.PoolS
 	return selected[0], z
 }
 
-// sameBits reports whether a and b hold the same float64 bit patterns.
-func sameBits(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-}
-
 // TestSelectInProcess pins the one in-process runner against the
 // hand-built harnesses it replaced, over a resident MatrixSource and a
 // two-file ShardSource whose every rank slice spans two blocks, so
@@ -176,7 +171,7 @@ func TestSelectInProcess(t *testing.T) {
 				if !slices.Equal(res.Selected, want) {
 					t.Fatalf("selected %v, old harness %v", res.Selected, want)
 				}
-				if !sameBits(res.Relax.Z, wantZ) {
+				if !slices.EqualFunc(res.Relax.Z, wantZ, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
 					t.Fatal("RELAX weights z differ from the old harness's bits")
 				}
 				for _, i := range res.Selected {
