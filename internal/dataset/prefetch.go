@@ -9,25 +9,31 @@ import (
 )
 
 // This file adds the asynchronous read-ahead prefetch layer to the
-// streaming path. The blocked solver kernels request a pool's blocks
-// strictly forward (ARCHITECTURE.md, Contract 3), which makes the next
-// read perfectly predictable: while the caller chews block k, block k+1
-// can already be decoding on another goroutine. PrefetchSource
-// exploits exactly that — it overlaps the mmap decode latency of a
-// ShardSource (or the segment routing of a LiveSource) with the
-// Fisher/Gram kernels, without changing a single byte of what the
-// consumer sees: the blocks served are the wrapped source's blocks, so
-// selections stay bit-for-bit identical to the synchronous path.
+// streaming path. A one-lane sweep of the blocked solver kernels
+// requests a pool's blocks strictly forward (ARCHITECTURE.md, Contract
+// 3), which makes the next read perfectly predictable: while the caller
+// chews block k, block k+1 can already be decoding on another
+// goroutine, on a core the sweep leaves free. PrefetchSource exploits
+// exactly that — it overlaps the mmap decode latency of a ShardSource
+// (or the segment routing of a LiveSource) with the Fisher/Gram
+// kernels, without changing a single byte of what the consumer sees:
+// the blocks served are the wrapped source's blocks, so selections stay
+// bit-for-bit identical to the synchronous path. A sweep on more than
+// one lane keeps every core busy, so its lanes decode their own blocks
+// through ReadRows instead (hessian.LaneRows).
 //
 // Two access styles are served:
 //
 //   - ReadRows keeps the full PoolSource contract (safe for concurrent
 //     callers, copies into the caller's dst) so a PrefetchSource can
-//     stand anywhere a PoolSource can.
+//     stand anywhere a PoolSource can. It is a demand read straight
+//     from the wrapped source: it neither uses nor schedules the
+//     read-ahead, and takes no lock, so lanes reading at once never
+//     wait for one another.
 //   - LendBlock/ReturnBlock (the BlockLender interface) is the zero-copy
-//     fast path hessian.Stream uses: the caller borrows the prefetch
-//     buffer itself for the duration of one block's kernels, skipping
-//     the copy into workspace scratch entirely.
+//     read-ahead path hessian.Stream uses on one-lane sweeps: the caller
+//     borrows the prefetch buffer itself for the duration of one block's
+//     kernels, skipping the copy into workspace scratch entirely.
 
 // BlockLender is the optional zero-copy handoff interface a prefetching
 // source exposes: LendBlock returns a source-owned buffer holding rows
@@ -37,19 +43,17 @@ import (
 //   - A lent block is read-only and owned by the caller until returned;
 //     returning it and continuing to read it is a bug (the buffer is
 //     immediately reused for the next asynchronous read).
-//   - Lends come in ascending order and a bounded number are out at
-//     once: a sweep on W lanes (parallel.ForBlocks) lends block k+1
-//     only after block k, and holds at most W blocks, each returned
-//     when its lane's kernels are done with it. The lender then keeps
-//     W+1 buffers: the W lent ones and the read-ahead of the block after
-//     the last lent one. A one-lane sweep lends, computes and returns
-//     block k before it lends block k+1.
+//   - Lends come in ascending order and one is out at a time: the
+//     one-lane sweep that lends lends, computes and returns block k
+//     before it lends block k+1, so the lender keeps two buffers, the
+//     lent one and the read-ahead of the next. A caller that holds W
+//     blocks at once, lent in ascending order, grows it once to W+1.
 //
 // hessian.Stream detects the interface and routes Block/PutBlock
-// through it, so every blocked consumer — the Lemma-2 matvec, the
-// gradient accumulation, the Gram blocks, the ROUND rescore, block-CG's
-// per-iteration decode — overlaps I/O with compute without changing its
-// own code.
+// through it, so every blocked consumer on one lane — the Lemma-2
+// matvec, the gradient accumulation, the Gram blocks, the ROUND rescore,
+// block-CG's per-iteration decode — overlaps I/O with compute without
+// changing its own code.
 type BlockLender interface {
 	// LendBlock returns rows [lo, hi) in a lender-owned buffer, valid
 	// until ReturnBlock.
@@ -87,26 +91,25 @@ func (b *pfBlock) prep(lo, hi, d int) {
 }
 
 // PrefetchSource wraps a PoolSource with asynchronous block read-ahead.
-// After serving a block read of [lo, hi) it starts decoding the next
+// After lending a block of [lo, hi) it starts decoding the next
 // same-sized window [hi, hi+(hi−lo)) into an idle buffer on a dedicated
-// reader goroutine; when the consumer asks for
-// exactly that window — the blocked sweep pattern — the decode has
-// already happened under the previous block's compute and the request is
-// a channel receive. Any other request degrades gracefully: single-row
-// reads pass straight through to the wrapped source, and a mismatched
-// block read drains the speculative result and reads synchronously, so
-// arbitrary access stays correct, just unaccelerated.
+// reader goroutine, so the read-ahead follows each live request's size;
+// when the consumer asks for exactly that window — the blocked sweep
+// pattern — the decode has already happened under the previous block's
+// compute and the request is a channel receive. A mismatched lend drains
+// the speculative result and reads synchronously, so arbitrary access
+// stays correct, just unaccelerated.
 //
-// Concurrency: ReadRows keeps the PoolSource contract (concurrent
-// callers are safe — the prefetch machinery is serialized under a
-// mutex, so interleaved sweeps lose overlap but never correctness).
-// LendBlock/ReturnBlock follow the BlockLender ordered-lend contract.
-// The source starts with two buffers and grows one whenever a lend or a
-// read-ahead finds none idle; a buffer, once made, stays in free after
-// it comes back. So a sweep that keeps W blocks out at once grows the
-// pool once, to W+1 buffers, and then allocates nothing. Lends outside
-// the contract stay correct: they grow the pool further, or miss the
-// read-ahead and read synchronously.
+// Concurrency: ReadRows keeps the PoolSource contract as a pass-through
+// to the wrapped source (concurrent callers are as safe as there, and
+// never serialize here). LendBlock/ReturnBlock follow the BlockLender
+// ordered-lend contract under a mutex. The source starts with two
+// buffers and grows one whenever a lend or a read-ahead finds none idle;
+// a buffer, once made, stays in free after it comes back. So a caller
+// that keeps W blocks out at once grows the pool once, to W+1 buffers,
+// and then allocates nothing. Lends outside the contract stay correct:
+// they grow the pool further, or miss the read-ahead and read
+// synchronously.
 //
 // Lifecycle: the in-flight read is a single short-lived goroutine per
 // block whose only obligation is a buffered-channel send, so an
@@ -122,9 +125,8 @@ func (b *pfBlock) prep(lo, hi, d int) {
 // per-iteration ctx polls (the ctxpoll contract), and the prefetch layer
 // just stops working ahead of a sweep that is about to stop.
 type PrefetchSource struct {
-	src    PoolSource
-	ctx    context.Context
-	stride int // initial buffer sizing; prediction uses the live request size
+	src PoolSource
+	ctx context.Context
 
 	mu       sync.Mutex
 	closed   bool
@@ -145,28 +147,24 @@ var (
 	_ BlockLender = (*PrefetchSource)(nil)
 )
 
-// NewPrefetchSource wraps src with read-ahead sized for blockRows-row
-// sweeps (≤ 0 selects BlockRowsFor(src.NumRows())). ctx gates only the
-// speculation: once ctx is cancelled no further read-ahead is
-// scheduled, while demand reads continue synchronously (nil means no
-// cancellation). The PrefetchSource owns src: Close closes it.
+// NewPrefetchSource wraps src with read-ahead, which follows the size
+// of each lend. ctx gates only the speculation: once ctx is cancelled no
+// further read-ahead is scheduled, while demand reads continue
+// synchronously (nil means no cancellation). The PrefetchSource owns
+// src: Close closes it.
 //
 // Most callers want WithPrefetch, which skips wrapping when read-ahead
 // cannot help.
-func NewPrefetchSource(ctx context.Context, src PoolSource, blockRows int) *PrefetchSource {
-	if blockRows <= 0 {
-		blockRows = BlockRowsFor(src.NumRows())
-	}
+func NewPrefetchSource(ctx context.Context, src PoolSource) *PrefetchSource {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	p := &PrefetchSource{
-		src:    src,
-		ctx:    ctx,
-		stride: blockRows,
-		res:    make(chan *pfBlock, 1),
-		free:   make([]*pfBlock, 0, 2),
-		lent:   make([]*pfBlock, 0, 2),
+		src:  src,
+		ctx:  ctx,
+		res:  make(chan *pfBlock, 1),
+		free: make([]*pfBlock, 0, 2),
+		lent: make([]*pfBlock, 0, 2),
 	}
 	for i := 0; i < 2; i++ {
 		p.free = append(p.free, p.newBlock())
@@ -192,8 +190,9 @@ func (p *PrefetchSource) newBlock() *pfBlock {
 //	src := dataset.WithPrefetch(ctx, dataset.Subrange(live, 0, n), blockRows)
 //	pool := hessian.NewStream(src, probs, blockRows)
 //
-// Pass the same blockRows to both so the read-ahead window matches the
-// sweep granularity; ≤ 0 selects BlockRowsFor(src.NumRows()) in both.
+// Pass the same blockRows to both, so that the pool is wrapped only when
+// its sweeps have more than one block; ≤ 0 selects
+// BlockRowsFor(src.NumRows()) in both.
 func WithPrefetch(ctx context.Context, src PoolSource, blockRows int) PoolSource {
 	if blockRows <= 0 {
 		blockRows = BlockRowsFor(src.NumRows())
@@ -204,7 +203,7 @@ func WithPrefetch(ctx context.Context, src PoolSource, blockRows int) PoolSource
 	if src.NumRows() <= blockRows {
 		return src
 	}
-	return NewPrefetchSource(ctx, src, blockRows)
+	return NewPrefetchSource(ctx, src)
 }
 
 // NumRows returns the wrapped source's current row count.
@@ -213,9 +212,10 @@ func (p *PrefetchSource) NumRows() int { return p.src.NumRows() }
 // Dim returns the feature dimension.
 func (p *PrefetchSource) Dim() int { return p.src.Dim() }
 
-// Stats reports how many block requests were served from a completed
-// prefetch (hits) versus read synchronously (misses). Test diagnostics;
-// sweep k of a B-block pool scores B−1 hits once warm.
+// Stats reports how many lends were served from a completed prefetch
+// (hits) versus read synchronously (misses); ReadRows counts as neither.
+// Test and benchmark diagnostics: a one-lane sweep of a B-block pool
+// scores B−1 hits and one miss.
 func (p *PrefetchSource) Stats() (hits, misses int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -279,8 +279,8 @@ func (p *PrefetchSource) errLocked(lo, hi int, err error) error {
 	return fmt.Errorf("dataset: prefetch rows [%d, %d): %w", lo, hi, err)
 }
 
-// lendLocked is the core block engine behind LendBlock and ReadRows:
-// serve [lo, hi) from the completed read-ahead when it matches, read
+// lendLocked is the block engine behind LendBlock: serve [lo, hi) from
+// the completed read-ahead when it matches, read
 // synchronously otherwise, and in either case start the next window's
 // read-ahead before handing the block to the caller. Called with p.mu
 // held; returns a block owned by the caller (tracked in p.lent).
@@ -354,30 +354,17 @@ func (p *PrefetchSource) ReturnBlock(m *mat.Dense) {
 	}
 }
 
-// ReadRows copies rows [lo, hi) into dst. Block-sized windows flow
-// through the prefetch machinery (one extra memcpy from the prefetch
-// buffer — cheap against the float32 decode it hides); single-row reads
-// pass straight through so per-point fetches (the ROUND winner's
-// feature row) never perturb the sweep pipeline.
+// ReadRows reads rows [lo, hi) into dst straight from the wrapped
+// source: a synchronous demand read that neither takes a lent buffer nor
+// schedules a read-ahead, and leaves Stats and any in-flight read alone.
+// It is how the lanes of a multi-lane sweep decode their own blocks
+// (hessian.LaneRows), all at once, and how per-point fetches (the ROUND
+// winner's feature row) bypass the sweep pipeline.
 func (p *PrefetchSource) ReadRows(lo, hi int, dst *mat.Dense) error {
 	if err := checkWindow(p, lo, hi, dst); err != nil {
 		return err
 	}
-	if hi-lo <= 1 {
-		return p.src.ReadRows(lo, hi, dst)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b, err := p.lendLocked(lo, hi)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < b.m.Rows; i++ {
-		copy(dst.Row(i), b.m.Row(i))
-	}
-	p.free = append(p.free[:len(p.free)], p.lent[len(p.lent)-1])
-	p.lent = p.lent[:len(p.lent)-1]
-	return nil
+	return p.src.ReadRows(lo, hi, dst)
 }
 
 // errClosed reports reads on a closed prefetch layer.

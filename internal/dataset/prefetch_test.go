@@ -129,7 +129,7 @@ func TestPrefetchBitIdentical(t *testing.T) {
 				// closes the wrapped source (the prefetcher owns it).
 				src, done := make()
 				oracle := syncSweep(t, src, bs)
-				p := NewPrefetchSource(context.Background(), src, bs)
+				p := NewPrefetchSource(context.Background(), src)
 				n := src.NumRows()
 				for sweep := 0; sweep < 2; sweep++ {
 					for lo := 0; lo < n; lo += bs {
@@ -175,7 +175,7 @@ func TestPrefetchArbitraryAccess(t *testing.T) {
 	src, done := prefetchTestSources(t)["shards"]()
 	defer done()
 	oracle := syncSweep(t, src, 16)
-	p := NewPrefetchSource(context.Background(), src, 16)
+	p := NewPrefetchSource(context.Background(), src)
 	defer p.Close()
 	windows := [][2]int{{0, 16}, {16, 32}, {16, 32}, {5, 45}, {100, 130}, {0, 130}, {64, 80}, {80, 96}}
 	for _, w := range windows {
@@ -201,7 +201,7 @@ func TestPrefetchSingleRowPassthrough(t *testing.T) {
 	src, done := prefetchTestSources(t)["shards"]()
 	defer done()
 	oracle := syncSweep(t, src, 16)
-	p := NewPrefetchSource(context.Background(), src, 16)
+	p := NewPrefetchSource(context.Background(), src)
 	defer p.Close()
 	b, err := p.LendBlock(0, 16) // miss; schedules [16, 32)
 	if err != nil {
@@ -251,7 +251,7 @@ func TestWithPrefetch(t *testing.T) {
 func TestPrefetchGenerationPinning(t *testing.T) {
 	live := NewLiveSource(NewMatrixSource(mat.NewDense(40, 2)))
 	defer live.Close()
-	p := NewPrefetchSource(context.Background(), live, 8)
+	p := NewPrefetchSource(context.Background(), live)
 	view := Subrange(p, 0, 40)
 	if view == PoolSource(p) {
 		t.Fatal("Subrange identity-shortcut a view over a growable source")
@@ -321,7 +321,7 @@ func (f *faultSource) ReadRows(lo, hi int, dst *mat.Dense) error {
 func TestPrefetchErrorPropagation(t *testing.T) {
 	cause := errors.New("input/output error")
 	src := &faultSource{n: 100, d: 3, failAt: 64, cause: cause}
-	p := NewPrefetchSource(context.Background(), src, 32)
+	p := NewPrefetchSource(context.Background(), src)
 	defer p.Close()
 	b, err := p.LendBlock(0, 32) // schedules [32, 64) — still readable
 	if err != nil {
@@ -412,7 +412,7 @@ func TestPrefetchCancelAndCloseNoLeak(t *testing.T) {
 	t.Run("ctx-cancel mid-sweep", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		src := newSlowSource(200, 4, 2*time.Millisecond)
-		p := NewPrefetchSource(ctx, src, 32)
+		p := NewPrefetchSource(ctx, src)
 		b, err := p.LendBlock(0, 32) // read of [32, 64) now in flight
 		if err != nil {
 			t.Fatal(err)
@@ -450,7 +450,7 @@ func TestPrefetchCancelAndCloseNoLeak(t *testing.T) {
 
 	t.Run("close mid-sweep", func(t *testing.T) {
 		src := newSlowSource(200, 4, 2*time.Millisecond)
-		p := NewPrefetchSource(context.Background(), src, 32)
+		p := NewPrefetchSource(context.Background(), src)
 		b, err := p.LendBlock(0, 32)
 		if err != nil {
 			t.Fatal(err)
@@ -470,7 +470,7 @@ func TestPrefetchCancelAndCloseNoLeak(t *testing.T) {
 	t.Run("abandoned mid-flight", func(t *testing.T) {
 		// No Close at all: the reader's buffered send lets it exit anyway.
 		src := newSlowSource(200, 4, 2*time.Millisecond)
-		p := NewPrefetchSource(context.Background(), src, 32)
+		p := NewPrefetchSource(context.Background(), src)
 		if b, err := p.LendBlock(0, 32); err != nil {
 			t.Fatal(err)
 		} else {
@@ -520,7 +520,7 @@ func TestPrefetchLiveAppendStress(t *testing.T) {
 		}
 	}()
 
-	p := NewPrefetchSource(context.Background(), pinned, bs)
+	p := NewPrefetchSource(context.Background(), pinned)
 	for sweep := 0; sweep < 20; sweep++ {
 		for lo := 0; lo < n; lo += bs {
 			hi := min(lo+bs, n)
@@ -541,15 +541,15 @@ func TestPrefetchLiveAppendStress(t *testing.T) {
 
 // TestPrefetchConcurrentReadersStress pins the PoolSource concurrency
 // clause under -race: ReadRows through one shared PrefetchSource from
-// several goroutines (each with a private dst) stays correct — the
-// pipeline serializes internally and interleaved sweeps may miss, but
-// bytes are exact.
+// four goroutines at once (each with a private dst), as the lanes of a
+// multi-lane sweep read, serves exact bytes and never touches the
+// read-ahead.
 func TestPrefetchConcurrentReadersStress(t *testing.T) {
 	src, done := prefetchTestSources(t)["shards"]()
 	defer done()
 	const bs = 16
 	oracle := syncSweep(t, src, bs)
-	p := NewPrefetchSource(context.Background(), src, bs)
+	p := NewPrefetchSource(context.Background(), src)
 	defer p.Close()
 	var wg sync.WaitGroup
 	errc := make(chan error, 4)
@@ -584,6 +584,57 @@ func TestPrefetchConcurrentReadersStress(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
+	}
+	if hits, misses := p.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("concurrent ReadRows scored %d hits / %d misses, want none", hits, misses)
+	}
+}
+
+// TestPrefetchReadRowsPassThrough pins ReadRows as a demand read: a
+// multi-row read returns the source's exact bits, takes no lent buffer,
+// schedules no read-ahead and leaves both Stats counters alone, even
+// while a read-ahead of the same window is in flight, which the next
+// lend still hits.
+func TestPrefetchReadRowsPassThrough(t *testing.T) {
+	src, done := prefetchTestSources(t)["shards"]()
+	defer done()
+	oracle := syncSweep(t, src, 16)
+	p := NewPrefetchSource(context.Background(), src)
+	defer p.Close()
+	dst := mat.NewDense(40, src.Dim())
+	for _, w := range [][2]int{{0, 40}, {5, 45}, {100, 130}} {
+		d := dst.RowSlice(0, w[1]-w[0])
+		if err := p.ReadRows(w[0], w[1], d); err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, oracle, d, w[0], fmt.Sprintf("ReadRows [%d,%d)", w[0], w[1]))
+	}
+	p.mu.Lock()
+	inflight, lent, free := p.inflight, len(p.lent), len(p.free)
+	p.mu.Unlock()
+	if inflight || lent != 0 || free != 2 {
+		t.Fatalf("ReadRows left inflight=%v, %d lent and %d free buffers; want no read-ahead, 0 lent, 2 free", inflight, lent, free)
+	}
+	if hits, misses := p.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("ReadRows scored %d hits / %d misses, want none", hits, misses)
+	}
+	b, err := p.LendBlock(0, 16) // a miss; schedules [16, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ReturnBlock(b)
+	d := dst.RowSlice(0, 16)
+	if err := p.ReadRows(16, 32, d); err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, oracle, d, 16, "ReadRows under a read-ahead")
+	if b, err = p.LendBlock(16, 32); err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, oracle, b, 16, "lend after ReadRows")
+	p.ReturnBlock(b)
+	if hits, misses := p.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("ReadRows disturbed the read-ahead: %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 }
 
@@ -653,7 +704,7 @@ func TestPrefetchSweepZeroAllocWarm(t *testing.T) {
 		parallel.SetMaxWorkers(lanes)
 		// MatrixSource.ReadRows is a pure copy, so every remaining
 		// allocation is the prefetch machinery's own.
-		p := NewPrefetchSource(context.Background(), NewMatrixSource(x), bs)
+		p := NewPrefetchSource(context.Background(), NewMatrixSource(x))
 		s := &lendSweep{p: p, n: n, bs: bs, lent: make([]*mat.Dense, lanes), hold: true}
 		sweep := func() { parallel.ForBlocks(n/bs, lanes, s) }
 		sweep() // grow the buffers

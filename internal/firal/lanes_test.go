@@ -2,8 +2,11 @@ package firal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -43,12 +46,28 @@ func (s *rowTally) ReadRows(lo, hi int, dst *mat.Dense) error {
 // blocks of laneBlock rows.
 func shardProblem(t *testing.T, p *Problem, prefetch bool) (*Problem, *rowTally) {
 	t.Helper()
-	pool := p.ResidentPool()
+	tally := newTally(openShards(t, p.ResidentPool().X, laneSeam))
+	var src dataset.PoolSource = tally
+	if prefetch {
+		src = dataset.NewPrefetchSource(context.Background(), tally)
+		t.Cleanup(func() { src.Close() })
+	}
+	return NewProblem(p.Labeled, hessian.NewStream(src, p.ResidentPool().H, laneBlock)), tally
+}
+
+func newTally(src dataset.PoolSource) *rowTally {
+	return &rowTally{PoolSource: src, reads: make([]atomic.Int32, src.NumRows())}
+}
+
+// openShards writes x as two mmap'd float32 shards split at row seam and
+// opens them as one source, closed when the test ends.
+func openShards(t *testing.T, x *mat.Dense, seam int) dataset.PoolSource {
+	t.Helper()
 	dir := t.TempDir()
 	var paths []string
-	for i, part := range []*mat.Dense{pool.X.RowSlice(0, laneSeam), pool.X.RowSlice(laneSeam, pool.X.Rows)} {
+	for i, part := range []*mat.Dense{x.RowSlice(0, seam), x.RowSlice(seam, x.Rows)} {
 		path := filepath.Join(dir, fmt.Sprintf("pool-%d.shard", i))
-		sw, err := dataset.CreateShard(path, pool.X.Cols)
+		sw, err := dataset.CreateShard(path, x.Cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,13 +83,8 @@ func shardProblem(t *testing.T, p *Problem, prefetch bool) (*Problem, *rowTally)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally := &rowTally{PoolSource: shards, reads: make([]atomic.Int32, shards.NumRows())}
-	var src dataset.PoolSource = tally
-	if prefetch {
-		src = dataset.NewPrefetchSource(context.Background(), tally, laneBlock)
-	}
-	t.Cleanup(func() { src.Close() })
-	return NewProblem(p.Labeled, hessian.NewStream(src, pool.H, laneBlock)), tally
+	t.Cleanup(func() { shards.Close() })
+	return shards
 }
 
 // TestScoresManyBlocksBitsAndTraffic rescores a ten-block shard pool,
@@ -164,5 +178,111 @@ func TestSelectApproxManyBlocksShards(t *testing.T) {
 				t.Fatalf("%s: selected %v, one worker %v", name, res.Selected, want.Selected)
 			}
 		}
+	}
+}
+
+// Windowed pools: four blocks of 1024 rows at d = 64, so a lane that
+// decodes its own blocks reads each one in two 512-row windows; the last
+// block holds 611 rows, and the shard seam falls inside block 1's second
+// window.
+const (
+	winBlock = 1024
+	winRows  = 3*winBlock + 611
+	winSeam  = winBlock + 512 + 100
+)
+
+// TestScoresLaneDecodeWindows rescores the windowed shard pool, with and
+// without prefetch, at one to four workers; from two workers on, two
+// lanes decode their own blocks window by window. Every score must have
+// the one-worker bits, every pass must decode each row once, and a warm
+// pass must not allocate.
+func TestScoresLaneDecodeWindows(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	p := testProblem(73, 12, winRows, 64, 3)
+	z := make([]float64, p.N())
+	mat.Fill(z, 5/float64(p.N()))
+	st, err := testRoundState(p, z, 5, p.DefaultEta(), timing.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := openShards(t, p.ResidentPool().X, winSeam)
+	for _, prefetch := range []bool{false, true} {
+		tally := newTally(shards)
+		var src dataset.PoolSource = tally
+		if prefetch {
+			src = dataset.NewPrefetchSource(context.Background(), tally)
+		}
+		pool := hessian.NewStream(src, p.ResidentPool().H, winBlock)
+		got := make([]float64, winRows)
+		var one []float64
+		for nw := 1; nw <= 4; nw++ {
+			parallel.SetMaxWorkers(nw)
+			name := fmt.Sprintf("prefetch=%v workers=%d", prefetch, nw)
+			st.Scores(pool, got)
+			tally.times(t, name, 1)
+			if nw == 1 {
+				one = slices.Clone(got)
+			} else {
+				sameBitsOf(t, name+": score", got, one)
+			}
+			if mat.RaceEnabled {
+				continue
+			}
+			// A collection inside the window would age the parallel.FreeLists
+			// and rebuild their scratch: start right after one.
+			runtime.GC()
+			if allocs := testing.AllocsPerRun(3, func() { st.Scores(pool, got) }); allocs != 0 {
+				t.Fatalf("%s: a warm pass allocates %.1f objects", name, allocs)
+			}
+			tally.times(t, name+": warm passes", 4)
+		}
+		if err := pool.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if prefetch {
+			src.Close()
+		}
+	}
+}
+
+// times fails t unless every row was decoded exactly n times since the
+// last call, and resets the tally.
+func (s *rowTally) times(t *testing.T, what string, n int32) {
+	t.Helper()
+	for i := range s.reads {
+		if got := s.reads[i].Swap(0); got != n {
+			t.Fatalf("%s: row %d decoded %d times, want %d", what, i, got, n)
+		}
+	}
+}
+
+// failFrom fails every read that ends past row from.
+type failFrom struct {
+	dataset.PoolSource
+	from int
+}
+
+var errWindowRead = errors.New("injected window read failure")
+
+func (s *failFrom) ReadRows(lo, hi int, dst *mat.Dense) error {
+	if hi > s.from {
+		return errWindowRead
+	}
+	return s.PoolSource.ReadRows(lo, hi, dst)
+}
+
+// TestSelectApproxLaneWindowReadFailure fails the reads of the last
+// block's second window at two workers, where two lanes decode their own
+// blocks window by window: the selection must fail with ErrPoolRead over
+// the source's error.
+func TestSelectApproxLaneWindowReadFailure(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(2))
+	p := testProblem(74, 20, winRows, 64, 2)
+	src := &failFrom{PoolSource: openShards(t, p.ResidentPool().X, winSeam), from: 3*winBlock + 512}
+	sp := NewProblem(p.Labeled, hessian.NewStream(src, p.ResidentPool().H, winBlock))
+	o := Options{Relax: RelaxOptions{FixedIterations: 2, Seed: 5, Probes: 4}}
+	res, err := SelectApprox(context.Background(), sp, 3, o)
+	if !errors.Is(err, hessian.ErrPoolRead) || !errors.Is(err, errWindowRead) {
+		t.Fatalf("got %v (result %v), want a pool read error over the injected one", err, res)
 	}
 }

@@ -51,7 +51,7 @@ func TestSelectApproxPrefetchBitIdentical(t *testing.T) {
 	syncSrc := packPoolShard(t, p)
 	defer syncSrc.Close()
 	preSrc := packPoolShard(t, p)
-	pre := dataset.NewPrefetchSource(context.Background(), preSrc, bs)
+	pre := dataset.NewPrefetchSource(context.Background(), preSrc)
 	defer pre.Close()
 
 	opts := Options{Relax: RelaxOptions{FixedIterations: 3, Probes: 6, CGTol: 0.1, Seed: 9}}
@@ -102,7 +102,7 @@ func TestRelaxPrefetchDecodeSweepsUnchanged(t *testing.T) {
 	}
 
 	preCount := dataset.NewCountingSource(dataset.NewMatrixSource(pool.X))
-	pre := dataset.NewPrefetchSource(context.Background(), preCount, bs)
+	pre := dataset.NewPrefetchSource(context.Background(), preCount)
 	defer pre.Close()
 	if _, err := RelaxFast(context.Background(), NewProblem(p.Labeled, hessian.NewStream(pre, pool.H, bs)), 6, opts); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestScoresPrefetchBitIdentical(t *testing.T) {
 	st.Scores(sync, want)
 
 	pre := dataset.NewPrefetchSource(context.Background(),
-		dataset.NewCountingSource(dataset.NewMatrixSource(pool.X)), bs)
+		dataset.NewCountingSource(dataset.NewMatrixSource(pool.X)))
 	defer pre.Close()
 	got := make([]float64, p.N())
 	st.Scores(hessian.NewStream(pre, pool.H, bs), got)

@@ -79,14 +79,15 @@ type scoreSweep struct {
 	lanes []*scoreLane
 }
 
-// scoreLane is one lane of the Scores sweep: its row block, the
-// workspace the block comes from (the state's for lane 0, its own for
-// the others), its packed row tile and its norm sums.
+// scoreLane is one lane of the Scores sweep: the rows of its block, the
+// workspace they come from (the state's for lane 0, its own for the
+// others), its packed row tile and its norm sums.
 type scoreLane struct {
 	*scoreSweep
 	ws, own *mat.Workspace
-	xb      *mat.Dense
-	base, m int
+	rows    hessian.LaneRows
+	xb      *mat.Dense // the rows being scored: the block, or a decode window of it
+	base    int        // global index of xb's first row
 	xp      mat.Packed
 	q       [2 * scoreTile]float64
 }
@@ -285,7 +286,9 @@ func (st *RoundState) weigh(nu float64) {
 // with γ_ik = h_ik(1 − h_ik). The pool is visited in row blocks
 // (outermost), so a streamed pool is read exactly once per rescoring
 // pass. The blocks run on parallel.ForBlocks lanes (parallel.BlockLanes),
-// each lane scoring whole blocks alone, 64-row tile by tile. Per tile and
+// each lane scoring whole blocks alone, 64-row tile by tile; on more than
+// one lane over a streamed pool a lane decodes its block itself, window
+// by window (hessian.LaneRows), and scores each window from L2. Per tile and
 // class the fused kernel mat.WeightedSqNorms forms y = x·W_k tile by
 // register tile and folds it into both quadratic forms as weighted row
 // norms (see RoundState), so no product is stored and the cost is one
@@ -317,37 +320,42 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 		if i == 0 {
 			l.ws = st.ws
 		}
+		l.rows.Start(pool, l.ws, sw.nl, false)
 	}
 	parallel.ForBlocks(nb, sw.nl, sw)
+	for _, l := range sw.lanes[:sw.nl] {
+		l.rows.Stop()
+	}
 	sw.pool, sw.h, sw.dst = nil, nil, nil
 	for _, l := range sw.lanes {
 		l.ws = nil
 	}
 }
 
-// Fetch takes block k into lane's scratch.
+// Fetch takes block k for lane (hessian.LaneRows.Fetch).
 //
 //firal:hotpath
 func (sw *scoreSweep) Fetch(lane, k int) {
-	l := sw.lanes[lane]
 	lo := k * sw.bs
-	hi := min(lo+sw.bs, sw.n)
-	l.xb, l.base, l.m = sw.pool.Block(l.ws, lo, hi), lo, hi-lo
+	sw.lanes[lane].rows.Fetch(lo, min(lo+sw.bs, sw.n))
 }
 
-// Compute scores lane's block tile by tile and gives it back.
+// Compute scores lane's block tile by tile, rows by rows as LaneRows
+// serves them, and gives it back.
 //
 //firal:hotpath
 func (sw *scoreSweep) Compute(lane, k int) {
 	l := sw.lanes[lane]
-	for r0 := 0; r0 < l.m; r0 += scoreTile {
-		l.scoreTile(r0, min(r0+scoreTile, l.m))
+	for x, base := l.rows.Next(); x != nil; x, base = l.rows.Next() {
+		l.xb, l.base = x, base
+		for r0 := 0; r0 < x.Rows; r0 += scoreTile {
+			l.scoreTile(r0, min(r0+scoreTile, x.Rows))
+		}
 	}
-	sw.pool.PutBlock(l.ws, l.xb)
 	l.xb = nil
 }
 
-// scoreTile writes the scores of block rows [r0, r1). It packs the tile
+// scoreTile writes the scores of lane rows [r0, r1). It packs the tile
 // once into the lane's xp, as the right operand of every W_kᵀ·xᵀ, and
 // gets each class's two quadratic forms of every point from the fused
 // kernel, in the order of y = x·W_k's elements and of the row norms over

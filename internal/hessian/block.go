@@ -43,10 +43,16 @@ import (
 // parallel.BlockLanes lanes: each lane takes whole blocks in ascending
 // order, computes a block's partial alone in the lane's own scratch and
 // workspace with the one-worker kernel (dots, Γ and the accumulation of
-// all s probes tile by tile while the tile is hot in cache; the whole
-// Gram triangle), gives the block back, and folds the partial into dst
-// in block order. A block's partial depends only on the block, so every
-// column is bit-identical to the per-probe kernels at any worker count.
+// all s probes tile by tile while the tile is hot in cache; the Gram's
+// lower triangle, mirrored once per block), gives the block back, and
+// folds the partial into dst in block order. On more than one lane over
+// a streamed pool, a lane decodes its block itself, window by window
+// (LaneRows), and runs the kernel on each window while it is in L2; the
+// windows are whole row tiles and four-point Gram groups, so the block's
+// partial is the same. Only the packed Γᵀ·X path (c ≥ 16), which needs a
+// whole block's Γ, decodes the block in one window. A block's partial
+// depends only on the block, so every column is bit-identical to the
+// per-probe kernels at any worker count.
 
 // sweepTile is the row tile of the fused sweeps: 64 rows of a d=64 block
 // are 32 KiB, so the tile stays in L1 while every probe visits it.
@@ -104,15 +110,17 @@ type sweepTask struct {
 	s, d, c   int          // probes, features, classes
 }
 
-// sweepLane is one lane's share of a sweep: the block it holds, the
-// workspace the block comes from, and the scratch its computation
+// sweepLane is one lane's share of a sweep: the rows of the block it
+// holds, the workspace they come from, and the scratch its computation
 // writes. Lane 0 draws from the caller's workspace, the others from
 // their own.
 type sweepLane struct {
 	*sweepTask
 	ws, own *mat.Workspace
-	xb      *mat.Dense   // the lane's current row block
-	base, m int          // global index of the block's first row; block rows
+	rows    LaneRows
+	xb      *mat.Dense   // the rows being computed: the block, or a decode window of it
+	base    int          // global index of xb's first row
+	m       int          // block rows, which fix the dot order and the Γᵀ·X path
 	blocked bool         // dot order of the block (mat.UseBlocked)
 	g, acc  []float64    // dot/Γ scratch; per-probe block partials
 	gw      []float64    // Gram weights of one class
@@ -148,13 +156,20 @@ func getSweep(kind int, ws *mat.Workspace, p Pool) *sweepTask {
 	return t
 }
 
-// sweep runs the kernel over the pool's blocks.
-func (t *sweepTask) sweep() {
+// sweep runs the kernel over the pool's blocks; whole decodes every
+// block in one window (LaneRows).
+func (t *sweepTask) sweep(whole bool) {
+	for _, l := range t.lanes[:t.nl] {
+		l.rows.Start(t.p, l.ws, t.nl, whole)
+	}
 	var s parallel.BlockSweep = t
 	if t.kind != sweepQuad {
 		s = &t.folding
 	}
 	parallel.ForBlocks((t.n+t.bs-1)/t.bs, t.nl, s)
+	for _, l := range t.lanes[:t.nl] {
+		l.rows.Stop()
+	}
 }
 
 // release drops the sweep's operands and returns the task to its pool.
@@ -169,33 +184,49 @@ func (t *sweepTask) release() {
 	sweepTasks.Put(t)
 }
 
-// Fetch takes block k into lane's scratch.
+// Fetch takes block k for lane (LaneRows.Fetch).
 //
 //firal:hotpath
 func (t *sweepTask) Fetch(lane, k int) {
 	l := t.lanes[lane]
 	lo := k * t.bs
 	hi := min(lo+t.bs, t.n)
-	l.xb, l.base, l.m = t.p.Block(l.ws, lo, hi), lo, hi-lo
+	l.rows.Fetch(lo, hi)
+	l.m = hi - lo
 	l.blocked = mat.UseBlocked(l.m, t.c, t.d)
 }
 
-// Compute runs the sweep's kernel on lane's block and gives the block
-// back.
+// Compute runs the sweep's kernel on lane's block, rows by rows as
+// LaneRows serves them, and gives the block back.
 //
 //firal:hotpath
 func (t *sweepTask) Compute(lane, k int) {
 	l := t.lanes[lane]
 	switch t.kind {
 	case sweepMatVec:
-		l.matVec()
-	case sweepQuad:
-		l.quad()
+		clear(l.acc)
 	case sweepGram:
-		l.gram()
+		for _, g := range l.grams[:t.c] {
+			g.Zero()
+		}
 	}
-	t.p.PutBlock(l.ws, l.xb)
+	for x, base := l.rows.Next(); x != nil; x, base = l.rows.Next() {
+		l.xb, l.base = x, base
+		switch t.kind {
+		case sweepMatVec:
+			l.matVec()
+		case sweepQuad:
+			l.quad()
+		case sweepGram:
+			l.gram()
+		}
+	}
 	l.xb = nil
+	if t.kind == sweepGram {
+		for _, g := range l.grams[:t.c] {
+			mat.MirrorLower(g)
+		}
+	}
 }
 
 // Fold adds lane's block partials to the result.
@@ -241,10 +272,12 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 	s, d, c := t.s, t.d, t.c
 	dst.Zero()
 	// The scratch holds a Γ tile of every probe, or a whole block's Γ of
-	// one probe (packed Γᵀ·X); the largest block sizes it.
+	// one probe (packed Γᵀ·X, which then reads whole blocks); the largest
+	// block sizes it.
 	rows := min(t.bs, t.n)
+	packed := mat.UseBlocked(c, d, rows)
 	gLen := sweepTile * s * c
-	if mat.UseBlocked(c, d, rows) {
+	if packed {
 		gLen = max(gLen, rows*c)
 	}
 	t.pv = t.packProbes(&t.vpk, v, rows)
@@ -252,7 +285,7 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 		l.acc = l.ws.Vec(s * d * c)
 		l.g = l.ws.Vec(gLen)
 	}
-	t.sweep()
+	t.sweep(packed)
 	for _, l := range t.lanes[:t.nl] {
 		l.ws.PutVec(l.g)
 		l.ws.PutVec(l.acc)
@@ -261,27 +294,27 @@ func MatVecBlockWS(ws *mat.Workspace, p Pool, dst, v *mat.Dense, w []float64) {
 	t.release()
 }
 
-// matVec computes the lane's block partials of every probe: tile by
-// tile, the dots and Γ of all s probes, then each probe's accumulation,
-// or, when Γᵀ·X takes the packed path, one probe at a time over the
-// whole block.
+// matVec adds the lane rows' share of every probe's block partial: tile
+// by tile, the dots and Γ of all s probes, then each probe's
+// accumulation, or, when Γᵀ·X takes the packed path, one probe at a time
+// over the whole block.
 //
 //firal:hotpath
 func (l *sweepLane) matVec() {
+	m := l.xb.Rows
 	if mat.UseBlocked(l.c, l.d, l.m) {
 		// As the per-probe composition does: each probe's Γ through
-		// mat.MulTransA.
+		// mat.MulTransA. The rows are the whole block.
 		for j := 0; j < l.s; j++ {
-			l.dots(l.g, l.v, l.pv, j*l.c, 0, l.m, j, j+1)
-			l.gamma(l.g, l.c, 0, l.m)
+			l.dots(l.g, l.v, l.pv, j*l.c, 0, m, j, j+1)
+			l.gamma(l.g, l.c, 0, m)
 			l.accumPacked(j)
 		}
 		return
 	}
 	gs := l.s * l.c
-	clear(l.acc)
-	for r0 := 0; r0 < l.m; r0 += sweepTile {
-		r1 := min(r0+sweepTile, l.m)
+	for r0 := 0; r0 < m; r0 += sweepTile {
+		r1 := min(r0+sweepTile, m)
 		l.dots(l.g, l.v, l.pv, 0, r0, r1, 0, l.s)
 		l.gamma(l.g, gs, r0, r1)
 		for j := 0; j < l.s; j++ {
@@ -297,12 +330,12 @@ func (l *sweepLane) matVec() {
 //
 //firal:hotpath
 func (l *sweepLane) accumPacked(j int) {
-	l.ga = mat.Dense{Rows: l.m, Cols: l.c, Stride: l.c, Data: l.g}
+	l.ga = mat.Dense{Rows: l.xb.Rows, Cols: l.c, Stride: l.c, Data: l.g}
 	l.pd = mat.Dense{Rows: l.c, Cols: l.d, Stride: l.d, Data: l.partial(j)}
 	mat.MulTransA(&l.pd, &l.ga, l.xb)
 }
 
-// dots writes the c dot products of block rows [r0, r1) with probes
+// dots writes the c dot products of lane rows [r0, r1) with probes
 // [j0, j1) of the compact probe block vb into g: row r0+i, probe j at
 // g[i·gs + (j−j0)·c:][:c], gs = (j1−j0)·c. It multiplies with pb, a
 // packing of vb whose column pc0 is probe j0's first, when there is one
@@ -325,7 +358,7 @@ func (l *sweepLane) dots(g []float64, vb *mat.Dense, pb *mat.Packed, pc0, r0, r1
 	mat.MulTransBInOrder(&gt, &xt, &vt, false)
 }
 
-// gamma rewrites the dots of block rows [r0, r1) in g (laid out as in
+// gamma rewrites the dots of lane rows [r0, r1) in g (laid out as in
 // dots, row stride gs) in place: G_ik ← w_i (G_ik − α_i) h_ik with
 // α_i = Σ_k G_ik h_ik summed in mat.Dot's order (from +0, ascending k),
 // written out in straight-line code for c = 1 and 2. For c ≥ 3 four
@@ -392,7 +425,7 @@ func (l *sweepLane) gamma(g []float64, gs, r0, r1 int) {
 	}
 }
 
-// accumulate adds Σ_i Γ_ijk x_i over block rows [r0, r1) to every class
+// accumulate adds Σ_i Γ_ijk x_i over lane rows [r0, r1) to every class
 // row of probe j's partial; g holds probe j's Γ of row r0 at g[:c], row
 // stride gs.
 //
@@ -465,7 +498,7 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 	for _, l := range t.lanes[:t.nl] {
 		l.g = l.ws.Vec(2 * sweepTile * t.s * t.c)
 	}
-	t.sweep()
+	t.sweep(false)
 	for _, l := range t.lanes[:t.nl] {
 		l.ws.PutVec(l.g)
 		l.g = nil
@@ -473,15 +506,16 @@ func QuadAccumBlockWS(ws *mat.Workspace, p Pool, dst []float64, u, v *mat.Dense,
 	t.release()
 }
 
-// quad adds the quadratic forms of the lane's block rows to dst tile by
-// tile; each row takes its probes in ascending order.
+// quad adds the quadratic forms of the lane's rows to dst tile by tile;
+// each row takes its probes in ascending order.
 //
 //firal:hotpath
 func (l *sweepLane) quad() {
 	sc := l.s * l.c
+	m := l.xb.Rows
 	gu, gv := l.g[:sweepTile*sc], l.g[sweepTile*sc:]
-	for r0 := 0; r0 < l.m; r0 += sweepTile {
-		r1 := min(r0+sweepTile, l.m)
+	for r0 := 0; r0 < m; r0 += sweepTile {
+		r1 := min(r0+sweepTile, m)
 		l.dots(gu, l.u, l.pu, 0, r0, r1, 0, l.s)
 		l.dots(gv, l.v, l.pv, 0, r0, r1, 0, l.s)
 		for i := r0; i < r1; i++ {
@@ -541,7 +575,7 @@ func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float6
 			l.grams[k] = l.ws.Matrix(d, d)
 		}
 	}
-	t.sweep()
+	t.sweep(false)
 	for _, l := range t.lanes[:t.nl] {
 		for k := range c {
 			l.ws.PutMatrix(l.grams[k])
@@ -554,12 +588,13 @@ func BlockDiagSumInto(ws *mat.Workspace, p Pool, blocks []*mat.Dense, w []float6
 	return blocks
 }
 
-// gram computes the lane block's Gram of every class, the whole triangle
-// on the lane's goroutine, into the lane's partials for Fold.
+// gram adds the lane rows' Gram of every class to the lower triangles
+// of the lane's partials, on the lane's goroutine; Compute zeroes them
+// before the block's first rows and mirrors them after its last.
 //
 //firal:hotpath
 func (l *sweepLane) gram() {
-	u := l.gw[:l.m]
+	u := l.gw[:l.xb.Rows]
 	for k := 0; k < l.c; k++ {
 		for i := range u {
 			wi := 1.0
@@ -569,6 +604,6 @@ func (l *sweepLane) gram() {
 			hv := l.h.At(l.base+i, k)
 			u[i] = wi * hv * (1 - hv)
 		}
-		mat.WeightedGramSerial(l.grams[k], l.xb, u)
+		mat.WeightedGramAddLower(l.grams[k], l.xb, u)
 	}
 }

@@ -2,6 +2,7 @@ package hessian
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -19,7 +20,7 @@ import (
 // Stream regardless of pool size.
 func prefetchedStream(s *Set, blockRows int) (*Stream, *dataset.CountingSource) {
 	counting := dataset.NewCountingSource(dataset.NewMatrixSource(s.X))
-	p := dataset.NewPrefetchSource(context.Background(), counting, blockRows)
+	p := dataset.NewPrefetchSource(context.Background(), counting)
 	return NewStream(p, s.H, blockRows), counting
 }
 
@@ -75,15 +76,14 @@ func TestPrefetchedKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrefetchedStreamZeroAllocMulticore pins the standing 0-alloc
-// contract on the prefetched path at GOMAXPROCS 2 and 4, with as many
-// workers: the pool has eight blocks, enough for W lanes, so every sweep
-// hands whole blocks to the workers (parallel.ForBlocks) and keeps up to W
-// lent blocks out at once. With warm state, a full prefetched sweep
-// through each blocked kernel — including the asynchronous read-ahead
-// spawned per block — allocates nothing, and only the first window of
-// each sweep misses the read-ahead. Named *Alloc* for the CI
-// alloc-multicore job.
+// TestPrefetchedStreamZeroAllocMulticore pins the lane path over a
+// prefetched pool at GOMAXPROCS 2 and 4, with as many workers: the pool
+// has eight blocks, enough for W lanes, so every sweep runs on
+// parallel.ForBlocks and each lane decodes its own blocks through the
+// prefetcher's ReadRows (LaneRows). With warm state, a full sweep through
+// each blocked kernel allocates nothing, lends nothing (the read-ahead
+// is for one-lane sweeps), and decodes every row exactly once. Named
+// *Alloc* for the CI alloc-multicore job.
 func TestPrefetchedStreamZeroAllocMulticore(t *testing.T) {
 	skipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -103,7 +103,9 @@ func TestPrefetchedStreamZeroAllocMulticore(t *testing.T) {
 		if nb := (set.N() + bs - 1) / bs; parallel.BlockLanes(nb) != nw {
 			t.Fatalf("%d blocks at %d workers run on %d lanes", nb, nw, parallel.BlockLanes(nb))
 		}
-		pre, _ := prefetchedStream(set, bs)
+		tally := newRowTally(dataset.NewMatrixSource(set.X))
+		lender := dataset.NewPrefetchSource(context.Background(), tally)
+		pre := NewStream(lender, set.H, bs)
 		ws := mat.NewWorkspace()
 		var grams []*mat.Dense
 		sweep := func() {
@@ -111,18 +113,20 @@ func TestPrefetchedStreamZeroAllocMulticore(t *testing.T) {
 			QuadAccumBlockWS(ws, pre, dstQ, ut, vt, -0.1)
 			grams = BlockDiagSumInto(ws, pre, grams, w)
 		}
-		sweep() // size the lent buffers, workspace scratch, and Gram storage
-		sweep()
-		lender := pre.Source().(*dataset.PrefetchSource)
-		_, missed := lender.Stats()
+		sweep() // size the lanes' decode buffers, workspace scratch, and Gram storage
+		tally.times(t, fmt.Sprintf("%d workers, first sweeps", nw), 3)
 		const runs = 30
 		if allocs := testing.AllocsPerRun(runs, sweep); allocs != 0 {
 			t.Fatalf("warm prefetched kernel sweep allocates %.1f objects per pass at %d workers", allocs, nw)
 		}
 		// AllocsPerRun makes one warm-up call besides the runs; each
 		// call is three sweeps.
-		if _, misses := lender.Stats(); misses-missed != 3*(runs+1) {
-			t.Fatalf("%d workers: %d read-ahead misses in %d sweeps, want one per sweep", nw, misses-missed, 3*(runs+1))
+		tally.times(t, fmt.Sprintf("%d workers", nw), 3*(runs+1))
+		if hits, misses := lender.Stats(); hits != 0 || misses != 0 {
+			t.Fatalf("%d workers: %d hits / %d misses, want no lends on the lanes", nw, hits, misses)
+		}
+		if err := pre.Err(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -44,6 +44,14 @@ type Pool interface {
 	Block(ws *mat.Workspace, lo, hi int) *mat.Dense
 	// PutBlock releases a matrix obtained from Block.
 	PutBlock(ws *mat.Workspace, b *mat.Dense)
+	// Streamed reports whether the rows must be decoded: false for a
+	// resident pool, whose Block serves views.
+	Streamed() bool
+	// Decode decodes rows [lo, hi) into dst, a (hi−lo)×D() matrix,
+	// straight from the source, never through a read-ahead: the read
+	// of a sweep lane that decodes its own blocks (LaneRows). A failed
+	// read yields zeros (see Err).
+	Decode(lo, hi int, dst *mat.Dense)
 	// Err returns the first read error, wrapping ErrPoolRead, or nil.
 	// The solvers poll it once per iteration.
 	Err() error
@@ -125,6 +133,20 @@ func (st *Stream) fail(lo, hi int, err error) {
 	st.err.CompareAndSwap(nil, &err)
 }
 
+// Streamed reports whether the rows are decoded from the source rather
+// than served as views.
+func (st *Stream) Streamed() bool { return st.res == nil }
+
+// Decode reads rows [lo, hi) into dst with the source's ReadRows, which
+// for a prefetching source is a demand read that schedules nothing. A
+// failed read is recorded (see Err) and yields zeros.
+func (st *Stream) Decode(lo, hi int, dst *mat.Dense) {
+	if err := st.src.ReadRows(lo, hi, dst); err != nil {
+		st.fail(lo, hi, err)
+		dst.Zero()
+	}
+}
+
 // Row fetches feature row i into buf (resident sources return a view). A
 // failed read is recorded (see Err) and yields zeros.
 func (st *Stream) Row(i int, buf []float64) []float64 {
@@ -135,19 +157,16 @@ func (st *Stream) Row(i int, buf []float64) []float64 {
 	if len(buf) < d {
 		buf = make([]float64, d)
 	}
-	tmp := mat.Dense{Rows: 1, Cols: d, Stride: d, Data: buf[:d]}
-	if err := st.src.ReadRows(i, i+1, &tmp); err != nil {
-		st.fail(i, i+1, err)
-		clear(buf[:d])
-	}
+	st.Decode(i, i+1, &mat.Dense{Rows: 1, Cols: d, Stride: d, Data: buf[:d]})
 	return buf[:d]
 }
 
 // Block returns rows [lo, hi): a zero-copy view for resident sources, a
 // borrowed prefetch buffer for lending sources (dataset.BlockLender —
-// the async read-ahead path, where the block's decode already ran under
-// the previous block's kernels), otherwise decoded into workspace
-// scratch. A failed read is recorded (see Err) and yields a zero block.
+// the async read-ahead path of one-lane sweeps, where the block's decode
+// already ran under the previous block's kernels), otherwise decoded
+// into workspace scratch. A failed read is recorded (see Err) and yields
+// a zero block.
 func (st *Stream) Block(ws *mat.Workspace, lo, hi int) *mat.Dense {
 	if st.res != nil {
 		return ws.View(st.res.ResidentRows(lo, hi), hi-lo, st.D())
@@ -161,21 +180,16 @@ func (st *Stream) Block(ws *mat.Workspace, lo, hi int) *mat.Dense {
 		return b
 	}
 	b := ws.Matrix(hi-lo, st.D())
-	if err := st.src.ReadRows(lo, hi, b); err != nil {
-		st.fail(lo, hi, err)
-		b.Zero()
-	}
+	st.Decode(lo, hi, b)
 	return b
 }
 
 // PutBlock releases a block obtained from Block. For a lending source
-// this is what frees a prefetch buffer for the next read-ahead, so the
-// blocked engines keep the lender's ordered-lend contract
-// (dataset.BlockLender): they request blocks in ascending order and hold
-// at most one per worker — a one-lane sweep releases block k before it
-// requests block k+1, and each lane of a block-parallel sweep
-// (parallel.ForBlocks) releases its block before it folds the block's
-// partial.
+// this is what frees a prefetch buffer for the next read-ahead, so a
+// one-lane sweep keeps the lender's ordered-lend contract
+// (dataset.BlockLender): it requests blocks in ascending order and
+// releases block k before it requests block k+1. Sweeps on more than one
+// lane never borrow: their lanes decode their own blocks (LaneRows).
 func (st *Stream) PutBlock(ws *mat.Workspace, b *mat.Dense) {
 	if st.res != nil {
 		ws.PutView(b)

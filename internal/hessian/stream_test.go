@@ -280,7 +280,7 @@ func TestStreamReadErrorIsSticky(t *testing.T) {
 	src := badRows{PoolSource: dataset.NewMatrixSource(set.X), lo: 10, hi: 12}
 	for name, st := range map[string]*Stream{
 		"workspace": NewStream(src, set.H, 8),
-		"lend":      NewStream(dataset.NewPrefetchSource(nil, src, 8), set.H, 8),
+		"lend":      NewStream(dataset.NewPrefetchSource(nil, src), set.H, 8),
 	} {
 		ws := mat.NewWorkspace()
 		for round := 0; round < 2; round++ {
@@ -323,7 +323,7 @@ func TestStreamReadErrorConcurrent(t *testing.T) {
 	src := badRows{PoolSource: dataset.NewMatrixSource(set.X), lo: 20, hi: 22}
 	for name, st := range map[string]*Stream{
 		"workspace": NewStream(src, set.H, 8),
-		"lend":      NewStream(dataset.NewPrefetchSource(nil, src, 8), set.H, 8),
+		"lend":      NewStream(dataset.NewPrefetchSource(nil, src), set.H, 8),
 	} {
 		var wg sync.WaitGroup
 		for range 4 {

@@ -69,7 +69,7 @@ func (c *Cholesky) factor(a *Dense, ridge float64) error {
 		d := a.At(j, j) + ridge
 		lj := l.Row(j)
 		for k := 0; k < j; k++ {
-			d -= lj[k] * lj[k]
+			d -= float64(lj[k] * lj[k])
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return ErrNotSPD
@@ -86,7 +86,7 @@ func (c *Cholesky) factor(a *Dense, ridge float64) error {
 			s := a.At(i, j)
 			li := l.Row(i)
 			for k := 0; k < j; k++ {
-				s -= li[k] * lj[k]
+				s -= float64(li[k] * lj[k])
 			}
 			li[j] = s * inv
 		}
@@ -127,7 +127,7 @@ func (c *Cholesky) SolveVec(dst, b []float64) []float64 {
 		li := c.L.Row(i)
 		s := dst[i]
 		for k := 0; k < i; k++ {
-			s -= li[k] * dst[k]
+			s -= float64(li[k] * dst[k])
 		}
 		dst[i] = s / li[i]
 	}
@@ -135,7 +135,7 @@ func (c *Cholesky) SolveVec(dst, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := dst[i]
 		for k := i + 1; k < n; k++ {
-			s -= c.L.At(k, i) * dst[k]
+			s -= float64(c.L.At(k, i) * dst[k])
 		}
 		dst[i] = s / c.L.At(i, i)
 	}

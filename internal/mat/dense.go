@@ -138,7 +138,7 @@ func (m *Dense) AddScaled(alpha float64, a *Dense) {
 	for i := 0; i < m.Rows; i++ {
 		dst, src := m.Row(i), a.Row(i)
 		for j := range dst {
-			dst[j] += alpha * src[j]
+			dst[j] += float64(alpha * src[j])
 		}
 	}
 }
@@ -167,7 +167,7 @@ func (m *Dense) AddOuter(alpha float64, x []float64) {
 		}
 		row := m.Row(i)
 		for j := 0; j < n; j++ {
-			row[j] += xi * x[j]
+			row[j] += float64(xi * x[j])
 		}
 	}
 }
@@ -206,7 +206,7 @@ func FrobDot(a, b *Dense) float64 {
 	for i := 0; i < a.Rows; i++ {
 		ra, rb := a.Row(i), b.Row(i)
 		for j := range ra {
-			s += ra[j] * rb[j]
+			s += float64(ra[j] * rb[j])
 		}
 	}
 	return s

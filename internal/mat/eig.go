@@ -126,7 +126,7 @@ func tred2(z *Dense, d, e, g []float64) {
 				zi := z.Row(i)
 				for k := 0; k <= l; k++ {
 					zi[k] /= scale
-					h += zi[k] * zi[k]
+					h += float64(zi[k] * zi[k])
 				}
 				f := zi[l]
 				g := math.Sqrt(h)
@@ -134,7 +134,7 @@ func tred2(z *Dense, d, e, g []float64) {
 					g = -g
 				}
 				e[i] = scale * g
-				h -= f * g
+				h -= float64(f * g)
 				zi[l] = f - g
 				a := Dense{Rows: i, Cols: i, Stride: z.Stride, Data: z.Data}
 				u, p := zi[:i], e[:i]
@@ -149,11 +149,11 @@ func tred2(z *Dense, d, e, g []float64) {
 						z.Set(j, i, uj/h)
 					}
 					p[j] /= h
-					f += p[j] * uj
+					f += float64(p[j] * uj)
 				}
 				hh := f / (h + h)
 				for j, uj := range u {
-					p[j] -= hh * uj
+					p[j] -= float64(hh * uj)
 				}
 				symRank2(&a, u, p)
 			}
@@ -226,7 +226,7 @@ func tql(d, e []float64, zt *Dense) error {
 			broke := false
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
-				b := c * e[i]
+				b := float64(c * e[i])
 				r = math.Hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
@@ -238,10 +238,10 @@ func tql(d, e []float64, zt *Dense) error {
 				s = f / r
 				c = g / r
 				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
+				r = float64((d[i]-g)*s) + float64(2*c*b)
+				p = float64(s * r)
 				d[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - b
 				if zt != nil {
 					rot(zt.Row(i), zt.Row(i+1), c, s)
 				}
@@ -308,7 +308,10 @@ func (m *Dense) transposeSquare() {
 // rotation or rank-2 update combines two products of old values, not a
 // running sum, so a fused form would have to pick which product goes
 // unrounded, and the eigensolves (O(c·d³) per round) are too small a
-// share of a round for the fused form to pay for moving their bits.
+// share of a round for the fused form to pay for moving their bits. The
+// Go loops round each product with float64(), as every separate multiply
+// and add in this package does, because the arm64 compiler would
+// otherwise fuse them where amd64's does not (scripts/arm64_fma.sh).
 
 // rot applies tql's plane rotation to rows x and y: y ← s·x + c·y and
 // x ← c·x − s·y, element by element from the old values.
@@ -328,8 +331,8 @@ func rotGo(x, y []float64, c, s float64) {
 	y = y[:len(x)]
 	for k := range x {
 		f := y[k]
-		y[k] = s*x[k] + c*f
-		x[k] = c*x[k] - s*f
+		y[k] = float64(s*x[k]) + float64(c*f)
+		x[k] = float64(c*x[k]) - float64(s*f)
 	}
 }
 
@@ -359,7 +362,7 @@ func symRank2Go(a *Dense, u, p []float64) {
 		f, g := u[j], p[j]
 		aj := a.Row(j)
 		for k := range aj {
-			aj[k] -= f*p[k] + g*u[k]
+			aj[k] -= float64(f*p[k]) + float64(g*u[k])
 		}
 	}
 }
@@ -389,7 +392,7 @@ func rank1SubGo(a *Dense, c []float64, cs int, x []float64) {
 	for k := 0; k < a.Rows; k++ {
 		ck, ak := c[k*cs], a.Row(k)
 		for j := range ak {
-			ak[j] = ak[j] - x[j]*ck
+			ak[j] = ak[j] - float64(x[j]*ck)
 		}
 	}
 }

@@ -563,21 +563,26 @@ func WeightedGram(dst *Dense, x *Dense, w []float64) *Dense {
 		parallel.ForChunkMin(pairs, minPairs, t.fn)
 		t.release(gramTasks)
 	}
-	mirrorLower(dst)
+	MirrorLower(dst)
 	return dst
 }
 
-// WeightedGramSerial is WeightedGram on the calling goroutine alone, for
-// a caller that already runs one of several workers: the whole triangle,
-// with WeightedGram's bits.
+// WeightedGramAddLower adds Σ_i w_i x_i x_iᵀ to the lower triangle of
+// the d×d dst (nil w: unit weights) on the calling goroutine, in
+// WeightedGram's order: four points at a time from x's first row, a lone
+// tail point at a time. So the Gram of a block cut into pieces whose row
+// counts (but the last's) are multiples of four, added piece by piece in
+// order onto a zeroed dst and mirrored once (MirrorLower), has
+// WeightedGram's bits: a caller that already runs one of several workers
+// computes a block's Gram without holding the whole block.
 //
 //firal:hotpath
-func WeightedGramSerial(dst *Dense, x *Dense, w []float64) *Dense {
+func WeightedGramAddLower(dst *Dense, x *Dense, w []float64) {
 	d := x.Cols
-	dst = prepDst(dst, d, d)
+	if dst.Rows != d || dst.Cols != d {
+		panic("mat: destination has wrong shape")
+	}
 	weightedGramRange(dst, x, w, 0, d)
-	mirrorLower(dst)
-	return dst
 }
 
 // gramTasks runs the pairs [lo, hi): triangle rows [lo, hi) and their
@@ -661,10 +666,11 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
 	}
 }
 
-// mirrorLower copies the strict lower triangle into the upper.
+// MirrorLower copies the strict lower triangle of the square dst into
+// the upper.
 //
 //firal:hotpath
-func mirrorLower(dst *Dense) {
+func MirrorLower(dst *Dense) {
 	for r := 1; r < dst.Rows; r++ {
 		row := dst.Row(r)
 		for c := 0; c < r; c++ {

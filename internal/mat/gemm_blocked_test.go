@@ -106,6 +106,36 @@ func TestWeightedGramSymmetricAndMatchesReference(t *testing.T) {
 	}
 }
 
+// TestWeightedGramAddLowerPieces pins the piecewise Gram: pieces of a
+// multiple of four rows (the last one ragged, with a three-point tail and
+// an all-zero group of weights), added in order onto a zeroed dst and
+// mirrored once, give WeightedGram's bits.
+func TestWeightedGramAddLowerPieces(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n, d, piece = 611, 64, 64
+	x := randDense(rng, n, d)
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	clear(w[128:132])
+	want := WeightedGram(nil, x, w)
+	for _, step := range []int{piece, 4 * piece, n} {
+		got := NewDense(d, d)
+		for lo := 0; lo < n; lo += step {
+			hi := min(lo+step, n)
+			WeightedGramAddLower(got, x.RowSlice(lo, hi), w[lo:hi])
+		}
+		MirrorLower(got)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("pieces of %d rows: element %d = %x, WeightedGram %x",
+					step, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+			}
+		}
+	}
+}
+
 func TestWorkspaceReuse(t *testing.T) {
 	ws := NewWorkspace()
 	v := ws.Vec(64)

@@ -17,7 +17,7 @@ func Kron(a, b *Dense) *Dense {
 				src := b.Row(p)
 				off := j * b.Cols
 				for q, bv := range src {
-					dst[off+q] += v * bv
+					dst[off+q] += float64(v * bv)
 				}
 			}
 		}

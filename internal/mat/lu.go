@@ -57,7 +57,7 @@ func NewLU(a *Dense) (*LU, error) {
 			}
 			ri, rk := lu.Row(i), lu.Row(k)
 			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
+				ri[j] -= float64(m * rk[j])
 			}
 		}
 	}
@@ -83,7 +83,7 @@ func (f *LU) SolveVec(dst, b []float64) []float64 {
 		s := tmp[i]
 		row := f.lu.Row(i)
 		for k := 0; k < i; k++ {
-			s -= row[k] * tmp[k]
+			s -= float64(row[k] * tmp[k])
 		}
 		tmp[i] = s
 	}
@@ -92,7 +92,7 @@ func (f *LU) SolveVec(dst, b []float64) []float64 {
 		s := tmp[i]
 		row := f.lu.Row(i)
 		for k := i + 1; k < n; k++ {
-			s -= row[k] * tmp[k]
+			s -= float64(row[k] * tmp[k])
 		}
 		tmp[i] = s / row[i]
 	}

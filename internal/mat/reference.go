@@ -29,7 +29,7 @@ func refMulRange(dst, a, b *Dense, lo, hi int) {
 			}
 			br := b.Row(k)
 			for j, bv := range br {
-				dr[j] += av * bv
+				dr[j] += float64(av * bv)
 			}
 		}
 	}

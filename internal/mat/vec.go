@@ -17,7 +17,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -40,7 +40,7 @@ func Nrm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		r := v / maxAbs
-		s += r * r
+		s += float64(r * r)
 	}
 	return maxAbs * math.Sqrt(s)
 }
@@ -53,7 +53,7 @@ func Axpy(alpha float64, x, y []float64) {
 		panic("mat: Axpy length mismatch")
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }
 
