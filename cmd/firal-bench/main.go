@@ -204,7 +204,8 @@ func main() {
 	// mat.WeightedGram, whose workers split the triangle (Set.DenseSum's
 	// kernel). The pool sweeps behind every Σz block, the RELAX
 	// preconditioner and ROUND's Σ⋄ run it once per class per block on one
-	// lane, mat.WeightedGramSerial, which the row's workers1_ns measures. ---
+	// lane (mat.WeightedGramAddLower and MirrorLower, WeightedGram's
+	// one-worker form), which the row's workers1_ns measures. ---
 	gx := mat.NewDense(dataset.DefaultBlockRows, 64)
 	gw := make([]float64, gx.Rows)
 	grng := rnd.New(9)
@@ -552,21 +553,22 @@ func streamBench(run func(string, func(b *testing.B)) entry, setup *streamSetup)
 // relaxStreamBench measures one streamed RELAX mirror-descent iteration
 // (the paper's s = 10 probes, CG capped for a deterministic sweep budget)
 // over the same million-row shard pool — the configuration the block-CG
-// and prefetch work targets. PR 5's block CG minimized the decode COUNT
-// (one pool sweep per CG iteration instead of one per probe column); the
-// prefetch layer hides what remains by decoding block k+1 while the
-// kernels chew block k, so the headline entry runs with prefetch ON —
-// the production default — with the synchronous path timed in an
-// interleaved A/B (best of three each) into Extra["prefetch_off_ns"]
-// for the overlap ratio, and the prefetched path at one worker into
-// Extra["workers1_ns"] for how the streamed sweeps scale with workers.
-// Overlap needs a spare core: at GOMAXPROCS = 1 the background read only
-// runs when the consumer blocks, so prefetch_speedup ≈ 1 there (read it
-// next to the report's num_cpu).
+// and lane work targets. PR 5's block CG minimized the decode COUNT (one
+// pool sweep per CG iteration instead of one per probe column). The
+// headline entry is the production stack (WithPrefetch) at the
+// process's workers, where every sweep runs on lanes that decode their
+// own blocks and the read-ahead stays idle. The read-ahead serves
+// one-lane sweeps only, so its A/B runs at one worker: the synchronous
+// path into Extra["prefetch_off_ns"], the prefetched path into
+// Extra["workers1_ns"] (also how the streamed sweeps scale with
+// workers), and their ratio into Extra["prefetch_speedup"]. Overlap
+// needs a spare core: at GOMAXPROCS = 1 the background read only runs
+// when the consumer blocks, so prefetch_speedup ≈ 1 there (read it next
+// to the report's num_cpu).
 //
-// The run hard-fails unless the two paths are equivalent in every way
-// that matters: bit-identical RELAX weights (selection_match — read-
-// ahead must change decode timing, never arithmetic) and identical
+// The run hard-fails unless every sample is equivalent in every way that
+// matters: bit-identical RELAX weights (selection_match — read-ahead and
+// lanes must change decode timing, never arithmetic) and identical
 // decode traffic measured by a dataset.CountingSource sitting BELOW the
 // prefetcher (decode_sweeps — the forward-sweep prediction must never
 // read a window the solver doesn't then consume). Also recorded: the
@@ -588,85 +590,78 @@ func relaxStreamBench(setup *streamSetup) (entry, error) {
 	pOff := firal.NewProblem(setup.labeled, hessian.NewStream(counting, setup.probs, 0))
 	pOn := firal.NewProblem(setup.labeled,
 		hessian.NewStream(dataset.WithPrefetch(ctx, counting, 0), setup.probs, 0))
-	sample := func(p *firal.Problem) (*firal.RelaxResult, float64, float64, error) {
+	sample := func(p *firal.Problem, workers int) (*firal.RelaxResult, float64, float64, error) {
+		if workers > 0 {
+			defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(workers))
+		}
 		counting.Reset()
 		t0 := time.Now()
 		r, err := firal.RelaxFast(ctx, p, 10, opts)
 		return r, float64(time.Since(t0).Nanoseconds()), counting.Sweeps(), err
 	}
 
-	// The paths alternate (synchronous, prefetched, prefetched at one
-	// worker) and each keeps its best of three, so a machine-load swing
-	// hits every path instead of whichever ran last and the cold first
-	// pass (page mapping, scratch-pool fill) never decides a figure. The
-	// first samples are checked against the synchronous result — weights
-	// bit for bit, sweeps exactly equal (later samples are identical by
-	// determinism: same seed, same arithmetic).
-	var off, on *firal.RelaxResult
-	offNs, onNs, oneNs, offSweeps := math.Inf(1), math.Inf(1), math.Inf(1), 0.0
+	// The samples alternate (synchronous at one worker, prefetched at one
+	// worker, prefetched at the process's workers) and each keeps its
+	// best of three, so a machine-load swing hits every path instead of
+	// whichever ran last and the cold first pass (page mapping,
+	// scratch-pool fill) never decides a figure. Every sample is checked
+	// against the first synchronous one: weights bit for bit, sweeps
+	// exactly equal.
+	paths := []struct {
+		name    string
+		p       *firal.Problem
+		workers int // 0: the process's
+		ns      float64
+	}{
+		{"synchronous at one worker", pOff, 1, math.Inf(1)},
+		{"prefetched at one worker", pOn, 1, math.Inf(1)},
+		{"prefetched", pOn, 0, math.Inf(1)},
+	}
+	var ref *firal.RelaxResult
+	var refSweeps float64
 	for round := 0; round < 3; round++ {
-		r, ns, sweeps, err := sample(pOff)
-		if err != nil {
-			return entry{}, err
-		}
-		if round == 0 {
-			off, offSweeps = r, sweeps
-		}
-		offNs = math.Min(offNs, ns)
-
-		r, ns, sweeps, err = sample(pOn)
-		if err != nil {
-			return entry{}, err
-		}
-		if round == 0 {
-			on = r
-		}
-		onNs = math.Min(onNs, ns)
-
-		prevW := parallel.SetMaxWorkers(1)
-		r1, ns, sweeps1, err := sample(pOn)
-		parallel.SetMaxWorkers(prevW)
-		if err != nil {
-			return entry{}, err
-		}
-		oneNs = math.Min(oneNs, ns)
-		if round > 0 {
-			continue
-		}
-		for i := range off.Z {
-			if math.Float64bits(on.Z[i]) != math.Float64bits(off.Z[i]) {
-				return entry{}, fmt.Errorf("prefetched RELAX diverges from the synchronous path: z[%d] = %x vs %x",
-					i, math.Float64bits(on.Z[i]), math.Float64bits(off.Z[i]))
+		for i := range paths {
+			path := &paths[i]
+			r, ns, sweeps, err := sample(path.p, path.workers)
+			if err != nil {
+				return entry{}, err
 			}
-			if math.Float64bits(r1.Z[i]) != math.Float64bits(on.Z[i]) {
-				return entry{}, fmt.Errorf("one-worker RELAX diverges from the multi-worker path: z[%d] = %x vs %x",
-					i, math.Float64bits(r1.Z[i]), math.Float64bits(on.Z[i]))
+			path.ns = math.Min(path.ns, ns)
+			if ref == nil {
+				ref, refSweeps = r, sweeps
+				continue
 			}
-		}
-		if sweeps != offSweeps || sweeps1 != offSweeps {
-			return entry{}, fmt.Errorf("the decode traffic differs: %.2f sweeps prefetched, %.2f at one worker, %.2f synchronous",
-				sweeps, sweeps1, offSweeps)
+			for j := range ref.Z {
+				if math.Float64bits(r.Z[j]) != math.Float64bits(ref.Z[j]) {
+					return entry{}, fmt.Errorf("%s RELAX diverges from the synchronous path: z[%d] = %x vs %x",
+						path.name, j, math.Float64bits(r.Z[j]), math.Float64bits(ref.Z[j]))
+				}
+			}
+			if sweeps != refSweeps {
+				return entry{}, fmt.Errorf("the decode traffic differs: %.2f sweeps %s, %.2f synchronous at one worker",
+					sweeps, path.name, refSweeps)
+			}
 		}
 	}
+	offNs, oneNs, onNs := paths[0].ns, paths[1].ns, paths[2].ns
 
 	// The headline entry is the best prefetched pass: at 1 s benchtime a
 	// ~9 s op gets a single testing.Benchmark iteration anyway, and the
-	// min-of-3 from the A/B loop is the more noise-robust figure — the
-	// off/on minima are directly comparable by construction.
+	// min-of-3 from the loop is the more noise-robust figure.
 	e := entry{Name: "relax_stream_n1e6_d64", NsPerOp: onNs}
 	fmt.Printf("%-28s %14.0f ns/op %8d allocs/op\n", e.Name, e.NsPerOp, e.AllocsPerOp)
 	e.Extra = map[string]float64{
-		"decode_sweeps":            offSweeps,
-		"cg_iterations":            float64(on.CGIterations),
-		"per_column_sweeps_legacy": float64(on.CGIterations + (4*probes+1)*on.Iterations),
+		"decode_sweeps":            refSweeps,
+		"cg_iterations":            float64(ref.CGIterations),
+		"per_column_sweeps_legacy": float64(ref.CGIterations + (4*probes+1)*ref.Iterations),
 		"prefetch_off_ns":          offNs,
-		"prefetch_speedup":         offNs / onNs,
+		"prefetch_speedup":         offNs / oneNs,
 		"selection_match":          1,
 		"workers1_ns":              oneNs,
 	}
-	fmt.Printf("%-28s prefetch off %12.0f ns/op (%.2fx overlap gain, %.0f sweeps both paths)\n",
-		"", offNs, offNs/onNs, offSweeps)
-	fmt.Printf("%-28s one worker   %12.0f ns/op (%.2fx worker scaling)\n", "", oneNs, oneNs/onNs)
+	fmt.Printf("%-28s one worker   %12.0f ns/op prefetched, %12.0f synchronous (%.2fx overlap gain, %.0f sweeps every path)\n",
+		"", oneNs, offNs, offNs/oneNs, refSweeps)
+	fmt.Printf("%-28s %.2fx worker scaling\n", "", oneNs/onNs)
 	return e, nil
 }
 

@@ -11,7 +11,10 @@ import "sync"
 //
 //   - Blocks are claimed in ascending order, and the claim and the fetch
 //     of block k happen together, one claim at a time, so a read-ahead
-//     source sees the requests of a serial sweep.
+//     source would see the requests of a serial sweep. A fetch that
+//     reads holds every other lane's claim, so the streamed sweeps only
+//     note the block in Fetch and read it in Compute
+//     (hessian.LaneRows).
 //   - A block's partial depends only on the block, not on the lane that
 //     computed it.
 //   - Partials fold in block order, one at a time, so the result has the
@@ -25,8 +28,9 @@ import "sync"
 // identifies the caller's scratch: the calls for one lane never run
 // concurrently.
 type BlockSweep interface {
-	// Fetch obtains block k's rows for lane. Fetches run one at a time,
-	// in ascending k.
+	// Fetch takes block k for lane: it obtains the block's rows, or
+	// notes the block for a Compute that reads them. Fetches run one at
+	// a time, in ascending k.
 	Fetch(lane, k int)
 	// Compute computes block k in lane's scratch and releases the
 	// block's rows. Computes of different lanes run concurrently.
@@ -85,8 +89,8 @@ type blockJob struct {
 	n int
 
 	// claim is held across a claim and its Fetch, so that claims and
-	// fetches pair up in ascending order: a read-ahead source predicts
-	// the next request from that order. Fetch must not re-enter the loop.
+	// fetches pair up in ascending order. Fetch must not re-enter the
+	// loop.
 	claim sync.Mutex
 	next  int // next block to claim, under claim
 
