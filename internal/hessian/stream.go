@@ -64,9 +64,12 @@ var ErrPoolRead = errors.New("hessian: pool read failed")
 // dataset.PoolSource block by block while the probability rows stay
 // resident. It is how selection scales past resident pools — an mmap'd
 // float32 shard set or a CSV file feeds the same solver kernels as an
-// in-memory matrix, with scratch bounded by one row block per worker —
+// in-memory matrix, with scratch bounded by one row block per lane —
 // and, over a dataset.MatrixSource, how a resident Set serves its rows
-// zero-copy.
+// zero-copy. A one-lane sweep takes each block whole through Block,
+// from a lending source's read-ahead when there is one; the lanes of a
+// multi-lane sweep decode their own blocks through Decode, in L2-sized
+// windows (LaneRows), and never borrow.
 //
 // A Stream is read-only after construction and may be shared by
 // goroutines that each bring their own Workspace, provided the source's
