@@ -46,8 +46,7 @@ import (
 //   - Lends come in ascending order and one is out at a time: the
 //     one-lane sweep that lends lends, computes and returns block k
 //     before it lends block k+1, so the lender keeps two buffers, the
-//     lent one and the read-ahead of the next. A caller that holds W
-//     blocks at once, lent in ascending order, grows it once to W+1.
+//     lent one and the read-ahead of the next.
 //
 // hessian.Stream detects the interface and routes Block/PutBlock
 // through it, so every blocked consumer on one lane — the Lemma-2
@@ -103,13 +102,11 @@ func (b *pfBlock) prep(lo, hi, d int) {
 // Concurrency: ReadRows keeps the PoolSource contract as a pass-through
 // to the wrapped source (concurrent callers are as safe as there, and
 // never serialize here). LendBlock/ReturnBlock follow the BlockLender
-// ordered-lend contract under a mutex. The source starts with two
-// buffers and grows one whenever a lend or a read-ahead finds none idle;
-// a buffer, once made, stays in free after it comes back. So a caller
-// that keeps W blocks out at once grows the pool once, to W+1 buffers,
-// and then allocates nothing. Lends outside the contract stay correct:
-// they grow the pool further, or miss the read-ahead and read
-// synchronously.
+// ordered-lend contract under a mutex: one block out at a time, held in
+// one of the source's two buffers while the other takes the read-ahead,
+// so a warm sweep allocates nothing. Lends outside the contract stay
+// correct: a lend that finds no buffer idle makes one, and an
+// out-of-order lend misses the read-ahead and reads synchronously.
 //
 // Lifecycle: the in-flight read is a single short-lived goroutine per
 // block whose only obligation is a buffered-channel send, so an
@@ -233,8 +230,8 @@ func (p *PrefetchSource) fill(b *pfBlock) {
 }
 
 // takeFree pops an idle buffer, or makes one when every buffer is lent
-// or in flight: once per extra lane of the first multi-lane sweep, after
-// which the pool holds a buffer for every lent block and the read-ahead.
+// or in flight, which only a caller outside the one-out lend contract
+// brings about; the new buffer stays in the pool.
 func (p *PrefetchSource) takeFree() *pfBlock {
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]

@@ -638,97 +638,71 @@ func TestPrefetchReadRowsPassThrough(t *testing.T) {
 	}
 }
 
-// lendSweep borrows a pool's blocks on parallel.ForBlocks lanes, as the
-// blocked kernels do: a lane lends block k in Fetch, in ascending order,
-// and returns it at the end of Compute. While hold is set, the first
-// lanes blocks stay out until all of them are, so the sweep reaches the
-// contract's bound of one lent block per lane.
+// lendSweep borrows a pool's blocks on one parallel.ForBlocks lane, as
+// the blocked kernels of a one-lane sweep do: Fetch lends block k, in
+// ascending order, and Compute returns it before block k+1 is lent.
 type lendSweep struct {
 	p      *PrefetchSource
 	n, bs  int
-	lent   []*mat.Dense // per lane
-	out    atomic.Int32 // blocks lent and not yet returned
-	hold   bool
-	allOut atomic.Bool // every lane has held a block at once
+	lent   *mat.Dense
 	failed atomic.Pointer[error]
 }
 
-func (s *lendSweep) Fetch(lane, k int) {
+func (s *lendSweep) Fetch(_, k int) {
 	b, err := s.p.LendBlock(k*s.bs, min((k+1)*s.bs, s.n))
 	if err != nil {
 		s.fail(err)
 	}
-	if s.out.Add(1) == int32(len(s.lent)) {
-		s.allOut.Store(true)
-	}
-	s.lent[lane] = b
+	s.lent = b
 }
 
 // fail keeps the first lend error; out of line, so a lend that succeeds
 // does not move its error variable to the heap.
 func (s *lendSweep) fail(err error) { s.failed.CompareAndSwap(nil, &err) }
 
-func (s *lendSweep) Compute(lane, k int) {
-	if s.hold && k < len(s.lent) {
-		for deadline := time.Now().Add(10 * time.Second); !s.allOut.Load() && time.Now().Before(deadline); {
-			runtime.Gosched()
-		}
+func (s *lendSweep) Compute(_, _ int) {
+	if s.lent != nil {
+		s.p.ReturnBlock(s.lent)
 	}
-	if b := s.lent[lane]; b != nil {
-		s.p.ReturnBlock(b)
-	}
-	s.lent[lane] = nil
-	s.out.Add(-1)
+	s.lent = nil
 }
 
 // TestPrefetchSweepZeroAllocWarm pins the steady-state allocation
-// contract of the lend path: with one borrower and with W = 2 and 4
-// in-order concurrent borrowers (parallel.ForBlocks lanes at GOMAXPROCS
-// W), the source grows once to W+1 buffers, after which a full
-// prefetched sweep — lends, returns and the asynchronous read-ahead
+// contract of the lend path on the one-lane sweep that uses it: the
+// source keeps its two buffers (the lent block and the read-ahead), a
+// warm prefetched sweep — lends, returns and the asynchronous read-ahead
 // spawns — allocates nothing, and only the first window of each sweep
 // misses the read-ahead. Named *Alloc* for the CI alloc-multicore job.
 func TestPrefetchSweepZeroAllocWarm(t *testing.T) {
 	if mat.RaceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
 	const n, d, bs = 4096, 8, 256
 	x := mat.NewDense(n, d)
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	for _, lanes := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(max(lanes, 2))
-		parallel.SetMaxWorkers(lanes)
-		// MatrixSource.ReadRows is a pure copy, so every remaining
-		// allocation is the prefetch machinery's own.
-		p := NewPrefetchSource(context.Background(), NewMatrixSource(x))
-		s := &lendSweep{p: p, n: n, bs: bs, lent: make([]*mat.Dense, lanes), hold: true}
-		sweep := func() { parallel.ForBlocks(n/bs, lanes, s) }
-		sweep() // grow the buffers
-		if got := len(p.free); got != lanes+1 {
-			t.Fatalf("%d lanes: the source holds %d buffers after a sweep with every lane's block out, want %d",
-				lanes, got, lanes+1)
-		}
-		s.hold = false
-		sweep()
-		_, missed := p.Stats()
-		const runs = 50
-		if allocs := testing.AllocsPerRun(runs, sweep); allocs != 0 {
-			t.Fatalf("%d lanes: warm prefetched sweep allocates %.1f objects per sweep", lanes, allocs)
-		}
-		if err := s.failed.Load(); err != nil {
-			t.Fatal(*err)
-		}
-		// AllocsPerRun makes one warm-up call besides the runs.
-		if _, misses := p.Stats(); misses-missed != runs+1 {
-			t.Fatalf("%d lanes: %d read-ahead misses in %d sweeps, want one per sweep", lanes, misses-missed, runs+1)
-		}
-		if got := len(p.free); got != lanes+1 {
-			t.Fatalf("%d lanes: the source holds %d buffers after the sweeps, want %d", lanes, got, lanes+1)
-		}
-		p.Close()
+	// MatrixSource.ReadRows is a pure copy, so every remaining
+	// allocation is the prefetch machinery's own.
+	p := NewPrefetchSource(context.Background(), NewMatrixSource(x))
+	defer p.Close()
+	s := &lendSweep{p: p, n: n, bs: bs}
+	sweep := func() { parallel.ForBlocks(n/bs, 1, s) }
+	sweep()
+	_, missed := p.Stats()
+	const runs = 50
+	if allocs := testing.AllocsPerRun(runs, sweep); allocs != 0 {
+		t.Fatalf("warm prefetched sweep allocates %.1f objects per sweep", allocs)
+	}
+	if err := s.failed.Load(); err != nil {
+		t.Fatal(*err)
+	}
+	// AllocsPerRun makes one warm-up call besides the runs.
+	if _, misses := p.Stats(); misses-missed != runs+1 {
+		t.Fatalf("%d read-ahead misses in %d sweeps, want one per sweep", misses-missed, runs+1)
+	}
+	if got := len(p.free); got != 2 {
+		t.Fatalf("the source holds %d buffers after the sweeps, want 2", got)
 	}
 }

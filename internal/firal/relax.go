@@ -215,7 +215,7 @@ func mirrorStep(cm Collective, z, g []float64, t int) error {
 	beta := beta0 / (gmax * math.Sqrt(float64(t)))
 	var sum float64
 	for i := range z {
-		z[i] *= math.Exp(-beta * g[i])
+		z[i] = float64(z[i] * math.Exp(-beta*g[i]))
 		sum += z[i]
 	}
 	sum = cm.AllreduceScalar(sum, mpi.Sum)
@@ -283,7 +283,7 @@ func StochasticConverged(f []float64, tol float64) bool {
 	last := f[len(f)-w:]
 	var sd float64
 	for _, x := range last {
-		sd += (x - m2) * (x - m2)
+		sd += float64((x - m2) * (x - m2))
 	}
 	sd = math.Sqrt(sd / float64(w-1))
 	return diff <= 0.5*sd

@@ -71,11 +71,11 @@ func RelaxExact(ctx context.Context, p *Problem, b int, o RelaxOptions) (*RelaxR
 				for i := 0; i < n; i++ {
 					hik := pool.H.At(i, k)
 					hil := pool.H.At(i, l)
-					s := -hik * hil
+					s := float64(-hik * hil)
 					if k == l {
 						s += hik
 					}
-					g[i] -= mult * s * q[i]
+					g[i] -= float64(mult * s * q[i])
 				}
 			}
 		}

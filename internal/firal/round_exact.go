@@ -200,7 +200,7 @@ func woodburyObjective(p *Problem, k, kinv, isqrt *mat.Dense, eta float64, ri []
 			for ll := 0; ll < c; ll++ {
 				gi.Set(kk, ll, gAll[kk*c+ll][i])
 				pi.Set(kk, ll, pAll[kk*c+ll][i])
-				v := -hi[kk] * hi[ll]
+				v := float64(-hi[kk] * hi[ll])
 				if kk == ll {
 					v += hi[kk]
 				}
@@ -217,7 +217,7 @@ func woodburyObjective(p *Problem, k, kinv, isqrt *mat.Dense, eta float64, ri []
 			continue
 		}
 		sol := lu.Solve(nil, sp)
-		ri[i] = trK - eta*sol.Trace()
+		ri[i] = trK - float64(eta*sol.Trace())
 	}
 }
 
@@ -253,7 +253,7 @@ func solveNu(lam []float64, edF float64) (float64, error) {
 		return 0, opt.ErrNoBracket
 	}
 	for i := 0; i < 200 && hi-lo > tol; i++ {
-		mid := 0.5 * (lo + hi)
+		mid := float64(0.5 * (lo + hi))
 		fm := nuResidual(lam, mid)
 		if fm == 0 {
 			return mid, nil

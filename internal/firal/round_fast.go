@@ -378,7 +378,7 @@ func (l *scoreLane) scoreTile(r0, r1 int) {
 			if gamma == 0 {
 				continue
 			}
-			out[i] += gamma * qp[i] / (1 + st.eta*gamma*qb[i])
+			out[i] += gamma * qp[i] / (1 + float64(st.eta*gamma*qb[i]))
 		}
 	}
 }

@@ -378,7 +378,7 @@ func (l *sweepLane) gamma(g []float64, gs, r0, r1 int) {
 		case 1:
 			h0 := hr[0]
 			for j, g0 := range row {
-				alpha := 0 + g0*h0
+				alpha := 0 + float64(g0*h0)
 				row[j] = wi * (g0 - alpha) * h0
 			}
 		case 2:
@@ -386,7 +386,7 @@ func (l *sweepLane) gamma(g []float64, gs, r0, r1 int) {
 			for j := 0; j+1 < len(row); j += 2 {
 				gr := row[j : j+2 : j+2]
 				g0, g1 := gr[0], gr[1]
-				alpha := 0 + g0*h0 + g1*h1
+				alpha := 0 + float64(g0*h0) + float64(g1*h1)
 				gr[0] = wi * (g0 - alpha) * h0
 				gr[1] = wi * (g1 - alpha) * h1
 			}
@@ -399,10 +399,10 @@ func (l *sweepLane) gamma(g []float64, gs, r0, r1 int) {
 				g3 := row[j+3*c : j+4*c][:len(hr)]
 				var a0, a1, a2, a3 float64
 				for k, hk := range hr {
-					a0 += g0[k] * hk
-					a1 += g1[k] * hk
-					a2 += g2[k] * hk
-					a3 += g3[k] * hk
+					a0 += float64(g0[k] * hk)
+					a1 += float64(g1[k] * hk)
+					a2 += float64(g2[k] * hk)
+					a3 += float64(g3[k] * hk)
 				}
 				for k, hk := range hr {
 					g0[k] = wi * (g0[k] - a0) * hk
@@ -415,7 +415,7 @@ func (l *sweepLane) gamma(g []float64, gs, r0, r1 int) {
 				gr := row[j : j+c][:len(hr)]
 				var alpha float64
 				for k, hk := range hr {
-					alpha += gr[k] * hk
+					alpha += float64(gr[k] * hk)
 				}
 				for k, hk := range hr {
 					gr[k] = wi * (gr[k] - alpha) * hk
@@ -526,12 +526,12 @@ func (l *sweepLane) quad() {
 			for j := 0; j < sc; j += l.c {
 				var alpha, q float64 // alpha in mat.Dot's order
 				for k, hk := range hr {
-					alpha += hv[j+k] * hk
+					alpha += float64(hv[j+k] * hk)
 				}
 				for k, hk := range hr {
-					q += (hv[j+k] - alpha) * hk * hu[j+k]
+					q += float64((hv[j+k] - alpha) * hk * hu[j+k])
 				}
-				qi += l.scale * q
+				qi += float64(l.scale * q)
 			}
 			l.qdst[l.base+i] = qi
 		}

@@ -108,7 +108,7 @@ func DensePoint(x, h []float64) *mat.Dense {
 	s := mat.NewDense(c, c)
 	for k := 0; k < c; k++ {
 		for l := 0; l < c; l++ {
-			v := -h[k] * h[l]
+			v := float64(-h[k] * h[l])
 			if k == l {
 				v += h[k]
 			}
@@ -138,7 +138,7 @@ func (s *Set) DenseSum(w []float64) *mat.Dense {
 				}
 				hik := s.H.At(i, k)
 				hil := s.H.At(i, l)
-				v := -hik * hil
+				v := float64(-hik * hil)
 				if k == l {
 					v += hik
 				}

@@ -167,9 +167,11 @@ const (
 // one to four workers: MatVecBlockWS at c = 1 and 3 (window by window)
 // and 16 (the packed Γᵀ·X path, whole blocks), QuadAccumBlockWS and
 // BlockDiagSumInto. From two workers on the sweeps run on two lanes that
-// decode their own blocks. Every result must have the one-worker bits,
-// every sweep must decode each row exactly once, and a warm sweep must
-// not allocate.
+// decode their own blocks. Every result must have the bits of the
+// synchronous pool at one worker, every sweep must decode each row
+// exactly once, and a warm sweep must not allocate. Both prefetch
+// variants of a c share one workspace and output set, so the second
+// starts warm (the 386 leg runs this test without SIMD kernels).
 func TestLaneDecodeWindowsBitsTrafficAllocs(t *testing.T) {
 	if got := subBlockRows(winD, winBlock); got != 512 {
 		t.Fatalf("subBlockRows(%d, %d) = %d, want 512", winD, winBlock, got)
@@ -181,6 +183,12 @@ func TestLaneDecodeWindowsBitsTrafficAllocs(t *testing.T) {
 		shards := shardPool(t, set.X, winSeam)
 		vt, _ := blockVectors(set.Ed(), s, 71)
 		ut, _ := blockVectors(set.Ed(), s, 72)
+		ws := mat.NewWorkspace()
+		mv := mat.NewDense(s, set.Ed())
+		q := make([]float64, winRows)
+		var g []*mat.Dense
+		var oneMV, oneQ []float64
+		var oneG [][]float64
 		for _, prefetch := range []bool{false, true} {
 			tally := newRowTally(shards)
 			var src dataset.PoolSource = tally
@@ -188,12 +196,6 @@ func TestLaneDecodeWindowsBitsTrafficAllocs(t *testing.T) {
 				src = dataset.NewPrefetchSource(context.Background(), tally)
 			}
 			pool := NewStream(src, set.H, winBlock)
-			ws := mat.NewWorkspace()
-			mv := mat.NewDense(s, set.Ed())
-			q := make([]float64, winRows)
-			var g []*mat.Dense
-			var oneMV, oneQ []float64
-			var oneG [][]float64
 			for nw := 1; nw <= 4; nw++ {
 				parallel.SetMaxWorkers(nw)
 				name := fmt.Sprintf("c=%d prefetch=%v workers=%d", c, prefetch, nw)
@@ -207,7 +209,7 @@ func TestLaneDecodeWindowsBitsTrafficAllocs(t *testing.T) {
 				if err := pool.Err(); err != nil {
 					t.Fatal(err)
 				}
-				if nw == 1 {
+				if oneMV == nil {
 					oneMV, oneQ = slices.Clone(mv.Data), slices.Clone(q)
 					for _, b := range g {
 						oneG = append(oneG, slices.Clone(b.Data))

@@ -204,7 +204,7 @@ func SolveBlockInto(ctx context.Context, a BlockOp, precond BlockOp, b, x *mat.D
 			rz[j] = rzNew
 			pj, zj := p.Row(j), z.Row(j)
 			for i := range pj {
-				pj[i] = zj[i] + beta*pj[i]
+				pj[i] = zj[i] + float64(beta*pj[i])
 			}
 		}
 	}
