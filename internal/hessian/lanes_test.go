@@ -224,6 +224,17 @@ func TestLaneDecodeWindowsBitsTrafficAllocs(t *testing.T) {
 				if mat.RaceEnabled {
 					continue
 				}
+				// The packed Γᵀ·X path takes GEMM scratch per concurrent
+				// call, so it is warm only once its lanes have overlapped;
+				// on a loaded host the first sweeps may run them one after
+				// the other. Give the overlap more chances.
+				if mat.UseBlocked(c, winD, winBlock) && nw > 1 {
+					const warm = 8
+					for range warm {
+						MatVecBlockWS(ws, pool, mv, vt, w)
+					}
+					tally.times(t, name+": packed warm-up", warm)
+				}
 				// A collection inside the window would age the parallel.FreeLists
 				// and rebuild their scratch: start right after one.
 				runtime.GC()
