@@ -201,11 +201,12 @@ func main() {
 	}
 
 	// --- The weighted Gram of one DefaultBlockRows × 64 block through
-	// mat.WeightedGram, whose workers split the triangle (Set.DenseSum's
-	// kernel). The pool sweeps behind every Σz block, the RELAX
-	// preconditioner and ROUND's Σ⋄ run it once per class per block on one
-	// lane (mat.WeightedGramAddLower and MirrorLower, WeightedGram's
-	// one-worker form), which the row's workers1_ns measures. ---
+	// mat.WeightedGram, which runs on the calling goroutine at any worker
+	// count, so ns_per_op and workers1_ns time the same form. The pool
+	// sweeps behind every Σz block, the RELAX preconditioner and ROUND's
+	// Σ⋄ run it once per class per block on one lane
+	// (mat.WeightedGramAddLower and MirrorLower), and Set.DenseSum once
+	// per class pair. ---
 	gx := mat.NewDense(dataset.DefaultBlockRows, 64)
 	gw := make([]float64, gx.Rows)
 	grng := rnd.New(9)

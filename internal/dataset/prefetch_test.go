@@ -639,33 +639,27 @@ func TestPrefetchReadRowsPassThrough(t *testing.T) {
 }
 
 // lendSweep borrows a pool's blocks on one parallel.ForBlocks lane, as
-// the blocked kernels of a one-lane sweep do: Fetch lends block k, in
-// ascending order, and Compute returns it before block k+1 is lent.
+// the blocked kernels of a one-lane sweep do: Compute lends block k, in
+// ascending order, and returns it before block k+1 is lent.
 type lendSweep struct {
 	p      *PrefetchSource
 	n, bs  int
-	lent   *mat.Dense
 	failed atomic.Pointer[error]
 }
 
-func (s *lendSweep) Fetch(_, k int) {
+func (s *lendSweep) Compute(_, k int) {
 	b, err := s.p.LendBlock(k*s.bs, min((k+1)*s.bs, s.n))
 	if err != nil {
 		s.fail(err)
 	}
-	s.lent = b
+	if b != nil {
+		s.p.ReturnBlock(b)
+	}
 }
 
 // fail keeps the first lend error; out of line, so a lend that succeeds
 // does not move its error variable to the heap.
 func (s *lendSweep) fail(err error) { s.failed.CompareAndSwap(nil, &err) }
-
-func (s *lendSweep) Compute(_, _ int) {
-	if s.lent != nil {
-		s.p.ReturnBlock(s.lent)
-	}
-	s.lent = nil
-}
 
 // TestPrefetchSweepZeroAllocWarm pins the steady-state allocation
 // contract of the lend path on the one-lane sweep that uses it: the

@@ -332,20 +332,14 @@ func (st *RoundState) Scores(pool hessian.Pool, dst []float64) {
 	}
 }
 
-// Fetch takes block k for lane (hessian.LaneRows.Fetch).
-//
-//firal:hotpath
-func (sw *scoreSweep) Fetch(lane, k int) {
-	lo := k * sw.bs
-	sw.lanes[lane].rows.Fetch(lo, min(lo+sw.bs, sw.n))
-}
-
-// Compute scores lane's block tile by tile, rows by rows as LaneRows
-// serves them, and gives it back.
+// Compute takes block k for lane (hessian.LaneRows.Fetch), scores it
+// tile by tile, rows by rows as LaneRows serves them, and gives it back.
 //
 //firal:hotpath
 func (sw *scoreSweep) Compute(lane, k int) {
 	l := sw.lanes[lane]
+	lo := k * sw.bs
+	l.rows.Fetch(lo, min(lo+sw.bs, sw.n))
 	for x, base := l.rows.Next(); x != nil; x, base = l.rows.Next() {
 		l.xb, l.base = x, base
 		for r0 := 0; r0 < x.Rows; r0 += scoreTile {

@@ -184,24 +184,18 @@ func (t *sweepTask) release() {
 	sweepTasks.Put(t)
 }
 
-// Fetch takes block k for lane (LaneRows.Fetch).
+// Compute takes block k for lane (LaneRows.Fetch), runs the sweep's
+// kernel on it, rows by rows as LaneRows serves them, and gives the
+// block back.
 //
 //firal:hotpath
-func (t *sweepTask) Fetch(lane, k int) {
+func (t *sweepTask) Compute(lane, k int) {
 	l := t.lanes[lane]
 	lo := k * t.bs
 	hi := min(lo+t.bs, t.n)
 	l.rows.Fetch(lo, hi)
 	l.m = hi - lo
 	l.blocked = mat.UseBlocked(l.m, t.c, t.d)
-}
-
-// Compute runs the sweep's kernel on lane's block, rows by rows as
-// LaneRows serves them, and gives the block back.
-//
-//firal:hotpath
-func (t *sweepTask) Compute(lane, k int) {
-	l := t.lanes[lane]
 	switch t.kind {
 	case sweepMatVec:
 		clear(l.acc)

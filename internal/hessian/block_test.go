@@ -135,13 +135,15 @@ type sweepPool struct {
 	w    []float64
 }
 
-// sweepPools builds, for one (c, d), resident and streamed pools whose
-// 100-row blocks leave a 51- or 52-row tail: at c=10, d=64 the tail sits
-// just below and just at the blocked-GEMM threshold (mat.UseBlocked),
-// so both dot orders occur within one sweep. For c ≥ 16 a 600-row pool
-// is added: its one resident block spans three GEMM k-panels, so a packed
-// Γᵀ·X sums in a different order from a row-by-row one. Each pool comes
-// with unit (nil) and non-unit weights, some of them zero.
+// sweepPools builds, for one (c, d), pools of 251 and 252 rows: a
+// resident one (one block, dataset.BlockRowsFor) and a streamed one whose
+// 100-row blocks leave a 51- or 52-row tail. At c=10, d=64 that tail sits
+// just below and just at the blocked-GEMM threshold (mat.UseBlocked), so
+// both dot orders occur within one sweep. For c ≥ 16 a 600-row pool is
+// added, resident (256-row blocks) and streamed in one 600-row block:
+// that block spans three GEMM k-panels, so a packed Γᵀ·X sums in a
+// different order from a row-by-row one. Each pool comes with unit (nil)
+// and non-unit weights, some of them zero.
 func sweepPools(c, d int) []sweepPool {
 	var out []sweepPool
 	ns := []int{251, 252}
@@ -156,12 +158,14 @@ func sweepPools(c, d int) []sweepPool {
 				w[i] = 0.2 + float64(i%11)/11
 			}
 		}
-		for _, pc := range []struct {
-			name string
-			p    Pool
-		}{{"resident", set}, {"stream_bs100", streamPool(set, 100)}} {
-			name := fmt.Sprintf("%s_n%d", pc.name, n)
-			out = append(out, sweepPool{name + "_unitw", pc.p, nil}, sweepPool{name + "_w", pc.p, w})
+		add := func(name string, p Pool) {
+			name = fmt.Sprintf("%s_n%d", name, n)
+			out = append(out, sweepPool{name + "_unitw", p, nil}, sweepPool{name + "_w", p, w})
+		}
+		add("resident", set)
+		add("stream_bs100", streamPool(set, 100))
+		if n == 600 {
+			add("stream_bs600", streamPool(set, 600))
 		}
 	}
 	return out
@@ -200,8 +204,7 @@ var sweepShapes = [][2]int{
 // sweepShapes grid, s ∈ {1, 3, 5, 10, 13}, 1 to 4 workers, unit and
 // non-unit weights, and resident and streamed pools with tails on both
 // sides of the blocked threshold. Every multi-worker result must also
-// equal the one-worker result bit for bit, whatever windows the workers
-// split the probes into.
+// equal the one-worker result bit for bit.
 func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
 	ws := mat.NewWorkspace()
@@ -236,13 +239,14 @@ func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
 
 // TestBlockWSMidPanelSplit runs both fused sweeps with s ∈ {5, 10, 13}
 // probes on 2, 3 and 4 workers at every c of sweepShapes (d = 64), against
-// their oracles and against one worker, bit for bit. The probe windows
-// start inside a lane panel of a probe block packed whole — c = 1, s = 10
-// at 2 workers gives [0, 5) and [5, 10); s = 13 at 3 workers gives
-// [0, 5), [5, 10) and [10, 13) — and the last one ends in a ragged panel,
-// so each window's own packing must give the bits of the whole-block
-// product. At c = 1 the windows take the dotu tile where it pays
-// (mat.UseDotuTile) and read the probes in place elsewhere.
+// their oracles and against one worker, bit for bit. Every sweepPools
+// pool has at most three blocks, so each sweep runs on one lane
+// (parallel.BlockLanes) and no sweep splits inside a block: the test pins
+// that the worker count moves no bit of a small pool's sweeps. The probe
+// blocks of 5·c and 13·c columns end in a ragged lane panel of eight,
+// which the whole-block packing must carry; at c = 1 the dots take the
+// dotu tile where it pays (mat.UseDotuTile) and read the probes in place
+// elsewhere.
 func TestBlockWSMidPanelSplit(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
 	ws := mat.NewWorkspace()
@@ -444,14 +448,15 @@ func TestBlockKernelsZeroAllocWarm(t *testing.T) {
 	}
 }
 
-// TestBlockKernelsZeroAllocMulticore re-pins the fused kernels with two,
-// three and four workers engaged, on the probe-parallel path (s ≥
-// workers), the row-parallel dot path (s < workers, including s=1), at
-// c ∈ {1, 2, 10} with s=10 (the stream, service and resident shapes,
-// whose probe windows pack their own probes and own their Γ regions), and
-// at c=20, where Γᵀ·X takes the packed MulTransA path: the pooled task
-// records, the per-window packs and the workspace scratch keep the
-// parallel fan-out allocation-free.
+// TestBlockKernelsZeroAllocMulticore re-pins the fused kernels at two,
+// three and four workers on multi-lane sweeps: the resident pool (2000
+// rows in 256-row blocks, so min(W, 4) lanes over zero-copy views) and a
+// stream of 512-row blocks (two lanes, each decoding its own blocks in
+// windows, hessian.LaneRows). The shapes are c = 9 at s = 1 and 4,
+// c ∈ {1, 2, 10} at s = 10 (the stream, service and resident shapes) and
+// c = 20 at s = 4, where Γᵀ·X takes the packed MulTransA path on whole
+// blocks. The pooled block job, the lanes' own workspaces and their
+// decode buffers keep a warm multi-lane sweep allocation-free.
 func TestBlockKernelsZeroAllocMulticore(t *testing.T) {
 	skipUnderRace(t)
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/softmax"
 )
 
@@ -122,15 +123,17 @@ func DensePoint(x, h []float64) *mat.Dense {
 
 // DenseSum assembles Σ_i w_i H_i densely (dc×dc). A nil w means unit
 // weights. Block (k, l) equals Σ_i w_i h_ik (δ_kl − h_il) x_i x_iᵀ, which
-// is a weighted Gram matrix, so the assembly runs c² parallel Gram kernels
-// — this is the O(n c² d²) storage/compute bottleneck that motivates
-// Approx-FIRAL.
+// is a weighted Gram matrix, so the assembly runs c² Gram kernels, the
+// (k, l) pairs spread over the workers and each Gram on one — this is the
+// O(n c² d²) storage/compute bottleneck that motivates Approx-FIRAL.
 func (s *Set) DenseSum(w []float64) *mat.Dense {
 	n, d, c := s.N(), s.D(), s.C()
 	out := mat.NewDense(d*c, d*c)
-	u := make([]float64, n)
-	for k := 0; k < c; k++ {
-		for l := 0; l < c; l++ {
+	parallel.ForChunkMin(c*c, 1, func(lo, hi int) {
+		u := make([]float64, n)
+		blk := mat.NewDense(d, d)
+		for kl := lo; kl < hi; kl++ {
+			k, l := kl/c, kl%c
 			for i := 0; i < n; i++ {
 				wi := 1.0
 				if w != nil {
@@ -144,10 +147,10 @@ func (s *Set) DenseSum(w []float64) *mat.Dense {
 				}
 				u[i] = wi * v
 			}
-			blk := mat.WeightedGram(nil, s.X, u)
+			mat.WeightedGram(blk, s.X, u)
 			mat.SetBlock(out, k, l, d, blk)
 		}
-	}
+	})
 	return out
 }
 

@@ -27,15 +27,16 @@ func subBlockRows(d, blockRows int) int {
 // of the blocks it computes. On a sweep of one lane, and over a resident
 // pool, Fetch takes the whole block from Pool.Block: a view, a block the
 // read-ahead decoded under the previous block's kernels
-// (dataset.BlockLender), or one decode into workspace scratch. On a
-// sweep of more than one lane over a streamed pool, every core runs a
-// lane and none is free for a read-ahead, so Fetch only notes the block
-// (no read happens under the sweep's claim lock) and Next decodes it in
-// the lane, window by window (subBlockRows), into one buffer the lane
-// owns, each window just before the kernel reads it from L2.
+// (dataset.BlockLender; a one-lane sweep is the serial loop, so it lends
+// in ascending order with one block out), or one decode into workspace
+// scratch. On a sweep of more than one lane over a streamed pool, every
+// core runs a lane and none is free for a read-ahead, so Fetch only
+// notes the block and Next decodes it in the lane, window by window
+// (subBlockRows), into one buffer the lane owns, each window just before
+// the kernel reads it from L2.
 //
-// A sweep calls Start before its blocks and Stop after them; a lane
-// calls Fetch for each block it claims, then Next until it returns nil.
+// A sweep calls Start before its blocks and Stop after them; a lane's
+// Compute calls Fetch for its block, then Next until it returns nil.
 type LaneRows struct {
 	p      Pool
 	ws     *mat.Workspace
@@ -77,9 +78,8 @@ func (r *LaneRows) Stop() {
 	r.p, r.ws, r.buf, r.x.Data = nil, nil, nil, nil
 }
 
-// Fetch takes block [lo, hi) for the lane. It runs under the sweep's
-// claim lock, so a read-ahead sees the blocks requested in order; a lane
-// that decodes its own blocks reads nothing here.
+// Fetch takes block [lo, hi) for the lane; a lane that decodes its own
+// blocks reads nothing here.
 //
 //firal:hotpath
 func (r *LaneRows) Fetch(lo, hi int) {

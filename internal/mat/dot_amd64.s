@@ -7,7 +7,7 @@
 // term is one fused multiply-add (VFMADD231PD/SD), in the portable loop's
 // order and with its operands in math.FMA's places, so each kernel is
 // bit-identical to its fallback (dotuGo, accumRowsGo, the rank-4 loop of
-// weightedGramRange, widenGo).
+// WeightedGramAddLower, widenGo).
 
 #include "textflag.h"
 
@@ -334,32 +334,29 @@ zdone:
 	VZEROUPPER
 	RET
 
-// func gramRank4AVX(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
+// func gramRank4AVX(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
 //
-// For the four rows x_k = x[k·xs:][:r1] and r0 ≤ r < r1, with
+// For the four rows x_k = x[k·xs:][:d] and r < d, with
 // v_k = w_k·x_k[r]: dst[r·ds + c] += fma(v3, x3[c], fma(v2, x2[c],
-// fma(v1, x1[c], v0·x0[c]))) for c ≤ r — rows [r0, r1) of the lower
-// triangle of Σ_k w_k x_k x_kᵀ in weightedGramRange's order, one rounding
-// per term. Four columns per YMM register, single columns for the rest.
-TEXT ·gramRank4AVX(SB), NOSPLIT, $0-80
-	MOVQ         r0+0(FP), R13   // r
-	MOVQ         r1+8(FP), CX
-	MOVQ         dst+16(FP), DI
-	MOVQ         ds+24(FP), R8
+// fma(v1, x1[c], v0·x0[c]))) for c ≤ r — the lower triangle of
+// Σ_k w_k x_k x_kᵀ in WeightedGramAddLower's order, one rounding per
+// term. Four columns per YMM register, single columns for the rest.
+TEXT ·gramRank4AVX(SB), NOSPLIT, $0-72
+	XORQ         R13, R13        // r
+	MOVQ         d+0(FP), CX
+	MOVQ         dst+8(FP), DI
+	MOVQ         ds+16(FP), R8
 	SHLQ         $3, R8
-	MOVQ         R13, AX
-	IMULQ        R8, AX
-	ADDQ         AX, DI          // row r0
-	MOVQ         x+32(FP), SI
-	MOVQ         xs+40(FP), R9
+	MOVQ         x+24(FP), SI
+	MOVQ         xs+32(FP), R9
 	SHLQ         $3, R9
 	LEAQ         (SI)(R9*1), R10 // x1
 	LEAQ         (R10)(R9*1), R11 // x2
 	LEAQ         (R11)(R9*1), R12 // x3
-	VBROADCASTSD w0+48(FP), Y8
-	VBROADCASTSD w1+56(FP), Y9
-	VBROADCASTSD w2+64(FP), Y10
-	VBROADCASTSD w3+72(FP), Y11
+	VBROADCASTSD w0+40(FP), Y8
+	VBROADCASTSD w1+48(FP), Y9
+	VBROADCASTSD w2+56(FP), Y10
+	VBROADCASTSD w3+64(FP), Y11
 
 row:
 	CMPQ         R13, CX
@@ -409,32 +406,29 @@ gramdone:
 	VZEROUPPER
 	RET
 
-// func gramRank4AVX512(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
+// func gramRank4AVX512(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
 //
 // gramRank4AVX on ZMM registers: eight columns per instruction, and the
 // last c ≤ r of a row that do not fill eight run under the k-mask
 // (1 << rem) − 1, whose masked loads and stores leave the columns past
 // the row untouched and cannot fault. The per-element operations and
 // their order are gramRank4AVX's.
-TEXT ·gramRank4AVX512(SB), NOSPLIT, $0-80
-	MOVQ         r0+0(FP), R13   // r
-	MOVQ         dst+16(FP), DI
-	MOVQ         ds+24(FP), R8
+TEXT ·gramRank4AVX512(SB), NOSPLIT, $0-72
+	XORQ         R13, R13        // r
+	MOVQ         dst+8(FP), DI
+	MOVQ         ds+16(FP), R8
 	SHLQ         $3, R8
-	MOVQ         R13, AX
-	IMULQ        R8, AX
-	ADDQ         AX, DI          // row r0
-	MOVQ         x+32(FP), SI
-	MOVQ         xs+40(FP), R9
+	MOVQ         x+24(FP), SI
+	MOVQ         xs+32(FP), R9
 	SHLQ         $3, R9
 	LEAQ         (SI)(R9*1), R10 // x1
 	LEAQ         (R10)(R9*1), R11 // x2
 	LEAQ         (R11)(R9*1), R12 // x3
-	MOVQ         r1+8(FP), R9
-	VBROADCASTSD w0+48(FP), Z8
-	VBROADCASTSD w1+56(FP), Z9
-	VBROADCASTSD w2+64(FP), Z10
-	VBROADCASTSD w3+72(FP), Z11
+	MOVQ         d+0(FP), R9
+	VBROADCASTSD w0+40(FP), Z8
+	VBROADCASTSD w1+48(FP), Z9
+	VBROADCASTSD w2+56(FP), Z10
+	VBROADCASTSD w3+64(FP), Z11
 
 zrow:
 	CMPQ         R13, R9

@@ -25,12 +25,13 @@ import "repro/internal/parallel"
 // give the same bits.
 //
 // No kernel's bits depend on the worker count: workers split output
-// elements (rows of a product, rows of the Gram triangle), never the
-// summation of one element, and every output element accumulates its
-// terms in the same order (k-panels of gemmKC in ascending order, points
-// in ascending order) however the elements are distributed. The blocked
-// kernels reorder floating-point sums relative to the reference kernels,
-// so results agree to roundoff (~1e-12 relative), not bit-for-bit.
+// elements (rows of a product), never the summation of one element, the
+// weighted Gram runs on the calling goroutine, and every output element
+// accumulates its terms in the same order (k-panels of gemmKC in
+// ascending order, points in ascending order) however the elements are
+// distributed. The blocked kernels reorder floating-point sums relative
+// to the reference kernels, so results agree to roundoff (~1e-12
+// relative), not bit-for-bit.
 
 const (
 	gemmMR = 4 // micro-kernel rows
@@ -539,30 +540,15 @@ func matVecRange(dst []float64, a *Dense, x []float64, lo, hi int) {
 // block-diagonal preconditioner of Eq. 14: B_k(Σ) = Σ_i w_ik x_i x_iᵀ.
 // Entries of w may be any sign. If w is nil, unit weights are used.
 //
-// Only the lower triangle is accumulated (rank-4 panels of rows); the
-// upper triangle is mirrored at the end, so the result is exactly
-// symmetric. Workers split the triangle, not the points: each takes a
-// chunk of pairs of triangle rows, row i with row d−1−i, so every pair
-// (bar an odd d's middle row) holds d+1 elements and chunks balance. Every
-// worker sums over all points in the serial order, so each element is the
-// serial sum at any worker count.
+// Only the lower triangle is accumulated (WeightedGramAddLower), on the
+// calling goroutine; the upper triangle is mirrored at the end, so the
+// result is exactly symmetric. A caller with several Grams to form runs
+// them on separate workers.
 //
 //firal:hotpath
 func WeightedGram(dst *Dense, x *Dense, w []float64) *Dense {
-	d := x.Cols
-	dst = prepDst(dst, d, d)
-	// A pair costs n·(d+1) multiply-adds; engage a worker for at least
-	// gemmMinWork of them.
-	pairs := (d + 1) / 2
-	minPairs := 1 + gemmMinWork/(x.Rows*(d+1)+1)
-	if parallel.SerialMin(pairs, minPairs) {
-		weightedGramRange(dst, x, w, 0, d)
-	} else {
-		t := gramTasks.Get()
-		t.m1, t.m2, t.v1 = dst, x, w
-		parallel.ForChunkMin(pairs, minPairs, t.fn)
-		t.release(gramTasks)
-	}
+	dst = prepDst(dst, x.Cols, x.Cols)
+	WeightedGramAddLower(dst, x, w)
 	MirrorLower(dst)
 	return dst
 }
@@ -573,40 +559,25 @@ func WeightedGram(dst *Dense, x *Dense, w []float64) *Dense {
 // tail point at a time. So the Gram of a block cut into pieces whose row
 // counts (but the last's) are multiples of four, added piece by piece in
 // order onto a zeroed dst and mirrored once (MirrorLower), has
-// WeightedGram's bits: a caller that already runs one of several workers
-// computes a block's Gram without holding the whole block.
+// WeightedGram's bits: a caller computes a block's Gram without holding
+// the whole block.
+//
+// Each group of four points updates each loaded dst element with four
+// terms: the first a multiply, the other three fused multiply-adds onto
+// it, and then one add onto dst. A lone point is one fused multiply-add
+// onto dst. On amd64 hosts the rank-4 update runs a loop of dot_amd64.s
+// in the same order: eight columns per instruction at the avx512 level,
+// four at avx.
 //
 //firal:hotpath
 func WeightedGramAddLower(dst *Dense, x *Dense, w []float64) {
-	d := x.Cols
+	n, d := x.Rows, x.Cols
 	if dst.Rows != d || dst.Cols != d {
 		panic("mat: destination has wrong shape")
 	}
-	weightedGramRange(dst, x, w, 0, d)
-}
-
-// gramTasks runs the pairs [lo, hi): triangle rows [lo, hi) and their
-// mirrors [d−hi, d−lo), less the middle row of an odd d already done.
-var gramTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
-	d := t.m2.Cols
-	weightedGramRange(t.m1, t.m2, t.v1, lo, hi)
-	weightedGramRange(t.m1, t.m2, t.v1, max(hi, d-hi), d-lo)
-})
-
-// weightedGramRange accumulates rows [r0, r1) of the lower triangle of
-// Σ_i w_i x_i x_iᵀ over every point in order, four points at a time so
-// each loaded dst element absorbs four terms: the first a multiply, the
-// other three fused multiply-adds onto it, and then one add onto dst. A
-// lone point is one fused multiply-add onto dst. On amd64 hosts the
-// rank-4 update runs a loop of dot_amd64.s in the same order: eight
-// columns per instruction at the avx512 level, four at avx.
-//
-//firal:hotpath
-func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
-	if r0 >= r1 {
+	if d == 0 {
 		return
 	}
-	n := x.Rows
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		w0, w1, w2, w3 := 1.0, 1.0, 1.0, 1.0
@@ -621,16 +592,16 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
 		x2 := x.Row(i + 2)
 		x3 := x.Row(i + 3)
 		if kernel != kernelPortable {
-			_ = dst.Row(r1 - 1)[r1-1] // bounds: the triangle rows lie inside dst
-			_ = x3[r1-1]
+			_ = dst.Row(d - 1)[d-1] // bounds: the triangle lies inside dst
+			_ = x3[d-1]
 			if kernel == kernelAVX512 {
-				gramRank4AVX512(r0, r1, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
+				gramRank4AVX512(d, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
 			} else {
-				gramRank4AVX(r0, r1, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
+				gramRank4AVX(d, &dst.Data[0], dst.Stride, &x0[0], x.Stride, w0, w1, w2, w3)
 			}
 			continue
 		}
-		for r := r0; r < r1; r++ {
+		for r := 0; r < d; r++ {
 			v0 := w0 * x0[r]
 			v1 := w1 * x1[r]
 			v2 := w2 * x2[r]
@@ -653,7 +624,7 @@ func weightedGramRange(dst *Dense, x *Dense, w []float64, r0, r1 int) {
 			continue
 		}
 		xi := x.Row(i)
-		for r := r0; r < r1; r++ {
+		for r := 0; r < d; r++ {
 			v := wi * xi[r]
 			if v == 0 {
 				continue

@@ -151,30 +151,44 @@ func BenchmarkGramRank4(b *testing.B) {
 	dst := NewDense(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		weightedGramRange(dst, x, w, 0, 64)
+		WeightedGramAddLower(dst, x, w)
 	}
 }
 
-// BenchmarkDotuOrder times the unblocked (dotu-order) product of a 64-row
-// tile with 16 probe rows at d = 64, the Lemma-2 sweep's dot shape for
-// small c: "rows" reads the probes in place (MulTransBInOrder), "tile"
-// reads them packed (MulPackedRightInOrder). Both give the same bits.
+// BenchmarkDotuOrder times the product of a 64-row tile with 10, 16 and
+// 100 probe rows at d = 64, the Lemma-2 sweep's dot shapes for c = 1
+// and small s, c = 1 and s = 16, and c = 10 and s = 10: "rows" reads the
+// probes in place (MulTransBInOrder) and "tile" reads them packed
+// (MulPackedRightInOrder), both in the unblocked (dotu) order and with
+// the same bits; "blocked" is the packed product in the blocked order
+// (MulPackedRight), the one order a sweep would use for every block if
+// it kept only one.
 func BenchmarkDotuOrder(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
-	x, v := randDense(rng, 64, 64), randDense(rng, 16, 64)
-	dst := NewDense(64, 16)
-	var pv Packed
-	pv.PackRight(v)
-	b.Run("rows", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MulTransBInOrder(dst, x, v, false)
-		}
-	})
-	b.Run("tile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MulPackedRightInOrder(dst, x, &pv, 0, false)
-		}
-	})
+	x := randDense(rng, 64, 64)
+	for _, probes := range []int{10, 16, 100} {
+		v := randDense(rng, probes, 64)
+		dst := NewDense(64, probes)
+		var pv Packed
+		pv.PackRight(v)
+		b.Run(fmt.Sprintf("p%d", probes), func(b *testing.B) {
+			b.Run("rows", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MulTransBInOrder(dst, x, v, false)
+				}
+			})
+			b.Run("tile", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MulPackedRightInOrder(dst, x, &pv, 0, false)
+				}
+			})
+			b.Run("blocked", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MulPackedRight(dst, x, &pv, 0)
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkWidenFloat32 widens a 4096×64 float32 block, the decode of a

@@ -114,11 +114,11 @@ func FuzzGEMMShapes(f *testing.F) {
 	})
 }
 
-// TestWeightedGramMatchesRefUnderPool checks the triangle-split parallel
-// Gram against the serial oracle, including the zero-weight row skip, odd
-// and even dimensions (the middle row of an odd d belongs to one pair)
-// and chunk counts that do not divide the pairs, and requires the bits of
-// the 1-worker result at 2, 3 and 4 workers.
+// TestWeightedGramMatchesRefUnderPool checks the Gram against the serial
+// oracle, including the zero-weight row skip and odd and even
+// dimensions, and requires the bits of the 1-worker result at 2, 3 and 4
+// workers: the Gram runs on the calling goroutine, so no worker count
+// moves a bit.
 func TestWeightedGramMatchesRefUnderPool(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
 	for _, rows := range []int{64, 255, 256, 257, 1000} {

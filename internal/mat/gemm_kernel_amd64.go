@@ -108,17 +108,17 @@ func accumRowsAVX(n int, y, c *float64, cs int, x *float64, xs, rows int)
 func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
 
 // gramRank4AVX adds the rank-4 update Σ_k w_k x_k x_kᵀ of the rows
-// x_k = x[k·xs:][:r1] to rows [r0, r1) of the lower triangle of the
-// matrix at dst (row stride ds), in weightedGramRange's per-element order.
+// x_k = x[k·xs:][:d] to the lower triangle of the d×d matrix at dst (row
+// stride ds), in WeightedGramAddLower's per-element order.
 //
 //go:noescape
-func gramRank4AVX(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
+func gramRank4AVX(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
 
 // gramRank4AVX512 is gramRank4AVX eight columns per ZMM register, with
 // each row's last partial chunk under a k-mask.
 //
 //go:noescape
-func gramRank4AVX512(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
+func gramRank4AVX512(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64)
 
 // rotAVX runs rotGo over n elements of x and y; wide adds the ZMM pass.
 //

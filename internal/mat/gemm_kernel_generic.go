@@ -37,11 +37,11 @@ func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int) {
 	panic("mat: asm accumulate kernel unavailable on this architecture")
 }
 
-func gramRank4AVX(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64) {
+func gramRank4AVX(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64) {
 	panic("mat: asm Gram kernel unavailable on this architecture")
 }
 
-func gramRank4AVX512(r0, r1 int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64) {
+func gramRank4AVX512(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64) {
 	panic("mat: asm Gram kernel unavailable on this architecture")
 }
 

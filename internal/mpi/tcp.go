@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -41,39 +43,63 @@ const (
 
 const tcpDefaultBootstrapTimeout = 60 * time.Second
 
-func putFrame(buf []byte, tag int, data []float64) {
+func encodeFrame(tag int, data []float64) []byte {
+	buf := make([]byte, 16+8*len(data))
 	binary.LittleEndian.PutUint64(buf[0:], uint64(int64(tag)))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(int64(len(data))))
 	for i, v := range data {
 		binary.LittleEndian.PutUint64(buf[16+8*i:], math.Float64bits(v))
 	}
-}
-
-func encodeFrame(tag int, data []float64) []byte {
-	buf := make([]byte, 16+8*len(data))
-	putFrame(buf, tag, data)
 	return buf
 }
 
-func readFrame(r io.Reader) (tag int, data []float64, err error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// frameFirstElems caps the first allocation of a frame's data: 512 KiB.
+// A larger frame doubles data as its bytes arrive.
+const frameFirstElems = 1 << 16
+
+// readFrame reads one frame from br. It decodes the payload straight out
+// of br's buffer, a chunk of at most br.Size() bytes at a time, and grows
+// data only with the elements that have arrived, so a header that
+// announces more than the stream holds costs no more than what came. A
+// stream that ends inside a frame gives io.ErrUnexpectedEOF.
+func readFrame(br *bufio.Reader) (tag int, data []float64, err error) {
+	hdr, err := br.Peek(16)
+	if err != nil {
+		return 0, nil, frameEOF(err, len(hdr))
 	}
 	tag = int(int64(binary.LittleEndian.Uint64(hdr[0:])))
-	n := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	if n < 0 || n > maxFrameElems {
-		return 0, nil, fmt.Errorf("mpi: tcp frame announces %d elements", n)
+	count := int64(binary.LittleEndian.Uint64(hdr[8:]))
+	if count < 0 || count > maxFrameElems {
+		return 0, nil, fmt.Errorf("mpi: tcp frame announces %d elements", count)
 	}
-	payload := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	data = make([]float64, n)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	_, _ = br.Discard(16) // Peek holds these bytes, so it cannot fail
+	n := int(count)
+	data = make([]float64, 0, min(n, frameFirstElems))
+	for len(data) < n {
+		if len(data) == cap(data) {
+			data = slices.Grow(data, min(n, 2*cap(data))-len(data))
+		}
+		k := min(n, cap(data), len(data)+br.Size()/8) - len(data)
+		b, err := br.Peek(8 * k)
+		if err != nil {
+			return 0, nil, frameEOF(err, 16+8*len(data))
+		}
+		for i := range k {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+		}
+		_, _ = br.Discard(8 * k) // as above
 	}
 	return tag, data, nil
+}
+
+// frameEOF turns an EOF after got bytes of a frame into
+// io.ErrUnexpectedEOF: only a stream that ends between frames ends
+// cleanly.
+func frameEOF(err error, got int) error {
+	if errors.Is(err, io.EOF) && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // tcpPeer is one live pairwise connection.

@@ -1,20 +1,21 @@
 package parallel
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // The ordered block loop. A pool sweep visits its row blocks in order,
 // and each block's kernels produce a partial that folds into the sweep's
 // result. When a sweep has many blocks, the workers take whole blocks:
-// each one fetches its block, computes the block's partial alone in its
+// each one claims the next block, fetches and computes it alone in its
 // own scratch, gives the block back and folds the partial, so no worker
 // waits at a barrier after every block. Three rules hold:
 //
-//   - Blocks are claimed in ascending order, and the claim and the fetch
-//     of block k happen together, one claim at a time, so a read-ahead
-//     source would see the requests of a serial sweep. A fetch that
-//     reads holds every other lane's claim, so the streamed sweeps only
-//     note the block in Fetch and read it in Compute
-//     (hessian.LaneRows).
+//   - Blocks are claimed in ascending order, one atomic add each. On one
+//     lane the loop is the serial loop, so a read-ahead source sees the
+//     requests of a serial sweep; on more, each lane reads its own block
+//     in Compute (hessian.LaneRows).
 //   - A block's partial depends only on the block, not on the lane that
 //     computed it.
 //   - Partials fold in block order, one at a time, so the result has the
@@ -28,12 +29,9 @@ import "sync"
 // identifies the caller's scratch: the calls for one lane never run
 // concurrently.
 type BlockSweep interface {
-	// Fetch takes block k for lane: it obtains the block's rows, or
-	// notes the block for a Compute that reads them. Fetches run one at
-	// a time, in ascending k.
-	Fetch(lane, k int)
-	// Compute computes block k in lane's scratch and releases the
-	// block's rows. Computes of different lanes run concurrently.
+	// Compute obtains block k's rows, computes the block in lane's
+	// scratch and releases the rows. Computes of different lanes run
+	// concurrently.
 	Compute(lane, k int)
 }
 
@@ -55,18 +53,16 @@ func BlockLanes(n int) int {
 }
 
 // ForBlocks runs s over blocks [0, n) on up to lanes lanes. With one
-// lane it is the serial loop on the calling goroutine: Fetch, Compute
-// and (for a BlockFolder) Fold of block 0, then of block 1, and so on.
-// With more, each lane claims the next block, fetches it, computes it
-// and folds it once every earlier block has folded, then claims again.
-// Lanes run on the worker pool with the caller taking part; a lane that
-// finds no block left returns, so fewer free workers only mean fewer
-// lanes at work.
+// lane it is the serial loop on the calling goroutine: Compute and (for
+// a BlockFolder) Fold of block 0, then of block 1, and so on. With more,
+// each lane claims the next block, computes it and folds it once every
+// earlier block has folded, then claims again. Lanes run on the worker
+// pool with the caller taking part; a lane that finds no block left
+// returns, so fewer free workers only mean fewer lanes at work.
 func ForBlocks(n, lanes int, s BlockSweep) {
 	f, _ := s.(BlockFolder)
 	if lanes <= 1 || n <= 1 {
 		for k := 0; k < n; k++ {
-			s.Fetch(0, k)
 			s.Compute(0, k)
 			if f != nil {
 				f.Fold(0, k)
@@ -75,7 +71,8 @@ func ForBlocks(n, lanes int, s BlockSweep) {
 		return
 	}
 	j := blockJobs.Get()
-	j.s, j.f, j.n, j.next, j.folded = s, f, n, 0, 0
+	j.s, j.f, j.n, j.folded = s, f, n, 0
+	j.next.Store(0)
 	forChunk(min(lanes, n), 1, j.lanesFn)
 	j.s, j.f = nil, nil
 	blockJobs.Put(j)
@@ -84,15 +81,10 @@ func ForBlocks(n, lanes int, s BlockSweep) {
 // blockJob is the shared state of one multi-lane ForBlocks call, pooled
 // with its dispatch func bound once so a warm sweep does not allocate.
 type blockJob struct {
-	s BlockSweep
-	f BlockFolder // s, when it folds
-	n int
-
-	// claim is held across a claim and its Fetch, so that claims and
-	// fetches pair up in ascending order. Fetch must not re-enter the
-	// loop.
-	claim sync.Mutex
-	next  int // next block to claim, under claim
+	s    BlockSweep
+	f    BlockFolder // s, when it folds
+	n    int
+	next atomic.Int64 // blocks claimed so far
 
 	fold   sync.Mutex
 	turn   sync.Cond // signalled when folded advances
@@ -120,16 +112,10 @@ func (j *blockJob) lanes(lo, hi int) {
 // waits, so the lanes cannot deadlock.
 func (j *blockJob) lane(lane int) {
 	for {
-		j.claim.Lock()
-		k := j.next
+		k := int(j.next.Add(1) - 1)
 		if k >= j.n {
-			j.claim.Unlock()
 			return
 		}
-		j.next++
-		j.s.Fetch(lane, k)
-		j.claim.Unlock()
-
 		j.s.Compute(lane, k)
 		if j.f == nil {
 			continue

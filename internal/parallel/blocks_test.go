@@ -8,21 +8,19 @@ import (
 )
 
 // orderSweep records how ForBlocks drives a sweep and fails t on any
-// broken rule: fetches and folds in ascending order, one at a time; a
-// block folded only after its Compute; a lane never running two calls
-// at once.
+// broken rule: every block computed once; folds in ascending order, one
+// at a time; a block folded only after its Compute; a lane never running
+// two calls at once.
 type orderSweep struct {
-	t      *testing.T
-	nextF  atomic.Int64 // next block to fetch
-	nextD  atomic.Int64 // next block to fold
-	busy   []atomic.Bool
-	done   []atomic.Bool // Compute finished, per block
-	laneOf []atomic.Int64
-	lanes  sync.Map // lanes seen
+	t        *testing.T
+	nextD    atomic.Int64 // next block to fold
+	busy     []atomic.Bool
+	computed []atomic.Int32 // Computes, per block
+	lanes    sync.Map       // lanes seen
 }
 
 func newOrderSweep(t *testing.T, n, lanes int) *orderSweep {
-	return &orderSweep{t: t, busy: make([]atomic.Bool, lanes), done: make([]atomic.Bool, n), laneOf: make([]atomic.Int64, n)}
+	return &orderSweep{t: t, busy: make([]atomic.Bool, lanes), computed: make([]atomic.Int32, n)}
 }
 
 func (s *orderSweep) enter(lane int) {
@@ -34,33 +32,23 @@ func (s *orderSweep) enter(lane int) {
 
 func (s *orderSweep) leave(lane int) { s.busy[lane].Store(false) }
 
-func (s *orderSweep) Fetch(lane, k int) {
-	s.enter(lane)
-	defer s.leave(lane)
-	if !s.nextF.CompareAndSwap(int64(k), int64(k+1)) {
-		s.t.Errorf("fetched block %d, want %d", k, s.nextF.Load())
-	}
-	s.laneOf[k].Store(int64(lane))
-}
-
 func (s *orderSweep) Compute(lane, k int) {
 	s.enter(lane)
 	defer s.leave(lane)
-	if got := s.laneOf[k].Load(); got != int64(lane) {
-		s.t.Errorf("block %d fetched by lane %d, computed by lane %d", k, got, lane)
-	}
 	if k%2 == 0 {
 		// Even blocks take longer, so a later block often finishes
 		// first and has to wait for its turn to fold.
 		time.Sleep(20 * time.Microsecond)
 	}
-	s.done[k].Store(true)
+	if c := s.computed[k].Add(1); c != 1 {
+		s.t.Errorf("block %d computed %d times", k, c)
+	}
 }
 
 func (s *orderSweep) Fold(lane, k int) {
 	s.enter(lane)
 	defer s.leave(lane)
-	if !s.done[k].Load() {
+	if s.computed[k].Load() != 1 {
 		s.t.Errorf("block %d folded before its Compute", k)
 	}
 	if !s.nextD.CompareAndSwap(int64(k), int64(k+1)) {
@@ -75,8 +63,13 @@ func TestForBlocksOrder(t *testing.T) {
 			for range 10 {
 				s := newOrderSweep(t, n, lanes)
 				ForBlocks(n, lanes, s)
-				if s.nextF.Load() != int64(n) || s.nextD.Load() != int64(n) {
-					t.Fatalf("n=%d lanes=%d: fetched %d, folded %d blocks", n, lanes, s.nextF.Load(), s.nextD.Load())
+				if s.nextD.Load() != int64(n) {
+					t.Fatalf("n=%d lanes=%d: folded %d blocks", n, lanes, s.nextD.Load())
+				}
+				for k := range s.computed {
+					if c := s.computed[k].Load(); c != 1 {
+						t.Fatalf("n=%d lanes=%d: block %d computed %d times", n, lanes, k, c)
+					}
 				}
 				if lanes == 1 {
 					s.lanes.Range(func(k, _ any) bool {
@@ -94,7 +87,6 @@ func TestForBlocksOrder(t *testing.T) {
 // computeOnly is a BlockSweep without Fold.
 type computeOnly struct{ seen []atomic.Int32 }
 
-func (s *computeOnly) Fetch(lane, k int)   {}
 func (s *computeOnly) Compute(lane, k int) { s.seen[k].Add(1) }
 
 func TestForBlocksWithoutFold(t *testing.T) {
@@ -126,7 +118,6 @@ func TestBlockLanes(t *testing.T) {
 // loop's own cost.
 type nopSweep struct{}
 
-func (nopSweep) Fetch(lane, k int)   {}
 func (nopSweep) Compute(lane, k int) {}
 func (nopSweep) Fold(lane, k int)    {}
 
