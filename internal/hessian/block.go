@@ -311,9 +311,7 @@ func (l *sweepLane) matVec() {
 		r1 := min(r0+sweepTile, m)
 		l.dots(l.g, l.v, l.pv, 0, r0, r1, 0, l.s)
 		l.gamma(l.g, gs, r0, r1)
-		for j := 0; j < l.s; j++ {
-			l.accumulate(l.g[j*l.c:], gs, j, r0, r1)
-		}
+		l.accumulate(gs, r0, r1)
 	}
 }
 
@@ -420,17 +418,18 @@ func (l *sweepLane) gamma(g []float64, gs, r0, r1 int) {
 }
 
 // accumulate adds Σ_i Γ_ijk x_i over lane rows [r0, r1) to every class
-// row of probe j's partial; g holds probe j's Γ of row r0 at g[:c], row
-// stride gs.
+// row of every probe's partial: g holds the Γ of row r0 at g[:s·c],
+// probe j's class k at j·c + k, row stride gs. The partials, read as one
+// (s·c)×d matrix, take row j·c + k from that column of Γ, so one
+// mat.AccumRows call serves them all, two rows per pass over the tile:
+// classes k and k+1 of a probe, or probes j and j+1 at c = 1.
 //
 //firal:hotpath
-func (l *sweepLane) accumulate(g []float64, gs, j, r0, r1 int) {
+func (l *sweepLane) accumulate(gs, r0, r1 int) {
 	xs := l.xb.Stride
 	xt := mat.Dense{Rows: r1 - r0, Cols: l.d, Stride: xs, Data: l.xb.Data[r0*xs:]}
-	out := l.partial(j)
-	for k := 0; k < l.c; k++ {
-		mat.AccumRows(out[k*l.d:(k+1)*l.d], g[k:], gs, &xt)
-	}
+	out := mat.Dense{Rows: l.s * l.c, Cols: l.d, Stride: l.d, Data: l.acc}
+	mat.AccumRows(&out, l.g, gs, &xt)
 }
 
 // packProbes packs the compact probe block vb, read as an (s·c)×d

@@ -1,6 +1,7 @@
 // AVX inner loops for the row kernels: the four-lane dot product of dotu,
-// the row-ordered multi-row axpy of the aᵀ·b reference kernel (with an
-// AVX-512F pass over runs of thirty-two columns), the rank-4 row update
+// the row-ordered multi-row axpy of the aᵀ·b reference kernel (with
+// AVX-512F passes over runs of thirty-two columns of one output row and
+// of sixty-four and thirty-two columns of two), the rank-4 row update
 // of the weighted Gram (on YMM, and on ZMM at AVX-512F) and the float32
 // widen of WidenFloat32. They run only at the kernel level that supports
 // their registers (gemm_kernel_amd64.go). Each multiply-then-add of a
@@ -331,6 +332,174 @@ zstore:
 	JMP     zwide
 
 zdone:
+	VZEROUPPER
+	RET
+
+// func accumRows2AVX512(n int, y *float64, ys int, c *float64, cs int, x *float64, xs, rows int)
+//
+// accumRowsAVX512 for the two output rows y0 = y and y1 = y + ys at
+// once, with coefficients c[i·cs] and c[i·cs + 1]: each row of x is
+// loaded once for both. Sixty-four columns of both rows stay in sixteen
+// ZMM registers across the row loop (Z0–Z7 row 0, Z8–Z15 row 1), then a
+// last thirty-two in eight. A coefficient that compares equal to zero
+// clears its row's mask (VCMPPD NEQ_UQ: a NaN is not zero), and the
+// masked fused multiply-add leaves that row's columns as they are, the
+// portable loop's skip; a row of x both skip is not read.
+TEXT ·accumRows2AVX512(SB), NOSPLIT, $0-64
+	MOVQ   n+0(FP), CX
+	MOVQ   y+8(FP), DI
+	MOVQ   ys+16(FP), R12
+	SHLQ   $3, R12
+	MOVQ   c+24(FP), SI
+	MOVQ   cs+32(FP), R8
+	SHLQ   $3, R8
+	MOVQ   x+40(FP), DX
+	MOVQ   xs+48(FP), R9
+	SHLQ   $3, R9
+	MOVQ   rows+56(FP), R10
+	VPXORQ Z31, Z31, Z31
+
+r2wide:
+	CMPQ    CX, $64
+	JLT     r2half
+	LEAQ    (DI)(R12*1), R13 // row 1
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	VMOVUPD (R13), Z8
+	VMOVUPD 64(R13), Z9
+	VMOVUPD 128(R13), Z10
+	VMOVUPD 192(R13), Z11
+	VMOVUPD 256(R13), Z12
+	VMOVUPD 320(R13), Z13
+	VMOVUPD 384(R13), Z14
+	VMOVUPD 448(R13), Z15
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R10, R11
+	TESTQ   R11, R11
+	JZ      r2wstore
+
+r2wloop:
+	VBROADCASTSD (AX), Z16
+	VBROADCASTSD 8(AX), Z17
+	VCMPPD       $4, Z31, Z16, K1 // c0 ≠ 0 or NaN
+	VCMPPD       $4, Z31, Z17, K2
+	KORTESTW     K1, K2
+	JZ           r2wnext
+	VMOVUPD      (BX), Z18
+	VMOVUPD      64(BX), Z19
+	VMOVUPD      128(BX), Z20
+	VMOVUPD      192(BX), Z21
+	VFMADD231PD  Z18, Z16, K1, Z0
+	VFMADD231PD  Z18, Z17, K2, Z8
+	VFMADD231PD  Z19, Z16, K1, Z1
+	VFMADD231PD  Z19, Z17, K2, Z9
+	VFMADD231PD  Z20, Z16, K1, Z2
+	VFMADD231PD  Z20, Z17, K2, Z10
+	VFMADD231PD  Z21, Z16, K1, Z3
+	VFMADD231PD  Z21, Z17, K2, Z11
+	VMOVUPD      256(BX), Z18
+	VMOVUPD      320(BX), Z19
+	VMOVUPD      384(BX), Z20
+	VMOVUPD      448(BX), Z21
+	VFMADD231PD  Z18, Z16, K1, Z4
+	VFMADD231PD  Z18, Z17, K2, Z12
+	VFMADD231PD  Z19, Z16, K1, Z5
+	VFMADD231PD  Z19, Z17, K2, Z13
+	VFMADD231PD  Z20, Z16, K1, Z6
+	VFMADD231PD  Z20, Z17, K2, Z14
+	VFMADD231PD  Z21, Z16, K1, Z7
+	VFMADD231PD  Z21, Z17, K2, Z15
+
+r2wnext:
+	ADDQ R8, AX
+	ADDQ R9, BX
+	DECQ R11
+	JNZ  r2wloop
+
+r2wstore:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VMOVUPD Z8, (R13)
+	VMOVUPD Z9, 64(R13)
+	VMOVUPD Z10, 128(R13)
+	VMOVUPD Z11, 192(R13)
+	VMOVUPD Z12, 256(R13)
+	VMOVUPD Z13, 320(R13)
+	VMOVUPD Z14, 384(R13)
+	VMOVUPD Z15, 448(R13)
+	ADDQ    $512, DI
+	ADDQ    $512, DX
+	SUBQ    $64, CX
+	JMP     r2wide
+
+r2half:
+	CMPQ    CX, $32
+	JLT     r2done
+	LEAQ    (DI)(R12*1), R13
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD (R13), Z8
+	VMOVUPD 64(R13), Z9
+	VMOVUPD 128(R13), Z10
+	VMOVUPD 192(R13), Z11
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R10, R11
+	TESTQ   R11, R11
+	JZ      r2hstore
+
+r2hloop:
+	VBROADCASTSD (AX), Z16
+	VBROADCASTSD 8(AX), Z17
+	VCMPPD       $4, Z31, Z16, K1
+	VCMPPD       $4, Z31, Z17, K2
+	KORTESTW     K1, K2
+	JZ           r2hnext
+	VMOVUPD      (BX), Z18
+	VMOVUPD      64(BX), Z19
+	VMOVUPD      128(BX), Z20
+	VMOVUPD      192(BX), Z21
+	VFMADD231PD  Z18, Z16, K1, Z0
+	VFMADD231PD  Z18, Z17, K2, Z8
+	VFMADD231PD  Z19, Z16, K1, Z1
+	VFMADD231PD  Z19, Z17, K2, Z9
+	VFMADD231PD  Z20, Z16, K1, Z2
+	VFMADD231PD  Z20, Z17, K2, Z10
+	VFMADD231PD  Z21, Z16, K1, Z3
+	VFMADD231PD  Z21, Z17, K2, Z11
+
+r2hnext:
+	ADDQ R8, AX
+	ADDQ R9, BX
+	DECQ R11
+	JNZ  r2hloop
+
+r2hstore:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z8, (R13)
+	VMOVUPD Z9, 64(R13)
+	VMOVUPD Z10, 128(R13)
+	VMOVUPD Z11, 192(R13)
+
+r2done:
 	VZEROUPPER
 	RET
 

@@ -77,17 +77,21 @@ func testDotLanes(t *testing.T) {
 }
 
 // TestAccumRowsKernelMatchesPortable pins the multi-row axpy at every
-// kernel level the host has to accumRowsGo bit for bit at every column
-// count from 1 to 70 and at 300, so each thirty-two-wide, sixteen-wide,
-// four-wide and single-column pass and every tail runs, with zero,
-// negative-zero and NaN coefficients (zeros are skipped, NaN is not) and
-// rows holding signed zeros, infinities and NaN.
+// kernel level the host has to accumRowsGo bit for bit, row of y by row
+// of y: every column count from 1 to 70 and 300, so each
+// sixty-four-wide and thirty-two-wide two-row pass, the thirty-two-wide
+// pass of a lone last row, the sixteen-wide, four-wide and single-column
+// passes and every tail run; 1 to 5 and 11 rows of y, so both rows of a
+// pair and an odd last row run; zero, negative-zero, NaN and infinite
+// coefficients (zeros are skipped, NaN is not), pairs in which one row
+// or both skip a row of x, and rows of x holding signed zeros,
+// infinities and NaN.
 func TestAccumRowsKernelMatchesPortable(t *testing.T) {
 	// A NaN coefficient is not a zero: it must reach y, on either path.
 	nx := &Dense{Rows: 1, Cols: 17, Stride: 17, Data: make([]float64, 17)}
-	ny := make([]float64, 17)
+	ny := NewDense(1, 17)
 	AccumRows(ny, []float64{math.NaN()}, 1, nx)
-	for i, v := range ny {
+	for i, v := range ny.Data {
 		if !math.IsNaN(v) {
 			t.Fatalf("NaN coefficient skipped at column %d", i)
 		}
@@ -103,33 +107,40 @@ func testAccumRows(t *testing.T) {
 	}
 	for _, n := range ns {
 		for _, rows := range []int{0, 1, 5, 64} {
-			for _, special := range []bool{false, true} {
-				const gs = 3
-				x := &Dense{Rows: rows, Cols: n, Stride: n + 1, Data: make([]float64, rows*(n+1))}
-				spread(rng, x.Data)
-				g := make([]float64, max(1, rows*gs))
-				spread(rng, g)
-				if special {
-					sprinkle(rng, x.Data)
-					sprinkle(rng, g)
-				}
-				for i := 0; i < rows; i += 4 {
-					g[i*gs] = 0
-				}
-				if rows > 2 {
-					g[1*gs] = math.Copysign(0, -1)
-					x.Row(2)[n/2] = math.Inf(1) // skipped zero coefficient must not make NaN
-					g[2*gs] = 0
-				}
-				y := make([]float64, n)
-				spread(rng, y)
-				want := append([]float64(nil), y...)
-				AccumRows(y, g, gs, x)
-				accumRowsGo(want, g, gs, x)
-				for i := range y {
-					if !sameBits(y[i], want[i]) {
-						t.Fatalf("%s n=%d rows=%d special=%v: y[%d] = %x, portable %x", kernel, n, rows, special, i,
-							math.Float64bits(y[i]), math.Float64bits(want[i]))
+			for _, ny := range []int{1, 2, 3, 4, 5, 11} {
+				for _, special := range []bool{false, true} {
+					gs := ny + 2
+					x := &Dense{Rows: rows, Cols: n, Stride: n + 1, Data: make([]float64, rows*(n+1))}
+					spread(rng, x.Data)
+					g := make([]float64, max(ny, rows*gs))
+					spread(rng, g)
+					if special {
+						sprinkle(rng, x.Data)
+						sprinkle(rng, g)
+					}
+					for i := 0; i < rows; i += 4 {
+						g[i*gs] = 0 // row 0 skips, row 1 does not
+					}
+					if rows > 3 {
+						g[1*gs] = math.Copysign(0, -1)
+						x.Row(2)[n/2] = math.Inf(1) // skipped zero coefficient must not make NaN
+						for q := 0; q < ny; q++ {
+							g[2*gs+q] = 0 // every row skips row 2 of x
+						}
+						g[3*gs+ny-1] = math.Inf(-1)
+					}
+					y := &Dense{Rows: ny, Cols: n, Stride: n + 3, Data: make([]float64, ny*(n+3))}
+					spread(rng, y.Data)
+					want := &Dense{Rows: ny, Cols: n, Stride: y.Stride, Data: append([]float64(nil), y.Data...)}
+					AccumRows(y, g, gs, x)
+					for q := 0; q < ny; q++ {
+						accumRowsGo(want.Row(q), g[q:], gs, x)
+					}
+					for i := range y.Data {
+						if !sameBits(y.Data[i], want.Data[i]) {
+							t.Fatalf("%s n=%d rows=%d ny=%d special=%v: y[%d] = %x, portable %x", kernel, n, rows, ny, special, i,
+								math.Float64bits(y.Data[i]), math.Float64bits(want.Data[i]))
+						}
 					}
 				}
 			}

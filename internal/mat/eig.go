@@ -142,7 +142,7 @@ func tred2(z *Dense, d, e, g []float64) {
 				// from +0 and so never is −0, which makes adding the
 				// zero product of a finite entry a no-op.
 				clear(p)
-				AccumRows(p, u, 1, &a)
+				AccumRows(&Dense{Rows: 1, Cols: i, Stride: i, Data: p}, u, 1, &a)
 				f = 0
 				for j, uj := range u {
 					if wantV {
@@ -180,7 +180,7 @@ func tred2(z *Dense, d, e, g []float64) {
 			a := Dense{Rows: i, Cols: i, Stride: z.Stride, Data: z.Data}
 			gi := g[:i]
 			clear(gi)
-			AccumRows(gi, z.Row(i), 1, &a)
+			AccumRows(&Dense{Rows: 1, Cols: i, Stride: i, Data: gi}, z.Row(i), 1, &a)
 			rank1Sub(&a, z.Data[i:], z.Stride, gi)
 		}
 		d[i] = z.At(i, i)

@@ -453,36 +453,51 @@ func dotuGo(x, y []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// AccumRows adds Σ_i g[i·gs]·x_i to y over the rows x_i of x in ascending
-// order, skipping zero coefficients, one fused multiply-add per term: per
-// element, exactly the operations with which the reference aᵀ·b kernel
-// accumulates one output row (a's column read with stride gs). y must have x.Cols elements. On amd64 hosts with
-// AVX the loops of dot_amd64.s keep a run of columns of y in registers
-// across the row loop: sixty-four, then thirty-two at a time with
-// AVX-512F, then sixteen, four and one.
+// AccumRows adds Gᵀ·X to y, with G the x.Rows×y.Rows matrix whose
+// element (i, q) is g[i·gs + q]: row q of y adds Σ_i g[i·gs + q]·x_i over
+// the rows x_i of x in ascending order, skipping zero coefficients, one
+// fused multiply-add per term. Per element these are exactly the
+// operations with which the reference aᵀ·b kernel accumulates one output
+// row (a's column q read with stride gs). y must have x.Cols columns. On
+// amd64 hosts with AVX the loops of dot_amd64.s keep a run of columns of
+// y in registers across the row loop: at the avx512 level sixty-four,
+// then thirty-two columns of two rows of y at once, so each row of x is
+// read once for both (a lone last row of y runs thirty-two columns at a
+// time); then sixteen, four and one columns of one row of y.
 //
 //firal:hotpath
-func AccumRows(y, g []float64, gs int, x *Dense) {
-	if len(y) != x.Cols {
+func AccumRows(y *Dense, g []float64, gs int, x *Dense) {
+	if y.Cols != x.Cols {
 		panic("mat: AccumRows length mismatch")
 	}
-	if x.Rows == 0 || len(y) == 0 {
+	if x.Rows == 0 || y.Rows == 0 || y.Cols == 0 {
 		return
 	}
-	_ = g[(x.Rows-1)*gs]  // bounds: every coefficient lies inside g
-	_ = x.Row(x.Rows - 1) // and every row inside x.Data
+	_ = g[(x.Rows-1)*gs+y.Rows-1] // bounds: every coefficient lies inside g,
+	_ = x.Row(x.Rows - 1)         // every row of x inside x.Data
+	_ = y.Row(y.Rows - 1)         // and every row of y inside y.Data
 	if kernel == kernelPortable {
-		accumRowsGo(y, g, gs, x)
+		for q := 0; q < y.Rows; q++ {
+			accumRowsGo(y.Row(q), g[q:], gs, x)
+		}
 		return
 	}
-	n, w := len(y), 0
+	n, w := y.Cols, 0
 	if kernel == kernelAVX512 {
 		if w = n &^ 31; w > 0 {
-			accumRowsAVX512(w, &y[0], &g[0], gs, &x.Data[0], x.Stride, x.Rows)
+			q := 0
+			for ; q+2 <= y.Rows; q += 2 {
+				accumRows2AVX512(w, &y.Data[q*y.Stride], y.Stride, &g[q], gs, &x.Data[0], x.Stride, x.Rows)
+			}
+			if q < y.Rows {
+				accumRowsAVX512(w, &y.Data[q*y.Stride], &g[q], gs, &x.Data[0], x.Stride, x.Rows)
+			}
 		}
 	}
 	if w < n {
-		accumRowsAVX(n-w, &y[w], &g[0], gs, &x.Data[w], x.Stride, x.Rows)
+		for q := 0; q < y.Rows; q++ {
+			accumRowsAVX(n-w, &y.Data[q*y.Stride+w], &g[q], gs, &x.Data[w], x.Stride, x.Rows)
+		}
 	}
 }
 

@@ -131,15 +131,21 @@ func BenchmarkDotsLanes(b *testing.B) {
 	}
 }
 
+// BenchmarkAccumRows adds a 64-row tile at d = 64 into one output row
+// ("y1") and into the 100 rows of the Lemma-2 sweep at c = 10, s = 10
+// ("y100").
 func BenchmarkAccumRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	x := randDense(rng, 64, 64)
-	g := make([]float64, 64)
-	spread(rng, g)
-	y := make([]float64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AccumRows(y, g, 1, x)
+	for _, ny := range []int{1, 100} {
+		g := make([]float64, 64*ny)
+		spread(rng, g)
+		y := NewDense(ny, 64)
+		b.Run(fmt.Sprintf("y%d", ny), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				AccumRows(y, g, ny, x)
+			}
+		})
 	}
 }
 

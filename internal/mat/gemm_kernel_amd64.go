@@ -12,7 +12,8 @@ package mat
 //     or partial panel a 4×8 tile in four), the fused ROUND norms the
 //     same 4×16 tile for two panels of points, the dotu-order tile of
 //     MulPackedRightInOrder the four dotu lanes of four rows in sixteen,
-//     AccumRows runs thirty-two columns per pass before its AVX passes,
+//     AccumRows sixty-four, then thirty-two columns of two output rows
+//     per pass over x before its AVX passes,
 //     WidenFloat32 sixteen floats and the Gram's rank-4 update eight
 //     columns; the other loops run their AVX code.
 //   - kernelAVX: the CPU has AVX and FMA (CPUID.1:ECX bits 28 and 12) and
@@ -106,6 +107,13 @@ func accumRowsAVX(n int, y, c *float64, cs int, x *float64, xs, rows int)
 //
 //go:noescape
 func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int)
+
+// accumRows2AVX512 is accumRowsAVX512 for the two output rows y and
+// y + ys at once, with coefficients c[i·cs] and c[i·cs + 1]: each row of
+// x is read once for both, sixty-four columns per pass, then thirty-two.
+//
+//go:noescape
+func accumRows2AVX512(n int, y *float64, ys int, c *float64, cs int, x *float64, xs, rows int)
 
 // gramRank4AVX adds the rank-4 update Σ_k w_k x_k x_kᵀ of the rows
 // x_k = x[k·xs:][:d] to the lower triangle of the d×d matrix at dst (row

@@ -37,6 +37,10 @@ func accumRowsAVX512(n int, y, c *float64, cs int, x *float64, xs, rows int) {
 	panic("mat: asm accumulate kernel unavailable on this architecture")
 }
 
+func accumRows2AVX512(n int, y *float64, ys int, c *float64, cs int, x *float64, xs, rows int) {
+	panic("mat: asm accumulate kernel unavailable on this architecture")
+}
+
 func gramRank4AVX(d int, dst *float64, ds int, x *float64, xs int, w0, w1, w2, w3 float64) {
 	panic("mat: asm Gram kernel unavailable on this architecture")
 }
