@@ -159,6 +159,304 @@ store16:
 	VZEROUPPER
 	RET
 
+// func dots4x32AVX512(kc int, x *float64, xs int, bp, dst *float64, ds, t0, mask, rows, np int, add bool)
+//
+// The blocked-order tile of four rows x_r = x + r·xs, read in place (kc
+// values each; rows past rows repeat the last one and are not written),
+// by np ≤ 4 adjacent right lane panels at bp (panel q at bp + 8·kc·q).
+// Z<4r+q> holds row r against panel q; per k, row r adds x_r[t]·b[t]:
+// a broadcast and one fused multiply-add, as micro4x8avx512 adds the
+// same value from a packed left panel, so each element has its bits.
+// Mask bit 8q+l selects panel q's row l, and row r's element goes to
+// dst[r·ds + 8q + l − t0] under the mask: stored (add false), or added
+// onto dst (add true, dst the first operand of the add). Panels past np
+// are neither read nor written, not even under an empty mask: a masked
+// store whose lanes are all off still costs a microcode assist when its
+// address lies on a page not yet touched. One or two panels run a loop
+// of eight accumulators, three or four one of sixteen.
+TEXT ·dots4x32AVX512(SB), NOSPLIT, $0-81
+	MOVQ    kc+0(FP), CX
+	MOVQ    x+8(FP), R8
+	MOVQ    xs+16(FP), AX
+	SHLQ    $3, AX
+	MOVQ    rows+64(FP), R12
+	LEAQ    (R8)(AX*1), R9   // x1, or x0 when rows ≤ 1
+	CMPQ    R12, $1
+	CMOVQLE R8, R9
+	LEAQ    (R9)(AX*1), R10  // x2, or x1 when rows ≤ 2
+	CMPQ    R12, $2
+	CMOVQLE R9, R10
+	LEAQ    (R10)(AX*1), R11 // x3, or x2 when rows ≤ 3
+	CMPQ    R12, $3
+	CMOVQLE R10, R11
+	MOVQ    bp+24(FP), DI
+	MOVQ    CX, BX
+	SHLQ    $6, BX           // 8·kc values: lane panel 1
+	LEAQ    (BX)(BX*1), SI   // lane panel 2
+	LEAQ    (SI)(BX*1), R14  // lane panel 3
+	MOVQ    np+72(FP), R13
+	XORQ    AX, AX
+	CMPQ    R13, $4          // a panel past np reads panel 0, under an empty mask
+	CMOVQLT AX, R14
+	CMPQ    R13, $3
+	CMOVQLT AX, SI
+	CMPQ    R13, $2
+	CMOVQLT AX, BX
+	MOVQ    mask+56(FP), AX
+	KMOVW   AX, K1
+	SHRQ    $8, AX
+	KMOVW   AX, K2
+	SHRQ    $8, AX
+	KMOVW   AX, K3
+	SHRQ    $8, AX
+	KMOVW   AX, K4
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+
+	TESTQ CX, CX
+	JZ    d32out
+	CMPQ  R13, $2
+	JLE   d16loop
+
+d32loop:
+	VMOVUPD.Z    (DI), K1, Z16        // panel 0 at this k
+	VMOVUPD.Z    (DI)(BX*1), K2, Z17  // panel 1
+	VMOVUPD.Z    (DI)(SI*1), K3, Z18  // panel 2
+	VMOVUPD.Z    (DI)(R14*1), K4, Z19 // panel 3
+	VBROADCASTSD (R8), Z20           // x0[t] ×8
+	VFMADD231PD  Z16, Z20, Z0
+	VFMADD231PD  Z17, Z20, Z1
+	VFMADD231PD  Z18, Z20, Z2
+	VFMADD231PD  Z19, Z20, Z3
+	VBROADCASTSD (R9), Z21
+	VFMADD231PD  Z16, Z21, Z4
+	VFMADD231PD  Z17, Z21, Z5
+	VFMADD231PD  Z18, Z21, Z6
+	VFMADD231PD  Z19, Z21, Z7
+	VBROADCASTSD (R10), Z22
+	VFMADD231PD  Z16, Z22, Z8
+	VFMADD231PD  Z17, Z22, Z9
+	VFMADD231PD  Z18, Z22, Z10
+	VFMADD231PD  Z19, Z22, Z11
+	VBROADCASTSD (R11), Z23
+	VFMADD231PD  Z16, Z23, Z12
+	VFMADD231PD  Z17, Z23, Z13
+	VFMADD231PD  Z18, Z23, Z14
+	VFMADD231PD  Z19, Z23, Z15
+	ADDQ         $8, R8
+	ADDQ         $8, R9
+	ADDQ         $8, R10
+	ADDQ         $8, R11
+	ADDQ         $64, DI
+	DECQ         CX
+	JNZ          d32loop
+	JMP          d32out
+
+d16loop:
+	VMOVUPD.Z    (DI), K1, Z16
+	VMOVUPD.Z    (DI)(BX*1), K2, Z17
+	VBROADCASTSD (R8), Z20           // x0[t] ×8
+	VFMADD231PD  Z16, Z20, Z0
+	VFMADD231PD  Z17, Z20, Z1
+	VBROADCASTSD (R9), Z21
+	VFMADD231PD  Z16, Z21, Z4
+	VFMADD231PD  Z17, Z21, Z5
+	VBROADCASTSD (R10), Z22
+	VFMADD231PD  Z16, Z22, Z8
+	VFMADD231PD  Z17, Z22, Z9
+	VBROADCASTSD (R11), Z23
+	VFMADD231PD  Z16, Z23, Z12
+	VFMADD231PD  Z17, Z23, Z13
+	ADDQ         $8, R8
+	ADDQ         $8, R9
+	ADDQ         $8, R10
+	ADDQ         $8, R11
+	ADDQ         $64, DI
+	DECQ         CX
+	JNZ          d16loop
+
+d32out:
+	MOVQ    dst+32(FP), DX
+	MOVQ    ds+40(FP), R13
+	SHLQ    $3, R13
+	MOVQ    t0+48(FP), AX
+	SHLQ    $3, AX
+	SUBQ    AX, DX           // panel 0, row 0 of tile row 0
+	MOVQ    rows+64(FP), R12
+	MOVBLZX add+80(FP), AX
+	TESTQ   AX, AX
+	MOVQ    np+72(FP), AX
+	JNZ     d32add
+
+	VMOVUPD   Z0, K1, (DX)
+	CMPQ      AX, $1
+	JLE       d32st0
+	VMOVUPD   Z1, K2, 64(DX)
+	CMPQ      AX, $2
+	JLE       d32st0
+	VMOVUPD   Z2, K3, 128(DX)
+	CMPQ      AX, $3
+	JLE       d32st0
+	VMOVUPD   Z3, K4, 192(DX)
+
+d32st0:
+	DECQ      R12
+	JZ        d32done
+	ADDQ      R13, DX
+	VMOVUPD   Z4, K1, (DX)
+	CMPQ      AX, $1
+	JLE       d32st1
+	VMOVUPD   Z5, K2, 64(DX)
+	CMPQ      AX, $2
+	JLE       d32st1
+	VMOVUPD   Z6, K3, 128(DX)
+	CMPQ      AX, $3
+	JLE       d32st1
+	VMOVUPD   Z7, K4, 192(DX)
+
+d32st1:
+	DECQ      R12
+	JZ        d32done
+	ADDQ      R13, DX
+	VMOVUPD   Z8, K1, (DX)
+	CMPQ      AX, $1
+	JLE       d32st2
+	VMOVUPD   Z9, K2, 64(DX)
+	CMPQ      AX, $2
+	JLE       d32st2
+	VMOVUPD   Z10, K3, 128(DX)
+	CMPQ      AX, $3
+	JLE       d32st2
+	VMOVUPD   Z11, K4, 192(DX)
+
+d32st2:
+	DECQ      R12
+	JZ        d32done
+	ADDQ      R13, DX
+	VMOVUPD   Z12, K1, (DX)
+	CMPQ      AX, $1
+	JLE       d32st3
+	VMOVUPD   Z13, K2, 64(DX)
+	CMPQ      AX, $2
+	JLE       d32st3
+	VMOVUPD   Z14, K3, 128(DX)
+	CMPQ      AX, $3
+	JLE       d32st3
+	VMOVUPD   Z15, K4, 192(DX)
+
+d32st3:
+	JMP       d32done
+
+d32add:
+	VMOVUPD.Z (DX), K1, Z16
+	VADDPD    Z0, Z16, Z0
+	VMOVUPD   Z0, K1, (DX)
+	CMPQ      AX, $1
+	JLE       d32add0
+	VMOVUPD.Z 64(DX), K2, Z16
+	VADDPD    Z1, Z16, Z1
+	VMOVUPD   Z1, K2, 64(DX)
+	CMPQ      AX, $2
+	JLE       d32add0
+	VMOVUPD.Z 128(DX), K3, Z16
+	VADDPD    Z2, Z16, Z2
+	VMOVUPD   Z2, K3, 128(DX)
+	CMPQ      AX, $3
+	JLE       d32add0
+	VMOVUPD.Z 192(DX), K4, Z16
+	VADDPD    Z3, Z16, Z3
+	VMOVUPD   Z3, K4, 192(DX)
+
+d32add0:
+	DECQ      R12
+	JZ        d32done
+	ADDQ      R13, DX
+	VMOVUPD.Z (DX), K1, Z16
+	VADDPD    Z4, Z16, Z4
+	VMOVUPD   Z4, K1, (DX)
+	CMPQ      AX, $1
+	JLE       d32add1
+	VMOVUPD.Z 64(DX), K2, Z16
+	VADDPD    Z5, Z16, Z5
+	VMOVUPD   Z5, K2, 64(DX)
+	CMPQ      AX, $2
+	JLE       d32add1
+	VMOVUPD.Z 128(DX), K3, Z16
+	VADDPD    Z6, Z16, Z6
+	VMOVUPD   Z6, K3, 128(DX)
+	CMPQ      AX, $3
+	JLE       d32add1
+	VMOVUPD.Z 192(DX), K4, Z16
+	VADDPD    Z7, Z16, Z7
+	VMOVUPD   Z7, K4, 192(DX)
+
+d32add1:
+	DECQ      R12
+	JZ        d32done
+	ADDQ      R13, DX
+	VMOVUPD.Z (DX), K1, Z16
+	VADDPD    Z8, Z16, Z8
+	VMOVUPD   Z8, K1, (DX)
+	CMPQ      AX, $1
+	JLE       d32add2
+	VMOVUPD.Z 64(DX), K2, Z16
+	VADDPD    Z9, Z16, Z9
+	VMOVUPD   Z9, K2, 64(DX)
+	CMPQ      AX, $2
+	JLE       d32add2
+	VMOVUPD.Z 128(DX), K3, Z16
+	VADDPD    Z10, Z16, Z10
+	VMOVUPD   Z10, K3, 128(DX)
+	CMPQ      AX, $3
+	JLE       d32add2
+	VMOVUPD.Z 192(DX), K4, Z16
+	VADDPD    Z11, Z16, Z11
+	VMOVUPD   Z11, K4, 192(DX)
+
+d32add2:
+	DECQ      R12
+	JZ        d32done
+	ADDQ      R13, DX
+	VMOVUPD.Z (DX), K1, Z16
+	VADDPD    Z12, Z16, Z12
+	VMOVUPD   Z12, K1, (DX)
+	CMPQ      AX, $1
+	JLE       d32add3
+	VMOVUPD.Z 64(DX), K2, Z16
+	VADDPD    Z13, Z16, Z13
+	VMOVUPD   Z13, K2, 64(DX)
+	CMPQ      AX, $2
+	JLE       d32add3
+	VMOVUPD.Z 128(DX), K3, Z16
+	VADDPD    Z14, Z16, Z14
+	VMOVUPD   Z14, K3, 128(DX)
+	CMPQ      AX, $3
+	JLE       d32add3
+	VMOVUPD.Z 192(DX), K4, Z16
+	VADDPD    Z15, Z16, Z15
+	VMOVUPD   Z15, K4, 192(DX)
+
+d32add3:
+
+d32done:
+	VZEROUPPER
+	RET
+
 // func micro4x8avx(kc int, ap, bp, acc *float64)
 //
 // Row r of the tile lives in the YMM pair Y<2r> (columns 0–3) and

@@ -168,7 +168,9 @@ func BenchmarkGramRank4(b *testing.B) {
 // (MulPackedRightInOrder), both in the unblocked (dotu) order and with
 // the same bits; "blocked" is the packed product in the blocked order
 // (MulPackedRight), the one order a sweep would use for every block if
-// it kept only one.
+// it kept only one, which reads the tile in place at the avx512 level,
+// and "packed" is the same product with the tile packed first
+// (mulPackedRightPacked, the other levels' path).
 func BenchmarkDotuOrder(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	x := randDense(rng, 64, 64)
@@ -191,6 +193,11 @@ func BenchmarkDotuOrder(b *testing.B) {
 			b.Run("blocked", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					MulPackedRight(dst, x, &pv, 0)
+				}
+			})
+			b.Run("packed", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					mulPackedRightPacked(dst, x, &pv, 0)
 				}
 			})
 		})

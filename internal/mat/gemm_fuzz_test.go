@@ -67,6 +67,39 @@ func checkGEMMShape(t *testing.T, m, n, k int, seed uint64) {
 	if got := MulTransB(nil, a, bt); relDiff(got, wantTB) > tol {
 		t.Errorf("MulTransB m=%d n=%d k=%d: rel diff %g", m, n, k, relDiff(got, wantTB))
 	}
+	checkPackedRight(t, a, bt, seed)
+}
+
+// checkPackedRight requires MulPackedRight, which reads its left operand
+// in place at the avx512 level, to give the bits of the packing path
+// (mulPackedRightPacked) on a copy of a with a row stride wider than its
+// columns, against a column window of bt's packed rows that the seed
+// picks: it may start inside a lane panel and need not be a multiple of
+// the tile's 32 columns. dst has padding columns, which neither path
+// may write.
+func checkPackedRight(t *testing.T, a, bt *Dense, seed uint64) {
+	t.Helper()
+	m, k, n := a.Rows, a.Cols, bt.Rows
+	x := &Dense{Rows: m, Cols: k, Stride: k + 3, Data: make([]float64, m*(k+3))}
+	for i := 0; i < m; i++ {
+		copy(x.Row(i), a.Row(i))
+	}
+	var pb Packed
+	pb.PackRight(bt)
+	c0 := int(seed % uint64(n))
+	w := max(1, n-c0-int(seed>>8%5))
+	got := &Dense{Rows: m, Cols: w, Stride: w + 5, Data: make([]float64, m*(w+5))}
+	s := lcg(seed + 1)
+	s.fill(got.Data)
+	want := &Dense{Rows: m, Cols: w, Stride: got.Stride, Data: append([]float64(nil), got.Data...)}
+	MulPackedRight(got, x, &pb, c0)
+	mulPackedRightPacked(want, x, &pb, c0)
+	for i := range got.Data {
+		if !sameBits(got.Data[i], want.Data[i]) {
+			t.Fatalf("MulPackedRight m=%d k=%d n=%d window [%d, %d): element %d = %x at %s, packed %x",
+				m, k, n, c0, c0+w, i, math.Float64bits(got.Data[i]), kernel, math.Float64bits(want.Data[i]))
+		}
+	}
 }
 
 // TestBlockedGEMMRaggedShapes sweeps boundary shapes around the
@@ -98,14 +131,19 @@ func TestBlockedGEMMRaggedShapes(t *testing.T) {
 	}
 }
 
-// FuzzGEMMShapes is the fuzzing entry for the same property; `go test`
-// runs the seed corpus, and `go test -fuzz=FuzzGEMMShapes ./internal/mat`
-// explores further shapes.
+// FuzzGEMMShapes is the fuzzing entry for the same property, the packed
+// product that reads its left operand in place included; `go test` runs
+// the seed corpus, and `go test -fuzz=FuzzGEMMShapes ./internal/mat`
+// explores further shapes. The seeds give ragged row counts (m % 4 ≠ 0),
+// windows that start inside a lane panel and end inside a 32-column tile,
+// and inner dimensions past one k-panel.
 func FuzzGEMMShapes(f *testing.F) {
 	f.Add(uint16(5), uint16(9), uint16(3), uint64(1))
 	f.Add(uint16(33), uint16(17), uint16(65), uint64(2))
 	f.Add(uint16(64), uint16(512), uint16(256), uint64(3))
 	f.Add(uint16(601), uint16(33), uint16(31), uint64(4))
+	f.Add(uint16(67), uint16(100), uint16(64), uint64(0x305))
+	f.Add(uint16(10), uint16(47), uint16(300), uint64(0x20b))
 	f.Fuzz(func(t *testing.T, m, n, k uint16, seed uint64) {
 		mm := int(m%700) + 1
 		nn := int(n%700) + 1

@@ -72,6 +72,16 @@ func micro4x8avx512(kc int, ap, bp, dst *float64, ds int, add bool)
 //go:noescape
 func micro4x16avx512(kc int, ap, bp, dst *float64, ds int, add bool)
 
+// dots4x32AVX512 computes the blocked-order tile of the four rows
+// x + r·xs, r < rows (the last repeated), read in place, by the np ≤ 4
+// adjacent right lane panels at bp over kc steps, and writes the tile
+// elements whose bit is set in mask, panel q's row l (bit 8q+l) of tile
+// row r to dst[r·ds + 8q + l − t0]: it overwrites them, or adds the tile
+// onto them (dst += acc) when add is set.
+//
+//go:noescape
+func dots4x32AVX512(kc int, x *float64, xs int, bp, dst *float64, ds, t0, mask, rows, np int, add bool)
+
 // micro4x8avx computes the same tile on YMM registers into acc
 // (row-major [32]float64), overwriting acc.
 //

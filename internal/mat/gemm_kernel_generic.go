@@ -13,6 +13,10 @@ func micro4x16avx512(kc int, ap, bp, dst *float64, ds int, add bool) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }
 
+func dots4x32AVX512(kc int, x *float64, xs int, bp, dst *float64, ds, t0, mask, rows, np int, add bool) {
+	panic("mat: asm micro-kernel unavailable on this architecture")
+}
+
 func micro4x8avx(kc int, ap, bp, acc *float64) {
 	panic("mat: asm micro-kernel unavailable on this architecture")
 }

@@ -87,8 +87,15 @@ func MulPacked(dst *Dense, a, b *Packed, c0 int) {
 	}
 }
 
-// MulPackedRight is MulPacked with an unpacked left operand a, which it
-// packs a gemmMC-row block at a time into pooled scratch.
+// MulPackedRight sets dst to a·b_cᵀ, where b_c is rows [c0,
+// c0+dst.Cols) of the matrix packed in the right operand b, in the
+// blocked order: each element is bit for bit the one
+// MulTransBInOrder(dst, a, b_c, true) computes. At the avx512 level it
+// reads a in place: dots4x32 takes four rows of a against four adjacent
+// right lane panels, k-panel by k-panel. Elsewhere it packs a, a
+// gemmMC-row block at a time, into pooled scratch and runs the
+// micro-kernels (mulPackedRightPacked). It runs on the calling goroutine.
+// dst must not alias a or b's matrix.
 //
 //firal:hotpath
 func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
@@ -100,6 +107,46 @@ func MulPackedRight(dst, a *Dense, b *Packed, c0 int) {
 		dst.Zero() // an empty sum is +0
 		return
 	}
+	if kernel != kernelAVX512 {
+		mulPackedRightPacked(dst, a, b, c0)
+		return
+	}
+	if a.Rows == 0 {
+		return
+	}
+	brp := b.padded()
+	c1 := c0 + dst.Cols
+	for pc := 0; pc < b.k; pc += gemmKC {
+		kc := min(gemmKC, b.k-pc)
+		for pj := c0 - c0%gemmNR; pj < c1; pj += 4 * gemmNR {
+			dots4x32(dst, a, b.data[pc*brp+pj*kc:pc*brp+brp*kc], pc, kc, pj-c0, max(c0-pj, 0), min(c1-pj, 4*gemmNR))
+		}
+	}
+}
+
+// dots4x32 runs the in-place tile over every four rows of a at inner
+// indices [pc, pc+kc), against the right lane panels at bp, and writes
+// their columns [t0, t1) into dst, tile column t at dst column j+t: stored
+// for the first k-panel (pc = 0), added onto dst for the later ones.
+//
+//firal:hotpath
+func dots4x32(dst, a *Dense, bp []float64, pc, kc, j, t0, t1 int) {
+	np := (t1 + gemmNR - 1) / gemmNR // the lane panels the columns touch
+	_ = bp[np*gemmNR*kc-1]
+	mask := 1<<t1 - 1<<t0
+	for i := 0; i < a.Rows; i += gemmMR {
+		mr := min(gemmMR, a.Rows-i)
+		x := a.Data[i*a.Stride+pc : (i+mr-1)*a.Stride+pc+kc]
+		d := dst.Data[i*dst.Stride+j+t0 : (i+mr-1)*dst.Stride+j+t1]
+		dots4x32AVX512(kc, &x[0], a.Stride, &bp[0], &d[0], dst.Stride, t0, mask, mr, np, pc > 0)
+	}
+}
+
+// mulPackedRightPacked is MulPackedRight on packed copies of a, with the
+// micro-kernels of the other levels.
+//
+//firal:hotpath
+func mulPackedRightPacked(dst, a *Dense, b *Packed, c0 int) {
 	sc := gemmPool.Get()
 	ap := growBuf(&sc.a, panelLen(a.Rows, gemmMC, gemmMR, b.k))
 	brp := b.padded()
