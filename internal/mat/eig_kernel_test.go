@@ -172,14 +172,16 @@ func TestSymEigLevelsMatchPortable(t *testing.T) {
 // y = x·wᵀ from MulPacked with the operands packed the other way round,
 // then per row of y the two weighted sums over ascending j, one math.FMA
 // per term. It covers 1 to 70 points (every eight-point tail, so both
-// the 4×16 tiles and a lone last 4×8 tile), w row counts that leave a
-// ragged last lane panel, inner dimensions from 1 to past one k-panel, and
-// signed zeros, infinities and NaN in the operands.
+// the sixteen-point tiles and a lone last eight-point one), w row counts
+// with one, two, three and sixteen whole lane panels (so the 8×16 tile,
+// the 4×16 tile of a lone last panel, or both) and a ragged last lane
+// panel, inner dimensions from 1 to past one k-panel, and signed zeros,
+// infinities and NaN in the operands.
 func TestWeightedSqNormsMatchesMulPacked(t *testing.T) {
 	forEachLevel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(35))
 		for _, k := range []int{1, 3, 8, 32, 64, 257, 300} {
-			for _, wr := range []int{1, 4, 7, 13, 64, 66} {
+			for _, wr := range []int{1, 4, 7, 8, 13, 64, 66} {
 				for _, xr := range []int{1, 5, 8, 9, 64, 70} {
 					for _, special := range []bool{false, true} {
 						x, w := randDense(rng, xr, k), randDense(rng, wr, k)

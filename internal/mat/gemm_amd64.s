@@ -515,13 +515,16 @@ done:
 //
 // The fused ROUND norms of WeightedSqNorms (packed.go) for the sixteen
 // points of two adjacent right lane panels at x (the second 8·kc values
-// past the first), writing sixteen sums to each of qb and qp. For each of
-// jt left lane panels of w, the 4×16 tile Z0–Z3 (points 0–7) and Z4–Z7
-// (points 8–15), row r = one j, is formed as micro4x8avx512 forms it,
-// with the left value broadcast, and folded at once, rows in ascending j:
-// v2 = y·y, then qb += v2·a_j and qp += v2·a2_j, each one fused
-// multiply-add. The sums live in Z16/Z17 (qb) and Z18/Z19 (qp) across all
-// panels. Every point takes the operations sqNormsTile gives it.
+// past the first), writing sixteen sums to each of qb and qp. The jt left
+// lane panels of w go two at a time: the 8×16 tile, rows j0–j3 of the
+// first panel in Z0–Z3 (points 0–7) and Z4–Z7 (points 8–15), rows j4–j7
+// of the second in Z20–Z23 and Z24–Z27, is formed as micro4x8avx512
+// forms a tile, with the left value broadcast, so each step loads the
+// sixteen points once for eight rows j. A lone last panel runs the 4×16
+// tile Z0–Z7. Each tile is folded at once, rows in ascending j: v2 = y·y,
+// then qb += v2·a_j and qp += v2·a2_j, each one fused multiply-add. The
+// sums live in Z16/Z17 (qb) and Z18/Z19 (qp) across all panels. Every
+// point takes the operations sqNormsTile gives it.
 TEXT ·sqNorms16AVX512(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
 	MOVQ jt+8(FP), R8
@@ -532,12 +535,141 @@ TEXT ·sqNorms16AVX512(SB), NOSPLIT, $0-64
 	MOVQ qb+48(FP), DX
 	MOVQ qp+56(FP), R11
 	MOVQ CX, R13
-	SHLQ $6, R13            // 8·kc values: the second lane panel
+	SHLQ $6, R13            // 8·kc values: the second lane panel of x
+	MOVQ CX, R14
+	SHLQ $5, R14            // 4·kc values: the next lane panel of w
 
 	VPXORQ Z16, Z16, Z16
 	VPXORQ Z17, Z17, Z17
 	VPXORQ Z18, Z18, Z18
 	VPXORQ Z19, Z19, Z19
+
+sq16pair:
+	CMPQ   R8, $2
+	JLT    sq16tile
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	MOVQ   DI, BX
+	MOVQ   CX, R12
+	TESTQ  R12, R12
+	JZ     sq16fold8
+
+sq16k8:
+	VMOVUPD      (BX), Z8          // x: points 0–7 at this k
+	VMOVUPD      (BX)(R13*1), Z9   // points 8–15
+	VBROADCASTSD (SI), Z10         // w_j0 ×8
+	VBROADCASTSD 8(SI), Z11        // w_j1 ×8
+	VBROADCASTSD 16(SI), Z12       // w_j2 ×8
+	VBROADCASTSD 24(SI), Z13       // w_j3 ×8
+	VFMADD231PD  Z8, Z10, Z0
+	VFMADD231PD  Z9, Z10, Z4
+	VFMADD231PD  Z8, Z11, Z1
+	VFMADD231PD  Z9, Z11, Z5
+	VFMADD231PD  Z8, Z12, Z2
+	VFMADD231PD  Z9, Z12, Z6
+	VFMADD231PD  Z8, Z13, Z3
+	VFMADD231PD  Z9, Z13, Z7
+	VBROADCASTSD (SI)(R14*1), Z28   // w_j4 ×8
+	VBROADCASTSD 8(SI)(R14*1), Z29  // w_j5 ×8
+	VBROADCASTSD 16(SI)(R14*1), Z30 // w_j6 ×8
+	VBROADCASTSD 24(SI)(R14*1), Z31 // w_j7 ×8
+	VFMADD231PD  Z8, Z28, Z20
+	VFMADD231PD  Z9, Z28, Z24
+	VFMADD231PD  Z8, Z29, Z21
+	VFMADD231PD  Z9, Z29, Z25
+	VFMADD231PD  Z8, Z30, Z22
+	VFMADD231PD  Z9, Z30, Z26
+	VFMADD231PD  Z8, Z31, Z23
+	VFMADD231PD  Z9, Z31, Z27
+	ADDQ         $32, SI
+	ADDQ         $64, BX
+	DECQ         R12
+	JNZ          sq16k8
+
+sq16fold8:
+	ADDQ         R14, SI // past the second panel
+	VMULPD       Z0, Z0, Z0
+	VMULPD       Z4, Z4, Z4
+	VBROADCASTSD (R9), Z10
+	VFMADD231PD  Z10, Z0, Z16
+	VFMADD231PD  Z10, Z4, Z17
+	VBROADCASTSD (R10), Z11
+	VFMADD231PD  Z11, Z0, Z18
+	VFMADD231PD  Z11, Z4, Z19
+	VMULPD       Z1, Z1, Z1
+	VMULPD       Z5, Z5, Z5
+	VBROADCASTSD 8(R9), Z10
+	VFMADD231PD  Z10, Z1, Z16
+	VFMADD231PD  Z10, Z5, Z17
+	VBROADCASTSD 8(R10), Z11
+	VFMADD231PD  Z11, Z1, Z18
+	VFMADD231PD  Z11, Z5, Z19
+	VMULPD       Z2, Z2, Z2
+	VMULPD       Z6, Z6, Z6
+	VBROADCASTSD 16(R9), Z10
+	VFMADD231PD  Z10, Z2, Z16
+	VFMADD231PD  Z10, Z6, Z17
+	VBROADCASTSD 16(R10), Z11
+	VFMADD231PD  Z11, Z2, Z18
+	VFMADD231PD  Z11, Z6, Z19
+	VMULPD       Z3, Z3, Z3
+	VMULPD       Z7, Z7, Z7
+	VBROADCASTSD 24(R9), Z10
+	VFMADD231PD  Z10, Z3, Z16
+	VFMADD231PD  Z10, Z7, Z17
+	VBROADCASTSD 24(R10), Z11
+	VFMADD231PD  Z11, Z3, Z18
+	VFMADD231PD  Z11, Z7, Z19
+	VMULPD       Z20, Z20, Z20
+	VMULPD       Z24, Z24, Z24
+	VBROADCASTSD 32(R9), Z10
+	VFMADD231PD  Z10, Z20, Z16
+	VFMADD231PD  Z10, Z24, Z17
+	VBROADCASTSD 32(R10), Z11
+	VFMADD231PD  Z11, Z20, Z18
+	VFMADD231PD  Z11, Z24, Z19
+	VMULPD       Z21, Z21, Z21
+	VMULPD       Z25, Z25, Z25
+	VBROADCASTSD 40(R9), Z10
+	VFMADD231PD  Z10, Z21, Z16
+	VFMADD231PD  Z10, Z25, Z17
+	VBROADCASTSD 40(R10), Z11
+	VFMADD231PD  Z11, Z21, Z18
+	VFMADD231PD  Z11, Z25, Z19
+	VMULPD       Z22, Z22, Z22
+	VMULPD       Z26, Z26, Z26
+	VBROADCASTSD 48(R9), Z10
+	VFMADD231PD  Z10, Z22, Z16
+	VFMADD231PD  Z10, Z26, Z17
+	VBROADCASTSD 48(R10), Z11
+	VFMADD231PD  Z11, Z22, Z18
+	VFMADD231PD  Z11, Z26, Z19
+	VMULPD       Z23, Z23, Z23
+	VMULPD       Z27, Z27, Z27
+	VBROADCASTSD 56(R9), Z10
+	VFMADD231PD  Z10, Z23, Z16
+	VFMADD231PD  Z10, Z27, Z17
+	VBROADCASTSD 56(R10), Z11
+	VFMADD231PD  Z11, Z23, Z18
+	VFMADD231PD  Z11, Z27, Z19
+	ADDQ         $64, R9
+	ADDQ         $64, R10
+	SUBQ         $2, R8
+	JMP          sq16pair
 
 sq16tile:
 	TESTQ  R8, R8

@@ -156,8 +156,9 @@ func symRank2AVX(n int, a *float64, as int, u, p *float64, wide bool)
 func rank1SubAVX(n int, a *float64, as, rows int, c *float64, cs int, x *float64, wide bool)
 
 // sqNorms16AVX512 is WeightedSqNorms for the sixteen rows of x in two
-// adjacent lane panels over jt whole lane panels of w at inner dimension
-// kc ≤ gemmKC, writing the sixteen sums to qb and qp.
+// adjacent lane panels over jt whole lane panels of w, two at a time (an
+// 8×16 tile), at inner dimension kc ≤ gemmKC, writing the sixteen sums
+// to qb and qp.
 //
 //go:noescape
 func sqNorms16AVX512(kc, jt int, w, x, a, a2, qb, qp *float64)

@@ -286,11 +286,13 @@ func dotuTile(kc int, x []float64, xs, mr int, bp []float64, lanes *dotuLanes, o
 // y is formed in tiles of four rows j of w by the eight rows p of a lane
 // panel of x, which are folded into the points' sums as soon as they are
 // complete, in ascending j, so no tile is zeroed, stored or read back. At
-// the avx512 level one kernel call keeps a 4×16 tile for two adjacent
-// lane panels of x and both sums in ZMM registers across every whole lane
-// panel of w. A lone last panel of x, a ragged last panel of w, an inner
-// dimension past one k-panel, and the avx and portable levels run the
-// tile from microTile and the fold in Go.
+// the avx512 level one kernel call keeps both sums of two adjacent lane
+// panels of x in ZMM registers across every whole lane panel of w: it
+// forms an 8×16 tile from two lane panels of w at a time, so each step
+// loads the sixteen points once for eight rows j, and a 4×16 tile from a
+// lone last one. A lone last panel of x, a ragged last panel of w, an
+// inner dimension past one k-panel, and the avx and portable levels run
+// the tile from microTile and the fold in Go.
 //
 //firal:hotpath
 func WeightedSqNorms(qb, qp []float64, w, x *Packed, a, a2 []float64) {
