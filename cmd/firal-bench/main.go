@@ -225,7 +225,8 @@ func main() {
 
 	// --- Fused multi-probe Lemma-2 sweeps, s = 10 probes per sweep: the
 	// block-CG operator at the stream (c=1), service (c=2) and resident
-	// (c=10) shapes, and the Eq. 12 gradient accumulation, each with its
+	// (c=10) shapes, at c=16 (the first class count whose Γᵀ·X takes the
+	// packed product), and the Eq. 12 gradient accumulation, each with its
 	// one-worker time. ---
 	for _, bc := range []struct {
 		name string
@@ -235,6 +236,7 @@ func main() {
 		{"matvec_block_n1e5_d64_c1_s10", 100_000, 1, false},
 		{"matvec_block_n2e4_d64_c2_s10", 20_000, 2, false},
 		{"matvec_block_n1e4_d64_c10_s10", 10_000, 10, false},
+		{"matvec_block_n2e4_d64_c16_s10", 20_000, 16, false},
 		{"quad_block_n1e5_d64_c1_s10", 100_000, 1, true},
 	} {
 		rep.Results = append(rep.Results, scaling(bc.name, blockSweepBench(bc.n, bc.c, bc.quad)))

@@ -89,12 +89,12 @@ func TestLemma3BlockShermanMorrison(t *testing.T) {
 			if err != nil {
 				return true
 			}
-			ax := mat.MatVec(nil, ainvK, x)
+			ax := matVec(nil, ainvK, x)
 			denom := 1 + gamma[k]*mat.Dot(x, ax)
 			got := ainvK.Clone()
 			got.AddOuter(-gamma[k]/denom, ax)
 			want := mat.Block(dense, k, k, d)
-			if mat.MaxAbsDiff(got, want) > 1e-6 {
+			if maxAbsDiff(got, want) > 1e-6 {
 				return false
 			}
 		}
@@ -479,4 +479,28 @@ func TestTraceFromProbes(t *testing.T) {
 	if got := traceFromProbesT(v.T(), av.T()); got != want {
 		t.Fatalf("traceFromProbesT %g, column form %g", got, want)
 	}
+}
+
+// matVec returns a·x in dst (allocated when nil), one mat.Dot per row.
+func matVec(dst []float64, a *mat.Dense, x []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, a.Rows)
+	}
+	for i := range dst {
+		dst[i] = mat.Dot(a.Row(i), x)
+	}
+	return dst
+}
+
+// maxAbsDiff returns max_ij |a_ij − b_ij| over two matrices of one shape.
+func maxAbsDiff(a, b *mat.Dense) float64 {
+	var m float64
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			if d := math.Abs(v - b.At(i, j)); d > m {
+				m = d
+			}
+		}
+	}
+	return m
 }

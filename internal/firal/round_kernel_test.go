@@ -20,7 +20,7 @@ func unfusedScores(st *RoundState, x, h *mat.Dense) []float64 {
 	for k, w := range st.wt {
 		copy(wts.Data[k*d*d:(k+1)*d*d], w.Data)
 	}
-	var wp, xp mat.Packed
+	var wp mat.Packed
 	wp.PackRight(wts)
 	out := make([]float64, x.Rows)
 	y := make([]float64, scoreTile*d)
@@ -28,9 +28,8 @@ func unfusedScores(st *RoundState, x, h *mat.Dense) []float64 {
 		r1 := min(r0+scoreTile, x.Rows)
 		xt := mat.Dense{Rows: r1 - r0, Cols: d, Stride: x.Stride, Data: x.Data[r0*x.Stride:]}
 		yt := mat.Dense{Rows: r1 - r0, Cols: d, Stride: d, Data: y}
-		xp.PackLeft(&xt)
 		for k := 0; k < st.c; k++ {
-			mat.MulPacked(&yt, &xp, &wp, k*d)
+			mat.MulPackedRight(&yt, &xt, &wp, k*d)
 			a, a2 := st.a[k*d:(k+1)*d], st.a2[k*d:(k+1)*d]
 			for i := r0; i < r1; i++ {
 				hv := h.At(i, k)

@@ -128,22 +128,27 @@ func sweepSet(n, d, c int, seed int64) *Set {
 	return NewSet(x, h)
 }
 
-// sweepPool is one pool of the fused-kernel oracle grid.
+// sweepPool is one pool of the fused-kernel oracle grid. Its sweeps run
+// on min(workers, lanes) lanes (TestSweepPoolsRunTheirLanes).
 type sweepPool struct {
-	name string
-	p    Pool
-	w    []float64
+	name  string
+	p     Pool
+	w     []float64
+	lanes int
 }
 
 // sweepPools builds, for one (c, d), pools of 251 and 252 rows: a
 // resident one (one block, dataset.BlockRowsFor) and a streamed one whose
 // 100-row blocks leave a 51- or 52-row tail. At c=10, d=64 that tail sits
 // just below and just at the blocked-GEMM threshold (mat.UseBlocked), so
-// both dot orders occur within one sweep. For c ≥ 16 a 600-row pool is
-// added, resident (256-row blocks) and streamed in one 600-row block:
-// that block spans three GEMM k-panels, so a packed Γᵀ·X sums in a
-// different order from a row-by-row one. Each pool comes with unit (nil)
-// and non-unit weights, some of them zero.
+// both dot orders occur within one sweep. A third, streamed in 32-row
+// blocks, has eight blocks, so 2 to 4 workers sweep it on 2 to 4 lanes
+// that fold their partials in block order; at c ≥ 16 and d = 64 its
+// blocks take the packed Γᵀ·X. For c ≥ 16 a 600-row pool is added,
+// resident (256-row blocks) and streamed in one 600-row block: that
+// block spans three GEMM k-panels, so a packed Γᵀ·X sums in a different
+// order from a row-by-row one. Each pool comes with unit (nil) and
+// non-unit weights, some of them zero.
 func sweepPools(c, d int) []sweepPool {
 	var out []sweepPool
 	ns := []int{251, 252}
@@ -158,14 +163,17 @@ func sweepPools(c, d int) []sweepPool {
 				w[i] = 0.2 + float64(i%11)/11
 			}
 		}
-		add := func(name string, p Pool) {
+		add := func(name string, p Pool, lanes int) {
 			name = fmt.Sprintf("%s_n%d", name, n)
-			out = append(out, sweepPool{name + "_unitw", p, nil}, sweepPool{name + "_w", p, w})
+			out = append(out, sweepPool{name + "_unitw", p, nil, lanes}, sweepPool{name + "_w", p, w, lanes})
 		}
-		add("resident", set)
-		add("stream_bs100", streamPool(set, 100))
+		add("resident", set, 1)
 		if n == 600 {
-			add("stream_bs600", streamPool(set, 600))
+			add("stream_bs100", streamPool(set, 100), 3)
+			add("stream_bs600", streamPool(set, 600), 1)
+		} else {
+			add("stream_bs100", streamPool(set, 100), 1)
+			add("stream_bs32", streamPool(set, 32), 4)
 		}
 	}
 	return out
@@ -182,6 +190,54 @@ func TestThresholdTailsCoverBothOrders(t *testing.T) {
 	// while the one-block resident pools send it to the packed path.
 	if mat.UseBlocked(20, 13, 100) || !mat.UseBlocked(20, 13, 251) {
 		t.Fatal("c=20, d=13 no longer straddles mat.UseBlocked for Γᵀ·X; move it")
+	}
+}
+
+// matVecOracles keeps the d = 64 oracleMatVecBlock results of the grid,
+// keyed by shape, pool, probe count and probe seed, so the second grid
+// test over them (TestBlockWSMidPanelSplit) reuses what the first
+// computed instead of running the slow composition again.
+var matVecOracles = map[string]*mat.Dense{}
+
+// matVecOracle returns oracleMatVecBlock of pool pc for the s probes vt
+// drawn from seed, from matVecOracles when it is there.
+func matVecOracle(c, d int, pc sweepPool, vt *mat.Dense, seed int64) *mat.Dense {
+	key := fmt.Sprintf("c=%d d=%d %s s=%d seed=%d", c, d, pc.name, vt.Rows, seed)
+	if want, ok := matVecOracles[key]; ok {
+		return want
+	}
+	want := mat.NewDense(vt.Rows, d*c)
+	oracleMatVecBlock(pc.p, want, vt, pc.w)
+	if d == 64 {
+		matVecOracles[key] = want
+	}
+	return want
+}
+
+// TestSweepPoolsRunTheirLanes guards the oracle grid's lane counts: at
+// every shape of sweepShapes and 1 to 4 workers, each pool's sweeps run
+// on the min(workers, lanes) lanes it names (parallel.BlockLanes of its
+// blocks), and every shape has pools that 2, 3 and 4 workers sweep on as
+// many lanes. It fails when a multi-worker case of the grid would
+// collapse onto one lane.
+func TestSweepPoolsRunTheirLanes(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	for _, sh := range sweepShapes {
+		most := 0
+		for _, pc := range sweepPools(sh[0], sh[1]) {
+			most = max(most, pc.lanes)
+			blocks := (pc.p.N() + pc.p.BlockRows() - 1) / pc.p.BlockRows()
+			for nw := 1; nw <= 4; nw++ {
+				parallel.SetMaxWorkers(nw)
+				if got, want := parallel.BlockLanes(blocks), min(nw, pc.lanes); got != want {
+					t.Errorf("c=%d d=%d %s: %d blocks at %d workers run on %d lanes, want %d",
+						sh[0], sh[1], pc.name, blocks, nw, got, want)
+				}
+			}
+		}
+		if most < 4 {
+			t.Errorf("c=%d d=%d: no pool runs 4 workers on 4 lanes", sh[0], sh[1])
+		}
 	}
 }
 
@@ -212,9 +268,9 @@ func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
 		c, d := sh[0], sh[1]
 		for _, pc := range sweepPools(c, d) {
 			for _, s := range []int{1, 3, 5, 10, 13} {
-				vt, _ := blockVectors(d*c, s, int64(7*s+d))
-				want := mat.NewDense(s, d*c)
-				oracleMatVecBlock(pc.p, want, vt, pc.w)
+				seed := int64(7*s + d)
+				vt, _ := blockVectors(d*c, s, seed)
+				want := matVecOracle(c, d, pc, vt, seed)
 				one := mat.NewDense(s, d*c)
 				got := mat.NewDense(s, d*c)
 				for _, nw := range []int{1, 2, 3, 4} {
@@ -239,16 +295,18 @@ func TestMatVecBlockWSMatchesPerColumn(t *testing.T) {
 
 // TestBlockWSMidPanelSplit runs both fused sweeps with s ∈ {5, 10, 13}
 // probes on 2, 3 and 4 workers at every c of sweepShapes (d = 64), against
-// their oracles and against one worker, bit for bit. Every sweepPools
-// pool has at most three blocks, so each sweep runs on one lane
-// (parallel.BlockLanes) and no sweep splits inside a block: the test pins
-// that the worker count moves no bit of a small pool's sweeps. The probe
+// their oracles and against one worker, bit for bit. Each pool's sweeps
+// run on the lanes it names (TestSweepPoolsRunTheirLanes), the 32-row-block
+// streams on as many as there are workers, and no sweep splits inside a
+// block: the test pins that neither the worker count nor the lanes' fold
+// moves a bit of the sweeps. The probe
 // blocks of 5·c and 13·c columns end in a ragged lane panel of eight,
 // which the whole-block packing must carry; at c = 1 the dots take the
 // dotu tile where it pays (mat.UseDotuTile) and read the probes in place
 // elsewhere.
 func TestBlockWSMidPanelSplit(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(0))
+	defer clear(matVecOracles)
 	ws := mat.NewWorkspace()
 	const d = 64
 	cs := map[int]bool{}
@@ -260,10 +318,10 @@ func TestBlockWSMidPanelSplit(t *testing.T) {
 		cs[c] = true
 		for _, pc := range sweepPools(c, d) {
 			for _, s := range []int{5, 10, 13} {
-				vt, _ := blockVectors(d*c, s, int64(c+s))
+				seed := int64(7*s + d) // TestMatVecBlockWSMatchesPerColumn's probes
+				vt, _ := blockVectors(d*c, s, seed)
 				ut, _ := blockVectors(d*c, s, int64(10+c+s))
-				want := mat.NewDense(s, d*c)
-				oracleMatVecBlock(pc.p, want, vt, pc.w)
+				want := matVecOracle(c, d, pc, vt, seed)
 				wantQ := make([]float64, pc.p.N())
 				oracleQuadAccumBlock(pc.p, wantQ, ut, vt, 0.5)
 				parallel.SetMaxWorkers(1)

@@ -33,7 +33,7 @@ func TestPCGZeroAllocWithWorkspace(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	a := perColumnBlockOp(func(dst, v []float64) { mat.MatVec(dst, spd, v) })
+	a := perColumnBlockOp(func(dst, v []float64) { matVec(dst, spd, v) })
 	diag := perColumnBlockOp(func(dst, v []float64) {
 		for i := range dst {
 			dst[i] = v[i] / spd.At(i, i)

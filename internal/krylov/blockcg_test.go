@@ -73,7 +73,7 @@ func TestSolveBlockIntoMatchesPerColumnOracle(t *testing.T) {
 	const n = 48
 	for _, s := range []int{1, 2, 3, 5, 8, 11} {
 		spd, b := blockTestSystem(n, s, int64(100+s))
-		op := func(dst, v []float64) { mat.MatVec(dst, spd, v) }
+		op := func(dst, v []float64) { matVec(dst, spd, v) }
 		diag := func(dst, v []float64) {
 			for i := range dst {
 				dst[i] = v[i] / spd.At(i, i)
@@ -148,7 +148,7 @@ func TestSolveBlockIntoZeroRHSColumn(t *testing.T) {
 	bT := transpose(b)
 	xT := mat.NewDense(s, n)
 	mat.Fill(xT.Row(1), 3) // garbage in x must be zeroed
-	op := perColumnBlockOp(func(dst, v []float64) { mat.MatVec(dst, spd, v) })
+	op := perColumnBlockOp(func(dst, v []float64) { matVec(dst, spd, v) })
 	res := SolveBlockInto(context.Background(), op, nil, bT, xT, nil, Options{Tol: 1e-10, MaxIter: 200})
 	if !res[1].Converged || res[1].Iterations != 0 {
 		t.Fatalf("zero column: %+v, want immediate convergence", res[1])
@@ -172,7 +172,7 @@ func TestSolveBlockIntoApplicationCount(t *testing.T) {
 	const n = 48
 	for _, s := range []int{1, 3, 5} {
 		spd, b := blockTestSystem(n, s, int64(200+s))
-		matvec := func(dst, v []float64) { mat.MatVec(dst, spd, v) }
+		matvec := func(dst, v []float64) { matVec(dst, spd, v) }
 		diag := perColumnBlockOp(func(dst, v []float64) {
 			for i := range dst {
 				dst[i] = v[i] / spd.At(i, i)
@@ -217,7 +217,7 @@ func TestSolveBlockIntoApplicationCount(t *testing.T) {
 func TestSolveBlockIntoOverwritesX(t *testing.T) {
 	const n, s = 48, 4
 	spd, b := blockTestSystem(n, s, 11)
-	op := perColumnBlockOp(func(dst, v []float64) { mat.MatVec(dst, spd, v) })
+	op := perColumnBlockOp(func(dst, v []float64) { matVec(dst, spd, v) })
 	bT := transpose(b)
 	opt := Options{Tol: 1e-6, MaxIter: 300, RecordResiduals: true, Workspace: mat.NewWorkspace()}
 
@@ -258,7 +258,7 @@ func TestSolveBlockIntoOverwritesX(t *testing.T) {
 func TestSolveBlockIntoCancellation(t *testing.T) {
 	const n, s = 48, 4
 	spd, b := blockTestSystem(n, s, 9)
-	matvec := func(dst, v []float64) { mat.MatVec(dst, spd, v) }
+	matvec := func(dst, v []float64) { matVec(dst, spd, v) }
 	// Loose tolerance: per-block conditioning staggers the convergence, so
 	// the fastest column finishes several lockstep iterations before the
 	// slowest and the cancellation lands mid-block.
@@ -339,7 +339,7 @@ func TestSolveBlockIntoCancellation(t *testing.T) {
 func TestSolveBlockIntoResultReuse(t *testing.T) {
 	const n, s = 16, 4
 	spd, b := blockTestSystem(n, s, 3)
-	op := perColumnBlockOp(func(dst, v []float64) { mat.MatVec(dst, spd, v) })
+	op := perColumnBlockOp(func(dst, v []float64) { matVec(dst, spd, v) })
 	bT := transpose(b)
 	xT := mat.NewDense(s, n)
 	opt := Options{Tol: 1e-10, MaxIter: 200, Workspace: mat.NewWorkspace()}
@@ -374,7 +374,7 @@ func TestSolveBlockIntoZeroAllocWarm(t *testing.T) {
 	}
 	const n, s = 24, 5
 	spd, b := blockTestSystem(n, s, 5)
-	op := perColumnBlockOp(func(dst, v []float64) { mat.MatVec(dst, spd, v) })
+	op := perColumnBlockOp(func(dst, v []float64) { matVec(dst, spd, v) })
 	prec := perColumnBlockOp(func(dst, v []float64) {
 		for i := range dst {
 			dst[i] = v[i] / spd.At(i, i)

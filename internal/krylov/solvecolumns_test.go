@@ -172,7 +172,7 @@ func TestSolveColumnsIntoReuse(t *testing.T) {
 	for i := 0; i < n; i++ {
 		spd.Set(i, i, 2+float64(i%3))
 	}
-	a := func(dst, v []float64) { mat.MatVec(dst, spd, v) }
+	a := func(dst, v []float64) { matVec(dst, spd, v) }
 	b := mat.NewDense(n, cols)
 	for j := 0; j < cols; j++ {
 		for i := 0; i < n; i++ {
@@ -226,7 +226,7 @@ func TestSolveColumnsIntoZeroAllocWarm(t *testing.T) {
 	for i := 0; i < n; i++ {
 		spd.Set(i, i, 3+float64(i%2))
 	}
-	a := func(dst, v []float64) { mat.MatVec(dst, spd, v) }
+	a := func(dst, v []float64) { matVec(dst, spd, v) }
 	b := mat.NewDense(n, cols)
 	for i := range b.Data {
 		b.Data[i] = float64(i%7) - 3

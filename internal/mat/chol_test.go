@@ -36,12 +36,12 @@ func TestFactorIntoMatchesNewCholesky(t *testing.T) {
 		if err := c.factor(a, 0); err != nil {
 			t.Fatal(err)
 		}
-		if d := MaxAbsDiff(want.L, c.L); d != 0 {
+		if d := maxAbsDiff(want.L, c.L); d != 0 {
 			t.Fatalf("n=%d: reused factor differs from fresh factor by %g", n, d)
 		}
 		// a must be untouched.
 		check := spdFromFactor(n, uint64(n)+7)
-		if d := MaxAbsDiff(a, check); d != 0 {
+		if d := maxAbsDiff(a, check); d != 0 {
 			t.Fatalf("n=%d: factor modified its input (diff %g)", n, d)
 		}
 	}
@@ -68,7 +68,7 @@ func TestFactorRidgeMatchesNewCholeskyRidge(t *testing.T) {
 	if ridge != wantRidge {
 		t.Fatalf("ridge %g, want %g", ridge, wantRidge)
 	}
-	if d := MaxAbsDiff(want.L, c.L); d != 0 {
+	if d := maxAbsDiff(want.L, c.L); d != 0 {
 		t.Fatalf("ridged factor differs by %g", d)
 	}
 	if ridge == 0 {
@@ -90,14 +90,14 @@ func TestSolveIntoAndInverseInto(t *testing.T) {
 	dst := NewDense(n, n)
 	Fill(dst.Data, math.NaN()) // residue must be fully overwritten
 	ch.InverseInto(ws, dst)
-	if d := MaxAbsDiff(want, dst); d != 0 {
+	if d := maxAbsDiff(want, dst); d != 0 {
 		t.Fatalf("InverseInto differs from Inverse by %g", d)
 	}
 
 	// A·A⁻¹ ≈ I.
 	prod := Mul(nil, a, dst)
 	eye := Eye(n)
-	if d := MaxAbsDiff(prod, eye); d > 1e-10 {
+	if d := maxAbsDiff(prod, eye); d > 1e-10 {
 		t.Fatalf("A·A⁻¹ off identity by %g", d)
 	}
 
@@ -107,7 +107,7 @@ func TestSolveIntoAndInverseInto(t *testing.T) {
 	wantX := ch.SolveInto(nil, nil, b)
 	x := NewDense(n, n)
 	ch.SolveInto(ws, x, b)
-	if d := MaxAbsDiff(wantX, x); d != 0 {
+	if d := maxAbsDiff(wantX, x); d != 0 {
 		t.Fatalf("SolveInto with a workspace differs from one without by %g", d)
 	}
 	if !RaceEnabled {

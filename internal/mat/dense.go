@@ -9,10 +9,7 @@
 // float64 on CPUs for robustness and document the difference in DESIGN.md.
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dense is a row-major matrix. The zero value is an empty matrix; use
 // NewDense to allocate.
@@ -210,23 +207,6 @@ func FrobDot(a, b *Dense) float64 {
 		}
 	}
 	return s
-}
-
-// MaxAbsDiff returns max_ij |a_ij - b_ij|, a convenience for tests.
-func MaxAbsDiff(a, b *Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: MaxAbsDiff shape mismatch")
-	}
-	var m float64
-	for i := 0; i < a.Rows; i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		for j := range ra {
-			if d := math.Abs(ra[j] - rb[j]); d > m {
-				m = d
-			}
-		}
-	}
-	return m
 }
 
 // Symmetrize replaces m with (m + mᵀ)/2.

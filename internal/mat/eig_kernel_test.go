@@ -169,7 +169,7 @@ func TestSymEigLevelsMatchPortable(t *testing.T) {
 
 // TestWeightedSqNormsMatchesMulPacked pins the fused ROUND norm kernel at
 // every kernel level the host has to its unfused definition bit for bit:
-// y = x·wᵀ from MulPacked with the operands packed the other way round,
+// y = x·wᵀ from mulPacked with the operands packed the other way round,
 // then per row of y the two weighted sums over ascending j, one math.FMA
 // per term. It covers 1 to 70 points (every eight-point tail, so both
 // the sixteen-point tiles and a lone last eight-point one), w row counts
@@ -203,7 +203,7 @@ func TestWeightedSqNormsMatchesMulPacked(t *testing.T) {
 						xl.PackLeft(x)
 						wr8.PackRight(w)
 						y := NewDense(xr, wr)
-						MulPacked(y, &xl, &wr8, 0)
+						mulPacked(y, &xl, &wr8, 0)
 						for p := 0; p < xr; p++ {
 							var sb, sp float64
 							for j, v := range y.Row(p) {

@@ -516,40 +516,6 @@ func accumRowsGo(y, g []float64, gs int, x *Dense) {
 	}
 }
 
-// MatVec computes dst = a*x. If dst is nil it is allocated.
-//
-//firal:hotpath
-func MatVec(dst []float64, a *Dense, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic("mat: MatVec dimension mismatch")
-	}
-	if dst == nil {
-		dst = make([]float64, a.Rows)
-	} else if len(dst) != a.Rows {
-		panic("mat: MatVec dst length mismatch")
-	}
-	if parallel.Serial(a.Rows) {
-		matVecRange(dst, a, x, 0, a.Rows)
-		return dst
-	}
-	t := matVecTasks.Get()
-	t.v1, t.m1, t.v2 = dst, a, x
-	parallel.ForChunk(a.Rows, t.fn)
-	t.release(matVecTasks)
-	return dst
-}
-
-var matVecTasks = newChunkTaskPool(func(t *kernelTask, lo, hi int) {
-	matVecRange(t.v1, t.m1, t.v2, lo, hi)
-})
-
-//firal:hotpath
-func matVecRange(dst []float64, a *Dense, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] = dotu(a.Row(i), x)
-	}
-}
-
 // WeightedGram computes dst = Xᵀ diag(w) X for X (n×d), yielding the d×d
 // symmetric matrix Σ_i w_i x_i x_iᵀ. This is the kernel behind the
 // block-diagonal preconditioner of Eq. 14: B_k(Σ) = Σ_i w_ik x_i x_iᵀ.

@@ -9,7 +9,7 @@ import (
 // GEMM benchmarks: the blocked kernels against the unblocked reference at
 // the dimensions the ROADMAP targets (d ≥ 256 feature blocks). Run with
 //
-//	go test -bench 'Gemm|MatVec' -benchmem ./internal/mat
+//	go test -bench 'Gemm' -benchmem ./internal/mat
 func benchDims(d int) (*Dense, *Dense) {
 	rng := rand.New(rand.NewSource(42))
 	return randDense(rng, d, d), randDense(rng, d, d)
@@ -43,16 +43,6 @@ func BenchmarkGemmTransABlocked(b *testing.B) {
 
 func BenchmarkGemmTransANaive(b *testing.B) {
 	benchmarkGemm(b, 256, RefMulTransA)
-}
-
-func BenchmarkMatVec(b *testing.B) {
-	a, _ := benchDims(512)
-	x := make([]float64, 512)
-	dst := make([]float64, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatVec(dst, a, x)
-	}
 }
 
 func BenchmarkWeightedGram(b *testing.B) {

@@ -25,7 +25,7 @@ func TestLUSolve(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := lu.SolveVec(nil, b)
-		ax := MatVec(nil, a, x)
+		ax := RefMatVec(nil, a, x)
 		for i := range b {
 			if math.Abs(ax[i]-b[i]) > 1e-8 {
 				t.Fatalf("n=%d: residual %g", n, ax[i]-b[i])
@@ -48,7 +48,7 @@ func TestLUSolveMatrixAndNonsymmetric(t *testing.T) {
 	b := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	x := lu.Solve(nil, b)
 	ax := Mul(nil, a, x)
-	if d := MaxAbsDiff(ax, b); d > 1e-10 {
+	if d := maxAbsDiff(ax, b); d > 1e-10 {
 		t.Fatalf("AX != B (%g)", d)
 	}
 }

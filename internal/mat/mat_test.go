@@ -53,7 +53,7 @@ func TestMulAgainstNaive(t *testing.T) {
 				want.Set(i, j, s)
 			}
 		}
-		if d := MaxAbsDiff(got, want); d > 1e-12 {
+		if d := maxAbsDiff(got, want); d > 1e-12 {
 			t.Fatalf("trial %d: Mul mismatch %g", trial, d)
 		}
 	}
@@ -71,7 +71,7 @@ func TestMulTransVariants(t *testing.T) {
 	}
 	got := MulTransA(nil, a, b)
 	want := Mul(nil, a.T(), b)
-	if d := MaxAbsDiff(got, want); d > 1e-12 {
+	if d := maxAbsDiff(got, want); d > 1e-12 {
 		t.Fatalf("MulTransA mismatch %g", d)
 	}
 	c := NewDense(6, 5)
@@ -80,7 +80,7 @@ func TestMulTransVariants(t *testing.T) {
 	}
 	got2 := MulTransB(nil, c, b)
 	want2 := Mul(nil, c, b.T())
-	if d := MaxAbsDiff(got2, want2); d > 1e-12 {
+	if d := maxAbsDiff(got2, want2); d > 1e-12 {
 		t.Fatalf("MulTransB mismatch %g", d)
 	}
 }
@@ -100,8 +100,8 @@ func TestMatVecAndTranspose(t *testing.T) {
 		y[i] = rng.NormFloat64()
 	}
 	// Adjoint identity: yᵀ(Ax) == (Aᵀy)ᵀx.
-	lhs := Dot(y, MatVec(nil, a, x))
-	rhs := Dot(MatVec(nil, a.T(), y), x)
+	lhs := Dot(y, RefMatVec(nil, a, x))
+	rhs := Dot(RefMatVec(nil, a.T(), y), x)
 	if math.Abs(lhs-rhs) > 1e-10 {
 		t.Fatalf("adjoint identity violated: %g vs %g", lhs, rhs)
 	}
@@ -122,13 +122,13 @@ func TestWeightedGram(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		want.AddOuter(w[i], x.Row(i))
 	}
-	if d := MaxAbsDiff(got, want); d > 1e-10 {
+	if d := maxAbsDiff(got, want); d > 1e-10 {
 		t.Fatalf("WeightedGram mismatch %g", d)
 	}
 	// nil weights = unit weights
 	got2 := WeightedGram(nil, x, nil)
 	want2 := MulTransA(nil, x, x)
-	if d := MaxAbsDiff(got2, want2); d > 1e-10 {
+	if d := maxAbsDiff(got2, want2); d > 1e-10 {
 		t.Fatalf("unit WeightedGram mismatch %g", d)
 	}
 }
@@ -143,7 +143,7 @@ func TestCholeskySolveAndInverse(t *testing.T) {
 		}
 		// Factor reconstructs A.
 		rec := MulTransB(nil, ch.L, ch.L)
-		if d := MaxAbsDiff(rec, a); d > 1e-8*float64(n) {
+		if d := maxAbsDiff(rec, a); d > 1e-8*float64(n) {
 			t.Fatalf("n=%d: LLᵀ != A (%g)", n, d)
 		}
 		// Solve.
@@ -152,7 +152,7 @@ func TestCholeskySolveAndInverse(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := ch.SolveVec(nil, b)
-		ax := MatVec(nil, a, x)
+		ax := RefMatVec(nil, a, x)
 		for i := range b {
 			if math.Abs(ax[i]-b[i]) > 1e-8 {
 				t.Fatalf("n=%d: solve residual %g", n, ax[i]-b[i])
@@ -161,7 +161,7 @@ func TestCholeskySolveAndInverse(t *testing.T) {
 		// Inverse.
 		inv := ch.Inverse()
 		id := Mul(nil, a, inv)
-		if d := MaxAbsDiff(id, Eye(n)); d > 1e-8 {
+		if d := maxAbsDiff(id, Eye(n)); d > 1e-8 {
 			t.Fatalf("n=%d: A·A⁻¹ != I (%g)", n, d)
 		}
 	}
@@ -208,7 +208,7 @@ func TestSymEigReconstruction(t *testing.T) {
 		}
 		// Orthonormal columns.
 		vtv := MulTransA(nil, vecs, vecs)
-		if d := MaxAbsDiff(vtv, Eye(n)); d > 1e-9 {
+		if d := maxAbsDiff(vtv, Eye(n)); d > 1e-9 {
 			t.Fatalf("n=%d: VᵀV != I (%g)", n, d)
 		}
 		// Reconstruction.
@@ -217,7 +217,7 @@ func TestSymEigReconstruction(t *testing.T) {
 			lam.Set(i, i, vals[i])
 		}
 		rec := Mul(nil, Mul(nil, vecs, lam), vecs.T())
-		if d := MaxAbsDiff(rec, a); d > 1e-8*float64(n) {
+		if d := maxAbsDiff(rec, a); d > 1e-8*float64(n) {
 			t.Fatalf("n=%d: VΛVᵀ != A (%g)", n, d)
 		}
 	}
@@ -269,12 +269,12 @@ func TestSPDFuncs(t *testing.T) {
 	}
 	isq := sf.InvSqrt()
 	id := Mul(nil, Mul(nil, isq, a), isq)
-	if d := MaxAbsDiff(id, Eye(12)); d > 1e-8 {
+	if d := maxAbsDiff(id, Eye(12)); d > 1e-8 {
 		t.Fatalf("A^{-1/2} A A^{-1/2} != I (%g)", d)
 	}
 	inv := sf.Inv()
 	id2 := Mul(nil, inv, a)
-	if d := MaxAbsDiff(id2, Eye(12)); d > 1e-8 {
+	if d := maxAbsDiff(id2, Eye(12)); d > 1e-8 {
 		t.Fatalf("A⁻¹A != I (%g)", d)
 	}
 	if sf.Cond() < 1 {
@@ -323,7 +323,7 @@ func TestKronMixedProductProperty(t *testing.T) {
 		b, d := mk(m, m), mk(m, m)
 		lhs := Mul(nil, Kron(a, b), Kron(c, d))
 		rhs := Kron(Mul(nil, a, c), Mul(nil, b, d))
-		return MaxAbsDiff(lhs, rhs) < 1e-9
+		return maxAbsDiff(lhs, rhs) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 	for k := 0; k < c; k++ {
 		got := Block(m, k, k, d)
-		if d := MaxAbsDiff(got, blocks[k]); d > 0 {
+		if d := maxAbsDiff(got, blocks[k]); d > 0 {
 			t.Fatalf("block %d mismatch %g", k, d)
 		}
 	}

@@ -28,13 +28,13 @@ package mat
 // 4×16 tile is bit for bit the two 4×8 tiles it covers. Every blocked product
 // stores the tiles of its first k-panel and adds those of the later ones
 // onto them in ascending order — the bits of adding every tile onto a
-// zeroed destination — so the gemm paths, MulPacked and MulPackedRight
-// give the same bits for the same element.
+// zeroed destination — so the gemm paths and MulPackedRight give the
+// same bits for the same element.
 
 // Packed is one operand of the blocked product a·bᵀ, copied into the panel
 // layout above. Its owner packs it with PackLeft or PackRight, repacks it
-// whenever the operand changes, and passes it to MulPacked or
-// MulPackedRight as often as it likes. The zero value is ready to pack;
+// whenever the operand changes, and passes it to MulPackedRight,
+// MulPackedRightInOrder or WeightedSqNorms as often as it likes. The zero value is ready to pack;
 // the storage grows to the largest operand packed and is then reused. A
 // Packed is read-only while products use it, so several goroutines may
 // share one.
@@ -63,29 +63,6 @@ func (p *Packed) fill(src *Dense, w int) {
 
 // padded is the operand's row count rounded up to its lane panel width.
 func (p *Packed) padded() int { return (p.rows + p.w - 1) / p.w * p.w }
-
-// MulPacked sets dst to a·b_cᵀ, where a is a packed left operand with
-// dst.Rows rows and b_c is rows [c0, c0+dst.Cols) of the matrix packed in
-// the right operand b. Each element is bit for bit the one
-// MulTransBInOrder(dst, a, b_c, true) computes. It runs on the calling
-// goroutine. dst must not alias either operand's matrix.
-//
-//firal:hotpath
-func MulPacked(dst *Dense, a, b *Packed, c0 int) {
-	checkPacked(dst, b, c0, a.k)
-	if a.w != gemmMR || a.rows != dst.Rows {
-		panic("mat: MulPacked needs a left operand with the destination's rows")
-	}
-	if a.k == 0 {
-		dst.Zero() // an empty sum is +0
-		return
-	}
-	arp, brp := a.padded(), b.padded()
-	for pc := 0; pc < a.k; pc += gemmKC {
-		kc := min(gemmKC, a.k-pc)
-		macroTile(dst, 0, 0, a.data[pc*arp:], b.data[pc*brp:], kc, a.rows, c0, c0+dst.Cols, pc == 0)
-	}
-}
 
 // MulPackedRight sets dst to a·b_cᵀ, where b_c is rows [c0,
 // c0+dst.Cols) of the matrix packed in the right operand b, in the
@@ -278,10 +255,10 @@ func dotuTile(kc int, x []float64, xs, mr int, bp []float64, lanes *dotuLanes, o
 //
 // each sum over ascending j from zero, the square a multiply and each
 // term one fused multiply-add onto its sum: ROUND's two weighted row
-// norms, without forming y. Each y_pj is the element MulPacked computes
-// for the operands packed the other way round (the same products, each
-// commuted, summed in the same order), up to the sign of a zero, which
-// its square drops. It runs on the calling goroutine.
+// norms, without forming y. Each y_pj is the element MulPackedRight
+// computes with x unpacked and w packed as the right operand (the same
+// products, each commuted, summed in the same order), up to the sign of
+// a zero, which its square drops. It runs on the calling goroutine.
 //
 // y is formed in tiles of four rows j of w by the eight rows p of a lane
 // panel of x, which are folded into the points' sums as soon as they are

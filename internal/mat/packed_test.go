@@ -6,12 +6,34 @@ import (
 	"testing"
 )
 
+// mulPacked sets dst to a·b_cᵀ, where a is a packed left operand with
+// dst.Rows rows and b_c is rows [c0, c0+dst.Cols) of the matrix packed in
+// the right operand b. Each element is bit for bit the one
+// MulTransBInOrder(dst, a, b_c, true) computes. It runs on the calling
+// goroutine. dst must not alias either operand's matrix. MulPackedRight
+// is the same product with an unpacked left operand.
+func mulPacked(dst *Dense, a, b *Packed, c0 int) {
+	checkPacked(dst, b, c0, a.k)
+	if a.w != gemmMR || a.rows != dst.Rows {
+		panic("mat: mulPacked needs a left operand with the destination's rows")
+	}
+	if a.k == 0 {
+		dst.Zero() // an empty sum is +0
+		return
+	}
+	arp, brp := a.padded(), b.padded()
+	for pc := 0; pc < a.k; pc += gemmKC {
+		kc := min(gemmKC, a.k-pc)
+		macroTile(dst, 0, 0, a.data[pc*arp:], b.data[pc*brp:], kc, a.rows, c0, c0+dst.Cols, pc == 0)
+	}
+}
+
 // TestPackedMatchesMulTransBInOrder is the packed-operand property: at
 // every kernel level the host has, one right operand packed once — a
 // stack of c class blocks of d rows each, as ROUND stacks its W_kᵀ —
 // serves products with every class's row window, with windows that start
 // inside a lane panel and cross class boundaries, and with ragged left
-// tiles (1 to 70 rows, row stride wider than d), through both MulPacked
+// tiles (1 to 70 rows, row stride wider than d), through both mulPacked
 // and MulPackedRight, and each product has the bits of
 // MulTransBInOrder(…, true) on the same rows. d = 256 fills one k-panel
 // exactly and d = 300 spans two.
@@ -47,7 +69,7 @@ func testPacked(t *testing.T) {
 					MulTransBInOrder(want, xt, bw, true)
 					got := NewDense(rows, c1-c0)
 					spread(rng, got.Data) // the products overwrite dst
-					MulPacked(got, &pa, &pb, c0)
+					mulPacked(got, &pa, &pb, c0)
 					right := NewDense(rows, c1-c0)
 					spread(rng, right.Data)
 					MulPackedRight(right, xt, &pb, c0)
@@ -78,7 +100,7 @@ func TestPackedZeroAllocWarm(t *testing.T) {
 	run := func() {
 		pb.PackRight(stack)
 		pa.PackLeft(x)
-		MulPacked(dst, &pa, &pb, 64)
+		mulPacked(dst, &pa, &pb, 64)
 		MulPackedRight(dst, x, &pb, 128)
 		MulPackedRightInOrder(dst, x, &pb, 61, false)
 	}

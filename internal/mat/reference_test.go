@@ -64,6 +64,23 @@ func RefMatVec(dst []float64, a *Dense, x []float64) []float64 {
 	return dst
 }
 
+// maxAbsDiff returns max_ij |a_ij - b_ij|.
+func maxAbsDiff(a, b *Dense) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("mat: maxAbsDiff shape mismatch")
+	}
+	var m float64
+	for i := 0; i < a.Rows; i++ {
+		ra, rb := a.Row(i), b.Row(i)
+		for j := range ra {
+			if d := math.Abs(ra[j] - rb[j]); d > m {
+				m = d
+			}
+		}
+	}
+	return m
+}
+
 // RefWeightedGram computes dst = Xᵀ diag(w) X with serial rank-1 updates.
 func RefWeightedGram(dst *Dense, x *Dense, w []float64) *Dense {
 	d := x.Cols

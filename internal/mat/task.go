@@ -16,7 +16,7 @@ import "repro/internal/parallel"
 // on return. Steady state: zero allocations and zero goroutine forks.
 type kernelTask struct {
 	m1, m2, m3     *Dense
-	v1, v2         []float64
+	v1             []float64
 	i1, i2, i3, i4 int
 	b1             bool
 
@@ -28,7 +28,7 @@ type kernelTask struct {
 // operand memory) and returns the record to its pool.
 func (t *kernelTask) release(p *taskPool) {
 	t.m1, t.m2, t.m3 = nil, nil, nil
-	t.v1, t.v2 = nil, nil
+	t.v1 = nil
 	p.Put(t)
 }
 
